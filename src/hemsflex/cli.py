@@ -78,14 +78,6 @@ class RunConfig:
         draws = hems.read_draw_profile_csv(self.draws_path) if self.draws_path else None
         return hems.HemsConfig.from_json(self.hems_path, draw_profile=draws)
 
-    def copula_config(self) -> scenarios.CopulaConfig:
-        return scenarios.CopulaConfig(
-            horizon=int(self.copula.get("horizon", 96)),
-            count=int(self.copula.get("count", 100)),
-            nu_cov=float(self.copula.get("nu_cov", 4.0)),
-            seed=stage_seed(self.seed, _STAGE_SCENARIOS),
-        )
-
     def epso_config(self) -> epso.EpsoConfig:
         fields = dict(self.epso)
         fields["seed"] = stage_seed(self.seed, _STAGE_SEARCH)
@@ -365,7 +357,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", required=True, help="pipeline config JSON")
     parser.add_argument("--seed", type=int, default=None, help="override the master seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker cap (results unchanged)")
+    parser.add_argument(
+        "--threads", type=int, default=1,
+        help="accepted for compatibility and ignored: the search is single-threaded",
+    )
     parser.add_argument("--out", default=None, help="override the output directory")
     sub = parser.add_subparsers(dest="command", required=True)
 

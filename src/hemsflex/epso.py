@@ -14,13 +14,15 @@ from __future__ import annotations
 import csv
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .hems import FlexTrajectory, HemsConfig, batch_compliance, repair_trajectory
+from .hems import FlexTrajectory, HemsConfig, batch_compliance, batch_repair
+
+# Kept importable as epso.repair_trajectory, where perfbench/spans.py looks it up.
+from .hems import repair_trajectory  # noqa: F401
 from .scenarios import ScenarioSet
 
 __all__ = [
@@ -272,19 +274,14 @@ def move_particle(
     )
 
 
-def _compliance_vectors(
-    traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    draws = cfg.ewh.draws(traj.horizon)
-    return batch_compliance(traj.p_bat, traj.p_ewh, scenarios.values, draws, cfg, dt)
-
-
 def evaluate_fitness(traj, scenarios: ScenarioSet, cfg: HemsConfig, dt: float) -> int:
     """Number of scenarios in which the trajectory is fully compliant: zero
     constraint penalty and the surplus-accommodation rule respected."""
     if isinstance(traj, Particle):
         traj = traj.trajectory
-    zero_penalty, accommodation_ok = _compliance_vectors(traj, scenarios, cfg, dt)
+    zero_penalty, accommodation_ok = batch_compliance(
+        traj.p_bat, traj.p_ewh, scenarios.values, cfg.ewh.draws(traj.horizon), cfg, dt
+    )
     return int(np.count_nonzero(zero_penalty & accommodation_ok))
 
 
@@ -388,13 +385,15 @@ def run(
     Offspring that are violation-free in enough scenarios but discharge during
     surplus steps are repaired against the scenario-set surplus envelope and
     re-checked before joining the set. `log_sink`, when given, receives one
-    dict per iteration. Results are independent of `threads`.
+    dict per iteration. Each generation is screened in one batched kernel
+    call, so `threads` is accepted for compatibility and has no effect.
     """
     t_start = time.perf_counter()
     n_scen = scenarios.count
     horizon = scenarios.horizon
     threshold = robust_threshold(n_scen, epso_cfg.tau_scen)
     scenario0 = scenarios.values[0]
+    draws = hems_cfg.ewh.draws(horizon)
     # Repair against the surplus envelope: a trajectory that never discharges
     # where any scenario shows surplus passes the accommodation rule in all.
     surplus_envelope = np.maximum(0.0, -scenarios.values).max(axis=0)
@@ -406,42 +405,54 @@ def run(
         if log_sink is not None:
             log_sink(record)
 
-    def evaluate(particle: Particle) -> tuple[np.ndarray, np.ndarray]:
-        return _compliance_vectors(particle.trajectory, scenarios, hems_cfg, dt)
+    def screen(p_bat: np.ndarray, p_ewh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Compliant-scenario counts and zero-penalty counts per row."""
+        zero_penalty, accommodation_ok = batch_compliance(
+            p_bat, p_ewh, scenarios.values, draws, hems_cfg, dt
+        )
+        return (
+            np.count_nonzero(zero_penalty & accommodation_ok, axis=1),
+            np.count_nonzero(zero_penalty, axis=1),
+        )
 
-    def evaluate_all(particles: list[Particle]) -> list[tuple[np.ndarray, np.ndarray]]:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(evaluate, particles))
-        return [evaluate(p) for p in particles]
-
-    def collect(particle: Particle, vectors: tuple[np.ndarray, np.ndarray]) -> None:
-        zero_penalty, accommodation_ok = vectors
-        fitness = int(np.count_nonzero(zero_penalty & accommodation_ok))
-        particle.note_evaluation(fitness)
-        if fitness >= threshold:
-            feasible.add(particle.trajectory, fitness)
-            return
+    def evaluate(particles: list[Particle]) -> None:
+        """Score the whole population in one kernel call, repair and re-screen
+        the repair candidates in one call each, then update the particles and
+        the set in population order."""
+        p_bat = np.stack([p.x_bat for p in particles])
+        p_ewh = np.stack([p.x_ewh for p in particles])
+        fitness, penalty_free = screen(p_bat, p_ewh)
         # Repair applies when the only widespread failures are
         # surplus-accommodation ones; it is skipped for trajectories the
         # envelope itself pushes into penalties.
-        if int(np.count_nonzero(zero_penalty)) >= threshold:
-            try:
-                repaired = repair_trajectory(particle.trajectory, surplus_envelope, hems_cfg, dt)
-            except ValueError:
-                return
-            repaired_fitness = evaluate_fitness(repaired, scenarios, hems_cfg, dt)
-            if repaired_fitness >= threshold:
-                feasible.add(repaired, repaired_fitness)
+        candidates = np.flatnonzero((fitness < threshold) & (penalty_free >= threshold))
+        repaired: dict[int, tuple[np.ndarray, int]] = {}
+        if candidates.size:
+            fixed_bat, valid = batch_repair(
+                p_bat[candidates], p_ewh[candidates], surplus_envelope, hems_cfg, dt
+            )
+            rows, fixed_bat = candidates[valid], fixed_bat[valid]
+            if rows.size:
+                fixed_fitness, _ = screen(fixed_bat, p_ewh[rows])
+                repaired = {int(i): (b, int(f)) for i, b, f in zip(rows, fixed_bat, fixed_fitness)}
+        for i, particle in enumerate(particles):
+            particle.note_evaluation(int(fitness[i]))
+            if fitness[i] >= threshold:
+                feasible.add(particle.trajectory, int(fitness[i]))
+            elif i in repaired and repaired[i][1] >= threshold:
+                fixed, fixed_fitness = repaired[i]
+                feasible.add(FlexTrajectory(p_bat=fixed, p_ewh=particle.x_ewh.copy()), fixed_fitness)
+
+    def best_distance() -> float:
+        return float(np.max(feasible.distances())) if len(feasible) else 0.0
 
     population = seed_initial_population(scenario0, epso_cfg, hems_cfg, _stream(epso_cfg.seed, 0))
-    for particle, vectors in zip(population, evaluate_all(population)):
-        collect(particle, vectors)
+    evaluate(population)
     emit(
         {
             "iteration": 0,
             "feasible": len(feasible),
-            "best_distance": float(np.max(feasible.distances())) if len(feasible) else 0.0,
+            "best_distance": best_distance(),
             "mutation_rate": epso_cfg.mutation_max,
         }
     )
@@ -456,14 +467,10 @@ def run(
         tau_effective = epso_cfg.tau_learn * rate
 
         if len(feasible):
-            distances = feasible.distances()
-            best_index = int(np.argmax(distances))
-            b_g = feasible.trajectories[best_index]
-            best_distance = float(distances[best_index])
+            b_g = select_global_best(feasible)
         else:
-            fittest = max(population, key=lambda p: p.fitness)
-            b_g = fittest.trajectory
-            best_distance = 0.0
+            b_g = max(population, key=lambda p: p.fitness).trajectory
+        distance = best_distance()
 
         offspring = []
         for i, parent in enumerate(population):
@@ -481,8 +488,7 @@ def run(
             b_g_star = perturb_global_best(b_g, epso_cfg.tau_prime, rng_move)
             offspring.append(move_particle(child, b_g_star, epso_cfg, hems_cfg, rng_move))
 
-        for child, vectors in zip(offspring, evaluate_all(offspring)):
-            collect(child, vectors)
+        evaluate(offspring)
 
         population = stochastic_tournament(
             population, offspring, _stream(epso_cfg.seed, 2, it), epso_cfg.tournament_win_prob
@@ -491,7 +497,7 @@ def run(
             {
                 "iteration": it,
                 "feasible": len(feasible),
-                "best_distance": best_distance,
+                "best_distance": distance,
                 "mutation_rate": rate,
             }
         )

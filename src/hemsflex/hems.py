@@ -15,6 +15,7 @@ import csv
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -29,6 +30,8 @@ __all__ = [
     "max_charge_power",
     "battery_step",
     "ewh_step",
+    "batch_compliance",
+    "batch_repair",
     "simulate",
     "update_capacity",
     "pv_accommodation",
@@ -315,6 +318,111 @@ def update_capacity(
     return CapacityTracker(capacity=capacity, band=tracker.band)
 
 
+class _Step(NamedTuple):
+    """State and per-rule flags of (P, S) lanes right after one step."""
+
+    discharge: np.ndarray
+    charge_rate: np.ndarray
+    soc_max: np.ndarray
+    soc_min: np.ndarray
+    temp: np.ndarray
+    soc: np.ndarray
+    theta: np.ndarray
+
+    @property
+    def fault(self) -> np.ndarray:
+        """Lanes with any constraint penalty this step."""
+        return self.charge_rate | self.soc_max | self.soc_min | self.temp[:, None]
+
+
+def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
+    """Step P trajectories through S surplus rows at once, yielding one
+    `_Step` per horizon step.
+
+    p_bat and p_ewh are (P, T), surplus is (S, T) and draws (T,). Lane (p, s)
+    is trajectory p under surplus row s: the battery absorbs the supposed PV
+    surplus on top of the trajectory's own schedule, so a trajectory that has
+    not kept headroom free shows up as a soc_max violation, and combined
+    charging beyond the tapered limit as a charge_rate violation. Tank
+    temperature does not depend on the surplus, so it is a (P,) vector. Every
+    lane runs the scalar helpers' arithmetic in the same order, so results do
+    not depend on how lanes are batched.
+    """
+    bat, ewh = cfg.battery, cfg.ewh
+    lanes = (p_bat.shape[0], surplus.shape[0])
+    soc = np.full(lanes, bat.soc_init)
+    capacity = np.full(lanes, bat.absorption_band)
+    theta = np.full(p_bat.shape[0], ewh.theta_init)
+    for h in range(p_bat.shape[1]):
+        sur = surplus[:, h]
+        pb = p_bat[:, h, None]
+        pe = p_ewh[:, h, None]
+        absorb = _absorption(sur, pe, capacity, dt, bat)
+        p_eff = pb + absorb
+        charge_rate = p_eff > _charge_limit(soc, bat) + EPS
+        soc = soc + np.where(p_eff > 0.0, bat.efficiency * p_eff * dt, p_eff * dt / bat.efficiency)
+        theta = ewh_step(theta, p_ewh[:, h], draws[h], dt, ewh)
+        yield _Step(
+            discharge=(absorb > EPS) & (pb < -EPS),
+            charge_rate=charge_rate,
+            soc_max=soc > bat.soc_max + EPS,
+            soc_min=soc < bat.soc_min - EPS,
+            temp=(theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS),
+            soc=soc,
+            theta=theta,
+        )
+        net = np.maximum(0.0, sur - pe)
+        capacity = np.where(
+            sur > 0.0,
+            np.maximum(0.0, capacity - np.minimum(net, bat.p_charge_max) * dt),
+            np.minimum(capacity + bat.p_discharge_max * dt, bat.absorption_band),
+        )
+
+
+def batch_compliance(
+    p_bat: np.ndarray,
+    p_ewh: np.ndarray,
+    net_load: np.ndarray,
+    draws: np.ndarray,
+    cfg: HemsConfig,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Screen trajectories against S net-load rows at once.
+
+    p_bat and p_ewh are one trajectory's (T,) vectors or a population's (P, T)
+    matrices. Returns (zero_penalty, accommodation_ok): boolean vectors of
+    length S for one trajectory, (P, S) matrices for a population. Each entry
+    equals `simulate(...).penalty == 0` and `pv_accommodation(...)[0]` for that
+    trajectory and the row's surplus.
+    """
+    p_bat = np.asarray(p_bat, dtype=float)
+    p_ewh = np.asarray(p_ewh, dtype=float)
+    net_load = np.asarray(net_load, dtype=float)
+    draws = np.asarray(draws, dtype=float)
+    single = p_bat.ndim == 1
+    if single:
+        p_bat, p_ewh = p_bat[None], p_ewh[None]
+    count, horizon = net_load.shape
+    if p_bat.ndim != 2 or p_ewh.shape != p_bat.shape or p_bat.shape[1] != horizon or draws.shape != (horizon,):
+        raise ValueError("trajectory, draw profile, and scenario horizons differ")
+
+    zero_penalty = np.ones((p_bat.shape[0], count), dtype=bool)
+    accommodation_ok = np.ones((p_bat.shape[0], count), dtype=bool)
+    for step in _lane_steps(p_bat, p_ewh, np.maximum(0.0, -net_load), draws, cfg, dt):
+        zero_penalty &= ~step.fault
+        accommodation_ok &= ~step.discharge
+    if single:
+        return zero_penalty[0], accommodation_ok[0]
+    return zero_penalty, accommodation_ok
+
+
+def _surplus_row(surplus, horizon: int) -> np.ndarray:
+    surplus = np.asarray(surplus, dtype=float)
+    if surplus.shape != (horizon,):
+        raise ValueError(f"surplus has shape {surplus.shape}, trajectory horizon is {horizon}")
+    return surplus
+
+
 def simulate(
     traj: FlexTrajectory,
     surplus: np.ndarray,
@@ -322,20 +430,12 @@ def simulate(
     dt: float,
     draws: np.ndarray | None = None,
 ) -> SimulationResult:
-    """Step both assets through the horizon and flag constraint violations.
-
-    The battery absorbs the supposed PV surplus on top of the trajectory's own
-    schedule, so a trajectory that has not kept headroom free shows up as a
-    soc_max violation, and combined charging beyond the tapered limit as a
-    charge_rate violation.
-    """
-    surplus = np.asarray(surplus, dtype=float)
-    bat, ewh = cfg.battery, cfg.ewh
+    """Step both assets through the horizon and flag constraint violations
+    per step (see `_lane_steps` for the rules)."""
     horizon = traj.horizon
-    if surplus.shape != (horizon,):
-        raise ValueError(f"surplus has shape {surplus.shape}, trajectory horizon is {horizon}")
+    surplus = _surplus_row(surplus, horizon)
     if draws is None:
-        draws = ewh.draws(horizon)
+        draws = cfg.ewh.draws(horizon)
     else:
         draws = np.asarray(draws, dtype=float)
         if draws.shape != (horizon,):
@@ -346,25 +446,14 @@ def simulate(
     }
     soc_path = np.empty(horizon)
     theta_path = np.empty(horizon)
-    tracker = CapacityTracker.fresh(bat)
-    soc = bat.soc_init
-    theta = ewh.theta_init
-    for h in range(horizon):
-        absorb = float(_absorption(surplus[h], traj.p_ewh[h], tracker.capacity, dt, bat))
-        p_eff = traj.p_bat[h] + absorb
-        if p_eff > _charge_limit(soc, bat) + EPS:
-            flags["charge_rate"][h] = True
-        soc = battery_step(soc, p_eff, dt, bat)
-        if soc > bat.soc_max + EPS:
-            flags["soc_max"][h] = True
-        if soc < bat.soc_min - EPS:
-            flags["soc_min"][h] = True
-        theta = ewh_step(theta, traj.p_ewh[h], draws[h], dt, ewh)
-        if theta < ewh.theta_min - EPS or theta > ewh.theta_max + EPS:
-            flags["temp"][h] = True
-        soc_path[h] = soc
-        theta_path[h] = theta
-        tracker = update_capacity(tracker, surplus[h], traj.p_ewh[h], bat, dt)
+    steps = _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], draws, cfg, dt)
+    for h, step in enumerate(steps):
+        flags["soc_max"][h] = step.soc_max[0, 0]
+        flags["soc_min"][h] = step.soc_min[0, 0]
+        flags["temp"][h] = step.temp[0]
+        flags["charge_rate"][h] = step.charge_rate[0, 0]
+        soc_path[h] = step.soc[0, 0]
+        theta_path[h] = step.theta[0]
 
     penalty = int(sum(f.sum() for f in flags.values()))
     return SimulationResult(soc=soc_path, theta=theta_path, penalty=penalty, violations=flags)
@@ -375,18 +464,38 @@ def pv_accommodation(
 ) -> tuple[bool, np.ndarray]:
     """Customer-preference check: no discharging while the battery is supposed
     to absorb surplus. Returns (ok, per-step violation flags)."""
-    surplus = np.asarray(surplus, dtype=float)
-    bat = cfg.battery
-    if surplus.shape != (traj.horizon,):
-        raise ValueError(f"surplus has shape {surplus.shape}, trajectory horizon is {traj.horizon}")
-    flags = np.zeros(traj.horizon, dtype=bool)
-    tracker = CapacityTracker.fresh(bat)
-    for h in range(traj.horizon):
-        absorb = float(_absorption(surplus[h], traj.p_ewh[h], tracker.capacity, dt, bat))
-        if absorb > EPS and traj.p_bat[h] < -EPS:
-            flags[h] = True
-        tracker = update_capacity(tracker, surplus[h], traj.p_ewh[h], bat, dt)
+    surplus = _surplus_row(surplus, traj.horizon)
+    # The rule never reads the tank, so no draw profile is needed.
+    steps = _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], np.zeros(traj.horizon), cfg, dt)
+    flags = np.array([step.discharge[0, 0] for step in steps], dtype=bool)
     return not bool(flags.any()), flags
+
+
+def batch_repair(
+    p_bat: np.ndarray, p_ewh: np.ndarray, surplus: np.ndarray, cfg: HemsConfig, dt: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """`repair_trajectory` for P trajectories, given as (P, T) matrices,
+    against one surplus row.
+
+    Returns (repaired p_bat, valid). Row p of the repaired matrix has battery
+    power raised to zero wherever trajectory p discharges while the battery is
+    supposed to absorb surplus. valid[p] is False where the trajectory has a
+    constraint penalty under this surplus, which repair does not fix; such rows
+    come back unchanged.
+    """
+    p_bat = np.asarray(p_bat, dtype=float)
+    p_ewh = np.asarray(p_ewh, dtype=float)
+    if p_bat.ndim != 2 or p_ewh.shape != p_bat.shape:
+        raise ValueError("p_bat and p_ewh must be matching (P, T) matrices")
+    horizon = p_bat.shape[1]
+    surplus = _surplus_row(surplus, horizon)
+    valid = np.ones(p_bat.shape[0], dtype=bool)
+    discharge = np.zeros(p_bat.shape, dtype=bool)
+    steps = _lane_steps(p_bat, p_ewh, surplus[None], cfg.ewh.draws(horizon), cfg, dt)
+    for h, step in enumerate(steps):
+        valid &= ~step.fault[:, 0]
+        discharge[:, h] = step.discharge[:, 0]
+    return np.where(discharge & valid[:, None], 0.0, p_bat), valid
 
 
 def repair_trajectory(
@@ -399,18 +508,15 @@ def repair_trajectory(
     only for trajectories that are otherwise violation-free; anything else is
     rejected.
     """
-    result = simulate(traj, surplus, cfg, dt)
-    if result.penalty > 0:
+    repaired, valid = batch_repair(traj.p_bat[None], traj.p_ewh[None], surplus, cfg, dt)
+    if not valid[0]:
         raise ValueError(
             "repair is defined only for trajectories whose sole fault is the "
-            f"surplus-accommodation rule (penalty {result.penalty})"
+            f"surplus-accommodation rule (penalty {simulate(traj, surplus, cfg, dt).penalty})"
         )
-    ok, flags = pv_accommodation(traj, surplus, cfg, dt)
-    if ok:
+    if np.array_equal(repaired[0], traj.p_bat):
         return traj
-    p_bat = traj.p_bat.copy()
-    p_bat[flags] = 0.0
-    return FlexTrajectory(p_bat=p_bat, p_ewh=traj.p_ewh.copy())
+    return FlexTrajectory(p_bat=repaired[0], p_ewh=traj.p_ewh.copy())
 
 
 def feasible_power_range(
@@ -428,56 +534,6 @@ def feasible_power_range(
     if absorb > EPS:
         lo = max(lo, 0.0)
     return lo, hi
-
-
-def batch_compliance(
-    p_bat: np.ndarray,
-    p_ewh: np.ndarray,
-    net_load: np.ndarray,
-    draws: np.ndarray,
-    cfg: HemsConfig,
-    dt: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Screen one trajectory against S net-load rows at once.
-
-    Returns (zero_penalty, accommodation_ok) boolean vectors of length S. The
-    per-step arithmetic matches `simulate` and `pv_accommodation` exactly; only
-    the scenario axis is vectorized. Tank temperature does not depend on the
-    scenario, so it is stepped once.
-    """
-    bat, ewh = cfg.battery, cfg.ewh
-    net_load = np.asarray(net_load, dtype=float)
-    count, horizon = net_load.shape
-    if p_bat.shape != (horizon,) or p_ewh.shape != (horizon,) or draws.shape != (horizon,):
-        raise ValueError("trajectory, draw profile, and scenario horizons differ")
-    surplus = np.maximum(0.0, -net_load)
-
-    soc = np.full(count, bat.soc_init)
-    capacity = np.full(count, bat.absorption_band)
-    theta = ewh.theta_init
-    zero_penalty = np.ones(count, dtype=bool)
-    accommodation_ok = np.ones(count, dtype=bool)
-    for h in range(horizon):
-        sur = surplus[:, h]
-        absorb = _absorption(sur, p_ewh[h], capacity, dt, bat)
-        accommodation_ok &= ~((absorb > EPS) & (p_bat[h] < -EPS))
-        p_eff = p_bat[h] + absorb
-        violated = p_eff > _charge_limit(soc, bat) + EPS
-        soc = soc + np.where(p_eff > 0.0, bat.efficiency * p_eff * dt, p_eff * dt / bat.efficiency)
-        violated |= soc > bat.soc_max + EPS
-        violated |= soc < bat.soc_min - EPS
-        theta = ewh_step(theta, p_ewh[h], draws[h], dt, ewh)
-        if theta < ewh.theta_min - EPS or theta > ewh.theta_max + EPS:
-            zero_penalty[:] = False
-        zero_penalty &= ~violated
-        net = np.maximum(0.0, sur - p_ewh[h])
-        decrement = np.minimum(net, bat.p_charge_max) * dt
-        capacity = np.where(
-            sur > 0.0,
-            np.maximum(0.0, capacity - decrement),
-            np.minimum(capacity + bat.p_discharge_max * dt, bat.absorption_band),
-        )
-    return zero_penalty, accommodation_ok
 
 
 def read_draw_profile_csv(path) -> np.ndarray:

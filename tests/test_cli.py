@@ -2,6 +2,8 @@
 codes, artifact formats, and byte-level rerun determinism."""
 
 import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,27 @@ class TestPipeline:
         original = (workdir / "out" / "scenarios.csv").read_bytes()
         assert invoke(workdir, "--seed", "99", "gen-scenarios") == 0
         assert (workdir / "out" / "scenarios.csv").read_bytes() != original
+
+
+class TestTrackedArtifacts:
+    # Every tracked out/small file except search_log.jsonl, whose elapsed_s is
+    # wall time.
+    TRACKED = [
+        "scenarios.csv", "scenarios_meta.json", "feasible.csv", "model.json", "verdicts.csv",
+        "infeasible.csv", "baseline.csv", "confusion.csv", "validation.json",
+    ]
+
+    def test_small_config_reproduces_tracked_outputs(self, tmp_path):
+        repo = Path(__file__).resolve().parent.parent
+        args = ["--config", str(repo / "data" / "config_small.json"), "--out", str(tmp_path)]
+        for command in ("gen-scenarios", "search", "train"):
+            assert cli.main(args + [command]) == 0
+        assert cli.main(
+            args + ["classify", "--model", str(tmp_path / "model.json"), "--input", str(tmp_path / "feasible.csv")]
+        ) == 0
+        assert cli.main(args + ["validate"]) == 0
+        for name in self.TRACKED:
+            assert (tmp_path / name).read_bytes() == (repo / "out" / "small" / name).read_bytes(), name
 
 
 class TestErrorPaths:
