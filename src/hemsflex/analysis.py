@@ -4,7 +4,8 @@ baseline constructor used for diversity comparisons.
 
 The oracle re-derives every feasibility rule step by step in plain Python,
 sharing no stepping code with the simulation module, so the two routes can be
-checked against each other.
+checked against each other. The baseline builders step on the oracle's own
+scalar route.
 """
 
 from __future__ import annotations
@@ -14,17 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .epso import FeasibleSet, robust_threshold
-from .hems import (
-    EPS,
-    FlexTrajectory,
-    HemsConfig,
-    _absorption,
-    battery_step,
-    ewh_step,
-    feasible_power_range,
-    update_capacity,
-    CapacityTracker,
-)
+from .hems import EPS, FlexTrajectory, HemsConfig, feasible_power_range
 from .scenarios import ScenarioSet
 from .svdd import SvddModel, classify
 
@@ -44,61 +35,94 @@ __all__ = [
 _ORACLE_EPS = 1e-9
 
 
-def _scenario_compliant(p_bat, p_ewh, net_load, draws, cfg: HemsConfig, dt: float) -> bool:
-    """Step one trajectory through one net-load scenario and apply every rule.
+def _step_route(cfg: HemsConfig, dt: float):
+    """The scalar step route of one instance, shared by the oracle and the
+    baseline builders: returns ((soc, theta, headroom) before the first step,
+    absorb, charge, tank, tracker).
+
+    absorb(surplus, p_ewh, headroom) is the surplus power the battery is
+    supposed to absorb: the surplus net of the heater's draw, limited by the
+    charge rating and the headroom left. charge(soc, p_eff) applies one step of
+    battery flow, with the efficiency on the flow side. tank(theta, p_ewh,
+    draw) steps the tank through standing losses, draw replacement and heating.
+    tracker(headroom, surplus, p_ewh) consumes headroom by the net surplus
+    energy during surplus steps, charge-rate limited and floored at zero, and
+    recovers it at the discharge rating otherwise, capped at the SoC band.
+    Every constant is bound once here, so a step reads no config attribute.
+    """
+    bat, ewh = cfg.battery, cfg.ewh
+    p_charge_max, p_discharge_max, efficiency = bat.p_charge_max, bat.p_discharge_max, bat.efficiency
+    band = bat.soc_max - bat.soc_min
+    gain = dt / ewh.thermal_capacity
+    alpha, house, c_p = ewh.alpha_mag, ewh.theta_house, ewh.c_p
+    lift = ewh.theta_des - ewh.theta_inl
+
+    def absorb(surplus, p_ewh, headroom):
+        if surplus > 0.0:
+            return min(min(max(0.0, surplus - p_ewh), p_charge_max), max(headroom, 0.0) / dt)
+        return 0.0
+
+    def charge(soc, p_eff):
+        if p_eff > 0.0:
+            return soc + efficiency * p_eff * dt
+        if p_eff < 0.0:
+            return soc + p_eff * dt / efficiency
+        return soc
+
+    def tank(theta, p_ewh, draw):
+        return theta + gain * (-alpha * (theta - house) - c_p * draw * lift + p_ewh)
+
+    def tracker(headroom, surplus, p_ewh):
+        if surplus > 0.0:
+            return max(0.0, headroom - min(max(0.0, surplus - p_ewh), p_charge_max) * dt)
+        return min(headroom + p_discharge_max * dt, band)
+
+    return (bat.soc_init, ewh.theta_init, band), absorb, charge, tank, tracker
+
+
+def _scenario_compliant(p_bat, p_ewh, net_load, draws, cfg: HemsConfig, route) -> bool:
+    """Step one trajectory through one net-load scenario on `route` and apply
+    every rule in order: no discharge while absorbing, the tapered charge rate,
+    the SoC band, the tank band. Stops at the first violation.
 
     Written as a flat scalar loop on purpose: this is the reference route and
-    must not lean on the vectorized simulation helpers.
+    must not lean on the vectorized simulation helpers. The baseline builders
+    step on the same route; that cannot weaken a check here, because every
+    chain member must still pass this loop before it is kept.
     """
-    bat = cfg.battery
-    ewh = cfg.ewh
-    soc = bat.soc_init
-    theta = ewh.theta_init
-    band = bat.soc_max - bat.soc_min
-    cap = band
-    knee_soc = bat.taper_knee * bat.capacity
-    floor_power = bat.taper_floor * bat.p_charge_max
+    (soc, theta, headroom), absorb, charge, tank, tracker = route
+    bat, ewh = cfg.battery, cfg.ewh
+    p_charge_max, capacity = bat.p_charge_max, bat.capacity
+    knee_soc = bat.taper_knee * capacity
+    taper_span = capacity - knee_soc
+    taper_drop = bat.taper_floor * p_charge_max - p_charge_max
+    soc_lo, soc_hi = bat.soc_min - _ORACLE_EPS, bat.soc_max + _ORACLE_EPS
+    theta_lo, theta_hi = ewh.theta_min - _ORACLE_EPS, ewh.theta_max + _ORACLE_EPS
 
-    for h in range(len(p_bat)):
-        surplus = max(0.0, -net_load[h])
-        net = max(0.0, surplus - p_ewh[h])
-        if surplus > 0.0:
-            supposed = min(min(net, bat.p_charge_max), max(cap, 0.0) / dt)
-        else:
-            supposed = 0.0
-        if supposed > _ORACLE_EPS and p_bat[h] < -_ORACLE_EPS:
+    for pb, pe, load, draw in zip(p_bat, p_ewh, net_load, draws):
+        surplus = max(0.0, -load)
+        supposed = absorb(surplus, pe, headroom)
+        if supposed > _ORACLE_EPS and pb < -_ORACLE_EPS:
             return False
 
-        p_eff = p_bat[h] + supposed
-        s = min(max(soc, 0.0), bat.capacity)
+        p_eff = pb + supposed
+        s = min(max(soc, 0.0), capacity)
         if s <= knee_soc:
-            limit = bat.p_charge_max
+            limit = p_charge_max
         else:
-            limit = bat.p_charge_max + (s - knee_soc) / (bat.capacity - knee_soc) * (
-                floor_power - bat.p_charge_max
-            )
+            limit = p_charge_max + (s - knee_soc) / taper_span * taper_drop
         if p_eff > limit + _ORACLE_EPS:
             return False
 
-        if p_eff > 0.0:
-            soc = soc + bat.efficiency * p_eff * dt
-        elif p_eff < 0.0:
-            soc = soc + p_eff * dt / bat.efficiency
-        if soc > bat.soc_max + _ORACLE_EPS or soc < bat.soc_min - _ORACLE_EPS:
+        soc = charge(soc, p_eff)
+        if soc > soc_hi or soc < soc_lo:
             return False
 
-        theta = theta + (dt / ewh.thermal_capacity) * (
-            -ewh.alpha_mag * (theta - ewh.theta_house)
-            - ewh.c_p * draws[h] * (ewh.theta_des - ewh.theta_inl)
-            + p_ewh[h]
-        )
-        if theta < ewh.theta_min - _ORACLE_EPS or theta > ewh.theta_max + _ORACLE_EPS:
+        theta = tank(theta, pe, draw)
+        if theta < theta_lo or theta > theta_hi:
             return False
 
-        if surplus > 0.0:
-            cap = max(0.0, cap - min(net, bat.p_charge_max) * dt)
-        else:
-            cap = min(cap + bat.p_discharge_max * dt, band)
+        headroom = tracker(headroom, surplus, pe)
     return True
 
 
@@ -107,15 +131,16 @@ def oracle_check(traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, 
     draws = cfg.ewh.draws(traj.horizon).tolist()
     p_bat = traj.p_bat.tolist()
     p_ewh = traj.p_ewh.tolist()
+    route = _step_route(cfg, dt)
     count = 0
     for row in scenarios.values:
-        if _scenario_compliant(p_bat, p_ewh, row.tolist(), draws, cfg, dt):
+        if _scenario_compliant(p_bat, p_ewh, row.tolist(), draws, cfg, route):
             count += 1
     return count
 
 
 def _robust_under_oracle(
-    traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, dt: float, threshold: int
+    traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, route, threshold: int
 ) -> bool:
     """Early-exit robustness decision; equivalent to oracle_check >= threshold."""
     draws = cfg.ewh.draws(traj.horizon).tolist()
@@ -125,7 +150,7 @@ def _robust_under_oracle(
     remaining = scenarios.count
     for row in scenarios.values:
         remaining -= 1
-        if _scenario_compliant(p_bat, p_ewh, row.tolist(), draws, cfg, dt):
+        if _scenario_compliant(p_bat, p_ewh, row.tolist(), draws, cfg, route):
             compliant += 1
             if compliant >= threshold:
                 return True
@@ -165,6 +190,7 @@ def generate_infeasible_set(
     if max_attempts is None:
         max_attempts = 200 * count
     rng = np.random.default_rng(seed)
+    route = _step_route(cfg, dt)
     kept: list[FlexTrajectory] = []
     attempts = 0
     while len(kept) < count:
@@ -178,7 +204,7 @@ def generate_infeasible_set(
             p_bat=rng.uniform(-bat.p_discharge_max, bat.p_charge_max, horizon),
             p_ewh=np.where(rng.random(horizon) < 0.5, p_nom, 0.0),
         )
-        if not _robust_under_oracle(traj, scenarios, cfg, dt, threshold):
+        if not _robust_under_oracle(traj, scenarios, cfg, route, threshold):
             kept.append(traj)
     return InfeasibleSet(trajectories=kept, attempts=attempts)
 
@@ -270,44 +296,38 @@ def confusion_table(
 
 def _greedy_member(
     cfg: HemsConfig,
-    surplus: np.ndarray,
-    draws: np.ndarray,
+    route,
+    surplus: list[float],
+    draws: list[float],
     dt: float,
     rng: np.random.Generator,
     max_restarts: int = 200,
 ) -> FlexTrajectory:
-    """One feasible trajectory built step by step: the EWH state is drawn
-    among the temperature-safe options and battery power uniformly from the
-    currently feasible single-step range. Dead ends restart."""
-    horizon = surplus.shape[0]
-    bat, ewh = cfg.battery, cfg.ewh
+    """One feasible trajectory built step by step on `route`: the EWH state is
+    drawn among the temperature-safe options and battery power uniformly from
+    the currently feasible single-step range. Dead ends restart."""
+    horizon = len(surplus)
+    start, absorb, charge, tank, tracker = route
+    p_nom = cfg.ewh.p_nom
+    theta_lo, theta_hi = cfg.ewh.theta_min - EPS, cfg.ewh.theta_max + EPS
     for _ in range(max_restarts):
         p_bat = np.empty(horizon)
         p_ewh = np.empty(horizon)
-        soc = bat.soc_init
-        theta = ewh.theta_init
-        tracker = CapacityTracker.fresh(bat)
-        dead_end = False
+        soc, theta, headroom = start
         for h in range(horizon):
-            options = [
-                p
-                for p in (0.0, ewh.p_nom)
-                if ewh.theta_min - EPS <= ewh_step(theta, p, draws[h], dt, ewh) <= ewh.theta_max + EPS
-            ]
+            options = [p for p in (0.0, p_nom) if theta_lo <= tank(theta, p, draws[h]) <= theta_hi]
             if not options:
-                dead_end = True
                 break
-            p_ewh[h] = options[int(rng.integers(len(options)))]
-            absorb = float(_absorption(surplus[h], p_ewh[h], tracker.capacity, dt, bat))
-            lo, hi = feasible_power_range(soc, cfg, dt, absorb)
+            pe = p_ewh[h] = options[int(rng.integers(len(options)))]
+            supposed = absorb(surplus[h], pe, headroom)
+            lo, hi = feasible_power_range(soc, cfg, dt, supposed)
             if hi < lo:
-                dead_end = True
                 break
-            p_bat[h] = rng.uniform(lo, hi)
-            soc = battery_step(soc, p_bat[h] + absorb, dt, bat)
-            theta = ewh_step(theta, p_ewh[h], draws[h], dt, ewh)
-            tracker = update_capacity(tracker, surplus[h], p_ewh[h], bat, dt)
-        if not dead_end:
+            pb = p_bat[h] = rng.uniform(lo, hi)
+            soc = charge(soc, pb + supposed)
+            theta = tank(theta, pe, draws[h])
+            headroom = tracker(headroom, surplus[h], pe)
+        else:
             return FlexTrajectory(p_bat=p_bat, p_ewh=p_ewh)
     raise ValueError(f"greedy construction kept dead-ending after {max_restarts} restarts")
 
@@ -328,18 +348,19 @@ def semi_random_baseline(
     violation-free. Serves as the diversity comparison baseline only."""
     scenario = np.asarray(scenario, dtype=float)
     horizon = scenario.shape[0]
-    surplus = np.maximum(0.0, -scenario)
-    draws = cfg.ewh.draws(horizon)
-    bat, ewh = cfg.battery, cfg.ewh
+    surplus = np.maximum(0.0, -scenario).tolist()
+    draws = cfg.ewh.draws(horizon).tolist()
+    p_nom = cfg.ewh.p_nom
     if max_attempts is None:
         max_attempts = 200 * count + 1000
     rng = np.random.default_rng(seed)
+    route = _step_route(cfg, dt)
+    (soc_init, _, band), absorb, charge, _, tracker = route
 
     feasible = FeasibleSet(horizon=horizon)
-    current = _greedy_member(cfg, surplus, draws, dt, rng)
+    current = _greedy_member(cfg, route, surplus, draws, dt, rng)
     feasible.add(current, fitness=1)
     net_list = scenario.tolist()
-    draws_list = draws.tolist()
 
     attempts = 0
     while len(feasible) < count:
@@ -353,24 +374,18 @@ def semi_random_baseline(
         mutant_bat = current.p_bat.copy()
         mutant_ewh = current.p_ewh.copy()
         if rng.random() < 0.3:
-            mutant_ewh[h] = ewh.p_nom - mutant_ewh[h]
-        # state just before step h under the current schedule
-        soc = bat.soc_init
-        theta = ewh.theta_init
-        tracker = CapacityTracker.fresh(bat)
+            mutant_ewh[h] = p_nom - mutant_ewh[h]
+        bats, ewhs = mutant_bat.tolist(), mutant_ewh.tolist()
+        # SoC and headroom just before step h under the current schedule
+        soc, headroom = soc_init, band
         for k in range(h):
-            absorb = float(_absorption(surplus[k], mutant_ewh[k], tracker.capacity, dt, bat))
-            soc = battery_step(soc, mutant_bat[k] + absorb, dt, bat)
-            theta = ewh_step(theta, mutant_ewh[k], draws[k], dt, ewh)
-            tracker = update_capacity(tracker, surplus[k], mutant_ewh[k], bat, dt)
-        absorb = float(_absorption(surplus[h], mutant_ewh[h], tracker.capacity, dt, bat))
-        lo, hi = feasible_power_range(soc, cfg, dt, absorb)
+            soc = charge(soc, bats[k] + absorb(surplus[k], ewhs[k], headroom))
+            headroom = tracker(headroom, surplus[k], ewhs[k])
+        lo, hi = feasible_power_range(soc, cfg, dt, absorb(surplus[h], ewhs[h], headroom))
         if hi < lo:
             continue
-        mutant_bat[h] = rng.uniform(lo, hi)
-        if _scenario_compliant(
-            mutant_bat.tolist(), mutant_ewh.tolist(), net_list, draws_list, cfg, dt
-        ):
+        bats[h] = mutant_bat[h] = rng.uniform(lo, hi)
+        if _scenario_compliant(bats, ewhs, net_list, draws, cfg, route):
             current = FlexTrajectory(p_bat=mutant_bat, p_ewh=mutant_ewh)
             feasible.add(current, fitness=1)
     return feasible

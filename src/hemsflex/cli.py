@@ -148,7 +148,7 @@ def cmd_gen_scenarios(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_search(cfg: RunConfig, threads: int) -> int:
+def cmd_search(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     scenario_set = scenarios.ScenarioSet.read_csv(cfg.out_dir / "scenarios.csv")
     hems_cfg = cfg.hems_config()
@@ -159,7 +159,7 @@ def cmd_search(cfg: RunConfig, threads: int) -> int:
         def sink(record: dict) -> None:
             log_fh.write(json.dumps(record) + "\n")
 
-        result = epso.run(epso_cfg, scenario_set, hems_cfg, cfg.dt_hours, threads=threads, log_sink=sink)
+        result = epso.run(epso_cfg, scenario_set, hems_cfg, cfg.dt_hours, log_sink=sink)
         log_fh.write(
             json.dumps(
                 {
@@ -216,7 +216,7 @@ def cmd_classify(cfg: RunConfig, model_path, input_path, output_path) -> int:
         for traj in trajectories:
             x = svdd.normalize(traj, model.norm_bounds)
             r2 = svdd.radius_squared(model, x)
-            verdict = "feasible" if svdd.classify(model, x) else "infeasible"
+            verdict = "feasible" if svdd.within_boundary(model, r2) else "infeasible"
             writer.writerow([verdict, repr(r2)])
     print(f"classified {len(trajectories)} trajectories into {output_path}")
     return EXIT_OK
@@ -231,7 +231,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     scenario_set = scenarios.ScenarioSet.read_csv(cfg.out_dir / "scenarios.csv")
     feasible, _ = epso.read_trajectories_csv(cfg.out_dir / "feasible.csv")
     hems_cfg = cfg.hems_config()
-    tau_scen = float(cfg.epso.get("tau_scen", 0.9))
+    tau_scen = cfg.epso_config().tau_scen
 
     infeasible_path = cfg.out_dir / "infeasible.csv"
     sampling_stats = None
@@ -382,7 +382,7 @@ def main(argv=None) -> int:
         if args.command == "gen-scenarios":
             return cmd_gen_scenarios(cfg)
         if args.command == "search":
-            return cmd_search(cfg, threads=max(1, args.threads))
+            return cmd_search(cfg)
         if args.command == "train":
             return cmd_train(cfg)
         if args.command == "classify":

@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -376,7 +377,6 @@ def run(
     scenarios: ScenarioSet,
     hems_cfg: HemsConfig,
     dt: float,
-    threads: int = 1,
     log_sink=None,
 ) -> SearchResult:
     """Search until the target number of distinct robust trajectories is
@@ -385,8 +385,7 @@ def run(
     Offspring that are violation-free in enough scenarios but discharge during
     surplus steps are repaired against the scenario-set surplus envelope and
     re-checked before joining the set. `log_sink`, when given, receives one
-    dict per iteration. Each generation is screened in one batched kernel
-    call, so `threads` is accepted for compatibility and has no effect.
+    dict per iteration.
     """
     t_start = time.perf_counter()
     n_scen = scenarios.count
@@ -557,18 +556,17 @@ def read_trajectories_csv(path) -> tuple[list[FlexTrajectory], list[int]]:
         if header[-1] != "fitness":
             raise ValueError(f"{path}: last column must be fitness")
         horizon = (len(header) - 1) // 2
-        trajectories: list[FlexTrajectory] = []
+        values = array("d")
         fitnesses: list[int] = []
         for row in reader:
             if not row:
                 continue
             if len(row) != 2 * horizon + 1:
                 raise ValueError(f"{path}: row has {len(row)} fields, expected {2 * horizon + 1}")
-            values = [float(x) for x in row[:-1]]
-            trajectories.append(
-                FlexTrajectory(
-                    p_bat=np.array(values[:horizon]), p_ewh=np.array(values[horizon:])
-                )
-            )
+            values.extend(map(float, row[:-1]))
             fitnesses.append(int(row[-1]))
-    return trajectories, fitnesses
+    matrix = np.frombuffer(values).reshape(len(fitnesses), 2 * horizon)
+    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+    if bad.size:
+        raise ValueError(f"{path}: trajectory row {bad[0] + 1} holds a non-finite value")
+    return [FlexTrajectory(p_bat=r[:horizon], p_ewh=r[horizon:]) for r in matrix], fitnesses

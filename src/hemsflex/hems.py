@@ -1,9 +1,10 @@
 """Physical models of the HEMS flexible assets and trajectory feasibility.
 
 Battery with a SoC-dependent charging taper and one-way efficiency, electric
-water heater as an on/off thermal load, per-step constraint bookkeeping,
-PV-surplus accommodation rules with the remaining-headroom tracker, and
-repair of trajectories that discharge while surplus should be absorbed.
+water heater as an on/off thermal load, PV-surplus accommodation rules, and
+repair of trajectories that discharge while surplus should be absorbed. One
+lane-batched loop, `_lane_steps`, steps every rule; `analysis` restates them
+on purpose as an independent scalar oracle.
 
 Sign convention: positive battery power charges (consumes), negative
 discharges (injects). EWH power is 0 or its nominal rating.
@@ -26,14 +27,11 @@ __all__ = [
     "HemsConfig",
     "FlexTrajectory",
     "SimulationResult",
-    "CapacityTracker",
     "max_charge_power",
-    "battery_step",
     "ewh_step",
     "batch_compliance",
     "batch_repair",
     "simulate",
-    "update_capacity",
     "pv_accommodation",
     "repair_trajectory",
     "feasible_power_range",
@@ -114,8 +112,8 @@ class EwhConfig:
             raise ValueError("need theta_min <= theta_init <= theta_max")
         if self.draw_profile is not None:
             draws = np.asarray(self.draw_profile, dtype=float)
-            if draws.ndim != 1 or np.any(draws < 0.0):
-                raise ValueError("draw profile must be a 1-D vector of non-negative litres")
+            if draws.ndim != 1 or not np.all(np.isfinite(draws)) or np.any(draws < 0.0):
+                raise ValueError("draw profile must be a 1-D vector of finite non-negative litres")
             object.__setattr__(self, "draw_profile", draws)
 
     def draws(self, horizon: int) -> np.ndarray:
@@ -237,21 +235,6 @@ class SimulationResult:
         return self.penalty == 0
 
 
-@dataclass
-class CapacityTracker:
-    """Running estimate of the PV-absorption headroom the battery is supposed
-    to keep available [kWh]. Starts at the full SoC band, is consumed during
-    surplus steps (charge-rate limited) and recovers at the discharge rate
-    during surplus-free steps, never exceeding the band."""
-
-    capacity: float
-    band: float
-
-    @classmethod
-    def fresh(cls, cfg: BatteryConfig) -> "CapacityTracker":
-        return cls(capacity=cfg.absorption_band, band=cfg.absorption_band)
-
-
 def max_charge_power(soc: float, cfg: BatteryConfig) -> float:
     """SoC-dependent charging limit: nominal up to the taper knee, then a
     linear descent to the floor fraction of nominal at full capacity."""
@@ -272,15 +255,6 @@ def _charge_limit(soc, cfg: BatteryConfig):
     )
 
 
-def battery_step(soc: float, p_bat: float, dt: float, cfg: BatteryConfig) -> float:
-    """One energy-balance step: efficiency applies one-way, on the flow side."""
-    if p_bat > 0.0:
-        return soc + cfg.efficiency * p_bat * dt
-    if p_bat < 0.0:
-        return soc + p_bat * dt / cfg.efficiency
-    return soc
-
-
 def ewh_step(theta: float, p_ewh: float, v: float, dt: float, cfg: EwhConfig) -> float:
     """One tank-temperature step: standing losses toward the house temperature,
     draw replacement losses, and the heating element input."""
@@ -294,28 +268,10 @@ def ewh_step(theta: float, p_ewh: float, v: float, dt: float, cfg: EwhConfig) ->
 def _absorption(surplus_h, p_ewh_h, capacity, dt, cfg: BatteryConfig):
     """Surplus power the battery is supposed to absorb this step: the surplus
     net of EWH consumption, limited by the nominal charge rate and by the
-    remaining tracker capacity. Works on scalars and on scenario vectors."""
+    remaining tracker capacity. Works elementwise on lane arrays."""
     net = np.maximum(0.0, surplus_h - p_ewh_h)
     supposed = np.minimum(np.minimum(net, cfg.p_charge_max), np.maximum(capacity, 0.0) / dt)
     return np.where(surplus_h > 0.0, supposed, 0.0)
-
-
-def update_capacity(
-    tracker: CapacityTracker, surplus_h: float, p_ewh_h: float, cfg: BatteryConfig, dt: float
-) -> CapacityTracker:
-    """Advance the headroom tracker by one step.
-
-    Surplus step: decrease by the net surplus energy, charge-rate limited,
-    floored at zero. Surplus-free step: recover at the discharge rate, capped
-    at the full band.
-    """
-    if surplus_h > 0.0:
-        net = max(0.0, surplus_h - p_ewh_h)
-        decrement = min(net, cfg.p_charge_max) * dt
-        capacity = max(0.0, tracker.capacity - decrement)
-    else:
-        capacity = min(tracker.capacity + cfg.p_discharge_max * dt, tracker.band)
-    return CapacityTracker(capacity=capacity, band=tracker.band)
 
 
 class _Step(NamedTuple):
@@ -345,8 +301,11 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
     not kept headroom free shows up as a soc_max violation, and combined
     charging beyond the tapered limit as a charge_rate violation. Tank
     temperature does not depend on the surplus, so it is a (P,) vector. Every
-    lane runs the scalar helpers' arithmetic in the same order, so results do
-    not depend on how lanes are batched.
+    lane runs the same elementwise arithmetic, in the same order as the scalar
+    route in `analysis`, so results do not depend on how lanes are batched.
+    The absorption headroom starts at the full SoC band, is consumed by the net
+    surplus energy during surplus steps (charge-rate limited, floored at zero)
+    and recovers at the discharge rating otherwise, capped at the band.
     """
     bat, ewh = cfg.battery, cfg.ewh
     lanes = (p_bat.shape[0], surplus.shape[0])

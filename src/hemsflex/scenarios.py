@@ -49,8 +49,10 @@ class MarginalForecast:
         vals = np.asarray(self.values, dtype=float)
         if probs.ndim != 1 or probs.shape != vals.shape or probs.size == 0:
             raise ValueError("quantile table needs matching 1-D probabilities and values")
-        if np.any(probs <= 0.0) or np.any(probs >= 1.0):
+        if not np.all((probs > 0.0) & (probs < 1.0)):
             raise ValueError("quantile probabilities must lie strictly inside (0, 1)")
+        if not np.all(np.isfinite(vals)):
+            raise ValueError("quantile values must be finite")
         if np.any(np.diff(probs) <= 0.0):
             raise ValueError("quantile probabilities must be strictly increasing")
         if np.any(np.diff(vals) < 0.0):

@@ -31,6 +31,7 @@ __all__ = [
     "fit_trajectories",
     "radius_squared",
     "classify",
+    "within_boundary",
     "serialize",
     "deserialize",
     "save_model",
@@ -292,7 +293,12 @@ def classify(model: SvddModel, traj) -> bool:
         x = normalize(traj, model.norm_bounds)
     else:
         x = np.asarray(traj, dtype=float)
-    return radius_squared(model, x) <= model.radius2_threshold + _BOUNDARY_SLACK
+    return within_boundary(model, radius_squared(model, x))
+
+
+def within_boundary(model: SvddModel, r2: float) -> bool:
+    """True when a squared radius lies inside the boundary, up to the solver slack."""
+    return r2 <= model.radius2_threshold + _BOUNDARY_SLACK
 
 
 def serialize(model: SvddModel) -> str:

@@ -161,6 +161,33 @@ class TestErrorPaths:
             workdir, "classify", "--model", str(out / "model.json"), "--input", str(out / "wrong.csv")
         ) == 2
 
+    def test_classify_non_finite_input_exits_two(self, workdir):
+        for command in ("gen-scenarios", "search", "train"):
+            assert invoke(workdir, command) == 0
+        out = workdir / "out"
+        rows = (out / "feasible.csv").read_text().splitlines()[:3]
+        for bad in ("nan", "inf", "-inf"):
+            cells = rows[2].split(",")
+            cells[3] = bad
+            (out / "bad.csv").write_text("\n".join(rows[:2] + [",".join(cells)]) + "\n")
+            assert invoke(
+                workdir, "classify", "--model", str(out / "model.json"), "--input", str(out / "bad.csv")
+            ) == 2, bad
+
+    def test_non_finite_draw_profile_exits_two(self, workdir):
+        assert invoke(workdir, "gen-scenarios") == 0
+        hems.write_draw_profile_csv(workdir / "draws.csv", np.r_[np.full(11, 1.0), np.nan])
+        assert invoke(workdir, "search") == 2
+
+    def test_non_finite_marginals_exit_two(self, workdir):
+        lines = (workdir / "marginals.csv").read_text().splitlines()
+        for column, bad in ((1, "nan"), (2, "nan"), (2, "inf")):
+            cells = lines[3].split(",")
+            cells[column] = bad
+            patched = lines[:3] + [",".join(cells)] + lines[4:]
+            (workdir / "marginals.csv").write_text("\n".join(patched) + "\n")
+            assert invoke(workdir, "gen-scenarios") == 2, (column, bad)
+
     def test_classify_empty_input_writes_empty_verdicts(self, workdir):
         for command in ("gen-scenarios", "search", "train"):
             assert invoke(workdir, command) == 0

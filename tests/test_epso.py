@@ -343,11 +343,11 @@ class TestRun:
             assert np.all(traj.p_bat <= cfg.battery.p_charge_max + 1e-12)
             assert np.all(traj.p_bat >= -cfg.battery.p_discharge_max - 1e-12)
 
-    def test_fixed_seed_identical_results_and_thread_invariance(self, small_instance):
+    def test_fixed_seed_identical_results(self, small_instance):
         scenario_set, cfg = small_instance
         epso_cfg = EpsoConfig(pop_size=8, max_iters=60, target_feasible=20, seed=4)
-        a = run(epso_cfg, scenario_set, cfg, dt=0.25, threads=1)
-        b = run(epso_cfg, scenario_set, cfg, dt=0.25, threads=4)
+        a = run(epso_cfg, scenario_set, cfg, dt=0.25)
+        b = run(epso_cfg, scenario_set, cfg, dt=0.25)
         assert len(a.feasible) == len(b.feasible)
         for ta, tb in zip(a.feasible.trajectories, b.feasible.trajectories):
             assert np.array_equal(ta.p_bat, tb.p_bat)

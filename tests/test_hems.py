@@ -5,24 +5,23 @@ Expected values for the thermal steps are frozen from independent hand
 evaluation of the update formula.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from hemsflex import hems
+from hemsflex import analysis, hems
 from hemsflex.hems import (
     BatteryConfig,
-    CapacityTracker,
     EwhConfig,
     FlexTrajectory,
     HemsConfig,
-    battery_step,
     ewh_step,
     feasible_power_range,
     max_charge_power,
     pv_accommodation,
     repair_trajectory,
     simulate,
-    update_capacity,
 )
 
 
@@ -51,15 +50,26 @@ class TestMaxChargePower:
 
 
 class TestBatteryStep:
+    """Energy balance of the stepping kernel, read off `simulate`'s SoC path
+    for a battery starting at the given SoC, without surplus."""
+
+    @staticmethod
+    def soc_path(battery, soc, p_bat, dt, **fields):
+        ewh = EwhConfig(p_nom=0.5, theta_min=10.0, theta_max=80.0, theta_init=60.0)
+        cfg = HemsConfig(battery=replace(battery, soc_init=soc, **fields), ewh=ewh)
+        traj = FlexTrajectory(p_bat=np.array(p_bat, dtype=float), p_ewh=np.zeros(len(p_bat)))
+        return simulate(traj, np.zeros(len(p_bat)), cfg, dt=dt).soc
+
     def test_idle_keeps_soc(self, battery_reference):
-        assert battery_step(1.0, 0.0, 0.25, battery_reference) == 1.0
+        assert self.soc_path(battery_reference, 1.0, [0.0], 0.25)[0] == 1.0
 
     def test_discharge_without_efficiency(self, battery_simple):
         # 0.64 kWh minus 0.16 kW for one hour lands exactly on the SoC floor
-        assert battery_step(0.64, -0.16, 1.0, battery_simple) == pytest.approx(0.48, abs=1e-12)
+        assert self.soc_path(battery_simple, 0.64, [-0.16], 1.0)[0] == pytest.approx(0.48, abs=1e-12)
 
     def test_charge_applies_efficiency(self, battery_reference):
-        assert battery_step(0.0, 1.5, 1.0, battery_reference) == pytest.approx(1.3875, abs=1e-12)
+        soc = self.soc_path(battery_reference, 0.0, [1.5], 1.0, soc_min_frac=0.0)[0]
+        assert soc == pytest.approx(1.3875, abs=1e-12)
 
     def test_round_trip_never_gains_energy(self, battery_reference):
         rng = np.random.default_rng(4)
@@ -67,8 +77,7 @@ class TestBatteryStep:
             soc = rng.uniform(0.5, 2.5)
             p = rng.uniform(0.1, 1.5)
             dt = rng.choice([0.25, 1.0])
-            charged = battery_step(soc, p, dt, battery_reference)
-            back = battery_step(charged, -p, dt, battery_reference)
+            _, back = self.soc_path(battery_reference, soc, [p, -p], dt)
             assert back <= soc + 1e-12
 
 
@@ -200,34 +209,53 @@ class TestSimulate:
 
 
 class TestCapacityTracker:
-    def test_stays_at_band_without_surplus(self, battery_reference):
-        tracker = CapacityTracker.fresh(battery_reference)
+    """The absorption-headroom tracker of the analysis step route, stepped
+    from arbitrary headroom values: tracker(headroom, surplus, p_ewh)."""
+
+    @staticmethod
+    def route(hems_reference, dt):
+        (_, _, band), _, _, _, tracker = analysis._step_route(hems_reference, dt)
+        return band, tracker
+
+    def test_stays_at_band_without_surplus(self, hems_reference, battery_reference):
+        headroom, tracker = self.route(hems_reference, 0.25)
         for _ in range(10):
-            tracker = update_capacity(tracker, 0.0, 0.0, battery_reference, 0.25)
-        assert tracker.capacity == battery_reference.absorption_band
+            headroom = tracker(headroom, 0.0, 0.0)
+        assert headroom == battery_reference.absorption_band
 
-    def test_hand_evaluated_decrement(self, battery_reference):
-        tracker = CapacityTracker(capacity=2.72, band=2.72)
-        tracker = update_capacity(tracker, 1.0, 0.5, battery_reference, 1.0)
-        assert tracker.capacity == pytest.approx(2.22, abs=1e-12)
+    def test_hand_evaluated_decrement(self, hems_reference):
+        _, tracker = self.route(hems_reference, 1.0)
+        assert tracker(2.72, 1.0, 0.5) == pytest.approx(2.22, abs=1e-12)
 
-    def test_decrement_limited_by_charge_rate(self, battery_reference):
-        tracker = CapacityTracker(capacity=2.72, band=2.72)
-        tracker = update_capacity(tracker, 5.0, 0.0, battery_reference, 1.0)
+    def test_decrement_limited_by_charge_rate(self, hems_reference):
+        _, tracker = self.route(hems_reference, 1.0)
         # surplus 5 kW exceeds the 1.5 kW charging limit
-        assert tracker.capacity == pytest.approx(2.72 - 1.5, abs=1e-12)
+        assert tracker(2.72, 5.0, 0.0) == pytest.approx(2.72 - 1.5, abs=1e-12)
 
-    def test_recovery_caps_at_band(self, battery_reference):
-        tracker = CapacityTracker(capacity=1.0, band=2.72)
-        tracker = update_capacity(tracker, 0.0, 0.0, battery_reference, 1.0)
-        assert tracker.capacity == pytest.approx(2.5, abs=1e-12)
-        tracker = update_capacity(tracker, 0.0, 0.0, battery_reference, 1.0)
-        assert tracker.capacity == battery_reference.absorption_band
+    def test_recovery_caps_at_band(self, hems_reference, battery_reference):
+        _, tracker = self.route(hems_reference, 1.0)
+        headroom = tracker(1.0, 0.0, 0.0)
+        assert headroom == pytest.approx(2.5, abs=1e-12)
+        assert tracker(headroom, 0.0, 0.0) == battery_reference.absorption_band
 
-    def test_never_negative(self, battery_reference):
-        tracker = CapacityTracker(capacity=0.2, band=2.72)
-        tracker = update_capacity(tracker, 3.0, 0.0, battery_reference, 1.0)
-        assert tracker.capacity == 0.0
+    def test_never_negative(self, hems_reference):
+        _, tracker = self.route(hems_reference, 1.0)
+        assert tracker(0.2, 3.0, 0.0) == 0.0
+
+    def test_long_surplus_absorbs_exactly_the_band(self, hems_reference):
+        # the last absorbing quarter-hour is limited by the headroom left, so
+        # an idle battery takes in exactly the band on both routes
+        battery = replace(hems_reference.battery, soc_init=hems_reference.battery.soc_min)
+        cfg = HemsConfig(battery=battery, ewh=hems_reference.ewh)
+        surplus = np.full(12, 3.0)
+        (soc, _, headroom), absorb, charge, _, tracker = analysis._step_route(cfg, 0.25)
+        for s in surplus:
+            soc = charge(soc, absorb(s, 0.0, headroom))
+            headroom = tracker(headroom, s, 0.0)
+        idle = FlexTrajectory(p_bat=np.zeros(12), p_ewh=np.zeros(12))
+        expected = battery.soc_init + battery.efficiency * battery.absorption_band
+        assert soc == pytest.approx(expected, abs=1e-12)
+        assert simulate(idle, surplus, cfg, dt=0.25).soc[-1] == pytest.approx(expected, abs=1e-12)
 
 
 class TestPvAccommodationAndRepair:
@@ -333,6 +361,9 @@ class TestConfigValidation:
             EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=90.0)
         with pytest.raises(ValueError):
             EwhConfig(p_nom=-1.0, theta_min=45.0, theta_max=80.0, theta_init=60.0)
+        for draws in ([1.0, np.nan], [np.inf, 0.0]):
+            with pytest.raises(ValueError):
+                EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=60.0, draw_profile=draws)
 
     def test_json_round_trip(self, tmp_path, hems_reference):
         path = tmp_path / "hems.json"

@@ -22,6 +22,10 @@ THETA_MIN, THETA_MAX = 45.0, 80.0
 # supposed absorption and the EWH rating that the net surplus is taken after.
 SURPLUS_EDGES = [EPS / 2, EPS, 2 * EPS, P_NOM, P_NOM + EPS, P_NOM + 2 * EPS, P_MAX, 3.0]
 
+# Discharge ratings: equal to the charge rating, and below it, so that a rule
+# reading one rating where the other belongs changes a verdict.
+DISCHARGE_RATINGS = [P_MAX, 1.0]
+
 PROPERTY_SETTINGS = settings(max_examples=400, deadline=None, derandomize=True, database=None)
 
 
@@ -51,7 +55,7 @@ def lane_instances(draw):
         | st.floats(SOC_MIN, CAPACITY)
     )
     battery = hems.BatteryConfig(
-        capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=P_MAX,
+        capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=draw(st.sampled_from(DISCHARGE_RATINGS)),
         soc_init=soc_init, efficiency=efficiency,
     )
     horizon = draw(st.integers(1, 12))
@@ -87,8 +91,8 @@ def lane_instances(draw):
 
 # Offsets from a limit, in units of EPS, that the edge instances land on.
 OFFSETS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
-# Rules whose edge is set by each trajectory's first-step power.
-PER_TRAJECTORY = ("charge_rate", "soc_max", "soc_min", "discharge", "theta_min", "theta_max")
+# Rules whose edge is set by one power of each trajectory.
+PER_TRAJECTORY = ("charge_rate", "soc_max", "soc_min", "discharge", "recovery", "theta_min", "theta_max")
 
 
 @st.composite
@@ -99,15 +103,19 @@ def edge_instances(draw):
     the verdict turns on that comparison alone. The headroom rule instead
     starts the battery empty amid hours of steady surplus and lets each
     trajectory discharge once, at its own step: the verdict turns on whether
-    the tracker has run dry by then."""
+    the tracker has run dry by then. The recovery rule drains the tracker in
+    two surplus steps, then each trajectory discharges a few EPS around the
+    discharge rating in one surplus-free step before surplus returns: the
+    verdict turns on how much headroom the tracker won back."""
     rule = draw(
         st.sampled_from(
-            ["charge_rate", "soc_max", "soc_min", "absorb", "discharge", "headroom", "theta_min", "theta_max"]
+            ["charge_rate", "soc_max", "soc_min", "absorb", "discharge", "headroom", "recovery",
+             "theta_min", "theta_max"]
         )
     )
-    dt = {"charge_rate": 0.25, "headroom": 1.0}.get(rule) or draw(st.sampled_from([0.25, 1.0]))
+    dt = {"charge_rate": 0.25, "headroom": 1.0, "recovery": 1.0}.get(rule) or draw(st.sampled_from([0.25, 1.0]))
     efficiency = draw(st.sampled_from([1.0, 0.925]))
-    horizon = draw(st.integers(1, 8))
+    horizon = draw(st.integers(4 if rule == "recovery" else 1, 8))
     # Where the edge is per trajectory or per row, the population or the row
     # set covers every offset, or every discharge step, once.
     if rule in PER_TRAJECTORY:
@@ -122,10 +130,11 @@ def edge_instances(draw):
         "soc_max": st.sampled_from([KNEE, CAPACITY - 0.1, CAPACITY]),
         "soc_min": st.sampled_from([SOC_MIN, SOC_MIN + 0.1, 1.0]),
         "headroom": st.just(SOC_MIN),
+        "recovery": st.just(SOC_MIN),
     }.get(rule, st.just(1.92))
     soc_init = draw(soc_init)
     battery = hems.BatteryConfig(
-        capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=P_MAX,
+        capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=draw(st.sampled_from(DISCHARGE_RATINGS)),
         soc_init=soc_init, efficiency=efficiency,
     )
 
@@ -160,6 +169,8 @@ def edge_instances(draw):
             p_bat[p, 0] = -k
         elif rule == "headroom":
             p_bat[p, p] = -0.1
+        elif rule == "recovery":
+            p_bat[p, 2] = -(battery.p_discharge_max + k)
         elif rule in ("theta_min", "theta_max"):
             # a first-step heater power, continuous here, that lands the tank
             # at the offset beyond the floor or the ceiling
@@ -182,6 +193,10 @@ def edge_instances(draw):
             # surplus-free steps in which the full tracker must not grow
             net_load[s] = -draw(st.sampled_from([P_NOM, 1.0, P_MAX, 2.0, 3.0]) | st.floats(P_NOM, 3.0))
             net_load[s, : draw(st.integers(0, 2))] = 0.0
+            continue
+        elif rule == "recovery":
+            net_load[s] = -draw(st.sampled_from([P_MAX, 2.0, 3.0]) | st.floats(P_MAX, 3.0))
+            net_load[s, 2] = 0.0
             continue
         else:
             continue

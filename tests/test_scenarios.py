@@ -130,6 +130,9 @@ class TestTransformToScenarios:
             MarginalForecast(1, [0.2, 0.8], [1.0, 0.0])  # decreasing values
         with pytest.raises(ValueError):
             MarginalForecast(1, [0.0, 0.5], [0.0, 1.0])  # prob at 0
+        for probs, values in (([np.nan, 0.5], [0.0, 1.0]), ([0.5], [np.nan]), ([0.2, 0.8], [0.0, np.inf])):
+            with pytest.raises(ValueError):
+                MarginalForecast(1, probs, values)  # non-finite
 
 
 class TestPvSurplus:
