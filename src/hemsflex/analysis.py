@@ -281,8 +281,8 @@ def confusion_table(
     infeasible: list[FlexTrajectory],
 ) -> ConfusionReport:
     """Classify both sets and tabulate correct, incorrect, and error shares."""
-    feas_hits = sum(1 for t in feasible if classify(model, t))
-    infeas_hits = sum(1 for t in infeasible if not classify(model, t))
+    feas_hits = int(np.count_nonzero(classify(model, feasible)))
+    infeas_hits = len(infeasible) - int(np.count_nonzero(classify(model, infeasible)))
     return ConfusionReport(
         kernel_kind=model.kernel.kind,
         gamma=model.kernel.gamma,

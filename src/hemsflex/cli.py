@@ -213,11 +213,9 @@ def cmd_classify(cfg: RunConfig, model_path, input_path, output_path) -> int:
     with open(output_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["verdict", "r2"])
-        for traj in trajectories:
-            x = svdd.normalize(traj, model.norm_bounds)
-            r2 = svdd.radius_squared(model, x)
-            verdict = "feasible" if svdd.within_boundary(model, r2) else "infeasible"
-            writer.writerow([verdict, repr(r2)])
+        r2 = svdd.score_trajectories(model, trajectories)
+        for inside, value in zip(svdd.within_boundary(model, r2).tolist(), r2.tolist()):
+            writer.writerow(["feasible" if inside else "infeasible", repr(value)])
     print(f"classified {len(trajectories)} trajectories into {output_path}")
     return EXIT_OK
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import csv
 import math
 import time
-from array import array
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -540,33 +540,44 @@ def write_trajectories_csv(
         )
         for traj, fitness in zip(trajectories, fitnesses):
             writer.writerow(
-                [repr(float(x)) for x in traj.p_bat]
-                + [repr(float(x)) for x in traj.p_ewh]
+                [repr(x) for x in traj.p_bat.tolist()]
+                + [repr(x) for x in traj.p_ewh.tolist()]
                 + [int(fitness)]
             )
 
 
 def read_trajectories_csv(path) -> tuple[list[FlexTrajectory], list[int]]:
+    """Trajectories and fitnesses of a file written by `write_trajectories_csv`.
+
+    The body is parsed as one matrix, so the trajectories are row views of it.
+    Blank lines are skipped; ragged rows, cells that are not numbers (a `#`
+    included), non-integral fitnesses and non-finite values raise ValueError.
+    """
     path = Path(path)
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or not header or not header[0].startswith("pbat_h"):
+    with open(path) as fh:
+        header = fh.readline().rstrip("\r\n").split(",")
+        if not header[0].startswith("pbat_h"):
             raise ValueError(f"{path}: missing trajectory header pbat_h1..")
         if header[-1] != "fitness":
             raise ValueError(f"{path}: last column must be fitness")
         horizon = (len(header) - 1) // 2
-        values = array("d")
-        fitnesses: list[int] = []
-        for row in reader:
-            if not row:
-                continue
-            if len(row) != 2 * horizon + 1:
-                raise ValueError(f"{path}: row has {len(row)} fields, expected {2 * horizon + 1}")
-            values.extend(map(float, row[:-1]))
-            fitnesses.append(int(row[-1]))
-    matrix = np.frombuffer(values).reshape(len(fitnesses), 2 * horizon)
-    bad = np.flatnonzero(~np.isfinite(matrix).all(axis=1))
+        width = 2 * horizon + 1
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
+            try:
+                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: {exc}") from exc
+    if table.size == 0:
+        table = table.reshape(0, width)
+    if table.shape[1] != width:
+        raise ValueError(f"{path}: row has {table.shape[1]} fields, expected {width}")
+    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
     if bad.size:
         raise ValueError(f"{path}: trajectory row {bad[0] + 1} holds a non-finite value")
-    return [FlexTrajectory(p_bat=r[:horizon], p_ewh=r[horizon:]) for r in matrix], fitnesses
+    matrix, fitness = table[:, :-1], table[:, -1]
+    bad = np.flatnonzero(fitness != np.trunc(fitness))
+    if bad.size:
+        raise ValueError(f"{path}: trajectory row {bad[0] + 1} has a non-integral fitness")
+    trajectories = [FlexTrajectory(p_bat=r[:horizon], p_ewh=r[horizon:]) for r in matrix]
+    return trajectories, fitness.astype(int).tolist()

@@ -265,11 +265,10 @@ def ewh_step(theta: float, p_ewh: float, v: float, dt: float, cfg: EwhConfig) ->
     )
 
 
-def _absorption(surplus_h, p_ewh_h, capacity, dt, cfg: BatteryConfig):
+def _absorption(surplus_h, net, capacity, dt, cfg: BatteryConfig):
     """Surplus power the battery is supposed to absorb this step: the surplus
-    net of EWH consumption, limited by the nominal charge rate and by the
-    remaining tracker capacity. Works elementwise on lane arrays."""
-    net = np.maximum(0.0, surplus_h - p_ewh_h)
+    net of EWH consumption (`net`), limited by the nominal charge rate and by
+    the remaining tracker capacity. Works elementwise on lane arrays."""
     supposed = np.minimum(np.minimum(net, cfg.p_charge_max), np.maximum(capacity, 0.0) / dt)
     return np.where(surplus_h > 0.0, supposed, 0.0)
 
@@ -315,8 +314,8 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
     for h in range(p_bat.shape[1]):
         sur = surplus[:, h]
         pb = p_bat[:, h, None]
-        pe = p_ewh[:, h, None]
-        absorb = _absorption(sur, pe, capacity, dt, bat)
+        net = np.maximum(0.0, sur - p_ewh[:, h, None])
+        absorb = _absorption(sur, net, capacity, dt, bat)
         p_eff = pb + absorb
         charge_rate = p_eff > _charge_limit(soc, bat) + EPS
         soc = soc + np.where(p_eff > 0.0, bat.efficiency * p_eff * dt, p_eff * dt / bat.efficiency)
@@ -330,7 +329,6 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
             soc=soc,
             theta=theta,
         )
-        net = np.maximum(0.0, sur - pe)
         capacity = np.where(
             sur > 0.0,
             np.maximum(0.0, capacity - np.minimum(net, bat.p_charge_max) * dt),

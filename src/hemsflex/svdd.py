@@ -30,6 +30,7 @@ __all__ = [
     "train",
     "fit_trajectories",
     "radius_squared",
+    "score_trajectories",
     "classify",
     "within_boundary",
     "serialize",
@@ -46,6 +47,10 @@ _BOUNDARY_SLACK = 1e-5
 
 # Dual coefficients below this fraction of the box bound are treated as zero.
 _ALPHA_CUTOFF = 1e-8
+
+# Trajectories scored per kernel-matrix product: large enough to amortize the
+# per-call overhead, small enough that scoring a large set adds little memory.
+SCORE_BLOCK = 64
 
 
 class ConvergenceError(RuntimeError):
@@ -151,15 +156,16 @@ def derive_bounds(vectors: np.ndarray) -> np.ndarray:
 
 
 def normalize(traj, bounds: np.ndarray) -> np.ndarray:
-    """Min-max scale a trajectory (or flat vector) into [0, 1] per coordinate.
+    """Min-max scale a trajectory, a flat vector, or a matrix of row vectors
+    into [0, 1] per coordinate (the last axis).
 
     Out-of-range inputs clip to the unit interval; degenerate coordinates
     (equal min and max) map to 0.5.
     """
     vector = traj.as_vector() if isinstance(traj, FlexTrajectory) else np.asarray(traj, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
-    if vector.shape[0] != bounds.shape[0]:
-        raise ValueError(f"vector has {vector.shape[0]} coordinates, bounds {bounds.shape[0]}")
+    if vector.shape[-1] != bounds.shape[0]:
+        raise ValueError(f"vector has {vector.shape[-1]} coordinates, bounds {bounds.shape[0]}")
     lo, hi = bounds[:, 0], bounds[:, 1]
     span = hi - lo
     degenerate = span <= 0.0
@@ -269,35 +275,52 @@ def fit_trajectories(trajectories, kernel: KernelSpec, cfg: TrainingConfig) -> S
     normalize, and train; the model then classifies raw trajectories directly."""
     vectors = np.stack([t.as_vector() for t in trajectories])
     bounds = derive_bounds(vectors)
-    normalized = np.stack([normalize(v, bounds) for v in vectors])
-    return train(normalized, kernel, cfg, norm_bounds=bounds)
+    return train(normalize(vectors, bounds), kernel, cfg, norm_bounds=bounds)
 
 
-def radius_squared(model: SvddModel, x: np.ndarray) -> float:
+def radius_squared(model: SvddModel, x: np.ndarray):
     """Squared kernel-space radius of a normalized vector relative to the
-    sphere center: 1 - 2 sum_i b_i k(x_i, x) + sum_ij b_i b_j k(x_i, x_j)."""
+    sphere center: 1 - 2 sum_i b_i k(x_i, x) + sum_ij b_i b_j k(x_i, x_j).
+
+    A (d,) vector gives a float; an (n, d) matrix gives the n radii from one
+    kernel-matrix product.
+    """
     x = np.asarray(x, dtype=float)
-    if x.shape[0] != model.dimension:
-        raise ValueError(f"vector has {x.shape[0]} coordinates, model expects {model.dimension}")
-    k_vec = kernel_matrix(model.kernel, model.support_vectors, x[None, :])[:, 0]
-    return float(1.0 - 2.0 * np.dot(model.coefficients, k_vec) + model.const_term)
+    if x.ndim not in (1, 2) or x.shape[-1] != model.dimension:
+        raise ValueError(f"expected vectors of {model.dimension} coordinates, got shape {x.shape}")
+    k = kernel_matrix(model.kernel, x, model.support_vectors) @ model.coefficients
+    r2 = 1.0 - 2.0 * k + model.const_term
+    return float(r2[0]) if x.ndim == 1 else r2
 
 
-def classify(model: SvddModel, traj) -> bool:
-    """True when the trajectory's radius stays within the boundary radius.
+def score_trajectories(model: SvddModel, trajectories) -> np.ndarray:
+    """Squared radii of raw trajectories, normalized with the model's bounds
+    and scored SCORE_BLOCK at a time."""
+    r2 = np.empty(len(trajectories))
+    for start in range(0, len(trajectories), SCORE_BLOCK):
+        block = np.stack([t.as_vector() for t in trajectories[start : start + SCORE_BLOCK]])
+        r2[start : start + block.shape[0]] = radius_squared(model, normalize(block, model.norm_bounds))
+    return r2
 
-    Raw trajectories are normalized with the model's stored bounds first; a
-    vector of matching dimension is assumed already normalized.
+
+def classify(model: SvddModel, traj):
+    """True when a trajectory's radius stays within the boundary radius.
+
+    A raw trajectory is normalized with the model's stored bounds first; an
+    array of matching dimension is assumed already normalized, and a matrix of
+    such rows gives one boolean per row. A list of raw trajectories is scored
+    by `score_trajectories` and gives one boolean per trajectory.
     """
     if isinstance(traj, FlexTrajectory):
-        x = normalize(traj, model.norm_bounds)
-    else:
-        x = np.asarray(traj, dtype=float)
-    return within_boundary(model, radius_squared(model, x))
+        return bool(within_boundary(model, score_trajectories(model, [traj])[0]))
+    if isinstance(traj, np.ndarray):
+        return within_boundary(model, radius_squared(model, traj))
+    return within_boundary(model, score_trajectories(model, traj))
 
 
-def within_boundary(model: SvddModel, r2: float) -> bool:
-    """True when a squared radius lies inside the boundary, up to the solver slack."""
+def within_boundary(model: SvddModel, r2):
+    """True when a squared radius lies inside the boundary, up to the solver
+    slack; elementwise for an array of radii."""
     return r2 <= model.radius2_threshold + _BOUNDARY_SLACK
 
 

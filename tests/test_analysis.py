@@ -148,6 +148,14 @@ class TestConfusionTable:
         assert report.feasible_error_pct == pytest.approx(report.feasible_incorrect, abs=1e-12)
         assert report.infeasible_error_pct == pytest.approx(report.infeasible_incorrect, abs=1e-12)
 
+    @pytest.mark.parametrize("kind", ["rbf", "poly", "sigmoid"])
+    def test_counts_match_per_trajectory_classify(self, kind):
+        feasible, infeasible = self._sets()
+        model = svdd.fit_trajectories(feasible, svdd.KernelSpec(kind, gamma=0.5), svdd.TrainingConfig(nu=0.1))
+        report = confusion_table(model, feasible, infeasible)
+        assert report.feasible_correct == sum(svdd.classify(model, t) for t in feasible)
+        assert report.infeasible_incorrect == sum(svdd.classify(model, t) for t in infeasible)
+
     def test_everything_feasible_model_is_degenerate(self):
         feasible, infeasible = self._sets(45)
         model = svdd.fit_trajectories(

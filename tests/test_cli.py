@@ -119,7 +119,8 @@ class TestPipeline:
 
 class TestTrackedArtifacts:
     # Every tracked out/small file except search_log.jsonl, whose elapsed_s is
-    # wall time.
+    # wall time. verdicts.csv holds the block-wise r2 of svdd.score_trajectories,
+    # which can differ from a one-row computation in the last bits.
     TRACKED = [
         "scenarios.csv", "scenarios_meta.json", "feasible.csv", "model.json", "verdicts.csv",
         "infeasible.csv", "baseline.csv", "confusion.csv", "validation.json",
@@ -161,18 +162,23 @@ class TestErrorPaths:
             workdir, "classify", "--model", str(out / "model.json"), "--input", str(out / "wrong.csv")
         ) == 2
 
-    def test_classify_non_finite_input_exits_two(self, workdir):
+    def test_classify_malformed_input_exits_two(self, workdir):
         for command in ("gen-scenarios", "search", "train"):
             assert invoke(workdir, command) == 0
         out = workdir / "out"
         rows = (out / "feasible.csv").read_text().splitlines()[:3]
-        for bad in ("nan", "inf", "-inf"):
-            cells = rows[2].split(",")
-            cells[3] = bad
-            (out / "bad.csv").write_text("\n".join(rows[:2] + [",".join(cells)]) + "\n")
+        cells = rows[2].split(",")
+        bad_rows = {
+            bad: ",".join(cells[:3] + [bad] + cells[4:]) for bad in ("nan", "inf", "-inf")
+        }
+        bad_rows["ragged"] = ",".join(cells[:-2] + cells[-1:])
+        bad_rows["fractional fitness"] = ",".join(cells[:-1] + ["1.5"])
+        bad_rows["comment"] = "#" + rows[2]  # a comment-aware parser would drop this row
+        for name, bad in bad_rows.items():
+            (out / "bad.csv").write_text("\n".join(rows[:2] + [bad]) + "\n")
             assert invoke(
                 workdir, "classify", "--model", str(out / "model.json"), "--input", str(out / "bad.csv")
-            ) == 2, bad
+            ) == 2, name
 
     def test_non_finite_draw_profile_exits_two(self, workdir):
         assert invoke(workdir, "gen-scenarios") == 0

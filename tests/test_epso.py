@@ -406,3 +406,35 @@ class TestTrajectoryCsv:
         for orig, back in zip(trajs, back_trajs):
             assert np.array_equal(orig.p_bat, back.p_bat)
             assert np.array_equal(orig.p_ewh, back.p_ewh)
+
+    def _text(self, rows, newline="\n"):
+        trajs = [FlexTrajectory(p_bat=np.array([0.5, -0.25]), p_ewh=np.array([0.0, 0.5]))] * rows
+        header = "pbat_h1,pbat_h2,pewh_h1,pewh_h2,fitness"
+        return newline.join([header] + ["0.5,-0.25,0.0,0.5,7"] * rows) + newline, trajs
+
+    def test_header_only_file_is_empty(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(self._text(0)[0])
+        assert read_trajectories_csv(path) == ([], [])
+
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"])
+    def test_blank_lines_skipped_and_line_endings_accepted(self, tmp_path, newline):
+        text, trajs = self._text(3, newline)
+        lines = text.split(newline)
+        path = tmp_path / "gappy.csv"
+        path.write_bytes(newline.join(lines[:2] + ["", ""] + lines[2:] + [""]).encode())
+        back, fits = read_trajectories_csv(path)
+        assert fits == [7, 7, 7]
+        for orig, row in zip(trajs, back):
+            assert np.array_equal(orig.as_vector(), row.as_vector())
+
+    @pytest.mark.parametrize(
+        "row", ["0.5,-0.25,0.0,7", "0.5,-0.25,0.0,0.5,1.5", "0.5,#-0.25,0.0,0.5,7", "#0.5,-0.25,0.0,0.5,7",
+                "0.5,-0.25,nan,0.5,7", "0.5,-0.25,0.0,0.5,inf", "0.5,,0.0,0.5,7"],
+    )
+    def test_malformed_rows_rejected(self, tmp_path, row):
+        text = self._text(2)[0]
+        path = tmp_path / "bad.csv"
+        path.write_text(text + row + "\n")
+        with pytest.raises(ValueError):
+            read_trajectories_csv(path)

@@ -209,6 +209,8 @@ class TestRadiusSquared:
         model = train(X, KernelSpec("rbf", gamma=1.0), TrainingConfig(nu=0.5))
         with pytest.raises(ValueError):
             radius_squared(model, np.zeros(3))
+        with pytest.raises(ValueError):
+            radius_squared(model, np.zeros((1, 1, 2)))
 
 
 class TestClassify:
@@ -241,6 +243,44 @@ class TestClassify:
         model = train(X, KernelSpec("rbf", gamma=0.5), TrainingConfig(nu=0.1))
         radii = [radius_squared(model, x) for x in X]
         assert classify(model, X[int(np.argmin(radii))])
+
+
+class TestBlockedScoring:
+    @staticmethod
+    def _trajectories(rng, count, scale=0.4):
+        return [
+            FlexTrajectory(p_bat=rng.normal(0.0, scale, 8), p_ewh=np.where(rng.random(8) < 0.5, 0.5, 0.0))
+            for _ in range(count)
+        ]
+
+    @pytest.mark.parametrize("kind", ["rbf", "poly", "sigmoid"])
+    @pytest.mark.parametrize("count", [0, 1, svdd.SCORE_BLOCK - 1, svdd.SCORE_BLOCK, svdd.SCORE_BLOCK + 1])
+    def test_blocked_radii_match_per_vector(self, kind, count):
+        rng = np.random.default_rng(20)
+        model = fit_trajectories(
+            self._trajectories(rng, 120), KernelSpec(kind, gamma=0.2, coef0=0.1), TrainingConfig(nu=0.15)
+        )
+        trajs = self._trajectories(rng, count, scale=0.8)  # wider: some clip during normalization
+        blocked = svdd.score_trajectories(model, trajs)
+        assert blocked.shape == (count,)
+        for r2, traj in zip(blocked, trajs):
+            x = normalize(traj, model.norm_bounds)
+            # Per-vector reference: the expansion summed pair by pair.
+            direct = 1.0 + model.const_term - 2.0 * sum(
+                b * kernel_eval(model.kernel, sv, x) for b, sv in zip(model.coefficients, model.support_vectors)
+            )
+            assert r2 == pytest.approx(direct, abs=1e-12)
+            assert r2 == pytest.approx(radius_squared(model, x), abs=1e-12)
+        verdicts = classify(model, trajs)
+        assert verdicts.tolist() == [classify(model, t) for t in trajs]
+
+    def test_matrix_normalization_matches_rows(self):
+        rng = np.random.default_rng(21)
+        bounds = np.array([[-1.0, 1.0], [0.0, 0.0], [0.2, 0.7]])
+        X = rng.uniform(-2.0, 2.0, (9, 3))
+        assert np.array_equal(normalize(X, bounds), np.stack([normalize(x, bounds) for x in X]))
+        with pytest.raises(ValueError):
+            normalize(X[:, :2], bounds)
 
 
 class TestSerialization:
