@@ -12,7 +12,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -28,6 +28,26 @@ _STAGE_SCENARIOS = 0
 _STAGE_SEARCH = 1
 _STAGE_INFEASIBLE = 2
 _STAGE_BASELINE = 3
+
+
+# Keys each config section may hold. Any other key is a typo that would
+# silently run the default, so it is an input error. `epso.seed` is not
+# accepted: the search seed is always derived from the master seed.
+_SECTION_KEYS = {
+    "copula": {"count", "nu_cov"},
+    "epso": {f.name for f in fields(epso.EpsoConfig)} - {"seed"},
+    "svdd": {"kernel", "nu", "tolerance", "max_passes"},
+    "validate": {"window", "sweep_kernels", "sweep_nus", "infeasible_count", "baseline_count"},
+}
+_KERNEL_KEYS = {f.name for f in fields(svdd.KernelSpec)}
+
+
+def _check_keys(where: str, doc, known: set[str]) -> None:
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object")
+    unknown = sorted(set(doc) - known)
+    if unknown:
+        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
 def stage_seed(master: int, stage: int) -> int:
@@ -61,6 +81,11 @@ class RunConfig:
         if "marginals" not in paths or "hems" not in paths:
             raise ValueError(f"{path}: paths.marginals and paths.hems are required")
         out_dir = Path(out_override) if out_override else base / doc.get("out_dir", "out")
+        for name, known in _SECTION_KEYS.items():
+            _check_keys(f"{path}: {name}", doc.get(name, {}), known)
+        svdd_doc, validate_doc = doc.get("svdd", {}), doc.get("validate", {})
+        for kernel in [svdd_doc.get("kernel", {}), *(validate_doc.get("sweep_kernels") or [])]:
+            _check_keys(f"{path}: kernel", kernel, _KERNEL_KEYS)
         return cls(
             dt_hours=float(doc.get("dt_hours", 0.25)),
             seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
@@ -79,9 +104,7 @@ class RunConfig:
         return hems.HemsConfig.from_json(self.hems_path, draw_profile=draws)
 
     def epso_config(self) -> epso.EpsoConfig:
-        fields = dict(self.epso)
-        fields["seed"] = stage_seed(self.seed, _STAGE_SEARCH)
-        return epso.EpsoConfig(**fields)
+        return epso.EpsoConfig(**self.epso, seed=stage_seed(self.seed, _STAGE_SEARCH))
 
     def kernel_spec(self, doc=None) -> svdd.KernelSpec:
         doc = doc if doc is not None else self.svdd.get("kernel", {})
@@ -231,24 +254,16 @@ def cmd_validate(cfg: RunConfig) -> int:
     hems_cfg = cfg.hems_config()
     tau_scen = cfg.epso_config().tau_scen
 
-    infeasible_path = cfg.out_dir / "infeasible.csv"
-    sampling_stats = None
-    if infeasible_path.exists():
-        infeasible, _ = epso.read_trajectories_csv(infeasible_path)
-        if not infeasible:
-            raise ValueError(f"{infeasible_path}: empty infeasible set")
-    else:
-        sample = analysis.generate_infeasible_set(
-            count=int(cfg.validate.get("infeasible_count", 1000)),
-            cfg=hems_cfg,
-            scenarios=scenario_set,
-            seed=stage_seed(cfg.seed, _STAGE_INFEASIBLE),
-            dt=cfg.dt_hours,
-            tau_scen=tau_scen,
-        )
-        infeasible = sample.trajectories
-        sampling_stats = {"attempts": sample.attempts, "acceptance_rate": sample.acceptance_rate}
-        epso.write_trajectories_csv(infeasible_path, infeasible)
+    sample = analysis.generate_infeasible_set(
+        count=int(cfg.validate.get("infeasible_count", 1000)),
+        cfg=hems_cfg,
+        scenarios=scenario_set,
+        seed=stage_seed(cfg.seed, _STAGE_INFEASIBLE),
+        dt=cfg.dt_hours,
+        tau_scen=tau_scen,
+    )
+    infeasible = sample.trajectories
+    epso.write_trajectories_csv(cfg.out_dir / "infeasible.csv", infeasible)
 
     window_doc = cfg.validate.get("window")
     if window_doc is not None:
@@ -295,20 +310,14 @@ def cmd_validate(cfg: RunConfig) -> int:
                 ]
             )
 
-    baseline_path = cfg.out_dir / "baseline.csv"
-    baseline_count = int(cfg.validate.get("baseline_count", max(2, len(feasible))))
-    if baseline_path.exists():
-        baseline, _ = epso.read_trajectories_csv(baseline_path)
-    else:
-        baseline_set = analysis.semi_random_baseline(
-            count=baseline_count,
-            cfg=hems_cfg,
-            scenario=scenario_set.values[0],
-            seed=stage_seed(cfg.seed, _STAGE_BASELINE),
-            dt=cfg.dt_hours,
-        )
-        baseline = baseline_set.trajectories
-        epso.write_trajectories_csv(baseline_path, baseline)
+    baseline = analysis.semi_random_baseline(
+        count=int(cfg.validate.get("baseline_count", max(2, len(feasible)))),
+        cfg=hems_cfg,
+        scenario=scenario_set.values[0],
+        seed=stage_seed(cfg.seed, _STAGE_BASELINE),
+        dt=cfg.dt_hours,
+    ).trajectories
+    epso.write_trajectories_csv(cfg.out_dir / "baseline.csv", baseline)
 
     search_div = analysis.pca_diversity(feasible)
     baseline_div = analysis.pca_diversity(baseline)
@@ -326,7 +335,7 @@ def cmd_validate(cfg: RunConfig) -> int:
                 "degenerate": baseline_div.degenerate,
             },
         },
-        "infeasible_sampling": sampling_stats,
+        "infeasible_sampling": {"attempts": sample.attempts, "acceptance_rate": sample.acceptance_rate},
         "sweep": [
             {
                 "kernel": r.kernel_kind,

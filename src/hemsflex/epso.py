@@ -1,12 +1,14 @@
 """Two-dimensional evolutionary particle swarm over flexibility trajectories.
 
-Each particle carries a battery schedule and an EWH schedule plus strategic
-weights per dimension. Generations follow replicate, mutate weights, move,
-evaluate, stochastic tournament. Fitness is the number of net-load scenarios
-in which the trajectory is violation-free, so the search collects trajectories
-that stay feasible with a configurable scenario-probability threshold. There
-is no objective beyond feasibility; the global best is chosen to maximize the
-diversity of the collected set.
+The swarm is a set of arrays with one row per particle: a battery schedule and
+an EWH schedule, their velocities and personal bests, and strategic weights
+per dimension. Generations follow replicate, mutate weights, move, evaluate,
+stochastic tournament, each applied to every row at once; only the random
+draws stay per particle, one stream each. Fitness is the number of net-load
+scenarios in which the trajectory is violation-free, so the search collects
+trajectories that stay feasible with a configurable scenario-probability
+threshold. There is no objective beyond feasibility; the global best is
+chosen to maximize the diversity of the collected set.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import csv
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -28,7 +30,7 @@ from .scenarios import ScenarioSet
 
 __all__ = [
     "EpsoConfig",
-    "Particle",
+    "Swarm",
     "FeasibleSet",
     "SearchResult",
     "mutate_weights",
@@ -92,9 +94,11 @@ class EpsoConfig:
 
 
 @dataclass
-class Particle:
-    """Swarm individual: position and velocity in both decision dimensions,
-    per-dimension (inertia, memory, cooperation) weights, personal best."""
+class Swarm:
+    """The population as arrays with a leading particle axis: (P, T)
+    positions, velocities and personal bests in both decision dimensions,
+    (P, 2, 3) per-dimension (inertia, memory, cooperation) weights, and (P,)
+    fitnesses and personal-best fitnesses (-1 before the first evaluation)."""
 
     x_bat: np.ndarray
     x_ewh: np.ndarray
@@ -103,53 +107,42 @@ class Particle:
     weights: np.ndarray
     best_x_bat: np.ndarray
     best_x_ewh: np.ndarray
-    best_fitness: int = -1
-    fitness: int = -1
-
-    @property
-    def trajectory(self) -> FlexTrajectory:
-        return FlexTrajectory(p_bat=self.x_bat.copy(), p_ewh=self.x_ewh.copy())
-
-    def note_evaluation(self, fitness: int) -> None:
-        """Record a fitness value and refresh the personal best if it is at
-        least as good (ties follow the newer position, which aids diversity)."""
-        self.fitness = fitness
-        if fitness >= self.best_fitness:
-            self.best_fitness = fitness
-            self.best_x_bat = self.x_bat.copy()
-            self.best_x_ewh = self.x_ewh.copy()
-
-
-@dataclass
-class FeasibleSet:
-    """Collected robust trajectories plus their running per-step mean."""
-
-    horizon: int
-    trajectories: list[FlexTrajectory] = field(default_factory=list)
-    fitnesses: list[int] = field(default_factory=list)
-    mean_bat: np.ndarray = field(default=None)
-    mean_ewh: np.ndarray = field(default=None)
-    _matrix: np.ndarray = field(default=None, repr=False)
-
-    def __post_init__(self):
-        if self.mean_bat is None:
-            self.mean_bat = np.zeros(self.horizon)
-        if self.mean_ewh is None:
-            self.mean_ewh = np.zeros(self.horizon)
-        if self._matrix is None:
-            self._matrix = np.empty((64, 2 * self.horizon))
-        for i, traj in enumerate(self.trajectories):
-            self._grow(i + 1)
-            self._matrix[i] = traj.as_vector()
-
-    def _grow(self, needed: int) -> None:
-        if needed > self._matrix.shape[0]:
-            bigger = np.empty((2 * self._matrix.shape[0], self._matrix.shape[1]))
-            bigger[: len(self.trajectories)] = self._matrix[: len(self.trajectories)]
-            self._matrix = bigger
+    best_fitness: np.ndarray
+    fitness: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.trajectories)
+        return self.x_bat.shape[0]
+
+
+class FeasibleSet:
+    """Collected robust trajectories as rows [p_bat | p_ewh] of one matrix,
+    plus their fitnesses and the running per-coordinate mean of the rows.
+    Members are read-only row views; a member read before the matrix grows
+    keeps its values, since rows are only ever written once."""
+
+    def __init__(self, horizon: int):
+        self.horizon = horizon
+        self.fitnesses: list[int] = []
+        self.mean = np.zeros(2 * horizon)
+        self._rows = np.empty((64, 2 * horizon))
+
+    def __len__(self) -> int:
+        return len(self.fitnesses)
+
+    def __getitem__(self, i: int) -> FlexTrajectory:
+        row = self.matrix[i]
+        return FlexTrajectory(p_bat=row[: self.horizon], p_ewh=row[self.horizon :])
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """(n, 2T) read-only view of the members."""
+        view = self._rows[: len(self)]
+        view.flags.writeable = False
+        return view
+
+    @property
+    def trajectories(self) -> list[FlexTrajectory]:
+        return [self[i] for i in range(len(self))]
 
     def add(self, traj: FlexTrajectory, fitness: int) -> bool:
         """Insert unless a member is closer than DEDUP_TOL in max-norm.
@@ -157,25 +150,21 @@ class FeasibleSet:
         if traj.horizon != self.horizon:
             raise ValueError(f"trajectory horizon {traj.horizon} does not match set {self.horizon}")
         vector = traj.as_vector()
-        n = len(self.trajectories)
-        if n and float(np.min(np.max(np.abs(self._matrix[:n] - vector), axis=1))) < DEDUP_TOL:
+        n = len(self)
+        if n and float(np.min(np.max(np.abs(self._rows[:n] - vector), axis=1))) < DEDUP_TOL:
             return False
-        self._grow(n + 1)
-        self._matrix[n] = vector
-        self.trajectories.append(traj)
+        if n == self._rows.shape[0]:
+            self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
+        self._rows[n] = vector
         self.fitnesses.append(int(fitness))
-        self.mean_bat = self.mean_bat + (traj.p_bat - self.mean_bat) / (n + 1)
-        self.mean_ewh = self.mean_ewh + (traj.p_ewh - self.mean_ewh) / (n + 1)
+        self.mean = self.mean + (vector - self.mean) / (n + 1)
         return True
 
     def distances(self) -> np.ndarray:
         """Accumulated absolute distance of each member to the set mean."""
-        n = len(self.trajectories)
-        if not n:
-            return np.zeros(0)
-        bat = self._matrix[:n, : self.horizon]
-        ewh = self._matrix[:n, self.horizon :]
-        return np.abs(bat - self.mean_bat).sum(axis=1) + np.abs(ewh - self.mean_ewh).sum(axis=1)
+        rows, t = self._rows[: len(self)], self.horizon
+        bat = np.abs(rows[:, :t] - self.mean[:t]).sum(axis=1)
+        return bat + np.abs(rows[:, t:] - self.mean[t:]).sum(axis=1)
 
 
 @dataclass
@@ -222,34 +211,36 @@ def perturb_global_best(
 
 
 def move_particle(
-    particle: Particle,
-    b_g_star: FlexTrajectory,
+    swarm: Swarm,
+    star_bat: np.ndarray,
+    star_ewh: np.ndarray,
+    mask_bat: np.ndarray,
+    mask_ewh: np.ndarray,
     epso_cfg: EpsoConfig,
     hems_cfg: HemsConfig,
-    rng: np.random.Generator,
-) -> Particle:
-    """Apply the movement rule with inertia, memory, and cooperation terms.
+) -> Swarm:
+    """Apply the movement rule with inertia, memory, and cooperation terms to
+    every row at once.
 
-    The cooperation term acts only on coordinates picked by a Bernoulli
-    communication mask. Battery coordinates are clamped to the power band and
-    EWH coordinates re-quantized to the nearest of {0, p_nom}.
+    Row i moves toward its own perturbed cooperation attractor (star_bat[i],
+    star_ewh[i]), and only on the coordinates its Bernoulli communication
+    masks pick. Battery coordinates are clamped to the power band and EWH
+    coordinates re-quantized to the nearest of {0, p_nom}. The moved swarm
+    keeps the weights and personal bests of `swarm`.
     """
     bat_cfg = hems_cfg.battery
     p_nom = hems_cfg.ewh.p_nom
-    horizon = particle.x_bat.shape[0]
-    w = particle.weights
-    mask_bat = rng.random(horizon) < epso_cfg.comm_factor
-    mask_ewh = rng.random(horizon) < epso_cfg.comm_factor
+    w = swarm.weights[:, :, :, None]
 
     v_bat = (
-        w[0, 0] * particle.v_bat
-        + w[0, 1] * (particle.best_x_bat - particle.x_bat)
-        + w[0, 2] * mask_bat * (b_g_star.p_bat - particle.x_bat)
+        w[:, 0, 0] * swarm.v_bat
+        + w[:, 0, 1] * (swarm.best_x_bat - swarm.x_bat)
+        + w[:, 0, 2] * mask_bat * (star_bat - swarm.x_bat)
     )
     v_ewh = (
-        w[1, 0] * particle.v_ewh
-        + w[1, 1] * (particle.best_x_ewh - particle.x_ewh)
-        + w[1, 2] * mask_ewh * (b_g_star.p_ewh - particle.x_ewh)
+        w[:, 1, 0] * swarm.v_ewh
+        + w[:, 1, 1] * (swarm.best_x_ewh - swarm.x_ewh)
+        + w[:, 1, 2] * mask_ewh * (star_ewh - swarm.x_ewh)
     )
     # Battery velocity is clamped tightly: SoC feasibility over a long horizon
     # tolerates only small per-step power changes. The EWH dimension keeps the
@@ -259,27 +250,14 @@ def move_particle(
     v_bat = np.clip(v_bat, -bat_vmax, bat_vmax)
     v_ewh = np.clip(v_ewh, -p_nom, p_nom)
 
-    x_bat = np.clip(particle.x_bat + v_bat, -bat_cfg.p_discharge_max, bat_cfg.p_charge_max)
-    x_ewh_raw = particle.x_ewh + v_ewh
-    x_ewh = np.where(x_ewh_raw >= 0.5 * p_nom, p_nom, 0.0)
-
-    return Particle(
-        x_bat=x_bat,
-        x_ewh=x_ewh,
-        v_bat=v_bat,
-        v_ewh=v_ewh,
-        weights=w.copy(),
-        best_x_bat=particle.best_x_bat.copy(),
-        best_x_ewh=particle.best_x_ewh.copy(),
-        best_fitness=particle.best_fitness,
-    )
+    x_bat = np.clip(swarm.x_bat + v_bat, -bat_cfg.p_discharge_max, bat_cfg.p_charge_max)
+    x_ewh = np.where(swarm.x_ewh + v_ewh >= 0.5 * p_nom, p_nom, 0.0)
+    return replace(swarm, x_bat=x_bat, x_ewh=x_ewh, v_bat=v_bat, v_ewh=v_ewh)
 
 
-def evaluate_fitness(traj, scenarios: ScenarioSet, cfg: HemsConfig, dt: float) -> int:
+def evaluate_fitness(traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, dt: float) -> int:
     """Number of scenarios in which the trajectory is fully compliant: zero
     constraint penalty and the surplus-accommodation rule respected."""
-    if isinstance(traj, Particle):
-        traj = traj.trajectory
     zero_penalty, accommodation_ok = batch_compliance(
         traj.p_bat, traj.p_ewh, scenarios.values, cfg.ewh.draws(traj.horizon), cfg, dt
     )
@@ -299,32 +277,31 @@ def is_robust(fitness: int, n_scenarios: int, tau_scen: float) -> bool:
 def select_global_best(feasible: FeasibleSet) -> FlexTrajectory:
     """Member with the greatest accumulated absolute distance to the set mean;
     first member wins ties."""
-    if not feasible.trajectories:
+    if not len(feasible):
         raise ValueError("feasible set is empty")
-    distances = feasible.distances()
-    return feasible.trajectories[int(np.argmax(distances))]
+    return feasible[int(np.argmax(feasible.distances()))]
 
 
 def stochastic_tournament(
-    parents: list[Particle],
-    offspring: list[Particle],
+    parents: Swarm,
+    offspring: Swarm,
     rng: np.random.Generator,
     win_prob: float = 0.8,
-) -> list[Particle]:
-    """Pairwise selection: the higher-fitness individual survives with
-    probability `win_prob`, ties are a fair coin flip."""
+) -> Swarm:
+    """Pairwise selection of row i of either swarm: the higher-fitness
+    individual survives with probability `win_prob`, ties are a fair coin
+    flip. One uniform draw per pair, in row order."""
     if len(parents) != len(offspring):
         raise ValueError("parent and offspring populations must pair up")
-    survivors = []
-    for parent, child in zip(parents, offspring):
-        u = rng.random()
-        if child.fitness > parent.fitness:
-            survivors.append(child if u < win_prob else parent)
-        elif child.fitness < parent.fitness:
-            survivors.append(parent if u < win_prob else child)
-        else:
-            survivors.append(child if u < 0.5 else parent)
-    return survivors
+    u = rng.random(len(parents))
+    child_fitter = offspring.fitness > parents.fitness
+    child_weaker = offspring.fitness < parents.fitness
+    child_wins = np.where(child_fitter, u < win_prob, np.where(child_weaker, u >= win_prob, u < 0.5))
+    survivors = {}
+    for f in fields(Swarm):
+        child, parent = getattr(offspring, f.name), getattr(parents, f.name)
+        survivors[f.name] = np.where(child_wins.reshape(-1, *[1] * (parent.ndim - 1)), child, parent)
+    return Swarm(**survivors)
 
 
 def seed_initial_population(
@@ -332,7 +309,7 @@ def seed_initial_population(
     epso_cfg: EpsoConfig,
     hems_cfg: HemsConfig,
     rng: np.random.Generator,
-) -> list[Particle]:
+) -> Swarm:
     """Draw positions inside the power band; a fraction of particles start
     with zero battery power during the reference scenario's surplus steps,
     nudging them toward the surplus-accommodation preference.
@@ -346,30 +323,29 @@ def seed_initial_population(
     horizon = scenario0.shape[0]
     bat_cfg = hems_cfg.battery
     p_nom = hems_cfg.ewh.p_nom
-    surplus_steps = scenario0 < 0.0
-    n_zeroed = int(round(epso_cfg.pop_size * epso_cfg.seed_zero_fraction))
-
-    population = []
-    for i in range(epso_cfg.pop_size):
+    size = epso_cfg.pop_size
+    x_bat = np.empty((size, horizon))
+    x_ewh = np.empty((size, horizon))
+    weights = np.empty((size, 2, 3))
+    for i in range(size):
         amplitude = rng.uniform(0.05, 1.0)
         duty = rng.uniform(0.0, 0.5)
-        x_bat = amplitude * rng.uniform(-bat_cfg.p_discharge_max, bat_cfg.p_charge_max, horizon)
-        x_ewh = np.where(rng.random(horizon) < duty, p_nom, 0.0)
-        weights = rng.uniform(0.0, 1.0, (2, 3))
-        if i < n_zeroed:
-            x_bat[surplus_steps] = 0.0
-        population.append(
-            Particle(
-                x_bat=x_bat,
-                x_ewh=x_ewh,
-                v_bat=np.zeros(horizon),
-                v_ewh=np.zeros(horizon),
-                weights=weights,
-                best_x_bat=x_bat.copy(),
-                best_x_ewh=x_ewh.copy(),
-            )
-        )
-    return population
+        x_bat[i] = amplitude * rng.uniform(-bat_cfg.p_discharge_max, bat_cfg.p_charge_max, horizon)
+        x_ewh[i] = np.where(rng.random(horizon) < duty, p_nom, 0.0)
+        weights[i] = rng.uniform(0.0, 1.0, (2, 3))
+    n_zeroed = int(round(size * epso_cfg.seed_zero_fraction))
+    x_bat[:n_zeroed, scenario0 < 0.0] = 0.0
+    return Swarm(
+        x_bat=x_bat,
+        x_ewh=x_ewh,
+        v_bat=np.zeros((size, horizon)),
+        v_ewh=np.zeros((size, horizon)),
+        weights=weights,
+        best_x_bat=x_bat.copy(),
+        best_x_ewh=x_ewh.copy(),
+        best_fitness=np.full(size, -1),
+        fitness=np.full(size, -1),
+    )
 
 
 def run(
@@ -414,39 +390,41 @@ def run(
             np.count_nonzero(zero_penalty, axis=1),
         )
 
-    def evaluate(particles: list[Particle]) -> None:
-        """Score the whole population in one kernel call, repair and re-screen
-        the repair candidates in one call each, then update the particles and
-        the set in population order."""
-        p_bat = np.stack([p.x_bat for p in particles])
-        p_ewh = np.stack([p.x_ewh for p in particles])
-        fitness, penalty_free = screen(p_bat, p_ewh)
+    def evaluate(swarm: Swarm) -> None:
+        """Score the whole swarm in one kernel call, repair and re-screen the
+        repair candidates in one call each, refresh the personal bests, then
+        offer the robust rows, repaired ones included, to the set in row order."""
+        fitness, penalty_free = screen(swarm.x_bat, swarm.x_ewh)
         # Repair applies when the only widespread failures are
         # surplus-accommodation ones; it is skipped for trajectories the
         # envelope itself pushes into penalties.
         candidates = np.flatnonzero((fitness < threshold) & (penalty_free >= threshold))
-        repaired: dict[int, tuple[np.ndarray, int]] = {}
+        offered_bat, offered_fitness = swarm.x_bat, fitness
         if candidates.size:
             fixed_bat, valid = batch_repair(
-                p_bat[candidates], p_ewh[candidates], surplus_envelope, hems_cfg, dt
+                swarm.x_bat[candidates], swarm.x_ewh[candidates], surplus_envelope, hems_cfg, dt
             )
-            rows, fixed_bat = candidates[valid], fixed_bat[valid]
+            rows = candidates[valid]
             if rows.size:
-                fixed_fitness, _ = screen(fixed_bat, p_ewh[rows])
-                repaired = {int(i): (b, int(f)) for i, b, f in zip(rows, fixed_bat, fixed_fitness)}
-        for i, particle in enumerate(particles):
-            particle.note_evaluation(int(fitness[i]))
-            if fitness[i] >= threshold:
-                feasible.add(particle.trajectory, int(fitness[i]))
-            elif i in repaired and repaired[i][1] >= threshold:
-                fixed, fixed_fitness = repaired[i]
-                feasible.add(FlexTrajectory(p_bat=fixed, p_ewh=particle.x_ewh.copy()), fixed_fitness)
+                offered_bat, offered_fitness = swarm.x_bat.copy(), fitness.copy()
+                offered_bat[rows] = fixed_bat[valid]
+                offered_fitness[rows] = screen(fixed_bat[valid], swarm.x_ewh[rows])[0]
+        # A personal best follows ties to the newer position, which aids diversity.
+        improved = fitness >= swarm.best_fitness
+        swarm.fitness = fitness
+        swarm.best_fitness = np.where(improved, fitness, swarm.best_fitness)
+        swarm.best_x_bat, swarm.best_x_ewh = np.where(
+            improved[:, None], (swarm.x_bat, swarm.x_ewh), (swarm.best_x_bat, swarm.best_x_ewh)
+        )
+        for i in np.flatnonzero(offered_fitness >= threshold):
+            offered = FlexTrajectory(p_bat=offered_bat[i], p_ewh=swarm.x_ewh[i])
+            feasible.add(offered, int(offered_fitness[i]))
 
     def best_distance() -> float:
         return float(np.max(feasible.distances())) if len(feasible) else 0.0
 
-    population = seed_initial_population(scenario0, epso_cfg, hems_cfg, _stream(epso_cfg.seed, 0))
-    evaluate(population)
+    swarm = seed_initial_population(scenario0, epso_cfg, hems_cfg, _stream(epso_cfg.seed, 0))
+    evaluate(swarm)
     emit(
         {
             "iteration": 0,
@@ -456,6 +434,7 @@ def run(
         }
     )
 
+    size = epso_cfg.pop_size
     iterations = 0
     for it in range(1, epso_cfg.max_iters + 1):
         if len(feasible) >= epso_cfg.target_feasible:
@@ -468,29 +447,28 @@ def run(
         if len(feasible):
             b_g = select_global_best(feasible)
         else:
-            b_g = max(population, key=lambda p: p.fitness).trajectory
+            best = int(np.argmax(swarm.fitness))
+            b_g = FlexTrajectory(p_bat=swarm.x_bat[best], p_ewh=swarm.x_ewh[best])
         distance = best_distance()
 
-        offspring = []
-        for i, parent in enumerate(population):
+        # Each particle draws from its own stream, in a fixed order: weight
+        # normals, the two attractor perturbations, then the two masks.
+        weights = np.empty_like(swarm.weights)
+        star_bat, star_ewh = np.empty((size, horizon)), np.empty((size, horizon))
+        mask_bat, mask_ewh = np.empty((2, size, horizon), dtype=bool)
+        for i in range(size):
             rng_move = _stream(epso_cfg.seed, 1, it, i)
-            child = Particle(
-                x_bat=parent.x_bat.copy(),
-                x_ewh=parent.x_ewh.copy(),
-                v_bat=parent.v_bat.copy(),
-                v_ewh=parent.v_ewh.copy(),
-                weights=mutate_weights(parent.weights, tau_effective, rng_move),
-                best_x_bat=parent.best_x_bat.copy(),
-                best_x_ewh=parent.best_x_ewh.copy(),
-                best_fitness=parent.best_fitness,
-            )
+            weights[i] = mutate_weights(swarm.weights[i], tau_effective, rng_move)
             b_g_star = perturb_global_best(b_g, epso_cfg.tau_prime, rng_move)
-            offspring.append(move_particle(child, b_g_star, epso_cfg, hems_cfg, rng_move))
-
+            star_bat[i], star_ewh[i] = b_g_star.p_bat, b_g_star.p_ewh
+            mask_bat[i], mask_ewh[i] = rng_move.random((2, horizon)) < epso_cfg.comm_factor
+        offspring = move_particle(
+            replace(swarm, weights=weights), star_bat, star_ewh, mask_bat, mask_ewh, epso_cfg, hems_cfg
+        )
         evaluate(offspring)
 
-        population = stochastic_tournament(
-            population, offspring, _stream(epso_cfg.seed, 2, it), epso_cfg.tournament_win_prob
+        swarm = stochastic_tournament(
+            swarm, offspring, _stream(epso_cfg.seed, 2, it), epso_cfg.tournament_win_prob
         )
         emit(
             {

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
@@ -155,29 +155,10 @@ class HemsConfig:
         return cls(battery=battery, ewh=ewh)
 
     def to_json(self, path) -> None:
+        """Write both sections field by field; the draw profile lives in its own CSV."""
         doc = {
-            "battery": {
-                "capacity": self.battery.capacity,
-                "p_charge_max": self.battery.p_charge_max,
-                "p_discharge_max": self.battery.p_discharge_max,
-                "soc_init": self.battery.soc_init,
-                "efficiency": self.battery.efficiency,
-                "soc_min_frac": self.battery.soc_min_frac,
-                "taper_knee": self.battery.taper_knee,
-                "taper_floor": self.battery.taper_floor,
-            },
-            "ewh": {
-                "p_nom": self.ewh.p_nom,
-                "theta_min": self.ewh.theta_min,
-                "theta_max": self.ewh.theta_max,
-                "theta_init": self.ewh.theta_init,
-                "thermal_capacity": self.ewh.thermal_capacity,
-                "alpha_mag": self.ewh.alpha_mag,
-                "theta_house": self.ewh.theta_house,
-                "c_p": self.ewh.c_p,
-                "theta_des": self.ewh.theta_des,
-                "theta_inl": self.ewh.theta_inl,
-            },
+            name: {f.name: getattr(section, f.name) for f in fields(section) if f.name != "draw_profile"}
+            for name, section in (("battery", self.battery), ("ewh", self.ewh))
         }
         with open(path, "w") as fh:
             json.dump(doc, fh, indent=2)

@@ -117,6 +117,37 @@ class TestPipeline:
         assert (workdir / "out" / "scenarios.csv").read_bytes() != original
 
 
+class TestValidateRegeneratesSets:
+    @pytest.fixture
+    def validated(self, workdir):
+        for command in ("gen-scenarios", "search", "validate"):
+            assert invoke(workdir, command) == 0
+        return workdir
+
+    def test_seed_change_regenerates_both_sets(self, validated, tmp_path_factory):
+        out = validated / "out"
+        stale = {name: (out / name).read_bytes() for name in ("infeasible.csv", "baseline.csv")}
+        fresh = tmp_path_factory.mktemp("fresh")
+        for name in ("scenarios.csv", "feasible.csv"):
+            (fresh / name).write_bytes((out / name).read_bytes())
+        assert invoke(validated, "--seed", "99", "--out", str(fresh), "validate") == 0
+        assert invoke(validated, "--seed", "99", "validate") == 0
+        for name in ("infeasible.csv", "baseline.csv", "confusion.csv", "validation.json"):
+            assert (out / name).read_bytes() == (fresh / name).read_bytes(), name
+        for name, blob in stale.items():
+            assert (out / name).read_bytes() != blob, name
+        assert json.loads((out / "validation.json").read_text())["infeasible_sampling"] is not None
+
+    def test_count_change_resizes_both_sets(self, validated):
+        config = json.loads((validated / "config.json").read_text())
+        config["validate"].update(infeasible_count=25, baseline_count=30)
+        (validated / "config.json").write_text(json.dumps(config))
+        assert invoke(validated, "validate") == 0
+        infeasible, _ = epso.read_trajectories_csv(validated / "out" / "infeasible.csv")
+        baseline, _ = epso.read_trajectories_csv(validated / "out" / "baseline.csv")
+        assert (len(infeasible), len(baseline)) == (25, 30)
+
+
 class TestTrackedArtifacts:
     # Every tracked out/small file except search_log.jsonl, whose elapsed_s is
     # wall time. verdicts.csv holds the block-wise r2 of svdd.score_trajectories,
@@ -151,6 +182,23 @@ class TestErrorPaths:
         bad = tmp_path / "config.json"
         bad.write_text('{"paths": {}}')
         assert cli.main(["--config", str(bad), "gen-scenarios"]) == 2
+
+    @pytest.mark.parametrize(
+        "section, key",
+        [("copula", "cout"), ("epso", "pop_sise"), ("epso", "seed"), ("svdd", "nuu"),
+         ("svdd.kernel", "gama"), ("validate", "infeasible_cout"), ("validate.sweep_kernels", "kindd")],
+    )
+    def test_unknown_config_key_exits_two(self, workdir, capsys, section, key):
+        config = json.loads((workdir / "config.json").read_text())
+        if section == "svdd.kernel":
+            config["svdd"]["kernel"][key] = 1
+        elif section == "validate.sweep_kernels":
+            config["validate"]["sweep_kernels"] = [{"kind": "rbf", "gamma": 0.05, key: 1}]
+        else:
+            config[section][key] = 1
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert invoke(workdir, "gen-scenarios") == 2
+        assert key in capsys.readouterr().err
 
     def test_classify_dimension_mismatch_exits_two(self, workdir):
         for command in ("gen-scenarios", "search", "train"):

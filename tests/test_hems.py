@@ -6,6 +6,7 @@ evaluation of the update formula.
 """
 
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -372,6 +373,11 @@ class TestConfigValidation:
         assert loaded.battery == hems_reference.battery
         assert loaded.ewh.p_nom == hems_reference.ewh.p_nom
         assert loaded.ewh.thermal_capacity == hems_reference.ewh.thermal_capacity
+
+    def test_json_rewrite_is_byte_identical(self, tmp_path):
+        source = Path(__file__).resolve().parents[1] / "data" / "hems.json"
+        HemsConfig.from_json(source).to_json(tmp_path / "hems.json")
+        assert (tmp_path / "hems.json").read_bytes() == source.read_bytes()
 
     def test_draw_profile_csv_round_trip(self, tmp_path):
         draws = np.array([0.0, 6.0, 0.0, 4.5])
