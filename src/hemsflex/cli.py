@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -30,16 +31,11 @@ _STAGE_INFEASIBLE = 2
 _STAGE_BASELINE = 3
 
 
-# Keys each config section may hold. Any other key is a typo that would
-# silently run the default, so it is an input error. `epso.seed` is not
-# accepted: the search seed is always derived from the master seed.
-_SECTION_KEYS = {
-    "copula": {"count", "nu_cov"},
-    "epso": {f.name for f in fields(epso.EpsoConfig)} - {"seed"},
-    "svdd": {"kernel", "nu", "tolerance", "max_passes"},
-    "validate": {"window", "sweep_kernels", "sweep_nus", "infeasible_count", "baseline_count"},
-}
-_KERNEL_KEYS = {f.name for f in fields(svdd.KernelSpec)}
+# Keys of the config objects no dataclass owns. Any other key is a typo that
+# would silently run the default, so it is an input error.
+_TOP_KEYS = {"dt_hours", "seed", "out_dir", "paths", "copula", "epso", "svdd", "validate"}
+_PATH_KEYS = {"marginals", "hems", "draws"}
+_VALIDATE_KEYS = {"window", "sweep_kernels", "sweep_nus", "infeasible_count", "baseline_count"}
 
 
 def _check_keys(where: str, doc, known: set[str]) -> None:
@@ -50,6 +46,16 @@ def _check_keys(where: str, doc, known: set[str]) -> None:
         raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
 
 
+def _build(where: str, cls, doc, **derived):
+    """`cls` from a config object whose keys are its fields, less the ones
+    derived here: a stage seed always derives from the master seed."""
+    _check_keys(where, doc, {f.name for f in fields(cls)} - set(derived))
+    try:
+        return cls(**doc, **derived)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 def stage_seed(master: int, stage: int) -> int:
     """Derived integer seed for one pipeline stage."""
     return int(np.random.SeedSequence(entropy=master, spawn_key=(stage,)).generate_state(1)[0])
@@ -58,7 +64,9 @@ def stage_seed(master: int, stage: int) -> int:
 @dataclass
 class RunConfig:
     """Parsed pipeline configuration; paths are resolved against the config
-    file location so experiments stay relocatable."""
+    file location so experiments stay relocatable. Each stage section is
+    parsed once, at load, into the dataclass that owns its keys and defaults;
+    `sweep` holds the validate sweep's (kernel, training) pairs, kernel-major."""
 
     dt_hours: float
     seed: int
@@ -66,9 +74,11 @@ class RunConfig:
     marginals_path: Path
     hems_path: Path
     draws_path: Path | None
-    copula: dict
-    epso: dict
-    svdd: dict
+    copula: scenarios.CopulaConfig
+    epso: epso.EpsoConfig
+    kernel: svdd.KernelSpec
+    training: svdd.TrainingConfig
+    sweep: list[tuple[svdd.KernelSpec, svdd.TrainingConfig]]
     validate: dict
 
     @classmethod
@@ -77,26 +87,45 @@ class RunConfig:
         with open(path) as fh:
             doc = json.load(fh)
         base = path.parent
-        paths = doc.get("paths", {})
+        _check_keys(str(path), doc, _TOP_KEYS)
+        paths, validate = doc.get("paths", {}), doc.get("validate", {})
+        _check_keys(f"{path}: paths", paths, _PATH_KEYS)
+        _check_keys(f"{path}: validate", validate, _VALIDATE_KEYS)
         if "marginals" not in paths or "hems" not in paths:
             raise ValueError(f"{path}: paths.marginals and paths.hems are required")
-        out_dir = Path(out_override) if out_override else base / doc.get("out_dir", "out")
-        for name, known in _SECTION_KEYS.items():
-            _check_keys(f"{path}: {name}", doc.get(name, {}), known)
-        svdd_doc, validate_doc = doc.get("svdd", {}), doc.get("validate", {})
-        for kernel in [svdd_doc.get("kernel", {}), *(validate_doc.get("sweep_kernels") or [])]:
-            _check_keys(f"{path}: kernel", kernel, _KERNEL_KEYS)
+        dt_hours = doc.get("dt_hours", 0.25)
+        if not isinstance(dt_hours, (int, float)) or not (math.isfinite(dt_hours) and dt_hours > 0):
+            raise ValueError(f"{path}: dt_hours must be a positive finite number, got {dt_hours!r}")
+        seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
+        svdd_doc = doc.get("svdd", {})
+        kernel_doc = svdd_doc.pop("kernel", {}) if isinstance(svdd_doc, dict) else {}
+        training = _build(f"{path}: svdd", svdd.TrainingConfig, svdd_doc)
+        sweep_kernels = [
+            _build(f"{path}: validate.sweep_kernels", svdd.KernelSpec, kernel)
+            for kernel in validate.get("sweep_kernels", [{"kind": kind} for kind in svdd.KERNEL_KINDS])
+        ]
+        sweep_training = [
+            _build(f"{path}: validate.sweep_nus", svdd.TrainingConfig, {**svdd_doc, "nu": nu})
+            for nu in validate.get("sweep_nus", [0.01, 0.1, 0.15, 0.2])
+        ]
         return cls(
-            dt_hours=float(doc.get("dt_hours", 0.25)),
-            seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
-            out_dir=out_dir,
+            dt_hours=dt_hours,
+            seed=seed,
+            out_dir=Path(out_override) if out_override else base / doc.get("out_dir", "out"),
             marginals_path=base / paths["marginals"],
             hems_path=base / paths["hems"],
             draws_path=(base / paths["draws"]) if "draws" in paths else None,
-            copula=doc.get("copula", {}),
-            epso=doc.get("epso", {}),
-            svdd=doc.get("svdd", {}),
-            validate=doc.get("validate", {}),
+            copula=_build(
+                f"{path}: copula", scenarios.CopulaConfig, doc.get("copula", {}),
+                seed=stage_seed(seed, _STAGE_SCENARIOS),
+            ),
+            epso=_build(
+                f"{path}: epso", epso.EpsoConfig, doc.get("epso", {}), seed=stage_seed(seed, _STAGE_SEARCH)
+            ),
+            kernel=_build(f"{path}: svdd.kernel", svdd.KernelSpec, kernel_doc),
+            training=training,
+            sweep=[(k, t) for k in sweep_kernels for t in sweep_training],
+            validate=validate,
         )
 
     def hems_config(self) -> hems.HemsConfig:
@@ -104,23 +133,8 @@ class RunConfig:
         return hems.HemsConfig.from_json(self.hems_path, draw_profile=draws)
 
     def epso_config(self) -> epso.EpsoConfig:
-        return epso.EpsoConfig(**self.epso, seed=stage_seed(self.seed, _STAGE_SEARCH))
-
-    def kernel_spec(self, doc=None) -> svdd.KernelSpec:
-        doc = doc if doc is not None else self.svdd.get("kernel", {})
-        return svdd.KernelSpec(
-            kind=doc.get("kind", "sigmoid"),
-            gamma=float(doc.get("gamma", 0.05)),
-            degree=int(doc.get("degree", 3)),
-            coef0=float(doc.get("coef0", 0.0)),
-        )
-
-    def training_config(self, nu=None) -> svdd.TrainingConfig:
-        return svdd.TrainingConfig(
-            nu=float(nu if nu is not None else self.svdd.get("nu", 0.15)),
-            tolerance=float(self.svdd.get("tolerance", 1e-6)),
-            max_passes=int(self.svdd.get("max_passes", 100_000)),
-        )
+        """The swarm settings parsed at load: the same object as `epso`."""
+        return self.epso
 
 
 def parse_window(spec, dt_hours: float, horizon: int) -> tuple[int, int]:
@@ -151,23 +165,17 @@ def parse_window(spec, dt_hours: float, horizon: int) -> tuple[int, int]:
 def cmd_gen_scenarios(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     marginals = scenarios.read_marginals_csv(cfg.marginals_path)
-    copula_cfg = scenarios.CopulaConfig(
-        horizon=len(marginals),
-        count=int(cfg.copula.get("count", 100)),
-        nu_cov=float(cfg.copula.get("nu_cov", 4.0)),
-        seed=stage_seed(cfg.seed, _STAGE_SCENARIOS),
-    )
-    scenario_set = scenarios.generate_scenarios(marginals, copula_cfg)
+    scenario_set = scenarios.generate_scenarios(marginals, cfg.copula)
     scenario_set.write_csv(cfg.out_dir / "scenarios.csv")
     meta = {
-        "horizon": copula_cfg.horizon,
-        "count": copula_cfg.count,
-        "nu_cov": copula_cfg.nu_cov,
-        "seed": copula_cfg.seed,
+        "horizon": scenario_set.horizon,
+        "count": scenario_set.count,
+        "nu_cov": cfg.copula.nu_cov,
+        "seed": cfg.copula.seed,
         "master_seed": cfg.seed,
     }
     (cfg.out_dir / "scenarios_meta.json").write_text(json.dumps(meta, indent=2) + "\n")
-    print(f"wrote {copula_cfg.count} x {copula_cfg.horizon} scenarios to {cfg.out_dir / 'scenarios.csv'}")
+    print(f"wrote {scenario_set.count} x {scenario_set.horizon} scenarios to {cfg.out_dir / 'scenarios.csv'}")
     return EXIT_OK
 
 
@@ -175,14 +183,13 @@ def cmd_search(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     scenario_set = scenarios.ScenarioSet.read_csv(cfg.out_dir / "scenarios.csv")
     hems_cfg = cfg.hems_config()
-    epso_cfg = cfg.epso_config()
     log_path = cfg.out_dir / "search_log.jsonl"
     with open(log_path, "w") as log_fh:
 
         def sink(record: dict) -> None:
             log_fh.write(json.dumps(record) + "\n")
 
-        result = epso.run(epso_cfg, scenario_set, hems_cfg, cfg.dt_hours, log_sink=sink)
+        result = epso.run(cfg.epso, scenario_set, hems_cfg, cfg.dt_hours, log_sink=sink)
         log_fh.write(
             json.dumps(
                 {
@@ -214,7 +221,7 @@ def cmd_search(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     trajectories, _ = epso.read_trajectories_csv(cfg.out_dir / "feasible.csv")
-    model = svdd.fit_trajectories(trajectories, cfg.kernel_spec(), cfg.training_config())
+    model = svdd.fit_trajectories(trajectories, cfg.kernel, cfg.training)
     svdd.save_model(model, cfg.out_dir / "model.json")
     print(
         f"trained {model.kernel.kind} boundary: {model.n_support} support vectors, "
@@ -252,7 +259,6 @@ def cmd_validate(cfg: RunConfig) -> int:
     scenario_set = scenarios.ScenarioSet.read_csv(cfg.out_dir / "scenarios.csv")
     feasible, _ = epso.read_trajectories_csv(cfg.out_dir / "feasible.csv")
     hems_cfg = cfg.hems_config()
-    tau_scen = cfg.epso_config().tau_scen
 
     sample = analysis.generate_infeasible_set(
         count=int(cfg.validate.get("infeasible_count", 1000)),
@@ -260,7 +266,7 @@ def cmd_validate(cfg: RunConfig) -> int:
         scenarios=scenario_set,
         seed=stage_seed(cfg.seed, _STAGE_INFEASIBLE),
         dt=cfg.dt_hours,
-        tau_scen=tau_scen,
+        tau_scen=cfg.epso.tau_scen,
     )
     infeasible = sample.trajectories
     epso.write_trajectories_csv(cfg.out_dir / "infeasible.csv", infeasible)
@@ -275,22 +281,12 @@ def cmd_validate(cfg: RunConfig) -> int:
         feas_features, infeas_features = feasible, infeasible
         window_info = None
 
-    kernels = cfg.validate.get("sweep_kernels")
-    if kernels is None:
-        kernels = [
-            {"kind": "rbf", "gamma": 0.05},
-            {"kind": "poly", "gamma": 0.05},
-            {"kind": "sigmoid", "gamma": 0.05},
-        ]
-    nus = cfg.validate.get("sweep_nus", [0.01, 0.1, 0.15, 0.2])
-
-    rows = []
-    for kernel_doc in kernels:
-        spec = cfg.kernel_spec(kernel_doc)
-        for nu in nus:
-            model = svdd.fit_trajectories(feas_features, spec, cfg.training_config(nu=nu))
-            report = analysis.confusion_table(model, feas_features, infeas_features)
-            rows.append(report)
+    rows = [
+        analysis.confusion_table(
+            svdd.fit_trajectories(feas_features, kernel, training), feas_features, infeas_features
+        )
+        for kernel, training in cfg.sweep
+    ]
 
     with open(cfg.out_dir / "confusion.csv", "w", newline="") as fh:
         writer = csv.writer(fh)

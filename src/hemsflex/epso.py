@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 import time
 import warnings
 from dataclasses import dataclass, fields, replace
@@ -79,8 +80,9 @@ class EpsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.pop_size < 1 or self.max_iters < 1 or self.target_feasible < 1:
-            raise ValueError("pop_size, max_iters, and target_feasible must be positive")
+        counts = (self.pop_size, self.max_iters, self.target_feasible)
+        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in counts):
+            raise ValueError("pop_size, max_iters, and target_feasible must be positive integers")
         if not 0.0 < self.tau_scen <= 1.0:
             raise ValueError("tau_scen must lie in (0, 1]")
         if self.mutation_min > self.mutation_max:

@@ -475,7 +475,8 @@ def feasible_power_range(
 
 
 def read_draw_profile_csv(path) -> np.ndarray:
-    """Read litres-per-step rows from CSV `h,liters`."""
+    """Read litres-per-step rows from CSV `h,liters`; the steps h must run
+    exactly 1..T, each once."""
     path = Path(path)
     rows: list[tuple[int, float]] = []
     with open(path, newline="") as fh:
@@ -487,6 +488,8 @@ def read_draw_profile_csv(path) -> np.ndarray:
     if not rows:
         raise ValueError(f"{path}: no draw rows")
     rows.sort()
+    if [h for h, _ in rows] != list(range(1, len(rows) + 1)):
+        raise ValueError(f"{path}: steps h must run 1..{len(rows)}, each once")
     return np.array([litres for _, litres in rows], dtype=float)
 
 

@@ -11,6 +11,7 @@ the covariance range parameter.
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -68,18 +69,16 @@ class MarginalForecast:
 
 @dataclass(frozen=True)
 class CopulaConfig:
-    """Scenario-generation settings: horizon, draw count, covariance range, seed."""
+    """Scenario-generation settings: draw count, covariance range, seed. The
+    horizon is the number of marginals."""
 
-    horizon: int
-    count: int
+    count: int = 100
     nu_cov: float = 4.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.count < 1:
-            raise ValueError("scenario count must be at least 1")
+        if not isinstance(self.count, numbers.Integral) or self.count < 1:
+            raise ValueError("scenario count must be an integer of at least 1")
         if not self.nu_cov > 0.0:
             raise ValueError("covariance range nu_cov must be positive")
 
@@ -105,12 +104,6 @@ class ScenarioSet:
     @property
     def horizon(self) -> int:
         return self.values.shape[1]
-
-    def window(self, start: int, stop: int) -> "ScenarioSet":
-        """Column slice [start, stop) as a new scenario set."""
-        if not 0 <= start < stop <= self.horizon:
-            raise ValueError(f"window [{start}, {stop}) outside horizon {self.horizon}")
-        return ScenarioSet(self.values[:, start:stop].copy())
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -178,10 +171,8 @@ def transform_to_scenarios(z: np.ndarray, marginals: list[MarginalForecast]) -> 
 
 def generate_scenarios(marginals: list[MarginalForecast], config: CopulaConfig) -> ScenarioSet:
     """Full pipeline: covariance, correlated normals, inverse-quantile mapping."""
-    if len(marginals) != config.horizon:
-        raise ValueError(f"config horizon {config.horizon} but {len(marginals)} marginals")
     ordered = sorted(marginals, key=lambda m: m.lead_time)
-    cov = build_covariance(config.horizon, config.nu_cov)
+    cov = build_covariance(len(ordered), config.nu_cov)
     z = sample_gaussian_copula(cov, config.count, config.seed)
     return transform_to_scenarios(z, ordered)
 
@@ -213,7 +204,8 @@ def variogram_score(scenarios, observed: np.ndarray, p: float = 0.5) -> float:
 
 
 def read_marginals_csv(path) -> list[MarginalForecast]:
-    """Read quantile tables from CSV rows `t,p,q`, one row per quantile knot."""
+    """Read quantile tables from CSV rows `t,p,q`, one row per quantile knot;
+    the lead times t must run exactly 1..T."""
     path = Path(path)
     tables: dict[int, list[tuple[float, float]]] = {}
     with open(path, newline="") as fh:
@@ -224,6 +216,8 @@ def read_marginals_csv(path) -> list[MarginalForecast]:
             tables.setdefault(int(row["t"]), []).append((float(row["p"]), float(row["q"])))
     if not tables:
         raise ValueError(f"{path}: no quantile rows")
+    if sorted(tables) != list(range(1, len(tables) + 1)):
+        raise ValueError(f"{path}: lead times t must run 1..{len(tables)}")
     marginals = []
     for lead_time in sorted(tables):
         knots = sorted(tables[lead_time])

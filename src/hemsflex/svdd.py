@@ -11,6 +11,8 @@ can be shared without exposing raw household data.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -65,18 +67,20 @@ class ConvergenceError(RuntimeError):
 class KernelSpec:
     """Kernel family and coefficients: rbf, poly, or sigmoid."""
 
-    kind: str
-    gamma: float
+    kind: str = "sigmoid"
+    gamma: float = 0.05
     degree: int = 3
     coef0: float = 0.0
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}, expected one of {KERNEL_KINDS}")
+        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (self.gamma, self.coef0)):
+            raise ValueError("kernel gamma and coef0 must be finite numbers")
         if self.kind == "rbf" and not self.gamma > 0.0:
             raise ValueError("rbf kernel needs gamma > 0")
-        if self.degree < 1:
-            raise ValueError("polynomial degree must be at least 1")
+        if not isinstance(self.degree, numbers.Integral) or self.degree < 1:
+            raise ValueError("polynomial degree must be an integer of at least 1")
 
 
 @dataclass(frozen=True)
@@ -90,8 +94,10 @@ class TrainingConfig:
     def __post_init__(self):
         if not 0.0 < self.nu < 1.0:
             raise ValueError("nu must lie strictly inside (0, 1)")
-        if not self.tolerance > 0.0 or self.max_passes < 1:
-            raise ValueError("tolerance must be positive and max_passes at least 1")
+        if not self.tolerance > 0.0:
+            raise ValueError("tolerance must be positive")
+        if not isinstance(self.max_passes, numbers.Integral) or self.max_passes < 1:
+            raise ValueError("max_passes must be an integer of at least 1")
 
 
 @dataclass
@@ -358,12 +364,7 @@ def deserialize(text: str) -> SvddModel:
         if key not in kdoc:
             raise ValueError(f"model file: missing field kernel.{key}")
     try:
-        kernel = KernelSpec(
-            kind=kdoc["kind"],
-            gamma=float(kdoc["gamma"]),
-            degree=int(kdoc.get("degree", 3)),
-            coef0=float(kdoc.get("coef0", 0.0)),
-        )
+        kernel = KernelSpec(**kdoc)
         support_vectors = np.array(doc["support_vectors"], dtype=float)
         coefficients = np.array(doc["coefficients"], dtype=float)
         norm_bounds = np.array(doc["norm_bounds"], dtype=float)

@@ -59,7 +59,7 @@ def small_instance(hems_reference):
     base = np.concatenate([np.full(6, 0.4), np.linspace(0.2, -0.3, 4), np.full(6, 0.5)])
     marginals = make_marginals(base, sigma=0.08)
     scenario_set = scenarios.generate_scenarios(
-        marginals, scenarios.CopulaConfig(horizon=16, count=20, nu_cov=4.0, seed=3)
+        marginals, scenarios.CopulaConfig(count=20, nu_cov=4.0, seed=3)
     )
     ewh = hems.EwhConfig(
         p_nom=0.5,

@@ -30,7 +30,7 @@ def reference_instance():
     draws = hems.read_draw_profile_csv(DATA / "draws_96.csv")
     cfg = hems.HemsConfig.from_json(DATA / "hems.json", draw_profile=draws)
     scenario_set = scenarios.generate_scenarios(
-        marginals, scenarios.CopulaConfig(horizon=96, count=100, nu_cov=4.0, seed=20240601)
+        marginals, scenarios.CopulaConfig(count=100, nu_cov=4.0, seed=20240601)
     )
     return scenario_set, cfg
 

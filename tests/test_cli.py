@@ -138,6 +138,18 @@ class TestValidateRegeneratesSets:
             assert (out / name).read_bytes() != blob, name
         assert json.loads((out / "validation.json").read_text())["infeasible_sampling"] is not None
 
+    def test_sweep_kernels_default_and_empty(self, validated):
+        # sweep_kernels is absent in the fixture: the default three kernels
+        assert len((validated / "out" / "confusion.csv").read_text().splitlines()) == 1 + 3 * 2
+        config = json.loads((validated / "config.json").read_text())
+        config["validate"]["sweep_kernels"] = []
+        (validated / "config.json").write_text(json.dumps(config))
+        assert invoke(validated, "validate") == 0
+        assert (validated / "out" / "confusion.csv").read_text().splitlines() == [
+            "kernel,gamma,nu,feasible_correct,feasible_incorrect,feasible_error_pct,"
+            "infeasible_correct,infeasible_incorrect,infeasible_error_pct"
+        ]
+
     def test_count_change_resizes_both_sets(self, validated):
         config = json.loads((validated / "config.json").read_text())
         config["validate"].update(infeasible_count=25, baseline_count=30)
@@ -199,6 +211,64 @@ class TestErrorPaths:
         (workdir / "config.json").write_text(json.dumps(config))
         assert invoke(workdir, "gen-scenarios") == 2
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "section, key, value, rule",
+        [("svdd", "nu", 2.0, "nu must lie strictly inside"),
+         ("validate", "sweep_kernels", [{"kind": "rbf", "gamma": -1}], "rbf kernel needs gamma > 0"),
+         ("validate", "sweep_nus", [0.1, 1.5], "nu must lie strictly inside"),
+         ("epso", "pop_size", 0, "pop_size"),
+         ("epso", "target_feasible", 10.5, "target_feasible")],
+    )
+    def test_bad_config_value_exits_two(self, workdir, capsys, section, key, value, rule):
+        config = json.loads((workdir / "config.json").read_text())
+        config[section][key] = value
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert invoke(workdir, "gen-scenarios") == 2
+        err = capsys.readouterr().err
+        assert section in err and rule in err
+
+    @pytest.mark.parametrize(
+        "edit, named",
+        [({"dt_hour": 1.0}, "dt_hour"), ({"dt_hours": 0}, "dt_hours"), ({"dt_hours": -0.25}, "dt_hours"),
+         ({"paths": {"marginals": "marginals.csv", "hems": "hems.json", "draw": "draws.csv"}}, "draw")],
+    )
+    def test_bad_top_level_or_paths_fails_every_command(self, workdir, capsys, edit, named):
+        assert invoke(workdir, "gen-scenarios") == 0
+        config = json.loads((workdir / "config.json").read_text())
+        config.update(edit)
+        (workdir / "config.json").write_text(json.dumps(config))
+        out = workdir / "out"
+        for command in (["gen-scenarios"], ["search"], ["train"], ["validate"],
+                        ["classify", "--model", str(out / "model.json"), "--input", str(out / "feasible.csv")]):
+            capsys.readouterr()
+            assert invoke(workdir, *command) == 2, command
+            assert named in capsys.readouterr().err, command
+
+    def test_misnumbered_steps_exit_two(self, workdir):
+        marginals = (workdir / "marginals.csv").read_text()
+        (workdir / "marginals.csv").write_text(marginals.replace("\n6,", "\n13,"))
+        assert invoke(workdir, "gen-scenarios") == 2
+        (workdir / "marginals.csv").write_text(marginals)
+        assert invoke(workdir, "gen-scenarios") == 0
+        draws = (workdir / "draws.csv").read_text()
+        for old, new in (("\n3,", "\n2,"), ("\n12,", "\n200,")):
+            (workdir / "draws.csv").write_text(draws.replace(old, new))
+            assert invoke(workdir, "search") == 2, new
+
+    def test_model_kernel_fields_are_checked(self, workdir, capsys):
+        model = {
+            "nu": 0.1, "norm_bounds": [[0.0, 1.0]],
+            "support_vectors": [[0.5]], "coefficients": [1.0], "radius2_threshold": 0.0, "const_term": 1.0,
+        }
+        for kernel, message in (({"kind": "rbf", "gamma": 1.0, "gama": 1.0}, "gama"),
+                                ({"kind": "rbf"}, "missing field kernel.gamma")):
+            model["kernel"] = kernel
+            (workdir / "model.json").write_text(json.dumps(model))
+            assert invoke(
+                workdir, "classify", "--model", str(workdir / "model.json"), "--input", str(workdir / "in.csv")
+            ) == 2
+            assert message in capsys.readouterr().err
 
     def test_classify_dimension_mismatch_exits_two(self, workdir):
         for command in ("gen-scenarios", "search", "train"):

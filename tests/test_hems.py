@@ -384,3 +384,10 @@ class TestConfigValidation:
         path = tmp_path / "draws.csv"
         hems.write_draw_profile_csv(path, draws)
         assert np.allclose(hems.read_draw_profile_csv(path), draws)
+
+    @pytest.mark.parametrize("steps", [[1, 2, 2, 4], [1, 2, 3, 200], [0, 1, 2, 3]])
+    def test_draw_profile_steps_must_run_one_to_t_once(self, tmp_path, steps):
+        path = tmp_path / "draws.csv"
+        path.write_text("h,liters\n" + "".join(f"{h},1\n" for h in steps))
+        with pytest.raises(ValueError, match=r"steps h must run 1\.\.4, each once"):
+            hems.read_draw_profile_csv(path)

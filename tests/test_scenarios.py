@@ -180,20 +180,20 @@ class TestGenerateScenarios:
             MarginalForecast(t + 1, [0.1, 0.5, 0.9], [b - 0.2, b, b + 0.2])
             for t, b in enumerate(base)
         ]
-        config = CopulaConfig(horizon=12, count=30, nu_cov=4.0, seed=21)
+        config = CopulaConfig(count=30, nu_cov=4.0, seed=21)
         a = generate_scenarios(marginals, config)
         b = generate_scenarios(marginals, config)
         assert np.array_equal(a.values, b.values)
 
     def test_shape_and_finiteness(self):
         marginals = [MarginalForecast(t + 1, [0.1, 0.9], [0.0, 1.0]) for t in range(5)]
-        out = generate_scenarios(marginals, CopulaConfig(5, 7, 2.0, seed=1))
+        out = generate_scenarios(marginals, CopulaConfig(7, 2.0, seed=1))
         assert out.count == 7 and out.horizon == 5
         assert np.all(np.isfinite(out.values))
 
     def test_csv_round_trip(self, tmp_path):
         marginals = [MarginalForecast(t + 1, [0.1, 0.9], [-1.0, 1.0]) for t in range(4)]
-        out = generate_scenarios(marginals, CopulaConfig(4, 6, 2.0, seed=9))
+        out = generate_scenarios(marginals, CopulaConfig(6, 2.0, seed=9))
         path = tmp_path / "scen.csv"
         out.write_csv(path)
         loaded = ScenarioSet.read_csv(path)
@@ -213,3 +213,14 @@ class TestGenerateScenarios:
             assert orig.lead_time == back.lead_time
             assert np.allclose(orig.probabilities, back.probabilities)
             assert np.allclose(orig.values, back.values, atol=5e-7)
+
+    @pytest.mark.parametrize("relabel", [(2, 4), (3, 5), (1, 0)])
+    def test_marginals_csv_lead_times_must_run_one_to_t(self, tmp_path, relabel):
+        old, new = relabel
+        marginals = [
+            MarginalForecast(new if t + 1 == old else t + 1, [0.25, 0.75], [0.0, 1.0]) for t in range(3)
+        ]
+        path = tmp_path / "marginals.csv"
+        scenarios.write_marginals_csv(path, marginals)
+        with pytest.raises(ValueError, match=r"lead times t must run 1\.\.3"):
+            scenarios.read_marginals_csv(path)
