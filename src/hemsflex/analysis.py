@@ -33,6 +33,8 @@ __all__ = [
 # Constraint slack of the independent route; deliberately restated here rather
 # than shared so the oracle stays self-contained.
 _ORACLE_EPS = 1e-9
+# Dead ends the greedy baseline seed may hit before it gives up.
+_GREEDY_RESTARTS = 200
 
 
 def _step_route(cfg: HemsConfig, dt: float):
@@ -177,18 +179,17 @@ def generate_infeasible_set(
     scenarios: ScenarioSet,
     seed: int,
     dt: float,
-    tau_scen: float = 0.9,
-    max_attempts: int | None = None,
+    tau_scen: float,
 ) -> InfeasibleSet:
     """Draw trajectories uniformly inside the power band and keep the ones the
-    oracle rejects as robustly feasible. Near-miss rather than absurd samples
-    by construction, since the band matches the search space."""
+    oracle rejects as robustly feasible, giving up after 200 draws per wanted
+    member. Near-miss rather than absurd samples by construction, since the
+    band matches the search space."""
     bat = cfg.battery
     p_nom = cfg.ewh.p_nom
     horizon = scenarios.horizon
     threshold = robust_threshold(scenarios.count, tau_scen)
-    if max_attempts is None:
-        max_attempts = 200 * count
+    max_attempts = 200 * count
     rng = np.random.default_rng(seed)
     route = _step_route(cfg, dt)
     kept: list[FlexTrajectory] = []
@@ -211,26 +212,17 @@ def generate_infeasible_set(
 
 @dataclass
 class DiversityReport:
-    """Principal-component counts needed to reach explained-variance levels."""
+    """Principal-component counts needed to explain 50% and 80% of the variance."""
 
-    counts: dict[float, int]
+    n_components_50: int
+    n_components_80: int
     explained_fractions: np.ndarray
     degenerate: bool = False
 
-    @property
-    def n_components_50(self) -> int:
-        return self.counts[0.5]
 
-    @property
-    def n_components_80(self) -> int:
-        return self.counts[0.8]
-
-
-def pca_diversity(trajectories, thresholds: tuple[float, ...] = (0.5, 0.8)) -> DiversityReport:
+def pca_diversity(trajectories) -> DiversityReport:
     """Eigendecompose the covariance of the combined trajectories and report
-    the minimal component counts reaching each cumulative-variance threshold."""
-    if isinstance(trajectories, FeasibleSet):
-        trajectories = trajectories.trajectories
+    the minimal component counts reaching 50% and 80% cumulative variance."""
     if len(trajectories) < 2:
         raise ValueError("diversity analysis needs at least 2 trajectories")
     X = np.stack([t.combined for t in trajectories])
@@ -239,17 +231,11 @@ def pca_diversity(trajectories, thresholds: tuple[float, ...] = (0.5, 0.8)) -> D
     eigvals = np.maximum(eigvals, 0.0)
     total = float(eigvals.sum())
     if total <= 1e-15:
-        return DiversityReport(
-            counts={t: 1 for t in thresholds},
-            explained_fractions=np.zeros_like(eigvals),
-            degenerate=True,
-        )
+        return DiversityReport(1, 1, explained_fractions=np.zeros_like(eigvals), degenerate=True)
     fractions = eigvals / total
     cumulative = np.cumsum(fractions)
-    counts = {}
-    for threshold in thresholds:
-        counts[threshold] = int(np.searchsorted(cumulative, threshold - 1e-12) + 1)
-    return DiversityReport(counts=counts, explained_fractions=fractions, degenerate=False)
+    n_50, n_80 = (int(np.searchsorted(cumulative, level - 1e-12) + 1) for level in (0.5, 0.8))
+    return DiversityReport(n_50, n_80, explained_fractions=fractions)
 
 
 @dataclass
@@ -301,7 +287,6 @@ def _greedy_member(
     draws: list[float],
     dt: float,
     rng: np.random.Generator,
-    max_restarts: int = 200,
 ) -> FlexTrajectory:
     """One feasible trajectory built step by step on `route`: the EWH state is
     drawn among the temperature-safe options and battery power uniformly from
@@ -310,7 +295,7 @@ def _greedy_member(
     start, absorb, charge, tank, tracker = route
     p_nom = cfg.ewh.p_nom
     theta_lo, theta_hi = cfg.ewh.theta_min - EPS, cfg.ewh.theta_max + EPS
-    for _ in range(max_restarts):
+    for _ in range(_GREEDY_RESTARTS):
         p_bat = np.empty(horizon)
         p_ewh = np.empty(horizon)
         soc, theta, headroom = start
@@ -329,7 +314,7 @@ def _greedy_member(
             headroom = tracker(headroom, surplus[h], pe)
         else:
             return FlexTrajectory(p_bat=p_bat, p_ewh=p_ewh)
-    raise ValueError(f"greedy construction kept dead-ending after {max_restarts} restarts")
+    raise ValueError(f"greedy construction kept dead-ending after {_GREEDY_RESTARTS} restarts")
 
 
 def semi_random_baseline(
@@ -338,21 +323,20 @@ def semi_random_baseline(
     scenario: np.ndarray,
     seed: int,
     dt: float,
-    max_attempts: int | None = None,
 ) -> FeasibleSet:
     """Semi-random feasible set against a single reference scenario, built the
     way the earlier generation of this pipeline did: seed one greedily
     constructed feasible schedule, then walk a mutation chain that resamples a
     single step at a time (battery power from the step's feasible range, an
     occasional EWH flip) and keeps the mutant when the whole trajectory stays
-    violation-free. Serves as the diversity comparison baseline only."""
+    violation-free, giving up after 200 mutation attempts per wanted member
+    plus 1000. Serves as the diversity comparison baseline only."""
     scenario = np.asarray(scenario, dtype=float)
     horizon = scenario.shape[0]
     surplus = np.maximum(0.0, -scenario).tolist()
     draws = cfg.ewh.draws(horizon).tolist()
     p_nom = cfg.ewh.p_nom
-    if max_attempts is None:
-        max_attempts = 200 * count + 1000
+    max_attempts = 200 * count + 1000
     rng = np.random.default_rng(seed)
     route = _step_route(cfg, dt)
     (soc_init, _, band), absorb, charge, _, tracker = route

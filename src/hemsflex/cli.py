@@ -12,6 +12,7 @@ import argparse
 import csv
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -36,6 +37,9 @@ _STAGE_BASELINE = 3
 _TOP_KEYS = {"dt_hours", "seed", "out_dir", "paths", "copula", "epso", "svdd", "validate"}
 _PATH_KEYS = {"marginals", "hems", "draws"}
 _VALIDATE_KEYS = {"window", "sweep_kernels", "sweep_nus", "infeasible_count", "baseline_count"}
+# Least value of each validate count: the PCA diversity report needs two
+# baseline members.
+_VALIDATE_COUNT_MIN = {"infeasible_count": 1, "baseline_count": 2}
 
 
 def _check_keys(where: str, doc, known: set[str]) -> None:
@@ -91,6 +95,10 @@ class RunConfig:
         paths, validate = doc.get("paths", {}), doc.get("validate", {})
         _check_keys(f"{path}: paths", paths, _PATH_KEYS)
         _check_keys(f"{path}: validate", validate, _VALIDATE_KEYS)
+        for key, least in _VALIDATE_COUNT_MIN.items():
+            count = validate.get(key, least)
+            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
+                raise ValueError(f"{path}: validate.{key} must be an integer of at least {least}, got {count!r}")
         if "marginals" not in paths or "hems" not in paths:
             raise ValueError(f"{path}: paths.marginals and paths.hems are required")
         dt_hours = doc.get("dt_hours", 0.25)
@@ -261,7 +269,7 @@ def cmd_validate(cfg: RunConfig) -> int:
     hems_cfg = cfg.hems_config()
 
     sample = analysis.generate_infeasible_set(
-        count=int(cfg.validate.get("infeasible_count", 1000)),
+        count=cfg.validate.get("infeasible_count", 1000),
         cfg=hems_cfg,
         scenarios=scenario_set,
         seed=stage_seed(cfg.seed, _STAGE_INFEASIBLE),
@@ -307,7 +315,7 @@ def cmd_validate(cfg: RunConfig) -> int:
             )
 
     baseline = analysis.semi_random_baseline(
-        count=int(cfg.validate.get("baseline_count", max(2, len(feasible)))),
+        count=cfg.validate.get("baseline_count", max(2, len(feasible))),
         cfg=hems_cfg,
         scenario=scenario_set.values[0],
         seed=stage_seed(cfg.seed, _STAGE_BASELINE),

@@ -27,7 +27,7 @@ from .hems import FlexTrajectory, HemsConfig, batch_compliance, batch_repair
 
 # Kept importable as epso.repair_trajectory, where perfbench/spans.py looks it up.
 from .hems import repair_trajectory  # noqa: F401
-from .scenarios import ScenarioSet
+from .scenarios import ScenarioSet, pv_surplus
 
 __all__ = [
     "EpsoConfig",
@@ -38,7 +38,6 @@ __all__ = [
     "perturb_global_best",
     "move_particle",
     "evaluate_fitness",
-    "is_robust",
     "robust_threshold",
     "select_global_best",
     "stochastic_tournament",
@@ -171,14 +170,13 @@ class FeasibleSet:
 
 @dataclass
 class SearchResult:
-    """Outcome of a swarm run, including the per-iteration log records."""
+    """Outcome of a swarm run."""
 
     feasible: FeasibleSet
     completed: bool
     warning: str | None
     iterations: int
     elapsed_s: float
-    log: list[dict]
 
 
 def _stream(seed: int, *key: int) -> np.random.Generator:
@@ -187,29 +185,22 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=key))
 
 
-def mutate_weights(
-    weights: np.ndarray,
-    tau_learn: float,
-    rng: np.random.Generator,
-    clip: bool = True,
-) -> np.ndarray:
+def mutate_weights(weights: np.ndarray, tau_learn: float, rng: np.random.Generator) -> np.ndarray:
     """Gaussian mutation of the strategic weights: w* = w + tau * N(0, 1),
-    clamped into WEIGHT_BOUNDS unless `clip` is disabled. The swarm passes a
-    decayed tau as the run progresses."""
+    clamped into WEIGHT_BOUNDS. The swarm passes a decayed tau as the run
+    progresses."""
     w = np.asarray(weights, dtype=float)
-    mutated = w + tau_learn * rng.standard_normal(w.shape)
-    if clip:
-        mutated = np.clip(mutated, WEIGHT_BOUNDS[0], WEIGHT_BOUNDS[1])
-    return mutated
+    return np.clip(w + tau_learn * rng.standard_normal(w.shape), WEIGHT_BOUNDS[0], WEIGHT_BOUNDS[1])
 
 
 def perturb_global_best(
-    b_g: FlexTrajectory, tau_prime: float, rng: np.random.Generator
-) -> FlexTrajectory:
-    """Disturb the cooperation attractor coordinate-wise: b* = b + tau' * N(0, 1)."""
-    bat = b_g.p_bat + tau_prime * rng.standard_normal(b_g.horizon)
-    ewh = b_g.p_ewh + tau_prime * rng.standard_normal(b_g.horizon)
-    return FlexTrajectory(p_bat=bat, p_ewh=ewh)
+    b_bat: np.ndarray, b_ewh: np.ndarray, tau_prime: float, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Disturb the cooperation attractor coordinate-wise, b* = b + tau' * N(0, 1),
+    drawing the battery normals first. Returns (battery, EWH) vectors."""
+    bat = b_bat + tau_prime * rng.standard_normal(b_bat.shape[0])
+    ewh = b_ewh + tau_prime * rng.standard_normal(b_ewh.shape[0])
+    return bat, ewh
 
 
 def move_particle(
@@ -272,10 +263,6 @@ def robust_threshold(n_scenarios: int, tau_scen: float) -> int:
     return int(math.ceil(tau_scen * n_scenarios - 1e-9))
 
 
-def is_robust(fitness: int, n_scenarios: int, tau_scen: float) -> bool:
-    return fitness >= robust_threshold(n_scenarios, tau_scen)
-
-
 def select_global_best(feasible: FeasibleSet) -> FlexTrajectory:
     """Member with the greatest accumulated absolute distance to the set mean;
     first member wins ties."""
@@ -288,7 +275,7 @@ def stochastic_tournament(
     parents: Swarm,
     offspring: Swarm,
     rng: np.random.Generator,
-    win_prob: float = 0.8,
+    win_prob: float,
 ) -> Swarm:
     """Pairwise selection of row i of either swarm: the higher-fitness
     individual survives with probability `win_prob`, ties are a fair coin
@@ -373,12 +360,10 @@ def run(
     draws = hems_cfg.ewh.draws(horizon)
     # Repair against the surplus envelope: a trajectory that never discharges
     # where any scenario shows surplus passes the accommodation rule in all.
-    surplus_envelope = np.maximum(0.0, -scenarios.values).max(axis=0)
+    surplus_envelope = pv_surplus(scenarios.values).max(axis=0)
     feasible = FeasibleSet(horizon=horizon)
-    log: list[dict] = []
 
     def emit(record: dict) -> None:
-        log.append(record)
         if log_sink is not None:
             log_sink(record)
 
@@ -448,9 +433,10 @@ def run(
 
         if len(feasible):
             b_g = select_global_best(feasible)
+            b_bat, b_ewh = b_g.p_bat, b_g.p_ewh
         else:
             best = int(np.argmax(swarm.fitness))
-            b_g = FlexTrajectory(p_bat=swarm.x_bat[best], p_ewh=swarm.x_ewh[best])
+            b_bat, b_ewh = swarm.x_bat[best], swarm.x_ewh[best]
         distance = best_distance()
 
         # Each particle draws from its own stream, in a fixed order: weight
@@ -461,8 +447,7 @@ def run(
         for i in range(size):
             rng_move = _stream(epso_cfg.seed, 1, it, i)
             weights[i] = mutate_weights(swarm.weights[i], tau_effective, rng_move)
-            b_g_star = perturb_global_best(b_g, epso_cfg.tau_prime, rng_move)
-            star_bat[i], star_ewh[i] = b_g_star.p_bat, b_g_star.p_ewh
+            star_bat[i], star_ewh[i] = perturb_global_best(b_bat, b_ewh, epso_cfg.tau_prime, rng_move)
             mask_bat[i], mask_ewh[i] = rng_move.random((2, horizon)) < epso_cfg.comm_factor
         offspring = move_particle(
             replace(swarm, weights=weights), star_bat, star_ewh, mask_bat, mask_ewh, epso_cfg, hems_cfg
@@ -494,7 +479,6 @@ def run(
         warning=warning,
         iterations=iterations,
         elapsed_s=time.perf_counter() - t_start,
-        log=log,
     )
 
 

@@ -20,6 +20,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .scenarios import pv_surplus
+
 __all__ = [
     "EPS",
     "BatteryConfig",
@@ -211,10 +213,6 @@ class SimulationResult:
     penalty: int
     violations: dict[str, np.ndarray]
 
-    @property
-    def feasible(self) -> bool:
-        return self.penalty == 0
-
 
 def max_charge_power(soc: float, cfg: BatteryConfig) -> float:
     """SoC-dependent charging limit: nominal up to the taper knee, then a
@@ -346,7 +344,7 @@ def batch_compliance(
 
     zero_penalty = np.ones((p_bat.shape[0], count), dtype=bool)
     accommodation_ok = np.ones((p_bat.shape[0], count), dtype=bool)
-    for step in _lane_steps(p_bat, p_ewh, np.maximum(0.0, -net_load), draws, cfg, dt):
+    for step in _lane_steps(p_bat, p_ewh, pv_surplus(net_load), draws, cfg, dt):
         zero_penalty &= ~step.fault
         accommodation_ok &= ~step.discharge
     if single:
@@ -361,23 +359,12 @@ def _surplus_row(surplus, horizon: int) -> np.ndarray:
     return surplus
 
 
-def simulate(
-    traj: FlexTrajectory,
-    surplus: np.ndarray,
-    cfg: HemsConfig,
-    dt: float,
-    draws: np.ndarray | None = None,
-) -> SimulationResult:
+def simulate(traj: FlexTrajectory, surplus: np.ndarray, cfg: HemsConfig, dt: float) -> SimulationResult:
     """Step both assets through the horizon and flag constraint violations
     per step (see `_lane_steps` for the rules)."""
     horizon = traj.horizon
     surplus = _surplus_row(surplus, horizon)
-    if draws is None:
-        draws = cfg.ewh.draws(horizon)
-    else:
-        draws = np.asarray(draws, dtype=float)
-        if draws.shape != (horizon,):
-            raise ValueError(f"draw profile has shape {draws.shape}, trajectory horizon is {horizon}")
+    draws = cfg.ewh.draws(horizon)
 
     flags = {
         name: np.zeros(horizon, dtype=bool) for name in ("soc_max", "soc_min", "temp", "charge_rate")

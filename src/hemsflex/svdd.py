@@ -161,21 +161,21 @@ def derive_bounds(vectors: np.ndarray) -> np.ndarray:
     return np.stack([vectors.min(axis=0), vectors.max(axis=0)], axis=1)
 
 
-def normalize(traj, bounds: np.ndarray) -> np.ndarray:
-    """Min-max scale a trajectory, a flat vector, or a matrix of row vectors
-    into [0, 1] per coordinate (the last axis).
+def normalize(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Min-max scale a flat vector or a matrix of row vectors into [0, 1] per
+    coordinate (the last axis).
 
     Out-of-range inputs clip to the unit interval; degenerate coordinates
     (equal min and max) map to 0.5.
     """
-    vector = traj.as_vector() if isinstance(traj, FlexTrajectory) else np.asarray(traj, dtype=float)
+    x = np.asarray(x, dtype=float)
     bounds = np.asarray(bounds, dtype=float)
-    if vector.shape[-1] != bounds.shape[0]:
-        raise ValueError(f"vector has {vector.shape[-1]} coordinates, bounds {bounds.shape[0]}")
+    if x.shape[-1] != bounds.shape[0]:
+        raise ValueError(f"vector has {x.shape[-1]} coordinates, bounds {bounds.shape[0]}")
     lo, hi = bounds[:, 0], bounds[:, 1]
     span = hi - lo
     degenerate = span <= 0.0
-    scaled = np.where(degenerate, 0.5, (vector - lo) / np.where(degenerate, 1.0, span))
+    scaled = np.where(degenerate, 0.5, (x - lo) / np.where(degenerate, 1.0, span))
     return np.clip(scaled, 0.0, 1.0)
 
 

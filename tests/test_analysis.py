@@ -49,22 +49,22 @@ class TestGenerateInfeasibleSet:
     def test_every_member_fails_robustness(self, small_instance):
         scenario_set, cfg = small_instance
         threshold = epso.robust_threshold(scenario_set.count, 0.9)
-        sample = generate_infeasible_set(30, cfg, scenario_set, seed=1, dt=0.25)
+        sample = generate_infeasible_set(30, cfg, scenario_set, seed=1, dt=0.25, tau_scen=0.9)
         assert len(sample.trajectories) == 30
         for traj in sample.trajectories:
             assert oracle_check(traj, scenario_set, cfg, 0.25) < threshold
 
     def test_fixed_seed_identical(self, small_instance):
         scenario_set, cfg = small_instance
-        a = generate_infeasible_set(10, cfg, scenario_set, seed=2, dt=0.25)
-        b = generate_infeasible_set(10, cfg, scenario_set, seed=2, dt=0.25)
+        a = generate_infeasible_set(10, cfg, scenario_set, seed=2, dt=0.25, tau_scen=0.9)
+        b = generate_infeasible_set(10, cfg, scenario_set, seed=2, dt=0.25, tau_scen=0.9)
         for ta, tb in zip(a.trajectories, b.trajectories):
             assert np.array_equal(ta.p_bat, tb.p_bat)
             assert np.array_equal(ta.p_ewh, tb.p_ewh)
 
     def test_acceptance_rate_recorded(self, small_instance):
         scenario_set, cfg = small_instance
-        sample = generate_infeasible_set(20, cfg, scenario_set, seed=3, dt=0.25)
+        sample = generate_infeasible_set(20, cfg, scenario_set, seed=3, dt=0.25, tau_scen=0.9)
         assert 0.0 < sample.acceptance_rate <= 1.0
         assert sample.attempts >= 20
 
@@ -84,7 +84,7 @@ class TestGenerateInfeasibleSet:
                           draw_profile=np.full(16, 1.0)),
         )
         with pytest.raises(ValueError, match="too permissive"):
-            generate_infeasible_set(5, roomy, scenario_set, seed=4, dt=0.25, max_attempts=50)
+            generate_infeasible_set(5, roomy, scenario_set, seed=4, dt=0.25, tau_scen=0.9)
 
 
 class TestPcaDiversity:
@@ -174,7 +174,7 @@ class TestConfusionTable:
         )
         assert result.completed
         feasible = result.feasible.trajectories
-        infeasible = generate_infeasible_set(150, cfg, scenario_set, seed=10, dt=0.25).trajectories
+        infeasible = generate_infeasible_set(150, cfg, scenario_set, seed=10, dt=0.25, tau_scen=0.9).trajectories
         spec = svdd.KernelSpec("sigmoid", gamma=0.05)
         feas_err, infeas_err = [], []
         for nu in (0.01, 0.1, 0.15, 0.2):

@@ -218,7 +218,11 @@ class TestErrorPaths:
          ("validate", "sweep_kernels", [{"kind": "rbf", "gamma": -1}], "rbf kernel needs gamma > 0"),
          ("validate", "sweep_nus", [0.1, 1.5], "nu must lie strictly inside"),
          ("epso", "pop_size", 0, "pop_size"),
-         ("epso", "target_feasible", 10.5, "target_feasible")],
+         ("epso", "target_feasible", 10.5, "target_feasible"),
+         *[("validate", "infeasible_count", value, "infeasible_count must be an integer of at least 1")
+           for value in (10.5, 0, True, "100")],
+         *[("validate", "baseline_count", value, "baseline_count must be an integer of at least 2")
+           for value in (1, 2.7)]],
     )
     def test_bad_config_value_exits_two(self, workdir, capsys, section, key, value, rule):
         config = json.loads((workdir / "config.json").read_text())

@@ -14,7 +14,6 @@ from hemsflex.epso import (
     FeasibleSet,
     Swarm,
     evaluate_fitness,
-    is_robust,
     move_particle,
     mutate_weights,
     perturb_global_best,
@@ -73,10 +72,8 @@ class TestMutateWeights:
 
     def test_mutation_scale_matches_tau(self):
         rng = np.random.default_rng(3)
-        tau = 5.0
-        draws = np.array(
-            [mutate_weights(np.ones((1, 1)), tau, rng, clip=False)[0, 0] for _ in range(10_000)]
-        )
+        tau = 0.2  # five sigma inside WEIGHT_BOUNDS, so the clip never binds
+        draws = np.array([mutate_weights(np.ones((1, 1)), tau, rng)[0, 0] for _ in range(10_000)])
         assert np.std(draws) == pytest.approx(tau, rel=0.05)
 
     def test_clipped_into_weight_bounds(self):
@@ -86,31 +83,31 @@ class TestMutateWeights:
 
     def test_smaller_tau_moves_weights_less(self):
         w = np.full((2, 3), 1.0)
-        big = mutate_weights(w, 5.0, np.random.default_rng(5), clip=False)
-        small = mutate_weights(w, 0.5, np.random.default_rng(5), clip=False)
+        # both taus keep every draw of this seed inside WEIGHT_BOUNDS
+        big = mutate_weights(w, 0.5, np.random.default_rng(5))
+        small = mutate_weights(w, 0.05, np.random.default_rng(5))
         assert np.all(np.abs(small - w) < np.abs(big - w))
 
 
 class TestPerturbGlobalBest:
     def test_zero_tau_prime_is_identity(self):
-        b = FlexTrajectory(p_bat=np.array([0.1, 0.2]), p_ewh=np.array([0.5, 0.0]))
-        out = perturb_global_best(b, 0.0, np.random.default_rng(6))
-        assert np.array_equal(out.p_bat, b.p_bat)
-        assert np.array_equal(out.p_ewh, b.p_ewh)
+        b_bat, b_ewh = np.array([0.1, 0.2]), np.array([0.5, 0.0])
+        bat, ewh = perturb_global_best(b_bat, b_ewh, 0.0, np.random.default_rng(6))
+        assert np.array_equal(bat, b_bat)
+        assert np.array_equal(ewh, b_ewh)
 
     def test_mean_of_perturbations_recovers_center(self):
-        b = FlexTrajectory(p_bat=np.array([0.3]), p_ewh=np.array([0.5]))
+        b_bat, b_ewh = np.array([0.3]), np.array([0.5])
         tau_prime = 1.0
         n = 10_000
         rng = np.random.default_rng(7)
-        bats = np.array([perturb_global_best(b, tau_prime, rng).p_bat[0] for _ in range(n)])
+        bats = np.array([perturb_global_best(b_bat, b_ewh, tau_prime, rng)[0][0] for _ in range(n)])
         assert abs(bats.mean() - 0.3) < 3.0 * tau_prime / np.sqrt(n)
 
     def test_coordinates_perturbed_independently(self):
-        b = FlexTrajectory(p_bat=np.zeros(4), p_ewh=np.zeros(4))
-        out = perturb_global_best(b, 1.0, np.random.default_rng(8))
-        assert len(np.unique(out.p_bat)) == 4
-        assert len(np.unique(out.p_ewh)) == 4
+        bat, ewh = perturb_global_best(np.zeros(4), np.zeros(4), 1.0, np.random.default_rng(8))
+        assert len(np.unique(bat)) == 4
+        assert len(np.unique(ewh)) == 4
 
 
 class TestMoveParticle:
@@ -231,18 +228,18 @@ class TestEvaluateFitness:
 
 class TestIsRobust:
     def test_ninety_of_hundred_is_robust(self):
-        assert is_robust(90, 100, 0.9)
+        assert 90 >= robust_threshold(100, 0.9)
 
     def test_eighty_nine_is_not(self):
-        assert not is_robust(89, 100, 0.9)
+        assert not 89 >= robust_threshold(100, 0.9)
 
     def test_tau_one_requires_all(self):
-        assert is_robust(100, 100, 1.0)
-        assert not is_robust(99, 100, 1.0)
+        assert 100 >= robust_threshold(100, 1.0)
+        assert not 99 >= robust_threshold(100, 1.0)
 
     def test_full_fitness_is_robust_for_any_tau(self):
         for tau in (0.1, 0.5, 0.9, 0.99, 1.0):
-            assert is_robust(100, 100, tau)
+            assert 100 >= robust_threshold(100, tau)
 
     def test_threshold_handles_float_products(self):
         # 0.9 * 100 overshoots 90 in floats; the threshold must stay at 90
@@ -254,7 +251,7 @@ class TestIsRobust:
         rng = np.random.default_rng(14)
         fits = rng.integers(0, 101, size=200)
         taus = [0.5, 0.7, 0.9, 0.95, 1.0]
-        accepted = [set(np.flatnonzero([is_robust(f, 100, t) for f in fits])) for t in taus]
+        accepted = [set(np.flatnonzero([f >= robust_threshold(100, t) for f in fits])) for t in taus]
         for small, large in zip(accepted[1:], accepted[:-1]):
             assert small <= large
 
@@ -354,7 +351,7 @@ class TestStochasticTournament:
         n = 10_000
         par = make_swarm(np.zeros((n, 1)), np.zeros((n, 1)), fitness=5)
         off = make_swarm(np.ones((n, 1)), np.zeros((n, 1)), fitness=5)
-        survivors = stochastic_tournament(par, off, rng)
+        survivors = stochastic_tournament(par, off, rng, 0.8)
         wins = np.count_nonzero(survivors.x_bat[:, 0] == off.x_bat[:, 0])
         assert wins / n == pytest.approx(0.5, abs=0.02)
 
@@ -371,7 +368,7 @@ class TestStochasticTournament:
         n = 10_000
         par = make_swarm(np.zeros((n, 1)), np.zeros((n, 1)), fitness=100)
         off = make_swarm(np.ones((n, 1)), np.zeros((n, 1)), fitness=50)
-        survivors = stochastic_tournament(par, off, rng)
+        survivors = stochastic_tournament(par, off, rng, 0.8)
         wins = np.count_nonzero(survivors.x_bat[:, 0] == par.x_bat[:, 0])
         assert wins / n == pytest.approx(0.8, abs=0.015)
 
@@ -381,7 +378,7 @@ class TestStochasticTournament:
         parents.fitness = np.arange(7)
         offspring = make_swarm(np.ones((7, 1)), np.zeros((7, 1)))
         offspring.fitness = 7 - np.arange(7)
-        assert len(stochastic_tournament(parents, offspring, rng)) == 7
+        assert len(stochastic_tournament(parents, offspring, rng, 0.8)) == 7
 
     def test_survivors_are_whole_rows_picked_by_the_pairwise_rule(self):
         n, win_prob = 60, 0.8
@@ -497,7 +494,7 @@ class TestRun:
         records = []
         epso_cfg = EpsoConfig(pop_size=8, max_iters=50, target_feasible=10, seed=6)
         result = run(epso_cfg, scenario_set, cfg, dt=0.25, log_sink=records.append)
-        assert records == result.log
+        assert len(records) == result.iterations + 1
         assert records[0]["iteration"] == 0
         for rec in records:
             assert {"iteration", "feasible", "best_distance", "mutation_rate"} <= set(rec)

@@ -157,7 +157,8 @@ class TestSimulate:
         with pytest.raises(ValueError):
             simulate(traj, np.zeros(5), hems_reference, dt=0.25)
         with pytest.raises(ValueError):
-            simulate(traj, np.zeros(4), hems_reference, dt=0.25, draws=np.zeros(3))
+            three_step = replace(hems_reference.ewh, draw_profile=np.zeros(3))
+            simulate(traj, np.zeros(4), replace(hems_reference, ewh=three_step), dt=0.25)
 
     def test_verdict_matches_independent_checker_on_random_cases(self, small_instance):
         # scalar stepping path vs the independently coded reference route

@@ -102,7 +102,7 @@ class TestNormalize:
     def test_trajectory_flattens_battery_then_ewh(self):
         traj = FlexTrajectory(p_bat=np.array([1.0, -1.0]), p_ewh=np.array([0.5, 0.0]))
         bounds = np.array([[-1.0, 1.0]] * 2 + [[0.0, 0.5]] * 2)
-        out = normalize(traj, bounds)
+        out = normalize(traj.as_vector(), bounds)
         assert np.allclose(out, [1.0, 0.0, 1.0, 0.0])
 
 
@@ -264,7 +264,7 @@ class TestBlockedScoring:
         blocked = svdd.score_trajectories(model, trajs)
         assert blocked.shape == (count,)
         for r2, traj in zip(blocked, trajs):
-            x = normalize(traj, model.norm_bounds)
+            x = normalize(traj.as_vector(), model.norm_bounds)
             # Per-vector reference: the expansion summed pair by pair.
             direct = 1.0 + model.const_term - 2.0 * sum(
                 b * kernel_eval(model.kernel, sv, x) for b, sv in zip(model.coefficients, model.support_vectors)
@@ -366,5 +366,5 @@ class TestFitTrajectories:
         assert feasible_share >= 0.85  # most training members inside
         # far outside the training band
         wild = FlexTrajectory(p_bat=np.full(6, 50.0), p_ewh=np.full(6, 50.0))
-        normalized = normalize(wild, model.norm_bounds)
+        normalized = normalize(wild.as_vector(), model.norm_bounds)
         assert np.all(normalized <= 1.0)  # clipping keeps the vector sane
