@@ -104,6 +104,11 @@ class RunConfig:
         dt_hours = doc.get("dt_hours", 0.25)
         if not isinstance(dt_hours, (int, float)) or not (math.isfinite(dt_hours) and dt_hours > 0):
             raise ValueError(f"{path}: dt_hours must be a positive finite number, got {dt_hours!r}")
+        if validate.get("window") is not None:
+            try:
+                window_steps(validate["window"], dt_hours)
+            except ValueError as exc:
+                raise ValueError(f"{path}: validate: {exc}") from exc
         seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
         svdd_doc = doc.get("svdd", {})
         kernel_doc = svdd_doc.pop("kernel", {}) if isinstance(svdd_doc, dict) else {}
@@ -145,10 +150,15 @@ class RunConfig:
         return self.epso
 
 
-def parse_window(spec, dt_hours: float, horizon: int) -> tuple[int, int]:
+def window_steps(spec, dt_hours: float) -> tuple[int, int]:
     """Window as [start_step, stop_step) from either step indices or a
-    clock-time span like "09:00-13:00" over a day starting at 00:00."""
+    clock-time span like "09:00-13:00" over a day starting at 00:00, with
+    clock times up to 24:00 that fall on step boundaries. The horizon is not
+    checked here (see `parse_window`)."""
+    form_error = ValueError(f"window {spec!r} is neither [start, stop] nor HH:MM-HH:MM")
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
+        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in spec):
+            raise form_error
         start, stop = int(spec[0]), int(spec[1])
     elif isinstance(spec, str):
         try:
@@ -156,7 +166,10 @@ def parse_window(spec, dt_hours: float, horizon: int) -> tuple[int, int]:
             lo_h, lo_m = (int(x) for x in lo.split(":"))
             hi_h, hi_m = (int(x) for x in hi.split(":"))
         except ValueError as exc:
-            raise ValueError(f"window {spec!r} is neither [start, stop] nor HH:MM-HH:MM") from exc
+            raise form_error from exc
+        for hour, minute in ((lo_h, lo_m), (hi_h, hi_m)):
+            if not (0 <= minute < 60 and 0 <= hour * 60 + minute <= 24 * 60):
+                raise ValueError(f"window {spec!r}: clock times must lie in 00:00-24:00")
         steps_per_hour = 1.0 / dt_hours
         start = (lo_h + lo_m / 60.0) * steps_per_hour
         stop = (hi_h + hi_m / 60.0) * steps_per_hour
@@ -164,8 +177,16 @@ def parse_window(spec, dt_hours: float, horizon: int) -> tuple[int, int]:
             raise ValueError(f"window {spec!r} does not align with {dt_hours} h steps")
         start, stop = int(round(start)), int(round(stop))
     else:
-        raise ValueError(f"window {spec!r} is neither [start, stop] nor HH:MM-HH:MM")
-    if not 0 <= start < stop <= horizon:
+        raise form_error
+    if not 0 <= start < stop:
+        raise ValueError(f"window [{start}, {stop}) is empty or starts before step 0")
+    return start, stop
+
+
+def parse_window(spec, dt_hours: float, horizon: int) -> tuple[int, int]:
+    """`window_steps` of the spec, which must also end within the horizon."""
+    start, stop = window_steps(spec, dt_hours)
+    if stop > horizon:
         raise ValueError(f"window [{start}, {stop}) outside horizon {horizon}")
     return start, stop
 

@@ -79,9 +79,10 @@ class EpsoConfig:
     seed: int = 0
 
     def __post_init__(self):
-        counts = (self.pop_size, self.max_iters, self.target_feasible)
-        if not all(isinstance(n, numbers.Integral) and n >= 1 for n in counts):
-            raise ValueError("pop_size, max_iters, and target_feasible must be positive integers")
+        for name in ("pop_size", "max_iters", "target_feasible"):
+            n = getattr(self, name)
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
+                raise ValueError(f"{name} must be a positive integer, got {n!r}")
         if not 0.0 < self.tau_scen <= 1.0:
             raise ValueError("tau_scen must lie in (0, 1]")
         if self.mutation_min > self.mutation_max:

@@ -77,8 +77,8 @@ class CopulaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.count, numbers.Integral) or self.count < 1:
-            raise ValueError("scenario count must be an integer of at least 1")
+        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) or self.count < 1:
+            raise ValueError(f"scenario count must be an integer of at least 1, got {self.count!r}")
         if not self.nu_cov > 0.0:
             raise ValueError("covariance range nu_cov must be positive")
 

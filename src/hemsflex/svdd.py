@@ -79,8 +79,8 @@ class KernelSpec:
             raise ValueError("kernel gamma and coef0 must be finite numbers")
         if self.kind == "rbf" and not self.gamma > 0.0:
             raise ValueError("rbf kernel needs gamma > 0")
-        if not isinstance(self.degree, numbers.Integral) or self.degree < 1:
-            raise ValueError("polynomial degree must be an integer of at least 1")
+        if isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral) or self.degree < 1:
+            raise ValueError(f"polynomial degree must be an integer of at least 1, got {self.degree!r}")
 
 
 @dataclass(frozen=True)
@@ -96,8 +96,9 @@ class TrainingConfig:
             raise ValueError("nu must lie strictly inside (0, 1)")
         if not self.tolerance > 0.0:
             raise ValueError("tolerance must be positive")
-        if not isinstance(self.max_passes, numbers.Integral) or self.max_passes < 1:
-            raise ValueError("max_passes must be an integer of at least 1")
+        passes = self.max_passes
+        if isinstance(passes, bool) or not isinstance(passes, numbers.Integral) or passes < 1:
+            raise ValueError(f"max_passes must be an integer of at least 1, got {passes!r}")
 
 
 @dataclass

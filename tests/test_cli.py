@@ -233,6 +233,35 @@ class TestErrorPaths:
         assert section in err and rule in err
 
     @pytest.mark.parametrize(
+        "section, key",
+        [("epso", "pop_size"), ("epso", "max_iters"), ("epso", "target_feasible"), ("copula", "count"),
+         ("svdd", "max_passes"), ("svdd.kernel", "degree")],
+    )
+    def test_bool_count_exits_two(self, workdir, capsys, section, key):
+        config = json.loads((workdir / "config.json").read_text())
+        owner = config
+        for part in section.split("."):
+            owner = owner[part]
+        owner[key] = True
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert invoke(workdir, "gen-scenarios") == 2
+        err = capsys.readouterr().err
+        assert section in err and key in err and "True" in err
+
+    @pytest.mark.parametrize("window", ["09:00-30:00", "09:00-24:15", "09:07-13:00", "13:00-09:00", [4.5, 8], "9-13"])
+    def test_bad_window_fails_every_command(self, workdir, capsys, window):
+        assert invoke(workdir, "gen-scenarios") == 0
+        config = json.loads((workdir / "config.json").read_text())
+        config["validate"]["window"] = window
+        (workdir / "config.json").write_text(json.dumps(config))
+        out = workdir / "out"
+        for command in (["gen-scenarios"], ["search"], ["train"], ["validate"],
+                        ["classify", "--model", str(out / "model.json"), "--input", str(out / "feasible.csv")]):
+            capsys.readouterr()
+            assert invoke(workdir, *command) == 2, command
+            assert "validate: window" in capsys.readouterr().err, command
+
+    @pytest.mark.parametrize(
         "edit, named",
         [({"dt_hour": 1.0}, "dt_hour"), ({"dt_hours": 0}, "dt_hours"), ({"dt_hours": -0.25}, "dt_hours"),
          ({"paths": {"marginals": "marginals.csv", "hems": "hems.json", "draw": "draws.csv"}}, "draw")],
@@ -383,3 +412,11 @@ class TestWindowParsing:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
             cli.parse_window([0, 200], 0.25, 96)
+
+    def test_window_may_end_at_midnight(self):
+        assert cli.parse_window("20:00-24:00", 0.25, 96) == (80, 96)
+
+    def test_horizon_is_checked_only_with_a_horizon(self):
+        assert cli.window_steps("09:00-13:00", 0.25) == (36, 52)
+        with pytest.raises(ValueError):
+            cli.parse_window("09:00-13:00", 0.25, 48)

@@ -1,0 +1,231 @@
+"""The lane kernel's block schedule: each step where some row has PV surplus
+is stepped on its own, and the surplus-free runs between them are stepped as
+blocks of up to `hems._BLOCK_STEPS` steps. Screening, repair and simulation
+must not depend on where the block boundaries fall, so these instances put
+surplus at the horizon's ends and leave surplus-free runs longer than the cap.
+"""
+
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from hemsflex import analysis, cli, hems, scenarios
+from hemsflex.hems import EPS, FlexTrajectory
+
+DATA = Path(__file__).resolve().parent.parent / "data"
+
+CAP = hems._BLOCK_STEPS
+CAPACITY = 3.2
+P_MAX = 1.5
+P_NOM = 0.5
+SOC_MIN = 0.15 * CAPACITY
+KNEE = 0.8 * CAPACITY
+THETA_MIN, THETA_MAX = 45.0, 80.0
+
+BLOCK_SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
+
+
+def _free_runs(active: np.ndarray) -> list[int]:
+    """Lengths of the runs of steps where no row has surplus."""
+    runs, length = [], 0
+    for is_active in active:
+        if is_active:
+            runs.append(length)
+            length = 0
+        else:
+            length += 1
+    return [n for n in runs + [length] if n]
+
+
+@st.composite
+def block_instances(draw):
+    """A HEMS, P trajectories and S net-load rows over 20-40 steps. Surplus
+    sits at the first step, the last step, both or neither, with or without
+    inner surplus runs, and at least one surplus-free run is longer than the
+    block cap. Inner runs are parted by gaps of one to three steps, so a
+    tracker drained by one run has only a short block to recover in before
+    the next. Every surplus step has surplus in row 0; the other rows have it
+    there or not."""
+    ends = draw(st.sampled_from(["first", "last", "both", "neither"]))
+    inner = []
+    if ends == "neither" or draw(st.booleans()):
+        runs = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        for length in runs[:-1]:
+            inner += [True] * length + [False] * draw(st.integers(1, 3))
+        inner += [True] * runs[-1]
+    horizon = draw(st.integers(max(20, CAP + 3 + len(inner)), 40))
+    active = np.zeros(horizon, dtype=bool)
+    active[0] = ends in ("first", "both")
+    active[-1] = ends in ("last", "both")
+    if inner:
+        start = draw(st.integers(CAP + 2, horizon - len(inner) - 1))
+        active[start : start + len(inner)] = inner
+    assert max(_free_runs(active)) > CAP
+
+    dt = draw(st.sampled_from([0.25, 1.0]))
+    efficiency = draw(st.sampled_from([1.0, 0.925]))
+    soc_init = draw(
+        st.sampled_from([SOC_MIN, SOC_MIN + EPS, KNEE - EPS, KNEE, KNEE + EPS, CAPACITY - EPS, CAPACITY])
+        | st.floats(SOC_MIN, CAPACITY)
+    )
+    battery = hems.BatteryConfig(
+        capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=draw(st.sampled_from([P_MAX, 1.0])),
+        soc_init=soc_init, efficiency=efficiency,
+    )
+    draws = draw(arrays(float, horizon, elements=st.sampled_from([0.0, 1.0, 10.0])))
+    cfg = hems.HemsConfig(
+        battery=battery,
+        ewh=hems.EwhConfig(
+            p_nom=P_NOM, theta_min=THETA_MIN, theta_max=THETA_MAX,
+            theta_init=draw(st.sampled_from([THETA_MIN, 46.0, 60.0, 79.0, THETA_MAX])), draw_profile=draws,
+        ),
+    )
+
+    n_traj = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 4))
+    # Mostly small powers, so lanes live long enough to cross block boundaries.
+    power = (
+        st.sampled_from([0.0, -0.0, EPS, -EPS, 2 * EPS, -2 * EPS, P_MAX, -P_MAX])
+        | st.floats(-0.3, 0.3)
+        | st.floats(-P_MAX, P_MAX)
+    )
+    p_bat = draw(arrays(float, (n_traj, horizon), elements=power))
+    p_ewh = draw(arrays(float, (n_traj, horizon), elements=st.sampled_from([0.0, P_NOM])))
+
+    surplus = st.sampled_from([EPS / 2, EPS, 2 * EPS, P_NOM, P_NOM + EPS, P_MAX, 3.0]) | st.floats(EPS / 4, 3.0)
+    load = st.sampled_from([0.0, -0.0]) | st.floats(0.0, 2.0)
+    net_load = draw(arrays(float, (n_rows, horizon), elements=load))
+    for h in np.flatnonzero(active):
+        net_load[0, h] = -draw(surplus)
+        for s in range(1, n_rows):
+            if draw(st.booleans()):
+                net_load[s, h] = -draw(surplus)
+    return cfg, dt, p_bat, p_ewh, net_load
+
+
+class TestBlockSchedule:
+    @BLOCK_SETTINGS
+    @given(block_instances())
+    def test_blocks_cover_the_horizon_within_the_cap(self, instance):
+        cfg, dt, p_bat, p_ewh, net_load = instance
+        count, horizon = p_bat.shape
+        surplus = scenarios.pv_surplus(net_load)
+        active = (surplus > 0.0).any(axis=0)
+        first_active = int(np.argmax(active))
+        h = 0
+        for block in hems._lane_steps(p_bat, p_ewh, surplus, cfg.ewh.draws(horizon), cfg, dt):
+            assert block.steps.start == h
+            steps = block.steps.stop - h
+            if active[h]:
+                assert steps == 1
+            else:
+                assert 1 <= steps <= CAP and not active[block.steps].any()
+            rows = 1 if h < first_active else net_load.shape[0]
+            for name in ("charge_rate", "soc_max", "soc_min", "soc"):
+                assert getattr(block, name).shape == (count, rows, steps), name
+            if active[h]:
+                assert block.discharge.shape == (count, rows, 1)
+            else:
+                assert block.discharge.shape == (count, 1, steps) and not block.discharge.any()
+            assert block.temp.shape == block.theta.shape == (count, steps)
+            h = block.steps.stop
+        assert h == horizon
+
+
+class TestBlockBoundaries:
+    @BLOCK_SETTINGS
+    @given(block_instances())
+    def test_compliance_matches_row_calls_and_oracle(self, instance):
+        cfg, dt, p_bat, p_ewh, net_load = instance
+        draws = cfg.ewh.draws(p_bat.shape[1])
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        for p in range(p_bat.shape[0]):
+            row_zero, row_ok = hems.batch_compliance(p_bat[p], p_ewh[p], net_load, draws, cfg, dt)
+            assert np.array_equal(zero_penalty[p], row_zero)
+            assert np.array_equal(accommodation_ok[p], row_ok)
+            traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+            for s in range(net_load.shape[0]):
+                oracle = analysis.oracle_check(traj, scenarios.ScenarioSet(net_load[s : s + 1]), cfg, dt)
+                assert bool(zero_penalty[p, s] and accommodation_ok[p, s]) == (oracle == 1)
+
+    @BLOCK_SETTINGS
+    @given(block_instances())
+    def test_batch_repair_matches_repair_trajectory(self, instance):
+        cfg, dt, p_bat, p_ewh, net_load = instance
+        envelope = scenarios.pv_surplus(net_load).max(axis=0)
+        fixed, valid = hems.batch_repair(p_bat, p_ewh, envelope, cfg, dt)
+        for p in range(p_bat.shape[0]):
+            traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+            try:
+                repaired = hems.repair_trajectory(traj, envelope, cfg, dt)
+            except ValueError:
+                assert not valid[p]
+                assert np.array_equal(fixed[p], p_bat[p])
+                continue
+            assert valid[p]
+            assert np.array_equal(fixed[p], repaired.p_bat)
+
+    @BLOCK_SETTINGS
+    @given(block_instances())
+    def test_simulate_follows_the_step_route(self, instance):
+        """simulate's SoC and tank paths equal the analysis step route's bit
+        for bit, and its flags and pv_accommodation's are the per-step rules
+        applied to those states."""
+        cfg, dt, p_bat, p_ewh, net_load = instance
+        bat, ewh = cfg.battery, cfg.ewh
+        draws = ewh.draws(p_bat.shape[1])
+        (soc0, theta0, headroom0), absorb, charge, tank, tracker = analysis._step_route(cfg, dt)
+        for p in range(p_bat.shape[0]):
+            traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+            for surplus in scenarios.pv_surplus(net_load):
+                result = hems.simulate(traj, surplus, cfg, dt)
+                ok, discharge = hems.pv_accommodation(traj, surplus, cfg, dt)
+                soc, theta, headroom = soc0, theta0, headroom0
+                socs, thetas, charge_rate, discharging = [], [], [], []
+                for pb, pe, sur, draw in zip(p_bat[p], p_ewh[p], surplus, draws):
+                    supposed = absorb(sur, pe, headroom)
+                    discharging.append(supposed > EPS and pb < -EPS)
+                    p_eff = pb + supposed
+                    charge_rate.append(p_eff > hems._charge_limit(soc, bat) + EPS)
+                    soc = charge(soc, p_eff)
+                    theta = tank(theta, pe, draw)
+                    headroom = tracker(headroom, sur, pe)
+                    socs.append(soc)
+                    thetas.append(theta)
+                socs, thetas = np.array(socs), np.array(thetas)
+                np.testing.assert_array_equal(result.soc, socs)
+                np.testing.assert_array_equal(result.theta, thetas)
+                flags = result.violations
+                assert np.array_equal(flags["charge_rate"], charge_rate)
+                assert np.array_equal(flags["soc_max"], socs > bat.soc_max + EPS)
+                assert np.array_equal(flags["soc_min"], socs < bat.soc_min - EPS)
+                assert np.array_equal(flags["temp"], (thetas < ewh.theta_min - EPS) | (thetas > ewh.theta_max + EPS))
+                assert np.array_equal(discharge, discharging)
+                assert ok == (not any(discharging))
+
+
+def test_population_screen_memory_is_bounded():
+    """One screen of a 30 x 96 population against 100 reference scenarios
+    stays under 2 MB of traced allocations: the block cap bounds the
+    (P, S, R) arrays of each surplus-free run."""
+    cfg = cli.RunConfig.load(DATA / "config_reference.json")
+    scenario_set = scenarios.generate_scenarios(scenarios.read_marginals_csv(cfg.marginals_path), cfg.copula)
+    hems_cfg = cfg.hems_config()
+    draws = hems_cfg.ewh.draws(scenario_set.horizon)
+    rng = np.random.default_rng(7)
+    p_bat = rng.uniform(-0.2, 0.2, (30, scenario_set.horizon))
+    p_ewh = np.where(rng.random((30, scenario_set.horizon)) < 0.1, 0.5, 0.0)
+    assert (scenarios.pv_surplus(scenario_set.values) > 0.0).any(axis=0).sum() > 0
+    args = (p_bat, p_ewh, scenario_set.values, draws, hems_cfg, cfg.dt_hours)
+    hems.batch_compliance(*args)
+    tracemalloc.start()
+    try:
+        hems.batch_compliance(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000, f"batch_compliance peaked at {peak / 1e6:.2f} MB"
