@@ -82,17 +82,23 @@ def _step_route(cfg: HemsConfig, dt: float):
     return (bat.soc_init, ewh.theta_init, band), absorb, charge, tank, tracker
 
 
-def _scenario_compliant(p_bat, p_ewh, net_load, draws, cfg: HemsConfig, route) -> bool:
-    """Step one trajectory through one net-load scenario on `route` and apply
-    every rule in order: no discharge while absorbing, the tapered charge rate,
-    the SoC band, the tank band. Stops at the first violation.
+def _oracle(cfg: HemsConfig, scenarios: ScenarioSet, dt: float):
+    """The oracle of one instance: returns count(p_bat, p_ewh, threshold=None),
+    the number of scenarios in which a trajectory, given as lists, passes every
+    rule. The limits, the draws and the scenario rows are bound once here.
 
-    Written as a flat scalar loop on purpose: this is the reference route and
+    Each scenario is stepped on the scalar step route, and every rule is
+    applied in order: no discharge while absorbing, the tapered charge rate,
+    the SoC band, the tank band. The first violation ends the scenario. Given
+    a threshold, the walk stops as soon as `count >= threshold` is settled,
+    so the count is then exact only in that comparison.
+
+    Written as flat scalar loops on purpose: this is the reference route and
     must not lean on the vectorized simulation helpers. The baseline builders
     step on the same route; that cannot weaken a check here, because every
-    chain member must still pass this loop before it is kept.
+    chain member must still pass the oracle before it is kept.
     """
-    (soc, theta, headroom), absorb, charge, tank, tracker = route
+    (soc_init, theta_init, band), absorb, charge, tank, tracker = _step_route(cfg, dt)
     bat, ewh = cfg.battery, cfg.ewh
     p_charge_max, capacity = bat.p_charge_max, bat.capacity
     knee_soc = bat.taper_knee * capacity
@@ -100,65 +106,56 @@ def _scenario_compliant(p_bat, p_ewh, net_load, draws, cfg: HemsConfig, route) -
     taper_drop = bat.taper_floor * p_charge_max - p_charge_max
     soc_lo, soc_hi = bat.soc_min - _ORACLE_EPS, bat.soc_max + _ORACLE_EPS
     theta_lo, theta_hi = ewh.theta_min - _ORACLE_EPS, ewh.theta_max + _ORACLE_EPS
+    draws = ewh.draws(scenarios.horizon).tolist()
+    rows = scenarios.values.tolist()
 
-    for pb, pe, load, draw in zip(p_bat, p_ewh, net_load, draws):
-        surplus = max(0.0, -load)
-        supposed = absorb(surplus, pe, headroom)
-        if supposed > _ORACLE_EPS and pb < -_ORACLE_EPS:
-            return False
+    def count(p_bat, p_ewh, threshold=None) -> int:
+        compliant, remaining = 0, len(rows)
+        for net_load in rows:
+            remaining -= 1
+            soc, theta, headroom = soc_init, theta_init, band
+            for pb, pe, load, draw in zip(p_bat, p_ewh, net_load, draws):
+                surplus = max(0.0, -load)
+                supposed = absorb(surplus, pe, headroom)
+                if supposed > _ORACLE_EPS and pb < -_ORACLE_EPS:
+                    break
 
-        p_eff = pb + supposed
-        s = min(max(soc, 0.0), capacity)
-        if s <= knee_soc:
-            limit = p_charge_max
-        else:
-            limit = p_charge_max + (s - knee_soc) / taper_span * taper_drop
-        if p_eff > limit + _ORACLE_EPS:
-            return False
+                p_eff = pb + supposed
+                s = min(max(soc, 0.0), capacity)
+                if s <= knee_soc:
+                    limit = p_charge_max
+                else:
+                    limit = p_charge_max + (s - knee_soc) / taper_span * taper_drop
+                if p_eff > limit + _ORACLE_EPS:
+                    break
 
-        soc = charge(soc, p_eff)
-        if soc > soc_hi or soc < soc_lo:
-            return False
+                soc = charge(soc, p_eff)
+                if soc > soc_hi or soc < soc_lo:
+                    break
 
-        theta = tank(theta, pe, draw)
-        if theta < theta_lo or theta > theta_hi:
-            return False
+                theta = tank(theta, pe, draw)
+                if theta < theta_lo or theta > theta_hi:
+                    break
 
-        headroom = tracker(headroom, surplus, pe)
-    return True
+                headroom = tracker(headroom, surplus, pe)
+            else:
+                compliant += 1
+            if threshold is not None and (compliant >= threshold or compliant + remaining < threshold):
+                break
+        return compliant
+
+    return count
 
 
 def oracle_check(traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, dt: float) -> int:
     """Count the scenarios in which the trajectory passes every rule."""
-    draws = cfg.ewh.draws(traj.horizon).tolist()
-    p_bat = traj.p_bat.tolist()
-    p_ewh = traj.p_ewh.tolist()
-    route = _step_route(cfg, dt)
-    count = 0
-    for row in scenarios.values:
-        if _scenario_compliant(p_bat, p_ewh, row.tolist(), draws, cfg, route):
-            count += 1
-    return count
+    return _oracle(cfg, scenarios, dt)(traj.p_bat.tolist(), traj.p_ewh.tolist())
 
 
-def _robust_under_oracle(
-    traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, route, threshold: int
-) -> bool:
-    """Early-exit robustness decision; equivalent to oracle_check >= threshold."""
-    draws = cfg.ewh.draws(traj.horizon).tolist()
-    p_bat = traj.p_bat.tolist()
-    p_ewh = traj.p_ewh.tolist()
-    compliant = 0
-    remaining = scenarios.count
-    for row in scenarios.values:
-        remaining -= 1
-        if _scenario_compliant(p_bat, p_ewh, row.tolist(), draws, cfg, route):
-            compliant += 1
-            if compliant >= threshold:
-                return True
-        if compliant + remaining < threshold:
-            return False
-    return compliant >= threshold
+def _robust_under_oracle(traj: FlexTrajectory, oracle, threshold: int) -> bool:
+    """Early-exit robustness decision of an `_oracle` count; equivalent to
+    oracle_check >= threshold."""
+    return oracle(traj.p_bat.tolist(), traj.p_ewh.tolist(), threshold) >= threshold
 
 
 @dataclass
@@ -191,7 +188,7 @@ def generate_infeasible_set(
     threshold = robust_threshold(scenarios.count, tau_scen)
     max_attempts = 200 * count
     rng = np.random.default_rng(seed)
-    route = _step_route(cfg, dt)
+    oracle = _oracle(cfg, scenarios, dt)
     kept: list[FlexTrajectory] = []
     attempts = 0
     while len(kept) < count:
@@ -205,7 +202,7 @@ def generate_infeasible_set(
             p_bat=rng.uniform(-bat.p_discharge_max, bat.p_charge_max, horizon),
             p_ewh=np.where(rng.random(horizon) < 0.5, p_nom, 0.0),
         )
-        if not _robust_under_oracle(traj, scenarios, cfg, route, threshold):
+        if not _robust_under_oracle(traj, oracle, threshold):
             kept.append(traj)
     return InfeasibleSet(trajectories=kept, attempts=attempts)
 
@@ -340,11 +337,11 @@ def semi_random_baseline(
     rng = np.random.default_rng(seed)
     route = _step_route(cfg, dt)
     (soc_init, _, band), absorb, charge, _, tracker = route
+    oracle = _oracle(cfg, ScenarioSet(scenario[None, :]), dt)
 
     feasible = FeasibleSet(horizon=horizon)
     current = _greedy_member(cfg, route, surplus, draws, dt, rng)
     feasible.add(current, fitness=1)
-    net_list = scenario.tolist()
 
     attempts = 0
     while len(feasible) < count:
@@ -369,7 +366,7 @@ def semi_random_baseline(
         if hi < lo:
             continue
         bats[h] = mutant_bat[h] = rng.uniform(lo, hi)
-        if _scenario_compliant(bats, ewhs, net_list, draws, cfg, route):
+        if oracle(bats, ewhs) == 1:
             current = FlexTrajectory(p_bat=mutant_bat, p_ewh=mutant_ewh)
             feasible.add(current, fitness=1)
     return feasible

@@ -102,14 +102,17 @@ class RunConfig:
         if "marginals" not in paths or "hems" not in paths:
             raise ValueError(f"{path}: paths.marginals and paths.hems are required")
         dt_hours = doc.get("dt_hours", 0.25)
-        if not isinstance(dt_hours, (int, float)) or not (math.isfinite(dt_hours) and dt_hours > 0):
+        is_number = isinstance(dt_hours, (int, float)) and not isinstance(dt_hours, bool)
+        if not (is_number and math.isfinite(dt_hours) and dt_hours > 0):
             raise ValueError(f"{path}: dt_hours must be a positive finite number, got {dt_hours!r}")
         if validate.get("window") is not None:
             try:
                 window_steps(validate["window"], dt_hours)
             except ValueError as exc:
                 raise ValueError(f"{path}: validate: {exc}") from exc
-        seed = int(seed_override if seed_override is not None else doc.get("seed", 0))
+        seed = seed_override if seed_override is not None else doc.get("seed", 0)
+        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
+            raise ValueError(f"{path}: seed must be a non-negative integer, got {seed!r}")
         svdd_doc = doc.get("svdd", {})
         kernel_doc = svdd_doc.pop("kernel", {}) if isinstance(svdd_doc, dict) else {}
         training = _build(f"{path}: svdd", svdd.TrainingConfig, svdd_doc)

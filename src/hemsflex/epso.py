@@ -83,6 +83,12 @@ class EpsoConfig:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
+        for name in ("mutation_max", "mutation_min", "tau_learn", "tau_prime"):
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
+        if not 0.0 <= self.tournament_win_prob <= 1.0:
+            raise ValueError(f"tournament_win_prob must lie in [0, 1], got {self.tournament_win_prob!r}")
         if not 0.0 < self.tau_scen <= 1.0:
             raise ValueError("tau_scen must lie in (0, 1]")
         if self.mutation_min > self.mutation_max:

@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -48,6 +50,16 @@ __all__ = [
 EPS = 1e-9
 
 
+def _check_finite(section) -> None:
+    """Reject a field of a parameter section, other than the draw profile,
+    that is not a finite number: a NaN bound makes every comparison false and
+    switches its rule off."""
+    for f in fields(section):
+        value = getattr(section, f.name)
+        if f.name != "draw_profile" and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+            raise ValueError(f"{type(section).__name__}.{f.name} must be a finite number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class BatteryConfig:
     """Battery parameters: energy in kWh, power in kW, efficiency one-way."""
@@ -62,6 +74,7 @@ class BatteryConfig:
     taper_floor: float = 0.2
 
     def __post_init__(self):
+        _check_finite(self)
         if self.capacity <= 0.0 or self.p_charge_max <= 0.0 or self.p_discharge_max <= 0.0:
             raise ValueError("capacity and power ratings must be positive")
         if not 0.0 < self.efficiency <= 1.0:
@@ -109,6 +122,7 @@ class EwhConfig:
     draw_profile: np.ndarray | None = None
 
     def __post_init__(self):
+        _check_finite(self)
         if self.p_nom <= 0.0:
             raise ValueError("nominal EWH power must be positive")
         if self.thermal_capacity <= 0.0:

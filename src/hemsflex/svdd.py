@@ -13,12 +13,10 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-
-from .hems import FlexTrajectory
 
 __all__ = [
     "KernelSpec",
@@ -249,7 +247,7 @@ def train(
 
     K_sv = K[np.ix_(sv_mask.nonzero()[0], sv_mask.nonzero()[0])]
     const_term = float(sv_alpha @ K_sv @ sv_alpha)
-    radii = 1.0 - 2.0 * (K_sv @ sv_alpha) + const_term
+    radii = _radius2(K_sv, sv_alpha, const_term)
 
     # Boundary support vectors sit strictly below the box bound.
     boundary = alpha[sv_mask] < cap * (1.0 - 1e-6)
@@ -285,9 +283,15 @@ def fit_trajectories(trajectories, kernel: KernelSpec, cfg: TrainingConfig) -> S
     return train(normalize(vectors, bounds), kernel, cfg, norm_bounds=bounds)
 
 
+def _radius2(K: np.ndarray, coefficients: np.ndarray, const_term: float) -> np.ndarray:
+    """Squared radius of each row of K, the row's kernel values against the
+    support vectors: 1 - 2 sum_i b_i k(x_i, x) + sum_ij b_i b_j k(x_i, x_j)."""
+    return 1.0 - 2.0 * (K @ coefficients) + const_term
+
+
 def radius_squared(model: SvddModel, x: np.ndarray):
     """Squared kernel-space radius of a normalized vector relative to the
-    sphere center: 1 - 2 sum_i b_i k(x_i, x) + sum_ij b_i b_j k(x_i, x_j).
+    sphere center (see `_radius2`).
 
     A (d,) vector gives a float; an (n, d) matrix gives the n radii from one
     kernel-matrix product.
@@ -295,8 +299,8 @@ def radius_squared(model: SvddModel, x: np.ndarray):
     x = np.asarray(x, dtype=float)
     if x.ndim not in (1, 2) or x.shape[-1] != model.dimension:
         raise ValueError(f"expected vectors of {model.dimension} coordinates, got shape {x.shape}")
-    k = kernel_matrix(model.kernel, x, model.support_vectors) @ model.coefficients
-    r2 = 1.0 - 2.0 * k + model.const_term
+    K = kernel_matrix(model.kernel, x, model.support_vectors)
+    r2 = _radius2(K, model.coefficients, model.const_term)
     return float(r2[0]) if x.ndim == 1 else r2
 
 
@@ -310,19 +314,10 @@ def score_trajectories(model: SvddModel, trajectories) -> np.ndarray:
     return r2
 
 
-def classify(model: SvddModel, traj):
-    """True when a trajectory's radius stays within the boundary radius.
-
-    A raw trajectory is normalized with the model's stored bounds first; an
-    array of matching dimension is assumed already normalized, and a matrix of
-    such rows gives one boolean per row. A list of raw trajectories is scored
-    by `score_trajectories` and gives one boolean per trajectory.
-    """
-    if isinstance(traj, FlexTrajectory):
-        return bool(within_boundary(model, score_trajectories(model, [traj])[0]))
-    if isinstance(traj, np.ndarray):
-        return within_boundary(model, radius_squared(model, traj))
-    return within_boundary(model, score_trajectories(model, traj))
+def classify(model: SvddModel, trajectories) -> np.ndarray:
+    """One boolean per raw trajectory of the sequence: True when its radius,
+    scored by `score_trajectories`, stays within the boundary radius."""
+    return within_boundary(model, score_trajectories(model, trajectories))
 
 
 def within_boundary(model: SvddModel, r2):
@@ -334,12 +329,7 @@ def within_boundary(model: SvddModel, r2):
 def serialize(model: SvddModel) -> str:
     """JSON text with full-precision numbers; contains only the surrogate."""
     doc = {
-        "kernel": {
-            "kind": model.kernel.kind,
-            "gamma": model.kernel.gamma,
-            "degree": model.kernel.degree,
-            "coef0": model.kernel.coef0,
-        },
+        "kernel": asdict(model.kernel),
         "nu": model.nu,
         "norm_bounds": [[float(lo), float(hi)] for lo, hi in model.norm_bounds],
         "support_vectors": [[float(v) for v in row] for row in model.support_vectors],

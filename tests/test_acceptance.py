@@ -154,7 +154,7 @@ class TestCriterion5NuProperty:
                 feasible, svdd.KernelSpec(kind=kind, gamma=0.05), svdd.TrainingConfig(nu=nu)
             )
             sv_fraction = model.n_support / 1000
-            outliers = sum(1 for t in feasible if not svdd.classify(model, t)) / 1000
+            outliers = sum(1 for t in feasible if not svdd.classify(model, [t])[0]) / 1000
             assert sv_fraction >= nu - 0.02, (kind, nu, sv_fraction)
             assert outliers <= nu + 0.02, (kind, nu, outliers)
             lines.append(f"nu={nu}: sv={sv_fraction:.3f} out={outliers:.3f}")

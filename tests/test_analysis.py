@@ -5,7 +5,7 @@ bookkeeping, and the semi-random baseline builder."""
 import numpy as np
 import pytest
 
-from hemsflex import epso, hems, svdd
+from hemsflex import analysis, epso, hems, svdd
 from hemsflex.analysis import (
     confusion_table,
     generate_infeasible_set,
@@ -43,6 +43,33 @@ class TestOracleCheck:
             assert oracle_check(traj, scenario_set, cfg, 0.25) == epso.evaluate_fitness(
                 traj, scenario_set, cfg, 0.25
             )
+
+    def test_early_exit_matches_the_full_count(self, small_instance):
+        # The robustness decision stops walking scenarios once it is settled;
+        # at every threshold it must agree with the full count.
+        scenario_set, cfg = small_instance
+        rng = np.random.default_rng(45)
+        edges = [
+            FlexTrajectory(p_bat=np.zeros(16), p_ewh=np.zeros(16)),
+            FlexTrajectory(p_bat=np.full(16, -1.5), p_ewh=np.zeros(16)),
+            FlexTrajectory(p_bat=np.full(16, 1.5), p_ewh=np.full(16, 0.5)),
+            FlexTrajectory(p_bat=np.zeros(16), p_ewh=np.full(16, 0.5)),
+        ]
+        random = [
+            FlexTrajectory(p_bat=rng.uniform(-scale, scale, 16), p_ewh=np.where(rng.random(16) < 0.3, 0.5, 0.0))
+            for scale in (1.5, 0.5, 0.1)
+            for _ in range(100)
+        ]
+        oracle = analysis._oracle(cfg, scenario_set, 0.25)
+        counts = set()
+        for traj in edges + random:
+            full = oracle_check(traj, scenario_set, cfg, 0.25)
+            counts.add(full)
+            for threshold in range(1, scenario_set.count + 1):
+                assert analysis._robust_under_oracle(traj, oracle, threshold) == (full >= threshold), threshold
+        # both ends and several partial counts are exercised
+        assert {0, scenario_set.count} <= counts
+        assert len(counts - {0, scenario_set.count}) >= 3
 
 
 class TestGenerateInfeasibleSet:
@@ -153,8 +180,8 @@ class TestConfusionTable:
         feasible, infeasible = self._sets()
         model = svdd.fit_trajectories(feasible, svdd.KernelSpec(kind, gamma=0.5), svdd.TrainingConfig(nu=0.1))
         report = confusion_table(model, feasible, infeasible)
-        assert report.feasible_correct == sum(svdd.classify(model, t) for t in feasible)
-        assert report.infeasible_incorrect == sum(svdd.classify(model, t) for t in infeasible)
+        assert report.feasible_correct == sum(svdd.classify(model, [t])[0] for t in feasible)
+        assert report.infeasible_incorrect == sum(svdd.classify(model, [t])[0] for t in infeasible)
 
     def test_everything_feasible_model_is_degenerate(self):
         feasible, infeasible = self._sets(45)

@@ -222,7 +222,13 @@ class TestErrorPaths:
          *[("validate", "infeasible_count", value, "infeasible_count must be an integer of at least 1")
            for value in (10.5, 0, True, "100")],
          *[("validate", "baseline_count", value, "baseline_count must be an integer of at least 2")
-           for value in (1, 2.7)]],
+           for value in (1, 2.7)],
+         *[("epso", key, value, f"{key} must be a finite non-negative number")
+           for key, value in (("tau_prime", float("nan")), ("tau_learn", float("nan")), ("tau_learn", -5.0),
+                              ("mutation_max", float("nan")), ("mutation_max", float("inf")),
+                              ("mutation_min", float("nan")))],
+         *[("epso", "tournament_win_prob", value, "tournament_win_prob must lie in [0, 1]")
+           for value in (1.7, -0.1, float("nan"))]],
     )
     def test_bad_config_value_exits_two(self, workdir, capsys, section, key, value, rule):
         config = json.loads((workdir / "config.json").read_text())
@@ -264,7 +270,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "edit, named",
         [({"dt_hour": 1.0}, "dt_hour"), ({"dt_hours": 0}, "dt_hours"), ({"dt_hours": -0.25}, "dt_hours"),
-         ({"paths": {"marginals": "marginals.csv", "hems": "hems.json", "draw": "draws.csv"}}, "draw")],
+         ({"paths": {"marginals": "marginals.csv", "hems": "hems.json", "draw": "draws.csv"}}, "draw"),
+         ({"dt_hours": True}, "dt_hours"), ({"seed": True}, "seed"), ({"seed": 7.9}, "seed")],
     )
     def test_bad_top_level_or_paths_fails_every_command(self, workdir, capsys, edit, named):
         assert invoke(workdir, "gen-scenarios") == 0
@@ -277,6 +284,16 @@ class TestErrorPaths:
             capsys.readouterr()
             assert invoke(workdir, *command) == 2, command
             assert named in capsys.readouterr().err, command
+
+    def test_non_finite_hems_parameter_exits_two(self, workdir, capsys):
+        assert invoke(workdir, "gen-scenarios") == 0
+        doc = json.loads((workdir / "hems.json").read_text())
+        doc["ewh"]["theta_inl"] = float("nan")
+        (workdir / "hems.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert invoke(workdir, "search") == 2
+        assert "theta_inl must be a finite number" in capsys.readouterr().err
+        assert not (workdir / "out" / "feasible.csv").exists()
 
     def test_misnumbered_steps_exit_two(self, workdir):
         marginals = (workdir / "marginals.csv").read_text()

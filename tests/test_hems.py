@@ -5,7 +5,7 @@ Expected values for the thermal steps are frozen from independent hand
 evaluation of the update formula.
 """
 
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -366,6 +366,19 @@ class TestConfigValidation:
         for draws in ([1.0, np.nan], [np.inf, 0.0]):
             with pytest.raises(ValueError):
                 EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=60.0, draw_profile=draws)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "section, name",
+        [("battery", f.name) for f in fields(BatteryConfig)]
+        + [("ewh", f.name) for f in fields(EwhConfig) if f.name != "draw_profile"],
+    )
+    def test_non_finite_parameter_rejected(self, hems_reference, section, name, value):
+        # A NaN tank or battery bound makes its comparisons false and would
+        # switch the rule off, so every numeric field must be finite.
+        owner = getattr(hems_reference, section)
+        with pytest.raises(ValueError, match=rf"\.{name} must be a finite number"):
+            replace(owner, **{name: value})
 
     def test_json_round_trip(self, tmp_path, hems_reference):
         path = tmp_path / "hems.json"

@@ -22,7 +22,13 @@ from hemsflex.svdd import (
     save_model,
     serialize,
     train,
+    within_boundary,
 )
+
+
+def inside(model, x):
+    """Boundary verdict of one normalized vector."""
+    return within_boundary(model, radius_squared(model, x))
 
 
 class TestKernelEval:
@@ -125,7 +131,7 @@ class TestTrain:
         X = rng.random((1000, 32))
         model = train(X, KernelSpec(kind, gamma=0.05), TrainingConfig(nu=nu))
         sv_fraction = model.n_support / 1000
-        outliers = sum(1 for x in X if not classify(model, x)) / 1000
+        outliers = sum(1 for x in X if not inside(model, x)) / 1000
         assert sv_fraction >= nu - 0.02
         assert outliers <= nu + 0.02
 
@@ -146,7 +152,7 @@ class TestTrain:
         assert doubled.radius2_threshold == pytest.approx(single.radius2_threshold, abs=5e-3)
         # classification agrees on fresh points
         probes = rng.random((200, 6))
-        agree = sum(classify(single, p) == classify(doubled, p) for p in probes)
+        agree = sum(inside(single, p) == inside(doubled, p) for p in probes)
         assert agree >= 195
 
     def test_interior_points_classify_feasible(self):
@@ -155,7 +161,7 @@ class TestTrain:
         model = train(X, KernelSpec("rbf", gamma=0.1), TrainingConfig(nu=0.1))
         radii = np.array([radius_squared(model, x) for x in X])
         interior = radii < model.radius2_threshold - 1e-6
-        assert all(classify(model, x) for x in X[interior])
+        assert all(inside(model, x) for x in X[interior])
 
     def test_nonconvergence_reports_residual(self):
         rng = np.random.default_rng(9)
@@ -222,7 +228,7 @@ class TestClassify:
         radii = np.array([radius_squared(model, sv) for sv in model.support_vectors])
         on_boundary = np.abs(radii - model.radius2_threshold) < 1e-5
         assert on_boundary.any()
-        assert all(classify(model, sv) for sv in model.support_vectors[on_boundary])
+        assert all(inside(model, sv) for sv in model.support_vectors[on_boundary])
 
     def test_far_outside_training_range_is_infeasible_rbf(self):
         # rbf: kernel values vanish far away, so the radius exceeds any
@@ -231,7 +237,7 @@ class TestClassify:
         rng = np.random.default_rng(13)
         X = rng.random((200, 6))
         model = train(X, KernelSpec("rbf", gamma=0.5), TrainingConfig(nu=0.1))
-        assert not classify(model, np.full(6, 10.0))
+        assert not inside(model, np.full(6, 10.0))
         # raw trajectories clip into the training box during normalization,
         # and the box corner lies outside a uniform cloud's boundary
         corner = np.ones(6)
@@ -242,7 +248,7 @@ class TestClassify:
         X = rng.random((200, 6))
         model = train(X, KernelSpec("rbf", gamma=0.5), TrainingConfig(nu=0.1))
         radii = [radius_squared(model, x) for x in X]
-        assert classify(model, X[int(np.argmin(radii))])
+        assert inside(model, X[int(np.argmin(radii))])
 
 
 class TestBlockedScoring:
@@ -272,7 +278,7 @@ class TestBlockedScoring:
             assert r2 == pytest.approx(direct, abs=1e-12)
             assert r2 == pytest.approx(radius_squared(model, x), abs=1e-12)
         verdicts = classify(model, trajs)
-        assert verdicts.tolist() == [classify(model, t) for t in trajs]
+        assert verdicts.tolist() == [classify(model, [t])[0] for t in trajs]
 
     def test_matrix_normalization_matches_rows(self):
         rng = np.random.default_rng(21)
@@ -326,7 +332,7 @@ class TestSerialization:
             traj = FlexTrajectory(
                 p_bat=rng.uniform(-2.0, 2.0, 8), p_ewh=np.where(rng.random(8) < 0.5, 0.5, 0.0)
             )
-            assert classify(model, traj) == classify(back, traj)
+            assert classify(model, [traj])[0] == classify(back, [traj])[0]
 
     def test_save_load_file(self, tmp_path):
         _, model = self._model()
@@ -362,7 +368,7 @@ class TestFitTrajectories:
             for _ in range(150)
         ]
         model = fit_trajectories(trajs, KernelSpec("rbf", gamma=0.1), TrainingConfig(nu=0.1))
-        feasible_share = np.mean([classify(model, t) for t in trajs])
+        feasible_share = np.mean([classify(model, [t])[0] for t in trajs])
         assert feasible_share >= 0.85  # most training members inside
         # far outside the training band
         wild = FlexTrajectory(p_bat=np.full(6, 50.0), p_ewh=np.full(6, 50.0))
