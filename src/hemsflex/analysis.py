@@ -4,8 +4,11 @@ baseline constructor used for diversity comparisons.
 
 The oracle re-derives every feasibility rule step by step in plain Python,
 sharing no stepping code with the simulation module, so the two routes can be
-checked against each other. The baseline builders step on the oracle's own
-scalar route.
+checked against each other. It walks the steps before any scenario's first PV
+surplus once per trajectory rather than once per scenario: there every
+scenario's surplus is exactly 0.0, so every scenario steps through the same
+float operations and reaches the same state, and the count is unchanged. The
+baseline builders step on the oracle's own scalar route.
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ def _step_route(cfg: HemsConfig, dt: float):
 
 def _oracle(cfg: HemsConfig, scenarios: ScenarioSet, dt: float):
     """The oracle of one instance: returns count(p_bat, p_ewh, threshold=None),
-    the number of scenarios in which a trajectory, given as lists, passes every
-    rule. The limits, the draws and the scenario rows are bound once here.
+    the number of scenarios in which a trajectory, given as lists of the
+    scenario horizon's length, passes every rule. The limits, the draws and
+    the scenario rows' surpluses are bound once here.
 
     Each scenario is stepped on the scalar step route, and every rule is
     applied in order: no discharge while absorbing, the tapered charge rate,
@@ -93,12 +97,21 @@ def _oracle(cfg: HemsConfig, scenarios: ScenarioSet, dt: float):
     a threshold, the walk stops as soon as `count >= threshold` is settled,
     so the count is then exact only in that comparison.
 
+    The steps before the earliest surplus step of any row are walked once per
+    trajectory, not once per row. Until its first surplus step a row's surplus
+    is exactly 0.0, so nothing is absorbed, headroom only recovers, and every
+    float operation of those steps is the same in every row. If that shared
+    walk breaks, every row breaks and the count is 0; otherwise each row
+    resumes from the state it reached, which is the state its own walk would
+    have reached. The count is therefore the one a walk of each row from step
+    0 gives.
+
     Written as flat scalar loops on purpose: this is the reference route and
     must not lean on the vectorized simulation helpers. The baseline builders
     step on the same route; that cannot weaken a check here, because every
     chain member must still pass the oracle before it is kept.
     """
-    (soc_init, theta_init, band), absorb, charge, tank, tracker = _step_route(cfg, dt)
+    start, absorb, charge, tank, tracker = _step_route(cfg, dt)
     bat, ewh = cfg.battery, cfg.ewh
     p_charge_max, capacity = bat.p_charge_max, bat.capacity
     knee_soc = bat.taper_knee * capacity
@@ -106,39 +119,57 @@ def _oracle(cfg: HemsConfig, scenarios: ScenarioSet, dt: float):
     taper_drop = bat.taper_floor * p_charge_max - p_charge_max
     soc_lo, soc_hi = bat.soc_min - _ORACLE_EPS, bat.soc_max + _ORACLE_EPS
     theta_lo, theta_hi = ewh.theta_min - _ORACLE_EPS, ewh.theta_max + _ORACLE_EPS
-    draws = ewh.draws(scenarios.horizon).tolist()
-    rows = scenarios.values.tolist()
+    horizon = scenarios.horizon
+    draws = ewh.draws(horizon).tolist()
+    surpluses = [[max(0.0, -load) for load in row] for row in scenarios.values.tolist()]
+    shared = min(next((h for h, surplus in enumerate(row) if surplus > 0.0), horizon) for row in surpluses)
+    shared_surplus = [0.0] * shared
+    tails = [row[shared:] for row in surpluses]
+    tail_draws = draws[shared:]
+
+    def walk(state, p_bat, p_ewh, surplus, litres):
+        """The state after stepping from `state` through the zipped steps, or
+        None at the first violation."""
+        soc, theta, headroom = state
+        for pb, pe, sur, draw in zip(p_bat, p_ewh, surplus, litres):
+            supposed = absorb(sur, pe, headroom)
+            if supposed > _ORACLE_EPS and pb < -_ORACLE_EPS:
+                return None
+
+            p_eff = pb + supposed
+            s = min(max(soc, 0.0), capacity)
+            if s <= knee_soc:
+                limit = p_charge_max
+            else:
+                limit = p_charge_max + (s - knee_soc) / taper_span * taper_drop
+            if p_eff > limit + _ORACLE_EPS:
+                return None
+
+            soc = charge(soc, p_eff)
+            if soc > soc_hi or soc < soc_lo:
+                return None
+
+            theta = tank(theta, pe, draw)
+            if theta < theta_lo or theta > theta_hi:
+                return None
+
+            headroom = tracker(headroom, sur, pe)
+        return soc, theta, headroom
 
     def count(p_bat, p_ewh, threshold=None) -> int:
-        compliant, remaining = 0, len(rows)
-        for net_load in rows:
+        if len(p_bat) != horizon or len(p_ewh) != horizon:
+            raise ValueError(
+                f"trajectory has {len(p_bat)} battery and {len(p_ewh)} heater steps, "
+                f"the scenarios {horizon}"
+            )
+        state = walk(start, p_bat, p_ewh, shared_surplus, draws)
+        if state is None:
+            return 0
+        p_bat, p_ewh = p_bat[shared:], p_ewh[shared:]
+        compliant, remaining = 0, len(tails)
+        for surplus in tails:
             remaining -= 1
-            soc, theta, headroom = soc_init, theta_init, band
-            for pb, pe, load, draw in zip(p_bat, p_ewh, net_load, draws):
-                surplus = max(0.0, -load)
-                supposed = absorb(surplus, pe, headroom)
-                if supposed > _ORACLE_EPS and pb < -_ORACLE_EPS:
-                    break
-
-                p_eff = pb + supposed
-                s = min(max(soc, 0.0), capacity)
-                if s <= knee_soc:
-                    limit = p_charge_max
-                else:
-                    limit = p_charge_max + (s - knee_soc) / taper_span * taper_drop
-                if p_eff > limit + _ORACLE_EPS:
-                    break
-
-                soc = charge(soc, p_eff)
-                if soc > soc_hi or soc < soc_lo:
-                    break
-
-                theta = tank(theta, pe, draw)
-                if theta < theta_lo or theta > theta_hi:
-                    break
-
-                headroom = tracker(headroom, surplus, pe)
-            else:
+            if walk(state, p_bat, p_ewh, surplus, tail_draws) is not None:
                 compliant += 1
             if threshold is not None and (compliant >= threshold or compliant + remaining < threshold):
                 break

@@ -53,10 +53,12 @@ EPS = 1e-9
 def _check_finite(section) -> None:
     """Reject a field of a parameter section, other than the draw profile,
     that is not a finite number: a NaN bound makes every comparison false and
-    switches its rule off."""
+    switches its rule off, and a bool (JSON true) would count as 1."""
     for f in fields(section):
         value = getattr(section, f.name)
-        if f.name != "draw_profile" and not (isinstance(value, numbers.Real) and math.isfinite(value)):
+        if f.name != "draw_profile" and (
+            isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value))
+        ):
             raise ValueError(f"{type(section).__name__}.{f.name} must be a finite number, got {value!r}")
 
 

@@ -180,24 +180,41 @@ def normalize(x: np.ndarray, bounds: np.ndarray) -> np.ndarray:
 
 def _solve_dual(K: np.ndarray, nu: float, tolerance: float, max_passes: int) -> np.ndarray:
     """Minimize 0.5 a'Ka over the capped simplex {0 <= a_i <= 1/(nu N),
-    sum a = 1} by repeatedly optimizing the maximal violating pair."""
+    sum a = 1} by repeatedly optimizing the maximal violating pair.
+
+    The pair is picked from two masked copies of the gradient: `up` holds +inf
+    where a coefficient sits at the cap and cannot rise, `down` holds -inf
+    where it sits at zero and cannot fall. Each step adds the same gradient
+    change to both copies as to the gradient itself (the infinities absorb
+    it), then resets the masks of the two coefficients it moved, the only ones
+    whose mobility can change. The masked entries thus stay bit-identical to
+    masking the gradient afresh each pass. Kernel columns are read as rows of
+    one contiguous copy of K.T, and the coefficients and pair scalars are
+    Python floats.
+    """
     n = K.shape[0]
     cap = 1.0 / (nu * n)
+    below_cap, above_zero = cap * (1.0 - 1e-12), cap * 1e-12
     alpha = np.full(n, 1.0 / n)
     grad = K @ alpha
+    alpha = alpha.tolist()
+    up = np.where([a < below_cap for a in alpha], grad, np.inf)
+    down = np.where([a > above_zero for a in alpha], grad, -np.inf)
+    columns = np.ascontiguousarray(K.T)
+    diag = K.diagonal().tolist()
 
     gap = np.inf
     for _ in range(max_passes):
-        movable_up = alpha < cap * (1.0 - 1e-12)
-        movable_down = alpha > cap * 1e-12
-        if not movable_up.any() or not movable_down.any():
+        i = int(up.argmin())
+        j = int(down.argmax())
+        low, high = float(up[i]), float(down[j])
+        if low == np.inf or high == -np.inf:
+            # no coefficient can rise, or none can fall
             break
-        i = int(np.argmin(np.where(movable_up, grad, np.inf)))
-        j = int(np.argmax(np.where(movable_down, grad, -np.inf)))
-        gap = grad[j] - grad[i]
+        gap = high - low
         if gap <= tolerance:
             break
-        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        eta = diag[i] + diag[j] - 2.0 * float(K[i, j])
         step_max = min(cap - alpha[i], alpha[j])
         if eta > 1e-12:
             step = min(step_max, gap / eta)
@@ -207,13 +224,19 @@ def _solve_dual(K: np.ndarray, nu: float, tolerance: float, max_passes: int) -> 
             step = step_max
         alpha[i] += step
         alpha[j] -= step
-        grad += step * (K[:, i] - K[:, j])
+        delta = step * (columns[i] - columns[j])
+        grad += delta
+        up += delta
+        down += delta
+        for k in (i, j):
+            up[k] = grad[k] if alpha[k] < below_cap else np.inf
+            down[k] = grad[k] if alpha[k] > above_zero else -np.inf
     else:
         raise ConvergenceError(
             f"dual solver stopped after {max_passes} passes with KKT gap {gap:.3e}",
             residual=float(gap),
         )
-    return alpha
+    return np.array(alpha)
 
 
 def train(

@@ -32,6 +32,19 @@ class TestOracleCheck:
         zero = FlexTrajectory(p_bat=np.zeros(16), p_ewh=np.zeros(16))
         assert oracle_check(zero, scenario_set, cfg, dt=0.25) == scenario_set.count
 
+    def test_horizon_mismatch_rejected(self, small_instance):
+        # A trajectory shorter than the scenarios must not be judged on the
+        # scenarios' first steps only.
+        scenario_set, cfg = small_instance
+        short = FlexTrajectory(p_bat=np.zeros(8), p_ewh=np.zeros(8))
+        with pytest.raises(ValueError, match="8 battery and 8 heater steps, the scenarios 16"):
+            oracle_check(short, scenario_set, cfg, 0.25)
+        oracle = analysis._oracle(cfg, scenario_set, 0.25)
+        with pytest.raises(ValueError, match="16 battery and 17 heater steps"):
+            oracle([0.0] * 16, [0.0] * 17)
+        with pytest.raises(ValueError, match="17 battery and 16 heater steps"):
+            oracle([0.0] * 17, [0.0] * 16, threshold=1)
+
     def test_exact_agreement_with_search_evaluator(self, small_instance):
         scenario_set, cfg = small_instance
         rng = np.random.default_rng(41)

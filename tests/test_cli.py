@@ -295,6 +295,16 @@ class TestErrorPaths:
         assert "theta_inl must be a finite number" in capsys.readouterr().err
         assert not (workdir / "out" / "feasible.csv").exists()
 
+    def test_bool_hems_parameter_exits_two(self, workdir, capsys):
+        assert invoke(workdir, "gen-scenarios") == 0
+        doc = json.loads((workdir / "hems.json").read_text())
+        doc["ewh"]["theta_house"] = True
+        (workdir / "hems.json").write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert invoke(workdir, "search") == 2
+        assert "theta_house must be a finite number, got True" in capsys.readouterr().err
+        assert not (workdir / "out" / "feasible.csv").exists()
+
     def test_misnumbered_steps_exit_two(self, workdir):
         marginals = (workdir / "marginals.csv").read_text()
         (workdir / "marginals.csv").write_text(marginals.replace("\n6,", "\n13,"))

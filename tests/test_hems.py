@@ -5,6 +5,7 @@ Expected values for the thermal steps are frozen from independent hand
 evaluation of the update formula.
 """
 
+import json
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -379,6 +380,21 @@ class TestConfigValidation:
         owner = getattr(hems_reference, section)
         with pytest.raises(ValueError, match=rf"\.{name} must be a finite number"):
             replace(owner, **{name: value})
+
+    @pytest.mark.parametrize(
+        "section, name",
+        [("battery", f.name) for f in fields(BatteryConfig)]
+        + [("ewh", f.name) for f in fields(EwhConfig) if f.name != "draw_profile"],
+    )
+    def test_json_bool_parameter_rejected(self, tmp_path, hems_reference, section, name):
+        # JSON true is a bool, which Python counts as the number 1.
+        path = tmp_path / "hems.json"
+        hems_reference.to_json(path)
+        doc = json.loads(path.read_text())
+        doc[section][name] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=rf"\.{name} must be a finite number, got True"):
+            HemsConfig.from_json(path)
 
     def test_json_round_trip(self, tmp_path, hems_reference):
         path = tmp_path / "hems.json"

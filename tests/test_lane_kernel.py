@@ -269,3 +269,43 @@ class TestBatchRepair:
         rejected, changed = self._assert_matches_rows(p_bat, p_ewh, surplus, cfg, 0.25)
         # both outcomes actually occur in the population
         assert rejected > 10 and changed > 10
+
+
+@st.composite
+def prefix_instances(draw):
+    """A lane instance whose rows start their surplus at different steps: at
+    step 0, mid-horizon, the last step, a drawn step, or never; every load
+    before a row's first surplus step is non-negative. One trajectory per step
+    is added that discharges far past the SoC floor at that step, so that
+    walks break both inside the rows' shared surplus-free prefix and after
+    it."""
+    cfg, dt, p_bat, p_ewh, net_load = draw(lane_instances())
+    horizon = p_bat.shape[1]
+    for row in net_load:
+        first = draw(st.sampled_from([0, horizon // 2, horizon - 1, None]) | st.integers(0, horizon - 1))
+        stop = horizon if first is None else first
+        row[:stop] = np.where(row[:stop] < 0.0, -row[:stop], row[:stop])
+        if first is not None:
+            row[first] = -draw(st.sampled_from(SURPLUS_EDGES))
+    breakers = np.tile(p_bat[0], (horizon, 1))
+    breakers[np.arange(horizon), np.arange(horizon)] = -20.0
+    return (
+        cfg, dt, np.vstack([p_bat, breakers]), np.vstack([p_ewh, np.tile(p_ewh[0], (horizon, 1))]), net_load,
+    )
+
+
+class TestOracleSharedPrefix:
+    @PROPERTY_SETTINGS
+    @given(prefix_instances())
+    def test_multi_row_count_is_the_sum_of_row_counts(self, instance):
+        # A one-row set shares its prefix with no other row, so the per-row
+        # counts check the walk that the rows of one set share.
+        cfg, dt, p_bat, p_ewh, net_load = instance
+        oracle = analysis._oracle(cfg, scenarios.ScenarioSet(net_load), dt)
+        row_oracles = [analysis._oracle(cfg, scenarios.ScenarioSet(row[None, :]), dt) for row in net_load]
+        for pb, pe in zip(p_bat.tolist(), p_ewh.tolist()):
+            expected = sum(row_oracle(pb, pe) for row_oracle in row_oracles)
+            assert oracle(pb, pe) == expected
+            traj = FlexTrajectory(p_bat=pb, p_ewh=pe)
+            for threshold in range(net_load.shape[0] + 2):
+                assert analysis._robust_under_oracle(traj, oracle, threshold) == (expected >= threshold)

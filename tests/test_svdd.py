@@ -374,3 +374,87 @@ class TestFitTrajectories:
         wild = FlexTrajectory(p_bat=np.full(6, 50.0), p_ewh=np.full(6, 50.0))
         normalized = normalize(wild.as_vector(), model.norm_bounds)
         assert np.all(normalized <= 1.0)  # clipping keeps the vector sane
+
+
+def _reference_solve_dual(K, nu, tolerance, max_passes):
+    """The dual solver as a plain masked-gradient loop, kept as the reference
+    that `svdd._solve_dual` must match bit for bit."""
+    n = K.shape[0]
+    cap = 1.0 / (nu * n)
+    alpha = np.full(n, 1.0 / n)
+    grad = K @ alpha
+
+    gap = np.inf
+    for _ in range(max_passes):
+        movable_up = alpha < cap * (1.0 - 1e-12)
+        movable_down = alpha > cap * 1e-12
+        if not movable_up.any() or not movable_down.any():
+            break
+        i = int(np.argmin(np.where(movable_up, grad, np.inf)))
+        j = int(np.argmax(np.where(movable_down, grad, -np.inf)))
+        gap = grad[j] - grad[i]
+        if gap <= tolerance:
+            break
+        eta = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        step_max = min(cap - alpha[i], alpha[j])
+        if eta > 1e-12:
+            step = min(step_max, gap / eta)
+        else:
+            # Indefinite direction: the objective decreases all the way, take
+            # the full box step.
+            step = step_max
+        alpha[i] += step
+        alpha[j] -= step
+        grad += step * (K[:, i] - K[:, j])
+    else:
+        raise ConvergenceError(
+            f"dual solver stopped after {max_passes} passes with KKT gap {gap:.3e}",
+            residual=float(gap),
+        )
+    return alpha
+
+
+class TestSolverTwin:
+    """The in-place working-set solver against the reference loop: equal
+    coefficients, or the same ConvergenceError residual."""
+
+    @pytest.mark.parametrize("nu", [0.05, 0.15, 0.5, 0.9])
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec("rbf", gamma=0.3), KernelSpec("poly", gamma=0.5, degree=2, coef0=1.0),
+         KernelSpec("sigmoid", gamma=0.05)],
+        ids=["rbf", "poly", "sigmoid"],
+    )
+    def test_random_data_matches_reference(self, spec, nu):
+        X = np.random.default_rng(31).random((60, 8))
+        K = kernel_matrix(spec, X, X)
+        expected = _reference_solve_dual(K, nu, 1e-6, 100_000)
+        assert np.array_equal(svdd._solve_dual(K, nu, 1e-6, 100_000), expected)
+
+    def test_duplicated_rows_take_full_steps(self):
+        # K = -v v' has eta = -(v_i - v_j)^2 <= 0 for every pair, so every
+        # step is the full box step; the repeated entries of v duplicate rows
+        # of K and tie gradients, which the first-index pick must break alike.
+        v = np.repeat(np.random.default_rng(32).random(15), 2)
+        K = -np.outer(v, v)
+        for nu in (0.1, 0.3):
+            expected = _reference_solve_dual(K, nu, 1e-6, 100_000)
+            assert np.array_equal(svdd._solve_dual(K, nu, 1e-6, 100_000), expected)
+
+    def test_duplicated_data_under_indefinite_sigmoid(self):
+        X = np.random.default_rng(34).random((20, 5))
+        X = np.vstack([X, X])
+        K = kernel_matrix(KernelSpec("sigmoid", gamma=1.0, coef0=-1.0), X, X)
+        for nu in (0.05, 0.2, 0.5):
+            expected = _reference_solve_dual(K, nu, 1e-6, 100_000)
+            assert np.array_equal(svdd._solve_dual(K, nu, 1e-6, 100_000), expected)
+
+    def test_iteration_cap_raises_the_same_residual(self):
+        X = np.random.default_rng(35).random((60, 8))
+        K = kernel_matrix(KernelSpec("rbf", gamma=5.0), X, X)
+        with pytest.raises(ConvergenceError) as expected:
+            _reference_solve_dual(K, 0.1, 1e-6, 3)
+        with pytest.raises(ConvergenceError) as actual:
+            svdd._solve_dual(K, 0.1, 1e-6, 3)
+        assert actual.value.residual == expected.value.residual
+        assert str(actual.value) == str(expected.value)
