@@ -272,12 +272,14 @@ def cmd_classify(cfg: RunConfig, model_path, input_path, output_path) -> int:
         )
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
+    r2 = svdd.score_trajectories(model, trajectories)
+    # The bytes of a csv writer, one string per row, as in epso.write_trajectories_csv.
     with open(output_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["verdict", "r2"])
-        r2 = svdd.score_trajectories(model, trajectories)
-        for inside, value in zip(svdd.within_boundary(model, r2).tolist(), r2.tolist()):
-            writer.writerow(["feasible" if inside else "infeasible", repr(value)])
+        fh.write("verdict,r2\r\n")
+        fh.writelines(
+            f"{'feasible' if inside else 'infeasible'},{value!r}\r\n"
+            for inside, value in zip(svdd.within_boundary(model, r2).tolist(), r2.tolist())
+        )
     print(f"classified {len(trajectories)} trajectories into {output_path}")
     return EXIT_OK
 

@@ -13,7 +13,6 @@ chosen to maximize the diversity of the collected set.
 
 from __future__ import annotations
 
-import csv
 import math
 import numbers
 import time
@@ -83,6 +82,11 @@ class EpsoConfig:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            # JSON true is a numbers.Real that every range check below takes as 1.
+            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+                raise ValueError(f"{f.name} must be a number, got {value!r}")
         for name in ("mutation_max", "mutation_min", "tau_learn", "tau_prime"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0):
@@ -502,19 +506,19 @@ def write_trajectories_csv(
         horizon = trajectories[0].horizon
     if fitnesses is None:
         fitnesses = [0] * len(trajectories)
+    header = (
+        [f"pbat_h{k}" for k in range(1, horizon + 1)]
+        + [f"pewh_h{k}" for k in range(1, horizon + 1)]
+        + ["fitness"]
+    )
+    # One join per row gives the bytes a csv writer would: a float's repr
+    # holds no character that csv quotes, and "\r\n" is its line end.
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [f"pbat_h{k}" for k in range(1, horizon + 1)]
-            + [f"pewh_h{k}" for k in range(1, horizon + 1)]
-            + ["fitness"]
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(
+            ",".join(map(repr, traj.p_bat.tolist() + traj.p_ewh.tolist())) + f",{int(fitness)}\r\n"
+            for traj, fitness in zip(trajectories, fitnesses)
         )
-        for traj, fitness in zip(trajectories, fitnesses):
-            writer.writerow(
-                [repr(x) for x in traj.p_bat.tolist()]
-                + [repr(x) for x in traj.p_ewh.tolist()]
-                + [int(fitness)]
-            )
 
 
 def read_trajectories_csv(path) -> tuple[list[FlexTrajectory], list[int]]:

@@ -6,17 +6,22 @@ exponential covariance, and the correlated normals are mapped back through the
 inverse quantile functions. The module also derives PV-surplus series from
 net load and scores scenario sets with the p-variogram score used when tuning
 the covariance range parameter.
+
+scipy is imported inside `transform_to_scenarios`, its one user, so that the
+commands that never generate scenarios (search, train, classify, validate)
+start without paying for `scipy.special`, which costs more than the rest of
+the package import.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "MarginalForecast",
@@ -79,8 +84,10 @@ class CopulaConfig:
     def __post_init__(self):
         if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) or self.count < 1:
             raise ValueError(f"scenario count must be an integer of at least 1, got {self.count!r}")
-        if not self.nu_cov > 0.0:
-            raise ValueError("covariance range nu_cov must be positive")
+        nu_cov = self.nu_cov
+        finite = not isinstance(nu_cov, bool) and isinstance(nu_cov, numbers.Real) and math.isfinite(nu_cov)
+        if not (finite and nu_cov > 0.0):
+            raise ValueError(f"covariance range nu_cov must be a positive finite number, got {nu_cov!r}")
 
 
 @dataclass(frozen=True)
@@ -157,7 +164,13 @@ def sample_gaussian_copula(cov: np.ndarray, count: int, seed: int) -> np.ndarray
 
 def transform_to_scenarios(z: np.ndarray, marginals: list[MarginalForecast]) -> ScenarioSet:
     """Map correlated standard normals into net-load space, column by column,
-    through each lead time's inverse quantile function."""
+    through each lead time's inverse quantile function.
+
+    `ndtr` is imported here rather than at module level: this is the only
+    scipy call in the package, and importing `scipy.special` is the largest
+    fixed cost of starting any command that does not generate scenarios."""
+    from scipy.special import ndtr
+
     z = np.asarray(z, dtype=float)
     if z.ndim != 2:
         raise ValueError("z must be an M x T matrix")

@@ -53,6 +53,11 @@ _ALPHA_CUTOFF = 1e-8
 SCORE_BLOCK = 64
 
 
+def _is_finite_number(value) -> bool:
+    """A finite real that is not a bool: JSON true would pass as the number 1."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
+
+
 class ConvergenceError(RuntimeError):
     """Dual solver failed to reach the tolerance within its iteration cap."""
 
@@ -73,8 +78,9 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}, expected one of {KERNEL_KINDS}")
-        if not all(isinstance(v, numbers.Real) and math.isfinite(v) for v in (self.gamma, self.coef0)):
-            raise ValueError("kernel gamma and coef0 must be finite numbers")
+        for name in ("gamma", "coef0"):
+            if not _is_finite_number(getattr(self, name)):
+                raise ValueError(f"kernel {name} must be a finite number, got {getattr(self, name)!r}")
         if self.kind == "rbf" and not self.gamma > 0.0:
             raise ValueError("rbf kernel needs gamma > 0")
         if isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral) or self.degree < 1:
@@ -90,10 +96,10 @@ class TrainingConfig:
     max_passes: int = 100_000
 
     def __post_init__(self):
-        if not 0.0 < self.nu < 1.0:
-            raise ValueError("nu must lie strictly inside (0, 1)")
-        if not self.tolerance > 0.0:
-            raise ValueError("tolerance must be positive")
+        if not (_is_finite_number(self.nu) and 0.0 < self.nu < 1.0):
+            raise ValueError(f"nu must lie strictly inside (0, 1), got {self.nu!r}")
+        if not (_is_finite_number(self.tolerance) and self.tolerance > 0.0):
+            raise ValueError(f"tolerance must be a positive finite number, got {self.tolerance!r}")
         passes = self.max_passes
         if isinstance(passes, bool) or not isinstance(passes, numbers.Integral) or passes < 1:
             raise ValueError(f"max_passes must be an integer of at least 1, got {passes!r}")
@@ -393,6 +399,11 @@ def deserialize(text: str) -> SvddModel:
         )
     except (TypeError, ValueError) as exc:
         raise ValueError(f"model file: malformed field ({exc})") from exc
+    # A NaN threshold would call every row infeasible, and a NaN or infinite
+    # vector, coefficient, bound or constant makes every r2 nan or inf.
+    for name in ("support_vectors", "coefficients", "norm_bounds", "radius2_threshold", "const_term", "nu"):
+        if not np.isfinite(getattr(model, name)).all():
+            raise ValueError(f"model file: {name} holds a non-finite value")
     if model.support_vectors.shape[0] != model.coefficients.shape[0]:
         raise ValueError("model file: support_vectors and coefficients disagree in count")
     if model.norm_bounds.ndim != 2 or model.norm_bounds.shape != (model.dimension, 2):

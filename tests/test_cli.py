@@ -2,6 +2,9 @@
 codes, artifact formats, and byte-level rerun determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -254,6 +257,26 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert section in err and key in err and "True" in err
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("copula", "nu_cov", True), ("copula", "nu_cov", float("inf")),
+         *[("epso", key, True)
+           for key in ("comm_factor", "mutation_max", "mutation_min", "tau_learn", "tau_prime", "tau_scen",
+                       "tournament_win_prob", "seed_zero_fraction", "velocity_clamp_frac")],
+         ("svdd", "nu", True), ("svdd", "tolerance", True), ("svdd", "tolerance", float("inf")),
+         ("svdd.kernel", "gamma", True), ("svdd.kernel", "coef0", True)],
+    )
+    def test_bool_or_infinite_float_exits_two(self, workdir, capsys, section, key, value):
+        config = json.loads((workdir / "config.json").read_text())
+        owner = config
+        for part in section.split("."):
+            owner = owner[part]
+        owner[key] = value
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert invoke(workdir, "gen-scenarios") == 2
+        err = capsys.readouterr().err
+        assert section in err and key in err and repr(value) in err
+
     @pytest.mark.parametrize("window", ["09:00-30:00", "09:00-24:15", "09:07-13:00", "13:00-09:00", [4.5, 8], "9-13"])
     def test_bad_window_fails_every_command(self, workdir, capsys, window):
         assert invoke(workdir, "gen-scenarios") == 0
@@ -329,6 +352,28 @@ class TestErrorPaths:
                 workdir, "classify", "--model", str(workdir / "model.json"), "--input", str(workdir / "in.csv")
             ) == 2
             assert message in capsys.readouterr().err
+
+    def test_classify_non_finite_model_exits_two(self, workdir, capsys):
+        for command in ("gen-scenarios", "search", "train"):
+            assert invoke(workdir, command) == 0
+        out = workdir / "out"
+        good = json.loads((out / "model.json").read_text())
+        for field, value in (("radius2_threshold", float("nan")), ("const_term", float("inf")),
+                             ("coefficients", float("nan")), ("norm_bounds", float("inf"))):
+            doc = json.loads(json.dumps(good))
+            if field == "coefficients":
+                doc[field][0] = value
+            elif field == "norm_bounds":
+                doc[field][0][1] = value
+            else:
+                doc[field] = value
+            (out / "bad_model.json").write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert invoke(
+                workdir, "classify", "--model", str(out / "bad_model.json"), "--input", str(out / "feasible.csv")
+            ) == 2, field
+            assert f"{field} holds a non-finite value" in capsys.readouterr().err
+            assert not (out / "verdicts.csv").exists()
 
     def test_classify_dimension_mismatch_exits_two(self, workdir):
         for command in ("gen-scenarios", "search", "train"):
@@ -419,6 +464,38 @@ class TestErrorPaths:
         summary = json.loads((workdir / "out" / "search_log.jsonl").read_text().splitlines()[-1])
         assert summary["feasible"] == 0
         assert summary["warning"]
+
+
+class TestColdStart:
+    # scipy is the largest import of the package, and only gen-scenarios needs
+    # it. A fresh interpreter is the only place to see that: this test process
+    # has already imported scipy.special through tests/conftest.py.
+    SCRIPT = """
+import shutil, sys
+from pathlib import Path
+from hemsflex import cli
+
+repo, out = Path(sys.argv[1]), Path(sys.argv[2])
+for name in ("scenarios.csv", "feasible.csv"):
+    shutil.copy(repo / "out" / "small" / name, out / name)
+args = ["--config", str(repo / "data" / "config_small.json"), "--out", str(out)]
+assert "scipy" not in sys.modules, "import"
+for command in (["search"], ["train"], ["classify", "--model", str(out / "model.json"),
+                "--input", str(out / "feasible.csv")], ["validate"]):
+    assert cli.main(args + command) == 0, command
+    assert "scipy" not in sys.modules, command
+assert cli.main(args + ["gen-scenarios"]) == 0
+assert "scipy" in sys.modules
+"""
+
+    def test_only_gen_scenarios_imports_scipy(self, tmp_path):
+        repo = Path(__file__).resolve().parent.parent
+        env = {**os.environ, "PYTHONPATH": str(repo / "src")}
+        run = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, str(repo), str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert run.returncode == 0, run.stderr
 
 
 class TestWindowParsing:

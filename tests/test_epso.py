@@ -518,6 +518,21 @@ class TestTrajectoryCsv:
             assert np.array_equal(orig.p_bat, back.p_bat)
             assert np.array_equal(orig.p_ewh, back.p_ewh)
 
+    def test_bytes_match_csv_writer(self, tmp_path):
+        import csv
+
+        edge = [-0.0, 5e-324, 1e-5, 1e16, -1.5e-300, 0.1 + 0.2, float("nan"), float("inf"), -float("inf")]
+        rng = np.random.default_rng(25)
+        trajs = [FlexTrajectory(p_bat=rng.choice(edge, 4), p_ewh=rng.normal(size=4) * 1e8) for _ in range(20)]
+        fits = rng.integers(0, 100, size=20)
+        write_trajectories_csv(tmp_path / "joined.csv", trajs, fits)
+        with open(tmp_path / "reference.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow([f"pbat_h{k}" for k in range(1, 5)] + [f"pewh_h{k}" for k in range(1, 5)] + ["fitness"])
+            for traj, fitness in zip(trajs, fits):
+                writer.writerow([repr(x) for x in traj.p_bat.tolist() + traj.p_ewh.tolist()] + [int(fitness)])
+        assert (tmp_path / "joined.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
     def _text(self, rows, newline="\n"):
         trajs = [FlexTrajectory(p_bat=np.array([0.5, -0.25]), p_ewh=np.array([0.0, 0.5]))] * rows
         header = "pbat_h1,pbat_h2,pewh_h1,pewh_h2,fitness"

@@ -311,6 +311,25 @@ class TestSerialization:
         assert back.kernel == model.kernel
         assert back.nu == model.nu
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("support_vectors", float("nan")), ("coefficients", float("nan")), ("norm_bounds", float("inf")),
+         ("radius2_threshold", float("nan")), ("const_term", float("inf")), ("nu", float("nan"))],
+    )
+    def test_non_finite_field_rejected(self, field, value):
+        import json
+
+        _, model = self._model()
+        doc = json.loads(serialize(model))
+        if field in ("support_vectors", "norm_bounds"):
+            doc[field][0][0] = value
+        elif field == "coefficients":
+            doc[field][0] = value
+        else:
+            doc[field] = value
+        with pytest.raises(ValueError, match=f"model file: {field} holds a non-finite value"):
+            deserialize(json.dumps(doc))
+
     def test_file_contains_only_surrogate_fields(self):
         import json
 
