@@ -284,10 +284,6 @@ def cmd_classify(cfg: RunConfig, model_path, input_path, output_path) -> int:
     return EXIT_OK
 
 
-def _windowed_vectors(trajectories, start: int, stop: int) -> list[hems.FlexTrajectory]:
-    return [t.window(start, stop) for t in trajectories]
-
-
 def cmd_validate(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     scenario_set = scenarios.ScenarioSet.read_csv(cfg.out_dir / "scenarios.csv")
@@ -308,8 +304,8 @@ def cmd_validate(cfg: RunConfig) -> int:
     window_doc = cfg.validate.get("window")
     if window_doc is not None:
         start, stop = parse_window(window_doc, cfg.dt_hours, scenario_set.horizon)
-        feas_features = _windowed_vectors(feasible, start, stop)
-        infeas_features = _windowed_vectors(infeasible, start, stop)
+        feas_features = [t.window(start, stop) for t in feasible]
+        infeas_features = [t.window(start, stop) for t in infeasible]
         window_info = {"start_step": start, "stop_step": stop, "steps": stop - start}
     else:
         feas_features, infeas_features = feasible, infeasible

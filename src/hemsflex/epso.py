@@ -263,7 +263,7 @@ def evaluate_fitness(traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConf
     """Number of scenarios in which the trajectory is fully compliant: zero
     constraint penalty and the surplus-accommodation rule respected."""
     zero_penalty, accommodation_ok = batch_compliance(
-        traj.p_bat, traj.p_ewh, scenarios.values, cfg.ewh.draws(traj.horizon), cfg, dt
+        traj.p_bat[None], traj.p_ewh[None], scenarios.values, cfg.ewh.draws(traj.horizon), cfg, dt
     )
     return int(np.count_nonzero(zero_penalty & accommodation_ok))
 

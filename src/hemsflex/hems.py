@@ -34,7 +34,6 @@ __all__ = [
     "HemsConfig",
     "FlexTrajectory",
     "SimulationResult",
-    "max_charge_power",
     "ewh_step",
     "batch_compliance",
     "batch_repair",
@@ -161,12 +160,17 @@ class HemsConfig:
         with open(path) as fh:
             doc = json.load(fh)
         try:
+            unknown = sorted(set(doc) - {"battery", "ewh"})
+            if unknown:
+                raise ValueError(f"{path}: unknown key {unknown[0]!r}")
             battery = BatteryConfig(**doc["battery"])
             ewh_fields = dict(doc["ewh"])
         except KeyError as exc:
             raise ValueError(f"{path}: missing section {exc}") from exc
         except TypeError as exc:
             raise ValueError(f"{path}: bad battery field ({exc})") from exc
+        if "draw_profile" in ewh_fields:
+            raise ValueError(f"{path}: unknown key 'ewh.draw_profile'; the draw profile is read from its own CSV")
         if draw_profile is not None:
             ewh_fields["draw_profile"] = draw_profile
         try:
@@ -233,16 +237,10 @@ class SimulationResult:
     violations: dict[str, np.ndarray]
 
 
-def max_charge_power(soc: float, cfg: BatteryConfig) -> float:
-    """SoC-dependent charging limit: nominal up to the taper knee, then a
-    linear descent to the floor fraction of nominal at full capacity."""
-    if not -EPS <= soc <= cfg.capacity + EPS:
-        raise ValueError(f"soc {soc} outside [0, {cfg.capacity}]")
-    return _charge_limit(soc, cfg)
-
-
 def _charge_limit(soc, cfg: BatteryConfig):
-    """Taper evaluated on SoC clipped into [0, capacity]; works elementwise."""
+    """SoC-dependent charging limit: nominal up to the taper knee, then a
+    linear descent to the floor fraction of nominal at full capacity.
+    Evaluated on SoC clipped into [0, capacity]; works elementwise."""
     knee_soc = cfg.taper_knee * cfg.capacity
     floor_power = cfg.taper_floor * cfg.p_charge_max
     s = np.minimum(np.maximum(soc, 0.0), cfg.capacity)
@@ -403,19 +401,15 @@ def batch_compliance(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Screen trajectories against S net-load rows at once.
 
-    p_bat and p_ewh are one trajectory's (T,) vectors or a population's (P, T)
-    matrices. Returns (zero_penalty, accommodation_ok): boolean vectors of
-    length S for one trajectory, (P, S) matrices for a population. Each entry
-    equals `simulate(...).penalty == 0` and `pv_accommodation(...)[0]` for that
-    trajectory and the row's surplus.
+    p_bat and p_ewh are a population's (P, T) matrices; one trajectory is a
+    (1, T) row. Returns (zero_penalty, accommodation_ok), boolean (P, S)
+    matrices. Each entry equals `simulate(...).penalty == 0` and
+    `pv_accommodation(...)[0]` for that trajectory and the row's surplus.
     """
     p_bat = np.asarray(p_bat, dtype=float)
     p_ewh = np.asarray(p_ewh, dtype=float)
     net_load = np.asarray(net_load, dtype=float)
     draws = np.asarray(draws, dtype=float)
-    single = p_bat.ndim == 1
-    if single:
-        p_bat, p_ewh = p_bat[None], p_ewh[None]
     count, horizon = net_load.shape
     if p_bat.ndim != 2 or p_ewh.shape != p_bat.shape or p_bat.shape[1] != horizon or draws.shape != (horizon,):
         raise ValueError("trajectory, draw profile, and scenario horizons differ")
@@ -425,8 +419,6 @@ def batch_compliance(
     for block in _lane_steps(p_bat, p_ewh, pv_surplus(net_load), draws, cfg, dt):
         zero_penalty &= ~block.fault.any(axis=2)
         accommodation_ok &= ~block.discharge.any(axis=2)
-    if single:
-        return zero_penalty[0], accommodation_ok[0]
     return zero_penalty, accommodation_ok
 
 

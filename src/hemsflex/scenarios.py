@@ -4,8 +4,7 @@ Marginal forecast distributions arrive as per-lead-time quantile tables.
 Temporal dependence across lead times is imposed in Gaussian space through an
 exponential covariance, and the correlated normals are mapped back through the
 inverse quantile functions. The module also derives PV-surplus series from
-net load and scores scenario sets with the p-variogram score used when tuning
-the covariance range parameter.
+net load.
 
 scipy is imported inside `transform_to_scenarios`, its one user, so that the
 commands that never generate scenarios (search, train, classify, validate)
@@ -32,7 +31,6 @@ __all__ = [
     "transform_to_scenarios",
     "generate_scenarios",
     "pv_surplus",
-    "variogram_score",
     "read_marginals_csv",
     "write_marginals_csv",
 ]
@@ -193,27 +191,6 @@ def generate_scenarios(marginals: list[MarginalForecast], config: CopulaConfig) 
 def pv_surplus(net_load: np.ndarray) -> np.ndarray:
     """PV generation exceeding inflexible load: max(0, -net_load), elementwise."""
     return np.maximum(0.0, -np.asarray(net_load, dtype=float))
-
-
-def variogram_score(scenarios, observed: np.ndarray, p: float = 0.5) -> float:
-    """p-variogram score of a scenario set against one observed trajectory.
-
-    Sum over lead-time pairs i < j of
-    (|obs_i - obs_j|^p - mean_m |y^m_i - y^m_j|^p)^2. Lower is better.
-    """
-    if not p > 0.0:
-        raise ValueError("variogram order p must be positive")
-    values = scenarios.values if isinstance(scenarios, ScenarioSet) else np.asarray(scenarios, dtype=float)
-    observed = np.asarray(observed, dtype=float)
-    horizon = values.shape[1]
-    if horizon < 2 or observed.shape != (horizon,):
-        raise ValueError("variogram score needs T >= 2 and a matching observation")
-    score = 0.0
-    for i in range(horizon - 1):
-        obs_term = np.abs(observed[i] - observed[i + 1 :]) ** p
-        ens_term = np.mean(np.abs(values[:, i, None] - values[:, i + 1 :]) ** p, axis=0)
-        score += float(np.sum((obs_term - ens_term) ** 2))
-    return score
 
 
 def read_marginals_csv(path) -> list[MarginalForecast]:

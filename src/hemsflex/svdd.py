@@ -14,6 +14,7 @@ import json
 import math
 import numbers
 from dataclasses import asdict, dataclass
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,6 @@ __all__ = [
     "TrainingConfig",
     "SvddModel",
     "ConvergenceError",
-    "kernel_eval",
     "kernel_matrix",
     "derive_bounds",
     "normalize",
@@ -126,20 +126,6 @@ class SvddModel:
     @property
     def dimension(self) -> int:
         return self.support_vectors.shape[1]
-
-
-def kernel_eval(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
-    """Kernel value for a single vector pair."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError(f"kernel arguments differ in shape: {a.shape} vs {b.shape}")
-    if spec.kind == "rbf":
-        diff = a - b
-        return float(np.exp(-spec.gamma * np.dot(diff, diff)))
-    if spec.kind == "poly":
-        return float((spec.gamma * np.dot(a, b) + spec.coef0) ** spec.degree)
-    return float(np.tanh(spec.gamma * np.dot(a, b) + spec.coef0))
 
 
 def kernel_matrix(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -318,19 +304,14 @@ def _radius2(K: np.ndarray, coefficients: np.ndarray, const_term: float) -> np.n
     return 1.0 - 2.0 * (K @ coefficients) + const_term
 
 
-def radius_squared(model: SvddModel, x: np.ndarray):
-    """Squared kernel-space radius of a normalized vector relative to the
-    sphere center (see `_radius2`).
-
-    A (d,) vector gives a float; an (n, d) matrix gives the n radii from one
-    kernel-matrix product.
-    """
+def radius_squared(model: SvddModel, x: np.ndarray) -> np.ndarray:
+    """Squared kernel-space radii of the rows of a normalized (n, d) matrix
+    relative to the sphere center (see `_radius2`), from one kernel-matrix
+    product."""
     x = np.asarray(x, dtype=float)
-    if x.ndim not in (1, 2) or x.shape[-1] != model.dimension:
-        raise ValueError(f"expected vectors of {model.dimension} coordinates, got shape {x.shape}")
-    K = kernel_matrix(model.kernel, x, model.support_vectors)
-    r2 = _radius2(K, model.coefficients, model.const_term)
-    return float(r2[0]) if x.ndim == 1 else r2
+    if x.ndim != 2 or x.shape[1] != model.dimension:
+        raise ValueError(f"expected an (n, {model.dimension}) matrix, got shape {x.shape}")
+    return _radius2(kernel_matrix(model.kernel, x, model.support_vectors), model.coefficients, model.const_term)
 
 
 def score_trajectories(model: SvddModel, trajectories) -> np.ndarray:
@@ -383,6 +364,19 @@ def deserialize(text: str) -> SvddModel:
     for key in ("kind", "gamma"):
         if key not in kdoc:
             raise ValueError(f"model file: missing field kernel.{key}")
+    # Only JSON numbers count: float() and numpy would take "0.5" and true as
+    # numbers. Each field is one pass over its leaves, `depth` lists deep.
+    for name, depth in (("nu", 0), ("radius2_threshold", 0), ("const_term", 0),
+                        ("coefficients", 1), ("support_vectors", 2), ("norm_bounds", 2)):
+        leaves = iter([doc[name]])
+        for _ in range(depth):
+            leaves = chain.from_iterable(leaves)
+        try:
+            other = set(map(type, leaves)) - {int, float}
+        except TypeError:
+            raise ValueError(f"model file: malformed field {name!r}") from None
+        if other:
+            raise ValueError(f"model file: {name} holds a {min(t.__name__ for t in other)}, not a number")
     try:
         kernel = KernelSpec(**kdoc)
         support_vectors = np.array(doc["support_vectors"], dtype=float)

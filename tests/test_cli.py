@@ -328,6 +328,19 @@ class TestErrorPaths:
         assert "theta_house must be a finite number, got True" in capsys.readouterr().err
         assert not (workdir / "out" / "feasible.csv").exists()
 
+    def test_unknown_hems_key_exits_two(self, workdir, capsys):
+        assert invoke(workdir, "gen-scenarios") == 0
+        good = (workdir / "hems.json").read_text()
+        for edit, key in ((lambda doc: doc.update(grid={}), "'grid'"),
+                          (lambda doc: doc["ewh"].update(draw_profile=[1.0] * 12), "'ewh.draw_profile'")):
+            doc = json.loads(good)
+            edit(doc)
+            (workdir / "hems.json").write_text(json.dumps(doc))
+            capsys.readouterr()
+            assert invoke(workdir, "search") == 2, key
+            assert f"unknown key {key}" in capsys.readouterr().err
+            assert not (workdir / "out" / "feasible.csv").exists()
+
     def test_misnumbered_steps_exit_two(self, workdir):
         marginals = (workdir / "marginals.csv").read_text()
         (workdir / "marginals.csv").write_text(marginals.replace("\n6,", "\n13,"))
@@ -374,6 +387,22 @@ class TestErrorPaths:
             ) == 2, field
             assert f"{field} holds a non-finite value" in capsys.readouterr().err
             assert not (out / "verdicts.csv").exists()
+
+    def test_classify_non_number_model_exits_two(self, workdir, capsys):
+        # Read as the number 1, a true threshold would call every row feasible.
+        model = {
+            "kernel": {"kind": "rbf", "gamma": 1.0}, "nu": 0.1, "norm_bounds": [[-1.0, 1.0], [0.0, 0.5]],
+            "support_vectors": [[0.5, 0.0]], "coefficients": [True], "radius2_threshold": True, "const_term": 1.0,
+        }
+        (workdir / "model.json").write_text(json.dumps(model))
+        epso.write_trajectories_csv(workdir / "in.csv", [FlexTrajectory(p_bat=[0.5], p_ewh=[0.0])])
+        out = workdir / "verdicts.csv"
+        assert invoke(
+            workdir, "classify", "--model", str(workdir / "model.json"), "--input", str(workdir / "in.csv"),
+            "--verdicts", str(out),
+        ) == 2
+        assert "holds a bool, not a number" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_classify_dimension_mismatch_exits_two(self, workdir):
         for command in ("gen-scenarios", "search", "train"):

@@ -20,7 +20,6 @@ from hemsflex.hems import (
     HemsConfig,
     ewh_step,
     feasible_power_range,
-    max_charge_power,
     pv_accommodation,
     repair_trajectory,
     simulate,
@@ -28,27 +27,23 @@ from hemsflex.hems import (
 
 
 class TestMaxChargePower:
+    """The SoC-dependent charging taper, `hems._charge_limit`."""
+
     def test_constant_current_region(self, battery_reference):
-        assert max_charge_power(0.5 * 3.2, battery_reference) == 1.5
+        assert hems._charge_limit(0.5 * 3.2, battery_reference) == 1.5
 
     def test_full_battery_floor(self, battery_reference):
-        assert max_charge_power(3.2, battery_reference) == pytest.approx(0.3, abs=1e-12)
+        assert hems._charge_limit(3.2, battery_reference) == pytest.approx(0.3, abs=1e-12)
 
     def test_linear_taper_at_ninety_percent(self, battery_reference):
         # halfway between (0.8 cap, 1.5) and (1.0 cap, 0.3)
-        assert max_charge_power(0.9 * 3.2, battery_reference) == pytest.approx(0.9, abs=1e-12)
+        assert hems._charge_limit(0.9 * 3.2, battery_reference) == pytest.approx(0.9, abs=1e-12)
 
     def test_non_increasing_and_continuous(self, battery_reference):
         socs = np.linspace(0.0, 3.2, 400)
-        limits = np.array([max_charge_power(s, battery_reference) for s in socs])
+        limits = np.array([hems._charge_limit(s, battery_reference) for s in socs])
         assert np.all(np.diff(limits) <= 1e-12)
         assert np.max(np.abs(np.diff(limits))) < 0.05  # no jumps on a fine grid
-
-    def test_rejects_out_of_range_soc(self, battery_reference):
-        with pytest.raises(ValueError):
-            max_charge_power(-0.1, battery_reference)
-        with pytest.raises(ValueError):
-            max_charge_power(3.3, battery_reference)
 
 
 class TestBatteryStep:
@@ -203,8 +198,9 @@ class TestSimulate:
                 p_ewh=np.where(rng.random(16) < 0.4, 0.5, 0.0),
             )
             zero_pen, pv_ok = hems.batch_compliance(
-                traj.p_bat, traj.p_ewh, scenario_set.values, draws, cfg, 0.25
+                traj.p_bat[None], traj.p_ewh[None], scenario_set.values, draws, cfg, 0.25
             )
+            zero_pen, pv_ok = zero_pen[0], pv_ok[0]
             for s in range(scenario_set.count):
                 surplus = np.maximum(0.0, -scenario_set.values[s])
                 assert (simulate(traj, surplus, cfg, dt=0.25).penalty == 0) == bool(zero_pen[s])
@@ -394,6 +390,21 @@ class TestConfigValidation:
         doc[section][name] = True
         path.write_text(json.dumps(doc))
         with pytest.raises(ValueError, match=rf"\.{name} must be a finite number, got True"):
+            HemsConfig.from_json(path)
+
+    @pytest.mark.parametrize(
+        "edit, key",
+        [(lambda doc: doc.update(grid={"p_max": 5.0}), "'grid'"),
+         (lambda doc: doc["ewh"].update(draw_profile=[1.0] * 4), "'ewh.draw_profile'")],
+    )
+    def test_json_unknown_key_rejected(self, tmp_path, hems_reference, edit, key):
+        # The draw profile is read from its own CSV, never inline from hems.json.
+        path = tmp_path / "hems.json"
+        hems_reference.to_json(path)
+        doc = json.loads(path.read_text())
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=f"unknown key {key}"):
             HemsConfig.from_json(path)
 
     def test_json_round_trip(self, tmp_path, hems_reference):

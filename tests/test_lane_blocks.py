@@ -144,9 +144,9 @@ class TestBlockBoundaries:
         draws = cfg.ewh.draws(p_bat.shape[1])
         zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
         for p in range(p_bat.shape[0]):
-            row_zero, row_ok = hems.batch_compliance(p_bat[p], p_ewh[p], net_load, draws, cfg, dt)
-            assert np.array_equal(zero_penalty[p], row_zero)
-            assert np.array_equal(accommodation_ok[p], row_ok)
+            row_zero, row_ok = hems.batch_compliance(p_bat[p : p + 1], p_ewh[p : p + 1], net_load, draws, cfg, dt)
+            assert np.array_equal(zero_penalty[p], row_zero[0])
+            assert np.array_equal(accommodation_ok[p], row_ok[0])
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
             for s in range(net_load.shape[0]):
                 oracle = analysis.oracle_check(traj, scenarios.ScenarioSet(net_load[s : s + 1]), cfg, dt)

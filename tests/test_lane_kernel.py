@@ -71,7 +71,7 @@ def lane_instances(draw):
         ),
     )
 
-    limit = hems.max_charge_power(soc_init, battery)
+    limit = float(hems._charge_limit(soc_init, battery))
     power = st.sampled_from(_first_step_edges(soc_init, efficiency, dt, limit)) | st.floats(-P_MAX, P_MAX)
     p_bat = draw(arrays(float, (n_traj, horizon), elements=power))
     p_ewh = draw(arrays(float, (n_traj, horizon), elements=st.sampled_from([0.0, P_NOM])))
@@ -157,7 +157,7 @@ def edge_instances(draw):
     for p in range(n_traj):
         k = OFFSETS[p] * EPS
         if rule == "charge_rate":
-            p_bat[p, 0] = hems.max_charge_power(soc_init, battery) + k
+            p_bat[p, 0] = float(hems._charge_limit(soc_init, battery)) + k
         elif rule == "soc_max":
             p_bat[p, 0] = (CAPACITY + k - soc_init) / (efficiency * dt)
         elif rule == "soc_min":
@@ -216,10 +216,10 @@ class TestPopulationScreen:
         zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
         assert zero_penalty.shape == accommodation_ok.shape == (p_bat.shape[0], net_load.shape[0])
         for p in range(p_bat.shape[0]):
-            row_zero, row_ok = hems.batch_compliance(p_bat[p], p_ewh[p], net_load, draws, cfg, dt)
-            assert row_zero.shape == (net_load.shape[0],)
-            assert np.array_equal(zero_penalty[p], row_zero)
-            assert np.array_equal(accommodation_ok[p], row_ok)
+            row_zero, row_ok = hems.batch_compliance(p_bat[p : p + 1], p_ewh[p : p + 1], net_load, draws, cfg, dt)
+            assert row_zero.shape == (1, net_load.shape[0])
+            assert np.array_equal(zero_penalty[p], row_zero[0])
+            assert np.array_equal(accommodation_ok[p], row_ok[0])
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
             for s in range(net_load.shape[0]):
                 oracle = analysis.oracle_check(traj, scenarios.ScenarioSet(net_load[s : s + 1]), cfg, dt)

@@ -1,5 +1,5 @@
 """Scenario-engine checks: covariance shape, copula statistics, quantile
-mapping, PV surplus, and the variogram score."""
+mapping, and PV surplus."""
 
 import numpy as np
 import pytest
@@ -15,7 +15,6 @@ from hemsflex.scenarios import (
     pv_surplus,
     sample_gaussian_copula,
     transform_to_scenarios,
-    variogram_score,
 )
 
 
@@ -148,29 +147,6 @@ class TestPvSurplus:
         surplus = pv_surplus(net)
         assert np.all(surplus[net >= 0] == 0.0)
         assert np.all(surplus[net < 0] > 0.0)
-
-
-class TestVariogramScore:
-    def test_perfect_forecast_scores_zero(self):
-        obs = np.array([0.2, 0.5, 0.1, 0.9])
-        identical = ScenarioSet(np.tile(obs, (5, 1)))
-        assert variogram_score(identical, obs, p=1.0) == pytest.approx(0.0, abs=1e-15)
-
-    def test_single_pair_match(self):
-        obs = np.array([0.0, 1.0])
-        assert variogram_score(ScenarioSet(obs[None, :]), obs, p=1.0) == 0.0
-
-    def test_hand_evaluated_two_member_case(self):
-        obs = np.array([0.0, 2.0])
-        members = ScenarioSet(np.array([[0.0, 0.0], [0.0, 2.0]]))
-        # |obs gap|=2 vs mean member gap (0+2)/2=1 -> (2-1)^2
-        assert variogram_score(members, obs, p=1.0) == pytest.approx(1.0, abs=1e-12)
-
-    def test_rejects_short_horizon_and_bad_p(self):
-        with pytest.raises(ValueError):
-            variogram_score(ScenarioSet(np.ones((3, 1))), np.ones(1), p=1.0)
-        with pytest.raises(ValueError):
-            variogram_score(ScenarioSet(np.ones((3, 2))), np.ones(2), p=0.0)
 
 
 class TestGenerateScenarios:

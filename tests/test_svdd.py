@@ -1,6 +1,8 @@
 """Boundary-model checks: kernel evaluation, normalization, the dual solver's
 nu-property, radius computation, classification, and serialization."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from hemsflex.svdd import (
     derive_bounds,
     deserialize,
     fit_trajectories,
-    kernel_eval,
     kernel_matrix,
     load_model,
     normalize,
@@ -26,9 +27,28 @@ from hemsflex.svdd import (
 )
 
 
+def kernel_eval(spec: KernelSpec, a: np.ndarray, b: np.ndarray) -> float:
+    """Scalar reference: the kernel value for a single vector pair."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        raise ValueError(f"kernel arguments differ in shape: {a.shape} vs {b.shape}")
+    if spec.kind == "rbf":
+        diff = a - b
+        return float(np.exp(-spec.gamma * np.dot(diff, diff)))
+    if spec.kind == "poly":
+        return float((spec.gamma * np.dot(a, b) + spec.coef0) ** spec.degree)
+    return float(np.tanh(spec.gamma * np.dot(a, b) + spec.coef0))
+
+
+def radius_of(model, x):
+    """Squared radius of one normalized vector, scored as a one-row matrix."""
+    return radius_squared(model, np.asarray(x)[None])[0]
+
+
 def inside(model, x):
     """Boundary verdict of one normalized vector."""
-    return within_boundary(model, radius_squared(model, x))
+    return within_boundary(model, radius_of(model, x))
 
 
 class TestKernelEval:
@@ -118,7 +138,7 @@ class TestTrain:
         model = train(X, KernelSpec("rbf", gamma=0.5), TrainingConfig(nu=0.5))
         assert model.n_support == 1
         assert model.coefficients[0] == pytest.approx(1.0, abs=1e-12)
-        assert radius_squared(model, X[0]) == pytest.approx(0.0, abs=1e-12)
+        assert radius_of(model, X[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
@@ -159,7 +179,7 @@ class TestTrain:
         rng = np.random.default_rng(8)
         X = rng.random((300, 10))
         model = train(X, KernelSpec("rbf", gamma=0.1), TrainingConfig(nu=0.1))
-        radii = np.array([radius_squared(model, x) for x in X])
+        radii = np.array([radius_of(model, x) for x in X])
         interior = radii < model.radius2_threshold - 1e-6
         assert all(inside(model, x) for x in X[interior])
 
@@ -175,13 +195,13 @@ class TestRadiusSquared:
     def test_single_support_vector_at_itself(self):
         X = np.tile(np.array([0.4, 0.6]), (2, 1))
         model = train(X, KernelSpec("rbf", gamma=1.0), TrainingConfig(nu=0.5))
-        assert radius_squared(model, np.array([0.4, 0.6])) == pytest.approx(0.0, abs=1e-12)
+        assert radius_of(model, np.array([0.4, 0.6])) == pytest.approx(0.0, abs=1e-12)
 
     def test_single_support_vector_unit_distance(self):
         X = np.tile(np.array([0.0, 0.0]), (2, 1))
         model = train(X, KernelSpec("rbf", gamma=1.0), TrainingConfig(nu=0.5))
         # distance 1 from the single support vector: 2 (1 - e^-1)
-        value = radius_squared(model, np.array([1.0, 0.0]))
+        value = radius_of(model, np.array([1.0, 0.0]))
         assert value == pytest.approx(2.0 * (1.0 - np.exp(-1.0)), abs=1e-12)
 
     def test_rbf_radius_bounded(self):
@@ -190,7 +210,7 @@ class TestRadiusSquared:
         model = train(X, KernelSpec("rbf", gamma=0.4), TrainingConfig(nu=0.2))
         for _ in range(100):
             x = rng.uniform(-3, 3, 5)
-            assert 0.0 <= radius_squared(model, x) <= 4.0
+            assert 0.0 <= radius_of(model, x) <= 4.0
 
     def test_symmetric_under_support_vector_permutation(self):
         rng = np.random.default_rng(11)
@@ -208,7 +228,7 @@ class TestRadiusSquared:
         )
         for _ in range(20):
             x = rng.random(4)
-            assert radius_squared(shuffled, x) == pytest.approx(radius_squared(model, x), abs=1e-12)
+            assert radius_of(shuffled, x) == pytest.approx(radius_of(model, x), abs=1e-12)
 
     def test_dimension_mismatch_rejected(self):
         X = np.tile(np.array([0.4, 0.6]), (2, 1))
@@ -225,7 +245,7 @@ class TestClassify:
         X = rng.random((400, 8))
         model = train(X, KernelSpec("rbf", gamma=0.2), TrainingConfig(nu=0.15))
         # every support vector at or inside the boundary must come back feasible
-        radii = np.array([radius_squared(model, sv) for sv in model.support_vectors])
+        radii = np.array([radius_of(model, sv) for sv in model.support_vectors])
         on_boundary = np.abs(radii - model.radius2_threshold) < 1e-5
         assert on_boundary.any()
         assert all(inside(model, sv) for sv in model.support_vectors[on_boundary])
@@ -241,13 +261,13 @@ class TestClassify:
         # raw trajectories clip into the training box during normalization,
         # and the box corner lies outside a uniform cloud's boundary
         corner = np.ones(6)
-        assert radius_squared(model, corner) > model.radius2_threshold
+        assert radius_of(model, corner) > model.radius2_threshold
 
     def test_deepest_training_point_is_feasible(self):
         rng = np.random.default_rng(14)
         X = rng.random((200, 6))
         model = train(X, KernelSpec("rbf", gamma=0.5), TrainingConfig(nu=0.1))
-        radii = [radius_squared(model, x) for x in X]
+        radii = [radius_of(model, x) for x in X]
         assert inside(model, X[int(np.argmin(radii))])
 
 
@@ -276,7 +296,7 @@ class TestBlockedScoring:
                 b * kernel_eval(model.kernel, sv, x) for b, sv in zip(model.coefficients, model.support_vectors)
             )
             assert r2 == pytest.approx(direct, abs=1e-12)
-            assert r2 == pytest.approx(radius_squared(model, x), abs=1e-12)
+            assert r2 == pytest.approx(radius_of(model, x), abs=1e-12)
         verdicts = classify(model, trajs)
         assert verdicts.tolist() == [classify(model, [t])[0] for t in trajs]
 
@@ -317,22 +337,37 @@ class TestSerialization:
          ("radius2_threshold", float("nan")), ("const_term", float("inf")), ("nu", float("nan"))],
     )
     def test_non_finite_field_rejected(self, field, value):
-        import json
+        with pytest.raises(ValueError, match=f"model file: {field} holds a non-finite value"):
+            deserialize(self._with_leaf(field, value))
 
+    @pytest.mark.parametrize("value", [True, "0.5"])
+    @pytest.mark.parametrize(
+        "field", ["radius2_threshold", "const_term", "nu", "coefficients", "support_vectors", "norm_bounds"]
+    )
+    def test_non_number_field_rejected(self, field, value):
+        # float() and numpy would read JSON true as 1 and "0.5" as 0.5.
+        with pytest.raises(ValueError, match=f"model file: {field} holds a {type(value).__name__}, not a number"):
+            deserialize(self._with_leaf(field, value))
+
+    @pytest.mark.parametrize("field", ["coefficients", "support_vectors", "norm_bounds"])
+    def test_array_field_must_be_nested_lists(self, field):
+        with pytest.raises(ValueError, match=f"model file: malformed field '{field}'"):
+            deserialize(self._with_leaf(field, 0.5, whole=True))
+
+    def _with_leaf(self, field, value, whole=False):
+        """Serialized model text with the first number of `field` (or, with
+        `whole`, the field itself) replaced by `value`."""
         _, model = self._model()
         doc = json.loads(serialize(model))
-        if field in ("support_vectors", "norm_bounds"):
-            doc[field][0][0] = value
+        if whole or field not in ("support_vectors", "norm_bounds", "coefficients"):
+            doc[field] = value
         elif field == "coefficients":
             doc[field][0] = value
         else:
-            doc[field] = value
-        with pytest.raises(ValueError, match=f"model file: {field} holds a non-finite value"):
-            deserialize(json.dumps(doc))
+            doc[field][0][0] = value
+        return json.dumps(doc)
 
     def test_file_contains_only_surrogate_fields(self):
-        import json
-
         _, model = self._model()
         doc = json.loads(serialize(model))
         assert set(doc) == {
