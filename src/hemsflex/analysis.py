@@ -8,7 +8,11 @@ checked against each other. It walks the steps before any scenario's first PV
 surplus once per trajectory rather than once per scenario: there every
 scenario's surplus is exactly 0.0, so every scenario steps through the same
 float operations and reaches the same state, and the count is unchanged. The
-baseline builders step on the oracle's own scalar route.
+baseline builders step on the oracle's own scalar route. The semi-random
+baseline chain keeps the oracle's trail, the per-step state of the walk that
+accepted its current member, and resumes the oracle at the one step a mutant
+changes instead of walking each mutant from step 0; its members are the ones
+a walk from step 0 would keep.
 """
 
 from __future__ import annotations
@@ -86,10 +90,10 @@ def _step_route(cfg: HemsConfig, dt: float):
 
 
 def _oracle(cfg: HemsConfig, scenarios: ScenarioSet, dt: float):
-    """The oracle of one instance: returns count(p_bat, p_ewh, threshold=None),
-    the number of scenarios in which a trajectory, given as lists of the
-    scenario horizon's length, passes every rule. The limits, the draws and
-    the scenario rows' surpluses are bound once here.
+    """The oracle of one instance: returns count(p_bat, p_ewh, threshold=None,
+    trail=None), the number of scenarios in which a trajectory, given as lists
+    of the scenario horizon's length, passes every rule. The limits, the draws
+    and the scenario rows' surpluses are bound once here.
 
     Each scenario is stepped on the scalar step route, and every rule is
     applied in order: no discharge while absorbing, the tapered charge rate,
@@ -105,6 +109,17 @@ def _oracle(cfg: HemsConfig, scenarios: ScenarioSet, dt: float):
     resumes from the state it reached, which is the state its own walk would
     have reached. The count is therefore the one a walk of each row from step
     0 gives.
+
+    A one-row instance also keeps a trail: given `trail`, the list of states
+    (soc, theta, headroom) before steps 0..h of an earlier walk, or an empty
+    list for step 0, the walk starts from the trail's last state at step h
+    and appends the state after each step it passes. A trajectory that agrees
+    with that earlier one before step h reaches the same state at h through
+    the same float operations, so its count is the one a walk from step 0
+    gives, and a count of 1 leaves the trail complete: state h is the state
+    before step h, for every h up to the horizon. A count of 0 leaves the
+    states up to the violation, so a caller that keeps its trail passes a
+    copy of its prefix.
 
     Written as flat scalar loops on purpose: this is the reference route and
     must not lean on the vectorized simulation helpers. The baseline builders
@@ -127,9 +142,10 @@ def _oracle(cfg: HemsConfig, scenarios: ScenarioSet, dt: float):
     tails = [row[shared:] for row in surpluses]
     tail_draws = draws[shared:]
 
-    def walk(state, p_bat, p_ewh, surplus, litres):
+    def walk(state, p_bat, p_ewh, surplus, litres, trail=None):
         """The state after stepping from `state` through the zipped steps, or
-        None at the first violation."""
+        None at the first violation; each state passed is appended to
+        `trail` when one is given."""
         soc, theta, headroom = state
         for pb, pe, sur, draw in zip(p_bat, p_ewh, surplus, litres):
             supposed = absorb(sur, pe, headroom)
@@ -154,14 +170,23 @@ def _oracle(cfg: HemsConfig, scenarios: ScenarioSet, dt: float):
                 return None
 
             headroom = tracker(headroom, sur, pe)
+            if trail is not None:
+                trail.append((soc, theta, headroom))
         return soc, theta, headroom
 
-    def count(p_bat, p_ewh, threshold=None) -> int:
+    def count(p_bat, p_ewh, threshold=None, trail=None) -> int:
         if len(p_bat) != horizon or len(p_ewh) != horizon:
             raise ValueError(
                 f"trajectory has {len(p_bat)} battery and {len(p_ewh)} heater steps, "
                 f"the scenarios {horizon}"
             )
+        if trail is not None:
+            if len(surpluses) != 1:
+                raise ValueError(f"a trail needs a one-scenario instance, not {len(surpluses)} scenarios")
+            if not trail:
+                trail.append(start)
+            h = len(trail) - 1
+            return int(walk(trail[h], p_bat[h:], p_ewh[h:], surpluses[0][h:], draws[h:], trail) is not None)
         state = walk(start, p_bat, p_ewh, shared_surplus, draws)
         if state is None:
             return 0
@@ -358,7 +383,13 @@ def semi_random_baseline(
     single step at a time (battery power from the step's feasible range, an
     occasional EWH flip) and keeps the mutant when the whole trajectory stays
     violation-free, giving up after 200 mutation attempts per wanted member
-    plus 1000. Serves as the diversity comparison baseline only."""
+    plus 1000. Serves as the diversity comparison baseline only.
+
+    The chain keeps the oracle's trail of the current member (see `_oracle`).
+    A mutant differs from it only from its step h on, so the step's range is
+    read from the trail's state at h and the oracle walks the mutant from
+    there; an accepted mutant's trail becomes the current one. The seed is
+    checked by the same oracle walk, and one that fails it is an error."""
     scenario = np.asarray(scenario, dtype=float)
     horizon = scenario.shape[0]
     surplus = np.maximum(0.0, -scenario).tolist()
@@ -367,11 +398,15 @@ def semi_random_baseline(
     max_attempts = 200 * count + 1000
     rng = np.random.default_rng(seed)
     route = _step_route(cfg, dt)
-    (soc_init, _, band), absorb, charge, _, tracker = route
+    absorb = route[1]
     oracle = _oracle(cfg, ScenarioSet(scenario[None, :]), dt)
 
     feasible = FeasibleSet(horizon=horizon)
     current = _greedy_member(cfg, route, surplus, draws, dt, rng)
+    bats, ewhs = current.p_bat.tolist(), current.p_ewh.tolist()
+    trail: list = []
+    if oracle(bats, ewhs, trail=trail) != 1:
+        raise ValueError("the greedy baseline seed failed the oracle on its own scenario")
     feasible.add(current, fitness=1)
 
     attempts = 0
@@ -383,21 +418,18 @@ def semi_random_baseline(
             )
         attempts += 1
         h = int(rng.integers(horizon))
-        mutant_bat = current.p_bat.copy()
-        mutant_ewh = current.p_ewh.copy()
+        mutant_ewhs = ewhs.copy()
         if rng.random() < 0.3:
-            mutant_ewh[h] = p_nom - mutant_ewh[h]
-        bats, ewhs = mutant_bat.tolist(), mutant_ewh.tolist()
+            mutant_ewhs[h] = p_nom - mutant_ewhs[h]
         # SoC and headroom just before step h under the current schedule
-        soc, headroom = soc_init, band
-        for k in range(h):
-            soc = charge(soc, bats[k] + absorb(surplus[k], ewhs[k], headroom))
-            headroom = tracker(headroom, surplus[k], ewhs[k])
-        lo, hi = feasible_power_range(soc, cfg, dt, absorb(surplus[h], ewhs[h], headroom))
+        soc, _, headroom = trail[h]
+        lo, hi = feasible_power_range(soc, cfg, dt, absorb(surplus[h], mutant_ewhs[h], headroom))
         if hi < lo:
             continue
-        bats[h] = mutant_bat[h] = rng.uniform(lo, hi)
-        if oracle(bats, ewhs) == 1:
-            current = FlexTrajectory(p_bat=mutant_bat, p_ewh=mutant_ewh)
-            feasible.add(current, fitness=1)
+        mutant_bats = bats.copy()
+        mutant_bats[h] = rng.uniform(lo, hi)
+        mutant_trail = trail[: h + 1]
+        if oracle(mutant_bats, mutant_ewhs, trail=mutant_trail) == 1:
+            bats, ewhs, trail = mutant_bats, mutant_ewhs, mutant_trail
+            feasible.add(FlexTrajectory(p_bat=bats, p_ewh=ewhs), fitness=1)
     return feasible

@@ -159,6 +159,8 @@ class HemsConfig:
         path = Path(path)
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: the top level must be a JSON object, not {type(doc).__name__}")
         try:
             unknown = sorted(set(doc) - {"battery", "ewh"})
             if unknown:

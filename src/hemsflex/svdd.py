@@ -290,10 +290,23 @@ def train(
     )
 
 
+def _stack_vectors(trajectories) -> np.ndarray:
+    """The (n, 2T) matrix of the trajectories' `as_vector` rows, filled by two
+    slice copies rather than one concatenation per row."""
+    if not trajectories:
+        raise ValueError("need at least one trajectory to stack")
+    horizon = trajectories[0].horizon
+    out = np.empty((len(trajectories), 2 * horizon))
+    # numpy raises ValueError for ragged rows, as np.stack did
+    out[:, :horizon] = [t.p_bat for t in trajectories]
+    out[:, horizon:] = [t.p_ewh for t in trajectories]
+    return out
+
+
 def fit_trajectories(trajectories, kernel: KernelSpec, cfg: TrainingConfig) -> SvddModel:
     """Convenience wrapper: derive raw-space bounds from the trajectories,
     normalize, and train; the model then classifies raw trajectories directly."""
-    vectors = np.stack([t.as_vector() for t in trajectories])
+    vectors = _stack_vectors(trajectories)
     bounds = derive_bounds(vectors)
     return train(normalize(vectors, bounds), kernel, cfg, norm_bounds=bounds)
 
@@ -319,7 +332,7 @@ def score_trajectories(model: SvddModel, trajectories) -> np.ndarray:
     and scored SCORE_BLOCK at a time."""
     r2 = np.empty(len(trajectories))
     for start in range(0, len(trajectories), SCORE_BLOCK):
-        block = np.stack([t.as_vector() for t in trajectories[start : start + SCORE_BLOCK]])
+        block = _stack_vectors(trajectories[start : start + SCORE_BLOCK])
         r2[start : start + block.shape[0]] = radius_squared(model, normalize(block, model.norm_bounds))
     return r2
 
@@ -356,11 +369,15 @@ def deserialize(text: str) -> SvddModel:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"model file is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"model file: the top level must be a JSON object, not {type(doc).__name__}")
     for key in ("kernel", "nu", "norm_bounds", "support_vectors", "coefficients",
                 "radius2_threshold", "const_term"):
         if key not in doc:
             raise ValueError(f"model file: missing field {key!r}")
     kdoc = doc["kernel"]
+    if not isinstance(kdoc, dict):
+        raise ValueError(f"model file: field 'kernel' must be a JSON object, not {type(kdoc).__name__}")
     for key in ("kind", "gamma"):
         if key not in kdoc:
             raise ValueError(f"model file: missing field kernel.{key}")

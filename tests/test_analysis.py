@@ -4,6 +4,8 @@ bookkeeping, and the semi-random baseline builder."""
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hemsflex import analysis, epso, hems, svdd
 from hemsflex.analysis import (
@@ -14,6 +16,8 @@ from hemsflex.analysis import (
     semi_random_baseline,
 )
 from hemsflex.hems import EwhConfig, FlexTrajectory, HemsConfig
+from hemsflex.scenarios import ScenarioSet
+from tests.test_lane_kernel import lane_instances
 
 
 class TestOracleCheck:
@@ -256,3 +260,146 @@ class TestSemiRandomBaseline:
             assert np.all(traj.p_bat <= cfg.battery.p_charge_max + 1e-12)
             assert np.all(traj.p_bat >= -cfg.battery.p_discharge_max - 1e-12)
             assert set(np.unique(traj.p_ewh)) <= {0.0, cfg.ewh.p_nom}
+
+    def test_seed_failing_the_oracle_is_an_error(self, small_instance, monkeypatch):
+        # A seed that discharges below the SoC floor at its first step breaks
+        # a rule the greedy construction is meant to respect.
+        scenario_set, cfg = small_instance
+        broken = FlexTrajectory(p_bat=np.full(16, -1.5), p_ewh=np.zeros(16))
+        assert oracle_check(broken, ScenarioSet(scenario_set.values[:1]), cfg, 0.25) == 0
+        monkeypatch.setattr(analysis, "_greedy_member", lambda *args: broken)
+        with pytest.raises(ValueError, match="greedy baseline seed failed the oracle"):
+            semi_random_baseline(10, cfg, scenario_set.values[0], seed=14, dt=0.25)
+
+
+def _reference_semi_random_baseline(count, cfg, scenario, seed, dt):
+    """The baseline chain as it walked before it kept the oracle's trail: SoC
+    and headroom re-stepped over steps 0..h-1 for each mutant, and the whole
+    mutant walked by the oracle. Kept as the reference that
+    `semi_random_baseline` must match bit for bit."""
+    scenario = np.asarray(scenario, dtype=float)
+    horizon = scenario.shape[0]
+    surplus = np.maximum(0.0, -scenario).tolist()
+    draws = cfg.ewh.draws(horizon).tolist()
+    p_nom = cfg.ewh.p_nom
+    max_attempts = 200 * count + 1000
+    rng = np.random.default_rng(seed)
+    route = analysis._step_route(cfg, dt)
+    (soc_init, _, band), absorb, charge, _, tracker = route
+    oracle = analysis._oracle(cfg, ScenarioSet(scenario[None, :]), dt)
+
+    feasible = epso.FeasibleSet(horizon=horizon)
+    current = analysis._greedy_member(cfg, route, surplus, draws, dt, rng)
+    feasible.add(current, fitness=1)
+
+    attempts = 0
+    while len(feasible) < count:
+        if attempts >= max_attempts:
+            raise ValueError(
+                f"baseline chain stalled: {len(feasible)} of {count} trajectories "
+                f"after {max_attempts} mutation attempts"
+            )
+        attempts += 1
+        h = int(rng.integers(horizon))
+        mutant_bat = current.p_bat.copy()
+        mutant_ewh = current.p_ewh.copy()
+        if rng.random() < 0.3:
+            mutant_ewh[h] = p_nom - mutant_ewh[h]
+        bats, ewhs = mutant_bat.tolist(), mutant_ewh.tolist()
+        # SoC and headroom just before step h under the current schedule
+        soc, headroom = soc_init, band
+        for k in range(h):
+            soc = charge(soc, bats[k] + absorb(surplus[k], ewhs[k], headroom))
+            headroom = tracker(headroom, surplus[k], ewhs[k])
+        lo, hi = hems.feasible_power_range(soc, cfg, dt, absorb(surplus[h], ewhs[h], headroom))
+        if hi < lo:
+            continue
+        bats[h] = mutant_bat[h] = rng.uniform(lo, hi)
+        if oracle(bats, ewhs) == 1:
+            current = FlexTrajectory(p_bat=mutant_bat, p_ewh=mutant_ewh)
+            feasible.add(current, fitness=1)
+    return feasible
+
+
+def _outcome(build, *args):
+    """The bytes of a chain's member matrix and its fitnesses, or the message
+    of the ValueError it raised."""
+    try:
+        feasible = build(*args)
+    except ValueError as exc:
+        return "raised", str(exc)
+    return feasible.matrix.tobytes(), feasible.fitnesses
+
+
+class TestBaselineChainTwin:
+    """The trail-resuming chain against the full-walk reference: the same
+    members, bit for bit, or the same error."""
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_matches_the_full_walk_chain(self, small_instance, data):
+        if data.draw(st.booleans(), label="small"):
+            scenario_set, cfg = small_instance
+            dt, rows = 0.25, scenario_set.values
+        else:
+            cfg, dt, _, _, rows = data.draw(lane_instances(), label="lane")
+        row = rows[data.draw(st.integers(0, rows.shape[0] - 1), label="row")].copy()
+        shape = data.draw(st.sampled_from(["as drawn", "surplus at step 0", "no surplus"]), label="shape")
+        if shape == "surplus at step 0":
+            row[0] = -0.3
+        elif shape == "no surplus":
+            row = np.abs(row)
+        count = data.draw(st.integers(2, 40), label="count")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+        args = (count, cfg, row, seed, dt)
+        assert _outcome(semi_random_baseline, *args) == _outcome(_reference_semi_random_baseline, *args)
+
+    def test_stall_raises_the_same_message(self, small_instance):
+        # Battery and heater ratings far below DEDUP_TOL make every mutant a
+        # duplicate of the seed, so the chain runs out of attempts.
+        scenario_set, cfg = small_instance
+        tiny = HemsConfig(
+            battery=hems.BatteryConfig(
+                capacity=3.2, p_charge_max=1e-7, p_discharge_max=1e-7, soc_init=1.92
+            ),
+            ewh=EwhConfig(p_nom=1e-8, theta_min=45.0, theta_max=80.0, theta_init=60.0,
+                          draw_profile=np.full(16, 1.0)),
+        )
+        args = (20, tiny, scenario_set.values[0], 15, 0.25)
+        expected = _outcome(_reference_semi_random_baseline, *args)
+        assert expected[0] == "raised" and "baseline chain stalled" in expected[1]
+        assert _outcome(semi_random_baseline, *args) == expected
+
+    def test_resumed_walk_matches_a_full_count_at_every_step(self, small_instance):
+        scenario_set, cfg = small_instance
+        rng = np.random.default_rng(16)
+        for row in scenario_set.values[:4]:
+            oracle = analysis._oracle(cfg, ScenarioSet(row[None, :]), 0.25)
+            member = semi_random_baseline(2, cfg, row, seed=int(rng.integers(2**32)), dt=0.25)[0]
+            bats, ewhs = member.p_bat.tolist(), member.p_ewh.tolist()
+            trail = []
+            assert oracle(bats, ewhs, trail=trail) == 1
+            assert len(trail) == 17
+            verdicts = set()
+            for h in range(16):
+                for p_bat in (rng.uniform(-1.5, 1.5), -1.5, 1.5, bats[h]):
+                    for p_ewh in (ewhs[h], 0.5 - ewhs[h]):
+                        mutant_bats, mutant_ewhs = bats.copy(), ewhs.copy()
+                        mutant_bats[h], mutant_ewhs[h] = p_bat, p_ewh
+                        resumed = trail[: h + 1]
+                        full = oracle(mutant_bats, mutant_ewhs)
+                        assert oracle(mutant_bats, mutant_ewhs, trail=resumed) == full
+                        verdicts.add(full)
+                        if full:
+                            # an accepted mutant's trail is its own walk from step 0
+                            fresh = []
+                            oracle(mutant_bats, mutant_ewhs, trail=fresh)
+                            assert resumed == fresh
+            assert verdicts == {0, 1}
+
+    def test_trail_needs_a_one_scenario_instance(self, small_instance):
+        scenario_set, cfg = small_instance
+        oracle = analysis._oracle(cfg, scenario_set, 0.25)
+        with pytest.raises(ValueError, match="one-scenario instance, not 20 scenarios"):
+            oracle([0.0] * 16, [0.0] * 16, trail=[])

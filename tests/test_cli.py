@@ -341,6 +341,14 @@ class TestErrorPaths:
             assert f"unknown key {key}" in capsys.readouterr().err
             assert not (workdir / "out" / "feasible.csv").exists()
 
+    def test_non_object_hems_file_exits_two(self, workdir, capsys):
+        assert invoke(workdir, "gen-scenarios") == 0
+        (workdir / "hems.json").write_text("7")
+        capsys.readouterr()
+        assert invoke(workdir, "search") == 2
+        assert "hems.json: the top level must be a JSON object, not int" in capsys.readouterr().err
+        assert not (workdir / "out" / "feasible.csv").exists()
+
     def test_misnumbered_steps_exit_two(self, workdir):
         marginals = (workdir / "marginals.csv").read_text()
         (workdir / "marginals.csv").write_text(marginals.replace("\n6,", "\n13,"))
@@ -365,6 +373,22 @@ class TestErrorPaths:
                 workdir, "classify", "--model", str(workdir / "model.json"), "--input", str(workdir / "in.csv")
             ) == 2
             assert message in capsys.readouterr().err
+
+    def test_classify_non_object_model_exits_two(self, workdir, capsys):
+        epso.write_trajectories_csv(workdir / "in.csv", [FlexTrajectory(p_bat=[0.5], p_ewh=[0.0])])
+        model = {
+            "kernel": 5, "nu": 0.1, "norm_bounds": [[-1.0, 1.0], [0.0, 0.5]],
+            "support_vectors": [[0.5, 0.0]], "coefficients": [1.0], "radius2_threshold": 0.5, "const_term": 1.0,
+        }
+        for text, message in (("5", "model file: the top level must be a JSON object, not int"),
+                              (json.dumps(model), "model file: field 'kernel' must be a JSON object, not int")):
+            (workdir / "model.json").write_text(text)
+            capsys.readouterr()
+            assert invoke(
+                workdir, "classify", "--model", str(workdir / "model.json"), "--input", str(workdir / "in.csv")
+            ) == 2, text
+            assert message in capsys.readouterr().err
+            assert not (workdir / "out" / "verdicts.csv").exists()
 
     def test_classify_non_finite_model_exits_two(self, workdir, capsys):
         for command in ("gen-scenarios", "search", "train"):

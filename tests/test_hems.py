@@ -407,6 +407,13 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"unknown key {key}"):
             HemsConfig.from_json(path)
 
+    @pytest.mark.parametrize("text", ["7", '["battery", "ewh"]', '"battery"', "null"])
+    def test_json_non_object_top_level_rejected(self, tmp_path, text):
+        path = tmp_path / "hems.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="hems.json: the top level must be a JSON object"):
+            HemsConfig.from_json(path)
+
     def test_json_round_trip(self, tmp_path, hems_reference):
         path = tmp_path / "hems.json"
         hems_reference.to_json(path)

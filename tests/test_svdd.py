@@ -411,6 +411,53 @@ class TestSerialization:
                 ' "radius2_threshold": 0.3, "const_term": 0.9}'
             )
 
+    @pytest.mark.parametrize("text", ["5", "[1, 2]", '"model"', "null"])
+    def test_non_object_file_rejected(self, tmp_path, text):
+        path = tmp_path / "model.json"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="model file: the top level must be a JSON object"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kernel", [5, "rbf", ["kind", "gamma"], None])
+    def test_non_object_kernel_rejected(self, kernel):
+        doc = json.loads(serialize(self._model()[1]))
+        doc["kernel"] = kernel
+        with pytest.raises(ValueError, match="model file: field 'kernel' must be a JSON object"):
+            deserialize(json.dumps(doc))
+
+
+class TestStackVectors:
+    """The slice-copy row stacking against one concatenation per row."""
+
+    @pytest.mark.parametrize("horizon", [1, 2, 96])
+    def test_matches_as_vector_rows_bit_for_bit(self, horizon):
+        rng = np.random.default_rng(36)
+        specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1.5]
+        trajs = [
+            FlexTrajectory(p_bat=rng.choice(specials, horizon), p_ewh=rng.choice(specials, horizon))
+            for _ in range(70)
+        ] + [FlexTrajectory(p_bat=rng.uniform(-1.5, 1.5, horizon), p_ewh=np.full(horizon, -0.0))]
+        for rows in (trajs, trajs[:1], trajs[-1:]):
+            expected = np.stack([t.as_vector() for t in rows])
+            stacked = svdd._stack_vectors(rows)
+            assert stacked.shape == expected.shape
+            # bytes, so that -0.0 against 0.0 counts as a difference
+            assert stacked.tobytes() == expected.tobytes()
+
+    def test_empty_and_ragged_inputs_raise_value_error(self):
+        short = FlexTrajectory(p_bat=np.zeros(3), p_ewh=np.zeros(3))
+        long = FlexTrajectory(p_bat=np.zeros(4), p_ewh=np.zeros(4))
+        spec, cfg = KernelSpec("rbf", gamma=1.0), TrainingConfig(nu=0.5)
+        with pytest.raises(ValueError):
+            fit_trajectories([], spec, cfg)
+        for rows in ([short, long], [long, short], [short, short, long], [long, long, short]):
+            with pytest.raises(ValueError):
+                fit_trajectories(rows, spec, cfg)
+        model = fit_trajectories([short, FlexTrajectory(p_bat=np.ones(3), p_ewh=np.zeros(3))], spec, cfg)
+        with pytest.raises(ValueError):
+            svdd.score_trajectories(model, [short, long])
+        assert svdd.score_trajectories(model, []).shape == (0,)
+
 
 class TestFitTrajectories:
     def test_model_classifies_raw_trajectories(self):
