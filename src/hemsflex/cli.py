@@ -95,12 +95,19 @@ class RunConfig:
         paths, validate = doc.get("paths", {}), doc.get("validate", {})
         _check_keys(f"{path}: paths", paths, _PATH_KEYS)
         _check_keys(f"{path}: validate", validate, _VALIDATE_KEYS)
+        for key in ("sweep_kernels", "sweep_nus"):
+            if not isinstance(validate.get(key, []), list):
+                raise ValueError(f"{path}: validate.{key} must be a JSON list, got {validate[key]!r}")
         for key, least in _VALIDATE_COUNT_MIN.items():
             count = validate.get(key, least)
             if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
                 raise ValueError(f"{path}: validate.{key} must be an integer of at least {least}, got {count!r}")
         if "marginals" not in paths or "hems" not in paths:
             raise ValueError(f"{path}: paths.marginals and paths.hems are required")
+        named_paths = [("out_dir", doc.get("out_dir", "out")), *((f"paths.{k}", v) for k, v in paths.items())]
+        for name, value in named_paths:
+            if not isinstance(value, str):
+                raise ValueError(f"{path}: {name} must be a JSON string, got {value!r}")
         dt_hours = doc.get("dt_hours", 0.25)
         is_number = isinstance(dt_hours, (int, float)) and not isinstance(dt_hours, bool)
         if not (is_number and math.isfinite(dt_hours) and dt_hours > 0):
@@ -121,7 +128,7 @@ class RunConfig:
             for kernel in validate.get("sweep_kernels", [{"kind": kind} for kind in svdd.KERNEL_KINDS])
         ]
         sweep_training = [
-            _build(f"{path}: validate.sweep_nus", svdd.TrainingConfig, {**svdd_doc, "nu": nu})
+            _build(f"{path}: validate.sweep_nus", svdd.TrainingConfig, {"nu": nu})
             for nu in validate.get("sweep_nus", [0.01, 0.1, 0.15, 0.2])
         ]
         return cls(

@@ -50,31 +50,34 @@ __all__ = [
 DEDUP_TOL = 1e-6
 # Strategic weights are kept in this band after mutation.
 WEIGHT_BOUNDS = (0.0, 2.0)
+# Probability that a coordinate moves toward the cooperation attractor.
+COMM_FACTOR = 0.15
+# The mutation rate decays linearly from MUTATION_MAX to MUTATION_MIN over the
+# iteration budget and scales the weight-mutation magnitude (annealing).
+MUTATION_MAX = 0.50
+MUTATION_MIN = 0.05
+# Learning rates of the weight mutation and of the global-best perturbation.
+TAU_LEARN = 5.0
+TAU_PRIME = 1.0
+# Chance that the fitter of a parent-offspring pair survives the tournament.
+TOURNAMENT_WIN_PROB = 0.8
+# Share of the initial swarm that starts with zero battery power on surplus steps.
+SEED_ZERO_FRACTION = 0.5
+# Per-step battery velocity cap as a fraction of the power span: robust
+# trajectories live in a thin slice of the 96-step power band, so untamed
+# velocities overshoot it almost surely.
+VELOCITY_CLAMP_FRAC = 0.1
 
 
 @dataclass(frozen=True)
 class EpsoConfig:
-    """Swarm settings. Defaults follow the reference experiment setup.
-
-    The mutation rate decays linearly from mutation_max to mutation_min over
-    the iteration budget and scales the weight-mutation magnitude (annealing).
-    velocity_clamp_frac caps per-step velocity as a fraction of each
-    dimension's power span; robust trajectories live in a thin slice of the
-    96-step power band, so untamed velocities overshoot it almost surely.
-    """
+    """Swarm settings. Defaults follow the reference experiment setup; the
+    swarm's rates are the module constants above."""
 
     pop_size: int = 30
     max_iters: int = 5000
     target_feasible: int = 1000
-    comm_factor: float = 0.15
-    mutation_max: float = 0.50
-    mutation_min: float = 0.05
-    tau_learn: float = 5.0
-    tau_prime: float = 1.0
     tau_scen: float = 0.9
-    tournament_win_prob: float = 0.8
-    seed_zero_fraction: float = 0.5
-    velocity_clamp_frac: float = 0.1
     seed: int = 0
 
     def __post_init__(self):
@@ -82,27 +85,10 @@ class EpsoConfig:
             n = getattr(self, name)
             if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
                 raise ValueError(f"{name} must be a positive integer, got {n!r}")
-        for f in fields(self):
-            value = getattr(self, f.name)
-            # JSON true is a numbers.Real that every range check below takes as 1.
-            if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-                raise ValueError(f"{f.name} must be a number, got {value!r}")
-        for name in ("mutation_max", "mutation_min", "tau_learn", "tau_prime"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0.0):
-                raise ValueError(f"{name} must be a finite non-negative number, got {value!r}")
-        if not 0.0 <= self.tournament_win_prob <= 1.0:
-            raise ValueError(f"tournament_win_prob must lie in [0, 1], got {self.tournament_win_prob!r}")
-        if not 0.0 < self.tau_scen <= 1.0:
-            raise ValueError("tau_scen must lie in (0, 1]")
-        if self.mutation_min > self.mutation_max:
-            raise ValueError("mutation_min must not exceed mutation_max")
-        if not 0.0 <= self.comm_factor <= 1.0:
-            raise ValueError("comm_factor must lie in [0, 1]")
-        if not 0.0 <= self.seed_zero_fraction <= 1.0:
-            raise ValueError("seed_zero_fraction must lie in [0, 1]")
-        if not 0.0 < self.velocity_clamp_frac <= 1.0:
-            raise ValueError("velocity_clamp_frac must lie in (0, 1]")
+        # JSON true is a numbers.Real that the range check would take as 1.
+        tau = self.tau_scen
+        if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0.0 < tau <= 1.0:
+            raise ValueError(f"tau_scen must lie in (0, 1], got {tau!r}")
 
 
 @dataclass
@@ -220,7 +206,6 @@ def move_particle(
     star_ewh: np.ndarray,
     mask_bat: np.ndarray,
     mask_ewh: np.ndarray,
-    epso_cfg: EpsoConfig,
     hems_cfg: HemsConfig,
 ) -> Swarm:
     """Apply the movement rule with inertia, memory, and cooperation terms to
@@ -250,7 +235,7 @@ def move_particle(
     # tolerates only small per-step power changes. The EWH dimension keeps the
     # full span so a single move can still flip a step across the on/off
     # quantization threshold.
-    bat_vmax = epso_cfg.velocity_clamp_frac * (bat_cfg.p_charge_max + bat_cfg.p_discharge_max)
+    bat_vmax = VELOCITY_CLAMP_FRAC * (bat_cfg.p_charge_max + bat_cfg.p_discharge_max)
     v_bat = np.clip(v_bat, -bat_vmax, bat_vmax)
     v_ewh = np.clip(v_ewh, -p_nom, p_nom)
 
@@ -333,7 +318,7 @@ def seed_initial_population(
         x_bat[i] = amplitude * rng.uniform(-bat_cfg.p_discharge_max, bat_cfg.p_charge_max, horizon)
         x_ewh[i] = np.where(rng.random(horizon) < duty, p_nom, 0.0)
         weights[i] = rng.uniform(0.0, 1.0, (2, 3))
-    n_zeroed = int(round(size * epso_cfg.seed_zero_fraction))
+    n_zeroed = int(round(size * SEED_ZERO_FRACTION))
     x_bat[:n_zeroed, scenario0 < 0.0] = 0.0
     return Swarm(
         x_bat=x_bat,
@@ -428,7 +413,7 @@ def run(
             "iteration": 0,
             "feasible": len(feasible),
             "best_distance": best_distance(),
-            "mutation_rate": epso_cfg.mutation_max,
+            "mutation_rate": MUTATION_MAX,
         }
     )
 
@@ -439,8 +424,8 @@ def run(
             break
         iterations = it
         progress = (it - 1) / max(1, epso_cfg.max_iters - 1)
-        rate = epso_cfg.mutation_max + (epso_cfg.mutation_min - epso_cfg.mutation_max) * progress
-        tau_effective = epso_cfg.tau_learn * rate
+        rate = MUTATION_MAX + (MUTATION_MIN - MUTATION_MAX) * progress
+        tau_effective = TAU_LEARN * rate
 
         if len(feasible):
             b_g = select_global_best(feasible)
@@ -458,15 +443,15 @@ def run(
         for i in range(size):
             rng_move = _stream(epso_cfg.seed, 1, it, i)
             weights[i] = mutate_weights(swarm.weights[i], tau_effective, rng_move)
-            star_bat[i], star_ewh[i] = perturb_global_best(b_bat, b_ewh, epso_cfg.tau_prime, rng_move)
-            mask_bat[i], mask_ewh[i] = rng_move.random((2, horizon)) < epso_cfg.comm_factor
+            star_bat[i], star_ewh[i] = perturb_global_best(b_bat, b_ewh, TAU_PRIME, rng_move)
+            mask_bat[i], mask_ewh[i] = rng_move.random((2, horizon)) < COMM_FACTOR
         offspring = move_particle(
-            replace(swarm, weights=weights), star_bat, star_ewh, mask_bat, mask_ewh, epso_cfg, hems_cfg
+            replace(swarm, weights=weights), star_bat, star_ewh, mask_bat, mask_ewh, hems_cfg
         )
         evaluate(offspring)
 
         swarm = stochastic_tournament(
-            swarm, offspring, _stream(epso_cfg.seed, 2, it), epso_cfg.tournament_win_prob
+            swarm, offspring, _stream(epso_cfg.seed, 2, it), TOURNAMENT_WIN_PROB
         )
         emit(
             {

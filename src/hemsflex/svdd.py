@@ -41,6 +41,11 @@ __all__ = [
 
 KERNEL_KINDS = ("rbf", "poly", "sigmoid")
 
+# The dual solver stops once its KKT gap is at most DUAL_TOLERANCE, and raises
+# ConvergenceError after DUAL_MAX_PASSES pair updates.
+DUAL_TOLERANCE = 1e-6
+DUAL_MAX_PASSES = 100_000
+
 # Slack absorbing the dual-solver tolerance so boundary support vectors land
 # inside the sphere they define.
 _BOUNDARY_SLACK = 1e-5
@@ -89,20 +94,13 @@ class KernelSpec:
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Dual-solver settings: training-error bound nu, tolerance, iteration cap."""
+    """Training-error bound nu of the one-class dual."""
 
     nu: float = 0.15
-    tolerance: float = 1e-6
-    max_passes: int = 100_000
 
     def __post_init__(self):
         if not (_is_finite_number(self.nu) and 0.0 < self.nu < 1.0):
             raise ValueError(f"nu must lie strictly inside (0, 1), got {self.nu!r}")
-        if not (_is_finite_number(self.tolerance) and self.tolerance > 0.0):
-            raise ValueError(f"tolerance must be a positive finite number, got {self.tolerance!r}")
-        passes = self.max_passes
-        if isinstance(passes, bool) or not isinstance(passes, numbers.Integral) or passes < 1:
-            raise ValueError(f"max_passes must be an integer of at least 1, got {passes!r}")
 
 
 @dataclass
@@ -252,7 +250,7 @@ def train(
     if n < 2:
         raise ValueError("training needs at least 2 vectors")
     K = kernel_matrix(kernel, X, X)
-    alpha = _solve_dual(K, cfg.nu, cfg.tolerance, cfg.max_passes)
+    alpha = _solve_dual(K, cfg.nu, DUAL_TOLERANCE, DUAL_MAX_PASSES)
 
     cap = 1.0 / (cfg.nu * n)
     sv_mask = alpha > cap * _ALPHA_CUTOFF

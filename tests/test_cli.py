@@ -52,6 +52,27 @@ def invoke(workdir, *args):
     return cli.main(["--config", str(workdir / "config.json"), *args])
 
 
+# Swarm rates and dual-solver settings that are module constants, not config
+# keys: a config that sets one, to any value, exits 2 as an unknown key.
+CONSTANT_KEYS = {
+    "epso": ("comm_factor", "mutation_max", "mutation_min", "tau_learn", "tau_prime", "tournament_win_prob",
+             "seed_zero_fraction", "velocity_clamp_frac"),
+    "svdd": ("tolerance", "max_passes"),
+}
+
+
+def rejection(section, key, rule):
+    """What stderr must hold when `section.key` is set to a bad value that
+    breaks `rule`: the unknown-key error comes first for a constant's key."""
+    return f"unknown key(s) {key}" if key in CONSTANT_KEYS.get(section, ()) else rule
+
+
+def stderr_of(capsys, workdir):
+    """Captured stderr less the work directory's path: pytest names that
+    directory after the test, so a check on the raw text can match the path."""
+    return capsys.readouterr().err.replace(str(workdir), "")
+
+
 class TestPipeline:
     def test_full_pipeline_produces_all_artifacts(self, workdir, capsys):
         assert invoke(workdir, "gen-scenarios") == 0
@@ -201,7 +222,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "section, key",
         [("copula", "cout"), ("epso", "pop_sise"), ("epso", "seed"), ("svdd", "nuu"),
-         ("svdd.kernel", "gama"), ("validate", "infeasible_cout"), ("validate.sweep_kernels", "kindd")],
+         ("svdd.kernel", "gama"), ("validate", "infeasible_cout"), ("validate.sweep_kernels", "kindd"),
+         *[(section, key) for section, keys in CONSTANT_KEYS.items() for key in keys]],
     )
     def test_unknown_config_key_exits_two(self, workdir, capsys, section, key):
         config = json.loads((workdir / "config.json").read_text())
@@ -213,7 +235,7 @@ class TestErrorPaths:
             config[section][key] = 1
         (workdir / "config.json").write_text(json.dumps(config))
         assert invoke(workdir, "gen-scenarios") == 2
-        assert key in capsys.readouterr().err
+        assert f"unknown key(s) {key}" in stderr_of(capsys, workdir)
 
     @pytest.mark.parametrize(
         "section, key, value, rule",
@@ -238,8 +260,20 @@ class TestErrorPaths:
         config[section][key] = value
         (workdir / "config.json").write_text(json.dumps(config))
         assert invoke(workdir, "gen-scenarios") == 2
-        err = capsys.readouterr().err
-        assert section in err and rule in err
+        err = stderr_of(capsys, workdir)
+        assert section in err and rejection(section, key, rule) in err
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("sweep_kernels", ""), ("sweep_kernels", {}), ("sweep_kernels", 5), ("sweep_kernels", {"kind": "rbf"}),
+         ("sweep_nus", "0.1"), ("sweep_nus", {}), ("sweep_nus", 0.15)],
+    )
+    def test_sweep_not_a_list_exits_two(self, workdir, capsys, key, value):
+        config = json.loads((workdir / "config.json").read_text())
+        config["validate"][key] = value
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert invoke(workdir, "gen-scenarios") == 2
+        assert f"validate.{key} must be a JSON list, got {value!r}" in stderr_of(capsys, workdir)
 
     @pytest.mark.parametrize(
         "section, key",
@@ -254,8 +288,8 @@ class TestErrorPaths:
         owner[key] = True
         (workdir / "config.json").write_text(json.dumps(config))
         assert invoke(workdir, "gen-scenarios") == 2
-        err = capsys.readouterr().err
-        assert section in err and key in err and "True" in err
+        err = stderr_of(capsys, workdir)
+        assert section in err and key in err and rejection(section, key, "True") in err
 
     @pytest.mark.parametrize(
         "section, key, value",
@@ -264,7 +298,7 @@ class TestErrorPaths:
            for key in ("comm_factor", "mutation_max", "mutation_min", "tau_learn", "tau_prime", "tau_scen",
                        "tournament_win_prob", "seed_zero_fraction", "velocity_clamp_frac")],
          ("svdd", "nu", True), ("svdd", "tolerance", True), ("svdd", "tolerance", float("inf")),
-         ("svdd.kernel", "gamma", True), ("svdd.kernel", "coef0", True)],
+         ("svdd.kernel", "gamma", True), ("svdd.kernel", "coef0", True), ("epso", "tau_scen", float("inf"))],
     )
     def test_bool_or_infinite_float_exits_two(self, workdir, capsys, section, key, value):
         config = json.loads((workdir / "config.json").read_text())
@@ -274,8 +308,8 @@ class TestErrorPaths:
         owner[key] = value
         (workdir / "config.json").write_text(json.dumps(config))
         assert invoke(workdir, "gen-scenarios") == 2
-        err = capsys.readouterr().err
-        assert section in err and key in err and repr(value) in err
+        err = stderr_of(capsys, workdir)
+        assert section in err and key in err and rejection(section, key, repr(value)) in err
 
     @pytest.mark.parametrize("window", ["09:00-30:00", "09:00-24:15", "09:07-13:00", "13:00-09:00", [4.5, 8], "9-13"])
     def test_bad_window_fails_every_command(self, workdir, capsys, window):
@@ -288,13 +322,17 @@ class TestErrorPaths:
                         ["classify", "--model", str(out / "model.json"), "--input", str(out / "feasible.csv")]):
             capsys.readouterr()
             assert invoke(workdir, *command) == 2, command
-            assert "validate: window" in capsys.readouterr().err, command
+            assert "validate: window" in stderr_of(capsys, workdir), command
 
     @pytest.mark.parametrize(
         "edit, named",
         [({"dt_hour": 1.0}, "dt_hour"), ({"dt_hours": 0}, "dt_hours"), ({"dt_hours": -0.25}, "dt_hours"),
          ({"paths": {"marginals": "marginals.csv", "hems": "hems.json", "draw": "draws.csv"}}, "draw"),
-         ({"dt_hours": True}, "dt_hours"), ({"seed": True}, "seed"), ({"seed": 7.9}, "seed")],
+         ({"dt_hours": True}, "dt_hours"), ({"seed": True}, "seed"), ({"seed": 7.9}, "seed"),
+         ({"paths": {"marginals": 5, "hems": "hems.json"}}, "paths.marginals must be a JSON string, got 5"),
+         ({"paths": {"marginals": "marginals.csv", "hems": "hems.json", "draws": None}},
+          "paths.draws must be a JSON string, got None"),
+         ({"out_dir": 5}, "out_dir must be a JSON string, got 5")],
     )
     def test_bad_top_level_or_paths_fails_every_command(self, workdir, capsys, edit, named):
         assert invoke(workdir, "gen-scenarios") == 0
@@ -306,7 +344,7 @@ class TestErrorPaths:
                         ["classify", "--model", str(out / "model.json"), "--input", str(out / "feasible.csv")]):
             capsys.readouterr()
             assert invoke(workdir, *command) == 2, command
-            assert named in capsys.readouterr().err, command
+            assert named in stderr_of(capsys, workdir), command
 
     def test_non_finite_hems_parameter_exits_two(self, workdir, capsys):
         assert invoke(workdir, "gen-scenarios") == 0
@@ -315,7 +353,7 @@ class TestErrorPaths:
         (workdir / "hems.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert invoke(workdir, "search") == 2
-        assert "theta_inl must be a finite number" in capsys.readouterr().err
+        assert "theta_inl must be a finite number" in stderr_of(capsys, workdir)
         assert not (workdir / "out" / "feasible.csv").exists()
 
     def test_bool_hems_parameter_exits_two(self, workdir, capsys):
@@ -325,7 +363,7 @@ class TestErrorPaths:
         (workdir / "hems.json").write_text(json.dumps(doc))
         capsys.readouterr()
         assert invoke(workdir, "search") == 2
-        assert "theta_house must be a finite number, got True" in capsys.readouterr().err
+        assert "theta_house must be a finite number, got True" in stderr_of(capsys, workdir)
         assert not (workdir / "out" / "feasible.csv").exists()
 
     def test_unknown_hems_key_exits_two(self, workdir, capsys):
@@ -338,7 +376,7 @@ class TestErrorPaths:
             (workdir / "hems.json").write_text(json.dumps(doc))
             capsys.readouterr()
             assert invoke(workdir, "search") == 2, key
-            assert f"unknown key {key}" in capsys.readouterr().err
+            assert f"unknown key {key}" in stderr_of(capsys, workdir)
             assert not (workdir / "out" / "feasible.csv").exists()
 
     def test_non_object_hems_file_exits_two(self, workdir, capsys):
@@ -346,7 +384,7 @@ class TestErrorPaths:
         (workdir / "hems.json").write_text("7")
         capsys.readouterr()
         assert invoke(workdir, "search") == 2
-        assert "hems.json: the top level must be a JSON object, not int" in capsys.readouterr().err
+        assert "hems.json: the top level must be a JSON object, not int" in stderr_of(capsys, workdir)
         assert not (workdir / "out" / "feasible.csv").exists()
 
     def test_misnumbered_steps_exit_two(self, workdir):
@@ -372,7 +410,7 @@ class TestErrorPaths:
             assert invoke(
                 workdir, "classify", "--model", str(workdir / "model.json"), "--input", str(workdir / "in.csv")
             ) == 2
-            assert message in capsys.readouterr().err
+            assert message in stderr_of(capsys, workdir)
 
     def test_classify_non_object_model_exits_two(self, workdir, capsys):
         epso.write_trajectories_csv(workdir / "in.csv", [FlexTrajectory(p_bat=[0.5], p_ewh=[0.0])])
@@ -387,7 +425,7 @@ class TestErrorPaths:
             assert invoke(
                 workdir, "classify", "--model", str(workdir / "model.json"), "--input", str(workdir / "in.csv")
             ) == 2, text
-            assert message in capsys.readouterr().err
+            assert message in stderr_of(capsys, workdir)
             assert not (workdir / "out" / "verdicts.csv").exists()
 
     def test_classify_non_finite_model_exits_two(self, workdir, capsys):
@@ -409,7 +447,7 @@ class TestErrorPaths:
             assert invoke(
                 workdir, "classify", "--model", str(out / "bad_model.json"), "--input", str(out / "feasible.csv")
             ) == 2, field
-            assert f"{field} holds a non-finite value" in capsys.readouterr().err
+            assert f"{field} holds a non-finite value" in stderr_of(capsys, workdir)
             assert not (out / "verdicts.csv").exists()
 
     def test_classify_non_number_model_exits_two(self, workdir, capsys):
@@ -425,7 +463,7 @@ class TestErrorPaths:
             workdir, "classify", "--model", str(workdir / "model.json"), "--input", str(workdir / "in.csv"),
             "--verdicts", str(out),
         ) == 2
-        assert "holds a bool, not a number" in capsys.readouterr().err
+        assert "holds a bool, not a number" in stderr_of(capsys, workdir)
         assert not out.exists()
 
     def test_classify_dimension_mismatch_exits_two(self, workdir):

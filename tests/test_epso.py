@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemsflex import analysis, hems
+from hemsflex import analysis, epso, hems
 from hemsflex.epso import (
     EpsoConfig,
     FeasibleSet,
@@ -49,13 +49,13 @@ def make_swarm(x_bat, x_ewh, weights=None, fitness=-1):
     )
 
 
-def move(swarm, b_g_star, epso_cfg, hems_cfg, rng):
+def move(swarm, b_g_star, hems_cfg, rng):
     """move_particle with every row attracted to b_g_star, each row's two
     communication masks drawn from `rng` in row order as the search does."""
-    masks = rng.random((len(swarm), 2, swarm.x_bat.shape[1])) < epso_cfg.comm_factor
+    masks = rng.random((len(swarm), 2, swarm.x_bat.shape[1])) < epso.COMM_FACTOR
     star_bat = np.broadcast_to(b_g_star.p_bat, swarm.x_bat.shape)
     star_ewh = np.broadcast_to(b_g_star.p_ewh, swarm.x_ewh.shape)
-    return move_particle(swarm, star_bat, star_ewh, masks[:, 0], masks[:, 1], epso_cfg, hems_cfg)
+    return move_particle(swarm, star_bat, star_ewh, masks[:, 0], masks[:, 1], hems_cfg)
 
 
 class TestMutateWeights:
@@ -112,48 +112,43 @@ class TestPerturbGlobalBest:
 
 class TestMoveParticle:
     @pytest.fixture
-    def cfgs(self, hems_reference):
-        return EpsoConfig(seed=0), hems_reference
+    def hems_cfg(self, hems_reference):
+        return hems_reference
 
-    def test_fixed_point_when_everything_coincides(self, cfgs):
-        epso_cfg, hems_cfg = cfgs
+    def test_fixed_point_when_everything_coincides(self, hems_cfg):
         x = make_swarm([0.2, -0.1], [0.5, 0.0])
         bg = FlexTrajectory(p_bat=x.x_bat[0].copy(), p_ewh=x.x_ewh[0].copy())
-        out = move(x, bg, epso_cfg, hems_cfg, np.random.default_rng(9))
+        out = move(x, bg, hems_cfg, np.random.default_rng(9))
         assert np.allclose(out.x_bat, x.x_bat)
         assert np.array_equal(out.x_ewh, x.x_ewh)
 
-    def test_pure_inertia_reduction(self, cfgs):
-        epso_cfg, hems_cfg = cfgs
+    def test_pure_inertia_reduction(self, hems_cfg):
         p = make_swarm([0.0, 0.0], [0.0, 0.0], weights=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         p.v_bat = np.array([[0.3, -0.2]])
         bg = FlexTrajectory(p_bat=np.zeros(2), p_ewh=np.zeros(2))
-        out = move(p, bg, epso_cfg, hems_cfg, np.random.default_rng(10))
+        out = move(p, bg, hems_cfg, np.random.default_rng(10))
         assert np.allclose(out.x_bat[0], [0.3, -0.2])
 
-    def test_ewh_quantized_to_nearest_level(self, cfgs):
-        epso_cfg, hems_cfg = cfgs
+    def test_ewh_quantized_to_nearest_level(self, hems_cfg):
         p = make_swarm([0.0], [0.0], weights=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         p.v_ewh = np.array([[0.26]])
         bg = FlexTrajectory(p_bat=np.zeros(1), p_ewh=np.zeros(1))
-        out = move(p, bg, epso_cfg, hems_cfg, np.random.default_rng(11))
+        out = move(p, bg, hems_cfg, np.random.default_rng(11))
         assert out.x_ewh[0, 0] == 0.5
         p.v_ewh = np.array([[0.24]])
-        out = move(p, bg, epso_cfg, hems_cfg, np.random.default_rng(11))
+        out = move(p, bg, hems_cfg, np.random.default_rng(11))
         assert out.x_ewh[0, 0] == 0.0
 
-    def test_battery_clamped_to_power_band(self, cfgs):
-        epso_cfg, hems_cfg = cfgs
+    def test_battery_clamped_to_power_band(self, hems_cfg):
         rng = np.random.default_rng(12)
         p = make_swarm(np.full(8, 1.4), np.zeros(8))
         p.v_bat = np.full((1, 8), 5.0)
         bg = FlexTrajectory(p_bat=np.full(8, 10.0), p_ewh=np.zeros(8))
-        out = move(p, bg, epso_cfg, hems_cfg, rng)
+        out = move(p, bg, hems_cfg, rng)
         assert np.all(out.x_bat <= hems_cfg.battery.p_charge_max)
         assert np.all(out.x_bat >= -hems_cfg.battery.p_discharge_max)
 
-    def test_rows_move_as_the_per_particle_rule(self, cfgs):
-        epso_cfg, hems_cfg = cfgs
+    def test_rows_move_as_the_per_particle_rule(self, hems_cfg):
         bat_cfg, p_nom = hems_cfg.battery, hems_cfg.ewh.p_nom
         rng = np.random.default_rng(13)
         size, horizon = 6, 10
@@ -167,8 +162,8 @@ class TestMoveParticle:
         star_bat = rng.uniform(-1.5, 1.5, (size, horizon))
         star_ewh = rng.uniform(-0.5, 1.0, (size, horizon))
         mask_bat, mask_ewh = rng.random((2, size, horizon)) < 0.5
-        out = move_particle(swarm, star_bat, star_ewh, mask_bat, mask_ewh, epso_cfg, hems_cfg)
-        bat_vmax = epso_cfg.velocity_clamp_frac * (bat_cfg.p_charge_max + bat_cfg.p_discharge_max)
+        out = move_particle(swarm, star_bat, star_ewh, mask_bat, mask_ewh, hems_cfg)
+        bat_vmax = epso.VELOCITY_CLAMP_FRAC * (bat_cfg.p_charge_max + bat_cfg.p_discharge_max)
         for i in range(size):
             # the movement rule written out for one particle with scalar weights
             w = swarm.weights[i]
@@ -415,11 +410,11 @@ class TestSeedInitialPopulation:
             assert set(np.unique(x_ewh)) <= {0.0, hems_reference.ewh.p_nom}
 
     def test_zeroed_fraction_has_zero_battery_on_surplus_steps(self, hems_reference):
-        cfg = EpsoConfig(pop_size=20, seed_zero_fraction=0.5, seed=1)
+        cfg = EpsoConfig(pop_size=20, seed=1)
         scenario0 = np.linspace(0.5, -0.5, 12)
         surplus_steps = scenario0 < 0
         pop = seed_initial_population(scenario0, cfg, hems_reference, np.random.default_rng(21))
-        for x_bat in pop.x_bat[:10]:
+        for x_bat in pop.x_bat[: round(cfg.pop_size * epso.SEED_ZERO_FRACTION)]:
             assert np.all(x_bat[surplus_steps] == 0.0)
 
     def test_fixed_seed_identical(self, hems_reference):
