@@ -124,12 +124,14 @@ class RunConfig:
         kernel_doc = svdd_doc.pop("kernel", {}) if isinstance(svdd_doc, dict) else {}
         training = _build(f"{path}: svdd", svdd.TrainingConfig, svdd_doc)
         sweep_kernels = [
-            _build(f"{path}: validate.sweep_kernels", svdd.KernelSpec, kernel)
-            for kernel in validate.get("sweep_kernels", [{"kind": kind} for kind in svdd.KERNEL_KINDS])
+            _build(f"{path}: validate.sweep_kernels[{i}]", svdd.KernelSpec, kernel)
+            for i, kernel in enumerate(
+                validate.get("sweep_kernels", [{"kind": kind} for kind in svdd.KERNEL_KINDS])
+            )
         ]
         sweep_training = [
-            _build(f"{path}: validate.sweep_nus", svdd.TrainingConfig, {"nu": nu})
-            for nu in validate.get("sweep_nus", [0.01, 0.1, 0.15, 0.2])
+            _build(f"{path}: validate.sweep_nus[{i}]", svdd.TrainingConfig, {"nu": nu})
+            for i, nu in enumerate(validate.get("sweep_nus", [0.01, 0.1, 0.15, 0.2]))
         ]
         return cls(
             dt_hours=dt_hours,

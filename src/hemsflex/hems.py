@@ -4,10 +4,11 @@ Battery with a SoC-dependent charging taper and one-way efficiency, electric
 water heater as an on/off thermal load, PV-surplus accommodation rules, and
 repair of trajectories that discharge while surplus should be absorbed. One
 lane-batched kernel, `_lane_steps`, steps every rule; `analysis` restates them
-on purpose as an independent scalar oracle. The kernel steps in blocks: each
-step where some scenario has PV surplus on its own, and the surplus-free runs
-between them, where SoC is a plain running sum, up to `_BLOCK_STEPS` (8) steps
-at a time, which bounds its memory.
+on purpose as an independent scalar oracle. The kernel is step-major: it
+holds each step's lanes as one (P, S) plane and steps in blocks of planes,
+each step where some scenario has PV surplus on its own, and the surplus-free
+runs between them, where SoC is a plain running sum, up to `_BLOCK_STEPS` (8)
+steps at a time, which bounds its memory.
 
 Sign convention: positive battery power charges (consumes), negative
 discharges (injects). EWH power is 0 or its nominal rating.
@@ -94,6 +95,11 @@ class BatteryConfig:
     @property
     def soc_max(self) -> float:
         return self.capacity
+
+    @property
+    def knee_soc(self) -> float:
+        """SoC above which the charging limit tapers [kWh]."""
+        return self.taper_knee * self.capacity
 
     @property
     def absorption_band(self) -> float:
@@ -239,18 +245,25 @@ class SimulationResult:
     violations: dict[str, np.ndarray]
 
 
-def _charge_limit(soc, cfg: BatteryConfig):
+def _charge_limiter(cfg: BatteryConfig):
     """SoC-dependent charging limit: nominal up to the taper knee, then a
     linear descent to the floor fraction of nominal at full capacity.
-    Evaluated on SoC clipped into [0, capacity]; works elementwise."""
-    knee_soc = cfg.taper_knee * cfg.capacity
-    floor_power = cfg.taper_floor * cfg.p_charge_max
-    s = np.minimum(np.maximum(soc, 0.0), cfg.capacity)
-    return np.where(
-        s <= knee_soc,
-        cfg.p_charge_max,
-        cfg.p_charge_max + (s - knee_soc) / (cfg.capacity - knee_soc) * (floor_power - cfg.p_charge_max),
-    )
+    Returns limit(soc), which is evaluated on SoC clipped into [0, capacity]
+    and works elementwise; its constants are bound once here."""
+    p_charge_max, capacity, knee_soc = cfg.p_charge_max, cfg.capacity, cfg.knee_soc
+    taper_span = capacity - knee_soc
+    taper_drop = cfg.taper_floor * p_charge_max - p_charge_max
+
+    def limit(soc):
+        s = np.minimum(np.maximum(soc, 0.0), capacity)
+        return np.where(s <= knee_soc, p_charge_max, p_charge_max + (s - knee_soc) / taper_span * taper_drop)
+
+    return limit
+
+
+def _charge_limit(soc, cfg: BatteryConfig):
+    """The charging limit at `soc`, from a limiter bound for this one call."""
+    return _charge_limiter(cfg)(soc)
 
 
 def ewh_step(theta: float, p_ewh: float, v: float, dt: float, cfg: EwhConfig) -> float:
@@ -272,21 +285,22 @@ def _absorption(surplus_h, net, capacity, dt, cfg: BatteryConfig):
 
 
 # Longest surplus-free run that `_lane_steps` steps as one block. A block
-# holds (P, S, R + 1) SoC values and a few (P, S, R) temporaries, so the cap
+# holds (R + 1, P, S) SoC values and a few (R, P, S) temporaries, so the cap
 # bounds the kernel's memory: a 30 x 100 lane screen of the reference day
-# peaks at 1.4 MB with it and at 5.0 MB without it.
+# peaks at 1.5 MB with it and at 5.1 MB without it.
 _BLOCK_STEPS = 8
 
 
 class _Block(NamedTuple):
     """State and per-rule flags of (P, S) lanes over the horizon steps
-    `steps`, stacked on a trailing step axis of length R.
+    `steps`, stacked step-major: one (P, S) plane per step on a leading step
+    axis of length R.
 
-    The battery arrays are (P, S, R), or (P, 1, R) where a trajectory's lanes
+    The battery arrays are (R, P, S), or (R, P, 1) where a trajectory's lanes
     are alike: before the first surplus step, and `discharge` on a
     surplus-free run, where nothing is absorbed and it is all False. Tank
     temperature does not depend on the surplus, so `temp` and `theta` are
-    (P, R).
+    (R, P). `charge_rate` may be a read-only broadcast view.
     """
 
     steps: slice
@@ -301,7 +315,7 @@ class _Block(NamedTuple):
     @property
     def fault(self) -> np.ndarray:
         """Lanes with any constraint penalty at each step of the block."""
-        return self.charge_rate | self.soc_max | self.soc_min | self.temp[:, None]
+        return self.charge_rate | self.soc_max | self.soc_min | self.temp[:, :, None]
 
 
 def _soc_increment(p_eff, cfg: BatteryConfig, dt: float):
@@ -322,14 +336,20 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
     surplus energy during surplus steps (charge-rate limited, floored at zero)
     and recovers at the discharge rating otherwise, capped at the band.
 
-    The schedule follows the surplus. A step where some row has surplus is
-    active and is one block of its own, stepped lane by lane. Between active
-    steps nothing is absorbed, so a lane's SoC increment depends only on its
-    trajectory: a run of up to `_BLOCK_STEPS` such steps is one block, whose
-    SoC path is one sequential `np.add.accumulate` and whose flags are taken
-    on the whole block, while the headroom recovers once per step. Before the
-    first active step the lanes of a trajectory are alike, so SoC and headroom
-    stay (P, 1). The tank is stepped once over the horizon at width P.
+    The inputs are transposed once to step-major (T, P) and (T, S), so each
+    step reads and writes contiguous planes. The schedule follows the
+    surplus. A step where some row has surplus is active and is one block of
+    its own, stepped lane by lane. Between active steps nothing is absorbed,
+    so a lane's SoC increment depends only on its trajectory: a run of up to
+    `_BLOCK_STEPS` such steps is one block, whose SoC path is R sequential
+    `np.add` calls, one (P, S) plane each, and whose flags are taken on the
+    whole block, while the headroom recovers once per step. When no lane of
+    such a block starts a step above the taper knee, the charging limit is
+    the nominal rate in every lane, so its charge-rate flags are taken once
+    per trajectory on (R, P, 1) and broadcast; the tapered limit is evaluated
+    only at active steps and in blocks that reach the knee. Before the first
+    active step the lanes of a trajectory are alike, so SoC and headroom stay
+    (P, 1). The tank is stepped once over the horizon at width P.
 
     Every lane runs the same elementwise arithmetic, in the same order as the
     scalar route in `analysis`, so results do not depend on how lanes or steps
@@ -337,58 +357,71 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
     """
     bat, ewh = cfg.battery, cfg.ewh
     count, horizon = p_bat.shape
-    theta = np.empty((count, horizon))
+    p_bat_t = np.ascontiguousarray(p_bat.T)
+    p_ewh_t = np.ascontiguousarray(p_ewh.T)
+    surplus_t = np.ascontiguousarray(surplus.T)
+    theta = np.empty((horizon, count))
     level = np.full(count, ewh.theta_init)
     for h in range(horizon):
-        level = theta[:, h] = ewh_step(level, p_ewh[:, h], draws[h], dt, ewh)
+        level = theta[h] = ewh_step(level, p_ewh_t[h], draws[h], dt, ewh)
     temp = (theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)
 
+    charge_limit = _charge_limiter(bat)
+    knee_soc, nominal_limit = bat.knee_soc, bat.p_charge_max + EPS
+    band, recovery = bat.absorption_band, bat.p_discharge_max * dt
+    soc_hi, soc_lo = bat.soc_max + EPS, bat.soc_min - EPS
     # Battery power plus the zero absorption of a surplus-free step (the sum
     # turns -0.0 into 0.0, as the active step does), and its SoC increment.
-    p_free = p_bat[:, None, :] + 0.0
+    p_free = p_bat_t[:, :, None] + 0.0
     increment = _soc_increment(p_free, bat, dt)
     active = (surplus > 0.0).any(axis=0)
-    soc = np.full((count, 1, 1), bat.soc_init)
-    capacity = np.full((count, 1, 1), bat.absorption_band)
+    soc = np.full((count, 1), bat.soc_init)
+    capacity = np.full((count, 1), band)
     h = 0
     while h < horizon:
         stop = h + 1
         if active[h]:
-            sur = surplus[None, :, h:stop]
-            pb = p_bat[:, None, h:stop]
-            net = np.maximum(0.0, sur - p_ewh[:, None, h:stop])
+            sur = surplus_t[h]
+            pb = p_bat_t[h, :, None]
+            net = np.maximum(0.0, sur - p_ewh_t[h, :, None])
             absorb = _absorption(sur, net, capacity, dt, bat)
             p_eff = pb + absorb
-            charge_rate = p_eff > _charge_limit(soc, bat) + EPS
-            soc = path = soc + _soc_increment(p_eff, bat, dt)
-            discharge = (absorb > EPS) & (pb < -EPS)
+            charge_rate = (p_eff > charge_limit(soc) + EPS)[None]
+            soc = soc + _soc_increment(p_eff, bat, dt)
+            path = soc[None]
+            discharge = ((absorb > EPS) & (pb < -EPS))[None]
             capacity = np.where(
                 sur > 0.0,
                 np.maximum(0.0, capacity - np.minimum(net, bat.p_charge_max) * dt),
-                np.minimum(capacity + bat.p_discharge_max * dt, bat.absorption_band),
+                np.minimum(capacity + recovery, band),
             )
         else:
             while stop < min(h + _BLOCK_STEPS, horizon) and not active[stop]:
                 stop += 1
-            running = np.empty(soc.shape[:2] + (stop - h + 1,))
-            running[..., :1] = soc
-            running[..., 1:] = increment[..., h:stop]
-            np.add.accumulate(running, axis=2, out=running)
-            path = running[..., 1:]
-            charge_rate = p_free[..., h:stop] > _charge_limit(running[..., :-1], bat) + EPS
-            soc = running[..., -1:].copy()
-            discharge = np.zeros((count, 1, stop - h), dtype=bool)
+            running = np.empty((stop - h + 1,) + soc.shape)
+            running[0] = soc
+            for k in range(stop - h):
+                np.add(running[k], increment[h + k], out=running[k + 1])
+            path = running[1:]
+            starts = running[:-1]
+            # A NaN start fails the test, as it fails `s <= knee_soc` in the limiter.
+            if starts.max(initial=-np.inf) <= knee_soc:
+                charge_rate = np.broadcast_to(p_free[h:stop] > nominal_limit, path.shape)
+            else:
+                charge_rate = p_free[h:stop] > charge_limit(starts) + EPS
+            soc = running[-1].copy()
+            discharge = np.zeros((stop - h, count, 1), dtype=bool)
             for _ in range(stop - h):
-                capacity = np.minimum(capacity + bat.p_discharge_max * dt, bat.absorption_band)
+                capacity = np.minimum(capacity + recovery, band)
         yield _Block(
             steps=slice(h, stop),
             discharge=discharge,
             charge_rate=charge_rate,
-            soc_max=path > bat.soc_max + EPS,
-            soc_min=path < bat.soc_min - EPS,
-            temp=temp[:, h:stop],
+            soc_max=path > soc_hi,
+            soc_min=path < soc_lo,
+            temp=temp[h:stop],
             soc=path,
-            theta=theta[:, h:stop],
+            theta=theta[h:stop],
         )
         h = stop
 
@@ -419,8 +452,8 @@ def batch_compliance(
     zero_penalty = np.ones((p_bat.shape[0], count), dtype=bool)
     accommodation_ok = np.ones((p_bat.shape[0], count), dtype=bool)
     for block in _lane_steps(p_bat, p_ewh, pv_surplus(net_load), draws, cfg, dt):
-        zero_penalty &= ~block.fault.any(axis=2)
-        accommodation_ok &= ~block.discharge.any(axis=2)
+        zero_penalty &= ~block.fault.any(axis=0)
+        accommodation_ok &= ~block.discharge.any(axis=0)
     return zero_penalty, accommodation_ok
 
 
@@ -444,12 +477,12 @@ def simulate(traj: FlexTrajectory, surplus: np.ndarray, cfg: HemsConfig, dt: flo
     soc_path = np.empty(horizon)
     theta_path = np.empty(horizon)
     for block in _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], draws, cfg, dt):
-        flags["soc_max"][block.steps] = block.soc_max[0, 0]
-        flags["soc_min"][block.steps] = block.soc_min[0, 0]
-        flags["temp"][block.steps] = block.temp[0]
-        flags["charge_rate"][block.steps] = block.charge_rate[0, 0]
-        soc_path[block.steps] = block.soc[0, 0]
-        theta_path[block.steps] = block.theta[0]
+        flags["soc_max"][block.steps] = block.soc_max[:, 0, 0]
+        flags["soc_min"][block.steps] = block.soc_min[:, 0, 0]
+        flags["temp"][block.steps] = block.temp[:, 0]
+        flags["charge_rate"][block.steps] = block.charge_rate[:, 0, 0]
+        soc_path[block.steps] = block.soc[:, 0, 0]
+        theta_path[block.steps] = block.theta[:, 0]
 
     penalty = int(sum(f.sum() for f in flags.values()))
     return SimulationResult(soc=soc_path, theta=theta_path, penalty=penalty, violations=flags)
@@ -463,7 +496,7 @@ def pv_accommodation(
     surplus = _surplus_row(surplus, traj.horizon)
     # The rule never reads the tank, so no draw profile is needed.
     blocks = _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], np.zeros(traj.horizon), cfg, dt)
-    flags = np.concatenate([block.discharge[0, 0] for block in blocks])
+    flags = np.concatenate([block.discharge[:, 0, 0] for block in blocks])
     return not bool(flags.any()), flags
 
 
@@ -486,11 +519,11 @@ def batch_repair(
     horizon = p_bat.shape[1]
     surplus = _surplus_row(surplus, horizon)
     valid = np.ones(p_bat.shape[0], dtype=bool)
-    discharge = np.zeros(p_bat.shape, dtype=bool)
+    discharge = np.zeros((horizon, p_bat.shape[0]), dtype=bool)
     for block in _lane_steps(p_bat, p_ewh, surplus[None], cfg.ewh.draws(horizon), cfg, dt):
-        valid &= ~block.fault[:, 0].any(axis=1)
-        discharge[:, block.steps] = block.discharge[:, 0]
-    return np.where(discharge & valid[:, None], 0.0, p_bat), valid
+        valid &= ~block.fault[:, :, 0].any(axis=0)
+        discharge[block.steps] = block.discharge[:, :, 0]
+    return np.where(discharge.T & valid[:, None], 0.0, p_bat), valid
 
 
 def repair_trajectory(

@@ -276,6 +276,21 @@ class TestErrorPaths:
         assert f"validate.{key} must be a JSON list, got {value!r}" in stderr_of(capsys, workdir)
 
     @pytest.mark.parametrize(
+        "key, value, message",
+        [("sweep_kernels", ["rbf"], "validate.sweep_kernels[0] must be a JSON object"),
+         ("sweep_kernels", [5], "validate.sweep_kernels[0] must be a JSON object"),
+         ("sweep_kernels", [{"kind": "rbf", "gamma": 0.05}, {"kind": "linear"}],
+          "validate.sweep_kernels[1]: unknown kernel kind 'linear'"),
+         ("sweep_nus", [0.1, 1.5], "validate.sweep_nus[1]: nu must lie strictly inside")],
+    )
+    def test_bad_sweep_entry_is_named_by_index(self, workdir, capsys, key, value, message):
+        config = json.loads((workdir / "config.json").read_text())
+        config["validate"][key] = value
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert invoke(workdir, "gen-scenarios") == 2
+        assert message in stderr_of(capsys, workdir)
+
+    @pytest.mark.parametrize(
         "section, key",
         [("epso", "pop_size"), ("epso", "max_iters"), ("epso", "target_feasible"), ("copula", "count"),
          ("svdd", "max_passes"), ("svdd.kernel", "degree")],

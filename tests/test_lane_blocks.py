@@ -126,12 +126,12 @@ class TestBlockSchedule:
                 assert 1 <= steps <= CAP and not active[block.steps].any()
             rows = 1 if h < first_active else net_load.shape[0]
             for name in ("charge_rate", "soc_max", "soc_min", "soc"):
-                assert getattr(block, name).shape == (count, rows, steps), name
+                assert getattr(block, name).shape == (steps, count, rows), name
             if active[h]:
-                assert block.discharge.shape == (count, rows, 1)
+                assert block.discharge.shape == (1, count, rows)
             else:
-                assert block.discharge.shape == (count, 1, steps) and not block.discharge.any()
-            assert block.temp.shape == block.theta.shape == (count, steps)
+                assert block.discharge.shape == (steps, count, 1) and not block.discharge.any()
+            assert block.temp.shape == block.theta.shape == (steps, count)
             h = block.steps.stop
         assert h == horizon
 
@@ -208,24 +208,131 @@ class TestBlockBoundaries:
                 assert ok == (not any(discharging))
 
 
-def test_population_screen_memory_is_bounded():
-    """One screen of a 30 x 96 population against 100 reference scenarios
-    stays under 2 MB of traced allocations: the block cap bounds the
-    (P, S, R) arrays of each surplus-free run."""
+class TestLayoutInvariance:
+    @BLOCK_SETTINGS
+    @given(block_instances(), st.data())
+    def test_verdicts_follow_the_row_order(self, instance, data):
+        """Reversing the trajectories and permuting the net-load rows permutes
+        the (P, S) verdicts and the repaired rows alike, so the kernel never
+        mixes the trajectory and scenario axes, not even where P == S."""
+        cfg, dt, p_bat, p_ewh, net_load = instance
+        draws = cfg.ewh.draws(p_bat.shape[1])
+        order = np.array(data.draw(st.permutations(range(net_load.shape[0]))))
+        screened = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        swapped = hems.batch_compliance(p_bat[::-1], p_ewh[::-1], net_load[order], draws, cfg, dt)
+        for verdict, swapped_verdict in zip(screened, swapped):
+            assert np.array_equal(swapped_verdict, verdict[::-1][:, order])
+        envelope = scenarios.pv_surplus(net_load).max(axis=0)
+        fixed, valid = hems.batch_repair(p_bat, p_ewh, envelope, cfg, dt)
+        swapped_fixed, swapped_valid = hems.batch_repair(p_bat[::-1], p_ewh[::-1], envelope, cfg, dt)
+        assert np.array_equal(swapped_fixed, fixed[::-1])
+        assert np.array_equal(swapped_valid, valid[::-1])
+
+
+class TestTaperKnee:
+    def test_blocks_at_and_just_above_the_knee(self):
+        """The first surplus-free block starts every lane exactly at the taper
+        knee, where the limit is the nominal rate. It leaves trajectory 1 one
+        ulp above the knee and trajectories 2 and 3 well above it, so the next
+        block starts lanes at the knee, one ulp above it and inside the taper,
+        while trajectory 0 stays at the knee throughout. Battery power of the
+        nominal rate plus or minus 2 EPS puts lanes on both sides of the
+        charge-rate rule in each block, and trajectory 2 then charges above
+        its tapered limit but below the nominal rate."""
+        dt = 0.25
+        ulp = np.nextafter(KNEE, np.inf) - KNEE
+        horizon = 2 * CAP + 1
+        cfg = hems.HemsConfig(
+            battery=hems.BatteryConfig(
+                capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=P_MAX, soc_init=KNEE, efficiency=1.0
+            ),
+            ewh=hems.EwhConfig(p_nom=P_NOM, theta_min=THETA_MIN, theta_max=THETA_MAX, theta_init=60.0),
+        )
+        bat = cfg.battery
+        assert bat.knee_soc == KNEE
+        p_bat = np.zeros((5, horizon))
+        # With unit efficiency, 4 ulp of power over a quarter hour adds exactly one ulp.
+        p_bat[:, CAP - 1] = [0.0, 4 * ulp, P_MAX - 2 * EPS, P_MAX + 2 * EPS, 0.0]
+        p_bat[:, CAP] = [0.0, P_MAX - 2 * EPS, 1.0, 0.5, P_MAX + 2 * EPS]
+        p_ewh = np.zeros_like(p_bat)
+        # Surplus at the last step in row 0 only, so the rows' verdicts can differ.
+        net_load = np.full((2, horizon), 0.5)
+        net_load[0, -1] = -0.5
+        surplus = scenarios.pv_surplus(net_load)
+        draws = cfg.ewh.draws(horizon)
+
+        (soc0, theta0, headroom0), absorb, charge, _, tracker = analysis._step_route(cfg, dt)
+        starts = np.empty((5, 2, horizon))
+        expected = np.empty((5, 2, horizon), dtype=bool)
+        for p in range(p_bat.shape[0]):
+            for s, row in enumerate(surplus):
+                soc, headroom = soc0, headroom0
+                for h, (pb, pe, sur) in enumerate(zip(p_bat[p], p_ewh[p], row)):
+                    p_eff = pb + absorb(sur, pe, headroom)
+                    starts[p, s, h] = soc
+                    expected[p, s, h] = p_eff > hems._charge_limit(soc, bat) + EPS
+                    soc = charge(soc, p_eff)
+                    headroom = tracker(headroom, sur, pe)
+                traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+                result = hems.simulate(traj, row, cfg, dt)
+                assert np.array_equal(result.violations["charge_rate"], expected[p, s])
+        assert (starts[:, :, :CAP] == KNEE).all() and (starts[0] == KNEE).all()
+        assert (starts[1, :, CAP] == np.nextafter(KNEE, np.inf)).all() and (starts[4, :, CAP] == KNEE).all()
+        assert (starts[2:4, :, CAP] > KNEE + 0.3).all()
+        # At the knee the limit is the nominal rate exactly; one ulp above it
+        # the taper takes less than 2 EPS off.
+        assert expected[:, :, CAP - 1].tolist() == [[False] * 2, [False] * 2, [False] * 2, [True] * 2, [False] * 2]
+        assert expected[:, :, CAP].tolist() == [[False] * 2, [False] * 2, [True] * 2, [False] * 2, [True] * 2]
+
+        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt))
+        assert [block.steps for block in blocks[:2]] == [slice(0, CAP), slice(CAP, 2 * CAP)]
+        flags = np.concatenate([np.broadcast_to(block.charge_rate, block.soc.shape[:2] + (2,)) for block in blocks])
+        assert np.array_equal(flags, expected.transpose(2, 0, 1))
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        assert zero_penalty.tolist() == [[True] * 2, [True] * 2, [False] * 2, [False] * 2, [False] * 2]
+        for p in range(p_bat.shape[0]):
+            traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+            for s in range(net_load.shape[0]):
+                oracle = analysis.oracle_check(traj, scenarios.ScenarioSet(net_load[s : s + 1]), cfg, dt)
+                assert bool(zero_penalty[p, s] and accommodation_ok[p, s]) == (oracle == 1)
+
+
+def _reference_population():
+    """A seeded 30 x 96 population, the reference scenarios and HEMS."""
     cfg = cli.RunConfig.load(DATA / "config_reference.json")
     scenario_set = scenarios.generate_scenarios(scenarios.read_marginals_csv(cfg.marginals_path), cfg.copula)
-    hems_cfg = cfg.hems_config()
-    draws = hems_cfg.ewh.draws(scenario_set.horizon)
     rng = np.random.default_rng(7)
     p_bat = rng.uniform(-0.2, 0.2, (30, scenario_set.horizon))
     p_ewh = np.where(rng.random((30, scenario_set.horizon)) < 0.1, 0.5, 0.0)
     assert (scenarios.pv_surplus(scenario_set.values) > 0.0).any(axis=0).sum() > 0
-    args = (p_bat, p_ewh, scenario_set.values, draws, hems_cfg, cfg.dt_hours)
-    hems.batch_compliance(*args)
+    return p_bat, p_ewh, scenario_set.values, cfg.hems_config(), cfg.dt_hours
+
+
+def _traced_peak(call, *args) -> int:
+    """Peak traced allocation of one call, after a warm-up call."""
+    call(*args)
     tracemalloc.start()
     try:
-        hems.batch_compliance(*args)
-        peak = tracemalloc.get_traced_memory()[1]
+        call(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_population_screen_memory_is_bounded():
+    """One screen of a 30 x 96 population against 100 reference scenarios
+    stays under 2 MB of traced allocations: the block cap bounds the
+    (R, P, S) arrays of each surplus-free run."""
+    p_bat, p_ewh, net_load, hems_cfg, dt = _reference_population()
+    draws = hems_cfg.ewh.draws(net_load.shape[1])
+    peak = _traced_peak(hems.batch_compliance, p_bat, p_ewh, net_load, draws, hems_cfg, dt)
     assert peak < 2_000_000, f"batch_compliance peaked at {peak / 1e6:.2f} MB"
+
+
+def test_population_repair_memory_is_bounded():
+    """One repair of the same 30 rows against the reference surplus envelope
+    stays under the same 2 MB of traced allocations."""
+    p_bat, p_ewh, net_load, hems_cfg, dt = _reference_population()
+    envelope = scenarios.pv_surplus(net_load).max(axis=0)
+    peak = _traced_peak(hems.batch_repair, p_bat, p_ewh, envelope, hems_cfg, dt)
+    assert peak < 2_000_000, f"batch_repair peaked at {peak / 1e6:.2f} MB"
