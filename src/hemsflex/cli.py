@@ -96,8 +96,12 @@ class RunConfig:
         _check_keys(f"{path}: paths", paths, _PATH_KEYS)
         _check_keys(f"{path}: validate", validate, _VALIDATE_KEYS)
         for key in ("sweep_kernels", "sweep_nus"):
-            if not isinstance(validate.get(key, []), list):
+            if key not in validate:
+                continue
+            if not isinstance(validate[key], list):
                 raise ValueError(f"{path}: validate.{key} must be a JSON list, got {validate[key]!r}")
+            if not validate[key]:
+                raise ValueError(f"{path}: validate.{key} must not be empty")
         for key, least in _VALIDATE_COUNT_MIN.items():
             count = validate.get(key, least)
             if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .hems import FlexTrajectory, HemsConfig, batch_compliance, batch_repair
+from .hems import FlexTrajectory, HemsConfig, batch_compliance, screen_with_repair
 
 # Kept importable as epso.repair_trajectory, where perfbench/spans.py looks it up.
 from .hems import repair_trajectory  # noqa: F401
@@ -345,8 +345,10 @@ def run(
 
     Offspring that are violation-free in enough scenarios but discharge during
     surplus steps are repaired against the scenario-set surplus envelope and
-    re-checked before joining the set. `log_sink`, when given, receives one
-    dict per iteration.
+    re-checked before joining the set. Each evaluation is one kernel pass that
+    screens the swarm and repairs every row at once, plus, when some repair
+    candidate is valid, one `batch_compliance` re-screen of the repaired rows.
+    `log_sink`, when given, receives one dict per iteration.
     """
     t_start = time.perf_counter()
     n_scen = scenarios.count
@@ -363,35 +365,27 @@ def run(
         if log_sink is not None:
             log_sink(record)
 
-    def screen(p_bat: np.ndarray, p_ewh: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Compliant-scenario counts and zero-penalty counts per row."""
-        zero_penalty, accommodation_ok = batch_compliance(
-            p_bat, p_ewh, scenarios.values, draws, hems_cfg, dt
-        )
-        return (
-            np.count_nonzero(zero_penalty & accommodation_ok, axis=1),
-            np.count_nonzero(zero_penalty, axis=1),
-        )
-
     def evaluate(swarm: Swarm) -> None:
-        """Score the whole swarm in one kernel call, repair and re-screen the
-        repair candidates in one call each, refresh the personal bests, then
+        """Score and repair the whole swarm in one kernel pass, re-screen the
+        valid repair candidates in one call, refresh the personal bests, then
         offer the robust rows, repaired ones included, to the set in row order."""
-        fitness, penalty_free = screen(swarm.x_bat, swarm.x_ewh)
+        zero_penalty, accommodation_ok, fixed_bat, valid = screen_with_repair(
+            swarm.x_bat, swarm.x_ewh, scenarios.values, surplus_envelope, draws, hems_cfg, dt
+        )
+        fitness = np.count_nonzero(zero_penalty & accommodation_ok, axis=1)
+        penalty_free = np.count_nonzero(zero_penalty, axis=1)
         # Repair applies when the only widespread failures are
         # surplus-accommodation ones; it is skipped for trajectories the
         # envelope itself pushes into penalties.
-        candidates = np.flatnonzero((fitness < threshold) & (penalty_free >= threshold))
+        rows = np.flatnonzero((fitness < threshold) & (penalty_free >= threshold) & valid)
         offered_bat, offered_fitness = swarm.x_bat, fitness
-        if candidates.size:
-            fixed_bat, valid = batch_repair(
-                swarm.x_bat[candidates], swarm.x_ewh[candidates], surplus_envelope, hems_cfg, dt
+        if rows.size:
+            offered_bat, offered_fitness = swarm.x_bat.copy(), fitness.copy()
+            offered_bat[rows] = fixed_bat[rows]
+            zero_penalty, accommodation_ok = batch_compliance(
+                fixed_bat[rows], swarm.x_ewh[rows], scenarios.values, draws, hems_cfg, dt
             )
-            rows = candidates[valid]
-            if rows.size:
-                offered_bat, offered_fitness = swarm.x_bat.copy(), fitness.copy()
-                offered_bat[rows] = fixed_bat[valid]
-                offered_fitness[rows] = screen(fixed_bat[valid], swarm.x_ewh[rows])[0]
+            offered_fitness[rows] = np.count_nonzero(zero_penalty & accommodation_ok, axis=1)
         # A personal best follows ties to the newer position, which aids diversity.
         improved = fitness >= swarm.best_fitness
         swarm.fitness = fitness

@@ -10,6 +10,12 @@ each step where some scenario has PV surplus on its own, and the surplus-free
 runs between them, where SoC is a plain running sum, up to `_BLOCK_STEPS` (8)
 steps at a time, which bounds its memory.
 
+Repair rides on the screen: `screen_with_repair` appends the repair's surplus
+envelope as one more surplus row, so a single kernel pass gives the (P, S)
+verdicts and the repaired rows. The swarm makes at most two passes per
+generation: this one, and a `batch_compliance` re-screen of the rows it
+repaired.
+
 Sign convention: positive battery power charges (consumes), negative
 discharges (injects). EWH power is 0 or its nominal rating.
 """
@@ -37,7 +43,7 @@ __all__ = [
     "SimulationResult",
     "ewh_step",
     "batch_compliance",
-    "batch_repair",
+    "screen_with_repair",
     "simulate",
     "pv_accommodation",
     "repair_trajectory",
@@ -346,10 +352,13 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
     whole block, while the headroom recovers once per step. When no lane of
     such a block starts a step above the taper knee, the charging limit is
     the nominal rate in every lane, so its charge-rate flags are taken once
-    per trajectory on (R, P, 1) and broadcast; the tapered limit is evaluated
-    only at active steps and in blocks that reach the knee. Before the first
-    active step the lanes of a trajectory are alike, so SoC and headroom stay
-    (P, 1). The tank is stepped once over the horizon at width P.
+    per trajectory on (R, P, 1) and broadcast. An active step whose lanes all
+    start at or below the knee compares with the nominal rate as well, so the
+    tapered limit is evaluated only at steps and blocks that reach the knee.
+    Both tests are `max(initial=-inf) <= knee_soc`, which a NaN start fails,
+    as it fails `s <= knee_soc` in the limiter. Before the first active step
+    the lanes of a trajectory are alike, so SoC and headroom stay (P, 1). The
+    tank is stepped once over the horizon at width P.
 
     Every lane runs the same elementwise arithmetic, in the same order as the
     scalar route in `analysis`, so results do not depend on how lanes or steps
@@ -386,7 +395,10 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
             net = np.maximum(0.0, sur - p_ewh_t[h, :, None])
             absorb = _absorption(sur, net, capacity, dt, bat)
             p_eff = pb + absorb
-            charge_rate = (p_eff > charge_limit(soc) + EPS)[None]
+            if soc.max(initial=-np.inf) <= knee_soc:
+                charge_rate = (p_eff > nominal_limit)[None]
+            else:
+                charge_rate = (p_eff > charge_limit(soc) + EPS)[None]
             soc = soc + _soc_increment(p_eff, bat, dt)
             path = soc[None]
             discharge = ((absorb > EPS) & (pb < -EPS))[None]
@@ -404,7 +416,6 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
                 np.add(running[k], increment[h + k], out=running[k + 1])
             path = running[1:]
             starts = running[:-1]
-            # A NaN start fails the test, as it fails `s <= knee_soc` in the limiter.
             if starts.max(initial=-np.inf) <= knee_soc:
                 charge_rate = np.broadcast_to(p_free[h:stop] > nominal_limit, path.shape)
             else:
@@ -426,6 +437,34 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
         h = stop
 
 
+def _check_population(p_bat, p_ewh, rows, draws):
+    """The inputs as float arrays, once their horizons agree: (P, T)
+    trajectories, (S, T) rows and a (T,) draw profile."""
+    p_bat, p_ewh, rows, draws = (np.asarray(a, dtype=float) for a in (p_bat, p_ewh, rows, draws))
+    if not (
+        p_bat.ndim == rows.ndim == 2
+        and p_ewh.shape == p_bat.shape
+        and draws.shape == (p_bat.shape[1],) == rows.shape[1:]
+    ):
+        raise ValueError("trajectory, draw profile, and scenario horizons differ")
+    return p_bat, p_ewh, rows, draws
+
+
+def _screen(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, last_discharge=None):
+    """One `_lane_steps` pass reduced to (zero_penalty, accommodation_ok),
+    boolean (P, S) matrices. Given a (T, P) boolean array, `last_discharge`
+    also receives the per-step discharge flags of the last surplus row."""
+    count = p_bat.shape[0]
+    zero_penalty = np.ones((count, surplus.shape[0]), dtype=bool)
+    accommodation_ok = np.ones((count, surplus.shape[0]), dtype=bool)
+    for block in _lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt):
+        zero_penalty &= ~block.fault.any(axis=0)
+        accommodation_ok &= ~block.discharge.any(axis=0)
+        if last_discharge is not None:
+            last_discharge[block.steps] = block.discharge[:, :, -1]
+    return zero_penalty, accommodation_ok
+
+
 def batch_compliance(
     p_bat: np.ndarray,
     p_ewh: np.ndarray,
@@ -441,20 +480,40 @@ def batch_compliance(
     matrices. Each entry equals `simulate(...).penalty == 0` and
     `pv_accommodation(...)[0]` for that trajectory and the row's surplus.
     """
-    p_bat = np.asarray(p_bat, dtype=float)
-    p_ewh = np.asarray(p_ewh, dtype=float)
-    net_load = np.asarray(net_load, dtype=float)
-    draws = np.asarray(draws, dtype=float)
-    count, horizon = net_load.shape
-    if p_bat.ndim != 2 or p_ewh.shape != p_bat.shape or p_bat.shape[1] != horizon or draws.shape != (horizon,):
-        raise ValueError("trajectory, draw profile, and scenario horizons differ")
+    p_bat, p_ewh, net_load, draws = _check_population(p_bat, p_ewh, net_load, draws)
+    return _screen(p_bat, p_ewh, pv_surplus(net_load), draws, cfg, dt)
 
-    zero_penalty = np.ones((p_bat.shape[0], count), dtype=bool)
-    accommodation_ok = np.ones((p_bat.shape[0], count), dtype=bool)
-    for block in _lane_steps(p_bat, p_ewh, pv_surplus(net_load), draws, cfg, dt):
-        zero_penalty &= ~block.fault.any(axis=0)
-        accommodation_ok &= ~block.discharge.any(axis=0)
-    return zero_penalty, accommodation_ok
+
+def screen_with_repair(
+    p_bat: np.ndarray,
+    p_ewh: np.ndarray,
+    net_load: np.ndarray,
+    envelope: np.ndarray,
+    draws: np.ndarray,
+    cfg: HemsConfig,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """`batch_compliance` and the repair of every row against a surplus
+    envelope, in one kernel pass.
+
+    The envelope, a (T,) surplus row, is stepped as surplus row S + 1 next to
+    the S net-load rows. Returns (zero_penalty, accommodation_ok, repaired,
+    valid): the first two are `batch_compliance`'s (P, S) verdicts. Row p of
+    the (P, T) `repaired` has battery power raised to zero wherever trajectory
+    p discharges while the battery is supposed to absorb the envelope's
+    surplus. valid[p] is False where the trajectory has a constraint penalty
+    under the envelope, which repair does not fix; such rows come back
+    unchanged. A lane's result depends only on its own trajectory and
+    surplus row, so the extra row leaves the verdicts bit for bit as they are.
+    """
+    p_bat, p_ewh, net_load, draws = _check_population(p_bat, p_ewh, net_load, draws)
+    envelope = _surplus_row(envelope, p_bat.shape[1])
+    surplus = np.concatenate([pv_surplus(net_load), envelope[None]])
+    discharge = np.zeros(p_bat.shape[::-1], dtype=bool)
+    zero_penalty, accommodation_ok = _screen(p_bat, p_ewh, surplus, draws, cfg, dt, discharge)
+    valid = zero_penalty[:, -1]
+    repaired = np.where(discharge.T & valid[:, None], 0.0, p_bat)
+    return zero_penalty[:, :-1], accommodation_ok[:, :-1], repaired, valid
 
 
 def _surplus_row(surplus, horizon: int) -> np.ndarray:
@@ -500,32 +559,6 @@ def pv_accommodation(
     return not bool(flags.any()), flags
 
 
-def batch_repair(
-    p_bat: np.ndarray, p_ewh: np.ndarray, surplus: np.ndarray, cfg: HemsConfig, dt: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """`repair_trajectory` for P trajectories, given as (P, T) matrices,
-    against one surplus row.
-
-    Returns (repaired p_bat, valid). Row p of the repaired matrix has battery
-    power raised to zero wherever trajectory p discharges while the battery is
-    supposed to absorb surplus. valid[p] is False where the trajectory has a
-    constraint penalty under this surplus, which repair does not fix; such rows
-    come back unchanged.
-    """
-    p_bat = np.asarray(p_bat, dtype=float)
-    p_ewh = np.asarray(p_ewh, dtype=float)
-    if p_bat.ndim != 2 or p_ewh.shape != p_bat.shape:
-        raise ValueError("p_bat and p_ewh must be matching (P, T) matrices")
-    horizon = p_bat.shape[1]
-    surplus = _surplus_row(surplus, horizon)
-    valid = np.ones(p_bat.shape[0], dtype=bool)
-    discharge = np.zeros((horizon, p_bat.shape[0]), dtype=bool)
-    for block in _lane_steps(p_bat, p_ewh, surplus[None], cfg.ewh.draws(horizon), cfg, dt):
-        valid &= ~block.fault[:, :, 0].any(axis=0)
-        discharge[block.steps] = block.discharge[:, :, 0]
-    return np.where(discharge.T & valid[:, None], 0.0, p_bat), valid
-
-
 def repair_trajectory(
     traj: FlexTrajectory, surplus: np.ndarray, cfg: HemsConfig, dt: float
 ) -> FlexTrajectory:
@@ -534,9 +567,13 @@ def repair_trajectory(
     Battery power is raised to zero at the offending steps, so the battery's
     actual flow there becomes exactly the supposed surplus absorption. Defined
     only for trajectories that are otherwise violation-free; anything else is
-    rejected.
+    rejected. This is `screen_with_repair` for one row, with no net-load rows
+    and `surplus` as the envelope.
     """
-    repaired, valid = batch_repair(traj.p_bat[None], traj.p_ewh[None], surplus, cfg, dt)
+    horizon = traj.horizon
+    _, _, repaired, valid = screen_with_repair(
+        traj.p_bat[None], traj.p_ewh[None], np.empty((0, horizon)), surplus, cfg.ewh.draws(horizon), cfg, dt
+    )
     if not valid[0]:
         raise ValueError(
             "repair is defined only for trajectories whose sole fault is the "

@@ -86,8 +86,10 @@ class KernelSpec:
         for name in ("gamma", "coef0"):
             if not _is_finite_number(getattr(self, name)):
                 raise ValueError(f"kernel {name} must be a finite number, got {getattr(self, name)!r}")
-        if self.kind == "rbf" and not self.gamma > 0.0:
-            raise ValueError("rbf kernel needs gamma > 0")
+        # With gamma 0 every kernel value is the same, so every row scores the
+        # same r2; a negative gamma turns the kernel's sense of similarity around.
+        if not self.gamma > 0.0:
+            raise ValueError(f"{self.kind} kernel needs gamma > 0")
         if isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral) or self.degree < 1:
             raise ValueError(f"polynomial degree must be an integer of at least 1, got {self.degree!r}")
 

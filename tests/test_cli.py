@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemsflex import cli, epso, hems, scenarios
+from hemsflex import cli, epso, hems, scenarios, svdd
 from hemsflex.hems import FlexTrajectory
 from tests.conftest import make_marginals
 
@@ -164,15 +164,15 @@ class TestValidateRegeneratesSets:
 
     def test_sweep_kernels_default_and_empty(self, validated):
         # sweep_kernels is absent in the fixture: the default three kernels
-        assert len((validated / "out" / "confusion.csv").read_text().splitlines()) == 1 + 3 * 2
+        confusion = (validated / "out" / "confusion.csv").read_text()
+        assert len(confusion.splitlines()) == 1 + 3 * 2
         config = json.loads((validated / "config.json").read_text())
         config["validate"]["sweep_kernels"] = []
         (validated / "config.json").write_text(json.dumps(config))
-        assert invoke(validated, "validate") == 0
-        assert (validated / "out" / "confusion.csv").read_text().splitlines() == [
-            "kernel,gamma,nu,feasible_correct,feasible_incorrect,feasible_error_pct,"
-            "infeasible_correct,infeasible_incorrect,infeasible_error_pct"
-        ]
+        # An empty sweep validates nothing, so it is an input error that
+        # leaves the last report in place.
+        assert invoke(validated, "validate") == 2
+        assert (validated / "out" / "confusion.csv").read_text() == confusion
 
     def test_count_change_resizes_both_sets(self, validated):
         config = json.loads((validated / "config.json").read_text())
@@ -274,6 +274,33 @@ class TestErrorPaths:
         (workdir / "config.json").write_text(json.dumps(config))
         assert invoke(workdir, "gen-scenarios") == 2
         assert f"validate.{key} must be a JSON list, got {value!r}" in stderr_of(capsys, workdir)
+
+    @pytest.mark.parametrize("key", ["sweep_kernels", "sweep_nus"])
+    def test_empty_sweep_exits_two(self, workdir, capsys, key):
+        config = json.loads((workdir / "config.json").read_text())
+        config["validate"][key] = []
+        (workdir / "config.json").write_text(json.dumps(config))
+        for command in ("gen-scenarios", "validate"):
+            assert invoke(workdir, command) == 2
+            assert f"validate.{key} must not be empty" in stderr_of(capsys, workdir)
+
+    @pytest.mark.parametrize("kind", ["poly", "sigmoid"])
+    @pytest.mark.parametrize("gamma", [0.0, -0.05])
+    def test_non_positive_gamma_exits_two(self, workdir, capsys, kind, gamma):
+        """Such a kernel is rejected by `train`, through the config, and by
+        `load_model`, through a model file."""
+        model = {
+            "kernel": {"kind": kind, "gamma": gamma}, "nu": 0.1, "norm_bounds": [[0.0, 1.0]],
+            "support_vectors": [[0.5]], "coefficients": [1.0], "radius2_threshold": 0.0, "const_term": 1.0,
+        }
+        (workdir / "model.json").write_text(json.dumps(model))
+        with pytest.raises(ValueError, match=f"{kind} kernel needs gamma > 0"):
+            svdd.load_model(workdir / "model.json")
+        config = json.loads((workdir / "config.json").read_text())
+        config["svdd"]["kernel"].update(kind=kind, gamma=gamma)
+        (workdir / "config.json").write_text(json.dumps(config))
+        assert invoke(workdir, "train") == 2
+        assert f"svdd.kernel: {kind} kernel needs gamma > 0" in stderr_of(capsys, workdir)
 
     @pytest.mark.parametrize(
         "key, value, message",

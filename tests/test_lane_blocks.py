@@ -3,6 +3,8 @@ is stepped on its own, and the surplus-free runs between them are stepped as
 blocks of up to `hems._BLOCK_STEPS` steps. Screening, repair and simulation
 must not depend on where the block boundaries fall, so these instances put
 surplus at the horizon's ends and leave surplus-free runs longer than the cap.
+The fused screen steps the repair envelope as one more surplus row, which
+must leave the screen's verdicts as they are.
 """
 
 import tracemalloc
@@ -157,7 +159,8 @@ class TestBlockBoundaries:
     def test_batch_repair_matches_repair_trajectory(self, instance):
         cfg, dt, p_bat, p_ewh, net_load = instance
         envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        fixed, valid = hems.batch_repair(p_bat, p_ewh, envelope, cfg, dt)
+        draws = cfg.ewh.draws(p_bat.shape[1])
+        _, _, fixed, valid = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
             try:
@@ -168,6 +171,43 @@ class TestBlockBoundaries:
                 continue
             assert valid[p]
             assert np.array_equal(fixed[p], repaired.p_bat)
+
+    @BLOCK_SETTINGS
+    @given(block_instances(), st.sampled_from(["envelope", "shifted", "zero", "no rows"]))
+    def test_fused_screen_matches_screen_and_row_repair(self, instance, kind):
+        """The fused pass gives `batch_compliance`'s verdicts bit for bit and
+        per-row `repair_trajectory`'s rows, whether the envelope is the rows'
+        surplus envelope, that envelope one step later (surplus where no row
+        has it), all zero, or stepped with no net-load rows at all."""
+        cfg, dt, p_bat, p_ewh, net_load = instance
+        draws = cfg.ewh.draws(p_bat.shape[1])
+        envelope = scenarios.pv_surplus(net_load).max(axis=0)
+        if kind == "shifted":
+            envelope = np.roll(envelope, 1)
+        elif kind == "zero":
+            envelope = np.zeros_like(envelope)
+        elif kind == "no rows":
+            net_load = net_load[:0]
+        zero_penalty, accommodation_ok, fixed, valid = hems.screen_with_repair(
+            p_bat, p_ewh, net_load, envelope, draws, cfg, dt
+        )
+        expected = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        assert zero_penalty.shape == accommodation_ok.shape == (p_bat.shape[0], net_load.shape[0])
+        assert np.array_equal(zero_penalty, expected[0])
+        assert np.array_equal(accommodation_ok, expected[1])
+        assert fixed.shape == p_bat.shape and valid.shape == (p_bat.shape[0],)
+        for p in range(p_bat.shape[0]):
+            traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+            try:
+                repaired = hems.repair_trajectory(traj, envelope, cfg, dt)
+            except ValueError:
+                assert not valid[p]
+                assert np.array_equal(fixed[p], p_bat[p])
+                continue
+            assert valid[p]
+            assert np.array_equal(fixed[p], repaired.p_bat)
+        if kind == "zero":
+            assert np.array_equal(fixed, p_bat)
 
     @BLOCK_SETTINGS
     @given(block_instances())
@@ -223,8 +263,10 @@ class TestLayoutInvariance:
         for verdict, swapped_verdict in zip(screened, swapped):
             assert np.array_equal(swapped_verdict, verdict[::-1][:, order])
         envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        fixed, valid = hems.batch_repair(p_bat, p_ewh, envelope, cfg, dt)
-        swapped_fixed, swapped_valid = hems.batch_repair(p_bat[::-1], p_ewh[::-1], envelope, cfg, dt)
+        _, _, fixed, valid = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        _, _, swapped_fixed, swapped_valid = hems.screen_with_repair(
+            p_bat[::-1], p_ewh[::-1], net_load[order], envelope, draws, cfg, dt
+        )
         assert np.array_equal(swapped_fixed, fixed[::-1])
         assert np.array_equal(swapped_valid, valid[::-1])
 
@@ -296,6 +338,68 @@ class TestTaperKnee:
                 oracle = analysis.oracle_check(traj, scenarios.ScenarioSet(net_load[s : s + 1]), cfg, dt)
                 assert bool(zero_penalty[p, s] and accommodation_ok[p, s]) == (oracle == 1)
 
+    def test_surplus_steps_at_and_just_above_the_knee(self):
+        """Two surplus steps, at the knee and one ulp above it. At step 0
+        every lane starts exactly at the knee, where the limit is the nominal
+        rate. Step 0 leaves trajectories 0-2 at the knee, 3-5 one ulp above
+        it and 6-7 well inside the taper, so step 1 starts lanes at all
+        three. Battery power of the nominal rate plus or minus 2 EPS puts
+        lanes on both sides of the charge-rate rule at each step, and the
+        nominal rate plus EPS is flagged one ulp above the knee but not at
+        it. The EWH takes up row 0's surplus, so nothing is absorbed there,
+        while row 1's larger surplus at step 1 adds absorption."""
+        dt = 0.25
+        ulp = np.nextafter(KNEE, np.inf) - KNEE
+        cfg = hems.HemsConfig(
+            battery=hems.BatteryConfig(
+                capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=P_MAX, soc_init=KNEE, efficiency=1.0
+            ),
+            ewh=hems.EwhConfig(p_nom=P_NOM, theta_min=THETA_MIN, theta_max=THETA_MAX, theta_init=60.0),
+        )
+        bat = cfg.battery
+        p_bat = np.zeros((8, 3))
+        # With unit efficiency, 4 ulp of power over a quarter hour adds exactly one ulp.
+        p_bat[:, 0] = [0.0, 0.0, 0.0, 4 * ulp, 4 * ulp, 4 * ulp, P_MAX - 2 * EPS, P_MAX + 2 * EPS]
+        p_bat[:, 1] = [P_MAX - 2 * EPS, P_MAX + EPS, P_MAX + 2 * EPS] * 2 + [0.0, 0.0]
+        p_ewh = np.zeros_like(p_bat)
+        p_ewh[:, :2] = P_NOM
+        net_load = np.array([[-0.3, -0.3, 0.5], [0.5, -0.8, 0.5]])
+        surplus = scenarios.pv_surplus(net_load)
+        draws = cfg.ewh.draws(3)
+
+        (soc0, theta0, headroom0), absorb, charge, _, tracker = analysis._step_route(cfg, dt)
+        starts = np.empty((8, 2, 3))
+        expected = np.empty((8, 2, 3), dtype=bool)
+        for p in range(p_bat.shape[0]):
+            traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+            for s, row in enumerate(surplus):
+                soc, headroom = soc0, headroom0
+                for h, (pb, pe, sur) in enumerate(zip(p_bat[p], p_ewh[p], row)):
+                    p_eff = pb + absorb(sur, pe, headroom)
+                    starts[p, s, h] = soc
+                    expected[p, s, h] = p_eff > hems._charge_limit(soc, bat) + EPS
+                    soc = charge(soc, p_eff)
+                    headroom = tracker(headroom, sur, pe)
+                result = hems.simulate(traj, row, cfg, dt)
+                assert np.array_equal(result.violations["charge_rate"], expected[p, s])
+        assert (starts[:, :, 0] == KNEE).all()
+        assert (starts[:3, :, 1] == KNEE).all() and (starts[3:6, :, 1] == np.nextafter(KNEE, np.inf)).all()
+        assert (starts[6:, :, 1] > KNEE + 0.3).all()
+        assert expected[:, 0, 0].tolist() == [False] * 7 + [True]
+        assert expected[:6, 0, 1].tolist() == [False, False, True, False, True, True]
+        assert expected[:6, 1, 1].all()
+
+        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt))
+        assert [block.steps for block in blocks] == [slice(0, 1), slice(1, 2), slice(2, 3)]
+        flags = np.concatenate([np.broadcast_to(block.charge_rate, block.soc.shape[:2] + (2,)) for block in blocks])
+        assert np.array_equal(flags, expected.transpose(2, 0, 1))
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        for p in range(p_bat.shape[0]):
+            traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+            for s in range(net_load.shape[0]):
+                oracle = analysis.oracle_check(traj, scenarios.ScenarioSet(net_load[s : s + 1]), cfg, dt)
+                assert bool(zero_penalty[p, s] and accommodation_ok[p, s]) == (oracle == 1)
+
 
 def _reference_population():
     """A seeded 30 x 96 population, the reference scenarios and HEMS."""
@@ -330,9 +434,11 @@ def test_population_screen_memory_is_bounded():
 
 
 def test_population_repair_memory_is_bounded():
-    """One repair of the same 30 rows against the reference surplus envelope
-    stays under the same 2 MB of traced allocations."""
+    """One fused screen and repair of the same 30 rows, 30 x (100 + 1) lanes
+    with the reference surplus envelope as the extra row, stays under the
+    same 2 MB of traced allocations."""
     p_bat, p_ewh, net_load, hems_cfg, dt = _reference_population()
     envelope = scenarios.pv_surplus(net_load).max(axis=0)
-    peak = _traced_peak(hems.batch_repair, p_bat, p_ewh, envelope, hems_cfg, dt)
-    assert peak < 2_000_000, f"batch_repair peaked at {peak / 1e6:.2f} MB"
+    draws = hems_cfg.ewh.draws(net_load.shape[1])
+    peak = _traced_peak(hems.screen_with_repair, p_bat, p_ewh, net_load, envelope, draws, hems_cfg, dt)
+    assert peak < 2_000_000, f"screen_with_repair peaked at {peak / 1e6:.2f} MB"

@@ -234,10 +234,12 @@ class TestPopulationScreen:
 
 class TestBatchRepair:
     @staticmethod
-    def _assert_matches_rows(p_bat, p_ewh, surplus, cfg, dt) -> tuple[int, int]:
-        """Compare the batched repair with per-row repair_trajectory; return
-        the number of rejected rows and of changed rows."""
-        fixed, valid = hems.batch_repair(p_bat, p_ewh, surplus, cfg, dt)
+    def _assert_matches_rows(p_bat, p_ewh, net_load, surplus, cfg, dt) -> tuple[int, int]:
+        """Compare the batched repair of the fused screen, stepped next to the
+        net-load rows, with per-row repair_trajectory; return the number of
+        rejected rows and of changed rows."""
+        draws = cfg.ewh.draws(p_bat.shape[1])
+        _, _, fixed, valid = hems.screen_with_repair(p_bat, p_ewh, net_load, surplus, draws, cfg, dt)
         rejected = changed = 0
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
@@ -258,7 +260,7 @@ class TestBatchRepair:
     def test_matches_per_row_repair_at_edges(self, instance):
         cfg, dt, p_bat, p_ewh, net_load = instance
         envelope = np.maximum(0.0, -net_load).max(axis=0)
-        self._assert_matches_rows(p_bat, p_ewh, envelope, cfg, dt)
+        self._assert_matches_rows(p_bat, p_ewh, net_load, envelope, cfg, dt)
 
     def test_matches_per_row_repair_on_random_population(self, small_instance):
         scenario_set, cfg = small_instance
@@ -266,7 +268,7 @@ class TestBatchRepair:
         p_bat = rng.uniform(-1.5, 1.5, (300, 16))
         p_ewh = np.where(rng.random((300, 16)) < 0.2, 0.5, 0.0)
         surplus = np.maximum(0.0, -scenario_set.values[0])
-        rejected, changed = self._assert_matches_rows(p_bat, p_ewh, surplus, cfg, 0.25)
+        rejected, changed = self._assert_matches_rows(p_bat, p_ewh, scenario_set.values, surplus, cfg, 0.25)
         # both outcomes actually occur in the population
         assert rejected > 10 and changed > 10
 

@@ -1,11 +1,13 @@
 """Repository tooling checks: the example-input generator still writes the
 shipped data/ files, byte for byte (every tracked out/small artifact and every
-benchmark workload reads them), every exported name exists, and every exported
-name has a caller outside the tests."""
+benchmark workload reads them), every exported name exists, every exported
+name has a caller outside the tests, and the benchmark recorder assembles its
+JSON from perfbench's result lines."""
 
 import ast
 import importlib
 import importlib.util
+import json
 import pkgutil
 import re
 from pathlib import Path
@@ -15,10 +17,15 @@ import hemsflex
 REPO = Path(__file__).resolve().parent.parent
 
 
-def test_make_example_inputs_reproduces_data(tmp_path, monkeypatch):
-    spec = importlib.util.spec_from_file_location("make_example_inputs", REPO / "tools" / "make_example_inputs.py")
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
     tool = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tool)
+    return tool
+
+
+def test_make_example_inputs_reproduces_data(tmp_path, monkeypatch):
+    tool = _load_tool("make_example_inputs")
     monkeypatch.setattr(tool, "DATA", tmp_path)
     tool.main()
     for name in ("marginals_96.csv", "draws_96.csv", "hems.json"):
@@ -63,3 +70,47 @@ def test_every_all_name_has_a_non_test_caller():
         if name not in src and not re.search(rf"\b{re.escape(name)}\b", text)
     ]
     assert not unused
+
+
+def _run_stdout(workload, metrics, correct=True, failed=0, attempted=4, times=(0.5, 0.4)):
+    """perfbench/run.py's stdout for one run: metric lines, the info line,
+    then the summary JSON."""
+    info = {"workload": workload, "seed": 1, "stage_times_s": list(times), "nproc": 2}
+    summary = {"correct": correct, "attempted": attempted, "failed": failed,
+               "metrics": {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}}
+    lines = [f"{workload}: {k} = {v:.6g} {u}" for k, (v, u) in metrics.items()]
+    return "\n".join(lines + ["perfbench-info " + json.dumps(info), json.dumps(summary)]) + "\n"
+
+
+def test_bench_assembles_json_from_result_lines():
+    bench = _load_tool("bench")
+    end_to_end = {"stage_s": (0.04, "s"), "setup_s": (0.14, "s"), "peak_rss_mb": (59.3, "MB")}
+    layers = {"hems.batch_compliance_calls": (4, "count"), "epso.generations": (3, "count")}
+    runs = {
+        "search-reference": {
+            "untraced": bench.parse_run_output(_run_stdout("search-reference", end_to_end)),
+            "traced": bench.parse_run_output(_run_stdout("search-reference", layers, failed=1, times=(0.6,))),
+        }
+    }
+    cli_stages = {"small": {"search": 1.2}, "reference": {"search": 6.6}}
+    env = {"nproc": 2, "numpy": "2.4.6"}
+    doc = bench.assemble("demo", 1, 8.0, runs, cli_stages, env)
+    assert json.loads(json.dumps(doc)) == {
+        "pr": "demo",
+        "seed": 1,
+        "seconds": 8.0,
+        "workloads": {
+            "search-reference": {
+                "correct": True,
+                "attempted": 8,
+                "failed": 1,
+                "end_to_end": {"stage_s": {"value": 0.04, "unit": "s"}, "setup_s": {"value": 0.14, "unit": "s"},
+                               "peak_rss_mb": {"value": 59.3, "unit": "MB"}},
+                "layers": {"hems.batch_compliance_calls": {"value": 4, "unit": "count"},
+                           "epso.generations": {"value": 3, "unit": "count"}},
+                "stage_times_s": [0.5, 0.4],
+            }
+        },
+        "cli_stages_s": cli_stages,
+        "environment": env,
+    }

@@ -1,0 +1,166 @@
+#!/usr/bin/env python3
+"""Record one BENCH_<pr>.json: every benchmark workload's end-to-end and
+per-layer metrics, the wall time of each CLI stage at both shipped configs,
+and the machine and library versions they were taken with.
+
+Run from the repository root:
+
+    python3 tools/bench.py --pr <label> --seconds 10
+
+For each workload listed in BENCHMARK.json it runs perfbench/run.py as it
+stands, with the same seed and --seconds, once untraced (stage_s, setup_s and
+peak_rss_mb) and once with --trace 1 (the per-layer metrics). It then runs
+gen-scenarios, search, train, classify and validate once each on
+data/config_small.json and data/config_reference.json, every stage in a fresh
+interpreter with BLAS pinned to one thread, as perfbench pins it, and records
+its wall time, interpreter start and package import included. The chain runs
+CLI_REPEATS times and each stage's fastest call is kept: other tenants of a
+shared host only ever slow a call down, and one full reference search read
+from 6.2 to 9.2 s on the same 2-vCPU guest. The stages write to a temporary
+directory, so out/small is left alone.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ctypes
+import json
+import os
+import platform
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+BLAS_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+CONFIGS = {"small": "config_small.json", "reference": "config_reference.json"}
+CLI_STAGES = ("gen-scenarios", "search", "train", "classify", "validate")
+CLI_REPEATS = 3
+INFO_PREFIX = "perfbench-info "
+
+
+def parse_run_output(stdout: str) -> dict:
+    """The result of one perfbench/run.py call from its stdout: the summary
+    JSON of the last line, and the environment of its `perfbench-info` line."""
+    lines = stdout.strip().splitlines()
+    summary = json.loads(lines[-1])
+    info = next(json.loads(line[len(INFO_PREFIX):]) for line in lines if line.startswith(INFO_PREFIX))
+    return dict(summary, info=info)
+
+
+def assemble(pr: str, seed: int, seconds: float, runs: dict, cli_stages: dict, environment: dict) -> dict:
+    """The BENCH document. `runs` maps each workload to its parsed untraced
+    and traced results, under "untraced" and "traced"; `cli_stages` maps each
+    config to its stage wall times in seconds."""
+    workloads = {}
+    for workload, results in runs.items():
+        untraced, traced = results["untraced"], results["traced"]
+        workloads[workload] = {
+            "correct": untraced["correct"] and traced["correct"],
+            "attempted": untraced["attempted"] + traced["attempted"],
+            "failed": untraced["failed"] + traced["failed"],
+            "end_to_end": untraced["metrics"],
+            "layers": traced["metrics"],
+            "stage_times_s": untraced["info"]["stage_times_s"],
+        }
+    return {
+        "pr": pr,
+        "seed": seed,
+        "seconds": seconds,
+        "workloads": workloads,
+        "cli_stages_s": cli_stages,
+        "environment": environment,
+    }
+
+
+def openblas_core() -> str | None:
+    """The CPU kernel OpenBLAS picked in this process, where numpy links
+    OpenBLAS and the platform lists its loaded libraries."""
+    import numpy  # noqa: F401  (loads the BLAS library)
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename", "openblas_get_corename"):
+            if hasattr(lib, name):
+                corename = getattr(lib, name)
+                corename.restype = ctypes.c_char_p
+                return corename().decode()
+    return None
+
+
+def environment() -> dict:
+    import numpy
+    import scipy
+
+    blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "blas": f"{blas.get('name')} {blas.get('version')}",
+        "openblas_core": openblas_core(),
+        "openblas_coretype_env": os.environ.get("OPENBLAS_CORETYPE"),
+    }
+
+
+def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
+    argv = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
+            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
+    return parse_run_output(proc.stdout)
+
+
+def time_cli_stages(config: Path, out: Path) -> dict:
+    """Fastest wall time of each stage over CLI_REPEATS runs of the chain."""
+    env = dict(os.environ, **BLAS_ENV, PYTHONPATH=str(ROOT / "src"))
+    classify = ["--model", str(out / "model.json"), "--input", str(out / "feasible.csv")]
+    times = {stage: float("inf") for stage in CLI_STAGES}
+    for _ in range(CLI_REPEATS):
+        for stage in CLI_STAGES:
+            extra = classify if stage == "classify" else []
+            argv = [sys.executable, "-m", "hemsflex", "--config", str(config), "--out", str(out), stage, *extra]
+            start = time.perf_counter()
+            subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True)
+            times[stage] = min(times[stage], time.perf_counter() - start)
+    return times
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--pr", required=True, help="label of the change measured, used in the file name")
+    parser.add_argument("--seconds", type=float, default=10.0, help="perfbench/run.py --seconds of every run")
+    parser.add_argument("--seed", type=int, default=1, help="perfbench/run.py --seed of every run")
+    parser.add_argument("--out", type=Path, default=None, help="output path (default BENCH_<pr>.json at the root)")
+    args = parser.parse_args(argv)
+
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    runs = {}
+    for workload in (w["name"] for w in spec["workloads"]):
+        runs[workload] = {
+            name: run_workload(workload, args.seed, args.seconds, trace)
+            for name, trace in (("untraced", 0), ("traced", 1))
+        }
+        print(f"{workload}: stage_s {runs[workload]['untraced']['metrics']['stage_s']['value']:.6g} s", flush=True)
+    cli_stages = {}
+    for scale, name in CONFIGS.items():
+        with tempfile.TemporaryDirectory(prefix=f"bench-{scale}-") as out:
+            cli_stages[scale] = time_cli_stages(ROOT / "data" / name, Path(out))
+        print(f"{scale}: " + ", ".join(f"{k} {v:.3g} s" for k, v in cli_stages[scale].items()), flush=True)
+
+    doc = assemble(args.pr, args.seed, args.seconds, runs, cli_stages, environment())
+    path = args.out or ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(doc, indent=2) + "\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
