@@ -11,15 +11,14 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
-import numbers
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis, epso, hems, scenarios, svdd
+from ._inputs import build, check_keys, finite, integer, json_object
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -37,27 +36,6 @@ _STAGE_BASELINE = 3
 _TOP_KEYS = {"dt_hours", "seed", "out_dir", "paths", "copula", "epso", "svdd", "validate"}
 _PATH_KEYS = {"marginals", "hems", "draws"}
 _VALIDATE_KEYS = {"window", "sweep_kernels", "sweep_nus", "infeasible_count", "baseline_count"}
-# Least value of each validate count: the PCA diversity report needs two
-# baseline members.
-_VALIDATE_COUNT_MIN = {"infeasible_count": 1, "baseline_count": 2}
-
-
-def _check_keys(where: str, doc, known: set[str]) -> None:
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object")
-    unknown = sorted(set(doc) - known)
-    if unknown:
-        raise ValueError(f"{where}: unknown key(s) {', '.join(unknown)}")
-
-
-def _build(where: str, cls, doc, **derived):
-    """`cls` from a config object whose keys are its fields, less the ones
-    derived here: a stage seed always derives from the master seed."""
-    _check_keys(where, doc, {f.name for f in fields(cls)} - set(derived))
-    try:
-        return cls(**doc, **derived)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: {exc}") from exc
 
 
 def stage_seed(master: int, stage: int) -> int:
@@ -88,13 +66,12 @@ class RunConfig:
     @classmethod
     def load(cls, path, seed_override=None, out_override=None) -> "RunConfig":
         path = Path(path)
-        with open(path) as fh:
-            doc = json.load(fh)
+        doc = json_object(str(path), path.read_text())
         base = path.parent
-        _check_keys(str(path), doc, _TOP_KEYS)
+        check_keys(str(path), doc, _TOP_KEYS)
         paths, validate = doc.get("paths", {}), doc.get("validate", {})
-        _check_keys(f"{path}: paths", paths, _PATH_KEYS)
-        _check_keys(f"{path}: validate", validate, _VALIDATE_KEYS)
+        check_keys(f"{path}: paths", paths, _PATH_KEYS)
+        check_keys(f"{path}: validate", validate, _VALIDATE_KEYS)
         for key in ("sweep_kernels", "sweep_nus"):
             if key not in validate:
                 continue
@@ -102,39 +79,35 @@ class RunConfig:
                 raise ValueError(f"{path}: validate.{key} must be a JSON list, got {validate[key]!r}")
             if not validate[key]:
                 raise ValueError(f"{path}: validate.{key} must not be empty")
-        for key, least in _VALIDATE_COUNT_MIN.items():
-            count = validate.get(key, least)
-            if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < least:
-                raise ValueError(f"{path}: validate.{key} must be an integer of at least {least}, got {count!r}")
+        integer(f"{path}: validate.infeasible_count", validate.get("infeasible_count", 1), 1)
+        # The PCA diversity report needs two baseline members.
+        integer(f"{path}: validate.baseline_count", validate.get("baseline_count", 2), 2)
         if "marginals" not in paths or "hems" not in paths:
             raise ValueError(f"{path}: paths.marginals and paths.hems are required")
         named_paths = [("out_dir", doc.get("out_dir", "out")), *((f"paths.{k}", v) for k, v in paths.items())]
         for name, value in named_paths:
             if not isinstance(value, str):
                 raise ValueError(f"{path}: {name} must be a JSON string, got {value!r}")
-        dt_hours = doc.get("dt_hours", 0.25)
-        is_number = isinstance(dt_hours, (int, float)) and not isinstance(dt_hours, bool)
-        if not (is_number and math.isfinite(dt_hours) and dt_hours > 0):
-            raise ValueError(f"{path}: dt_hours must be a positive finite number, got {dt_hours!r}")
+        dt_hours = finite(f"{path}: dt_hours", doc.get("dt_hours", 0.25))
+        if not dt_hours > 0:
+            raise ValueError(f"{path}: dt_hours must be positive, got {dt_hours!r}")
         if validate.get("window") is not None:
             try:
                 window_steps(validate["window"], dt_hours)
             except ValueError as exc:
                 raise ValueError(f"{path}: validate: {exc}") from exc
-        seed = seed_override if seed_override is not None else doc.get("seed", 0)
-        if isinstance(seed, bool) or not isinstance(seed, numbers.Integral) or seed < 0:
-            raise ValueError(f"{path}: seed must be a non-negative integer, got {seed!r}")
+        seed = integer(f"{path}: seed", seed_override if seed_override is not None else doc.get("seed", 0), 0)
         svdd_doc = doc.get("svdd", {})
         kernel_doc = svdd_doc.pop("kernel", {}) if isinstance(svdd_doc, dict) else {}
-        training = _build(f"{path}: svdd", svdd.TrainingConfig, svdd_doc)
+        training = build(f"{path}: svdd", svdd.TrainingConfig, svdd_doc)
         sweep_kernels = [
-            _build(f"{path}: validate.sweep_kernels[{i}]", svdd.KernelSpec, kernel)
+            build(f"{path}: validate.sweep_kernels[{i}]", svdd.KernelSpec, kernel)
             for i, kernel in enumerate(
                 validate.get("sweep_kernels", [{"kind": kind} for kind in svdd.KERNEL_KINDS])
             )
         ]
         sweep_training = [
-            _build(f"{path}: validate.sweep_nus[{i}]", svdd.TrainingConfig, {"nu": nu})
+            build(f"{path}: validate.sweep_nus[{i}]", svdd.TrainingConfig, {"nu": nu})
             for i, nu in enumerate(validate.get("sweep_nus", [0.01, 0.1, 0.15, 0.2]))
         ]
         return cls(
@@ -144,14 +117,14 @@ class RunConfig:
             marginals_path=base / paths["marginals"],
             hems_path=base / paths["hems"],
             draws_path=(base / paths["draws"]) if "draws" in paths else None,
-            copula=_build(
+            copula=build(
                 f"{path}: copula", scenarios.CopulaConfig, doc.get("copula", {}),
                 seed=stage_seed(seed, _STAGE_SCENARIOS),
             ),
-            epso=_build(
+            epso=build(
                 f"{path}: epso", epso.EpsoConfig, doc.get("epso", {}), seed=stage_seed(seed, _STAGE_SEARCH)
             ),
-            kernel=_build(f"{path}: svdd.kernel", svdd.KernelSpec, kernel_doc),
+            kernel=build(f"{path}: svdd.kernel", svdd.KernelSpec, kernel_doc),
             training=training,
             sweep=[(k, t) for k in sweep_kernels for t in sweep_training],
             validate=validate,
@@ -173,9 +146,7 @@ def window_steps(spec, dt_hours: float) -> tuple[int, int]:
     checked here (see `parse_window`)."""
     form_error = ValueError(f"window {spec!r} is neither [start, stop] nor HH:MM-HH:MM")
     if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        if not all(isinstance(v, numbers.Integral) and not isinstance(v, bool) for v in spec):
-            raise form_error
-        start, stop = int(spec[0]), int(spec[1])
+        start, stop = (integer(f"window {spec!r} step", v, 0) for v in spec)
     elif isinstance(spec, str):
         try:
             lo, hi = spec.split("-")
@@ -194,8 +165,8 @@ def window_steps(spec, dt_hours: float) -> tuple[int, int]:
         start, stop = int(round(start)), int(round(stop))
     else:
         raise form_error
-    if not 0 <= start < stop:
-        raise ValueError(f"window [{start}, {stop}) is empty or starts before step 0")
+    if not start < stop:
+        raise ValueError(f"window [{start}, {stop}) is empty")
     return start, stop
 
 

@@ -14,14 +14,12 @@ chosen to maximize the diversity of the collected set.
 from __future__ import annotations
 
 import math
-import numbers
 import time
-import warnings
 from dataclasses import dataclass, fields, replace
-from pathlib import Path
 
 import numpy as np
 
+from ._inputs import finite, integer, read_table, whole
 from .hems import FlexTrajectory, HemsConfig, batch_compliance, screen_with_repair
 
 # Kept importable as epso.repair_trajectory, where perfbench/spans.py looks it up.
@@ -82,13 +80,9 @@ class EpsoConfig:
 
     def __post_init__(self):
         for name in ("pop_size", "max_iters", "target_feasible"):
-            n = getattr(self, name)
-            if isinstance(n, bool) or not isinstance(n, numbers.Integral) or n < 1:
-                raise ValueError(f"{name} must be a positive integer, got {n!r}")
-        # JSON true is a numbers.Real that the range check would take as 1.
-        tau = self.tau_scen
-        if isinstance(tau, bool) or not isinstance(tau, numbers.Real) or not 0.0 < tau <= 1.0:
-            raise ValueError(f"tau_scen must lie in (0, 1], got {tau!r}")
+            integer(name, getattr(self, name), 1)
+        if not 0.0 < finite("tau_scen", self.tau_scen) <= 1.0:
+            raise ValueError(f"tau_scen must lie in (0, 1], got {self.tau_scen!r}")
 
 
 @dataclass
@@ -123,6 +117,7 @@ class FeasibleSet:
         self.fitnesses: list[int] = []
         self.mean = np.zeros(2 * horizon)
         self._rows = np.empty((64, 2 * horizon))
+        self._distances = None
 
     def __len__(self) -> int:
         return len(self.fitnesses)
@@ -156,13 +151,18 @@ class FeasibleSet:
         self._rows[n] = vector
         self.fitnesses.append(int(fitness))
         self.mean = self.mean + (vector - self.mean) / (n + 1)
+        self._distances = None
         return True
 
     def distances(self) -> np.ndarray:
-        """Accumulated absolute distance of each member to the set mean."""
-        rows, t = self._rows[: len(self)], self.horizon
-        bat = np.abs(rows[:, :t] - self.mean[:t]).sum(axis=1)
-        return bat + np.abs(rows[:, t:] - self.mean[t:]).sum(axis=1)
+        """Accumulated absolute distance of each member to the set mean, as a
+        read-only array computed once per state of the set."""
+        if self._distances is None:
+            rows, t = self._rows[: len(self)], self.horizon
+            bat = np.abs(rows[:, :t] - self.mean[:t]).sum(axis=1)
+            self._distances = bat + np.abs(rows[:, t:] - self.mean[t:]).sum(axis=1)
+            self._distances.flags.writeable = False
+        return self._distances
 
 
 @dataclass
@@ -472,6 +472,15 @@ def run(
     )
 
 
+def _trajectory_header(horizon: int) -> list[str]:
+    """The header `write_trajectories_csv` writes and `read_trajectories_csv` requires."""
+    return (
+        [f"pbat_h{k}" for k in range(1, horizon + 1)]
+        + [f"pewh_h{k}" for k in range(1, horizon + 1)]
+        + ["fitness"]
+    )
+
+
 def write_trajectories_csv(
     path, trajectories: list[FlexTrajectory], fitnesses=None, horizon: int | None = None
 ) -> None:
@@ -485,15 +494,10 @@ def write_trajectories_csv(
         horizon = trajectories[0].horizon
     if fitnesses is None:
         fitnesses = [0] * len(trajectories)
-    header = (
-        [f"pbat_h{k}" for k in range(1, horizon + 1)]
-        + [f"pewh_h{k}" for k in range(1, horizon + 1)]
-        + ["fitness"]
-    )
     # One join per row gives the bytes a csv writer would: a float's repr
     # holds no character that csv quotes, and "\r\n" is its line end.
     with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
+        fh.write(",".join(_trajectory_header(horizon)) + "\r\n")
         fh.writelines(
             ",".join(map(repr, traj.p_bat.tolist() + traj.p_ewh.tolist())) + f",{int(fitness)}\r\n"
             for traj, fitness in zip(trajectories, fitnesses)
@@ -501,37 +505,13 @@ def write_trajectories_csv(
 
 
 def read_trajectories_csv(path) -> tuple[list[FlexTrajectory], list[int]]:
-    """Trajectories and fitnesses of a file written by `write_trajectories_csv`.
-
-    The body is parsed as one matrix, so the trajectories are row views of it.
-    Blank lines are skipped; ragged rows, cells that are not numbers (a `#`
-    included), non-integral fitnesses and non-finite values raise ValueError.
-    """
-    path = Path(path)
-    with open(path) as fh:
-        header = fh.readline().rstrip("\r\n").split(",")
-        if not header[0].startswith("pbat_h"):
-            raise ValueError(f"{path}: missing trajectory header pbat_h1..")
-        if header[-1] != "fitness":
-            raise ValueError(f"{path}: last column must be fitness")
-        horizon = (len(header) - 1) // 2
-        width = 2 * horizon + 1
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore", message="loadtxt: input contained no data")
-            try:
-                table = np.loadtxt(fh, delimiter=",", comments=None, ndmin=2)
-            except ValueError as exc:
-                raise ValueError(f"{path}: {exc}") from exc
-    if table.size == 0:
-        table = table.reshape(0, width)
-    if table.shape[1] != width:
-        raise ValueError(f"{path}: row has {table.shape[1]} fields, expected {width}")
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: trajectory row {bad[0] + 1} holds a non-finite value")
-    matrix, fitness = table[:, :-1], table[:, -1]
-    bad = np.flatnonzero(fitness != np.trunc(fitness))
-    if bad.size:
-        raise ValueError(f"{path}: trajectory row {bad[0] + 1} has a non-integral fitness")
-    trajectories = [FlexTrajectory(p_bat=r[:horizon], p_ewh=r[horizon:]) for r in matrix]
-    return trajectories, fitness.astype(int).tolist()
+    """Trajectories and fitnesses of a file with the exact header that
+    `write_trajectories_csv` writes. The body is parsed as one matrix, so the
+    trajectories are row views of it, and a fitness must be a whole number."""
+    path, header, table = read_table(path)
+    horizon = (len(header) - 1) // 2
+    if horizon < 1 or header != _trajectory_header(horizon):
+        raise ValueError(f"{path}: expected the trajectory header pbat_h1..pbat_hT,pewh_h1..pewh_hT,fitness")
+    fitness = whole(path, "fitness", table[:, -1])
+    trajectories = [FlexTrajectory(p_bat=r[:horizon], p_ewh=r[horizon:-1]) for r in table]
+    return trajectories, fitness.tolist()

@@ -24,14 +24,13 @@ from __future__ import annotations
 
 import csv
 import json
-import math
-import numbers
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
+from ._inputs import build, finite, json_object, read_table, whole
 from .scenarios import pv_surplus
 
 __all__ = [
@@ -57,15 +56,10 @@ EPS = 1e-9
 
 
 def _check_finite(section) -> None:
-    """Reject a field of a parameter section, other than the draw profile,
-    that is not a finite number: a NaN bound makes every comparison false and
-    switches its rule off, and a bool (JSON true) would count as 1."""
+    """Every field of a parameter section but the draw profile is `finite`."""
     for f in fields(section):
-        value = getattr(section, f.name)
-        if f.name != "draw_profile" and (
-            isinstance(value, bool) or not (isinstance(value, numbers.Real) and math.isfinite(value))
-        ):
-            raise ValueError(f"{type(section).__name__}.{f.name} must be a finite number, got {value!r}")
+        if f.name != "draw_profile":
+            finite(f"{type(section).__name__}.{f.name}", getattr(section, f.name))
 
 
 @dataclass(frozen=True)
@@ -169,29 +163,16 @@ class HemsConfig:
     @classmethod
     def from_json(cls, path, draw_profile: np.ndarray | None = None) -> "HemsConfig":
         path = Path(path)
-        with open(path) as fh:
-            doc = json.load(fh)
-        if not isinstance(doc, dict):
-            raise ValueError(f"{path}: the top level must be a JSON object, not {type(doc).__name__}")
-        try:
-            unknown = sorted(set(doc) - {"battery", "ewh"})
-            if unknown:
-                raise ValueError(f"{path}: unknown key {unknown[0]!r}")
-            battery = BatteryConfig(**doc["battery"])
-            ewh_fields = dict(doc["ewh"])
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing section {exc}") from exc
-        except TypeError as exc:
-            raise ValueError(f"{path}: bad battery field ({exc})") from exc
-        if "draw_profile" in ewh_fields:
+        doc = json_object(str(path), path.read_text())
+        unknown = sorted(set(doc) - {"battery", "ewh"})
+        if unknown:
+            raise ValueError(f"{path}: unknown key {unknown[0]!r}")
+        if isinstance(doc.get("ewh"), dict) and "draw_profile" in doc["ewh"]:
             raise ValueError(f"{path}: unknown key 'ewh.draw_profile'; the draw profile is read from its own CSV")
-        if draw_profile is not None:
-            ewh_fields["draw_profile"] = draw_profile
-        try:
-            ewh = EwhConfig(**ewh_fields)
-        except TypeError as exc:
-            raise ValueError(f"{path}: bad ewh field ({exc})") from exc
-        return cls(battery=battery, ewh=ewh)
+        return cls(
+            battery=build(f"{path}: battery", BatteryConfig, doc.get("battery")),
+            ewh=build(f"{path}: ewh", EwhConfig, doc.get("ewh"), draw_profile=draw_profile),
+        )
 
     def to_json(self, path) -> None:
         """Write both sections field by field; the draw profile lives in its own CSV."""
@@ -602,22 +583,20 @@ def feasible_power_range(
 
 
 def read_draw_profile_csv(path) -> np.ndarray:
-    """Read litres-per-step rows from CSV `h,liters`; the steps h must run
-    exactly 1..T, each once."""
-    path = Path(path)
-    rows: list[tuple[int, float]] = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"h", "liters"} - set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header h,liters")
-        for row in reader:
-            rows.append((int(row["h"]), float(row["liters"])))
-    if not rows:
+    """Read litres-per-step rows from CSV under the header `h,liters`; the
+    steps h must run exactly 1..T, each once."""
+    path, header, table = read_table(path)
+    if header != ["h", "liters"]:
+        raise ValueError(f"{path}: expected header h,liters")
+    if not table.shape[0]:
         raise ValueError(f"{path}: no draw rows")
-    rows.sort()
-    if [h for h, _ in rows] != list(range(1, len(rows) + 1)):
-        raise ValueError(f"{path}: steps h must run 1..{len(rows)}, each once")
-    return np.array([litres for _, litres in rows], dtype=float)
+    steps = whole(path, "h", table[:, 0])
+    order = np.argsort(steps, kind="stable")
+    if steps[order].tolist() != list(range(1, len(steps) + 1)):
+        raise ValueError(f"{path}: steps h must run 1..{len(steps)}, each once")
+    if (table[:, 1] < 0.0).any():
+        raise ValueError(f"{path}: liters must not be negative")
+    return table[order, 1]
 
 
 def write_draw_profile_csv(path, draws: np.ndarray) -> None:

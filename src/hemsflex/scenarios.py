@@ -15,12 +15,11 @@ the package import.
 from __future__ import annotations
 
 import csv
-import math
-import numbers
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
+
+from ._inputs import finite, integer, read_table, whole
 
 __all__ = [
     "MarginalForecast",
@@ -80,12 +79,9 @@ class CopulaConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if isinstance(self.count, bool) or not isinstance(self.count, numbers.Integral) or self.count < 1:
-            raise ValueError(f"scenario count must be an integer of at least 1, got {self.count!r}")
-        nu_cov = self.nu_cov
-        finite = not isinstance(nu_cov, bool) and isinstance(nu_cov, numbers.Real) and math.isfinite(nu_cov)
-        if not (finite and nu_cov > 0.0):
-            raise ValueError(f"covariance range nu_cov must be a positive finite number, got {nu_cov!r}")
+        integer("count", self.count, 1)
+        if not finite("nu_cov", self.nu_cov) > 0.0:
+            raise ValueError(f"covariance range nu_cov must be positive, got {self.nu_cov!r}")
 
 
 @dataclass(frozen=True)
@@ -98,8 +94,6 @@ class ScenarioSet:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.size == 0:
             raise ValueError("scenario matrix must be 2-D and non-empty")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("scenario matrix contains non-finite entries")
         object.__setattr__(self, "values", vals)
 
     @property
@@ -119,16 +113,12 @@ class ScenarioSet:
 
     @classmethod
     def read_csv(cls, path) -> "ScenarioSet":
-        path = Path(path)
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or not header or not header[0].startswith("h"):
-                raise ValueError(f"{path}: missing scenario header h1..hT")
-            rows = [[float(x) for x in row] for row in reader if row]
-        if not rows:
+        path, header, table = read_table(path)
+        if header != [f"h{k}" for k in range(1, len(header) + 1)]:
+            raise ValueError(f"{path}: expected the scenario header h1..h{len(header)}")
+        if not table.shape[0]:
             raise ValueError(f"{path}: no scenario rows")
-        return cls(np.array(rows, dtype=float))
+        return cls(table)
 
 
 def build_covariance(horizon: int, nu_cov: float) -> np.ndarray:
@@ -194,31 +184,24 @@ def pv_surplus(net_load: np.ndarray) -> np.ndarray:
 
 
 def read_marginals_csv(path) -> list[MarginalForecast]:
-    """Read quantile tables from CSV rows `t,p,q`, one row per quantile knot;
-    the lead times t must run exactly 1..T."""
-    path = Path(path)
-    tables: dict[int, list[tuple[float, float]]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or {"t", "p", "q"} - set(reader.fieldnames):
-            raise ValueError(f"{path}: expected header t,p,q")
-        for row in reader:
-            tables.setdefault(int(row["t"]), []).append((float(row["p"]), float(row["q"])))
-    if not tables:
+    """Read quantile tables from CSV rows under the header `t,p,q`, one row
+    per quantile knot; the lead times t must run exactly 1..T."""
+    path, header, table = read_table(path)
+    if header != ["t", "p", "q"]:
+        raise ValueError(f"{path}: expected header t,p,q")
+    if not table.shape[0]:
         raise ValueError(f"{path}: no quantile rows")
-    if sorted(tables) != list(range(1, len(tables) + 1)):
-        raise ValueError(f"{path}: lead times t must run 1..{len(tables)}")
-    marginals = []
-    for lead_time in sorted(tables):
-        knots = sorted(tables[lead_time])
-        marginals.append(
-            MarginalForecast(
-                lead_time=lead_time,
-                probabilities=np.array([k[0] for k in knots]),
-                values=np.array([k[1] for k in knots]),
-            )
-        )
-    return marginals
+    lead = whole(path, "t", table[:, 0])
+    # Knots in order of lead time, then probability, then value.
+    order = np.lexsort((table[:, 2], table[:, 1], lead))
+    lead, probs, values = lead[order], table[order, 1], table[order, 2]
+    lead_times = np.unique(lead).tolist()
+    if lead_times != list(range(1, len(lead_times) + 1)):
+        raise ValueError(f"{path}: lead times t must run 1..{len(lead_times)}")
+    try:
+        return [MarginalForecast(t, probs[lead == t], values[lead == t]) for t in lead_times]
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def write_marginals_csv(path, marginals: list[MarginalForecast]) -> None:

@@ -11,13 +11,13 @@ can be shared without exposing raw household data.
 from __future__ import annotations
 
 import json
-import math
-import numbers
 from dataclasses import asdict, dataclass
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
+
+from ._inputs import build, finite, integer, json_object
 
 __all__ = [
     "KernelSpec",
@@ -58,11 +58,6 @@ _ALPHA_CUTOFF = 1e-8
 SCORE_BLOCK = 64
 
 
-def _is_finite_number(value) -> bool:
-    """A finite real that is not a bool: JSON true would pass as the number 1."""
-    return not isinstance(value, bool) and isinstance(value, numbers.Real) and math.isfinite(value)
-
-
 class ConvergenceError(RuntimeError):
     """Dual solver failed to reach the tolerance within its iteration cap."""
 
@@ -83,15 +78,12 @@ class KernelSpec:
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
             raise ValueError(f"unknown kernel kind {self.kind!r}, expected one of {KERNEL_KINDS}")
-        for name in ("gamma", "coef0"):
-            if not _is_finite_number(getattr(self, name)):
-                raise ValueError(f"kernel {name} must be a finite number, got {getattr(self, name)!r}")
+        finite("kernel coef0", self.coef0)
         # With gamma 0 every kernel value is the same, so every row scores the
         # same r2; a negative gamma turns the kernel's sense of similarity around.
-        if not self.gamma > 0.0:
+        if not finite("kernel gamma", self.gamma) > 0.0:
             raise ValueError(f"{self.kind} kernel needs gamma > 0")
-        if isinstance(self.degree, bool) or not isinstance(self.degree, numbers.Integral) or self.degree < 1:
-            raise ValueError(f"polynomial degree must be an integer of at least 1, got {self.degree!r}")
+        integer("polynomial degree", self.degree, 1)
 
 
 @dataclass(frozen=True)
@@ -101,7 +93,7 @@ class TrainingConfig:
     nu: float = 0.15
 
     def __post_init__(self):
-        if not (_is_finite_number(self.nu) and 0.0 < self.nu < 1.0):
+        if not 0.0 < finite("nu", self.nu) < 1.0:
             raise ValueError(f"nu must lie strictly inside (0, 1), got {self.nu!r}")
 
 
@@ -252,6 +244,8 @@ def train(
     if n < 2:
         raise ValueError("training needs at least 2 vectors")
     K = kernel_matrix(kernel, X, X)
+    if not np.isfinite(K).all():
+        raise ValueError(f"{kernel} gives non-finite kernel values on the training set")
     alpha = _solve_dual(K, cfg.nu, DUAL_TOLERANCE, DUAL_MAX_PASSES)
 
     cap = 1.0 / (cfg.nu * n)
@@ -270,6 +264,13 @@ def train(
         radius2_threshold = float(np.mean(radii[boundary]))
     else:
         radius2_threshold = float(np.min(radii))
+
+    # A kernel saturated or too sharp to tell rows apart gives every training
+    # row the same radius; up to two distinct rows score alike by symmetry.
+    r2 = _radius2(K[:, sv_mask], sv_alpha, const_term)
+    flat = r2.min() == r2.max() and np.unique(X, axis=0).shape[0] > 2
+    if flat or not np.isfinite(np.append(r2, [radius2_threshold, const_term])).all():
+        raise ValueError(f"{kernel} gives every training row the same or a non-finite r2")
 
     # Merge coincident support vectors; the kernel cannot tell them apart.
     unique_x, inverse = np.unique(sv_x, axis=0, return_inverse=True)
@@ -360,29 +361,22 @@ def serialize(model: SvddModel) -> str:
         "radius2_threshold": model.radius2_threshold,
         "const_term": model.const_term,
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def deserialize(text: str) -> SvddModel:
     """Parse a serialized model, reporting which field is malformed."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"model file is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ValueError(f"model file: the top level must be a JSON object, not {type(doc).__name__}")
+    doc = json_object("model file", text)
     for key in ("kernel", "nu", "norm_bounds", "support_vectors", "coefficients",
                 "radius2_threshold", "const_term"):
         if key not in doc:
             raise ValueError(f"model file: missing field {key!r}")
-    kdoc = doc["kernel"]
-    if not isinstance(kdoc, dict):
-        raise ValueError(f"model file: field 'kernel' must be a JSON object, not {type(kdoc).__name__}")
+    kernel = build("model file: field 'kernel'", KernelSpec, doc["kernel"])
     for key in ("kind", "gamma"):
-        if key not in kdoc:
+        if key not in doc["kernel"]:
             raise ValueError(f"model file: missing field kernel.{key}")
-    # Only JSON numbers count: float() and numpy would take "0.5" and true as
-    # numbers. Each field is one pass over its leaves, `depth` lists deep.
+    # Only JSON numbers count, as float() and numpy would take "0.5" and true;
+    # each field is one pass over its leaves, `depth` lists deep.
     for name, depth in (("nu", 0), ("radius2_threshold", 0), ("const_term", 0),
                         ("coefficients", 1), ("support_vectors", 2), ("norm_bounds", 2)):
         leaves = iter([doc[name]])
@@ -395,7 +389,6 @@ def deserialize(text: str) -> SvddModel:
         if other:
             raise ValueError(f"model file: {name} holds a {min(t.__name__ for t in other)}, not a number")
     try:
-        kernel = KernelSpec(**kdoc)
         support_vectors = np.array(doc["support_vectors"], dtype=float)
         coefficients = np.array(doc["coefficients"], dtype=float)
         norm_bounds = np.array(doc["norm_bounds"], dtype=float)

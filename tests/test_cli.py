@@ -657,3 +657,47 @@ class TestWindowParsing:
         assert cli.window_steps("09:00-13:00", 0.25) == (36, 52)
         with pytest.raises(ValueError):
             cli.parse_window("09:00-13:00", 0.25, 48)
+
+
+class TestDegenerateKernels:
+    """`train` and `validate` exit 2, naming the kernel, where a kernel gives
+    a model that is not finite or scores every training row alike."""
+
+    KERNELS = [{"kind": "poly", "gamma": 1e300}, {"kind": "sigmoid", "gamma": 1e6}, {"kind": "sigmoid", "coef0": 1e6}]
+
+    @pytest.fixture
+    def offered(self, workdir):
+        rng = np.random.default_rng(40)
+        trajectories = [FlexTrajectory(rng.uniform(-1.5, 1.5, 12), np.where(rng.random(12) < 0.3, 0.5, 0.0))
+                        for _ in range(30)]
+        (workdir / "out").mkdir()
+        epso.write_trajectories_csv(workdir / "out" / "feasible.csv", trajectories, [14] * 30)
+        return workdir
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_train_exits_two(self, offered, capsys, kernel):
+        config = json.loads((offered / "config.json").read_text())
+        config["svdd"]["kernel"] = kernel
+        (offered / "config.json").write_text(json.dumps(config))
+        # The poly kernel overflows on purpose here.
+        with np.errstate(over="ignore"):
+            assert invoke(offered, "train") == 2
+        assert f"kind='{kernel['kind']}'" in stderr_of(capsys, offered)
+        assert not (offered / "out" / "model.json").exists()
+
+    @pytest.mark.parametrize("kernel", KERNELS)
+    def test_validate_exits_two(self, offered, capsys, kernel):
+        assert invoke(offered, "gen-scenarios") == 0
+        config = json.loads((offered / "config.json").read_text())
+        config["validate"]["sweep_kernels"] = [{"kind": "rbf", "gamma": 0.5}, kernel]
+        (offered / "config.json").write_text(json.dumps(config))
+        capsys.readouterr()
+        with np.errstate(over="ignore"):
+            assert invoke(offered, "validate") == 2
+        assert f"kind='{kernel['kind']}'" in stderr_of(capsys, offered)
+        assert not (offered / "out" / "confusion.csv").exists()
+
+    def test_invalid_config_json_names_the_file(self, workdir, capsys):
+        (workdir / "config.json").write_text('{"seed": ')
+        assert invoke(workdir, "gen-scenarios") == 2
+        assert "config.json is not valid JSON" in stderr_of(capsys, workdir)

@@ -329,6 +329,29 @@ class TestFeasibleSet:
         assert not fs.add(FlexTrajectory(p_bat=near[:horizon], p_ewh=near[horizon:]), 1)
         assert len(fs) == 200
 
+    def test_distances_computed_once_per_state(self):
+        fs = FeasibleSet(horizon=2)
+        fs.add(FlexTrajectory(p_bat=np.array([0.5, 0.0]), p_ewh=np.zeros(2)), 1)
+        first = fs.distances()
+        assert fs.distances() is first and not first.flags.writeable
+        fs.add(FlexTrajectory(p_bat=np.array([-0.5, 0.0]), p_ewh=np.zeros(2)), 1)
+        assert fs.distances() is not first and np.array_equal(fs.distances(), [0.5, 0.5])
+
+    def test_run_computes_distances_once_per_generation(self, small_instance, monkeypatch):
+        # The global best and the logged distance come from one array.
+        scenario_set, cfg = small_instance
+        fills, records = [], []
+        distances = FeasibleSet.distances
+
+        def counted(self):
+            fills.append(self._distances is None)
+            return distances(self)
+
+        monkeypatch.setattr(FeasibleSet, "distances", counted)
+        epso_cfg = EpsoConfig(pop_size=8, max_iters=30, target_feasible=10_000, seed=6)
+        run(epso_cfg, scenario_set, cfg, dt=0.25, log_sink=records.append)
+        assert sum(fills) <= len(records) and len(fills) > sum(fills)
+
     def test_members_are_read_only(self):
         fs = FeasibleSet(horizon=2)
         fs.add(FlexTrajectory(p_bat=np.zeros(2), p_ewh=np.zeros(2)), 1)
@@ -558,6 +581,33 @@ class TestTrajectoryCsv:
         path = tmp_path / "bad.csv"
         path.write_text(text + row + "\n")
         with pytest.raises(ValueError):
+            read_trajectories_csv(path)
+
+
+class TestTrajectoryCsvHeader:
+    @pytest.mark.parametrize(
+        "header",
+        ["pbat_h1,pewh_h1,pbat_h2,pewh_h2,fitness", "pbat_h1,foo,fitness", "pbat_h2,pbat_h1,pewh_h1,pewh_h2,fitness",
+         "pbat_h1,pbat_h2,pewh_h1,pewh_h2,fit", "pbat_h1,pewh_h1", "fitness", ""],
+    )
+    def test_header_must_be_the_written_one(self, tmp_path, header):
+        # Columns in another order would be classified on the wrong numbers.
+        path = tmp_path / "offers.csv"
+        path.write_text(header + "\n" + ",".join(["0.5"] * len(header.split(","))) + "\n")
+        with pytest.raises(ValueError, match="offers.csv: expected the trajectory header"):
+            read_trajectories_csv(path)
+
+    def test_whole_float_fitness_is_read_as_an_integer(self, tmp_path):
+        path = tmp_path / "offers.csv"
+        path.write_text("pbat_h1,pewh_h1,fitness\n0.5,0.0,7.0\n")
+        assert read_trajectories_csv(path)[1] == [7]
+
+    @pytest.mark.parametrize("fitness", ["1e300", "-1e300", "1e17"])
+    def test_fitness_beyond_exact_integers_rejected(self, tmp_path, fitness):
+        # Cast to int, 1e300 would wrap to a garbage count with a warning.
+        path = tmp_path / "offers.csv"
+        path.write_text(f"pbat_h1,pewh_h1,fitness\n0.5,0.0,{fitness}\n")
+        with pytest.raises(ValueError, match="row 1 has a fitness that is not an integer"):
             read_trajectories_csv(path)
 
 

@@ -439,3 +439,25 @@ class TestConfigValidation:
         path.write_text("h,liters\n" + "".join(f"{h},1\n" for h in steps))
         with pytest.raises(ValueError, match=r"steps h must run 1\.\.4, each once"):
             hems.read_draw_profile_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["liters,h\n1,1\n", "h,liters,x\n1,1,1\n", "h\n1\n", "h,liters\n1.5,1\n", "h,liters\n1,-1\n",
+         "h,liters\n1,nan\n", "h,liters\n"],
+    )
+    def test_draw_profile_csv_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "use.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="use.csv"):
+            hems.read_draw_profile_csv(path)
+
+    def test_draw_profile_step_may_be_written_as_a_whole_float(self, tmp_path):
+        path = tmp_path / "draws.csv"
+        path.write_text("h,liters\n2.0,4.5\n1,6\n")
+        assert hems.read_draw_profile_csv(path).tolist() == [6.0, 4.5]
+
+    def test_invalid_json_names_the_file(self, tmp_path):
+        path = tmp_path / "hems.json"
+        path.write_text('{"battery": ')
+        with pytest.raises(ValueError, match="hems.json is not valid JSON"):
+            HemsConfig.from_json(path)

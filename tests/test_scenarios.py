@@ -200,3 +200,35 @@ class TestGenerateScenarios:
         scenarios.write_marginals_csv(path, marginals)
         with pytest.raises(ValueError, match=r"lead times t must run 1\.\.3"):
             scenarios.read_marginals_csv(path)
+
+
+class TestCsvShape:
+    @pytest.mark.parametrize(
+        "text",
+        ["h1,h2,h3\n0.1,0.2\n0.3,0.4\n", "h1,hx\n0.1,0.2\n", "h2,h1\n0.1,0.2\n", "h1,h2\n0.1,0.2,0.3\n",
+         "h1,h2\n0.1,nan\n", "h1,h2\n", ""],
+    )
+    def test_scenario_csv_needs_header_h1_to_ht_and_rows_t_wide(self, tmp_path, text):
+        # A header wider than its rows used to load as the rows' horizon.
+        path = tmp_path / "scen.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="scen.csv"):
+            ScenarioSet.read_csv(path)
+
+    @pytest.mark.parametrize(
+        "text",
+        ["p,t,q\n0.5,1,0.0\n", "t,p,q,x\n1,0.5,0.0,1\n", "t,p\n1,0.5\n", "t,p,q\n1.5,0.5,0.0\n",
+         "t,p,q\n1,1.2,0.0\n", "t,p,q\n1,0.5,inf\n", "t,p,q\n"],
+    )
+    def test_marginals_csv_errors_name_the_file(self, tmp_path, text):
+        path = tmp_path / "marg.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="marg.csv"):
+            scenarios.read_marginals_csv(path)
+
+    def test_marginals_lead_time_may_be_written_as_a_whole_float(self, tmp_path):
+        path = tmp_path / "marg.csv"
+        path.write_text("t,p,q\n2.0,0.5,1.0\n1,0.75,0.5\n1.0,0.25,0.0\n")
+        first, second = scenarios.read_marginals_csv(path)
+        assert (first.lead_time, second.lead_time) == (1, 2)
+        assert first.probabilities.tolist() == [0.25, 0.75] and first.values.tolist() == [0.0, 0.5]

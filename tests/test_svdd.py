@@ -2,6 +2,7 @@
 nu-property, radius computation, classification, and serialization."""
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -560,3 +561,25 @@ class TestSolverTwin:
             svdd._solve_dual(K, 0.1, 1e-6, 3)
         assert actual.value.residual == expected.value.residual
         assert str(actual.value) == str(expected.value)
+
+
+class TestDegenerateTraining:
+    """A kernel that overflows or saturates on the training set is an input
+    error that names the kernel, not a model that classifies nothing."""
+
+    @pytest.mark.parametrize(
+        "kernel",
+        [KernelSpec("poly", gamma=1e300), KernelSpec("sigmoid", gamma=1e6), KernelSpec("sigmoid", coef0=1e6)],
+    )
+    def test_train_rejects_a_kernel_that_tells_no_rows_apart(self, kernel):
+        X = np.random.default_rng(30).random((40, 6))
+        # The poly kernel overflows on purpose here.
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(repr(kernel))):
+            train(X, kernel, TrainingConfig(nu=0.15))
+
+    def test_serialize_refuses_non_finite_numbers(self):
+        X = np.random.default_rng(31).random((20, 3))
+        model = train(X, KernelSpec("rbf", gamma=0.5), TrainingConfig(nu=0.2))
+        model.radius2_threshold = float("nan")
+        with pytest.raises(ValueError):
+            serialize(model)
