@@ -36,9 +36,9 @@ def check_keys(where: str, doc, known: set[str]) -> None:
 
 
 def build(where: str, cls, doc, **derived):
-    """`cls` from a JSON object whose keys are its fields, less the ones the
-    caller derives, such as a stage seed; an error names `where`."""
-    check_keys(where, doc, {f.name for f in fields(cls)} - set(derived))
+    """`cls` from a JSON object whose keys are its init fields, less the ones
+    the caller derives, such as a stage seed; an error names `where`."""
+    check_keys(where, doc, {f.name for f in fields(cls) if f.init} - set(derived))
     try:
         return cls(**doc, **derived)
     except (TypeError, ValueError) as exc:

@@ -1,6 +1,7 @@
 """Validation tooling: independent feasibility oracle, infeasible-set
-sampling, PCA diversity metrics, classification reports, and the semi-random
-baseline constructor used for diversity comparisons.
+sampling, PCA diversity metrics, classification reports, the semi-random
+baseline constructor used for diversity comparisons, and the `validate` stage
+that runs them all under one `ValidateConfig`.
 
 The oracle re-derives every feasibility rule step by step in plain Python,
 sharing no stepping code with the simulation module, so the two routes can be
@@ -17,24 +18,29 @@ a walk from step 0 would keep.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._inputs import build, integer
 from .epso import FeasibleSet, robust_threshold
 from .hems import EPS, FlexTrajectory, HemsConfig, feasible_power_range
 from .scenarios import ScenarioSet
-from .svdd import SvddModel, classify
+from .svdd import KERNEL_KINDS, KernelSpec, SvddModel, TrainingConfig, classify, fit_trajectories
 
 __all__ = [
     "ConfusionReport",
     "DiversityReport",
     "InfeasibleSet",
+    "ValidateConfig",
+    "ValidationReport",
     "oracle_check",
     "generate_infeasible_set",
     "pca_diversity",
     "confusion_table",
     "semi_random_baseline",
+    "window_steps",
+    "validate",
 ]
 
 # Constraint slack of the independent route; deliberately restated here rather
@@ -433,3 +439,112 @@ def semi_random_baseline(
             bats, ewhs, trail = mutant_bats, mutant_ewhs, mutant_trail
             feasible.add(FlexTrajectory(p_bat=bats, p_ewh=ewhs), fitness=1)
     return feasible
+
+
+def window_steps(spec, dt_hours: float) -> tuple[int, int]:
+    """Window as [start_step, stop_step) from either step indices or a
+    clock-time span like "09:00-13:00" over a day starting at 00:00, with
+    clock times up to 24:00 that fall on step boundaries. The horizon is not
+    checked here: `validate` checks it against the scenarios."""
+    form_error = ValueError(f"window {spec!r} is neither [start, stop] nor HH:MM-HH:MM")
+    if isinstance(spec, (list, tuple)) and len(spec) == 2:
+        start, stop = (integer(f"window {spec!r} step", v, 0) for v in spec)
+    elif isinstance(spec, str):
+        try:
+            lo, hi = spec.split("-")
+            lo_h, lo_m = (int(x) for x in lo.split(":"))
+            hi_h, hi_m = (int(x) for x in hi.split(":"))
+        except ValueError as exc:
+            raise form_error from exc
+        for hour, minute in ((lo_h, lo_m), (hi_h, hi_m)):
+            if not (0 <= minute < 60 and 0 <= hour * 60 + minute <= 24 * 60):
+                raise ValueError(f"window {spec!r}: clock times must lie in 00:00-24:00")
+        steps_per_hour = 1.0 / dt_hours
+        start = (lo_h + lo_m / 60.0) * steps_per_hour
+        stop = (hi_h + hi_m / 60.0) * steps_per_hour
+        if abs(start - round(start)) > 1e-9 or abs(stop - round(stop)) > 1e-9:
+            raise ValueError(f"window {spec!r} does not align with {dt_hours} h steps")
+        start, stop = int(round(start)), int(round(stop))
+    else:
+        raise form_error
+    if not start < stop:
+        raise ValueError(f"window [{start}, {stop}) is empty")
+    return start, stop
+
+
+@dataclass(frozen=True)
+class ValidateConfig:
+    """The `validate` section: the window both sets are cut to, the confusion
+    sweep, and the sizes of the infeasible set and of the baseline, whose
+    default None is the feasible set's size, at least 2. Parsing resolves the
+    window to its (start, stop) steps and the sweep to its (kernel, training)
+    pairs, kernel-major, each entry named by its index in an error.
+    `dt_hours` and the two stage seeds are derived, not config keys."""
+
+    dt_hours: float
+    infeasible_seed: int
+    baseline_seed: int
+    window: tuple[int, int] | None = None
+    sweep_kernels: tuple = tuple({"kind": kind} for kind in KERNEL_KINDS)
+    sweep_nus: tuple = (0.01, 0.1, 0.15, 0.2)
+    infeasible_count: int = 1000
+    baseline_count: int | None = None
+    sweep: tuple[tuple[KernelSpec, TrainingConfig], ...] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for key in ("sweep_kernels", "sweep_nus"):
+            value = getattr(self, key)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"validate.{key} must be a JSON list, got {value!r}")
+            if not value:
+                raise ValueError(f"validate.{key} must not be empty")
+        integer("infeasible_count", self.infeasible_count, 1)
+        # The PCA diversity report needs two baseline members.
+        if self.baseline_count is not None:
+            integer("baseline_count", self.baseline_count, 2)
+        kernels = [build(f"validate.sweep_kernels[{i}]", KernelSpec, k) for i, k in enumerate(self.sweep_kernels)]
+        nus = [build(f"validate.sweep_nus[{i}]", TrainingConfig, {"nu": nu}) for i, nu in enumerate(self.sweep_nus)]
+        object.__setattr__(self, "sweep", tuple((kernel, training) for kernel in kernels for training in nus))
+        if self.window is not None:
+            object.__setattr__(self, "window", window_steps(self.window, self.dt_hours))
+
+    def baseline_size(self, feasible: int) -> int:
+        """The baseline's size next to a feasible set of `feasible` members."""
+        return self.baseline_count if self.baseline_count is not None else max(2, feasible)
+
+
+@dataclass
+class ValidationReport:
+    """What `validate` found: the infeasible sample, one confusion row per
+    sweep pair, the baseline, and the diversity of the search set and of the
+    baseline."""
+
+    infeasible: InfeasibleSet
+    rows: list[ConfusionReport]
+    baseline: list[FlexTrajectory]
+    search_diversity: DiversityReport
+    baseline_diversity: DiversityReport
+
+
+def validate(
+    feasible: list[FlexTrajectory], scenarios: ScenarioSet, hems_cfg: HemsConfig, settings: ValidateConfig,
+    tau_scen: float,
+) -> ValidationReport:
+    """The validate stage as a `ValidationReport`: sample the infeasible set,
+    cut it and the feasible set to the window, which must end within the
+    horizon, fit each sweep pair on the cut feasible set and score both cut
+    sets, and build the baseline on the first scenario."""
+    window = settings.window
+    if window is not None and window[1] > scenarios.horizon:
+        raise ValueError(f"window [{window[0]}, {window[1]}) outside horizon {scenarios.horizon}")
+    dt = settings.dt_hours
+    sample = generate_infeasible_set(
+        settings.infeasible_count, hems_cfg, scenarios, settings.infeasible_seed, dt, tau_scen
+    )
+    feas, infeas = feasible, sample.trajectories
+    if window is not None:
+        feas, infeas = ([t.window(*window) for t in trajectories] for trajectories in (feas, infeas))
+    rows = [confusion_table(fit_trajectories(feas, kernel, cfg), feas, infeas) for kernel, cfg in settings.sweep]
+    size = settings.baseline_size(len(feasible))
+    baseline = semi_random_baseline(size, hems_cfg, scenarios.values[0], settings.baseline_seed, dt).trajectories
+    return ValidationReport(sample, rows, baseline, pca_diversity(feasible), pca_diversity(baseline))

@@ -35,7 +35,6 @@ _STAGE_BASELINE = 3
 # would silently run the default, so it is an input error.
 _TOP_KEYS = {"dt_hours", "seed", "out_dir", "paths", "copula", "epso", "svdd", "validate"}
 _PATH_KEYS = {"marginals", "hems", "draws"}
-_VALIDATE_KEYS = {"window", "sweep_kernels", "sweep_nus", "infeasible_count", "baseline_count"}
 
 
 def stage_seed(master: int, stage: int) -> int:
@@ -47,8 +46,7 @@ def stage_seed(master: int, stage: int) -> int:
 class RunConfig:
     """Parsed pipeline configuration; paths are resolved against the config
     file location so experiments stay relocatable. Each stage section is
-    parsed once, at load, into the dataclass that owns its keys and defaults;
-    `sweep` holds the validate sweep's (kernel, training) pairs, kernel-major."""
+    parsed once, at load, into the dataclass that owns its keys and defaults."""
 
     dt_hours: float
     seed: int
@@ -60,7 +58,10 @@ class RunConfig:
     epso: epso.EpsoConfig
     kernel: svdd.KernelSpec
     training: svdd.TrainingConfig
-    sweep: list[tuple[svdd.KernelSpec, svdd.TrainingConfig]]
+    validation: analysis.ValidateConfig
+    # The `validate` section as the file holds it. Only the benchmark's
+    # `perfbench/run.py:gate_validate` reads it, restating the defaults of
+    # `validation`; it goes once that gate reads `validation` instead.
     validate: dict
 
     @classmethod
@@ -71,17 +72,6 @@ class RunConfig:
         check_keys(str(path), doc, _TOP_KEYS)
         paths, validate = doc.get("paths", {}), doc.get("validate", {})
         check_keys(f"{path}: paths", paths, _PATH_KEYS)
-        check_keys(f"{path}: validate", validate, _VALIDATE_KEYS)
-        for key in ("sweep_kernels", "sweep_nus"):
-            if key not in validate:
-                continue
-            if not isinstance(validate[key], list):
-                raise ValueError(f"{path}: validate.{key} must be a JSON list, got {validate[key]!r}")
-            if not validate[key]:
-                raise ValueError(f"{path}: validate.{key} must not be empty")
-        integer(f"{path}: validate.infeasible_count", validate.get("infeasible_count", 1), 1)
-        # The PCA diversity report needs two baseline members.
-        integer(f"{path}: validate.baseline_count", validate.get("baseline_count", 2), 2)
         if "marginals" not in paths or "hems" not in paths:
             raise ValueError(f"{path}: paths.marginals and paths.hems are required")
         named_paths = [("out_dir", doc.get("out_dir", "out")), *((f"paths.{k}", v) for k, v in paths.items())]
@@ -91,25 +81,10 @@ class RunConfig:
         dt_hours = finite(f"{path}: dt_hours", doc.get("dt_hours", 0.25))
         if not dt_hours > 0:
             raise ValueError(f"{path}: dt_hours must be positive, got {dt_hours!r}")
-        if validate.get("window") is not None:
-            try:
-                window_steps(validate["window"], dt_hours)
-            except ValueError as exc:
-                raise ValueError(f"{path}: validate: {exc}") from exc
         seed = integer(f"{path}: seed", seed_override if seed_override is not None else doc.get("seed", 0), 0)
         svdd_doc = doc.get("svdd", {})
         kernel_doc = svdd_doc.pop("kernel", {}) if isinstance(svdd_doc, dict) else {}
         training = build(f"{path}: svdd", svdd.TrainingConfig, svdd_doc)
-        sweep_kernels = [
-            build(f"{path}: validate.sweep_kernels[{i}]", svdd.KernelSpec, kernel)
-            for i, kernel in enumerate(
-                validate.get("sweep_kernels", [{"kind": kind} for kind in svdd.KERNEL_KINDS])
-            )
-        ]
-        sweep_training = [
-            build(f"{path}: validate.sweep_nus[{i}]", svdd.TrainingConfig, {"nu": nu})
-            for i, nu in enumerate(validate.get("sweep_nus", [0.01, 0.1, 0.15, 0.2]))
-        ]
         return cls(
             dt_hours=dt_hours,
             seed=seed,
@@ -126,7 +101,10 @@ class RunConfig:
             ),
             kernel=build(f"{path}: svdd.kernel", svdd.KernelSpec, kernel_doc),
             training=training,
-            sweep=[(k, t) for k in sweep_kernels for t in sweep_training],
+            validation=build(
+                f"{path}: validate", analysis.ValidateConfig, validate, dt_hours=dt_hours,
+                infeasible_seed=stage_seed(seed, _STAGE_INFEASIBLE), baseline_seed=stage_seed(seed, _STAGE_BASELINE),
+            ),
             validate=validate,
         )
 
@@ -135,47 +113,9 @@ class RunConfig:
         return hems.HemsConfig.from_json(self.hems_path, draw_profile=draws)
 
     def epso_config(self) -> epso.EpsoConfig:
-        """The swarm settings parsed at load: the same object as `epso`."""
+        """The swarm settings parsed at load: the same object as `epso`,
+        kept for `perfbench/run.py:gate_validate`."""
         return self.epso
-
-
-def window_steps(spec, dt_hours: float) -> tuple[int, int]:
-    """Window as [start_step, stop_step) from either step indices or a
-    clock-time span like "09:00-13:00" over a day starting at 00:00, with
-    clock times up to 24:00 that fall on step boundaries. The horizon is not
-    checked here (see `parse_window`)."""
-    form_error = ValueError(f"window {spec!r} is neither [start, stop] nor HH:MM-HH:MM")
-    if isinstance(spec, (list, tuple)) and len(spec) == 2:
-        start, stop = (integer(f"window {spec!r} step", v, 0) for v in spec)
-    elif isinstance(spec, str):
-        try:
-            lo, hi = spec.split("-")
-            lo_h, lo_m = (int(x) for x in lo.split(":"))
-            hi_h, hi_m = (int(x) for x in hi.split(":"))
-        except ValueError as exc:
-            raise form_error from exc
-        for hour, minute in ((lo_h, lo_m), (hi_h, hi_m)):
-            if not (0 <= minute < 60 and 0 <= hour * 60 + minute <= 24 * 60):
-                raise ValueError(f"window {spec!r}: clock times must lie in 00:00-24:00")
-        steps_per_hour = 1.0 / dt_hours
-        start = (lo_h + lo_m / 60.0) * steps_per_hour
-        stop = (hi_h + hi_m / 60.0) * steps_per_hour
-        if abs(start - round(start)) > 1e-9 or abs(stop - round(stop)) > 1e-9:
-            raise ValueError(f"window {spec!r} does not align with {dt_hours} h steps")
-        start, stop = int(round(start)), int(round(stop))
-    else:
-        raise form_error
-    if not start < stop:
-        raise ValueError(f"window [{start}, {stop}) is empty")
-    return start, stop
-
-
-def parse_window(spec, dt_hours: float, horizon: int) -> tuple[int, int]:
-    """`window_steps` of the spec, which must also end within the horizon."""
-    start, stop = window_steps(spec, dt_hours)
-    if stop > horizon:
-        raise ValueError(f"window [{start}, {stop}) outside horizon {horizon}")
-    return start, stop
 
 
 def cmd_gen_scenarios(cfg: RunConfig) -> int:
@@ -272,94 +212,38 @@ def cmd_validate(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     scenario_set = scenarios.ScenarioSet.read_csv(cfg.out_dir / "scenarios.csv")
     feasible, _ = epso.read_trajectories_csv(cfg.out_dir / "feasible.csv")
-    hems_cfg = cfg.hems_config()
+    report = analysis.validate(feasible, scenario_set, cfg.hems_config(), cfg.validation, cfg.epso.tau_scen)
 
-    sample = analysis.generate_infeasible_set(
-        count=cfg.validate.get("infeasible_count", 1000),
-        cfg=hems_cfg,
-        scenarios=scenario_set,
-        seed=stage_seed(cfg.seed, _STAGE_INFEASIBLE),
-        dt=cfg.dt_hours,
-        tau_scen=cfg.epso.tau_scen,
-    )
-    infeasible = sample.trajectories
-    epso.write_trajectories_csv(cfg.out_dir / "infeasible.csv", infeasible)
-
-    window_doc = cfg.validate.get("window")
-    if window_doc is not None:
-        start, stop = parse_window(window_doc, cfg.dt_hours, scenario_set.horizon)
-        feas_features = [t.window(start, stop) for t in feasible]
-        infeas_features = [t.window(start, stop) for t in infeasible]
-        window_info = {"start_step": start, "stop_step": stop, "steps": stop - start}
-    else:
-        feas_features, infeas_features = feasible, infeasible
-        window_info = None
-
-    rows = [
-        analysis.confusion_table(
-            svdd.fit_trajectories(feas_features, kernel, training), feas_features, infeas_features
-        )
-        for kernel, training in cfg.sweep
-    ]
-
+    sample, search_div, baseline_div = report.infeasible, report.search_diversity, report.baseline_diversity
+    epso.write_trajectories_csv(cfg.out_dir / "infeasible.csv", sample.trajectories)
     with open(cfg.out_dir / "confusion.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            [
-                "kernel", "gamma", "nu",
-                "feasible_correct", "feasible_incorrect", "feasible_error_pct",
-                "infeasible_correct", "infeasible_incorrect", "infeasible_error_pct",
-            ]
+        csv.writer(fh).writerows(
+            [["kernel", "gamma", "nu", "feasible_correct", "feasible_incorrect", "feasible_error_pct",
+              "infeasible_correct", "infeasible_incorrect", "infeasible_error_pct"]]
+            + [[r.kernel_kind, f"{r.gamma:g}", f"{r.nu:g}", r.feasible_correct, r.feasible_incorrect,
+                f"{r.feasible_error_pct:.2f}", r.infeasible_correct, r.infeasible_incorrect,
+                f"{r.infeasible_error_pct:.2f}"] for r in report.rows]
         )
-        for r in rows:
-            writer.writerow(
-                [
-                    r.kernel_kind, f"{r.gamma:g}", f"{r.nu:g}",
-                    r.feasible_correct, r.feasible_incorrect, f"{r.feasible_error_pct:.2f}",
-                    r.infeasible_correct, r.infeasible_incorrect, f"{r.infeasible_error_pct:.2f}",
-                ]
-            )
-
-    baseline = analysis.semi_random_baseline(
-        count=cfg.validate.get("baseline_count", max(2, len(feasible))),
-        cfg=hems_cfg,
-        scenario=scenario_set.values[0],
-        seed=stage_seed(cfg.seed, _STAGE_BASELINE),
-        dt=cfg.dt_hours,
-    ).trajectories
-    epso.write_trajectories_csv(cfg.out_dir / "baseline.csv", baseline)
-
-    search_div = analysis.pca_diversity(feasible)
-    baseline_div = analysis.pca_diversity(baseline)
+    epso.write_trajectories_csv(cfg.out_dir / "baseline.csv", report.baseline)
+    window = cfg.validation.window
     summary = {
-        "window": window_info,
+        "window": None if window is None else {"start_step": window[0], "stop_step": window[1],
+                                               "steps": window[1] - window[0]},
         "diversity": {
-            "search_set": {
-                "n_components_50": search_div.n_components_50,
-                "n_components_80": search_div.n_components_80,
-                "degenerate": search_div.degenerate,
-            },
-            "baseline": {
-                "n_components_50": baseline_div.n_components_50,
-                "n_components_80": baseline_div.n_components_80,
-                "degenerate": baseline_div.degenerate,
-            },
+            name: {"n_components_50": div.n_components_50, "n_components_80": div.n_components_80,
+                   "degenerate": div.degenerate}
+            for name, div in (("search_set", search_div), ("baseline", baseline_div))
         },
         "infeasible_sampling": {"attempts": sample.attempts, "acceptance_rate": sample.acceptance_rate},
         "sweep": [
-            {
-                "kernel": r.kernel_kind,
-                "gamma": r.gamma,
-                "nu": r.nu,
-                "feasible_error_pct": r.feasible_error_pct,
-                "infeasible_error_pct": r.infeasible_error_pct,
-            }
-            for r in rows
+            {"kernel": r.kernel_kind, "gamma": r.gamma, "nu": r.nu,
+             "feasible_error_pct": r.feasible_error_pct, "infeasible_error_pct": r.infeasible_error_pct}
+            for r in report.rows
         ],
     }
     (cfg.out_dir / "validation.json").write_text(json.dumps(summary, indent=2) + "\n")
     print(
-        f"validated {len(rows)} configurations; diversity components "
+        f"validated {len(report.rows)} configurations; diversity components "
         f"(50%/80%): search {search_div.n_components_50}/{search_div.n_components_80}, "
         f"baseline {baseline_div.n_components_50}/{baseline_div.n_components_80}"
     )

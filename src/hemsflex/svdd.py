@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._inputs import build, finite, integer, json_object
+from ._inputs import build, check_keys, finite, integer, json_object
 
 __all__ = [
     "KernelSpec",
@@ -52,6 +52,10 @@ _BOUNDARY_SLACK = 1e-5
 
 # Dual coefficients below this fraction of the box bound are treated as zero.
 _ALPHA_CUTOFF = 1e-8
+
+# Largest distance from 1 of a model file's coefficient sum; training
+# normalizes the coefficients, so theirs is off by rounding only.
+_COEFFICIENT_SUM_TOL = 1e-9
 
 # Trajectories scored per kernel-matrix product: large enough to amortize the
 # per-call overhead, small enough that scoring a large set adds little memory.
@@ -246,6 +250,10 @@ def train(
     K = kernel_matrix(kernel, X, X)
     if not np.isfinite(K).all():
         raise ValueError(f"{kernel} gives non-finite kernel values on the training set")
+    # A kernel this sharp sees no two rows as alike: each training row sits
+    # alone inside the boundary, and every unseen row lands outside.
+    if np.abs(K).max(where=~np.eye(n, dtype=bool), initial=0.0) <= DUAL_TOLERANCE:
+        raise ValueError(f"{kernel} gives every training row the same or a non-finite r2")
     alpha = _solve_dual(K, cfg.nu, DUAL_TOLERANCE, DUAL_MAX_PASSES)
 
     cap = 1.0 / (cfg.nu * n)
@@ -367,8 +375,9 @@ def serialize(model: SvddModel) -> str:
 def deserialize(text: str) -> SvddModel:
     """Parse a serialized model, reporting which field is malformed."""
     doc = json_object("model file", text)
-    for key in ("kernel", "nu", "norm_bounds", "support_vectors", "coefficients",
-                "radius2_threshold", "const_term"):
+    keys = ("kernel", "nu", "norm_bounds", "support_vectors", "coefficients", "radius2_threshold", "const_term")
+    check_keys("model file", doc, set(keys))
+    for key in keys:
         if key not in doc:
             raise ValueError(f"model file: missing field {key!r}")
     kernel = build("model file: field 'kernel'", KernelSpec, doc["kernel"])
@@ -408,6 +417,13 @@ def deserialize(text: str) -> SvddModel:
     for name in ("support_vectors", "coefficients", "norm_bounds", "radius2_threshold", "const_term", "nu"):
         if not np.isfinite(getattr(model, name)).all():
             raise ValueError(f"model file: {name} holds a non-finite value")
+    build("model file", TrainingConfig, {"nu": model.nu})
+    # Training leaves a distribution; one coefficient of 1e308 would make
+    # every r2 -inf and call every row feasible.
+    if (model.coefficients < 0.0).any():
+        raise ValueError("model file: coefficients must not be negative")
+    if not abs(model.coefficients.sum() - 1.0) <= _COEFFICIENT_SUM_TOL:
+        raise ValueError(f"model file: coefficients sum to {model.coefficients.sum()!r}, not 1")
     if model.support_vectors.shape[0] != model.coefficients.shape[0]:
         raise ValueError("model file: support_vectors and coefficients disagree in count")
     if model.norm_bounds.ndim != 2 or model.norm_bounds.shape != (model.dimension, 2):

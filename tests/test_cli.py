@@ -3,6 +3,7 @@ codes, artifact formats, and byte-level rerun determinism."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemsflex import cli, epso, hems, scenarios, svdd
+from hemsflex import analysis, cli, epso, hems, scenarios, svdd
 from hemsflex.hems import FlexTrajectory
 from tests.conftest import make_marginals
 
@@ -632,31 +633,70 @@ assert "scipy" in sys.modules
 
 
 class TestWindowParsing:
+    """The window's form is parsed once, at load, by `analysis.window_steps`;
+    whether it ends within the horizon is checked by `analysis.validate`."""
+
+    @staticmethod
+    def validate_on_horizon(window, horizon):
+        """`analysis.validate` with the window resolved at 15-minute steps,
+        over a horizon of flat scenarios and no feasible set."""
+        settings = analysis.ValidateConfig(dt_hours=0.25, infeasible_seed=0, baseline_seed=0, window=window)
+        hems_cfg = hems.HemsConfig.from_json(Path(__file__).resolve().parent.parent / "data" / "hems.json")
+        analysis.validate([], scenarios.ScenarioSet(np.zeros((2, horizon))), hems_cfg, settings, 0.9)
+
     def test_clock_window(self):
-        assert cli.parse_window("09:00-13:00", 0.25, 96) == (36, 52)
+        assert analysis.window_steps("09:00-13:00", 0.25) == (36, 52)
 
     def test_sixteen_steps_for_reference_window(self):
-        start, stop = cli.parse_window("09:00-13:00", 0.25, 96)
+        start, stop = analysis.window_steps("09:00-13:00", 0.25)
         assert stop - start == 16
 
     def test_index_window(self):
-        assert cli.parse_window([4, 8], 0.25, 96) == (4, 8)
+        assert analysis.window_steps([4, 8], 0.25) == (4, 8)
 
     def test_misaligned_window_rejected(self):
         with pytest.raises(ValueError):
-            cli.parse_window("09:10-13:00", 0.25, 96)
+            analysis.window_steps("09:10-13:00", 0.25)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValueError):
-            cli.parse_window([0, 200], 0.25, 96)
+        with pytest.raises(ValueError, match=re.escape("window [0, 200) outside horizon 96")):
+            self.validate_on_horizon([0, 200], 96)
 
     def test_window_may_end_at_midnight(self):
-        assert cli.parse_window("20:00-24:00", 0.25, 96) == (80, 96)
+        assert analysis.window_steps("20:00-24:00", 0.25) == (80, 96)
 
     def test_horizon_is_checked_only_with_a_horizon(self):
-        assert cli.window_steps("09:00-13:00", 0.25) == (36, 52)
-        with pytest.raises(ValueError):
-            cli.parse_window("09:00-13:00", 0.25, 48)
+        assert analysis.window_steps("09:00-13:00", 0.25) == (36, 52)
+        with pytest.raises(ValueError, match="outside horizon 48"):
+            self.validate_on_horizon("09:00-13:00", 48)
+
+
+class TestValidateDefaults:
+    """`ValidateConfig` owns the `validate` defaults, but the benchmark's
+    `perfbench/run.py:gate_validate` restates them from the raw section; the
+    two must agree, or the gate fails a correct run."""
+
+    @pytest.mark.parametrize("name", ["config_small.json", "config_reference.json", "empty validate"])
+    def test_parsed_section_matches_the_benchmark_gate(self, tmp_path, name):
+        data = Path(__file__).resolve().parent.parent / "data"
+        path = data / name
+        if name == "empty validate":
+            doc = json.loads((data / "config_small.json").read_text())
+            doc["paths"] = {key: str(data / value) for key, value in doc["paths"].items()}
+            doc["validate"] = {}
+            path = tmp_path / "config.json"
+            path.write_text(json.dumps(doc))
+        cfg = cli.RunConfig.load(path)
+        # gate_validate's expressions, on the raw section.
+        sweep = len(cfg.validate.get("sweep_kernels", [None] * 3)) * len(cfg.validate.get("sweep_nus", [0] * 4))
+        assert len(cfg.validation.sweep) == sweep
+        assert cfg.validation.infeasible_count == int(cfg.validate.get("infeasible_count", 1000))
+        for feasible in (0, 1, 2, 100, 1000):
+            expected = int(cfg.validate.get("baseline_count", max(2, feasible)))
+            assert cfg.validation.baseline_size(feasible) == expected
+        if name == "empty validate":
+            assert (len(cfg.validation.sweep), cfg.validation.infeasible_count) == (3 * 4, 1000)
+            assert cfg.validation.window is None
 
 
 class TestDegenerateKernels:
@@ -695,7 +735,9 @@ class TestDegenerateKernels:
         with np.errstate(over="ignore"):
             assert invoke(offered, "validate") == 2
         assert f"kind='{kernel['kind']}'" in stderr_of(capsys, offered)
-        assert not (offered / "out" / "confusion.csv").exists()
+        # The failing fit comes before any file is written.
+        for name in ("infeasible.csv", "confusion.csv", "baseline.csv", "validation.json"):
+            assert not (offered / "out" / name).exists(), name
 
     def test_invalid_config_json_names_the_file(self, workdir, capsys):
         (workdir / "config.json").write_text('{"seed": ')

@@ -3,6 +3,7 @@ nu-property, radius computation, classification, and serialization."""
 
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -427,6 +428,39 @@ class TestSerialization:
         with pytest.raises(ValueError, match="model file: field 'kernel' must be a JSON object"):
             deserialize(json.dumps(doc))
 
+    def _edited(self, edit):
+        doc = json.loads(serialize(self._model()[1]))
+        edit(doc)
+        return json.dumps(doc)
+
+    def test_coefficients_must_sum_to_one(self):
+        # One coefficient of 1e308 scores every row -inf, inside the boundary.
+        with pytest.raises(ValueError, match="model file: coefficients sum to .*, not 1"):
+            deserialize(self._edited(lambda doc: doc["coefficients"].__setitem__(0, 1e308)))
+
+    def test_negative_coefficient_rejected(self):
+        def edit(doc):
+            # The sum stays 1, so only the sign rule can reject it.
+            coefficients = doc["coefficients"]
+            coefficients[1] += coefficients[0] + 0.01
+            coefficients[0] = -0.01
+
+        with pytest.raises(ValueError, match="model file: coefficients must not be negative"):
+            deserialize(self._edited(edit))
+
+    def test_nu_checked_as_in_training(self):
+        with pytest.raises(ValueError, match=r"model file: nu must lie strictly inside \(0, 1\), got 5"):
+            deserialize(self._edited(lambda doc: doc.update(nu=5)))
+
+    def test_unknown_top_level_key_rejected(self):
+        with pytest.raises(ValueError, match=re.escape("model file: unknown key(s) note")):
+            deserialize(self._edited(lambda doc: doc.update(note="hand-edited")))
+
+    @pytest.mark.parametrize("path", ["perfbench/reference_model.json", "out/small/model.json"])
+    def test_shipped_models_load(self, path):
+        model = load_model(Path(__file__).resolve().parent.parent / path)
+        assert (model.coefficients >= 0.0).all() and abs(model.coefficients.sum() - 1.0) <= 1e-12
+
 
 class TestStackVectors:
     """The slice-copy row stacking against one concatenation per row."""
@@ -576,6 +610,17 @@ class TestDegenerateTraining:
         # The poly kernel overflows on purpose here.
         with np.errstate(over="ignore"), pytest.raises(ValueError, match=re.escape(repr(kernel))):
             train(X, kernel, TrainingConfig(nu=0.15))
+
+    @pytest.mark.parametrize("gamma", [1e6, 1e3])
+    def test_train_rejects_a_kernel_that_sees_no_rows_alike(self, gamma):
+        # Every off-diagonal kernel value is at most 1e-11: each training row
+        # would sit alone inside the boundary, and every unseen row outside.
+        X = np.random.default_rng(30).random((40, 6))
+        kernel = KernelSpec("rbf", gamma=gamma)
+        with pytest.raises(ValueError, match=re.escape(repr(kernel))):
+            train(X, kernel, TrainingConfig(nu=0.15))
+        # The tests' sharpest rbf kernel still trains on these rows.
+        train(X, KernelSpec("rbf", gamma=5.0), TrainingConfig(nu=0.15))
 
     def test_serialize_refuses_non_finite_numbers(self):
         X = np.random.default_rng(31).random((20, 3))
