@@ -26,7 +26,7 @@ from ._inputs import build, integer
 from .epso import FeasibleSet, robust_threshold
 from .hems import EPS, FlexTrajectory, HemsConfig, feasible_power_range
 from .scenarios import ScenarioSet
-from .svdd import KERNEL_KINDS, KernelSpec, SvddModel, TrainingConfig, classify, fit_trajectories
+from .svdd import KERNEL_KINDS, KernelSpec, ScaledSet, SvddModel, TrainingConfig, classify, scale_trajectories, train
 
 __all__ = [
     "ConfusionReport",
@@ -322,10 +322,11 @@ class ConfusionReport:
 
 def confusion_table(
     model: SvddModel,
-    feasible: list[FlexTrajectory],
-    infeasible: list[FlexTrajectory],
+    feasible: list[FlexTrajectory] | ScaledSet,
+    infeasible: list[FlexTrajectory] | ScaledSet,
 ) -> ConfusionReport:
-    """Classify both sets and tabulate correct, incorrect, and error shares."""
+    """Classify both sets, raw or scaled with the model's bounds, and
+    tabulate correct, incorrect, and error shares."""
     feas_hits = int(np.count_nonzero(classify(model, feasible)))
     infeas_hits = len(infeasible) - int(np.count_nonzero(classify(model, infeasible)))
     return ConfusionReport(
@@ -533,7 +534,9 @@ def validate(
     """The validate stage as a `ValidationReport`: sample the infeasible set,
     cut it and the feasible set to the window, which must end within the
     horizon, fit each sweep pair on the cut feasible set and score both cut
-    sets, and build the baseline on the first scenario."""
+    sets, and build the baseline on the first scenario. Every sweep model is
+    trained on the cut feasible set's bounds, so both cut sets are stacked and
+    scaled once for the whole sweep."""
     window = settings.window
     if window is not None and window[1] > scenarios.horizon:
         raise ValueError(f"window [{window[0]}, {window[1]}) outside horizon {scenarios.horizon}")
@@ -544,7 +547,12 @@ def validate(
     feas, infeas = feasible, sample.trajectories
     if window is not None:
         feas, infeas = ([t.window(*window) for t in trajectories] for trajectories in (feas, infeas))
-    rows = [confusion_table(fit_trajectories(feas, kernel, cfg), feas, infeas) for kernel, cfg in settings.sweep]
+    feas = scale_trajectories(feas)
+    infeas = scale_trajectories(infeas, feas.bounds)
+    rows = [
+        confusion_table(train(feas.vectors, kernel, cfg, norm_bounds=feas.bounds), feas, infeas)
+        for kernel, cfg in settings.sweep
+    ]
     size = settings.baseline_size(len(feasible))
     baseline = semi_random_baseline(size, hems_cfg, scenarios.values[0], settings.baseline_seed, dt).trajectories
     return ValidationReport(sample, rows, baseline, pca_diversity(feasible), pca_diversity(baseline))

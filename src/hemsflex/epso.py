@@ -14,6 +14,7 @@ chosen to maximize the diversity of the collected set.
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, fields, replace
 
@@ -485,23 +486,47 @@ def write_trajectories_csv(
     path, trajectories: list[FlexTrajectory], fitnesses=None, horizon: int | None = None
 ) -> None:
     """One row per trajectory: pbat_h1..pbat_hT, pewh_h1..pewh_hT, fitness.
-    Values keep full float precision so files round-trip exactly. An empty
-    list needs an explicit horizon for the header."""
-    if not trajectories:
+    Each value is written as its `repr`, so files round-trip exactly. An empty
+    list needs an explicit horizon for the header; a horizon that disagrees
+    with a trajectory, a fitness count that disagrees with the trajectories,
+    or a fitness that is not a whole number is rejected before the file is
+    opened."""
+    for i, traj in enumerate(trajectories):
         if horizon is None:
-            raise ValueError("no trajectories to write and no horizon for the header")
-    else:
-        horizon = trajectories[0].horizon
+            horizon = traj.horizon
+        if traj.horizon != horizon:
+            raise ValueError(f"trajectory {i} has horizon {traj.horizon}, the header {horizon}")
+    if horizon is None:
+        raise ValueError("no trajectories to write and no horizon for the header")
     if fitnesses is None:
         fitnesses = [0] * len(trajectories)
+    if len(fitnesses) != len(trajectories):
+        raise ValueError(f"{len(trajectories)} trajectories but {len(fitnesses)} fitnesses")
+    for i, fitness in enumerate(fitnesses):
+        if not isinstance(fitness, numbers.Integral) and not (
+            isinstance(fitness, numbers.Real) and math.isfinite(fitness) and int(fitness) == fitness
+        ):
+            raise ValueError(f"fitness {fitness!r} of trajectory {i} is not a whole number")
     # One join per row gives the bytes a csv writer would: a float's repr
     # holds no character that csv quotes, and "\r\n" is its line end.
+    # Consecutive rows often share most cells, so a row re-formats only the
+    # cells whose bits changed (bits keep -0.0 apart from 0.0), unless so
+    # many changed that formatting the whole row is cheaper.
+    width = 2 * horizon
+    previous, cells = None, []
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_trajectory_header(horizon)) + "\r\n")
-        fh.writelines(
-            ",".join(map(repr, traj.p_bat.tolist() + traj.p_ewh.tolist())) + f",{int(fitness)}\r\n"
-            for traj, fitness in zip(trajectories, fitnesses)
-        )
+        for traj, fitness in zip(trajectories, fitnesses):
+            row = np.concatenate((traj.p_bat, traj.p_ewh))
+            bits = row.view(np.int64)
+            changed = None if previous is None else np.flatnonzero(bits != previous)
+            if changed is None or 4 * changed.size > width:
+                cells = list(map(repr, row.tolist()))
+            else:
+                for k, value in zip(changed.tolist(), row[changed].tolist()):
+                    cells[k] = repr(value)
+            previous = bits
+            fh.write(",".join(cells) + f",{int(fitness)}\r\n")
 
 
 def read_trajectories_csv(path) -> tuple[list[FlexTrajectory], list[int]]:

@@ -28,6 +28,8 @@ __all__ = [
     "derive_bounds",
     "normalize",
     "train",
+    "ScaledSet",
+    "scale_trajectories",
     "fit_trajectories",
     "radius_squared",
     "score_trajectories",
@@ -312,12 +314,33 @@ def _stack_vectors(trajectories) -> np.ndarray:
     return out
 
 
+@dataclass(frozen=True)
+class ScaledSet:
+    """Trajectories stacked into one (n, 2T) matrix and min-max scaled with
+    `bounds`, so that models trained or scored on the same bounds share one
+    copy instead of restacking the set for each call."""
+
+    vectors: np.ndarray
+    bounds: np.ndarray
+
+    def __len__(self) -> int:
+        return self.vectors.shape[0]
+
+
+def scale_trajectories(trajectories, bounds: np.ndarray | None = None) -> ScaledSet:
+    """Stack and scale the trajectories with `bounds`, by default their own
+    raw-space bounds."""
+    vectors = _stack_vectors(trajectories)
+    if bounds is None:
+        bounds = derive_bounds(vectors)
+    return ScaledSet(normalize(vectors, bounds), bounds)
+
+
 def fit_trajectories(trajectories, kernel: KernelSpec, cfg: TrainingConfig) -> SvddModel:
     """Convenience wrapper: derive raw-space bounds from the trajectories,
     normalize, and train; the model then classifies raw trajectories directly."""
-    vectors = _stack_vectors(trajectories)
-    bounds = derive_bounds(vectors)
-    return train(normalize(vectors, bounds), kernel, cfg, norm_bounds=bounds)
+    scaled = scale_trajectories(trajectories)
+    return train(scaled.vectors, kernel, cfg, norm_bounds=scaled.bounds)
 
 
 def _radius2(K: np.ndarray, coefficients: np.ndarray, const_term: float) -> np.ndarray:
@@ -338,17 +361,26 @@ def radius_squared(model: SvddModel, x: np.ndarray) -> np.ndarray:
 
 def score_trajectories(model: SvddModel, trajectories) -> np.ndarray:
     """Squared radii of raw trajectories, normalized with the model's bounds
-    and scored SCORE_BLOCK at a time."""
+    and scored SCORE_BLOCK at a time. A `ScaledSet`, which must have been
+    scaled with the model's bounds, is scored in the same blocks, so its radii
+    are bit-identical to those of its raw trajectories."""
+    scaled = isinstance(trajectories, ScaledSet)
+    if scaled and not np.array_equal(trajectories.bounds, model.norm_bounds):
+        raise ValueError("the set was scaled with other bounds than the model's")
     r2 = np.empty(len(trajectories))
     for start in range(0, len(trajectories), SCORE_BLOCK):
-        block = _stack_vectors(trajectories[start : start + SCORE_BLOCK])
-        r2[start : start + block.shape[0]] = radius_squared(model, normalize(block, model.norm_bounds))
+        if scaled:
+            block = trajectories.vectors[start : start + SCORE_BLOCK]
+        else:
+            block = normalize(_stack_vectors(trajectories[start : start + SCORE_BLOCK]), model.norm_bounds)
+        r2[start : start + block.shape[0]] = radius_squared(model, block)
     return r2
 
 
 def classify(model: SvddModel, trajectories) -> np.ndarray:
-    """One boolean per raw trajectory of the sequence: True when its radius,
-    scored by `score_trajectories`, stays within the boundary radius."""
+    """One boolean per raw trajectory of the sequence, or per row of a
+    `ScaledSet`: True when its radius, scored by `score_trajectories`, stays
+    within the boundary radius."""
     return within_boundary(model, score_trajectories(model, trajectories))
 
 

@@ -234,6 +234,37 @@ class TestConfusionTable:
         assert feas_err[-1] > feas_err[0] - 1.0  # overall rise across the sweep
 
 
+class TestValidateSweep:
+    """`validate` stacks and scales each cut set once for the whole sweep;
+    its rows must be those of fitting and scoring each pair on the raw
+    trajectories."""
+
+    @pytest.mark.parametrize("window", [None, "01:00-03:00"])
+    def test_rows_match_fit_and_confusion_table_per_pair(self, small_instance, window):
+        scenario_set, cfg = small_instance
+        rng = np.random.default_rng(46)
+        # 130 rows: both sets cross the 64-row scoring block edge twice.
+        feasible = [
+            FlexTrajectory(p_bat=rng.normal(0, 0.3, 16), p_ewh=np.where(rng.random(16) < 0.5, 0.5, 0.0))
+            for _ in range(130)
+        ]
+        kernels = tuple({"kind": kind, "gamma": 0.05} for kind in ("rbf", "poly", "sigmoid"))
+        settings = analysis.ValidateConfig(
+            dt_hours=0.25, infeasible_seed=47, baseline_seed=48, window=window, sweep_kernels=kernels,
+            infeasible_count=130, baseline_count=2,
+        )
+        report = analysis.validate(feasible, scenario_set, cfg, settings, 0.9)
+        feas, infeas = feasible, report.infeasible.trajectories
+        if settings.window is not None:
+            feas, infeas = ([t.window(*settings.window) for t in ts] for ts in (feas, infeas))
+        expected = [
+            confusion_table(svdd.fit_trajectories(feas, kernel, training), feas, infeas)
+            for kernel, training in settings.sweep
+        ]
+        assert len(report.rows) == 12
+        assert report.rows == expected
+
+
 class TestSemiRandomBaseline:
     def test_members_pass_oracle_on_generating_scenario(self, small_instance):
         scenario_set, cfg = small_instance

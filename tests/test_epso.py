@@ -2,11 +2,15 @@
 rule, fitness evaluation, robustness predicate, diversity-driven global best,
 tournament selection, seeding, and full runs on easy and impossible instances."""
 
+import csv
 import importlib.util
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hemsflex import analysis, epso, hems
 from hemsflex.epso import (
@@ -582,6 +586,109 @@ class TestTrajectoryCsv:
         path.write_text(text + row + "\n")
         with pytest.raises(ValueError):
             read_trajectories_csv(path)
+
+
+# Cells the writer must keep apart or format exactly: both zeros, the
+# smallest subnormal, the largest finite floats and whole-number floats.
+_EDGE_CELLS = [0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1.7976931348623157e308, 1.0, -3.0, 2.0**53]
+_CELLS = st.one_of(st.sampled_from(_EDGE_CELLS), st.floats(allow_nan=False, allow_infinity=False))
+
+
+@st.composite
+def _chained_rows(draw):
+    """(horizon, rows) where each row is the one before with a few cells
+    edited: some rows repeat it whole, some flip the sign of a cell in place
+    (0.0 to -0.0 and back), some change most cells."""
+    horizon = draw(st.integers(1, 4))
+    width = 2 * horizon
+    row = draw(st.lists(_CELLS, min_size=width, max_size=width))
+    rows = []
+    for _ in range(draw(st.integers(0, 8))):
+        rows.append(row)
+        row = list(row)
+        for _ in range(draw(st.integers(0, width))):
+            k = draw(st.integers(0, width - 1))
+            row[k] = -row[k] if draw(st.booleans()) else draw(_CELLS)
+    return horizon, rows
+
+
+def _csv_writer_bytes(path, horizon, rows, fitnesses) -> bytes:
+    """The bytes of a csv writer given each value's repr, as
+    `test_bytes_match_csv_writer` builds them."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"pbat_h{k}" for k in range(1, horizon + 1)] + [f"pewh_h{k}" for k in range(1, horizon + 1)]
+                        + ["fitness"])
+        writer.writerows([repr(x) for x in row] + [fitness] for row, fitness in zip(rows, fitnesses))
+    return Path(path).read_bytes()
+
+
+class TestTrajectoryCsvWriter:
+    """The writer formats only the cells whose bits changed since the row
+    before; its bytes must still be those of formatting every cell."""
+
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(chain=_chained_rows(), data=st.data())
+    def test_bytes_match_joined_repr_and_round_trip(self, tmp_path, chain, data):
+        horizon, rows = chain
+        fits = data.draw(st.lists(st.integers(0, 10**6), min_size=len(rows), max_size=len(rows)))
+        trajs = [FlexTrajectory(p_bat=row[:horizon], p_ewh=row[horizon:]) for row in rows]
+        write_trajectories_csv(tmp_path / "chain.csv", trajs, fits, horizon=horizon)
+        expected = _csv_writer_bytes(tmp_path / "reference.csv", horizon, rows, fits)
+        assert (tmp_path / "chain.csv").read_bytes() == expected
+        back, back_fits = read_trajectories_csv(tmp_path / "chain.csv")
+        assert back_fits == fits
+        assert len(back) == len(rows)
+        for row, traj in zip(rows, back):
+            assert np.array_equal(np.array(row).view(np.int64), traj.as_vector().view(np.int64))
+
+    def test_single_row_and_empty_list(self, tmp_path):
+        row = [-0.0, 5e-324, 1.7976931348623157e308, 2.0]
+        write_trajectories_csv(tmp_path / "one.csv", [FlexTrajectory(row[:2], row[2:])], [3])
+        assert (tmp_path / "one.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", 2, [row], [3])
+        write_trajectories_csv(tmp_path / "none.csv", [], horizon=2)
+        assert (tmp_path / "none.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", 2, [], [])
+        assert read_trajectories_csv(tmp_path / "none.csv") == ([], [])
+
+    def test_memory_stays_one_row(self, tmp_path):
+        # 2000 x 192 distinct cells: a memo of the file's distinct values would
+        # hold 384k floats (3 MB) before any of their strings; the writer
+        # keeps one row of cells.
+        rng = np.random.default_rng(7)
+        matrix = rng.integers(-(10**9), 10**9, size=(2000, 192)) / 1024
+        trajs = [FlexTrajectory(p_bat=r[:96], p_ewh=r[96:]) for r in matrix]
+        fits = [5] * len(trajs)
+        tracemalloc.start()
+        try:
+            write_trajectories_csv(tmp_path / "big.csv", trajs, fits)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
+        back, _ = read_trajectories_csv(tmp_path / "big.csv")
+        assert np.array_equal(np.array([t.as_vector() for t in back]), matrix)
+
+    @pytest.mark.parametrize(
+        "trajs, fits, horizon, message",
+        [
+            ([FlexTrajectory([0.5], [0.0])] * 3, [1, 2], None, "3 trajectories but 2 fitnesses"),
+            ([FlexTrajectory([0.5], [0.0]), FlexTrajectory([0.5, 0.1], [0.0, 0.5])], None, None,
+             "trajectory 1 has horizon 2, the header 1"),
+            ([FlexTrajectory([0.5], [0.0])], [95.7], None, "fitness 95.7 of trajectory 0 is not a whole number"),
+            ([FlexTrajectory([0.5], [0.0])], [float("nan")], None, "fitness nan of trajectory 0"),
+            ([FlexTrajectory([0.5], [0.0])], None, 3, "trajectory 0 has horizon 1, the header 3"),
+        ],
+    )
+    def test_mismatched_input_rejected_before_writing(self, tmp_path, trajs, fits, horizon, message):
+        path = tmp_path / "bad.csv"
+        with pytest.raises(ValueError, match=message):
+            write_trajectories_csv(path, trajs, fits, horizon=horizon)
+        assert not path.exists()
+
+    def test_whole_float_and_numpy_fitnesses_accepted(self, tmp_path):
+        trajs = [FlexTrajectory([0.5], [0.0])] * 3
+        write_trajectories_csv(tmp_path / "ok.csv", trajs, [95.0, np.int64(7), np.float64(2.0)])
+        assert read_trajectories_csv(tmp_path / "ok.csv")[1] == [95, 7, 2]
 
 
 class TestTrajectoryCsvHeader:

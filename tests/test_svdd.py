@@ -312,6 +312,35 @@ class TestBlockedScoring:
             normalize(X[:, :2], bounds)
 
 
+class TestScaledSet:
+    """A set stacked and scaled once must train and score exactly as its raw
+    trajectories do, block edges included."""
+
+    @pytest.mark.parametrize("kind", ["rbf", "poly", "sigmoid"])
+    def test_scaled_set_matches_raw_trajectories_bit_for_bit(self, kind):
+        rng = np.random.default_rng(22)
+        train_set = TestBlockedScoring._trajectories(rng, 130)
+        others = TestBlockedScoring._trajectories(rng, 2 * svdd.SCORE_BLOCK + 3, scale=0.8)
+        spec, cfg = KernelSpec(kind, gamma=0.2, coef0=0.1), TrainingConfig(nu=0.15)
+        raw_model = fit_trajectories(train_set, spec, cfg)
+        scaled = svdd.scale_trajectories(train_set)
+        model = train(scaled.vectors, spec, cfg, norm_bounds=scaled.bounds)
+        assert serialize(model) == serialize(raw_model)
+        for raw in (train_set, others):
+            rows = svdd.scale_trajectories(raw, scaled.bounds)
+            assert len(rows) == len(raw)
+            r2 = svdd.score_trajectories(model, rows)
+            assert np.array_equal(r2.view(np.int64), svdd.score_trajectories(raw_model, raw).view(np.int64))
+            assert classify(model, rows).tolist() == classify(raw_model, raw).tolist()
+
+    def test_set_scaled_with_other_bounds_rejected(self):
+        rng = np.random.default_rng(23)
+        trajs = TestBlockedScoring._trajectories(rng, 20)
+        model = fit_trajectories(trajs, KernelSpec("rbf", gamma=0.2), TrainingConfig(nu=0.15))
+        with pytest.raises(ValueError, match="scaled with other bounds"):
+            svdd.score_trajectories(model, svdd.scale_trajectories(trajs[:10]))
+
+
 class TestSerialization:
     def _model(self, seed=15):
         rng = np.random.default_rng(seed)

@@ -2,12 +2,14 @@
 shipped data/ files, byte for byte (every tracked out/small artifact and every
 benchmark workload reads them), every exported name exists, every exported
 name has a caller outside the tests, and the benchmark recorder assembles its
-JSON from perfbench's result lines."""
+JSON from perfbench's result lines and pins each timed CLI stage to the
+quietest CPU."""
 
 import ast
 import importlib
 import importlib.util
 import json
+import os
 import pkgutil
 import re
 from pathlib import Path
@@ -114,3 +116,25 @@ def test_bench_assembles_json_from_result_lines():
         "cli_stages_s": cli_stages,
         "environment": env,
     }
+
+
+def test_cli_stages_run_pinned_to_the_quietest_cpu(monkeypatch, tmp_path):
+    bench = _load_tool("bench")
+    worker = importlib.import_module("worker")  # on sys.path since bench loaded it
+    cpus = os.sched_getaffinity(0)
+    fastest = max(cpus)
+    # The probe reads fastest on the highest CPU this process may use.
+    monkeypatch.setattr(worker, "_probe", lambda: 0.001 if os.sched_getaffinity(0) == {fastest} else 0.002)
+    calls = []
+
+    def run(argv, **kwargs):
+        calls.append((argv[argv.index("--out") + 2], os.sched_getaffinity(0)))
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    stages = bench.time_cli_stages(tmp_path / "config.json", tmp_path)
+    assert [stage for stage, _ in calls] == list(bench.CLI_STAGES) * bench.CLI_REPEATS
+    assert all(affinity == {fastest} for _, affinity in calls)
+    assert os.sched_getaffinity(0) == cpus
+    assert set(stages) == set(bench.CLI_STAGES)
+    for stage in stages.values():
+        assert stage["cpu"] == fastest and stage["probe_s"] == 0.001 and 0.0 <= stage["s"] < 1.0

@@ -13,11 +13,14 @@ peak_rss_mb) and once with --trace 1 (the per-layer metrics). It then runs
 gen-scenarios, search, train, classify and validate once each on
 data/config_small.json and data/config_reference.json, every stage in a fresh
 interpreter with BLAS pinned to one thread, as perfbench pins it, and records
-its wall time, interpreter start and package import included. The chain runs
-CLI_REPEATS times and each stage's fastest call is kept: other tenants of a
-shared host only ever slow a call down, and one full reference search read
-from 6.2 to 9.2 s on the same 2-vCPU guest. The stages write to a temporary
-directory, so out/small is left alone.
+its wall time, interpreter start and package import included. Before each
+call it pins itself, and so the call, to the CPU that runs perfbench's probe
+fastest at that moment (perfbench/worker.py's quietest_cpu), and records that
+CPU and its probe time with the stage. The chain runs CLI_REPEATS times and
+each stage's fastest call is kept: other tenants of a shared host only ever
+slow a call down, and one full reference search read from 6.2 to 9.2 s on the
+same 2-vCPU guest. The stages write to a temporary directory, so out/small is
+left alone.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "perfbench"))
+from worker import quietest_cpu  # noqa: E402
 BLAS_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 CONFIGS = {"small": "config_small.json", "reference": "config_reference.json"}
 CLI_STAGES = ("gen-scenarios", "search", "train", "classify", "validate")
@@ -53,7 +58,7 @@ def parse_run_output(stdout: str) -> dict:
 def assemble(pr: str, seed: int, seconds: float, runs: dict, cli_stages: dict, environment: dict) -> dict:
     """The BENCH document. `runs` maps each workload to its parsed untraced
     and traced results, under "untraced" and "traced"; `cli_stages` maps each
-    config to its stage wall times in seconds."""
+    config to its stages as `time_cli_stages` returns them."""
     workloads = {}
     for workload, results in runs.items():
         untraced, traced = results["untraced"], results["traced"]
@@ -119,18 +124,27 @@ def run_workload(workload: str, seed: int, seconds: float, trace: int) -> dict:
 
 
 def time_cli_stages(config: Path, out: Path) -> dict:
-    """Fastest wall time of each stage over CLI_REPEATS runs of the chain."""
+    """Each stage's fastest call over CLI_REPEATS runs of the chain: its wall
+    time `s`, and the `cpu` it was pinned to with that CPU's `probe_s`. This
+    process's CPU affinity is restored afterwards."""
     env = dict(os.environ, **BLAS_ENV, PYTHONPATH=str(ROOT / "src"))
     classify = ["--model", str(out / "model.json"), "--input", str(out / "feasible.csv")]
-    times = {stage: float("inf") for stage in CLI_STAGES}
-    for _ in range(CLI_REPEATS):
-        for stage in CLI_STAGES:
-            extra = classify if stage == "classify" else []
-            argv = [sys.executable, "-m", "hemsflex", "--config", str(config), "--out", str(out), stage, *extra]
-            start = time.perf_counter()
-            subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True)
-            times[stage] = min(times[stage], time.perf_counter() - start)
-    return times
+    cpus = os.sched_getaffinity(0)
+    best = {stage: {"s": float("inf")} for stage in CLI_STAGES}
+    try:
+        for _ in range(CLI_REPEATS):
+            for stage in CLI_STAGES:
+                extra = classify if stage == "classify" else []
+                argv = [sys.executable, "-m", "hemsflex", "--config", str(config), "--out", str(out), stage, *extra]
+                cpu, probe_s = quietest_cpu(cpus)
+                start = time.perf_counter()
+                subprocess.run(argv, cwd=ROOT, env=env, stdout=subprocess.DEVNULL, check=True)
+                elapsed = time.perf_counter() - start
+                if elapsed < best[stage]["s"]:
+                    best[stage] = {"s": elapsed, "cpu": cpu, "probe_s": probe_s}
+    finally:
+        os.sched_setaffinity(0, cpus)
+    return best
 
 
 def main(argv=None) -> int:
@@ -153,7 +167,7 @@ def main(argv=None) -> int:
     for scale, name in CONFIGS.items():
         with tempfile.TemporaryDirectory(prefix=f"bench-{scale}-") as out:
             cli_stages[scale] = time_cli_stages(ROOT / "data" / name, Path(out))
-        print(f"{scale}: " + ", ".join(f"{k} {v:.3g} s" for k, v in cli_stages[scale].items()), flush=True)
+        print(f"{scale}: " + ", ".join(f"{k} {v['s']:.3g} s" for k, v in cli_stages[scale].items()), flush=True)
 
     doc = assemble(args.pr, args.seed, args.seconds, runs, cli_stages, environment())
     path = args.out or ROOT / f"BENCH_{args.pr}.json"
