@@ -24,9 +24,9 @@ import numpy as np
 
 from ._inputs import build, integer
 from .epso import FeasibleSet, robust_threshold
-from .hems import EPS, FlexTrajectory, HemsConfig, feasible_power_range
+from .hems import EPS, FlexTrajectory, HemsConfig, TrajectorySet, feasible_power_range
 from .scenarios import ScenarioSet
-from .svdd import KERNEL_KINDS, KernelSpec, ScaledSet, SvddModel, TrainingConfig, classify, scale_trajectories, train
+from .svdd import KERNEL_KINDS, KernelSpec, SvddModel, TrainingConfig, classify, derive_bounds, normalize, train
 
 __all__ = [
     "ConfusionReport",
@@ -224,7 +224,7 @@ def _robust_under_oracle(traj: FlexTrajectory, oracle, threshold: int) -> bool:
 class InfeasibleSet:
     """Rejection-sampled non-robust trajectories plus sampling statistics."""
 
-    trajectories: list[FlexTrajectory]
+    trajectories: TrajectorySet
     attempts: int
 
     @property
@@ -251,12 +251,12 @@ def generate_infeasible_set(
     max_attempts = 200 * count
     rng = np.random.default_rng(seed)
     oracle = _oracle(cfg, scenarios, dt)
-    kept: list[FlexTrajectory] = []
-    attempts = 0
-    while len(kept) < count:
+    rows = np.empty((count, 2 * horizon))
+    kept = attempts = 0
+    while kept < count:
         if attempts >= max_attempts:
             raise ValueError(
-                f"only {len(kept)} of {count} non-robust trajectories found in "
+                f"only {kept} of {count} non-robust trajectories found in "
                 f"{max_attempts} draws; the instance is too permissive"
             )
         attempts += 1
@@ -265,8 +265,9 @@ def generate_infeasible_set(
             p_ewh=np.where(rng.random(horizon) < 0.5, p_nom, 0.0),
         )
         if not _robust_under_oracle(traj, oracle, threshold):
-            kept.append(traj)
-    return InfeasibleSet(trajectories=kept, attempts=attempts)
+            rows[kept] = traj.as_vector()
+            kept += 1
+    return InfeasibleSet(trajectories=TrajectorySet(rows), attempts=attempts)
 
 
 @dataclass
@@ -279,13 +280,12 @@ class DiversityReport:
     degenerate: bool = False
 
 
-def pca_diversity(trajectories) -> DiversityReport:
+def pca_diversity(trajectories: TrajectorySet) -> DiversityReport:
     """Eigendecompose the covariance of the combined trajectories and report
     the minimal component counts reaching 50% and 80% cumulative variance."""
     if len(trajectories) < 2:
         raise ValueError("diversity analysis needs at least 2 trajectories")
-    X = np.stack([t.combined for t in trajectories])
-    cov = np.cov(X, rowvar=False)
+    cov = np.cov(trajectories.combined, rowvar=False)
     eigvals = np.linalg.eigvalsh(np.atleast_2d(cov))[::-1]
     eigvals = np.maximum(eigvals, 0.0)
     total = float(eigvals.sum())
@@ -320,13 +320,9 @@ class ConfusionReport:
         return 100.0 * self.infeasible_incorrect / total if total else 0.0
 
 
-def confusion_table(
-    model: SvddModel,
-    feasible: list[FlexTrajectory] | ScaledSet,
-    infeasible: list[FlexTrajectory] | ScaledSet,
-) -> ConfusionReport:
-    """Classify both sets, raw or scaled with the model's bounds, and
-    tabulate correct, incorrect, and error shares."""
+def confusion_table(model: SvddModel, feasible: np.ndarray, infeasible: np.ndarray) -> ConfusionReport:
+    """Classify both sets, raw (n, d) matrices, and tabulate correct,
+    incorrect, and error shares."""
     feas_hits = int(np.count_nonzero(classify(model, feasible)))
     infeas_hits = len(infeasible) - int(np.count_nonzero(classify(model, infeasible)))
     return ConfusionReport(
@@ -522,21 +518,23 @@ class ValidationReport:
 
     infeasible: InfeasibleSet
     rows: list[ConfusionReport]
-    baseline: list[FlexTrajectory]
+    baseline: TrajectorySet
     search_diversity: DiversityReport
     baseline_diversity: DiversityReport
 
 
 def validate(
-    feasible: list[FlexTrajectory], scenarios: ScenarioSet, hems_cfg: HemsConfig, settings: ValidateConfig,
+    feasible: TrajectorySet, scenarios: ScenarioSet, hems_cfg: HemsConfig, settings: ValidateConfig,
     tau_scen: float,
 ) -> ValidationReport:
     """The validate stage as a `ValidationReport`: sample the infeasible set,
-    cut it and the feasible set to the window, which must end within the
-    horizon, fit each sweep pair on the cut feasible set and score both cut
-    sets, and build the baseline on the first scenario. Every sweep model is
-    trained on the cut feasible set's bounds, so both cut sets are stacked and
-    scaled once for the whole sweep."""
+    cut it and the feasible set, whose horizon must be the scenarios', to the
+    window, which must end within the horizon, fit each sweep pair on the cut
+    feasible set and score both cut sets, and build the baseline on the first
+    scenario. Every sweep model is trained on the cut feasible set's bounds,
+    so that set is normalized once for the whole sweep."""
+    if feasible.horizon != scenarios.horizon:
+        raise ValueError(f"the feasible set has horizon {feasible.horizon}, the scenarios {scenarios.horizon}")
     window = settings.window
     if window is not None and window[1] > scenarios.horizon:
         raise ValueError(f"window [{window[0]}, {window[1]}) outside horizon {scenarios.horizon}")
@@ -546,11 +544,11 @@ def validate(
     )
     feas, infeas = feasible, sample.trajectories
     if window is not None:
-        feas, infeas = ([t.window(*window) for t in trajectories] for trajectories in (feas, infeas))
-    feas = scale_trajectories(feas)
-    infeas = scale_trajectories(infeas, feas.bounds)
+        feas, infeas = feas.window(*window), infeas.window(*window)
+    bounds = derive_bounds(feas.matrix)
+    scaled = normalize(feas.matrix, bounds)
     rows = [
-        confusion_table(train(feas.vectors, kernel, cfg, norm_bounds=feas.bounds), feas, infeas)
+        confusion_table(train(scaled, kernel, cfg, norm_bounds=bounds), feas.matrix, infeas.matrix)
         for kernel, cfg in settings.sweep
     ]
     size = settings.baseline_size(len(feasible))

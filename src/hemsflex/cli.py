@@ -177,7 +177,7 @@ def cmd_search(cfg: RunConfig) -> int:
 def cmd_train(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     trajectories, _ = epso.read_trajectories_csv(cfg.out_dir / "feasible.csv")
-    model = svdd.fit_trajectories(trajectories, cfg.kernel, cfg.training)
+    model = svdd.fit_trajectories(trajectories.matrix, cfg.kernel, cfg.training)
     svdd.save_model(model, cfg.out_dir / "model.json")
     print(
         f"trained {model.kernel.kind} boundary: {model.n_support} support vectors, "
@@ -189,14 +189,9 @@ def cmd_train(cfg: RunConfig) -> int:
 def cmd_classify(cfg: RunConfig, model_path, input_path, output_path) -> int:
     model = svdd.load_model(model_path)
     trajectories, _ = epso.read_trajectories_csv(input_path)
-    if trajectories and 2 * trajectories[0].horizon != model.dimension:
-        raise ValueError(
-            f"input trajectories have {2 * trajectories[0].horizon} coordinates, "
-            f"model expects {model.dimension}"
-        )
+    r2 = svdd.score_trajectories(model, trajectories.matrix)
     output_path = Path(output_path)
     output_path.parent.mkdir(parents=True, exist_ok=True)
-    r2 = svdd.score_trajectories(model, trajectories)
     # The bytes of a csv writer, one string per row, as in epso.write_trajectories_csv.
     with open(output_path, "w", newline="") as fh:
         fh.write("verdict,r2\r\n")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._inputs import finite, integer, read_table, whole
-from .hems import FlexTrajectory, HemsConfig, batch_compliance, screen_with_repair
+from .hems import FlexTrajectory, HemsConfig, TrajectorySet, batch_compliance, screen_with_repair
 
 # Kept importable as epso.repair_trajectory, where perfbench/spans.py looks it up.
 from .hems import repair_trajectory  # noqa: F401
@@ -108,10 +108,11 @@ class Swarm:
 
 
 class FeasibleSet:
-    """Collected robust trajectories as rows [p_bat | p_ewh] of one matrix,
-    plus their fitnesses and the running per-coordinate mean of the rows.
-    Members are read-only row views; a member read before the matrix grows
-    keeps its values, since rows are only ever written once."""
+    """Collected robust trajectories as the rows of one growing buffer, plus
+    their fitnesses and the running per-coordinate mean of the rows. The
+    members are read as a `TrajectorySet` view of the buffer; a view taken
+    before the buffer grows keeps its values, since rows are only ever
+    written once."""
 
     def __init__(self, horizon: int):
         self.horizon = horizon
@@ -123,20 +124,10 @@ class FeasibleSet:
     def __len__(self) -> int:
         return len(self.fitnesses)
 
-    def __getitem__(self, i: int) -> FlexTrajectory:
-        row = self.matrix[i]
-        return FlexTrajectory(p_bat=row[: self.horizon], p_ewh=row[self.horizon :])
-
     @property
-    def matrix(self) -> np.ndarray:
-        """(n, 2T) read-only view of the members."""
-        view = self._rows[: len(self)]
-        view.flags.writeable = False
-        return view
-
-    @property
-    def trajectories(self) -> list[FlexTrajectory]:
-        return [self[i] for i in range(len(self))]
+    def trajectories(self) -> TrajectorySet:
+        """The members, as a read-only view of the buffer."""
+        return TrajectorySet(self._rows[: len(self)])
 
     def add(self, traj: FlexTrajectory, fitness: int) -> bool:
         """Insert unless a member is closer than DEDUP_TOL in max-norm.
@@ -159,9 +150,8 @@ class FeasibleSet:
         """Accumulated absolute distance of each member to the set mean, as a
         read-only array computed once per state of the set."""
         if self._distances is None:
-            rows, t = self._rows[: len(self)], self.horizon
-            bat = np.abs(rows[:, :t] - self.mean[:t]).sum(axis=1)
-            self._distances = bat + np.abs(rows[:, t:] - self.mean[t:]).sum(axis=1)
+            deviation = TrajectorySet(np.abs(self._rows[: len(self)] - self.mean))
+            self._distances = deviation.p_bat.sum(axis=1) + deviation.p_ewh.sum(axis=1)
             self._distances.flags.writeable = False
         return self._distances
 
@@ -265,7 +255,7 @@ def select_global_best(feasible: FeasibleSet) -> FlexTrajectory:
     first member wins ties."""
     if not len(feasible):
         raise ValueError("feasible set is empty")
-    return feasible[int(np.argmax(feasible.distances()))]
+    return feasible.trajectories[int(np.argmax(feasible.distances()))]
 
 
 def stochastic_tournament(
@@ -482,10 +472,9 @@ def _trajectory_header(horizon: int) -> list[str]:
     )
 
 
-def write_trajectories_csv(
-    path, trajectories: list[FlexTrajectory], fitnesses=None, horizon: int | None = None
-) -> None:
-    """One row per trajectory: pbat_h1..pbat_hT, pewh_h1..pewh_hT, fitness.
+def write_trajectories_csv(path, trajectories, fitnesses=None, horizon: int | None = None) -> None:
+    """One row per trajectory of a sequence of `FlexTrajectory`, such as a
+    `TrajectorySet`: pbat_h1..pbat_hT, pewh_h1..pewh_hT, fitness.
     Each value is written as its `repr`, so files round-trip exactly. An empty
     list needs an explicit horizon for the header; a horizon that disagrees
     with a trajectory, a fitness count that disagrees with the trajectories,
@@ -517,7 +506,7 @@ def write_trajectories_csv(
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_trajectory_header(horizon)) + "\r\n")
         for traj, fitness in zip(trajectories, fitnesses):
-            row = np.concatenate((traj.p_bat, traj.p_ewh))
+            row = traj.as_vector()
             bits = row.view(np.int64)
             changed = None if previous is None else np.flatnonzero(bits != previous)
             if changed is None or 4 * changed.size > width:
@@ -529,14 +518,14 @@ def write_trajectories_csv(
             fh.write(",".join(cells) + f",{int(fitness)}\r\n")
 
 
-def read_trajectories_csv(path) -> tuple[list[FlexTrajectory], list[int]]:
+def read_trajectories_csv(path) -> tuple[TrajectorySet, list[int]]:
     """Trajectories and fitnesses of a file with the exact header that
-    `write_trajectories_csv` writes. The body is parsed as one matrix, so the
-    trajectories are row views of it, and a fitness must be a whole number."""
+    `write_trajectories_csv` writes. The body is parsed as one matrix, whose
+    trajectory columns are the set, as wide as the header even when the file
+    has no rows; a fitness must be a whole number."""
     path, header, table = read_table(path)
     horizon = (len(header) - 1) // 2
     if horizon < 1 or header != _trajectory_header(horizon):
         raise ValueError(f"{path}: expected the trajectory header pbat_h1..pbat_hT,pewh_h1..pewh_hT,fitness")
     fitness = whole(path, "fitness", table[:, -1])
-    trajectories = [FlexTrajectory(p_bat=r[:horizon], p_ewh=r[horizon:-1]) for r in table]
-    return trajectories, fitness.tolist()
+    return TrajectorySet(table[:, :-1]), fitness.tolist()

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import NamedTuple
@@ -39,6 +40,7 @@ __all__ = [
     "EwhConfig",
     "HemsConfig",
     "FlexTrajectory",
+    "TrajectorySet",
     "SimulationResult",
     "ewh_step",
     "batch_compliance",
@@ -204,17 +206,61 @@ class FlexTrajectory:
     def horizon(self) -> int:
         return self.p_bat.shape[0]
 
+    def as_vector(self) -> np.ndarray:
+        """The [p_bat | p_ewh] row of a `TrajectorySet`."""
+        return np.concatenate([self.p_bat, self.p_ewh])
+
+
+@dataclass(frozen=True, eq=False)
+class TrajectorySet:
+    """Flexibility offers as the rows of one read-only (n, 2T) matrix, each
+    row [p_bat | p_ewh], as the trajectory files and the search's feasible set
+    store them. This is the only code that splits or slices that layout: an
+    integer index gives a `FlexTrajectory` of views into its row, and the
+    boundary model reads `matrix` as it is."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self):
+        # A view, so that freezing it leaves the caller's array writeable.
+        matrix = np.asarray(self.matrix, dtype=float).view()
+        if matrix.ndim != 2 or matrix.shape[1] < 2 or matrix.shape[1] % 2:
+            raise ValueError(f"a trajectory set is an (n, 2T) matrix with T >= 1, not shape {matrix.shape}")
+        matrix.flags.writeable = False
+        object.__setattr__(self, "matrix", matrix)
+
+    @property
+    def horizon(self) -> int:
+        return self.matrix.shape[1] // 2
+
+    @property
+    def p_bat(self) -> np.ndarray:
+        """(n, T) view of every row's battery power."""
+        return self.matrix[:, : self.horizon]
+
+    @property
+    def p_ewh(self) -> np.ndarray:
+        """(n, T) view of every row's EWH power."""
+        return self.matrix[:, self.horizon :]
+
+    def __len__(self) -> int:
+        return self.matrix.shape[0]
+
+    def __getitem__(self, i: int) -> FlexTrajectory:
+        i = operator.index(i)
+        return FlexTrajectory(p_bat=self.p_bat[i], p_ewh=self.p_ewh[i])
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def window(self, start: int, stop: int) -> "TrajectorySet":
+        """Steps [start, stop) of every row, as a new set."""
+        return TrajectorySet(np.concatenate((self.p_bat[:, start:stop], self.p_ewh[:, start:stop]), axis=1))
+
     @property
     def combined(self) -> np.ndarray:
-        """Net HEMS deviation per step: battery plus EWH power."""
+        """(n, T) net HEMS deviation per step: battery plus EWH power."""
         return self.p_bat + self.p_ewh
-
-    def window(self, start: int, stop: int) -> "FlexTrajectory":
-        return FlexTrajectory(self.p_bat[start:stop].copy(), self.p_ewh[start:stop].copy())
-
-    def as_vector(self) -> np.ndarray:
-        """Flat [p_bat | p_ewh] layout used by the boundary model."""
-        return np.concatenate([self.p_bat, self.p_ewh])
 
 
 @dataclass

@@ -28,8 +28,6 @@ __all__ = [
     "derive_bounds",
     "normalize",
     "train",
-    "ScaledSet",
-    "scale_trajectories",
     "fit_trajectories",
     "radius_squared",
     "score_trajectories",
@@ -260,6 +258,11 @@ def train(
 
     cap = 1.0 / (cfg.nu * n)
     sv_mask = alpha > cap * _ALPHA_CUTOFF
+    # The solver's zero test and this cutoff are fractions of the cap
+    # 1 / (nu n), so a tiny nu, such as 1e-300, puts them above every
+    # coefficient and leaves no row to define the boundary.
+    if not sv_mask.any():
+        raise ValueError(f"nu {cfg.nu!r} is too small for {n} training rows: no support vector is left")
     sv_alpha = alpha[sv_mask]
     sv_alpha = sv_alpha / sv_alpha.sum()
     sv_x = X[sv_mask]
@@ -301,46 +304,11 @@ def train(
     )
 
 
-def _stack_vectors(trajectories) -> np.ndarray:
-    """The (n, 2T) matrix of the trajectories' `as_vector` rows, filled by two
-    slice copies rather than one concatenation per row."""
-    if not trajectories:
-        raise ValueError("need at least one trajectory to stack")
-    horizon = trajectories[0].horizon
-    out = np.empty((len(trajectories), 2 * horizon))
-    # numpy raises ValueError for ragged rows, as np.stack did
-    out[:, :horizon] = [t.p_bat for t in trajectories]
-    out[:, horizon:] = [t.p_ewh for t in trajectories]
-    return out
-
-
-@dataclass(frozen=True)
-class ScaledSet:
-    """Trajectories stacked into one (n, 2T) matrix and min-max scaled with
-    `bounds`, so that models trained or scored on the same bounds share one
-    copy instead of restacking the set for each call."""
-
-    vectors: np.ndarray
-    bounds: np.ndarray
-
-    def __len__(self) -> int:
-        return self.vectors.shape[0]
-
-
-def scale_trajectories(trajectories, bounds: np.ndarray | None = None) -> ScaledSet:
-    """Stack and scale the trajectories with `bounds`, by default their own
-    raw-space bounds."""
-    vectors = _stack_vectors(trajectories)
-    if bounds is None:
-        bounds = derive_bounds(vectors)
-    return ScaledSet(normalize(vectors, bounds), bounds)
-
-
-def fit_trajectories(trajectories, kernel: KernelSpec, cfg: TrainingConfig) -> SvddModel:
-    """Convenience wrapper: derive raw-space bounds from the trajectories,
-    normalize, and train; the model then classifies raw trajectories directly."""
-    scaled = scale_trajectories(trajectories)
-    return train(scaled.vectors, kernel, cfg, norm_bounds=scaled.bounds)
+def fit_trajectories(vectors: np.ndarray, kernel: KernelSpec, cfg: TrainingConfig) -> SvddModel:
+    """Derive raw-space bounds from an (n, d) matrix of raw trajectory rows,
+    normalize, and train; the model then scores raw rows directly."""
+    bounds = derive_bounds(vectors)
+    return train(normalize(vectors, bounds), kernel, cfg, norm_bounds=bounds)
 
 
 def _radius2(K: np.ndarray, coefficients: np.ndarray, const_term: float) -> np.ndarray:
@@ -359,29 +327,24 @@ def radius_squared(model: SvddModel, x: np.ndarray) -> np.ndarray:
     return _radius2(kernel_matrix(model.kernel, x, model.support_vectors), model.coefficients, model.const_term)
 
 
-def score_trajectories(model: SvddModel, trajectories) -> np.ndarray:
-    """Squared radii of raw trajectories, normalized with the model's bounds
-    and scored SCORE_BLOCK at a time. A `ScaledSet`, which must have been
-    scaled with the model's bounds, is scored in the same blocks, so its radii
-    are bit-identical to those of its raw trajectories."""
-    scaled = isinstance(trajectories, ScaledSet)
-    if scaled and not np.array_equal(trajectories.bounds, model.norm_bounds):
-        raise ValueError("the set was scaled with other bounds than the model's")
-    r2 = np.empty(len(trajectories))
-    for start in range(0, len(trajectories), SCORE_BLOCK):
-        if scaled:
-            block = trajectories.vectors[start : start + SCORE_BLOCK]
-        else:
-            block = normalize(_stack_vectors(trajectories[start : start + SCORE_BLOCK]), model.norm_bounds)
+def score_trajectories(model: SvddModel, vectors: np.ndarray) -> np.ndarray:
+    """Squared radii of the rows of a raw (n, d) matrix, normalized with the
+    model's bounds and scored SCORE_BLOCK rows at a time, so memory stays flat
+    however many rows there are. The width is checked even with no rows."""
+    vectors = np.asarray(vectors, dtype=float)
+    if vectors.ndim != 2 or vectors.shape[1] != model.dimension:
+        raise ValueError(f"trajectories of shape {vectors.shape}, the model expects {model.dimension} coordinates")
+    r2 = np.empty(vectors.shape[0])
+    for start in range(0, vectors.shape[0], SCORE_BLOCK):
+        block = normalize(vectors[start : start + SCORE_BLOCK], model.norm_bounds)
         r2[start : start + block.shape[0]] = radius_squared(model, block)
     return r2
 
 
-def classify(model: SvddModel, trajectories) -> np.ndarray:
-    """One boolean per raw trajectory of the sequence, or per row of a
-    `ScaledSet`: True when its radius, scored by `score_trajectories`, stays
-    within the boundary radius."""
-    return within_boundary(model, score_trajectories(model, trajectories))
+def classify(model: SvddModel, vectors: np.ndarray) -> np.ndarray:
+    """One boolean per row of a raw (n, d) matrix: True when its radius,
+    scored by `score_trajectories`, stays within the boundary radius."""
+    return within_boundary(model, score_trajectories(model, vectors))
 
 
 def within_boundary(model: SvddModel, r2):
@@ -460,6 +423,11 @@ def deserialize(text: str) -> SvddModel:
         raise ValueError("model file: support_vectors and coefficients disagree in count")
     if model.norm_bounds.ndim != 2 or model.norm_bounds.shape != (model.dimension, 2):
         raise ValueError("model file: norm_bounds must hold one (min, max) pair per coordinate")
+    # Swapped pairs would map every coordinate to 0.5 and score every row
+    # alike; equal ones are what training writes for a constant coordinate.
+    swapped = np.flatnonzero(model.norm_bounds[:, 0] > model.norm_bounds[:, 1])
+    if swapped.size:
+        raise ValueError(f"model file: norm_bounds pair {swapped[0]} has its min above its max")
     return model
 
 

@@ -41,6 +41,12 @@ def hems_reference(battery_reference, ewh_reference):
     return hems.HemsConfig(battery=battery_reference, ewh=ewh_reference)
 
 
+def stacked(trajectories) -> hems.TrajectorySet:
+    """The trajectories as the rows of one set, built the way a test writes
+    them out one by one."""
+    return hems.TrajectorySet(np.stack([t.as_vector() for t in trajectories]))
+
+
 def make_marginals(base, sigma=0.1, probs=(0.05, 0.25, 0.5, 0.75, 0.95)):
     """Quantile tables around a base profile with Gaussian-consistent spread."""
     from scipy.special import ndtri

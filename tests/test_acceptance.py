@@ -58,9 +58,9 @@ def infeasible_set(reference_instance):
 @pytest.fixture(scope="session")
 def windowed_sets(reference_run, infeasible_set):
     result, _, _ = reference_run
-    feasible = [t.window(*WINDOW) for t in result.feasible.trajectories[:1000]]
-    infeasible = [t.window(*WINDOW) for t in infeasible_set.trajectories]
-    return feasible, infeasible
+    feasible = hems.TrajectorySet(result.feasible.trajectories.matrix[:1000]).window(*WINDOW)
+    infeasible = infeasible_set.trajectories.window(*WINDOW)
+    return feasible.matrix, infeasible.matrix
 
 
 class TestCriterion1EndToEndSoundness:
@@ -154,7 +154,7 @@ class TestCriterion5NuProperty:
                 feasible, svdd.KernelSpec(kind=kind, gamma=0.05), svdd.TrainingConfig(nu=nu)
             )
             sv_fraction = model.n_support / 1000
-            outliers = sum(1 for t in feasible if not svdd.classify(model, [t])[0]) / 1000
+            outliers = sum(1 for row in feasible if not svdd.classify(model, row[None])[0]) / 1000
             assert sv_fraction >= nu - 0.02, (kind, nu, sv_fraction)
             assert outliers <= nu + 0.02, (kind, nu, outliers)
             lines.append(f"nu={nu}: sv={sv_fraction:.3f} out={outliers:.3f}")
@@ -191,8 +191,8 @@ class TestCriterion7DiversityOrdering:
         baseline = analysis.semi_random_baseline(
             len(result.feasible), cfg, scenario_set.values[0], seed=55, dt=DT
         )
-        search_div = analysis.pca_diversity(result.feasible)
-        base_div = analysis.pca_diversity(baseline)
+        search_div = analysis.pca_diversity(result.feasible.trajectories)
+        base_div = analysis.pca_diversity(baseline.trajectories)
         assert search_div.n_components_50 >= base_div.n_components_50
         assert search_div.n_components_80 >= base_div.n_components_80
         report(

@@ -17,6 +17,7 @@ from hemsflex.analysis import (
 )
 from hemsflex.hems import EwhConfig, FlexTrajectory, HemsConfig
 from hemsflex.scenarios import ScenarioSet
+from tests.conftest import stacked
 from tests.test_lane_kernel import lane_instances
 
 
@@ -134,7 +135,7 @@ class TestGenerateInfeasibleSet:
 class TestPcaDiversity:
     def test_identical_trajectories_flag_degenerate(self):
         trajs = [FlexTrajectory(p_bat=np.full(6, 0.5), p_ewh=np.zeros(6)) for _ in range(10)]
-        report = pca_diversity(trajs)
+        report = pca_diversity(stacked(trajs))
         assert report.degenerate
         assert report.n_components_50 == 1
         assert report.n_components_80 == 1
@@ -146,7 +147,7 @@ class TestPcaDiversity:
             FlexTrajectory(p_bat=a * direction, p_ewh=np.zeros(8))
             for a in rng.uniform(-1.0, 1.0, 30)
         ]
-        report = pca_diversity(trajs)
+        report = pca_diversity(stacked(trajs))
         assert not report.degenerate
         assert report.n_components_50 == 1
         assert report.n_components_80 == 1
@@ -157,7 +158,7 @@ class TestPcaDiversity:
             FlexTrajectory(p_bat=rng.uniform(-1, 1, 12), p_ewh=np.where(rng.random(12) < 0.5, 0.5, 0.0))
             for _ in range(60)
         ]
-        report = pca_diversity(trajs)
+        report = pca_diversity(stacked(trajs))
         assert np.all(report.explained_fractions >= 0.0)
         assert report.explained_fractions.sum() == pytest.approx(1.0, abs=1e-9)
         assert np.all(np.diff(np.cumsum(report.explained_fractions)) >= -1e-12)
@@ -165,7 +166,7 @@ class TestPcaDiversity:
 
     def test_needs_two_members(self):
         with pytest.raises(ValueError):
-            pca_diversity([FlexTrajectory(p_bat=np.zeros(4), p_ewh=np.zeros(4))])
+            pca_diversity(stacked([FlexTrajectory(p_bat=np.zeros(4), p_ewh=np.zeros(4))]))
 
 
 class TestConfusionTable:
@@ -179,7 +180,7 @@ class TestConfusionTable:
             FlexTrajectory(p_bat=rng.normal(0, 3.0, 6), p_ewh=np.where(rng.random(6) < 0.5, 0.5, 0.0))
             for _ in range(100)
         ]
-        return feasible, infeasible
+        return stacked(feasible).matrix, stacked(infeasible).matrix
 
     def test_counts_add_up_and_percentages_recompute(self):
         feasible, infeasible = self._sets()
@@ -197,8 +198,8 @@ class TestConfusionTable:
         feasible, infeasible = self._sets()
         model = svdd.fit_trajectories(feasible, svdd.KernelSpec(kind, gamma=0.5), svdd.TrainingConfig(nu=0.1))
         report = confusion_table(model, feasible, infeasible)
-        assert report.feasible_correct == sum(svdd.classify(model, [t])[0] for t in feasible)
-        assert report.infeasible_incorrect == sum(svdd.classify(model, [t])[0] for t in infeasible)
+        assert report.feasible_correct == sum(svdd.classify(model, row[None])[0] for row in feasible)
+        assert report.infeasible_incorrect == sum(svdd.classify(model, row[None])[0] for row in infeasible)
 
     def test_everything_feasible_model_is_degenerate(self):
         feasible, infeasible = self._sets(45)
@@ -217,8 +218,8 @@ class TestConfusionTable:
             scenario_set, cfg, dt=0.25,
         )
         assert result.completed
-        feasible = result.feasible.trajectories
-        infeasible = generate_infeasible_set(150, cfg, scenario_set, seed=10, dt=0.25, tau_scen=0.9).trajectories
+        feasible = result.feasible.trajectories.matrix
+        infeasible = generate_infeasible_set(150, cfg, scenario_set, seed=10, dt=0.25, tau_scen=0.9).trajectories.matrix
         spec = svdd.KernelSpec("sigmoid", gamma=0.05)
         feas_err, infeas_err = [], []
         for nu in (0.01, 0.1, 0.15, 0.2):
@@ -235,19 +236,19 @@ class TestConfusionTable:
 
 
 class TestValidateSweep:
-    """`validate` stacks and scales each cut set once for the whole sweep;
-    its rows must be those of fitting and scoring each pair on the raw
-    trajectories."""
+    """`validate` normalizes the cut feasible set once for the whole sweep;
+    its rows must be those of fitting and scoring each pair on the raw cut
+    sets."""
 
     @pytest.mark.parametrize("window", [None, "01:00-03:00"])
     def test_rows_match_fit_and_confusion_table_per_pair(self, small_instance, window):
         scenario_set, cfg = small_instance
         rng = np.random.default_rng(46)
         # 130 rows: both sets cross the 64-row scoring block edge twice.
-        feasible = [
+        feasible = stacked(
             FlexTrajectory(p_bat=rng.normal(0, 0.3, 16), p_ewh=np.where(rng.random(16) < 0.5, 0.5, 0.0))
             for _ in range(130)
-        ]
+        )
         kernels = tuple({"kind": kind, "gamma": 0.05} for kind in ("rbf", "poly", "sigmoid"))
         settings = analysis.ValidateConfig(
             dt_hours=0.25, infeasible_seed=47, baseline_seed=48, window=window, sweep_kernels=kernels,
@@ -256,9 +257,9 @@ class TestValidateSweep:
         report = analysis.validate(feasible, scenario_set, cfg, settings, 0.9)
         feas, infeas = feasible, report.infeasible.trajectories
         if settings.window is not None:
-            feas, infeas = ([t.window(*settings.window) for t in ts] for ts in (feas, infeas))
+            feas, infeas = feas.window(*settings.window), infeas.window(*settings.window)
         expected = [
-            confusion_table(svdd.fit_trajectories(feas, kernel, training), feas, infeas)
+            confusion_table(svdd.fit_trajectories(feas.matrix, kernel, training), feas.matrix, infeas.matrix)
             for kernel, training in settings.sweep
         ]
         assert len(report.rows) == 12
@@ -359,7 +360,7 @@ def _outcome(build, *args):
         feasible = build(*args)
     except ValueError as exc:
         return "raised", str(exc)
-    return feasible.matrix.tobytes(), feasible.fitnesses
+    return feasible.trajectories.matrix.tobytes(), feasible.fitnesses
 
 
 class TestBaselineChainTwin:
@@ -407,7 +408,7 @@ class TestBaselineChainTwin:
         rng = np.random.default_rng(16)
         for row in scenario_set.values[:4]:
             oracle = analysis._oracle(cfg, ScenarioSet(row[None, :]), 0.25)
-            member = semi_random_baseline(2, cfg, row, seed=int(rng.integers(2**32)), dt=0.25)[0]
+            member = semi_random_baseline(2, cfg, row, seed=int(rng.integers(2**32)), dt=0.25).trajectories[0]
             bats, ewhs = member.p_bat.tolist(), member.p_ewh.tolist()
             trail = []
             assert oracle(bats, ewhs, trail=trail) == 1

@@ -509,15 +509,33 @@ class TestErrorPaths:
         assert "holds a bool, not a number" in stderr_of(capsys, workdir)
         assert not out.exists()
 
-    def test_classify_dimension_mismatch_exits_two(self, workdir):
+    def test_classify_dimension_mismatch_exits_two(self, workdir, capsys):
         for command in ("gen-scenarios", "search", "train"):
             assert invoke(workdir, command) == 0
         out = workdir / "out"
         wrong = [FlexTrajectory(p_bat=np.zeros(5), p_ewh=np.zeros(5))]
         epso.write_trajectories_csv(out / "wrong.csv", wrong)
-        assert invoke(
-            workdir, "classify", "--model", str(out / "model.json"), "--input", str(out / "wrong.csv")
-        ) == 2
+        # A file with no rows still has the header's width.
+        (out / "header_only.csv").write_text("pbat_h1,pbat_h2,pewh_h1,pewh_h2,fitness\n")
+        for name, width in (("wrong.csv", 10), ("header_only.csv", 4)):
+            verdicts = out / f"{name}.verdicts"
+            assert invoke(
+                workdir, "classify", "--model", str(out / "model.json"), "--input", str(out / name),
+                "--verdicts", str(verdicts),
+            ) == 2, name
+            assert f", {width}), the model expects 24 coordinates" in capsys.readouterr().err
+            assert not verdicts.exists()
+
+    def test_validate_rejects_a_feasible_set_of_another_horizon(self, workdir, capsys):
+        for command in ("gen-scenarios", "search"):
+            assert invoke(workdir, command) == 0
+        out = workdir / "out"
+        feasible, fitnesses = epso.read_trajectories_csv(out / "feasible.csv")
+        # The window [4, 8) fits inside the cut set too, so only the horizon check can tell.
+        epso.write_trajectories_csv(out / "feasible.csv", feasible.window(0, 8), fitnesses)
+        assert invoke(workdir, "validate") == 2
+        assert "the feasible set has horizon 8, the scenarios 12" in stderr_of(capsys, workdir)
+        assert not (out / "confusion.csv").exists()
 
     def test_classify_malformed_input_exits_two(self, workdir):
         for command in ("gen-scenarios", "search", "train"):
@@ -594,7 +612,7 @@ class TestErrorPaths:
         assert invoke(workdir, "gen-scenarios") == 0
         assert invoke(workdir, "search") == 0
         trajectories, _ = epso.read_trajectories_csv(workdir / "out" / "feasible.csv")
-        assert trajectories == []
+        assert trajectories.matrix.shape == (0, 24)
         summary = json.loads((workdir / "out" / "search_log.jsonl").read_text().splitlines()[-1])
         assert summary["feasible"] == 0
         assert summary["warning"]
@@ -639,10 +657,11 @@ class TestWindowParsing:
     @staticmethod
     def validate_on_horizon(window, horizon):
         """`analysis.validate` with the window resolved at 15-minute steps,
-        over a horizon of flat scenarios and no feasible set."""
+        over a horizon of flat scenarios and an empty feasible set."""
         settings = analysis.ValidateConfig(dt_hours=0.25, infeasible_seed=0, baseline_seed=0, window=window)
         hems_cfg = hems.HemsConfig.from_json(Path(__file__).resolve().parent.parent / "data" / "hems.json")
-        analysis.validate([], scenarios.ScenarioSet(np.zeros((2, horizon))), hems_cfg, settings, 0.9)
+        feasible = hems.TrajectorySet(np.empty((0, 2 * horizon)))
+        analysis.validate(feasible, scenarios.ScenarioSet(np.zeros((2, horizon))), hems_cfg, settings, 0.9)
 
     def test_clock_window(self):
         assert analysis.window_steps("09:00-13:00", 0.25) == (36, 52)

@@ -461,3 +461,41 @@ class TestConfigValidation:
         path.write_text('{"battery": ')
         with pytest.raises(ValueError, match="hems.json is not valid JSON"):
             HemsConfig.from_json(path)
+
+
+class TestTrajectorySet:
+    """The one reader of the [p_bat | p_ewh] row layout."""
+
+    def test_rows_are_read_only_views(self):
+        matrix = np.arange(12.0).reshape(3, 4)
+        offers = hems.TrajectorySet(matrix)
+        assert (len(offers), offers.horizon) == (3, 2)
+        assert matrix.flags.writeable and not offers.matrix.flags.writeable
+        row = offers[1]
+        assert (row.p_bat.tolist(), row.p_ewh.tolist()) == ([4.0, 5.0], [6.0, 7.0])
+        assert np.shares_memory(row.p_bat, offers.matrix) and np.shares_memory(row.p_ewh, offers.matrix)
+        with pytest.raises(ValueError):
+            row.p_ewh[0] = 1.0
+        assert offers[-1].p_bat.tolist() == [8.0, 9.0]
+        assert [t.as_vector().tolist() for t in offers] == matrix.tolist()
+        with pytest.raises(TypeError):
+            offers[0:2]
+        with pytest.raises(IndexError):
+            offers[3]
+
+    def test_window_and_combined_match_each_row(self):
+        rng = np.random.default_rng(8)
+        rows = [
+            FlexTrajectory(p_bat=rng.uniform(-1.5, 1.5, 6), p_ewh=rng.choice([0.0, -0.0, 0.5], 6)) for _ in range(5)
+        ]
+        offers = hems.TrajectorySet(np.stack([t.as_vector() for t in rows]))
+        window = offers.window(2, 5)
+        assert window.horizon == 3 and window.matrix.flags.c_contiguous
+        expected = np.stack([np.r_[t.p_bat[2:5], t.p_ewh[2:5]] for t in rows])
+        assert window.matrix.tobytes() == expected.tobytes()
+        assert offers.combined.tobytes() == np.stack([t.p_bat + t.p_ewh for t in rows]).tobytes()
+
+    @pytest.mark.parametrize("shape", [(4,), (2, 3), (2, 0), (1, 2, 2)])
+    def test_matrix_must_have_an_even_positive_width(self, shape):
+        with pytest.raises(ValueError, match="a trajectory set is an"):
+            hems.TrajectorySet(np.zeros(shape))

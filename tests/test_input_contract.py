@@ -184,7 +184,7 @@ def test_train_gives_a_usable_model_or_exits_two(base, data):
     if code == 0:
         model = svdd.load_model(work / "out" / "model.json")
         trajectories, _ = epso.read_trajectories_csv(work / "out" / "feasible.csv")
-        r2 = svdd.score_trajectories(model, trajectories)
+        r2 = svdd.score_trajectories(model, trajectories.matrix)
         assert np.isfinite(r2).all() and r2.min() < r2.max()
 
 

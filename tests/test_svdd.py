@@ -8,8 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemsflex import svdd
-from hemsflex.hems import FlexTrajectory
+from hemsflex import epso, svdd
+from hemsflex.hems import FlexTrajectory, TrajectorySet
 from hemsflex.svdd import (
     ConvergenceError,
     KernelSpec,
@@ -277,10 +277,12 @@ class TestClassify:
 class TestBlockedScoring:
     @staticmethod
     def _trajectories(rng, count, scale=0.4):
-        return [
-            FlexTrajectory(p_bat=rng.normal(0.0, scale, 8), p_ewh=np.where(rng.random(8) < 0.5, 0.5, 0.0))
+        """`count` raw 8-step trajectories as the rows of a (count, 16) matrix."""
+        rows = [
+            FlexTrajectory(p_bat=rng.normal(0.0, scale, 8), p_ewh=np.where(rng.random(8) < 0.5, 0.5, 0.0)).as_vector()
             for _ in range(count)
         ]
+        return np.array(rows).reshape(count, 16)
 
     @pytest.mark.parametrize("kind", ["rbf", "poly", "sigmoid"])
     @pytest.mark.parametrize("count", [0, 1, svdd.SCORE_BLOCK - 1, svdd.SCORE_BLOCK, svdd.SCORE_BLOCK + 1])
@@ -292,8 +294,8 @@ class TestBlockedScoring:
         trajs = self._trajectories(rng, count, scale=0.8)  # wider: some clip during normalization
         blocked = svdd.score_trajectories(model, trajs)
         assert blocked.shape == (count,)
-        for r2, traj in zip(blocked, trajs):
-            x = normalize(traj.as_vector(), model.norm_bounds)
+        for r2, row in zip(blocked, trajs):
+            x = normalize(row, model.norm_bounds)
             # Per-vector reference: the expansion summed pair by pair.
             direct = 1.0 + model.const_term - 2.0 * sum(
                 b * kernel_eval(model.kernel, sv, x) for b, sv in zip(model.coefficients, model.support_vectors)
@@ -301,7 +303,7 @@ class TestBlockedScoring:
             assert r2 == pytest.approx(direct, abs=1e-12)
             assert r2 == pytest.approx(radius_of(model, x), abs=1e-12)
         verdicts = classify(model, trajs)
-        assert verdicts.tolist() == [classify(model, [t])[0] for t in trajs]
+        assert verdicts.tolist() == [classify(model, row[None])[0] for row in trajs]
 
     def test_matrix_normalization_matches_rows(self):
         rng = np.random.default_rng(21)
@@ -313,32 +315,39 @@ class TestBlockedScoring:
 
 
 class TestScaledSet:
-    """A set stacked and scaled once must train and score exactly as its raw
-    trajectories do, block edges included."""
+    """`validate` scales the training set once for all its fits and scores
+    raw set matrices, such as a file's strided columns; that must train and
+    score exactly as fitting and scoring contiguous stacked rows does, block
+    edges included."""
 
     @pytest.mark.parametrize("kind", ["rbf", "poly", "sigmoid"])
-    def test_scaled_set_matches_raw_trajectories_bit_for_bit(self, kind):
+    def test_scaled_set_matches_raw_trajectories_bit_for_bit(self, kind, tmp_path):
         rng = np.random.default_rng(22)
         train_set = TestBlockedScoring._trajectories(rng, 130)
         others = TestBlockedScoring._trajectories(rng, 2 * svdd.SCORE_BLOCK + 3, scale=0.8)
         spec, cfg = KernelSpec(kind, gamma=0.2, coef0=0.1), TrainingConfig(nu=0.15)
         raw_model = fit_trajectories(train_set, spec, cfg)
-        scaled = svdd.scale_trajectories(train_set)
-        model = train(scaled.vectors, spec, cfg, norm_bounds=scaled.bounds)
+        bounds = derive_bounds(train_set)
+        model = train(normalize(train_set, bounds), spec, cfg, norm_bounds=bounds)
         assert serialize(model) == serialize(raw_model)
-        for raw in (train_set, others):
-            rows = svdd.scale_trajectories(raw, scaled.bounds)
-            assert len(rows) == len(raw)
+        for name, raw in (("train", train_set), ("others", others)):
+            epso.write_trajectories_csv(tmp_path / f"{name}.csv", TrajectorySet(raw))
+            rows = epso.read_trajectories_csv(tmp_path / f"{name}.csv")[0].matrix
+            assert not rows.flags.c_contiguous and len(rows) == len(raw)
             r2 = svdd.score_trajectories(model, rows)
             assert np.array_equal(r2.view(np.int64), svdd.score_trajectories(raw_model, raw).view(np.int64))
             assert classify(model, rows).tolist() == classify(raw_model, raw).tolist()
 
-    def test_set_scaled_with_other_bounds_rejected(self):
+    def test_matrix_of_another_width_rejected(self):
         rng = np.random.default_rng(23)
         trajs = TestBlockedScoring._trajectories(rng, 20)
         model = fit_trajectories(trajs, KernelSpec("rbf", gamma=0.2), TrainingConfig(nu=0.15))
-        with pytest.raises(ValueError, match="scaled with other bounds"):
-            svdd.score_trajectories(model, svdd.scale_trajectories(trajs[:10]))
+        # With no rows there is nothing to normalize, so only the width can tell.
+        for wrong in (trajs[:, :12], trajs[:0, :4], trajs[0]):
+            with pytest.raises(ValueError, match="the model expects 16 coordinates"):
+                svdd.score_trajectories(model, wrong)
+            with pytest.raises(ValueError, match="the model expects 16 coordinates"):
+                classify(model, wrong)
 
 
 class TestSerialization:
@@ -350,7 +359,8 @@ class TestSerialization:
             )
             for _ in range(120)
         ]
-        return trajs, fit_trajectories(trajs, KernelSpec("sigmoid", gamma=0.05), TrainingConfig(nu=0.15))
+        rows = np.stack([t.as_vector() for t in trajs])
+        return trajs, fit_trajectories(rows, KernelSpec("sigmoid", gamma=0.05), TrainingConfig(nu=0.15))
 
     def test_round_trip_bit_exact(self):
         _, model = self._model()
@@ -418,7 +428,8 @@ class TestSerialization:
             traj = FlexTrajectory(
                 p_bat=rng.uniform(-2.0, 2.0, 8), p_ewh=np.where(rng.random(8) < 0.5, 0.5, 0.0)
             )
-            assert classify(model, [traj])[0] == classify(back, [traj])[0]
+            row = traj.as_vector()[None]
+            assert classify(model, row)[0] == classify(back, row)[0]
 
     def test_save_load_file(self, tmp_path):
         _, model = self._model()
@@ -477,6 +488,15 @@ class TestSerialization:
         with pytest.raises(ValueError, match="model file: coefficients must not be negative"):
             deserialize(self._edited(edit))
 
+    def test_swapped_norm_bounds_rejected(self):
+        # Swapped, every coordinate would normalize to 0.5 and every row
+        # would score alike; a pair of equal values is what training writes
+        # for a constant coordinate.
+        with pytest.raises(ValueError, match="model file: norm_bounds pair 0 has its min above its max"):
+            deserialize(self._edited(lambda doc: doc["norm_bounds"][0].reverse()))
+        equal = deserialize(self._edited(lambda doc: doc["norm_bounds"][0].__setitem__(1, doc["norm_bounds"][0][0])))
+        assert equal.norm_bounds[0, 0] == equal.norm_bounds[0, 1]
+
     def test_nu_checked_as_in_training(self):
         with pytest.raises(ValueError, match=r"model file: nu must lie strictly inside \(0, 1\), got 5"):
             deserialize(self._edited(lambda doc: doc.update(nu=5)))
@@ -492,10 +512,12 @@ class TestSerialization:
 
 
 class TestStackVectors:
-    """The slice-copy row stacking against one concatenation per row."""
+    """The stacked [p_bat | p_ewh] matrix that svdd reads, as a trajectory
+    file holds it, against one concatenation per row, and the rows that the
+    set gives back."""
 
     @pytest.mark.parametrize("horizon", [1, 2, 96])
-    def test_matches_as_vector_rows_bit_for_bit(self, horizon):
+    def test_matches_as_vector_rows_bit_for_bit(self, horizon, tmp_path):
         rng = np.random.default_rng(36)
         specials = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e308, -1.5]
         trajs = [
@@ -504,24 +526,26 @@ class TestStackVectors:
         ] + [FlexTrajectory(p_bat=rng.uniform(-1.5, 1.5, horizon), p_ewh=np.full(horizon, -0.0))]
         for rows in (trajs, trajs[:1], trajs[-1:]):
             expected = np.stack([t.as_vector() for t in rows])
-            stacked = svdd._stack_vectors(rows)
-            assert stacked.shape == expected.shape
-            # bytes, so that -0.0 against 0.0 counts as a difference
-            assert stacked.tobytes() == expected.tobytes()
+            epso.write_trajectories_csv(tmp_path / "rows.csv", rows)
+            for stacked in (epso.read_trajectories_csv(tmp_path / "rows.csv")[0], TrajectorySet(expected)):
+                assert stacked.matrix.shape == expected.shape
+                # bytes, so that -0.0 against 0.0 counts as a difference
+                assert np.ascontiguousarray(stacked.matrix).tobytes() == expected.tobytes()
+                assert b"".join(t.as_vector().tobytes() for t in stacked) == expected.tobytes()
 
     def test_empty_and_ragged_inputs_raise_value_error(self):
         short = FlexTrajectory(p_bat=np.zeros(3), p_ewh=np.zeros(3))
         long = FlexTrajectory(p_bat=np.zeros(4), p_ewh=np.zeros(4))
         spec, cfg = KernelSpec("rbf", gamma=1.0), TrainingConfig(nu=0.5)
         with pytest.raises(ValueError):
-            fit_trajectories([], spec, cfg)
+            fit_trajectories(np.empty((0, 6)), spec, cfg)
         for rows in ([short, long], [long, short], [short, short, long], [long, long, short]):
             with pytest.raises(ValueError):
-                fit_trajectories(rows, spec, cfg)
-        model = fit_trajectories([short, FlexTrajectory(p_bat=np.ones(3), p_ewh=np.zeros(3))], spec, cfg)
+                fit_trajectories([t.as_vector() for t in rows], spec, cfg)
+        model = fit_trajectories(np.stack([short.as_vector(), np.r_[np.ones(3), np.zeros(3)]]), spec, cfg)
         with pytest.raises(ValueError):
-            svdd.score_trajectories(model, [short, long])
-        assert svdd.score_trajectories(model, []).shape == (0,)
+            svdd.score_trajectories(model, [short.as_vector(), long.as_vector()])
+        assert svdd.score_trajectories(model, np.empty((0, 6))).shape == (0,)
 
 
 class TestFitTrajectories:
@@ -533,8 +557,9 @@ class TestFitTrajectories:
             )
             for _ in range(150)
         ]
-        model = fit_trajectories(trajs, KernelSpec("rbf", gamma=0.1), TrainingConfig(nu=0.1))
-        feasible_share = np.mean([classify(model, [t])[0] for t in trajs])
+        rows = np.stack([t.as_vector() for t in trajs])
+        model = fit_trajectories(rows, KernelSpec("rbf", gamma=0.1), TrainingConfig(nu=0.1))
+        feasible_share = np.mean([classify(model, row[None])[0] for row in rows])
         assert feasible_share >= 0.85  # most training members inside
         # far outside the training band
         wild = FlexTrajectory(p_bat=np.full(6, 50.0), p_ewh=np.full(6, 50.0))
@@ -650,6 +675,12 @@ class TestDegenerateTraining:
             train(X, kernel, TrainingConfig(nu=0.15))
         # The tests' sharpest rbf kernel still trains on these rows.
         train(X, KernelSpec("rbf", gamma=5.0), TrainingConfig(nu=0.15))
+
+    @pytest.mark.parametrize("kind", ["rbf", "poly", "sigmoid"])
+    def test_train_rejects_a_nu_too_small_to_keep_a_support_vector(self, kind):
+        X = np.random.default_rng(30).random((40, 6))
+        with pytest.raises(ValueError, match="nu 1e-300 is too small for 40 training rows"):
+            train(X, KernelSpec(kind, gamma=0.5), TrainingConfig(nu=1e-300))
 
     def test_serialize_refuses_non_finite_numbers(self):
         X = np.random.default_rng(31).random((20, 3))

@@ -86,17 +86,23 @@ def _run_stdout(workload, metrics, correct=True, failed=0, attempted=4, times=(0
 
 def test_bench_assembles_json_from_result_lines():
     bench = _load_tool("bench")
-    end_to_end = {"stage_s": (0.04, "s"), "setup_s": (0.14, "s"), "peak_rss_mb": (59.3, "MB")}
+    assert bench.WORKLOAD_SESSIONS == 3
+    sessions = [
+        {"stage_s": (stage_s, "s"), "setup_s": (setup_s, "s"), "peak_rss_mb": (59.3, "MB")}
+        for stage_s, setup_s in ((0.25, 0.5), (0.125, 0.25), (0.5, 1.0))
+    ]
     layers = {"hems.batch_compliance_calls": (4, "count"), "epso.generations": (3, "count")}
     runs = {
         "search-reference": {
-            "untraced": bench.parse_run_output(_run_stdout("search-reference", end_to_end)),
+            "untraced": [bench.parse_run_output(_run_stdout("search-reference", m, times=(0.5, k)))
+                         for k, m in enumerate(sessions)],
             "traced": bench.parse_run_output(_run_stdout("search-reference", layers, failed=1, times=(0.6,))),
         }
     }
     cli_stages = {"small": {"search": 1.2}, "reference": {"search": 6.6}}
     env = {"nproc": 2, "numpy": "2.4.6"}
     doc = bench.assemble("demo", 1, 8.0, runs, cli_stages, env)
+    # The median of three sessions, with the quartiles halfway to the outer values.
     assert json.loads(json.dumps(doc)) == {
         "pr": "demo",
         "seed": 1,
@@ -104,13 +110,16 @@ def test_bench_assembles_json_from_result_lines():
         "workloads": {
             "search-reference": {
                 "correct": True,
-                "attempted": 8,
+                "attempted": 16,
                 "failed": 1,
-                "end_to_end": {"stage_s": {"value": 0.04, "unit": "s"}, "setup_s": {"value": 0.14, "unit": "s"},
-                               "peak_rss_mb": {"value": 59.3, "unit": "MB"}},
+                "end_to_end": {
+                    "stage_s": {"value": 0.25, "q1": 0.1875, "q3": 0.375, "runs": [0.25, 0.125, 0.5], "unit": "s"},
+                    "setup_s": {"value": 0.5, "q1": 0.375, "q3": 0.75, "runs": [0.5, 0.25, 1.0], "unit": "s"},
+                    "peak_rss_mb": {"value": 59.3, "q1": 59.3, "q3": 59.3, "runs": [59.3] * 3, "unit": "MB"},
+                },
                 "layers": {"hems.batch_compliance_calls": {"value": 4, "unit": "count"},
                            "epso.generations": {"value": 3, "unit": "count"}},
-                "stage_times_s": [0.5, 0.4],
+                "stage_times_s": [[0.5, 0], [0.5, 1], [0.5, 2]],
             }
         },
         "cli_stages_s": cli_stages,

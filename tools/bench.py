@@ -8,8 +8,12 @@ Run from the repository root:
     python3 tools/bench.py --pr <label> --seconds 10
 
 For each workload listed in BENCHMARK.json it runs perfbench/run.py as it
-stands, with the same seed and --seconds, once untraced (stage_s, setup_s and
-peak_rss_mb) and once with --trace 1 (the per-layer metrics). It then runs
+stands, with the same seed and --seconds, WORKLOAD_SESSIONS times untraced
+(stage_s, setup_s and peak_rss_mb) and once with --trace 1 (the per-layer
+metrics). The untraced sessions are interleaved across the workloads, and each
+end-to-end metric is recorded as the median of its sessions, with their
+quartiles and every session's value: a single session left a workload's
+figure to whichever slow spell of a shared host it fell in. It then runs
 gen-scenarios, search, train, classify and validate once each on
 data/config_small.json and data/config_reference.json, every stage in a fresh
 interpreter with BLAS pinned to one thread, as perfbench pins it, and records
@@ -30,6 +34,7 @@ import ctypes
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -43,6 +48,7 @@ BLAS_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THREAD
 CONFIGS = {"small": "config_small.json", "reference": "config_reference.json"}
 CLI_STAGES = ("gen-scenarios", "search", "train", "classify", "validate")
 CLI_REPEATS = 3
+WORKLOAD_SESSIONS = 3
 INFO_PREFIX = "perfbench-info "
 
 
@@ -55,20 +61,31 @@ def parse_run_output(stdout: str) -> dict:
     return dict(summary, info=info)
 
 
+def spread(values: list[float]) -> dict:
+    """A metric over several sessions: the median as `value`, its quartiles,
+    and each session's value in run order."""
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"value": median, "q1": q1, "q3": q3, "runs": values}
+
+
 def assemble(pr: str, seed: int, seconds: float, runs: dict, cli_stages: dict, environment: dict) -> dict:
-    """The BENCH document. `runs` maps each workload to its parsed untraced
-    and traced results, under "untraced" and "traced"; `cli_stages` maps each
-    config to its stages as `time_cli_stages` returns them."""
+    """The BENCH document. `runs` maps each workload to the parsed results of
+    its untraced sessions, a list under "untraced", and of its traced run,
+    under "traced"; `cli_stages` maps each config to its stages as
+    `time_cli_stages` returns them."""
     workloads = {}
     for workload, results in runs.items():
-        untraced, traced = results["untraced"], results["traced"]
+        sessions, traced = results["untraced"], results["traced"]
         workloads[workload] = {
-            "correct": untraced["correct"] and traced["correct"],
-            "attempted": untraced["attempted"] + traced["attempted"],
-            "failed": untraced["failed"] + traced["failed"],
-            "end_to_end": untraced["metrics"],
+            "correct": all(s["correct"] for s in sessions) and traced["correct"],
+            "attempted": sum(s["attempted"] for s in sessions) + traced["attempted"],
+            "failed": sum(s["failed"] for s in sessions) + traced["failed"],
+            "end_to_end": {
+                name: dict(spread([s["metrics"][name]["value"] for s in sessions]), unit=metric["unit"])
+                for name, metric in sessions[0]["metrics"].items()
+            },
             "layers": traced["metrics"],
-            "stage_times_s": untraced["info"]["stage_times_s"],
+            "stage_times_s": [s["info"]["stage_times_s"] for s in sessions],
         }
     return {
         "pr": pr,
@@ -156,13 +173,15 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    runs = {}
-    for workload in (w["name"] for w in spec["workloads"]):
-        runs[workload] = {
-            name: run_workload(workload, args.seed, args.seconds, trace)
-            for name, trace in (("untraced", 0), ("traced", 1))
-        }
-        print(f"{workload}: stage_s {runs[workload]['untraced']['metrics']['stage_s']['value']:.6g} s", flush=True)
+    workloads = [w["name"] for w in spec["workloads"]]
+    runs = {workload: {"untraced": []} for workload in workloads}
+    for session in range(1, WORKLOAD_SESSIONS + 1):
+        for workload in workloads:
+            result = run_workload(workload, args.seed, args.seconds, 0)
+            runs[workload]["untraced"].append(result)
+            print(f"{workload} session {session}: stage_s {result['metrics']['stage_s']['value']:.6g} s", flush=True)
+    for workload in workloads:
+        runs[workload]["traced"] = run_workload(workload, args.seed, args.seconds, 1)
     cli_stages = {}
     for scale, name in CONFIGS.items():
         with tempfile.TemporaryDirectory(prefix=f"bench-{scale}-") as out:
