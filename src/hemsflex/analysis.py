@@ -214,12 +214,6 @@ def oracle_check(traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, 
     return _oracle(cfg, scenarios, dt)(traj.p_bat.tolist(), traj.p_ewh.tolist())
 
 
-def _robust_under_oracle(traj: FlexTrajectory, oracle, threshold: int) -> bool:
-    """Early-exit robustness decision of an `_oracle` count; equivalent to
-    oracle_check >= threshold."""
-    return oracle(traj.p_bat.tolist(), traj.p_ewh.tolist(), threshold) >= threshold
-
-
 @dataclass
 class InfeasibleSet:
     """Rejection-sampled non-robust trajectories plus sampling statistics."""
@@ -260,12 +254,10 @@ def generate_infeasible_set(
                 f"{max_attempts} draws; the instance is too permissive"
             )
         attempts += 1
-        traj = FlexTrajectory(
-            p_bat=rng.uniform(-bat.p_discharge_max, bat.p_charge_max, horizon),
-            p_ewh=np.where(rng.random(horizon) < 0.5, p_nom, 0.0),
-        )
-        if not _robust_under_oracle(traj, oracle, threshold):
-            rows[kept] = traj.as_vector()
+        bats, ewhs = rows[kept, :horizon], rows[kept, horizon:]
+        bats[:] = rng.uniform(-bat.p_discharge_max, bat.p_charge_max, horizon)
+        ewhs[:] = np.where(rng.random(horizon) < 0.5, p_nom, 0.0)
+        if oracle(bats.tolist(), ewhs.tolist(), threshold) < threshold:
             kept += 1
     return InfeasibleSet(trajectories=TrajectorySet(rows), attempts=attempts)
 
@@ -343,17 +335,17 @@ def _greedy_member(
     draws: list[float],
     dt: float,
     rng: np.random.Generator,
-) -> FlexTrajectory:
-    """One feasible trajectory built step by step on `route`: the EWH state is
-    drawn among the temperature-safe options and battery power uniformly from
-    the currently feasible single-step range. Dead ends restart."""
+) -> np.ndarray:
+    """One feasible [p_bat | p_ewh] row built step by step on `route`: the EWH
+    state is drawn among the temperature-safe options and battery power
+    uniformly from the currently feasible single-step range. Dead ends restart."""
     horizon = len(surplus)
     start, absorb, charge, tank, tracker = route
     p_nom = cfg.ewh.p_nom
     theta_lo, theta_hi = cfg.ewh.theta_min - EPS, cfg.ewh.theta_max + EPS
     for _ in range(_GREEDY_RESTARTS):
-        p_bat = np.empty(horizon)
-        p_ewh = np.empty(horizon)
+        row = np.empty(2 * horizon)
+        p_bat, p_ewh = row[:horizon], row[horizon:]
         soc, theta, headroom = start
         for h in range(horizon):
             options = [p for p in (0.0, p_nom) if theta_lo <= tank(theta, p, draws[h]) <= theta_hi]
@@ -369,7 +361,7 @@ def _greedy_member(
             theta = tank(theta, pe, draws[h])
             headroom = tracker(headroom, surplus[h], pe)
         else:
-            return FlexTrajectory(p_bat=p_bat, p_ewh=p_ewh)
+            return row
     raise ValueError(f"greedy construction kept dead-ending after {_GREEDY_RESTARTS} restarts")
 
 
@@ -406,7 +398,7 @@ def semi_random_baseline(
 
     feasible = FeasibleSet(horizon=horizon)
     current = _greedy_member(cfg, route, surplus, draws, dt, rng)
-    bats, ewhs = current.p_bat.tolist(), current.p_ewh.tolist()
+    bats, ewhs = current[:horizon].tolist(), current[horizon:].tolist()
     trail: list = []
     if oracle(bats, ewhs, trail=trail) != 1:
         raise ValueError("the greedy baseline seed failed the oracle on its own scenario")
@@ -434,7 +426,7 @@ def semi_random_baseline(
         mutant_trail = trail[: h + 1]
         if oracle(mutant_bats, mutant_ewhs, trail=mutant_trail) == 1:
             bats, ewhs, trail = mutant_bats, mutant_ewhs, mutant_trail
-            feasible.add(FlexTrajectory(p_bat=bats, p_ewh=ewhs), fitness=1)
+            feasible.add(np.array(bats + ewhs), fitness=1)
     return feasible
 
 

@@ -118,6 +118,28 @@ class RunConfig:
         return self.epso
 
 
+def _instance(cfg: RunConfig) -> tuple[scenarios.ScenarioSet, hems.HemsConfig]:
+    """The scenarios and the HEMS config that search and validate step
+    through, once the draw profile spans the scenario horizon."""
+    path = cfg.out_dir / "scenarios.csv"
+    scenario_set = scenarios.ScenarioSet.read_csv(path)
+    hems_cfg = cfg.hems_config()
+    draws = hems_cfg.ewh.draw_profile
+    if draws is not None and draws.shape[0] != scenario_set.horizon:
+        raise ValueError(f"{cfg.draws_path} has {draws.shape[0]} steps, {path} has {scenario_set.horizon}")
+    return scenario_set, hems_cfg
+
+
+def _feasible_set(cfg: RunConfig) -> hems.TrajectorySet:
+    """The search's feasible set, which train and validate fit a boundary
+    on: at least 2 trajectories."""
+    path = cfg.out_dir / "feasible.csv"
+    trajectories, _ = epso.read_trajectories_csv(path)
+    if len(trajectories) < 2:
+        raise ValueError(f"{path} holds {len(trajectories)} trajectories; a boundary needs at least 2")
+    return trajectories
+
+
 def cmd_gen_scenarios(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
     marginals = scenarios.read_marginals_csv(cfg.marginals_path)
@@ -137,8 +159,7 @@ def cmd_gen_scenarios(cfg: RunConfig) -> int:
 
 def cmd_search(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    scenario_set = scenarios.ScenarioSet.read_csv(cfg.out_dir / "scenarios.csv")
-    hems_cfg = cfg.hems_config()
+    scenario_set, hems_cfg = _instance(cfg)
     log_path = cfg.out_dir / "search_log.jsonl"
     with open(log_path, "w") as log_fh:
 
@@ -176,8 +197,7 @@ def cmd_search(cfg: RunConfig) -> int:
 
 def cmd_train(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    trajectories, _ = epso.read_trajectories_csv(cfg.out_dir / "feasible.csv")
-    model = svdd.fit_trajectories(trajectories.matrix, cfg.kernel, cfg.training)
+    model = svdd.fit_trajectories(_feasible_set(cfg).matrix, cfg.kernel, cfg.training)
     svdd.save_model(model, cfg.out_dir / "model.json")
     print(
         f"trained {model.kernel.kind} boundary: {model.n_support} support vectors, "
@@ -205,9 +225,8 @@ def cmd_classify(cfg: RunConfig, model_path, input_path, output_path) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     cfg.out_dir.mkdir(parents=True, exist_ok=True)
-    scenario_set = scenarios.ScenarioSet.read_csv(cfg.out_dir / "scenarios.csv")
-    feasible, _ = epso.read_trajectories_csv(cfg.out_dir / "feasible.csv")
-    report = analysis.validate(feasible, scenario_set, cfg.hems_config(), cfg.validation, cfg.epso.tau_scen)
+    scenario_set, hems_cfg = _instance(cfg)
+    report = analysis.validate(_feasible_set(cfg), scenario_set, hems_cfg, cfg.validation, cfg.epso.tau_scen)
 
     sample, search_div, baseline_div = report.infeasible, report.search_diversity, report.baseline_diversity
     epso.write_trajectories_csv(cfg.out_dir / "infeasible.csv", sample.trajectories)

@@ -1,14 +1,17 @@
 """Two-dimensional evolutionary particle swarm over flexibility trajectories.
 
-The swarm is a set of arrays with one row per particle: a battery schedule and
-an EWH schedule, their velocities and personal bests, and strategic weights
-per dimension. Generations follow replicate, mutate weights, move, evaluate,
-stochastic tournament, each applied to every row at once; only the random
-draws stay per particle, one stream each. Fitness is the number of net-load
-scenarios in which the trajectory is violation-free, so the search collects
-trajectories that stay feasible with a configurable scenario-probability
-threshold. There is no objective beyond feasibility; the global best is
-chosen to maximize the diversity of the collected set.
+The swarm is a set of arrays with one row per particle. Position, velocity
+and personal best are (2T,) rows in the `hems.TrajectorySet` layout,
+[p_bat | p_ewh], which the feasible set stores as they are; the (2, 3)
+strategic weights hold one (inertia, memory, cooperation) triple per
+dimension, each acting on its own half of the row. Generations follow
+replicate, mutate weights, move, evaluate, stochastic tournament, each
+applied to every row at once; only the random draws stay per particle, one
+stream each. Fitness is the number of net-load scenarios in which the
+trajectory is violation-free, so the search collects trajectories that stay
+feasible with a configurable scenario-probability threshold. There is no
+objective beyond feasibility; the global best is chosen to maximize the
+diversity of the collected set.
 """
 
 from __future__ import annotations
@@ -88,23 +91,20 @@ class EpsoConfig:
 
 @dataclass
 class Swarm:
-    """The population as arrays with a leading particle axis: (P, T)
-    positions, velocities and personal bests in both decision dimensions,
+    """The population as arrays with a leading particle axis: (P, 2T)
+    positions, velocities and personal bests, each row [p_bat | p_ewh],
     (P, 2, 3) per-dimension (inertia, memory, cooperation) weights, and (P,)
     fitnesses and personal-best fitnesses (-1 before the first evaluation)."""
 
-    x_bat: np.ndarray
-    x_ewh: np.ndarray
-    v_bat: np.ndarray
-    v_ewh: np.ndarray
+    x: np.ndarray
+    v: np.ndarray
     weights: np.ndarray
-    best_x_bat: np.ndarray
-    best_x_ewh: np.ndarray
+    best_x: np.ndarray
     best_fitness: np.ndarray
     fitness: np.ndarray
 
     def __len__(self) -> int:
-        return self.x_bat.shape[0]
+        return self.x.shape[0]
 
 
 class FeasibleSet:
@@ -129,12 +129,13 @@ class FeasibleSet:
         """The members, as a read-only view of the buffer."""
         return TrajectorySet(self._rows[: len(self)])
 
-    def add(self, traj: FlexTrajectory, fitness: int) -> bool:
-        """Insert unless a member is closer than DEDUP_TOL in max-norm.
-        Returns True when the trajectory was actually added."""
-        if traj.horizon != self.horizon:
-            raise ValueError(f"trajectory horizon {traj.horizon} does not match set {self.horizon}")
-        vector = traj.as_vector()
+    def add(self, row: np.ndarray, fitness: int) -> bool:
+        """Insert a (2T,) [p_bat | p_ewh] row, a copy of it, unless a member
+        is closer than DEDUP_TOL in max-norm. Returns True when the row was
+        actually added."""
+        vector = np.asarray(row, dtype=float)
+        if vector.shape != (2 * self.horizon,):
+            raise ValueError(f"row has shape {vector.shape}, the set's rows are {2 * self.horizon} wide")
         n = len(self)
         if n and float(np.min(np.max(np.abs(self._rows[:n] - vector), axis=1))) < DEDUP_TOL:
             return False
@@ -181,58 +182,44 @@ def mutate_weights(weights: np.ndarray, tau_learn: float, rng: np.random.Generat
     return np.clip(w + tau_learn * rng.standard_normal(w.shape), WEIGHT_BOUNDS[0], WEIGHT_BOUNDS[1])
 
 
-def perturb_global_best(
-    b_bat: np.ndarray, b_ewh: np.ndarray, tau_prime: float, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Disturb the cooperation attractor coordinate-wise, b* = b + tau' * N(0, 1),
-    drawing the battery normals first. Returns (battery, EWH) vectors."""
-    bat = b_bat + tau_prime * rng.standard_normal(b_bat.shape[0])
-    ewh = b_ewh + tau_prime * rng.standard_normal(b_ewh.shape[0])
-    return bat, ewh
+def perturb_global_best(b: np.ndarray, tau_prime: float, rng: np.random.Generator) -> np.ndarray:
+    """Disturb the cooperation attractor, a (2T,) row, coordinate-wise:
+    b* = b + tau' * N(0, 1), the battery half's normals drawn first."""
+    return b + tau_prime * rng.standard_normal(b.shape[0])
 
 
-def move_particle(
-    swarm: Swarm,
-    star_bat: np.ndarray,
-    star_ewh: np.ndarray,
-    mask_bat: np.ndarray,
-    mask_ewh: np.ndarray,
-    hems_cfg: HemsConfig,
-) -> Swarm:
+def move_particle(swarm: Swarm, star: np.ndarray, mask: np.ndarray, hems_cfg: HemsConfig) -> Swarm:
     """Apply the movement rule with inertia, memory, and cooperation terms to
     every row at once.
 
-    Row i moves toward its own perturbed cooperation attractor (star_bat[i],
-    star_ewh[i]), and only on the coordinates its Bernoulli communication
-    masks pick. Battery coordinates are clamped to the power band and EWH
-    coordinates re-quantized to the nearest of {0, p_nom}. The moved swarm
-    keeps the weights and personal bests of `swarm`.
+    Row i moves toward its own perturbed cooperation attractor star[i], and
+    only on the coordinates its Bernoulli communication mask mask[i] picks;
+    both are (P, 2T) like the positions. Each dimension's weights act on its
+    half of the row. Battery coordinates are then clamped to the power band
+    and EWH coordinates re-quantized to the nearest of {0, p_nom}. The moved
+    swarm keeps the weights and personal bests of `swarm`.
     """
     bat_cfg = hems_cfg.battery
     p_nom = hems_cfg.ewh.p_nom
+    size, width = swarm.x.shape
+    horizon = width // 2
+    # (P, 2, T) views of the rows, one plane per dimension, each under its
+    # own (P, 2, 1) weights.
+    x, v, best, star, mask = (a.reshape(size, 2, horizon) for a in (swarm.x, swarm.v, swarm.best_x, star, mask))
     w = swarm.weights[:, :, :, None]
-
-    v_bat = (
-        w[:, 0, 0] * swarm.v_bat
-        + w[:, 0, 1] * (swarm.best_x_bat - swarm.x_bat)
-        + w[:, 0, 2] * mask_bat * (star_bat - swarm.x_bat)
-    )
-    v_ewh = (
-        w[:, 1, 0] * swarm.v_ewh
-        + w[:, 1, 1] * (swarm.best_x_ewh - swarm.x_ewh)
-        + w[:, 1, 2] * mask_ewh * (star_ewh - swarm.x_ewh)
-    )
+    v = (w[:, :, 0] * v + w[:, :, 1] * (best - x) + w[:, :, 2] * mask * (star - x)).reshape(size, width)
     # Battery velocity is clamped tightly: SoC feasibility over a long horizon
     # tolerates only small per-step power changes. The EWH dimension keeps the
     # full span so a single move can still flip a step across the on/off
     # quantization threshold.
     bat_vmax = VELOCITY_CLAMP_FRAC * (bat_cfg.p_charge_max + bat_cfg.p_discharge_max)
-    v_bat = np.clip(v_bat, -bat_vmax, bat_vmax)
-    v_ewh = np.clip(v_ewh, -p_nom, p_nom)
+    np.clip(v[:, :horizon], -bat_vmax, bat_vmax, out=v[:, :horizon])
+    np.clip(v[:, horizon:], -p_nom, p_nom, out=v[:, horizon:])
 
-    x_bat = np.clip(swarm.x_bat + v_bat, -bat_cfg.p_discharge_max, bat_cfg.p_charge_max)
-    x_ewh = np.where(swarm.x_ewh + v_ewh >= 0.5 * p_nom, p_nom, 0.0)
-    return replace(swarm, x_bat=x_bat, x_ewh=x_ewh, v_bat=v_bat, v_ewh=v_ewh)
+    moved = swarm.x + v
+    np.clip(moved[:, :horizon], -bat_cfg.p_discharge_max, bat_cfg.p_charge_max, out=moved[:, :horizon])
+    moved[:, horizon:] = np.where(moved[:, horizon:] >= 0.5 * p_nom, p_nom, 0.0)
+    return replace(swarm, x=moved, v=v)
 
 
 def evaluate_fitness(traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, dt: float) -> int:
@@ -250,12 +237,12 @@ def robust_threshold(n_scenarios: int, tau_scen: float) -> int:
     return int(math.ceil(tau_scen * n_scenarios - 1e-9))
 
 
-def select_global_best(feasible: FeasibleSet) -> FlexTrajectory:
-    """Member with the greatest accumulated absolute distance to the set mean;
-    first member wins ties."""
+def select_global_best(feasible: FeasibleSet) -> np.ndarray:
+    """Row of the member with the greatest accumulated absolute distance to
+    the set mean, a read-only view; first member wins ties."""
     if not len(feasible):
         raise ValueError("feasible set is empty")
-    return feasible.trajectories[int(np.argmax(feasible.distances()))]
+    return feasible.trajectories.matrix[int(np.argmax(feasible.distances()))]
 
 
 def stochastic_tournament(
@@ -300,25 +287,21 @@ def seed_initial_population(
     bat_cfg = hems_cfg.battery
     p_nom = hems_cfg.ewh.p_nom
     size = epso_cfg.pop_size
-    x_bat = np.empty((size, horizon))
-    x_ewh = np.empty((size, horizon))
+    x = np.empty((size, 2 * horizon))
     weights = np.empty((size, 2, 3))
     for i in range(size):
         amplitude = rng.uniform(0.05, 1.0)
         duty = rng.uniform(0.0, 0.5)
-        x_bat[i] = amplitude * rng.uniform(-bat_cfg.p_discharge_max, bat_cfg.p_charge_max, horizon)
-        x_ewh[i] = np.where(rng.random(horizon) < duty, p_nom, 0.0)
+        x[i, :horizon] = amplitude * rng.uniform(-bat_cfg.p_discharge_max, bat_cfg.p_charge_max, horizon)
+        x[i, horizon:] = np.where(rng.random(horizon) < duty, p_nom, 0.0)
         weights[i] = rng.uniform(0.0, 1.0, (2, 3))
     n_zeroed = int(round(size * SEED_ZERO_FRACTION))
-    x_bat[:n_zeroed, scenario0 < 0.0] = 0.0
+    x[:n_zeroed, :horizon][:, scenario0 < 0.0] = 0.0
     return Swarm(
-        x_bat=x_bat,
-        x_ewh=x_ewh,
-        v_bat=np.zeros((size, horizon)),
-        v_ewh=np.zeros((size, horizon)),
+        x=x,
+        v=np.zeros((size, 2 * horizon)),
         weights=weights,
-        best_x_bat=x_bat.copy(),
-        best_x_ewh=x_ewh.copy(),
+        best_x=x.copy(),
         best_fitness=np.full(size, -1),
         fitness=np.full(size, -1),
     )
@@ -360,8 +343,9 @@ def run(
         """Score and repair the whole swarm in one kernel pass, re-screen the
         valid repair candidates in one call, refresh the personal bests, then
         offer the robust rows, repaired ones included, to the set in row order."""
+        x_bat, x_ewh = swarm.x[:, :horizon], swarm.x[:, horizon:]
         zero_penalty, accommodation_ok, fixed_bat, valid = screen_with_repair(
-            swarm.x_bat, swarm.x_ewh, scenarios.values, surplus_envelope, draws, hems_cfg, dt
+            x_bat, x_ewh, scenarios.values, surplus_envelope, draws, hems_cfg, dt
         )
         fitness = np.count_nonzero(zero_penalty & accommodation_ok, axis=1)
         penalty_free = np.count_nonzero(zero_penalty, axis=1)
@@ -369,24 +353,21 @@ def run(
         # surplus-accommodation ones; it is skipped for trajectories the
         # envelope itself pushes into penalties.
         rows = np.flatnonzero((fitness < threshold) & (penalty_free >= threshold) & valid)
-        offered_bat, offered_fitness = swarm.x_bat, fitness
+        offered, offered_fitness = swarm.x, fitness
         if rows.size:
-            offered_bat, offered_fitness = swarm.x_bat.copy(), fitness.copy()
-            offered_bat[rows] = fixed_bat[rows]
+            offered, offered_fitness = swarm.x.copy(), fitness.copy()
+            offered[rows, :horizon] = fixed_bat[rows]
             zero_penalty, accommodation_ok = batch_compliance(
-                fixed_bat[rows], swarm.x_ewh[rows], scenarios.values, draws, hems_cfg, dt
+                fixed_bat[rows], x_ewh[rows], scenarios.values, draws, hems_cfg, dt
             )
             offered_fitness[rows] = np.count_nonzero(zero_penalty & accommodation_ok, axis=1)
         # A personal best follows ties to the newer position, which aids diversity.
         improved = fitness >= swarm.best_fitness
         swarm.fitness = fitness
         swarm.best_fitness = np.where(improved, fitness, swarm.best_fitness)
-        swarm.best_x_bat, swarm.best_x_ewh = np.where(
-            improved[:, None], (swarm.x_bat, swarm.x_ewh), (swarm.best_x_bat, swarm.best_x_ewh)
-        )
+        swarm.best_x = np.where(improved[:, None], swarm.x, swarm.best_x)
         for i in np.flatnonzero(offered_fitness >= threshold):
-            offered = FlexTrajectory(p_bat=offered_bat[i], p_ewh=swarm.x_ewh[i])
-            feasible.add(offered, int(offered_fitness[i]))
+            feasible.add(offered[i], int(offered_fitness[i]))
 
     def best_distance() -> float:
         return float(np.max(feasible.distances())) if len(feasible) else 0.0
@@ -414,25 +395,22 @@ def run(
 
         if len(feasible):
             b_g = select_global_best(feasible)
-            b_bat, b_ewh = b_g.p_bat, b_g.p_ewh
         else:
-            best = int(np.argmax(swarm.fitness))
-            b_bat, b_ewh = swarm.x_bat[best], swarm.x_ewh[best]
+            b_g = swarm.x[int(np.argmax(swarm.fitness))]
         distance = best_distance()
 
         # Each particle draws from its own stream, in a fixed order: weight
-        # normals, the two attractor perturbations, then the two masks.
+        # normals, the attractor perturbation, then the mask, each over the
+        # battery half of the row first.
         weights = np.empty_like(swarm.weights)
-        star_bat, star_ewh = np.empty((size, horizon)), np.empty((size, horizon))
-        mask_bat, mask_ewh = np.empty((2, size, horizon), dtype=bool)
+        star = np.empty((size, 2 * horizon))
+        mask = np.empty((size, 2 * horizon), dtype=bool)
         for i in range(size):
             rng_move = _stream(epso_cfg.seed, 1, it, i)
             weights[i] = mutate_weights(swarm.weights[i], tau_effective, rng_move)
-            star_bat[i], star_ewh[i] = perturb_global_best(b_bat, b_ewh, TAU_PRIME, rng_move)
-            mask_bat[i], mask_ewh[i] = rng_move.random((2, horizon)) < COMM_FACTOR
-        offspring = move_particle(
-            replace(swarm, weights=weights), star_bat, star_ewh, mask_bat, mask_ewh, hems_cfg
-        )
+            star[i] = perturb_global_best(b_g, TAU_PRIME, rng_move)
+            mask[i] = rng_move.random(2 * horizon) < COMM_FACTOR
+        offspring = move_particle(replace(swarm, weights=weights), star, mask, hems_cfg)
         evaluate(offspring)
 
         swarm = stochastic_tournament(

@@ -22,8 +22,6 @@ discharges (injects). EWH power is 0 or its nominal rating.
 
 from __future__ import annotations
 
-import csv
-import json
 import operator
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -50,7 +48,6 @@ __all__ = [
     "repair_trajectory",
     "feasible_power_range",
     "read_draw_profile_csv",
-    "write_draw_profile_csv",
 ]
 
 # Slack for constraint comparisons so float round-off never flags a violation.
@@ -175,16 +172,6 @@ class HemsConfig:
             battery=build(f"{path}: battery", BatteryConfig, doc.get("battery")),
             ewh=build(f"{path}: ewh", EwhConfig, doc.get("ewh"), draw_profile=draw_profile),
         )
-
-    def to_json(self, path) -> None:
-        """Write both sections field by field; the draw profile lives in its own CSV."""
-        doc = {
-            name: {f.name: getattr(section, f.name) for f in fields(section) if f.name != "draw_profile"}
-            for name, section in (("battery", self.battery), ("ewh", self.ewh))
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
-            fh.write("\n")
 
 
 @dataclass(frozen=True)
@@ -643,11 +630,3 @@ def read_draw_profile_csv(path) -> np.ndarray:
     if (table[:, 1] < 0.0).any():
         raise ValueError(f"{path}: liters must not be negative")
     return table[order, 1]
-
-
-def write_draw_profile_csv(path, draws: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["h", "liters"])
-        for h, litres in enumerate(np.asarray(draws, dtype=float), start=1):
-            writer.writerow([h, f"{litres:g}"])

@@ -31,7 +31,6 @@ __all__ = [
     "generate_scenarios",
     "pv_surplus",
     "read_marginals_csv",
-    "write_marginals_csv",
 ]
 
 # Diagonal jitter applied once if Cholesky fails; the exponential covariance is
@@ -202,12 +201,3 @@ def read_marginals_csv(path) -> list[MarginalForecast]:
         return [MarginalForecast(t, probs[lead == t], values[lead == t]) for t in lead_times]
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
-
-
-def write_marginals_csv(path, marginals: list[MarginalForecast]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "p", "q"])
-        for marginal in marginals:
-            for prob, value in zip(marginal.probabilities, marginal.values):
-                writer.writerow([marginal.lead_time, f"{prob:g}", f"{value:.6f}"])

@@ -1,7 +1,24 @@
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hemsflex import hems, scenarios
+
+REPO = Path(__file__).resolve().parent.parent
+
+
+def load_tool(name):
+    """A script under tools/, loaded as a module without putting tools/ on the path."""
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
+# The writers of the example input formats, which the package only reads.
+example_inputs = load_tool("make_example_inputs")
 
 
 @pytest.fixture

@@ -231,17 +231,17 @@ class TestCriterion8OracleEquivalence:
 
 class TestCriterion9Determinism:
     def test_pipeline_bit_identical_across_runs_and_threads(self, tmp_path):
-        from tests.conftest import make_marginals
+        from tests.conftest import example_inputs, make_marginals
 
         base = np.concatenate([np.full(4, 0.4), np.linspace(0.1, -0.25, 4), np.full(4, 0.5)])
-        scenarios.write_marginals_csv(tmp_path / "marginals.csv", make_marginals(base, sigma=0.06))
-        hems.write_draw_profile_csv(tmp_path / "draws.csv", np.full(12, 1.0))
-        hems.HemsConfig(
+        example_inputs.write_marginals_csv(tmp_path / "marginals.csv", make_marginals(base, sigma=0.06))
+        example_inputs.write_draw_profile_csv(tmp_path / "draws.csv", np.full(12, 1.0))
+        example_inputs.write_hems_json(tmp_path / "hems.json", hems.HemsConfig(
             battery=hems.BatteryConfig(
                 capacity=3.2, p_charge_max=1.5, p_discharge_max=1.5, soc_init=1.92, efficiency=0.925
             ),
             ewh=hems.EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=60.0),
-        ).to_json(tmp_path / "hems.json")
+        ))
         config = {
             "dt_hours": 0.25,
             "seed": 31,

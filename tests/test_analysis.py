@@ -83,8 +83,9 @@ class TestOracleCheck:
         for traj in edges + random:
             full = oracle_check(traj, scenario_set, cfg, 0.25)
             counts.add(full)
+            bats, ewhs = traj.p_bat.tolist(), traj.p_ewh.tolist()
             for threshold in range(1, scenario_set.count + 1):
-                assert analysis._robust_under_oracle(traj, oracle, threshold) == (full >= threshold), threshold
+                assert (oracle(bats, ewhs, threshold) >= threshold) == (full >= threshold), threshold
         # both ends and several partial counts are exercised
         assert {0, scenario_set.count} <= counts
         assert len(counts - {0, scenario_set.count}) >= 3
@@ -299,7 +300,7 @@ class TestSemiRandomBaseline:
         scenario_set, cfg = small_instance
         broken = FlexTrajectory(p_bat=np.full(16, -1.5), p_ewh=np.zeros(16))
         assert oracle_check(broken, ScenarioSet(scenario_set.values[:1]), cfg, 0.25) == 0
-        monkeypatch.setattr(analysis, "_greedy_member", lambda *args: broken)
+        monkeypatch.setattr(analysis, "_greedy_member", lambda *args: broken.as_vector())
         with pytest.raises(ValueError, match="greedy baseline seed failed the oracle"):
             semi_random_baseline(10, cfg, scenario_set.values[0], seed=14, dt=0.25)
 
@@ -321,8 +322,9 @@ def _reference_semi_random_baseline(count, cfg, scenario, seed, dt):
     oracle = analysis._oracle(cfg, ScenarioSet(scenario[None, :]), dt)
 
     feasible = epso.FeasibleSet(horizon=horizon)
-    current = analysis._greedy_member(cfg, route, surplus, draws, dt, rng)
-    feasible.add(current, fitness=1)
+    seed_row = analysis._greedy_member(cfg, route, surplus, draws, dt, rng)
+    current = FlexTrajectory(p_bat=seed_row[:horizon], p_ewh=seed_row[horizon:])
+    feasible.add(current.as_vector(), fitness=1)
 
     attempts = 0
     while len(feasible) < count:
@@ -349,7 +351,7 @@ def _reference_semi_random_baseline(count, cfg, scenario, seed, dt):
         bats[h] = mutant_bat[h] = rng.uniform(lo, hi)
         if oracle(bats, ewhs) == 1:
             current = FlexTrajectory(p_bat=mutant_bat, p_ewh=mutant_ewh)
-            feasible.add(current, fitness=1)
+            feasible.add(current.as_vector(), fitness=1)
     return feasible
 
 

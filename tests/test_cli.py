@@ -13,7 +13,7 @@ import pytest
 
 from hemsflex import analysis, cli, epso, hems, scenarios, svdd
 from hemsflex.hems import FlexTrajectory
-from tests.conftest import make_marginals
+from tests.conftest import example_inputs, make_marginals
 
 
 @pytest.fixture
@@ -21,15 +21,15 @@ def workdir(tmp_path):
     """Config plus input files for a 12-step, 15-scenario instance."""
     base = np.concatenate([np.full(4, 0.4), np.linspace(0.1, -0.25, 4), np.full(4, 0.5)])
     marginals = make_marginals(base, sigma=0.06)
-    scenarios.write_marginals_csv(tmp_path / "marginals.csv", marginals)
-    hems.write_draw_profile_csv(tmp_path / "draws.csv", np.full(12, 1.0))
+    example_inputs.write_marginals_csv(tmp_path / "marginals.csv", marginals)
+    example_inputs.write_draw_profile_csv(tmp_path / "draws.csv", np.full(12, 1.0))
     cfg = hems.HemsConfig(
         battery=hems.BatteryConfig(
             capacity=3.2, p_charge_max=1.5, p_discharge_max=1.5, soc_init=1.92, efficiency=0.925
         ),
         ewh=hems.EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=60.0),
     )
-    cfg.to_json(tmp_path / "hems.json")
+    example_inputs.write_hems_json(tmp_path / "hems.json", cfg)
     config = {
         "dt_hours": 0.25,
         "seed": 17,
@@ -537,6 +537,31 @@ class TestErrorPaths:
         assert "the feasible set has horizon 8, the scenarios 12" in stderr_of(capsys, workdir)
         assert not (out / "confusion.csv").exists()
 
+    @pytest.mark.parametrize("rows", [0, 1])
+    def test_feasible_set_of_fewer_than_two_rows_exits_two(self, workdir, capsys, monkeypatch, rows):
+        for command in ("gen-scenarios", "search"):
+            assert invoke(workdir, command) == 0
+        out = workdir / "out"
+        feasible, fitnesses = epso.read_trajectories_csv(out / "feasible.csv")
+        epso.write_trajectories_csv(out / "feasible.csv", list(feasible)[:rows], fitnesses[:rows], horizon=12)
+        # The set is rejected before any infeasible trajectory is sampled.
+        sampled = []
+        monkeypatch.setattr(analysis, "generate_infeasible_set", lambda *args: sampled.append(args))
+        for command in ("train", "validate"):
+            assert invoke(workdir, command) == 2, command
+            message = f"/out/feasible.csv holds {rows} trajectories; a boundary needs at least 2"
+            assert message in stderr_of(capsys, workdir), command
+        assert not sampled
+        assert not (out / "model.json").exists() and not (out / "confusion.csv").exists()
+
+    @pytest.mark.parametrize("command", ["search", "validate"])
+    def test_draw_profile_of_another_horizon_exits_two(self, workdir, capsys, command):
+        for stage in ("gen-scenarios", "search"):
+            assert invoke(workdir, stage) == 0
+        example_inputs.write_draw_profile_csv(workdir / "draws.csv", np.full(10, 1.0))
+        assert invoke(workdir, command) == 2
+        assert "/draws.csv has 10 steps, /out/scenarios.csv has 12" in stderr_of(capsys, workdir)
+
     def test_classify_malformed_input_exits_two(self, workdir):
         for command in ("gen-scenarios", "search", "train"):
             assert invoke(workdir, command) == 0
@@ -557,7 +582,7 @@ class TestErrorPaths:
 
     def test_non_finite_draw_profile_exits_two(self, workdir):
         assert invoke(workdir, "gen-scenarios") == 0
-        hems.write_draw_profile_csv(workdir / "draws.csv", np.r_[np.full(11, 1.0), np.nan])
+        example_inputs.write_draw_profile_csv(workdir / "draws.csv", np.r_[np.full(11, 1.0), np.nan])
         assert invoke(workdir, "search") == 2
 
     def test_non_finite_marginals_exit_two(self, workdir):
@@ -598,14 +623,14 @@ class TestErrorPaths:
 
     def test_impossible_instance_yields_empty_set_and_warning(self, workdir):
         # a sliver of a temperature band plus heavy draws: infeasible everywhere
-        hems.write_draw_profile_csv(workdir / "draws.csv", np.full(12, 20.0))
+        example_inputs.write_draw_profile_csv(workdir / "draws.csv", np.full(12, 20.0))
         cfg = hems.HemsConfig(
             battery=hems.BatteryConfig(
                 capacity=3.2, p_charge_max=1.5, p_discharge_max=1.5, soc_init=1.92
             ),
             ewh=hems.EwhConfig(p_nom=0.5, theta_min=59.9, theta_max=60.0, theta_init=60.0),
         )
-        cfg.to_json(workdir / "hems.json")
+        example_inputs.write_hems_json(workdir / "hems.json", cfg)
         config = json.loads((workdir / "config.json").read_text())
         config["epso"] = {"pop_size": 4, "max_iters": 3, "target_feasible": 5}
         (workdir / "config.json").write_text(json.dumps(config))

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import hemsflex
 from hemsflex import analysis, cli, epso, hems, scenarios, svdd
@@ -35,33 +36,66 @@ from hemsflex.hems import EwhConfig, FlexTrajectory, HemsConfig
 
 
 def make_swarm(x_bat, x_ewh, weights=None, fitness=-1):
-    """Swarm at rest with one row per row of x_bat / x_ewh (a 1-D position
-    is one row); every row shares `weights` and `fitness`."""
-    x_bat = np.atleast_2d(np.asarray(x_bat, dtype=float))
-    x_ewh = np.atleast_2d(np.asarray(x_ewh, dtype=float))
-    size = x_bat.shape[0]
+    """Swarm at rest with one [x_bat | x_ewh] row per row of x_bat / x_ewh (a
+    1-D position is one row); every row shares `weights` and `fitness`."""
+    x = np.hstack([np.atleast_2d(np.asarray(x_bat, dtype=float)), np.atleast_2d(np.asarray(x_ewh, dtype=float))])
+    size = x.shape[0]
     if weights is None:
         weights = np.full((2, 3), 0.5)
     return Swarm(
-        x_bat=x_bat,
-        x_ewh=x_ewh,
-        v_bat=np.zeros_like(x_bat),
-        v_ewh=np.zeros_like(x_ewh),
+        x=x,
+        v=np.zeros_like(x),
         weights=np.tile(np.asarray(weights, dtype=float), (size, 1, 1)),
-        best_x_bat=x_bat.copy(),
-        best_x_ewh=x_ewh.copy(),
+        best_x=x.copy(),
         best_fitness=np.full(size, -1),
         fitness=np.full(size, fitness),
     )
 
 
 def move(swarm, b_g_star, hems_cfg, rng):
-    """move_particle with every row attracted to b_g_star, each row's two
-    communication masks drawn from `rng` in row order as the search does."""
-    masks = rng.random((len(swarm), 2, swarm.x_bat.shape[1])) < epso.COMM_FACTOR
-    star_bat = np.broadcast_to(b_g_star.p_bat, swarm.x_bat.shape)
-    star_ewh = np.broadcast_to(b_g_star.p_ewh, swarm.x_ewh.shape)
-    return move_particle(swarm, star_bat, star_ewh, masks[:, 0], masks[:, 1], hems_cfg)
+    """move_particle with every row attracted to the row b_g_star, each row's
+    communication mask drawn from `rng` in row order as the search does."""
+    mask = rng.random(swarm.x.shape) < epso.COMM_FACTOR
+    return move_particle(swarm, np.broadcast_to(b_g_star, swarm.x.shape), mask, hems_cfg)
+
+
+def move_per_dimension(swarm, star, mask, hems_cfg):
+    """The movement rule written out per dimension, one velocity expression
+    for the battery half of the rows and one for the EWH half, as the swarm
+    moved before it kept whole rows. Returns the moved (x, v) rows."""
+    bat_cfg, p_nom = hems_cfg.battery, hems_cfg.ewh.p_nom
+    horizon = swarm.x.shape[1] // 2
+    w = swarm.weights[:, :, :, None]
+    x_bat, x_ewh = swarm.x[:, :horizon], swarm.x[:, horizon:]
+    v_bat = (
+        w[:, 0, 0] * swarm.v[:, :horizon]
+        + w[:, 0, 1] * (swarm.best_x[:, :horizon] - x_bat)
+        + w[:, 0, 2] * mask[:, :horizon] * (star[:, :horizon] - x_bat)
+    )
+    v_ewh = (
+        w[:, 1, 0] * swarm.v[:, horizon:]
+        + w[:, 1, 1] * (swarm.best_x[:, horizon:] - x_ewh)
+        + w[:, 1, 2] * mask[:, horizon:] * (star[:, horizon:] - x_ewh)
+    )
+    bat_vmax = epso.VELOCITY_CLAMP_FRAC * (bat_cfg.p_charge_max + bat_cfg.p_discharge_max)
+    v_bat = np.clip(v_bat, -bat_vmax, bat_vmax)
+    v_ewh = np.clip(v_ewh, -p_nom, p_nom)
+    x_bat = np.clip(x_bat + v_bat, -bat_cfg.p_discharge_max, bat_cfg.p_charge_max)
+    x_ewh = np.where(x_ewh + v_ewh >= 0.5 * p_nom, p_nom, 0.0)
+    return np.hstack([x_bat, x_ewh]), np.hstack([v_bat, v_ewh])
+
+
+def perturb_per_dimension(b, tau_prime, rng):
+    """The attractor perturbation as two draws of T normals, battery first."""
+    horizon = b.shape[0] // 2
+    bat = b[:horizon] + tau_prime * rng.standard_normal(horizon)
+    ewh = b[horizon:] + tau_prime * rng.standard_normal(horizon)
+    return np.concatenate([bat, ewh])
+
+
+def bits(a):
+    """The array's float64 bits, so that -0.0 and 0.0 count as different."""
+    return np.ascontiguousarray(a).view(np.int64)
 
 
 class TestMutateWeights:
@@ -97,23 +131,23 @@ class TestMutateWeights:
 
 class TestPerturbGlobalBest:
     def test_zero_tau_prime_is_identity(self):
-        b_bat, b_ewh = np.array([0.1, 0.2]), np.array([0.5, 0.0])
-        bat, ewh = perturb_global_best(b_bat, b_ewh, 0.0, np.random.default_rng(6))
-        assert np.array_equal(bat, b_bat)
-        assert np.array_equal(ewh, b_ewh)
+        b = np.array([0.1, 0.2, 0.5, 0.0])
+        out = perturb_global_best(b, 0.0, np.random.default_rng(6))
+        assert np.array_equal(out[:2], b[:2])
+        assert np.array_equal(out[2:], b[2:])
 
     def test_mean_of_perturbations_recovers_center(self):
-        b_bat, b_ewh = np.array([0.3]), np.array([0.5])
+        b = np.array([0.3, 0.5])
         tau_prime = 1.0
         n = 10_000
         rng = np.random.default_rng(7)
-        bats = np.array([perturb_global_best(b_bat, b_ewh, tau_prime, rng)[0][0] for _ in range(n)])
+        bats = np.array([perturb_global_best(b, tau_prime, rng)[0] for _ in range(n)])
         assert abs(bats.mean() - 0.3) < 3.0 * tau_prime / np.sqrt(n)
 
     def test_coordinates_perturbed_independently(self):
-        bat, ewh = perturb_global_best(np.zeros(4), np.zeros(4), 1.0, np.random.default_rng(8))
-        assert len(np.unique(bat)) == 4
-        assert len(np.unique(ewh)) == 4
+        out = perturb_global_best(np.zeros(8), 1.0, np.random.default_rng(8))
+        assert len(np.unique(out[:4])) == 4
+        assert len(np.unique(out[4:])) == 4
 
 
 class TestMoveParticle:
@@ -123,36 +157,36 @@ class TestMoveParticle:
 
     def test_fixed_point_when_everything_coincides(self, hems_cfg):
         x = make_swarm([0.2, -0.1], [0.5, 0.0])
-        bg = FlexTrajectory(p_bat=x.x_bat[0].copy(), p_ewh=x.x_ewh[0].copy())
+        bg = x.x[0].copy()
         out = move(x, bg, hems_cfg, np.random.default_rng(9))
-        assert np.allclose(out.x_bat, x.x_bat)
-        assert np.array_equal(out.x_ewh, x.x_ewh)
+        assert np.allclose(out.x[:, :2], x.x[:, :2])
+        assert np.array_equal(out.x[:, 2:], x.x[:, 2:])
 
     def test_pure_inertia_reduction(self, hems_cfg):
         p = make_swarm([0.0, 0.0], [0.0, 0.0], weights=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        p.v_bat = np.array([[0.3, -0.2]])
-        bg = FlexTrajectory(p_bat=np.zeros(2), p_ewh=np.zeros(2))
+        p.v[:, :2] = [[0.3, -0.2]]
+        bg = np.zeros(4)
         out = move(p, bg, hems_cfg, np.random.default_rng(10))
-        assert np.allclose(out.x_bat[0], [0.3, -0.2])
+        assert np.allclose(out.x[0, :2], [0.3, -0.2])
 
     def test_ewh_quantized_to_nearest_level(self, hems_cfg):
         p = make_swarm([0.0], [0.0], weights=[[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        p.v_ewh = np.array([[0.26]])
-        bg = FlexTrajectory(p_bat=np.zeros(1), p_ewh=np.zeros(1))
+        p.v[:, 1:] = [[0.26]]
+        bg = np.zeros(2)
         out = move(p, bg, hems_cfg, np.random.default_rng(11))
-        assert out.x_ewh[0, 0] == 0.5
-        p.v_ewh = np.array([[0.24]])
+        assert out.x[0, 1] == 0.5
+        p.v[:, 1:] = [[0.24]]
         out = move(p, bg, hems_cfg, np.random.default_rng(11))
-        assert out.x_ewh[0, 0] == 0.0
+        assert out.x[0, 1] == 0.0
 
     def test_battery_clamped_to_power_band(self, hems_cfg):
         rng = np.random.default_rng(12)
         p = make_swarm(np.full(8, 1.4), np.zeros(8))
-        p.v_bat = np.full((1, 8), 5.0)
-        bg = FlexTrajectory(p_bat=np.full(8, 10.0), p_ewh=np.zeros(8))
+        p.v[:, :8] = np.full((1, 8), 5.0)
+        bg = np.r_[np.full(8, 10.0), np.zeros(8)]
         out = move(p, bg, hems_cfg, rng)
-        assert np.all(out.x_bat <= hems_cfg.battery.p_charge_max)
-        assert np.all(out.x_bat >= -hems_cfg.battery.p_discharge_max)
+        assert np.all(out.x[:, :8] <= hems_cfg.battery.p_charge_max)
+        assert np.all(out.x[:, :8] >= -hems_cfg.battery.p_discharge_max)
 
     def test_rows_move_as_the_per_particle_rule(self, hems_cfg):
         bat_cfg, p_nom = hems_cfg.battery, hems_cfg.ewh.p_nom
@@ -160,40 +194,92 @@ class TestMoveParticle:
         size, horizon = 6, 10
         x_ewh = np.where(rng.random((size, horizon)) < 0.5, p_nom, 0.0)
         swarm = make_swarm(rng.uniform(-1.5, 1.5, (size, horizon)), x_ewh)
-        swarm.v_bat = rng.uniform(-0.3, 0.3, (size, horizon))
-        swarm.v_ewh = rng.uniform(-0.5, 0.5, (size, horizon))
+        v_bat_in = rng.uniform(-0.3, 0.3, (size, horizon))
+        v_ewh_in = rng.uniform(-0.5, 0.5, (size, horizon))
+        swarm.v = np.hstack([v_bat_in, v_ewh_in])
         swarm.weights = rng.uniform(0.0, 2.0, (size, 2, 3))
-        swarm.best_x_bat = rng.uniform(-1.5, 1.5, (size, horizon))
-        swarm.best_x_ewh = np.where(rng.random((size, horizon)) < 0.5, p_nom, 0.0)
+        best_bat = rng.uniform(-1.5, 1.5, (size, horizon))
+        best_ewh = np.where(rng.random((size, horizon)) < 0.5, p_nom, 0.0)
+        swarm.best_x = np.hstack([best_bat, best_ewh])
         star_bat = rng.uniform(-1.5, 1.5, (size, horizon))
         star_ewh = rng.uniform(-0.5, 1.0, (size, horizon))
         mask_bat, mask_ewh = rng.random((2, size, horizon)) < 0.5
-        out = move_particle(swarm, star_bat, star_ewh, mask_bat, mask_ewh, hems_cfg)
+        out = move_particle(swarm, np.hstack([star_bat, star_ewh]), np.hstack([mask_bat, mask_ewh]), hems_cfg)
         bat_vmax = epso.VELOCITY_CLAMP_FRAC * (bat_cfg.p_charge_max + bat_cfg.p_discharge_max)
         for i in range(size):
             # the movement rule written out for one particle with scalar weights
             w = swarm.weights[i]
-            x_bat, x_ewh = swarm.x_bat[i], swarm.x_ewh[i]
+            x_bat, x_ewh = swarm.x[i, :horizon], swarm.x[i, horizon:]
             v_bat = (
-                w[0, 0] * swarm.v_bat[i]
-                + w[0, 1] * (swarm.best_x_bat[i] - x_bat)
+                w[0, 0] * v_bat_in[i]
+                + w[0, 1] * (best_bat[i] - x_bat)
                 + w[0, 2] * mask_bat[i] * (star_bat[i] - x_bat)
             )
             v_ewh = (
-                w[1, 0] * swarm.v_ewh[i]
-                + w[1, 1] * (swarm.best_x_ewh[i] - x_ewh)
+                w[1, 0] * v_ewh_in[i]
+                + w[1, 1] * (best_ewh[i] - x_ewh)
                 + w[1, 2] * mask_ewh[i] * (star_ewh[i] - x_ewh)
             )
             v_bat = np.clip(v_bat, -bat_vmax, bat_vmax)
             v_ewh = np.clip(v_ewh, -p_nom, p_nom)
-            assert np.array_equal(out.v_bat[i], v_bat)
-            assert np.array_equal(out.v_ewh[i], v_ewh)
+            assert np.array_equal(out.v[i, :horizon], v_bat)
+            assert np.array_equal(out.v[i, horizon:], v_ewh)
             assert np.array_equal(
-                out.x_bat[i], np.clip(x_bat + v_bat, -bat_cfg.p_discharge_max, bat_cfg.p_charge_max)
+                out.x[i, :horizon], np.clip(x_bat + v_bat, -bat_cfg.p_discharge_max, bat_cfg.p_charge_max)
             )
-            assert np.array_equal(out.x_ewh[i], np.where(x_ewh + v_ewh >= 0.5 * p_nom, p_nom, 0.0))
-        for name in ("weights", "best_x_bat", "best_x_ewh", "best_fitness"):
+            assert np.array_equal(out.x[i, horizon:], np.where(x_ewh + v_ewh >= 0.5 * p_nom, p_nom, 0.0))
+        for name in ("weights", "best_x", "best_fitness"):
             assert np.array_equal(getattr(out, name), getattr(swarm, name)), name
+
+
+# Finite cells whose differences stay finite, both zeros included.
+_ROW_CELLS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, -1.5, 1.5]), st.floats(-100.0, 100.0))
+
+
+@st.composite
+def _row_swarms(draw):
+    """(swarm, star, mask) for P in 1..6 and T in 1..12: positions, velocities,
+    personal bests, attractors, masks and weights all drawn."""
+    size, horizon = draw(st.integers(1, 6)), draw(st.integers(1, 12))
+    rows = hnp.arrays(float, (size, 2 * horizon), elements=_ROW_CELLS)
+    swarm = Swarm(
+        x=draw(rows),
+        v=draw(rows),
+        weights=draw(hnp.arrays(float, (size, 2, 3), elements=st.floats(0.0, 2.0))),
+        best_x=draw(rows),
+        best_fitness=np.full(size, -1),
+        fitness=np.full(size, -1),
+    )
+    return swarm, draw(rows), draw(hnp.arrays(bool, (size, 2 * horizon)))
+
+
+class TestRowLayout:
+    """The row versions of the move and of the attractor perturbation against
+    the per-dimension rules they replace, bit for bit."""
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(drawn=_row_swarms())
+    def test_move_matches_the_per_dimension_rule(self, hems_reference, drawn):
+        swarm, star, mask = drawn
+        out = move_particle(swarm, star, mask, hems_reference)
+        x, v = move_per_dimension(swarm, star, mask, hems_reference)
+        assert np.array_equal(bits(out.x), bits(x))
+        assert np.array_equal(bits(out.v), bits(v))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        b=st.integers(1, 12).flatmap(lambda horizon: hnp.arrays(float, 2 * horizon, elements=_ROW_CELLS)),
+        tau_prime=st.floats(0.0, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_perturbation_and_mask_match_the_two_draws(self, b, tau_prime, seed):
+        # The search draws the attractor, then the mask, from one stream.
+        horizon = b.shape[0] // 2
+        rows, halves = np.random.default_rng(seed), np.random.default_rng(seed)
+        expected = perturb_per_dimension(b, tau_prime, halves)
+        assert np.array_equal(bits(perturb_global_best(b, tau_prime, rows)), bits(expected))
+        assert np.array_equal(rows.random(2 * horizon), halves.random((2, horizon)).ravel())
+        assert rows.random() == halves.random()
 
 
 class TestEvaluateFitness:
@@ -260,30 +346,30 @@ class TestIsRobust:
 class TestSelectGlobalBest:
     def test_singleton_returns_member(self):
         fs = FeasibleSet(horizon=4)
-        traj = FlexTrajectory(p_bat=np.full(4, 0.2), p_ewh=np.zeros(4))
-        fs.add(traj, 10)
+        row = np.r_[np.full(4, 0.2), np.zeros(4)]
+        fs.add(row, 10)
         best = select_global_best(fs)
-        assert np.array_equal(best.p_bat, traj.p_bat) and np.array_equal(best.p_ewh, traj.p_ewh)
+        assert np.array_equal(best[:4], row[:4]) and np.array_equal(best[4:], row[4:])
 
     def test_symmetric_pair_ties_to_first(self):
         fs = FeasibleSet(horizon=4)
-        first = FlexTrajectory(p_bat=np.zeros(4), p_ewh=np.zeros(4))
+        first = np.zeros(8)
         fs.add(first, 10)
-        fs.add(FlexTrajectory(p_bat=np.ones(4), p_ewh=np.full(4, 0.5)), 10)
+        fs.add(np.r_[np.ones(4), np.full(4, 0.5)], 10)
         distances = fs.distances()
         assert distances[0] == pytest.approx(distances[1], abs=1e-12)
         # hand evaluation: per step |0-0.5| + |0-0.25| = 0.75, times 4 steps
         assert distances[0] == pytest.approx(3.0, abs=1e-12)
         best = select_global_best(fs)
-        assert np.array_equal(best.p_bat, first.p_bat) and np.array_equal(best.p_ewh, first.p_ewh)
+        assert np.array_equal(best[:4], first[:4]) and np.array_equal(best[4:], first[4:])
 
     def test_outlier_member_wins(self):
         fs = FeasibleSet(horizon=2)
         for v in (0.0, 0.1, 0.2):
-            fs.add(FlexTrajectory(p_bat=np.full(2, v), p_ewh=np.zeros(2)), 5)
-        fs.add(FlexTrajectory(p_bat=np.full(2, 1.5), p_ewh=np.full(2, 0.5)), 5)
+            fs.add(np.r_[np.full(2, v), np.zeros(2)], 5)
+        fs.add(np.r_[np.full(2, 1.5), np.full(2, 0.5)], 5)
         best = select_global_best(fs)
-        assert np.all(best.p_bat == 1.5)
+        assert np.all(best[:2] == 1.5)
 
     def test_empty_set_raises(self):
         with pytest.raises(ValueError):
@@ -293,9 +379,9 @@ class TestSelectGlobalBest:
 class TestFeasibleSet:
     def test_deduplicates_close_trajectories(self):
         fs = FeasibleSet(horizon=3)
-        a = FlexTrajectory(p_bat=np.array([0.1, 0.2, 0.3]), p_ewh=np.zeros(3))
-        b = FlexTrajectory(p_bat=np.array([0.1, 0.2, 0.3 + 1e-8]), p_ewh=np.zeros(3))
-        c = FlexTrajectory(p_bat=np.array([0.1, 0.2, 0.4]), p_ewh=np.zeros(3))
+        a = np.r_[0.1, 0.2, 0.3, np.zeros(3)]
+        b = np.r_[0.1, 0.2, 0.3 + 1e-8, np.zeros(3)]
+        c = np.r_[0.1, 0.2, 0.4, np.zeros(3)]
         assert fs.add(a, 10)
         assert not fs.add(b, 10)
         assert fs.add(c, 10)
@@ -304,12 +390,9 @@ class TestFeasibleSet:
     def test_running_mean_matches_batch_mean(self):
         rng = np.random.default_rng(15)
         fs = FeasibleSet(horizon=5)
-        trajs = [
-            FlexTrajectory(p_bat=rng.uniform(-1, 1, 5), p_ewh=np.where(rng.random(5) < 0.5, 0.5, 0.0))
-            for _ in range(40)
-        ]
-        for t in trajs:
-            fs.add(t, 1)
+        rows = [np.r_[rng.uniform(-1, 1, 5), np.where(rng.random(5) < 0.5, 0.5, 0.0)] for _ in range(40)]
+        for row in rows:
+            fs.add(row, 1)
         assert np.allclose(fs.mean[:5], np.mean([t.p_bat for t in fs.trajectories], axis=0))
         assert np.allclose(fs.mean[5:], np.mean([t.p_ewh for t in fs.trajectories], axis=0))
 
@@ -320,7 +403,7 @@ class TestFeasibleSet:
         rows = rng.uniform(-1, 1, (200, 2 * horizon))
         early = []
         for k, row in enumerate(rows):
-            assert fs.add(FlexTrajectory(p_bat=row[:horizon], p_ewh=row[horizon:]), k)
+            assert fs.add(row, k)
             if k in (0, 63, 127):
                 early.append((k, fs.trajectories))  # read just before the buffer grows
         assert len(fs) == 200 and fs.fitnesses == list(range(200))
@@ -333,15 +416,15 @@ class TestFeasibleSet:
         ).sum(axis=1)
         assert np.array_equal(fs.distances(), expected)
         near = rows[0] + 0.5e-6
-        assert not fs.add(FlexTrajectory(p_bat=near[:horizon], p_ewh=near[horizon:]), 1)
+        assert not fs.add(near, 1)
         assert len(fs) == 200
 
     def test_distances_computed_once_per_state(self):
         fs = FeasibleSet(horizon=2)
-        fs.add(FlexTrajectory(p_bat=np.array([0.5, 0.0]), p_ewh=np.zeros(2)), 1)
+        fs.add(np.array([0.5, 0.0, 0.0, 0.0]), 1)
         first = fs.distances()
         assert fs.distances() is first and not first.flags.writeable
-        fs.add(FlexTrajectory(p_bat=np.array([-0.5, 0.0]), p_ewh=np.zeros(2)), 1)
+        fs.add(np.array([-0.5, 0.0, 0.0, 0.0]), 1)
         assert fs.distances() is not first and np.array_equal(fs.distances(), [0.5, 0.5])
 
     def test_run_computes_distances_once_per_generation(self, small_instance, monkeypatch):
@@ -361,11 +444,22 @@ class TestFeasibleSet:
 
     def test_members_are_read_only(self):
         fs = FeasibleSet(horizon=2)
-        fs.add(FlexTrajectory(p_bat=np.zeros(2), p_ewh=np.zeros(2)), 1)
+        row = np.zeros(4)
+        fs.add(row, 1)
         with pytest.raises(ValueError):
             fs.trajectories.matrix[0, 0] = 1.0
         with pytest.raises(ValueError):
             fs.trajectories[0].p_ewh[1] = 0.5
+        # The set holds a copy of the row it was offered.
+        row[0] = 1.0
+        assert fs.trajectories.matrix[0, 0] == 0.0
+
+    @pytest.mark.parametrize("shape", [(0,), (3,), (5,), (8,), (1, 4)])
+    def test_row_of_the_wrong_width_rejected(self, shape):
+        fs = FeasibleSet(horizon=2)
+        with pytest.raises(ValueError, match=rf"row has shape \({shape[0]},.*the set's rows are 4 wide"):
+            fs.add(np.zeros(shape), 1)
+        assert len(fs) == 0 and not fs.mean.any()
 
 
 class TestStochasticTournament:
@@ -377,7 +471,7 @@ class TestStochasticTournament:
         par = make_swarm(np.zeros((n, 1)), np.zeros((n, 1)), fitness=5)
         off = make_swarm(np.ones((n, 1)), np.zeros((n, 1)), fitness=5)
         survivors = stochastic_tournament(par, off, rng, 0.8)
-        wins = np.count_nonzero(survivors.x_bat[:, 0] == off.x_bat[:, 0])
+        wins = np.count_nonzero(survivors.x[:, 0] == off.x[:, 0])
         assert wins / n == pytest.approx(0.5, abs=0.02)
 
     def test_win_probability_one_is_elitist(self):
@@ -394,7 +488,7 @@ class TestStochasticTournament:
         par = make_swarm(np.zeros((n, 1)), np.zeros((n, 1)), fitness=100)
         off = make_swarm(np.ones((n, 1)), np.zeros((n, 1)), fitness=50)
         survivors = stochastic_tournament(par, off, rng, 0.8)
-        wins = np.count_nonzero(survivors.x_bat[:, 0] == par.x_bat[:, 0])
+        wins = np.count_nonzero(survivors.x[:, 0] == par.x[:, 0])
         assert wins / n == pytest.approx(0.8, abs=0.015)
 
     def test_population_size_preserved(self):
@@ -411,8 +505,8 @@ class TestStochasticTournament:
         off = make_swarm(np.ones((n, 2)), np.full((n, 2), 0.5), weights=np.ones((2, 3)))
         par.fitness, off.fitness = np.full(n, 5), np.tile([4, 5, 6], n // 3)
         for swarm, value in ((par, -1.0), (off, 1.0)):
-            swarm.v_bat, swarm.v_ewh = np.full((n, 2), value), np.full((n, 2), 2 * value)
-            swarm.best_x_bat, swarm.best_x_ewh = np.full((n, 2), 3 * value), np.full((n, 2), 4 * value)
+            swarm.v = np.hstack([np.full((n, 2), value), np.full((n, 2), 2 * value)])
+            swarm.best_x = np.hstack([np.full((n, 2), 3 * value), np.full((n, 2), 4 * value)])
             swarm.best_fitness = np.full(n, int(5 * value))
         survivors = stochastic_tournament(par, off, np.random.default_rng(26), win_prob)
         draws = np.random.default_rng(26)
@@ -434,7 +528,7 @@ class TestSeedInitialPopulation:
         cfg = EpsoConfig(pop_size=20, seed=1)
         scenario0 = np.linspace(0.5, -0.5, 12)
         pop = seed_initial_population(scenario0, cfg, hems_reference, np.random.default_rng(20))
-        for x_bat, x_ewh in zip(pop.x_bat, pop.x_ewh):
+        for x_bat, x_ewh in zip(pop.x[:, :12], pop.x[:, 12:]):
             assert np.all(x_bat <= hems_reference.battery.p_charge_max)
             assert np.all(x_bat >= -hems_reference.battery.p_discharge_max)
             assert set(np.unique(x_ewh)) <= {0.0, hems_reference.ewh.p_nom}
@@ -444,7 +538,7 @@ class TestSeedInitialPopulation:
         scenario0 = np.linspace(0.5, -0.5, 12)
         surplus_steps = scenario0 < 0
         pop = seed_initial_population(scenario0, cfg, hems_reference, np.random.default_rng(21))
-        for x_bat in pop.x_bat[: round(cfg.pop_size * epso.SEED_ZERO_FRACTION)]:
+        for x_bat in pop.x[: round(cfg.pop_size * epso.SEED_ZERO_FRACTION), :12]:
             assert np.all(x_bat[surplus_steps] == 0.0)
 
     def test_fixed_seed_identical(self, hems_reference):
@@ -453,8 +547,8 @@ class TestSeedInitialPopulation:
         a = seed_initial_population(scenario0, cfg, hems_reference, np.random.default_rng(22))
         b = seed_initial_population(scenario0, cfg, hems_reference, np.random.default_rng(22))
         for i in range(len(a)):
-            assert np.array_equal(a.x_bat[i], b.x_bat[i])
-            assert np.array_equal(a.x_ewh[i], b.x_ewh[i])
+            assert np.array_equal(a.x[i, :6], b.x[i, :6])
+            assert np.array_equal(a.x[i, 6:], b.x[i, 6:])
             assert np.array_equal(a.weights[i], b.weights[i])
 
 

@@ -24,6 +24,7 @@ from hemsflex.hems import (
     repair_trajectory,
     simulate,
 )
+from tests.conftest import example_inputs
 
 
 class TestMaxChargePower:
@@ -385,7 +386,7 @@ class TestConfigValidation:
     def test_json_bool_parameter_rejected(self, tmp_path, hems_reference, section, name):
         # JSON true is a bool, which Python counts as the number 1.
         path = tmp_path / "hems.json"
-        hems_reference.to_json(path)
+        example_inputs.write_hems_json(path, hems_reference)
         doc = json.loads(path.read_text())
         doc[section][name] = True
         path.write_text(json.dumps(doc))
@@ -400,7 +401,7 @@ class TestConfigValidation:
     def test_json_unknown_key_rejected(self, tmp_path, hems_reference, edit, key):
         # The draw profile is read from its own CSV, never inline from hems.json.
         path = tmp_path / "hems.json"
-        hems_reference.to_json(path)
+        example_inputs.write_hems_json(path, hems_reference)
         doc = json.loads(path.read_text())
         edit(doc)
         path.write_text(json.dumps(doc))
@@ -416,7 +417,7 @@ class TestConfigValidation:
 
     def test_json_round_trip(self, tmp_path, hems_reference):
         path = tmp_path / "hems.json"
-        hems_reference.to_json(path)
+        example_inputs.write_hems_json(path, hems_reference)
         loaded = HemsConfig.from_json(path)
         assert loaded.battery == hems_reference.battery
         assert loaded.ewh.p_nom == hems_reference.ewh.p_nom
@@ -424,13 +425,13 @@ class TestConfigValidation:
 
     def test_json_rewrite_is_byte_identical(self, tmp_path):
         source = Path(__file__).resolve().parents[1] / "data" / "hems.json"
-        HemsConfig.from_json(source).to_json(tmp_path / "hems.json")
+        example_inputs.write_hems_json(tmp_path / "hems.json", HemsConfig.from_json(source))
         assert (tmp_path / "hems.json").read_bytes() == source.read_bytes()
 
     def test_draw_profile_csv_round_trip(self, tmp_path):
         draws = np.array([0.0, 6.0, 0.0, 4.5])
         path = tmp_path / "draws.csv"
-        hems.write_draw_profile_csv(path, draws)
+        example_inputs.write_draw_profile_csv(path, draws)
         assert np.allclose(hems.read_draw_profile_csv(path), draws)
 
     @pytest.mark.parametrize("steps", [[1, 2, 2, 4], [1, 2, 3, 200], [0, 1, 2, 3]])

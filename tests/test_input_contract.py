@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from hemsflex import cli, epso, hems, scenarios, svdd
 from hemsflex.hems import FlexTrajectory
-from tests.conftest import make_marginals
+from tests.conftest import example_inputs, make_marginals
 
 # Hostile values, and finite ones far from the defaults that should still be
 # taken or rejected cleanly.
@@ -39,12 +39,12 @@ def base(tmp_path_factory):
     work = root / "base"
     work.mkdir()
     profile = np.concatenate([np.full(4, 0.4), np.linspace(0.1, -0.25, 4), np.full(4, 0.5)])
-    scenarios.write_marginals_csv(work / "marginals.csv", make_marginals(profile, sigma=0.06))
-    hems.write_draw_profile_csv(work / "draws.csv", np.full(12, 1.0))
-    hems.HemsConfig(
+    example_inputs.write_marginals_csv(work / "marginals.csv", make_marginals(profile, sigma=0.06))
+    example_inputs.write_draw_profile_csv(work / "draws.csv", np.full(12, 1.0))
+    example_inputs.write_hems_json(work / "hems.json", hems.HemsConfig(
         battery=hems.BatteryConfig(capacity=3.2, p_charge_max=1.5, p_discharge_max=1.5, soc_init=1.92),
         ewh=hems.EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=60.0),
-    ).to_json(work / "hems.json")
+    ))
     config = {
         "dt_hours": 0.25,
         "seed": 17,

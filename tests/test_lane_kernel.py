@@ -308,6 +308,5 @@ class TestOracleSharedPrefix:
         for pb, pe in zip(p_bat.tolist(), p_ewh.tolist()):
             expected = sum(row_oracle(pb, pe) for row_oracle in row_oracles)
             assert oracle(pb, pe) == expected
-            traj = FlexTrajectory(p_bat=pb, p_ewh=pe)
             for threshold in range(net_load.shape[0] + 2):
-                assert analysis._robust_under_oracle(traj, oracle, threshold) == (expected >= threshold)
+                assert (oracle(pb, pe, threshold) >= threshold) == (expected >= threshold)

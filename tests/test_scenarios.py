@@ -16,6 +16,7 @@ from hemsflex.scenarios import (
     sample_gaussian_copula,
     transform_to_scenarios,
 )
+from tests.conftest import example_inputs
 
 
 class TestBuildCovariance:
@@ -182,7 +183,7 @@ class TestGenerateScenarios:
             for t in range(3)
         ]
         path = tmp_path / "marginals.csv"
-        scenarios.write_marginals_csv(path, marginals)
+        example_inputs.write_marginals_csv(path, marginals)
         loaded = scenarios.read_marginals_csv(path)
         assert len(loaded) == 3
         for orig, back in zip(marginals, loaded):
@@ -197,7 +198,7 @@ class TestGenerateScenarios:
             MarginalForecast(new if t + 1 == old else t + 1, [0.25, 0.75], [0.0, 1.0]) for t in range(3)
         ]
         path = tmp_path / "marginals.csv"
-        scenarios.write_marginals_csv(path, marginals)
+        example_inputs.write_marginals_csv(path, marginals)
         with pytest.raises(ValueError, match=r"lead times t must run 1\.\.3"):
             scenarios.read_marginals_csv(path)
 

@@ -15,15 +15,8 @@ import re
 from pathlib import Path
 
 import hemsflex
-
-REPO = Path(__file__).resolve().parent.parent
-
-
-def _load_tool(name):
-    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
-    tool = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tool)
-    return tool
+from tests.conftest import REPO
+from tests.conftest import load_tool as _load_tool
 
 
 def test_make_example_inputs_reproduces_data(tmp_path, monkeypatch):

@@ -7,8 +7,15 @@ PV production pushing net load negative, evening peak) without reproducing any
 measured dataset. Run from the repository root:
 
     python3 tools/make_example_inputs.py
+
+The three writers below are the only code that writes these input formats;
+the package only reads them. The tests load them from this file to build
+their fixture inputs.
 """
 
+import csv
+import json
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -62,6 +69,37 @@ def draw_profile(horizon: int = 96) -> np.ndarray:
     return draws
 
 
+def write_marginals_csv(path, marginals) -> None:
+    """Quantile tables as `t,p,q` rows, one per knot, for `scenarios.read_marginals_csv`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["t", "p", "q"])
+        for marginal in marginals:
+            for prob, value in zip(marginal.probabilities, marginal.values):
+                writer.writerow([marginal.lead_time, f"{prob:g}", f"{value:.6f}"])
+
+
+def write_draw_profile_csv(path, draws) -> None:
+    """Litres per step as `h,liters` rows, for `hems.read_draw_profile_csv`."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["h", "liters"])
+        for h, litres in enumerate(np.asarray(draws, dtype=float), start=1):
+            writer.writerow([h, f"{litres:g}"])
+
+
+def write_hems_json(path, cfg: hems.HemsConfig) -> None:
+    """Both sections of a HEMS config field by field, for
+    `hems.HemsConfig.from_json`; the draw profile lives in its own CSV."""
+    doc = {
+        name: {f.name: getattr(section, f.name) for f in fields(section) if f.name != "draw_profile"}
+        for name, section in (("battery", cfg.battery), ("ewh", cfg.ewh))
+    }
+    with open(path, "w") as fh:
+        json.dump(doc, fh, indent=2)
+        fh.write("\n")
+
+
 def main() -> None:
     DATA.mkdir(exist_ok=True)
     horizon = 96
@@ -77,8 +115,8 @@ def main() -> None:
                 values=base[t] + QUANTILE_Z * sigma[t],
             )
         )
-    scenarios.write_marginals_csv(DATA / "marginals_96.csv", marginals)
-    hems.write_draw_profile_csv(DATA / "draws_96.csv", draw_profile(horizon))
+    write_marginals_csv(DATA / "marginals_96.csv", marginals)
+    write_draw_profile_csv(DATA / "draws_96.csv", draw_profile(horizon))
 
     cfg = hems.HemsConfig(
         battery=hems.BatteryConfig(
@@ -91,7 +129,7 @@ def main() -> None:
         ),
         ewh=hems.EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=60.0),
     )
-    cfg.to_json(DATA / "hems.json")
+    write_hems_json(DATA / "hems.json", cfg)
     print(f"wrote marginals, draws, and asset parameters under {DATA}")
 
 
