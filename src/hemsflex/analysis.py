@@ -312,11 +312,14 @@ class ConfusionReport:
         return 100.0 * self.infeasible_incorrect / total if total else 0.0
 
 
-def confusion_table(model: SvddModel, feasible: np.ndarray, infeasible: np.ndarray) -> ConfusionReport:
-    """Classify both sets, raw (n, d) matrices, and tabulate correct,
-    incorrect, and error shares."""
-    feas_hits = int(np.count_nonzero(classify(model, feasible)))
-    infeas_hits = len(infeasible) - int(np.count_nonzero(classify(model, infeasible)))
+def confusion_table(
+    model: SvddModel, feasible: np.ndarray, infeasible: np.ndarray, *, scaled: bool = False
+) -> ConfusionReport:
+    """Classify both sets, (n, d) matrices, raw or, if `scaled`, normalized
+    with the model's bounds, and tabulate correct, incorrect, and error
+    shares."""
+    feas_hits = int(np.count_nonzero(classify(model, feasible, scaled=scaled)))
+    infeas_hits = len(infeasible) - int(np.count_nonzero(classify(model, infeasible, scaled=scaled)))
     return ConfusionReport(
         kernel_kind=model.kernel.kind,
         gamma=model.kernel.gamma,
@@ -524,7 +527,7 @@ def validate(
     window, which must end within the horizon, fit each sweep pair on the cut
     feasible set and score both cut sets, and build the baseline on the first
     scenario. Every sweep model is trained on the cut feasible set's bounds,
-    so that set is normalized once for the whole sweep."""
+    so both cut sets are normalized once for the whole sweep."""
     if feasible.horizon != scenarios.horizon:
         raise ValueError(f"the feasible set has horizon {feasible.horizon}, the scenarios {scenarios.horizon}")
     window = settings.window
@@ -538,9 +541,9 @@ def validate(
     if window is not None:
         feas, infeas = feas.window(*window), infeas.window(*window)
     bounds = derive_bounds(feas.matrix)
-    scaled = normalize(feas.matrix, bounds)
+    feas_scaled, infeas_scaled = normalize(feas.matrix, bounds), normalize(infeas.matrix, bounds)
     rows = [
-        confusion_table(train(scaled, kernel, cfg, norm_bounds=bounds), feas.matrix, infeas.matrix)
+        confusion_table(train(feas_scaled, kernel, cfg, norm_bounds=bounds), feas_scaled, infeas_scaled, scaled=True)
         for kernel, cfg in settings.sweep
     ]
     size = settings.baseline_size(len(feasible))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -290,8 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# `main` reuses one parser per process; `build_parser` builds a fresh one.
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         cfg = RunConfig.load(args.config, seed_override=args.seed, out_override=args.out)
         if args.command == "gen-scenarios":

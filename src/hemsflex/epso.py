@@ -451,18 +451,23 @@ def _trajectory_header(horizon: int) -> list[str]:
 
 
 def write_trajectories_csv(path, trajectories, fitnesses=None, horizon: int | None = None) -> None:
-    """One row per trajectory of a sequence of `FlexTrajectory`, such as a
-    `TrajectorySet`: pbat_h1..pbat_hT, pewh_h1..pewh_hT, fitness.
+    """One row per trajectory of a `TrajectorySet`, written from its matrix
+    rows, or of a sequence of `FlexTrajectory`: pbat_h1..pbat_hT,
+    pewh_h1..pewh_hT, fitness.
     Each value is written as its `repr`, so files round-trip exactly. An empty
     list needs an explicit horizon for the header; a horizon that disagrees
     with a trajectory, a fitness count that disagrees with the trajectories,
     or a fitness that is not a whole number is rejected before the file is
     opened."""
-    for i, traj in enumerate(trajectories):
+    if isinstance(trajectories, TrajectorySet):
+        rows, horizons = trajectories.matrix, [trajectories.horizon] * len(trajectories)
+    else:
+        rows, horizons = map(FlexTrajectory.as_vector, trajectories), [t.horizon for t in trajectories]
+    for i, length in enumerate(horizons):
         if horizon is None:
-            horizon = traj.horizon
-        if traj.horizon != horizon:
-            raise ValueError(f"trajectory {i} has horizon {traj.horizon}, the header {horizon}")
+            horizon = length
+        if length != horizon:
+            raise ValueError(f"trajectory {i} has horizon {length}, the header {horizon}")
     if horizon is None:
         raise ValueError("no trajectories to write and no horizon for the header")
     if fitnesses is None:
@@ -483,8 +488,7 @@ def write_trajectories_csv(path, trajectories, fitnesses=None, horizon: int | No
     previous, cells = None, []
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_trajectory_header(horizon)) + "\r\n")
-        for traj, fitness in zip(trajectories, fitnesses):
-            row = traj.as_vector()
+        for row, fitness in zip(rows, fitnesses):
             bits = row.view(np.int64)
             changed = None if previous is None else np.flatnonzero(bits != previous)
             if changed is None or 4 * changed.size > width:

@@ -296,14 +296,6 @@ def ewh_step(theta: float, p_ewh: float, v: float, dt: float, cfg: EwhConfig) ->
     )
 
 
-def _absorption(surplus_h, net, capacity, dt, cfg: BatteryConfig):
-    """Surplus power the battery is supposed to absorb this step: the surplus
-    net of EWH consumption (`net`), limited by the nominal charge rate and by
-    the remaining tracker capacity. Works elementwise on lane arrays."""
-    supposed = np.minimum(np.minimum(net, cfg.p_charge_max), np.maximum(capacity, 0.0) / dt)
-    return np.where(surplus_h > 0.0, supposed, 0.0)
-
-
 # Longest surplus-free run that `_lane_steps` steps as one block. A block
 # holds (R + 1, P, S) SoC values and a few (R, P, S) temporaries, so the cap
 # bounds the kernel's memory: a 30 x 100 lane screen of the reference day
@@ -312,30 +304,38 @@ _BLOCK_STEPS = 8
 
 
 class _Block(NamedTuple):
-    """State and per-rule flags of (P, S) lanes over the horizon steps
+    """States and charge-rate flags of (P, S) lanes over the horizon steps
     `steps`, stacked step-major: one (P, S) plane per step on a leading step
     axis of length R.
 
     The battery arrays are (R, P, S), or (R, P, 1) where a trajectory's lanes
-    are alike: before the first surplus step, and `discharge` on a
-    surplus-free run, where nothing is absorbed and it is all False. Tank
-    temperature does not depend on the surplus, so `temp` and `theta` are
-    (R, P). `charge_rate` may be a read-only broadcast view.
+    are alike: before the first surplus step, `rate` on a surplus-free run
+    that does not reach the taper knee, and `discharge` on a surplus-free run,
+    where nothing is absorbed and it is all False. Tank temperature does not depend on the
+    surplus, so `temp` and `theta` are (R, P). The per-step `charge_rate`,
+    `soc_max` and `soc_min` flags are derived on demand; `soc_band` holds the
+    SoC limits, (soc_min - EPS, soc_max + EPS).
     """
 
     steps: slice
     discharge: np.ndarray
-    charge_rate: np.ndarray
-    soc_max: np.ndarray
-    soc_min: np.ndarray
-    temp: np.ndarray
+    rate: np.ndarray
     soc: np.ndarray
+    temp: np.ndarray
     theta: np.ndarray
+    soc_band: tuple[float, float]
 
     @property
-    def fault(self) -> np.ndarray:
-        """Lanes with any constraint penalty at each step of the block."""
-        return self.charge_rate | self.soc_max | self.soc_min | self.temp[:, :, None]
+    def charge_rate(self) -> np.ndarray:
+        return np.broadcast_to(self.rate, self.soc.shape)
+
+    @property
+    def soc_max(self) -> np.ndarray:
+        return self.soc > self.soc_band[1]
+
+    @property
+    def soc_min(self) -> np.ndarray:
+        return self.soc < self.soc_band[0]
 
 
 def _soc_increment(p_eff, cfg: BatteryConfig, dt: float):
@@ -362,17 +362,24 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
     its own, stepped lane by lane. Between active steps nothing is absorbed,
     so a lane's SoC increment depends only on its trajectory: a run of up to
     `_BLOCK_STEPS` such steps is one block, whose SoC path is R sequential
-    `np.add` calls, one (P, S) plane each, and whose flags are taken on the
-    whole block, while the headroom recovers once per step. When no lane of
-    such a block starts a step above the taper knee, the charging limit is
-    the nominal rate in every lane, so its charge-rate flags are taken once
-    per trajectory on (R, P, 1) and broadcast. An active step whose lanes all
-    start at or below the knee compares with the nominal rate as well, so the
-    tapered limit is evaluated only at steps and blocks that reach the knee.
-    Both tests are `max(initial=-inf) <= knee_soc`, which a NaN start fails,
-    as it fails `s <= knee_soc` in the limiter. Before the first active step
-    the lanes of a trajectory are alike, so SoC and headroom stay (P, 1). The
-    tank is stepped once over the horizon at width P.
+    `np.add` calls, one (P, S) plane each. Its headroom is the running sum of
+    the recovery, capped at the band once at the end: headroom that reaches
+    the band stays there, so that equals capping it at every step. When no
+    lane of such a block starts a step above the taper knee, the charging
+    limit is the nominal rate in every lane, so its charge-rate flags are
+    taken once per trajectory on (R, P, 1). An active step whose lanes all
+    start at or below the knee compares with the nominal rate as well. Both
+    tests are `max(initial=-inf) <= knee_soc`, which a NaN start fails, as it
+    fails `s <= knee_soc` in the limiter. In a block that does reach the
+    knee, the tapered limit is evaluated only for the (step, trajectory)
+    pairs whose power exceeds the floor `charge_limit(capacity) + EPS`; the
+    other pairs cannot be flagged. The limiter never goes below that floor:
+    it clips SoC to the capacity, and each of its rounded operations is
+    monotone, so the limit falls, or stays, as SoC rises. A power at or below
+    the floor passes at every SoC, and at a NaN SoC, where the limit is NaN.
+    Before the first active step the lanes of a trajectory are alike, so SoC
+    and headroom stay (P, 1). The tank is stepped once over the horizon at
+    width P.
 
     Every lane runs the same elementwise arithmetic, in the same order as the
     scalar route in `analysis`, so results do not depend on how lanes or steps
@@ -391,8 +398,9 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
 
     charge_limit = _charge_limiter(bat)
     knee_soc, nominal_limit = bat.knee_soc, bat.p_charge_max + EPS
+    floor_limit = float(charge_limit(bat.capacity)) + EPS
     band, recovery = bat.absorption_band, bat.p_discharge_max * dt
-    soc_hi, soc_lo = bat.soc_max + EPS, bat.soc_min - EPS
+    soc_band = (bat.soc_min - EPS, bat.soc_max + EPS)
     # Battery power plus the zero absorption of a surplus-free step (the sum
     # turns -0.0 into 0.0, as the active step does), and its SoC increment.
     p_free = p_bat_t[:, :, None] + 0.0
@@ -405,22 +413,21 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
         stop = h + 1
         if active[h]:
             sur = surplus_t[h]
+            sunny = sur > 0.0
             pb = p_bat_t[h, :, None]
-            net = np.maximum(0.0, sur - p_ewh_t[h, :, None])
-            absorb = _absorption(sur, net, capacity, dt, bat)
+            # The net surplus at the charge rate: what is supposed to be
+            # absorbed, unless the headroom is smaller.
+            net = np.minimum(np.maximum(0.0, sur - p_ewh_t[h, :, None]), bat.p_charge_max)
+            absorb = np.where(sunny, np.minimum(net, np.maximum(capacity, 0.0) / dt), 0.0)
             p_eff = pb + absorb
             if soc.max(initial=-np.inf) <= knee_soc:
-                charge_rate = (p_eff > nominal_limit)[None]
+                rate = (p_eff > nominal_limit)[None]
             else:
-                charge_rate = (p_eff > charge_limit(soc) + EPS)[None]
+                rate = (p_eff > charge_limit(soc) + EPS)[None]
             soc = soc + _soc_increment(p_eff, bat, dt)
             path = soc[None]
             discharge = ((absorb > EPS) & (pb < -EPS))[None]
-            capacity = np.where(
-                sur > 0.0,
-                np.maximum(0.0, capacity - np.minimum(net, bat.p_charge_max) * dt),
-                np.minimum(capacity + recovery, band),
-            )
+            capacity = np.where(sunny, np.maximum(0.0, capacity - net * dt), np.minimum(capacity + recovery, band))
         else:
             while stop < min(h + _BLOCK_STEPS, horizon) and not active[stop]:
                 stop += 1
@@ -430,23 +437,27 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
                 np.add(running[k], increment[h + k], out=running[k + 1])
             path = running[1:]
             starts = running[:-1]
+            power = p_free[h:stop]
             if starts.max(initial=-np.inf) <= knee_soc:
-                charge_rate = np.broadcast_to(p_free[h:stop] > nominal_limit, path.shape)
+                rate = power > nominal_limit
             else:
-                charge_rate = p_free[h:stop] > charge_limit(starts) + EPS
+                rate = np.zeros(path.shape, dtype=bool)
+                hard = power[:, :, 0] > floor_limit
+                rate[hard] = power[hard] > charge_limit(starts[hard]) + EPS
             soc = running[-1].copy()
             discharge = np.zeros((stop - h, count, 1), dtype=bool)
-            for _ in range(stop - h):
-                capacity = np.minimum(capacity + recovery, band)
+            capacity = capacity + recovery
+            for _ in range(stop - h - 1):
+                np.add(capacity, recovery, out=capacity)
+            np.minimum(capacity, band, out=capacity)
         yield _Block(
             steps=slice(h, stop),
             discharge=discharge,
-            charge_rate=charge_rate,
-            soc_max=path > soc_hi,
-            soc_min=path < soc_lo,
-            temp=temp[h:stop],
+            rate=rate,
             soc=path,
+            temp=temp[h:stop],
             theta=theta[h:stop],
+            soc_band=soc_band,
         )
         h = stop
 
@@ -466,17 +477,29 @@ def _check_population(p_bat, p_ewh, rows, draws):
 
 def _screen(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, last_discharge=None):
     """One `_lane_steps` pass reduced to (zero_penalty, accommodation_ok),
-    boolean (P, S) matrices. Given a (T, P) boolean array, `last_discharge`
-    also receives the per-step discharge flags of the last surplus row."""
-    count = p_bat.shape[0]
-    zero_penalty = np.ones((count, surplus.shape[0]), dtype=bool)
-    accommodation_ok = np.ones((count, surplus.shape[0]), dtype=bool)
+    boolean (P, S) matrices. Each block is reduced straight to per-lane
+    records: any charge-rate or discharge flag, and the NaN-ignoring SoC
+    extremes, which leave the band exactly when some step's SoC does, since a
+    NaN SoC fails both band tests (`np.max` would let a NaN hide an earlier
+    step out of band). The band is tested once on the extremes, and the
+    tank's flags, which do not depend on the surplus, are reduced once per
+    pass at width P. Given a (T, P) boolean array, `last_discharge` also
+    receives the per-step discharge flags of the last surplus row."""
+    lanes = (p_bat.shape[0], surplus.shape[0])
+    over_rate, discharge = np.zeros(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
+    top, bottom = np.full(lanes, -np.inf), np.full(lanes, np.inf)
+    temps = []
     for block in _lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt):
-        zero_penalty &= ~block.fault.any(axis=0)
-        accommodation_ok &= ~block.discharge.any(axis=0)
+        over_rate |= block.rate.any(axis=0)
+        discharge |= block.discharge.any(axis=0)
+        np.fmax(top, np.fmax.reduce(block.soc, axis=0), out=top)
+        np.fmin(bottom, np.fmin.reduce(block.soc, axis=0), out=bottom)
+        temps.append(block.temp)
         if last_discharge is not None:
             last_discharge[block.steps] = block.discharge[:, :, -1]
-    return zero_penalty, accommodation_ok
+    soc_lo, soc_hi = block.soc_band
+    tank = np.concatenate(temps).any(axis=0)[:, None]
+    return ~(over_rate | (top > soc_hi) | (bottom < soc_lo) | tank), ~discharge
 
 
 def batch_compliance(

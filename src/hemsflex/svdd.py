@@ -327,24 +327,28 @@ def radius_squared(model: SvddModel, x: np.ndarray) -> np.ndarray:
     return _radius2(kernel_matrix(model.kernel, x, model.support_vectors), model.coefficients, model.const_term)
 
 
-def score_trajectories(model: SvddModel, vectors: np.ndarray) -> np.ndarray:
+def score_trajectories(model: SvddModel, vectors: np.ndarray, *, scaled: bool = False) -> np.ndarray:
     """Squared radii of the rows of a raw (n, d) matrix, normalized with the
     model's bounds and scored SCORE_BLOCK rows at a time, so memory stays flat
-    however many rows there are. The width is checked even with no rows."""
+    however many rows there are. Rows that are `scaled` already are scored in
+    the same blocks, so each radius keeps its bits. The width is checked even
+    with no rows."""
     vectors = np.asarray(vectors, dtype=float)
     if vectors.ndim != 2 or vectors.shape[1] != model.dimension:
         raise ValueError(f"trajectories of shape {vectors.shape}, the model expects {model.dimension} coordinates")
     r2 = np.empty(vectors.shape[0])
     for start in range(0, vectors.shape[0], SCORE_BLOCK):
-        block = normalize(vectors[start : start + SCORE_BLOCK], model.norm_bounds)
+        block = vectors[start : start + SCORE_BLOCK]
+        block = block if scaled else normalize(block, model.norm_bounds)
         r2[start : start + block.shape[0]] = radius_squared(model, block)
     return r2
 
 
-def classify(model: SvddModel, vectors: np.ndarray) -> np.ndarray:
-    """One boolean per row of a raw (n, d) matrix: True when its radius,
-    scored by `score_trajectories`, stays within the boundary radius."""
-    return within_boundary(model, score_trajectories(model, vectors))
+def classify(model: SvddModel, vectors: np.ndarray, *, scaled: bool = False) -> np.ndarray:
+    """One boolean per row of an (n, d) matrix, raw or `scaled`: True when
+    its radius, scored by `score_trajectories`, stays within the boundary
+    radius."""
+    return within_boundary(model, score_trajectories(model, vectors, scaled=scaled))
 
 
 def within_boundary(model: SvddModel, r2):

@@ -201,6 +201,8 @@ class TestConfusionTable:
         report = confusion_table(model, feasible, infeasible)
         assert report.feasible_correct == sum(svdd.classify(model, row[None])[0] for row in feasible)
         assert report.infeasible_incorrect == sum(svdd.classify(model, row[None])[0] for row in infeasible)
+        feasible, infeasible = (svdd.normalize(x, model.norm_bounds) for x in (feasible, infeasible))
+        assert confusion_table(model, feasible, infeasible, scaled=True) == report
 
     def test_everything_feasible_model_is_degenerate(self):
         feasible, infeasible = self._sets(45)

@@ -675,6 +675,19 @@ assert "scipy" in sys.modules
         assert run.returncode == 0, run.stderr
 
 
+class TestParser:
+    def test_main_reuses_one_parser_and_each_call_starts_afresh(self):
+        """`main` builds its parser once per process; options given to one
+        call do not carry over to the next."""
+        parser = cli._parser()
+        assert cli._parser() is parser and cli.build_parser() is not parser
+        classify = ["classify", "--model", "m", "--input", "i"]
+        first = parser.parse_args(["--config", "c", "--seed", "3", *classify, "--verdicts", "v"])
+        second = parser.parse_args(["--config", "c", *classify])
+        assert (first.seed, first.verdicts) == (3, "v")
+        assert (second.seed, second.verdicts) == (None, None)
+
+
 class TestWindowParsing:
     """The window's form is parsed once, at load, by `analysis.window_steps`;
     whether it ends within the horizon is checked by `analysis.validate`."""

@@ -32,7 +32,7 @@ from hemsflex.epso import (
     stochastic_tournament,
     write_trajectories_csv,
 )
-from hemsflex.hems import EwhConfig, FlexTrajectory, HemsConfig
+from hemsflex.hems import EwhConfig, FlexTrajectory, HemsConfig, TrajectorySet
 
 
 def make_swarm(x_bat, x_ewh, weights=None, fitness=-1):
@@ -734,6 +734,9 @@ class TestTrajectoryCsvWriter:
         write_trajectories_csv(tmp_path / "chain.csv", trajs, fits, horizon=horizon)
         expected = _csv_writer_bytes(tmp_path / "reference.csv", horizon, rows, fits)
         assert (tmp_path / "chain.csv").read_bytes() == expected
+        matrix = np.array(rows, dtype=float).reshape(len(rows), 2 * horizon)
+        write_trajectories_csv(tmp_path / "set.csv", TrajectorySet(matrix), fits, horizon=horizon)
+        assert (tmp_path / "set.csv").read_bytes() == expected
         back, back_fits = read_trajectories_csv(tmp_path / "chain.csv")
         assert back_fits == fits
         assert len(back) == len(rows)
@@ -748,6 +751,28 @@ class TestTrajectoryCsvWriter:
         assert (tmp_path / "none.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", 2, [], [])
         back, fits = read_trajectories_csv(tmp_path / "none.csv")
         assert back.matrix.shape == (0, 4) and fits == []
+
+    def test_set_and_list_give_the_same_bytes(self, tmp_path):
+        """A `TrajectorySet` is written from its matrix rows, here strided
+        views into a wider table as the reader returns them; a list of its
+        rows as `FlexTrajectory` gives the same file."""
+        rng = np.random.default_rng(8)
+        edge = [0.0, -0.0, 5e-324, float("nan"), float("inf"), -float("inf"), 0.1 + 0.2, 1e16]
+        table = rng.choice(edge, size=(12, 9))
+        table[::3] = table[1::3]
+        rows = TrajectorySet(table[:, :-1])
+        assert not rows.matrix.flags.c_contiguous
+        fits = list(range(12))
+        write_trajectories_csv(tmp_path / "set.csv", rows, fits)
+        write_trajectories_csv(tmp_path / "list.csv", [FlexTrajectory(r[:4], r[4:]) for r in table[:, :-1]], fits)
+        assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
+        expected = _csv_writer_bytes(tmp_path / "reference.csv", 4, table[:, :-1].tolist(), fits)
+        assert (tmp_path / "set.csv").read_bytes() == expected
+        with pytest.raises(ValueError, match="trajectory 0 has horizon 4, the header 3"):
+            write_trajectories_csv(tmp_path / "bad.csv", rows, fits, horizon=3)
+        assert not (tmp_path / "bad.csv").exists()
+        write_trajectories_csv(tmp_path / "none.csv", TrajectorySet(np.empty((0, 4))), horizon=2)
+        assert (tmp_path / "none.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", 2, [], [])
 
     def test_memory_stays_one_row(self, tmp_path):
         # 2000 x 192 distinct cells: a memo of the file's distinct values would

@@ -11,6 +11,7 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -399,6 +400,143 @@ class TestTaperKnee:
             for s in range(net_load.shape[0]):
                 oracle = analysis.oracle_check(traj, scenarios.ScenarioSet(net_load[s : s + 1]), cfg, dt)
                 assert bool(zero_penalty[p, s] and accommodation_ok[p, s]) == (oracle == 1)
+
+
+class TestTaperFloor:
+    """Edges of the per-lane reductions of a block: the charging taper's
+    floor, at or below which the limiter is not evaluated, and the SoC band,
+    which is tested on each lane's NaN-ignoring SoC extremes over the block.
+    Step 0 has surplus in row 0 only, and the EWH takes all of it, so nothing
+    is absorbed there, while the surplus-free blocks after it hold (P, 2)
+    lanes. Every verdict must equal simulate's and pv_accommodation's
+    per-step flags, the fused screen's and the oracle's."""
+
+    HORIZON = 1 + 2 * CAP
+    # A step in the middle of the first surplus-free block, and one in the second.
+    STEP, LATER = 3, CAP + 3
+
+    @classmethod
+    def _instance(cls, soc_init, rows_with_surplus=True):
+        cfg = hems.HemsConfig(
+            battery=hems.BatteryConfig(
+                capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=P_MAX, soc_init=soc_init, efficiency=1.0
+            ),
+            ewh=hems.EwhConfig(p_nom=P_NOM, theta_min=THETA_MIN, theta_max=THETA_MAX, theta_init=60.0),
+        )
+        net_load = np.full((2, cls.HORIZON), 0.5)
+        if rows_with_surplus:
+            net_load[0, 0] = -P_NOM
+        return cfg, net_load
+
+    @staticmethod
+    def _heater(p_bat):
+        """The EWH runs at step 0 only, taking row 0's surplus there."""
+        p_ewh = np.zeros_like(p_bat)
+        p_ewh[:, 0] = P_NOM
+        return p_ewh
+
+    @classmethod
+    def _screen(cls, cfg, dt, p_bat, net_load):
+        """The zero-penalty verdicts of the screen, once they are checked
+        lane by lane, and simulate's results."""
+        p_ewh = cls._heater(p_bat)
+        draws = cfg.ewh.draws(p_bat.shape[1])
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        envelope = scenarios.pv_surplus(net_load).max(axis=0)
+        fused = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        assert np.array_equal(fused[0], zero_penalty) and np.array_equal(fused[1], accommodation_ok)
+        results = {}
+        for p in range(p_bat.shape[0]):
+            traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+            for s, surplus in enumerate(scenarios.pv_surplus(net_load)):
+                result = results[p, s] = hems.simulate(traj, surplus, cfg, dt)
+                assert zero_penalty[p, s] == (result.penalty == 0)
+                assert accommodation_ok[p, s] == hems.pv_accommodation(traj, surplus, cfg, dt)[0]
+                oracle = analysis.oracle_check(traj, scenarios.ScenarioSet(net_load[s : s + 1]), cfg, dt)
+                assert bool(zero_penalty[p, s] and accommodation_ok[p, s]) == (oracle == 1)
+        assert accommodation_ok.all()
+        return zero_penalty, results
+
+    def test_power_at_the_floor_and_one_ulp_around_it(self, monkeypatch):
+        """Trajectories 0-2 charge one ulp below, at and one ulp above
+        `charge_limit(capacity) + EPS` from a full battery, where the limit is
+        the floor, in both surplus-free blocks. Trajectory 3 charges one ulp
+        above it from just below full, where the limit is higher, and
+        trajectory 4 at the nominal rate. The step is so short that SoC moves
+        by less than EPS, so the charge-rate rule alone decides. Only pairs
+        whose power exceeds the floor may reach the limiter."""
+        dt = 2.0**-32
+        cfg, net_load = self._instance(CAPACITY)
+        floor = float(hems._charge_limit(CAPACITY, cfg.battery)) + EPS
+        below, above = np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf)
+        p_bat = np.zeros((5, self.HORIZON))
+        p_bat[:, self.STEP] = [below, floor, above, above, P_MAX]
+        p_bat[:3, self.LATER] = [below, floor, above]
+        p_bat[3, 1] = -P_MAX
+        expected = np.zeros((5, self.HORIZON), dtype=bool)
+        expected[2, [self.STEP, self.LATER]] = expected[4, self.STEP] = True
+
+        seen = []
+        limiter = hems._charge_limiter
+
+        def recording(bat):
+            limit = limiter(bat)
+
+            def record(soc):
+                seen.append(np.shape(soc))
+                return limit(soc)
+
+            return record
+
+        monkeypatch.setattr(hems, "_charge_limiter", recording)
+        for rows_with_surplus in (True, False):
+            cfg, net_load = self._instance(CAPACITY, rows_with_surplus)
+            zero_penalty, results = self._screen(cfg, dt, p_bat, net_load)
+            assert zero_penalty.tolist() == [[True] * 2, [True] * 2, [False] * 2, [True] * 2, [False] * 2]
+            for (p, _), result in results.items():
+                assert np.array_equal(result.violations["charge_rate"], expected[p])
+                assert not result.violations["soc_max"].any()
+            surplus = scenarios.pv_surplus(net_load)
+            blocks = hems._lane_steps(p_bat, self._heater(p_bat), surplus, np.zeros(self.HORIZON), cfg, dt)
+            flags = np.concatenate([block.charge_rate for block in blocks])
+            assert np.array_equal(flags, np.broadcast_to(expected.T[:, :, None], flags.shape))
+        # Without surplus no step is active, so every limiter call but the
+        # floor's own is a block's: one SoC row per pair above the floor.
+        cfg, net_load = self._instance(CAPACITY, rows_with_surplus=False)
+        seen.clear()
+        hems.batch_compliance(p_bat, self._heater(p_bat), net_load, np.zeros(self.HORIZON), cfg, dt)
+        assert seen[0] == () and sum(shape[0] for shape in seen[1:]) == np.count_nonzero(p_bat > floor) == 4
+
+    @pytest.mark.parametrize("bound", ["soc_max", "soc_min"])
+    def test_soc_band_touched_mid_block(self, bound):
+        """In the middle of a surplus-free block, trajectories 0-2 land SoC
+        one ulp inside, exactly on and one ulp outside the band edge
+        (soc_max + EPS or soc_min - EPS), and step back inside before the
+        block ends, so only the block's extremes see the edge. Trajectory 3
+        leaves the band as the outside one does, and its next power is NaN:
+        its SoC is NaN from there on, and the extremes must still see the
+        step out of band. Trajectory 4's only nonzero power is NaN."""
+        bat = self._instance(CAPACITY)[0].battery
+        upper = bound == "soc_max"
+        edge = bat.soc_max + EPS if upper else bat.soc_min - EPS
+        start = edge - 0.05 if upper else edge + 0.05
+        inside, outside = (np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))[:: 1 if upper else -1]
+        cfg, net_load = self._instance(start)
+        p_bat = np.zeros((5, self.HORIZON))
+        for p, target in enumerate([inside, edge, outside, outside]):
+            step = target - start
+            assert start + step == target
+            # With unit efficiency a quarter hour turns power 4 * step into SoC step exactly.
+            p_bat[p, self.STEP] = 4 * step
+            p_bat[p, self.STEP + 1] = -4 * step
+        p_bat[3:, self.STEP + 1] = np.nan
+        zero_penalty, results = self._screen(cfg, 0.25, p_bat, net_load)
+        assert zero_penalty.tolist() == [[True] * 2, [True] * 2, [False] * 2, [False] * 2, [True] * 2]
+        for (p, _), result in results.items():
+            assert result.soc[self.STEP] == ([inside, edge, outside, outside, start][p])
+            assert result.violations[bound].tolist() == [p in (2, 3) and h == self.STEP for h in range(self.HORIZON)]
+            assert np.isnan(result.soc[self.STEP + 1 :]).all() == (p >= 3)
+            assert not result.violations["charge_rate"].any()
 
 
 def _reference_population():

@@ -92,7 +92,9 @@ def lane_instances(draw):
 # Offsets from a limit, in units of EPS, that the edge instances land on.
 OFFSETS = [-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5]
 # Rules whose edge is set by one power of each trajectory.
-PER_TRAJECTORY = ("charge_rate", "soc_max", "soc_min", "discharge", "recovery", "theta_min", "theta_max")
+PER_TRAJECTORY = (
+    "charge_rate", "taper_floor", "soc_max", "soc_min", "discharge", "recovery", "theta_min", "theta_max"
+)
 
 
 @st.composite
@@ -100,20 +102,25 @@ def edge_instances(draw):
     """Instances whose first step lands each trajectory a few EPS from one
     rule's limit (the charging taper from the knee up, SoC bounds, both sides
     of the discharge rule, the tank band) and keeps every other rule slack, so
-    the verdict turns on that comparison alone. The headroom rule instead
-    starts the battery empty amid hours of steady surplus and lets each
-    trajectory discharge once, at its own step: the verdict turns on whether
-    the tracker has run dry by then. The recovery rule drains the tracker in
-    two surplus steps, then each trajectory discharges a few EPS around the
-    discharge rating in one surplus-free step before surplus returns: the
-    verdict turns on how much headroom the tracker won back."""
+    the verdict turns on that comparison alone. The taper-floor rule charges
+    from a full or nearly full battery, around the floor above which the
+    kernel evaluates the taper, in steps so short that SoC stays in its band.
+    The headroom rule instead starts the battery empty amid hours of steady
+    surplus and lets each trajectory discharge once, at its own step: the
+    verdict turns on whether the tracker has run dry by then. The recovery
+    rule drains the tracker in two surplus steps, then each trajectory
+    discharges a few EPS around the discharge rating in one surplus-free step
+    before surplus returns: the verdict turns on how much headroom the
+    tracker won back."""
     rule = draw(
         st.sampled_from(
-            ["charge_rate", "soc_max", "soc_min", "absorb", "discharge", "headroom", "recovery",
+            ["charge_rate", "taper_floor", "soc_max", "soc_min", "absorb", "discharge", "headroom", "recovery",
              "theta_min", "theta_max"]
         )
     )
-    dt = {"charge_rate": 0.25, "headroom": 1.0, "recovery": 1.0}.get(rule) or draw(st.sampled_from([0.25, 1.0]))
+    dt = {"charge_rate": 0.25, "taper_floor": 2.0**-32, "headroom": 1.0, "recovery": 1.0}.get(rule) or draw(
+        st.sampled_from([0.25, 1.0])
+    )
     efficiency = draw(st.sampled_from([1.0, 0.925]))
     horizon = draw(st.integers(4 if rule == "recovery" else 1, 8))
     # Where the edge is per trajectory or per row, the population or the row
@@ -127,6 +134,7 @@ def edge_instances(draw):
     n_rows = len(OFFSETS) if rule == "absorb" else draw(st.integers(1, 4))
     soc_init = {
         "charge_rate": st.sampled_from([KNEE - EPS, KNEE, KNEE + EPS, 2.8, 3.0]),
+        "taper_floor": st.sampled_from([CAPACITY, CAPACITY - EPS, CAPACITY - 1e-6]),
         "soc_max": st.sampled_from([KNEE, CAPACITY - 0.1, CAPACITY]),
         "soc_min": st.sampled_from([SOC_MIN, SOC_MIN + 0.1, 1.0]),
         "headroom": st.just(SOC_MIN),
@@ -156,7 +164,7 @@ def edge_instances(draw):
     net_load = draw(arrays(float, (n_rows, horizon), elements=st.sampled_from([0.0, -0.0]) | st.floats(0.0, 2.0)))
     for p in range(n_traj):
         k = OFFSETS[p] * EPS
-        if rule == "charge_rate":
+        if rule in ("charge_rate", "taper_floor"):
             p_bat[p, 0] = float(hems._charge_limit(soc_init, battery)) + k
         elif rule == "soc_max":
             p_bat[p, 0] = (CAPACITY + k - soc_init) / (efficiency * dt)

@@ -337,6 +337,10 @@ class TestScaledSet:
             r2 = svdd.score_trajectories(model, rows)
             assert np.array_equal(r2.view(np.int64), svdd.score_trajectories(raw_model, raw).view(np.int64))
             assert classify(model, rows).tolist() == classify(raw_model, raw).tolist()
+            # Normalized once as a whole, then scored in the same blocks.
+            prescaled = svdd.score_trajectories(model, normalize(rows, bounds), scaled=True)
+            assert np.array_equal(prescaled.view(np.int64), r2.view(np.int64))
+            assert classify(model, normalize(rows, bounds), scaled=True).tolist() == classify(model, rows).tolist()
 
     def test_matrix_of_another_width_rejected(self):
         rng = np.random.default_rng(23)

@@ -120,6 +120,23 @@ def test_bench_assembles_json_from_result_lines():
     }
 
 
+def test_kernel_rates_time_both_passes_pinned(monkeypatch):
+    bench = _load_tool("bench")
+    worker = importlib.import_module("worker")
+    cpus = os.sched_getaffinity(0)
+    monkeypatch.setattr(worker, "_probe", lambda: 0.001)
+    pinned = []
+    monkeypatch.setattr(bench, "quietest_cpu", lambda allowed: pinned.append(allowed) or worker.quietest_cpu(allowed))
+    kernel = bench.kernel_rates(repeats=2)
+    assert pinned == [cpus] * 2 and os.sched_getaffinity(0) == cpus
+    assert kernel.pop("repeats") == 2
+    assert {name: (k["rows"], k["surplus_rows"], k["steps"]) for name, k in kernel.items()} == {
+        "fused": (30, 101, 96), "rescreen": (bench.RESCREEN_ROWS, 100, 96)
+    }
+    for k in kernel.values():
+        assert k["lane_steps_per_s"] == k["rows"] * k["surplus_rows"] * k["steps"] / k["best_s"] > 0
+
+
 def test_cli_stages_run_pinned_to_the_quietest_cpu(monkeypatch, tmp_path):
     bench = _load_tool("bench")
     worker = importlib.import_module("worker")  # on sys.path since bench loaded it

@@ -25,6 +25,10 @@ each stage's fastest call is kept: other tenants of a shared host only ever
 slow a call down, and one full reference search read from 6.2 to 9.2 s on the
 same 2-vCPU guest. The stages write to a temporary directory, so out/small is
 left alone.
+
+Last it times the lane kernel itself in this process (see kernel_rates): the
+perfbench spans see only its re-screens, not the fused pass of each
+generation.
 """
 
 from __future__ import annotations
@@ -49,6 +53,8 @@ CONFIGS = {"small": "config_small.json", "reference": "config_reference.json"}
 CLI_STAGES = ("gen-scenarios", "search", "train", "classify", "validate")
 CLI_REPEATS = 3
 WORKLOAD_SESSIONS = 3
+KERNEL_REPEATS = 40
+RESCREEN_ROWS = 5
 INFO_PREFIX = "perfbench-info "
 
 
@@ -164,6 +170,48 @@ def time_cli_stages(config: Path, out: Path) -> dict:
     return best
 
 
+def kernel_rates(repeats: int = KERNEL_REPEATS) -> dict:
+    """Lane-steps per second of the lane kernel on the reference day, in this
+    process: the fused screen-and-repair pass of a seeded first swarm of
+    `pop_size` rows against the scenarios plus their surplus envelope, and a
+    `batch_compliance` re-screen of RESCREEN_ROWS of its repaired rows. Each
+    round pins this process to perfbench's quietest CPU and times each call
+    once; a call's figure is its best round. The affinity is restored."""
+    sys.path.insert(0, str(ROOT / "src"))
+    import numpy as np
+    from hemsflex import cli, epso, hems, scenarios
+
+    cfg = cli.RunConfig.load(ROOT / "data" / CONFIGS["reference"])
+    values = scenarios.generate_scenarios(scenarios.read_marginals_csv(cfg.marginals_path), cfg.copula).values
+    hems_cfg, dt, horizon = cfg.hems_config(), cfg.dt_hours, values.shape[1]
+    draws, envelope = hems_cfg.ewh.draws(horizon), scenarios.pv_surplus(values).max(axis=0)
+    rows = epso.seed_initial_population(values[0], cfg.epso, hems_cfg, np.random.default_rng(cfg.seed)).x
+    p_bat, p_ewh = rows[:, :horizon], rows[:, horizon:]
+    repaired = hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt)[2][:RESCREEN_ROWS]
+    calls = {
+        "fused": (lambda: hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt),
+                  len(rows), len(values) + 1),
+        "rescreen": (lambda: hems.batch_compliance(repaired, p_ewh[:RESCREEN_ROWS], values, draws, hems_cfg, dt),
+                     RESCREEN_ROWS, len(values)),
+    }
+    best = dict.fromkeys(calls, float("inf"))
+    cpus = os.sched_getaffinity(0)
+    try:
+        for _ in range(repeats):
+            quietest_cpu(cpus)
+            for name, (call, _, _) in calls.items():
+                start = time.perf_counter()
+                call()
+                best[name] = min(best[name], time.perf_counter() - start)
+    finally:
+        os.sched_setaffinity(0, cpus)
+    return {
+        name: {"rows": count, "surplus_rows": lanes, "steps": horizon, "best_s": best[name],
+               "lane_steps_per_s": count * lanes * horizon / best[name]}
+        for name, (_, count, lanes) in calls.items()
+    } | {"repeats": repeats}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--pr", required=True, help="label of the change measured, used in the file name")
@@ -189,6 +237,8 @@ def main(argv=None) -> int:
         print(f"{scale}: " + ", ".join(f"{k} {v['s']:.3g} s" for k, v in cli_stages[scale].items()), flush=True)
 
     doc = assemble(args.pr, args.seed, args.seconds, runs, cli_stages, environment())
+    doc["kernel"] = kernel = kernel_rates()
+    print(", ".join(f"{k} {kernel[k]['lane_steps_per_s']:.3g} lane-steps/s" for k in ("fused", "rescreen")))
     path = args.out or ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}")
