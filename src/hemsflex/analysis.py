@@ -312,14 +312,11 @@ class ConfusionReport:
         return 100.0 * self.infeasible_incorrect / total if total else 0.0
 
 
-def confusion_table(
-    model: SvddModel, feasible: np.ndarray, infeasible: np.ndarray, *, scaled: bool = False
-) -> ConfusionReport:
-    """Classify both sets, (n, d) matrices, raw or, if `scaled`, normalized
-    with the model's bounds, and tabulate correct, incorrect, and error
-    shares."""
-    feas_hits = int(np.count_nonzero(classify(model, feasible, scaled=scaled)))
-    infeas_hits = len(infeasible) - int(np.count_nonzero(classify(model, infeasible, scaled=scaled)))
+def confusion_table(model: SvddModel, feasible: np.ndarray, infeasible: np.ndarray) -> ConfusionReport:
+    """Classify both sets, (n, d) matrices normalized with the model's
+    bounds, and tabulate correct, incorrect, and error shares."""
+    feas_hits = int(np.count_nonzero(classify(model, feasible)))
+    infeas_hits = len(infeasible) - int(np.count_nonzero(classify(model, infeasible)))
     return ConfusionReport(
         kernel_kind=model.kernel.kind,
         gamma=model.kernel.gamma,
@@ -543,7 +540,7 @@ def validate(
     bounds = derive_bounds(feas.matrix)
     feas_scaled, infeas_scaled = normalize(feas.matrix, bounds), normalize(infeas.matrix, bounds)
     rows = [
-        confusion_table(train(feas_scaled, kernel, cfg, norm_bounds=bounds), feas_scaled, infeas_scaled, scaled=True)
+        confusion_table(train(feas_scaled, kernel, cfg, norm_bounds=bounds), feas_scaled, infeas_scaled)
         for kernel, cfg in settings.sweep
     ]
     size = settings.baseline_size(len(feasible))

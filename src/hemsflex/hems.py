@@ -483,12 +483,13 @@ def _screen(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, last_disch
     NaN SoC fails both band tests (`np.max` would let a NaN hide an earlier
     step out of band). The band is tested once on the extremes, and the
     tank's flags, which do not depend on the surplus, are reduced once per
-    pass at width P. Given a (T, P) boolean array, `last_discharge` also
-    receives the per-step discharge flags of the last surplus row."""
+    pass at width P. A horizon of no steps yields no block, and every lane
+    passes. Given a (T, P) boolean array, `last_discharge` also receives the
+    per-step discharge flags of the last surplus row."""
     lanes = (p_bat.shape[0], surplus.shape[0])
     over_rate, discharge = np.zeros(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
     top, bottom = np.full(lanes, -np.inf), np.full(lanes, np.inf)
-    temps = []
+    temps = [np.zeros((0, lanes[0]), dtype=bool)]
     for block in _lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt):
         over_rate |= block.rate.any(axis=0)
         discharge |= block.discharge.any(axis=0)
@@ -497,7 +498,7 @@ def _screen(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, last_disch
         temps.append(block.temp)
         if last_discharge is not None:
             last_discharge[block.steps] = block.discharge[:, :, -1]
-    soc_lo, soc_hi = block.soc_band
+    soc_lo, soc_hi = cfg.battery.soc_min - EPS, cfg.battery.soc_max + EPS
     tank = np.concatenate(temps).any(axis=0)[:, None]
     return ~(over_rate | (top > soc_hi) | (bottom < soc_lo) | tank), ~discharge
 

@@ -344,11 +344,11 @@ def score_trajectories(model: SvddModel, vectors: np.ndarray, *, scaled: bool = 
     return r2
 
 
-def classify(model: SvddModel, vectors: np.ndarray, *, scaled: bool = False) -> np.ndarray:
-    """One boolean per row of an (n, d) matrix, raw or `scaled`: True when
-    its radius, scored by `score_trajectories`, stays within the boundary
-    radius."""
-    return within_boundary(model, score_trajectories(model, vectors, scaled=scaled))
+def classify(model: SvddModel, scaled: np.ndarray) -> np.ndarray:
+    """One boolean per row of an (n, d) matrix normalized with the model's
+    bounds: True when its radius, scored by `score_trajectories`, stays
+    within the boundary radius."""
+    return within_boundary(model, score_trajectories(model, scaled, scaled=True))
 
 
 def within_boundary(model: SvddModel, r2):

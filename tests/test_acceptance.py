@@ -125,7 +125,8 @@ class TestCriterion4BoundaryTradeoff:
         feas_err, infeas_err = [], []
         for nu in NU_GRID:
             model = svdd.fit_trajectories(feasible, spec, svdd.TrainingConfig(nu=nu))
-            rep = analysis.confusion_table(model, feasible, infeasible)
+            scaled = (svdd.normalize(x, model.norm_bounds) for x in (feasible, infeasible))
+            rep = analysis.confusion_table(model, *scaled)
             feas_err.append(rep.feasible_error_pct)
             infeas_err.append(rep.infeasible_error_pct)
         slack = 1.0
@@ -154,7 +155,8 @@ class TestCriterion5NuProperty:
                 feasible, svdd.KernelSpec(kind=kind, gamma=0.05), svdd.TrainingConfig(nu=nu)
             )
             sv_fraction = model.n_support / 1000
-            outliers = sum(1 for row in feasible if not svdd.classify(model, row[None])[0]) / 1000
+            scaled = svdd.normalize(feasible, model.norm_bounds)
+            outliers = sum(1 for row in scaled if not svdd.classify(model, row[None])[0]) / 1000
             assert sv_fraction >= nu - 0.02, (kind, nu, sv_fraction)
             assert outliers <= nu + 0.02, (kind, nu, outliers)
             lines.append(f"nu={nu}: sv={sv_fraction:.3f} out={outliers:.3f}")

@@ -170,6 +170,12 @@ class TestPcaDiversity:
             pca_diversity(stacked([FlexTrajectory(p_bat=np.zeros(4), p_ewh=np.zeros(4))]))
 
 
+def _normalized(model, *matrices):
+    """The matrices normalized with the model's bounds, as `confusion_table`
+    takes them."""
+    return [svdd.normalize(x, model.norm_bounds) for x in matrices]
+
+
 class TestConfusionTable:
     def _sets(self, seed=44):
         rng = np.random.default_rng(seed)
@@ -188,7 +194,7 @@ class TestConfusionTable:
         model = svdd.fit_trajectories(
             feasible, svdd.KernelSpec("rbf", gamma=0.5), svdd.TrainingConfig(nu=0.1)
         )
-        report = confusion_table(model, feasible, infeasible)
+        report = confusion_table(model, *_normalized(model, feasible, infeasible))
         assert report.feasible_correct + report.feasible_incorrect == 100
         assert report.infeasible_correct + report.infeasible_incorrect == 100
         assert report.feasible_error_pct == pytest.approx(report.feasible_incorrect, abs=1e-12)
@@ -198,11 +204,10 @@ class TestConfusionTable:
     def test_counts_match_per_trajectory_classify(self, kind):
         feasible, infeasible = self._sets()
         model = svdd.fit_trajectories(feasible, svdd.KernelSpec(kind, gamma=0.5), svdd.TrainingConfig(nu=0.1))
+        feasible, infeasible = _normalized(model, feasible, infeasible)
         report = confusion_table(model, feasible, infeasible)
         assert report.feasible_correct == sum(svdd.classify(model, row[None])[0] for row in feasible)
         assert report.infeasible_incorrect == sum(svdd.classify(model, row[None])[0] for row in infeasible)
-        feasible, infeasible = (svdd.normalize(x, model.norm_bounds) for x in (feasible, infeasible))
-        assert confusion_table(model, feasible, infeasible, scaled=True) == report
 
     def test_everything_feasible_model_is_degenerate(self):
         feasible, infeasible = self._sets(45)
@@ -210,7 +215,7 @@ class TestConfusionTable:
             feasible, svdd.KernelSpec("rbf", gamma=0.5), svdd.TrainingConfig(nu=0.1)
         )
         model.radius2_threshold = 1e9  # accepts everything
-        report = confusion_table(model, feasible, infeasible)
+        report = confusion_table(model, *_normalized(model, feasible, infeasible))
         assert report.feasible_error_pct == 0.0
         assert report.infeasible_error_pct == 100.0
 
@@ -227,7 +232,7 @@ class TestConfusionTable:
         feas_err, infeas_err = [], []
         for nu in (0.01, 0.1, 0.15, 0.2):
             model = svdd.fit_trajectories(feasible, spec, svdd.TrainingConfig(nu=nu))
-            report = confusion_table(model, feasible, infeasible)
+            report = confusion_table(model, *_normalized(model, feasible, infeasible))
             feas_err.append(report.feasible_error_pct)
             infeas_err.append(report.infeasible_error_pct)
         # directions only; this instance is small, so allow generous wobble
@@ -239,9 +244,9 @@ class TestConfusionTable:
 
 
 class TestValidateSweep:
-    """`validate` normalizes the cut feasible set once for the whole sweep;
-    its rows must be those of fitting and scoring each pair on the raw cut
-    sets."""
+    """`validate` normalizes both cut sets once for the whole sweep; its rows
+    must be those of fitting each pair on the raw cut feasible set and
+    classifying both raw cut sets."""
 
     @pytest.mark.parametrize("window", [None, "01:00-03:00"])
     def test_rows_match_fit_and_confusion_table_per_pair(self, small_instance, window):
@@ -261,12 +266,15 @@ class TestValidateSweep:
         feas, infeas = feasible, report.infeasible.trajectories
         if settings.window is not None:
             feas, infeas = feas.window(*settings.window), infeas.window(*settings.window)
-        expected = [
-            confusion_table(svdd.fit_trajectories(feas.matrix, kernel, training), feas.matrix, infeas.matrix)
-            for kernel, training in settings.sweep
-        ]
         assert len(report.rows) == 12
-        assert report.rows == expected
+        for row, (kernel, training) in zip(report.rows, settings.sweep):
+            model = svdd.fit_trajectories(feas.matrix, kernel, training)
+            assert row == confusion_table(model, *_normalized(model, feas.matrix, infeas.matrix))
+            inside = [
+                int(np.count_nonzero(svdd.within_boundary(model, svdd.score_trajectories(model, x))))
+                for x in (feas.matrix, infeas.matrix)
+            ]
+            assert [row.feasible_correct, row.infeasible_incorrect] == inside
 
 
 class TestSemiRandomBaseline:

@@ -239,6 +239,15 @@ class TestPopulationScreen:
         with pytest.raises(ValueError):
             hems.batch_compliance(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 5)), np.zeros(5), hems_reference, 0.25)
 
+    def test_empty_horizon_passes_every_lane(self, hems_reference):
+        # With no steps no rule can fail, and repair has nothing to change.
+        empty, rows, none = np.zeros((2, 0)), np.zeros((3, 0)), np.zeros(0)
+        verdicts = hems.batch_compliance(empty, empty, rows, none, hems_reference, 0.25)
+        assert [v.tolist() for v in verdicts] == [[[True] * 3] * 2] * 2
+        *verdicts, repaired, valid = hems.screen_with_repair(empty, empty, rows, none, none, hems_reference, 0.25)
+        assert [v.tolist() for v in verdicts] == [[[True] * 3] * 2] * 2
+        assert repaired.shape == (2, 0) and valid.tolist() == [True, True]
+
 
 class TestBatchRepair:
     @staticmethod

@@ -302,8 +302,10 @@ class TestBlockedScoring:
             )
             assert r2 == pytest.approx(direct, abs=1e-12)
             assert r2 == pytest.approx(radius_of(model, x), abs=1e-12)
-        verdicts = classify(model, trajs)
-        assert verdicts.tolist() == [classify(model, row[None])[0] for row in trajs]
+        scaled = normalize(trajs, model.norm_bounds)
+        verdicts = classify(model, scaled)
+        assert verdicts.tolist() == [classify(model, row[None])[0] for row in scaled]
+        assert verdicts.tolist() == within_boundary(model, blocked).tolist()
 
     def test_matrix_normalization_matches_rows(self):
         rng = np.random.default_rng(21)
@@ -336,11 +338,10 @@ class TestScaledSet:
             assert not rows.flags.c_contiguous and len(rows) == len(raw)
             r2 = svdd.score_trajectories(model, rows)
             assert np.array_equal(r2.view(np.int64), svdd.score_trajectories(raw_model, raw).view(np.int64))
-            assert classify(model, rows).tolist() == classify(raw_model, raw).tolist()
             # Normalized once as a whole, then scored in the same blocks.
             prescaled = svdd.score_trajectories(model, normalize(rows, bounds), scaled=True)
             assert np.array_equal(prescaled.view(np.int64), r2.view(np.int64))
-            assert classify(model, normalize(rows, bounds), scaled=True).tolist() == classify(model, rows).tolist()
+            assert classify(model, normalize(rows, bounds)).tolist() == within_boundary(raw_model, r2).tolist()
 
     def test_matrix_of_another_width_rejected(self):
         rng = np.random.default_rng(23)
@@ -433,7 +434,9 @@ class TestSerialization:
                 p_bat=rng.uniform(-2.0, 2.0, 8), p_ewh=np.where(rng.random(8) < 0.5, 0.5, 0.0)
             )
             row = traj.as_vector()[None]
-            assert classify(model, row)[0] == classify(back, row)[0]
+            assert classify(model, normalize(row, model.norm_bounds))[0] == classify(
+                back, normalize(row, back.norm_bounds)
+            )[0]
 
     def test_save_load_file(self, tmp_path):
         _, model = self._model()
@@ -563,7 +566,7 @@ class TestFitTrajectories:
         ]
         rows = np.stack([t.as_vector() for t in trajs])
         model = fit_trajectories(rows, KernelSpec("rbf", gamma=0.1), TrainingConfig(nu=0.1))
-        feasible_share = np.mean([classify(model, row[None])[0] for row in rows])
+        feasible_share = np.mean([classify(model, row[None])[0] for row in normalize(rows, model.norm_bounds)])
         assert feasible_share >= 0.85  # most training members inside
         # far outside the training band
         wild = FlexTrajectory(p_bat=np.full(6, 50.0), p_ewh=np.full(6, 50.0))

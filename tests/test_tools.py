@@ -127,7 +127,8 @@ def test_kernel_rates_time_both_passes_pinned(monkeypatch):
     monkeypatch.setattr(worker, "_probe", lambda: 0.001)
     pinned = []
     monkeypatch.setattr(bench, "quietest_cpu", lambda allowed: pinned.append(allowed) or worker.quietest_cpu(allowed))
-    kernel = bench.kernel_rates(repeats=2)
+    monkeypatch.setattr(bench, "KERNEL_REPEATS", 2)
+    kernel = bench.kernel_rates()
     assert pinned == [cpus] * 2 and os.sched_getaffinity(0) == cpus
     assert kernel.pop("repeats") == 2
     assert {name: (k["rows"], k["surplus_rows"], k["steps"]) for name, k in kernel.items()} == {

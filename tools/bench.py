@@ -170,13 +170,14 @@ def time_cli_stages(config: Path, out: Path) -> dict:
     return best
 
 
-def kernel_rates(repeats: int = KERNEL_REPEATS) -> dict:
+def kernel_rates() -> dict:
     """Lane-steps per second of the lane kernel on the reference day, in this
     process: the fused screen-and-repair pass of a seeded first swarm of
     `pop_size` rows against the scenarios plus their surplus envelope, and a
     `batch_compliance` re-screen of RESCREEN_ROWS of its repaired rows. Each
-    round pins this process to perfbench's quietest CPU and times each call
-    once; a call's figure is its best round. The affinity is restored."""
+    of KERNEL_REPEATS rounds pins this process to perfbench's quietest CPU
+    and times each call once; a call's figure is its best round. The affinity
+    is restored."""
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     from hemsflex import cli, epso, hems, scenarios
@@ -197,7 +198,7 @@ def kernel_rates(repeats: int = KERNEL_REPEATS) -> dict:
     best = dict.fromkeys(calls, float("inf"))
     cpus = os.sched_getaffinity(0)
     try:
-        for _ in range(repeats):
+        for _ in range(KERNEL_REPEATS):
             quietest_cpu(cpus)
             for name, (call, _, _) in calls.items():
                 start = time.perf_counter()
@@ -209,7 +210,7 @@ def kernel_rates(repeats: int = KERNEL_REPEATS) -> dict:
         name: {"rows": count, "surplus_rows": lanes, "steps": horizon, "best_s": best[name],
                "lane_steps_per_s": count * lanes * horizon / best[name]}
         for name, (_, count, lanes) in calls.items()
-    } | {"repeats": repeats}
+    } | {"repeats": KERNEL_REPEATS}
 
 
 def main(argv=None) -> int:
