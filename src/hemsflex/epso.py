@@ -16,6 +16,7 @@ diversity of the collected set.
 
 from __future__ import annotations
 
+import bisect
 import math
 import numbers
 import time
@@ -112,7 +113,30 @@ class FeasibleSet:
     their fitnesses and the running per-coordinate mean of the rows. The
     members are read as a `TrajectorySet` view of the buffer; a view taken
     before the buffer grows keeps its values, since rows are only ever
-    written once."""
+    written once.
+
+    `add` rejects a row closer than DEDUP_TOL in max-norm to some member, as
+    a scan of every member would: rejected when the least of the members'
+    max-norm distances is below DEDUP_TOL, where a NaN distance makes that
+    least distance NaN and the row is kept. To avoid the scan, the members'
+    row sums, each taken exactly rounded by `math.fsum`, are kept sorted, and
+    a row is compared only with the members whose sum lies within
+    `_sum_window` of its own, plus every member whose sum is not finite or
+    overflows, whose distance may be NaN. A row whose own sum is not finite
+    or overflows is compared with every member.
+
+    Exactness: a distance computed below DEDUP_TOL means every computed
+    |m_j - x_j| is below it, and since a subtraction rounds monotonically and
+    DEDUP_TOL is a float, so is every exact |m_j - x_j|. The exact sums of
+    the two 2T-wide rows then differ by less than 2T DEDUP_TOL, and each
+    `fsum` result lies within 2^-53 times its exact sum's magnitude (plus
+    2^-1075 near underflow) of that sum. `_sum_window` widens 2T DEDUP_TOL
+    by a factor 1 + 2^-20 and adds 2^-40 times the row's sum and 1e-300,
+    which covers both sums' rounding and that of the window's own ends many
+    times over. A member outside the window therefore has a distance of at
+    least DEDUP_TOL, never NaN (its entries are finite), and cannot change
+    what the full scan decides. A test holds a duplicate whose rounded sums
+    lie more than 2T DEDUP_TOL apart."""
 
     def __init__(self, horizon: int):
         self.horizon = horizon
@@ -120,6 +144,11 @@ class FeasibleSet:
         self.mean = np.zeros(2 * horizon)
         self._rows = np.empty((64, 2 * horizon))
         self._distances = None
+        # The members' finite row sums in ascending order, the member index
+        # of each, and the members whose row sum is not finite.
+        self._sums: list[float] = []
+        self._by_sum: list[int] = []
+        self._unsummed: list[int] = []
 
     def __len__(self) -> int:
         return len(self.fitnesses)
@@ -137,11 +166,27 @@ class FeasibleSet:
         if vector.shape != (2 * self.horizon,):
             raise ValueError(f"row has shape {vector.shape}, the set's rows are {2 * self.horizon} wide")
         n = len(self)
-        if n and float(np.min(np.max(np.abs(self._rows[:n] - vector), axis=1))) < DEDUP_TOL:
-            return False
+        total = _row_sum(vector)
+        if n:
+            if total is None:
+                near = self._rows[:n]
+            else:
+                slack = _sum_window(vector.size, total)
+                lo = bisect.bisect_left(self._sums, total - slack)
+                hi = bisect.bisect_right(self._sums, total + slack)
+                picks = self._by_sum[lo:hi] + self._unsummed
+                near = self._rows[picks] if picks else None
+            if near is not None and float(np.min(np.max(np.abs(near - vector), axis=1))) < DEDUP_TOL:
+                return False
         if n == self._rows.shape[0]:
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
         self._rows[n] = vector
+        if total is None:
+            self._unsummed.append(n)
+        else:
+            k = bisect.bisect_right(self._sums, total)
+            self._sums.insert(k, total)
+            self._by_sum.insert(k, n)
         self.fitnesses.append(int(fitness))
         self.mean = self.mean + (vector - self.mean) / (n + 1)
         self._distances = None
@@ -155,6 +200,22 @@ class FeasibleSet:
             self._distances = deviation.p_bat.sum(axis=1) + deviation.p_ewh.sum(axis=1)
             self._distances.flags.writeable = False
         return self._distances
+
+
+def _row_sum(vector: np.ndarray) -> float | None:
+    """The exactly rounded sum of a row, or None when it is not finite or
+    overflows."""
+    try:
+        total = math.fsum(vector.tolist())
+    except (OverflowError, ValueError):  # an overflow, or inf + -inf
+        return None
+    return total if math.isfinite(total) else None
+
+
+def _sum_window(width: int, total: float) -> float:
+    """Half-width of the row-sum window of `FeasibleSet.add` around a row
+    of `width` entries summing to `total` (see `FeasibleSet`)."""
+    return width * DEDUP_TOL * (1.0 + 2.0**-20) + abs(total) * 2.0**-40 + 1e-300
 
 
 @dataclass

@@ -265,25 +265,26 @@ class SimulationResult:
     violations: dict[str, np.ndarray]
 
 
+def _tapered_limit(s, cfg: BatteryConfig):
+    """The charging limit at a SoC s above the taper knee and at most the
+    capacity, for a float or an array: the one taper expression, a linear
+    descent from nominal at the knee to the floor fraction of nominal at
+    full capacity."""
+    p_charge_max, knee_soc = cfg.p_charge_max, cfg.knee_soc
+    return p_charge_max + (s - knee_soc) / (cfg.capacity - knee_soc) * (cfg.taper_floor * p_charge_max - p_charge_max)
+
+
 def _charge_limiter(cfg: BatteryConfig):
-    """SoC-dependent charging limit: nominal up to the taper knee, then a
-    linear descent to the floor fraction of nominal at full capacity.
-    Returns limit(soc), which is evaluated on SoC clipped into [0, capacity]
-    and works elementwise; its constants are bound once here."""
+    """SoC-dependent charging limit: nominal up to the taper knee, then the
+    taper of `_tapered_limit`. Returns limit(soc), which is evaluated on SoC
+    clipped into [0, capacity] and works elementwise."""
     p_charge_max, capacity, knee_soc = cfg.p_charge_max, cfg.capacity, cfg.knee_soc
-    taper_span = capacity - knee_soc
-    taper_drop = cfg.taper_floor * p_charge_max - p_charge_max
 
     def limit(soc):
         s = np.minimum(np.maximum(soc, 0.0), capacity)
-        return np.where(s <= knee_soc, p_charge_max, p_charge_max + (s - knee_soc) / taper_span * taper_drop)
+        return np.where(s <= knee_soc, p_charge_max, _tapered_limit(s, cfg))
 
     return limit
-
-
-def _charge_limit(soc, cfg: BatteryConfig):
-    """The charging limit at `soc`, from a limiter bound for this one call."""
-    return _charge_limiter(cfg)(soc)
 
 
 def ewh_step(theta: float, p_ewh: float, v: float, dt: float, cfg: EwhConfig) -> float:
@@ -626,11 +627,19 @@ def feasible_power_range(
     soc: float, cfg: HemsConfig, dt: float, absorb: float = 0.0
 ) -> tuple[float, float]:
     """Battery-power interval keeping this single step violation-free, given
-    the current SoC and the surplus power the battery must absorb on top."""
+    the current SoC and the surplus power the battery must absorb on top.
+
+    The charging limit is `_charge_limiter`'s, worked out in Python floats:
+    the clip keeps a NaN SoC NaN, as np.maximum and np.minimum do, and
+    where it differs from theirs, at 0.0 against -0.0, both clipped values
+    lie below the knee and give the nominal limit."""
     bat = cfg.battery
+    s = 0.0 if soc < 0.0 else soc
+    s = bat.capacity if s > bat.capacity else s
+    limit = bat.p_charge_max if s <= bat.knee_soc else _tapered_limit(s, bat)
     hi = min(
         bat.p_charge_max,
-        float(_charge_limit(soc, bat)) - absorb,
+        limit - absorb,
         (bat.soc_max - soc) / (bat.efficiency * dt) - absorb,
     )
     lo = max(-bat.p_discharge_max, -(soc - bat.soc_min) * bat.efficiency / dt - absorb)

@@ -227,6 +227,35 @@ def _solve_dual(K: np.ndarray, nu: float, tolerance: float, max_passes: int) -> 
     return np.array(alpha)
 
 
+def _merge_coincident(rows: np.ndarray, weights: np.ndarray):
+    """The distinct rows of an (n, d) matrix and the summed weights of each,
+    as `np.unique(rows, axis=0, return_inverse=True)` and `np.add.at` give
+    them, or None when no two rows coincide.
+
+    np.unique sorts the rows lexicographically, with -0.0 equal to 0.0, and
+    keeps one row of each run of equal rows. A lexsort ranks finite rows in
+    the same order for a fraction of its cost. np.unique itself decides
+    where a row holds a NaN or an infinity, whose place its sort need not
+    share with the lexsort, and where the rows of a run differ in their bits
+    (-0.0 against 0.0), since which of them it keeps depends on its sort."""
+    order = np.lexsort(rows.T[::-1])
+    ranked = rows[order]
+    first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
+    bits = ranked.view(np.int64)
+    if np.isfinite(ranked).all() and (first[1:] | (bits[1:] == bits[:-1]).all(axis=1)).all():
+        if first.all():
+            return None
+        unique, inverse = ranked[first], np.empty_like(order)
+        inverse[order] = np.cumsum(first) - 1
+    else:
+        unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+        if unique.shape[0] == rows.shape[0]:
+            return None
+    merged = np.zeros(unique.shape[0])
+    np.add.at(merged, inverse, weights)
+    return unique, merged
+
+
 def train(
     vectors: np.ndarray,
     kernel: KernelSpec,
@@ -286,11 +315,9 @@ def train(
         raise ValueError(f"{kernel} gives every training row the same or a non-finite r2")
 
     # Merge coincident support vectors; the kernel cannot tell them apart.
-    unique_x, inverse = np.unique(sv_x, axis=0, return_inverse=True)
-    if unique_x.shape[0] != sv_x.shape[0]:
-        merged = np.zeros(unique_x.shape[0])
-        np.add.at(merged, inverse, sv_alpha)
-        sv_x, sv_alpha = unique_x, merged
+    coincident = _merge_coincident(sv_x, sv_alpha)
+    if coincident is not None:
+        sv_x, sv_alpha = coincident
         const_term = float(sv_alpha @ kernel_matrix(kernel, sv_x, sv_x) @ sv_alpha)
 
     return SvddModel(

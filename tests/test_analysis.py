@@ -18,7 +18,7 @@ from hemsflex.analysis import (
 from hemsflex.hems import EwhConfig, FlexTrajectory, HemsConfig
 from hemsflex.scenarios import ScenarioSet
 from tests.conftest import stacked
-from tests.test_lane_kernel import lane_instances
+from tests.test_lane_kernel import CAPACITY, EPS, KNEE, P_MAX, P_NOM, lane_instances
 
 
 class TestOracleCheck:
@@ -447,3 +447,153 @@ class TestBaselineChainTwin:
         oracle = analysis._oracle(cfg, scenario_set, 0.25)
         with pytest.raises(ValueError, match="one-scenario instance, not 20 scenarios"):
             oracle([0.0] * 16, [0.0] * 16, trail=[])
+
+
+def _builtin_step_route(cfg, dt):
+    """`analysis._step_route` as written with builtin min and max calls,
+    before they became comparisons: the reference its closures must match
+    bit for bit."""
+    bat, ewh = cfg.battery, cfg.ewh
+    p_charge_max, p_discharge_max, efficiency = bat.p_charge_max, bat.p_discharge_max, bat.efficiency
+    band = bat.soc_max - bat.soc_min
+    gain = dt / ewh.thermal_capacity
+    alpha, house, c_p = ewh.alpha_mag, ewh.theta_house, ewh.c_p
+    lift = ewh.theta_des - ewh.theta_inl
+
+    def absorb(surplus, p_ewh, headroom):
+        if surplus > 0.0:
+            return min(min(max(0.0, surplus - p_ewh), p_charge_max), max(headroom, 0.0) / dt)
+        return 0.0
+
+    def charge(soc, p_eff):
+        if p_eff > 0.0:
+            return soc + efficiency * p_eff * dt
+        if p_eff < 0.0:
+            return soc + p_eff * dt / efficiency
+        return soc
+
+    def tank(theta, p_ewh, draw):
+        return theta + gain * (-alpha * (theta - house) - c_p * draw * lift + p_ewh)
+
+    def tracker(headroom, surplus, p_ewh):
+        if surplus > 0.0:
+            return max(0.0, headroom - min(max(0.0, surplus - p_ewh), p_charge_max) * dt)
+        return min(headroom + p_discharge_max * dt, band)
+
+    return (bat.soc_init, ewh.theta_init, band), absorb, charge, tank, tracker
+
+
+def _builtin_walk(cfg, dt, state, p_bat, p_ewh, loads, trail):
+    """`analysis._oracle`'s walk of one scenario row of net loads, with
+    builtin min and max calls, from `state`: the state after the last step,
+    or None at the first violation, with each state passed appended to
+    `trail`."""
+    eps = analysis._ORACLE_EPS
+    _, absorb, charge, tank, tracker = _builtin_step_route(cfg, dt)
+    bat, ewh = cfg.battery, cfg.ewh
+    capacity, p_charge_max = bat.capacity, bat.p_charge_max
+    knee_soc = bat.taper_knee * capacity
+    taper_span = capacity - knee_soc
+    taper_drop = bat.taper_floor * p_charge_max - p_charge_max
+    draws = ewh.draws(len(loads)).tolist()
+    soc, theta, headroom = state
+    for pb, pe, load, draw in zip(p_bat, p_ewh, loads, draws):
+        sur = max(0.0, -load)
+        supposed = absorb(sur, pe, headroom)
+        if supposed > eps and pb < -eps:
+            return None
+        p_eff = pb + supposed
+        s = min(max(soc, 0.0), capacity)
+        limit = p_charge_max if s <= knee_soc else p_charge_max + (s - knee_soc) / taper_span * taper_drop
+        if p_eff > limit + eps:
+            return None
+        soc = charge(soc, p_eff)
+        if soc > bat.soc_max + eps or soc < bat.soc_min - eps:
+            return None
+        theta = tank(theta, pe, draw)
+        if theta < ewh.theta_min - eps or theta > ewh.theta_max + eps:
+            return None
+        headroom = tracker(headroom, sur, pe)
+        trail.append((soc, theta, headroom))
+    return soc, theta, headroom
+
+
+def _float_bits(values):
+    """The float64 bits of a flat or nested sequence of floats, so that -0.0,
+    0.0 and NaN payloads count as different values."""
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+# Inputs at the clips' edges, the NaN that every comparison fails on, and the
+# two zeros that min and max tell apart only by operand order.
+SIGNED = [np.nan, 0.0, -0.0, -1.0, 1e-12, 0.5, 1.5, 3.0, np.inf, -np.inf]
+
+
+class TestComparisonRoute:
+    """The step route and the oracle's walk clip with comparisons; they must
+    return what builtin min and max calls return, bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(instance=lane_instances())
+    def test_closures_match_the_builtin_route(self, instance):
+        cfg, dt, _, _, _ = instance
+        start, absorb, charge, tank, tracker = analysis._step_route(cfg, dt)
+        ref_start, ref_absorb, ref_charge, ref_tank, ref_tracker = _builtin_step_route(cfg, dt)
+        assert _float_bits(start) == _float_bits(ref_start)
+        band = start[2]
+        headrooms = SIGNED + [band, np.nextafter(band, 0.0), np.nextafter(band, 4.0), band / 2]
+        surpluses = SIGNED + [P_NOM, P_NOM + EPS, P_MAX + P_NOM, cfg.battery.p_charge_max]
+        heaters = [0.0, -0.0, P_NOM, np.nan, 3.0]
+        for sur in surpluses:
+            for pe in heaters:
+                for headroom in headrooms:
+                    assert _float_bits(absorb(sur, pe, headroom)) == _float_bits(ref_absorb(sur, pe, headroom))
+                    assert _float_bits(tracker(headroom, sur, pe)) == _float_bits(ref_tracker(headroom, sur, pe))
+        for value in headrooms:
+            for p in SIGNED:
+                assert _float_bits(charge(value, p)) == _float_bits(ref_charge(value, p))
+                assert _float_bits(tank(value, p, 1.0)) == _float_bits(ref_tank(value, p, 1.0))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(instance=lane_instances(), data=st.data())
+    def test_walk_matches_the_builtin_walk(self, instance, data):
+        cfg, dt, p_bat, p_ewh, rows = instance
+        horizon = p_bat.shape[1]
+        # NaN and signed zeros in the trajectories and the net loads, and
+        # battery powers beyond the rating, which only a NaN limit lets pass.
+        for matrix, extra in ((p_bat, [2 * P_MAX, -2 * P_MAX]), (p_ewh, []), (rows, [])):
+            special = st.sampled_from([np.nan, 0.0, -0.0] + extra)
+            for _ in range(data.draw(st.integers(0, 2), label="specials")):
+                index = data.draw(st.tuples(st.integers(0, matrix.shape[0] - 1), st.integers(0, horizon - 1)))
+                matrix[index] = data.draw(special, label="value")
+        band = cfg.battery.soc_max - cfg.battery.soc_min
+        soc = data.draw(st.sampled_from([cfg.battery.soc_init, 0.0, -0.0, KNEE, np.nextafter(KNEE, 4.0),
+                                         CAPACITY, np.nextafter(CAPACITY, 4.0), np.nan]), label="soc")
+        headroom = data.draw(st.sampled_from([band, 0.0, -0.0, np.nextafter(band, 4.0), np.nan]), label="headroom")
+        start = (soc, cfg.ewh.theta_init, headroom)
+        ref_start = (cfg.battery.soc_init, cfg.ewh.theta_init, band)
+        for bats, ewhs in zip(p_bat.tolist(), p_ewh.tolist()):
+            for row in rows:
+                oracle = analysis._oracle(cfg, ScenarioSet(row[None, :]), dt)
+                trail, ref_trail = [start], [start]
+                count = oracle(bats, ewhs, trail=trail)
+                expected = _builtin_walk(cfg, dt, start, bats, ewhs, row.tolist(), ref_trail) is not None
+                assert count == int(expected)
+                assert _float_bits(trail) == _float_bits(ref_trail)
+            # The shared-prefix walk of several rows counts what a walk of
+            # each row from the first step gives.
+            assert analysis._oracle(cfg, ScenarioSet(rows), dt)(bats, ewhs) == sum(
+                _builtin_walk(cfg, dt, ref_start, bats, ewhs, row.tolist(), []) is not None for row in rows
+            )
+
+    def test_a_nan_soc_stays_nan_through_the_clip(self, small_instance):
+        # min(max(nan, 0.0), capacity) is NaN, so the taper limit is NaN and
+        # no charge-rate test fails, even at twice the rating.
+        scenario_set, cfg = small_instance
+        loads = np.abs(scenario_set.values[0])
+        start = (np.nan, cfg.ewh.theta_init, cfg.battery.soc_max - cfg.battery.soc_min)
+        bats, ewhs = [2 * cfg.battery.p_charge_max] * 16, [0.0] * 16
+        trail, ref_trail = [start], [start]
+        assert analysis._oracle(cfg, ScenarioSet(loads[None, :]), 0.25)(bats, ewhs, trail=trail) == 1
+        assert _builtin_walk(cfg, 0.25, start, bats, ewhs, loads.tolist(), ref_trail) is not None
+        assert _float_bits(trail) == _float_bits(ref_trail)

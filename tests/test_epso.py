@@ -4,6 +4,7 @@ tournament selection, seeding, and full runs on easy and impossible instances.""
 
 import csv
 import importlib.util
+import math
 import shutil
 import tracemalloc
 from pathlib import Path
@@ -461,6 +462,134 @@ class TestFeasibleSet:
             fs.add(np.zeros(shape), 1)
         assert len(fs) == 0 and not fs.mean.any()
 
+
+
+class _FullScanSet:
+    """The duplicate test of `FeasibleSet.add` as a scan of every member in
+    max-norm, with the buffer it fills: the reference that the set's sum
+    index must match on every return value and every byte."""
+
+    def __init__(self, horizon):
+        self.rows = np.empty((0, 2 * horizon))
+        self.fitnesses = []
+
+    def add(self, row, fitness):
+        vector = np.asarray(row, dtype=float)
+        if len(self.rows) and float(np.min(np.max(np.abs(self.rows - vector), axis=1))) < epso.DEDUP_TOL:
+            return False
+        self.rows = np.vstack([self.rows, vector])
+        self.fitnesses.append(int(fitness))
+        return True
+
+
+TOL = epso.DEDUP_TOL
+# Coordinate offsets on DEDUP_TOL and one ulp either side of it, of both signs.
+TOL_OFFSETS = [
+    sign * offset
+    for offset in (TOL, np.nextafter(TOL, 0.0), np.nextafter(TOL, 1.0), TOL / 2, 0.0)
+    for sign in (1.0, -1.0)
+]
+# Entries that make a row's sum non-finite or overflow, or sit near the limits.
+SPECIAL_ENTRIES = [np.nan, np.inf, -np.inf, 1e308, -1e308, np.finfo(float).max, 5e-324, -0.0]
+
+
+def _adversarial_offers(data, width):
+    """Rows to offer a set in turn: each built from an earlier offer (or the
+    zero row) by one of the rules below. An "edge" rule offers two rows: a
+    member whose row sum lies exactly on, or one ulp about, the end of the
+    sum window of the row offered after it."""
+    offered = [np.zeros(width)]
+    kinds = ["fresh", "copy", "offset", "signed zero", "permuted", "edge", "special", "huge"]
+    for _ in range(data.draw(st.integers(1, 24), label="offers")):
+        base = offered[data.draw(st.integers(0, len(offered) - 1), label="base")]
+        kind = data.draw(st.sampled_from(kinds), label="kind")
+        rows = [base.copy()]
+        if kind == "fresh":
+            values = st.floats(-2.0, 2.0) | st.sampled_from([0.0, -0.0, 0.5, 1.0, TOL])
+            rows = [data.draw(hnp.arrays(float, width, elements=values), label="fresh")]
+        elif kind == "offset":
+            for j in data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=width), label="coords"):
+                rows[0][j] = base[j] + data.draw(st.sampled_from(TOL_OFFSETS), label="offset")
+        elif kind == "signed zero":
+            rows[0] = np.where(base == 0.0, -base, base)
+        elif kind == "permuted":
+            # A different row with the same sum, whenever two entries differ.
+            rows[0] = base[data.draw(st.permutations(range(width)), label="order")]
+        elif kind == "edge":
+            a = data.draw(st.floats(-3.0, 3.0) | st.sampled_from([0.0, 1e300, -1e300]), label="sum")
+            end = data.draw(st.sampled_from([-1.0, 1.0]), label="end")
+            member = np.zeros(width)
+            edge = a + end * epso._sum_window(width, a)
+            ulps = [edge, np.nextafter(edge, end * np.inf), np.nextafter(edge, -end * np.inf)]
+            member[0] = data.draw(st.sampled_from(ulps), label="ulp")
+            rows = [member, np.r_[a, np.zeros(width - 1)]]
+        elif kind == "special":
+            for j in data.draw(st.lists(st.integers(0, width - 1), min_size=1, max_size=2), label="coords"):
+                rows[0][j] = data.draw(st.sampled_from(SPECIAL_ENTRIES), label="entry")
+        elif kind == "huge":
+            # Finite rows whose sum overflows, and one ulp below it.
+            rows[0] = np.full(width, data.draw(st.sampled_from([1e308, -1e308, 9e307]), label="huge"))
+        offered.extend(rows)
+        yield from rows
+
+
+class TestFeasibleSetIndex:
+    """`FeasibleSet.add` compares a row only with the members whose row sum
+    lies in a window around its own, and with the members whose sum is not
+    finite; every decision and the buffer must be those of a full scan."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_every_add_matches_the_full_scan(self, data):
+        horizon = data.draw(st.integers(1, 3), label="horizon")
+        indexed, reference = FeasibleSet(horizon), _FullScanSet(horizon)
+        # inf - inf and huge differences warn in either route, where tier-1
+        # makes a RuntimeWarning an error.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k, row in enumerate(_adversarial_offers(data, 2 * horizon)):
+                assert indexed.add(row, k) == reference.add(row, k), k
+        assert indexed.trajectories.matrix.tobytes() == reference.rows.tobytes()
+        assert indexed.fitnesses == reference.fitnesses
+
+    def test_a_row_one_ulp_inside_the_tolerance_is_a_duplicate(self):
+        fs = FeasibleSet(horizon=1)
+        assert fs.add(np.zeros(2), 1)
+        assert not fs.add(np.array([np.nextafter(TOL, 0.0), -np.nextafter(TOL, 0.0)]), 1)
+        assert fs.add(np.array([TOL, 0.0]), 1)
+        assert len(fs) == 2
+
+    def test_a_duplicate_whose_sums_round_apart_is_found(self):
+        # Each entry of `near` lies less than DEDUP_TOL below the one of
+        # `row`, but the rounded row sums lie more than 2 DEDUP_TOL apart: a
+        # window of exactly 2 DEDUP_TOL around either sum misses the other.
+        row = np.array([1.8636400902455756, 1.9811950400663443])
+        near = np.array([1.8636390902455757, 1.9811940400663444])
+        assert np.max(np.abs(row - near)) < TOL
+        assert math.fsum(row.tolist()) - math.fsum(near.tolist()) > 2 * TOL
+        for first, second in ((row, near), (near, row)):
+            fs = FeasibleSet(horizon=1)
+            assert fs.add(first, 1)
+            assert not fs.add(second, 1)
+
+    def test_a_nan_member_lets_every_later_row_in(self):
+        # A NaN distance makes the full scan's least distance NaN, which is
+        # not below the tolerance: the index keeps that.
+        fs = FeasibleSet(horizon=1)
+        assert fs.add(np.zeros(2), 1)
+        assert fs.add(np.array([np.nan, 5.0]), 1)
+        assert fs.add(np.zeros(2), 1)
+        assert fs.add(np.array([np.nan, 5.0]), 1)
+        assert len(fs) == 4
+
+    def test_rows_whose_sum_overflows_are_compared_in_full(self):
+        fs = FeasibleSet(horizon=1)
+        huge = np.array([1e308, 1e308])
+        assert fs.add(huge, 1)
+        assert not fs.add(huge.copy(), 1)
+        with np.errstate(over="ignore"):
+            assert fs.add(np.array([1e308, -1e308]), 1)
+            assert not fs.add(np.array([1e308, -1e308]), 1)
+        assert len(fs) == 2 and fs._unsummed == [0]
 
 class TestStochasticTournament:
     # Each pair draws one uniform, in row order, so a swarm of n pairs sees

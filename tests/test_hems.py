@@ -28,21 +28,21 @@ from tests.conftest import example_inputs
 
 
 class TestMaxChargePower:
-    """The SoC-dependent charging taper, `hems._charge_limit`."""
+    """The SoC-dependent charging taper, `hems._charge_limiter`."""
 
     def test_constant_current_region(self, battery_reference):
-        assert hems._charge_limit(0.5 * 3.2, battery_reference) == 1.5
+        assert hems._charge_limiter(battery_reference)(0.5 * 3.2) == 1.5
 
     def test_full_battery_floor(self, battery_reference):
-        assert hems._charge_limit(3.2, battery_reference) == pytest.approx(0.3, abs=1e-12)
+        assert hems._charge_limiter(battery_reference)(3.2) == pytest.approx(0.3, abs=1e-12)
 
     def test_linear_taper_at_ninety_percent(self, battery_reference):
         # halfway between (0.8 cap, 1.5) and (1.0 cap, 0.3)
-        assert hems._charge_limit(0.9 * 3.2, battery_reference) == pytest.approx(0.9, abs=1e-12)
+        assert hems._charge_limiter(battery_reference)(0.9 * 3.2) == pytest.approx(0.9, abs=1e-12)
 
     def test_non_increasing_and_continuous(self, battery_reference):
         socs = np.linspace(0.0, 3.2, 400)
-        limits = np.array([hems._charge_limit(s, battery_reference) for s in socs])
+        limits = np.array([hems._charge_limiter(battery_reference)(s) for s in socs])
         assert np.all(np.diff(limits) <= 1e-12)
         assert np.max(np.abs(np.diff(limits))) < 0.05  # no jumps on a fine grid
 
@@ -341,6 +341,45 @@ class TestFeasiblePowerRange:
         lo, hi = feasible_power_range(1.92, hems_reference, dt=0.25, absorb=0.5)
         assert lo == 0.0
         assert hi <= 1.0 + 1e-12
+
+    @pytest.mark.parametrize("battery", ["battery_simple", "battery_reference", "tapered_early"])
+    def test_float_limit_matches_the_numpy_limiter(self, battery, request, ewh_reference):
+        # SoC 0 and -0.0, the knee and the capacity one ulp either side, a
+        # negative SoC, NaN and infinities, each under absorptions around EPS.
+        if battery == "tapered_early":
+            bat = hems.BatteryConfig(capacity=5.0, p_charge_max=2.0, p_discharge_max=1.0, soc_init=2.0,
+                                     taper_knee=0.3, taper_floor=0.05)
+        else:
+            bat = request.getfixturevalue(battery)
+        cfg = HemsConfig(battery=bat, ewh=ewh_reference)
+        socs = [0.0, -0.0, -0.5, np.nan, np.inf, -np.inf, bat.soc_min, bat.soc_init]
+        socs.append(0.5 * (bat.knee_soc + bat.capacity))
+        for edge in (bat.knee_soc, bat.capacity):
+            socs += [edge, np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf)]
+        for soc in socs:
+            for absorb in (0.0, hems.EPS, 2 * hems.EPS, 0.5, bat.p_charge_max):
+                for dt in (0.25, 1.0):
+                    got = feasible_power_range(soc, cfg, dt, absorb)
+                    expected = _numpy_feasible_power_range(soc, cfg, dt, absorb)
+                    assert np.array(got).view(np.int64).tolist() == np.array(expected).view(np.int64).tolist(), (
+                        soc, absorb, dt
+                    )
+
+
+def _numpy_feasible_power_range(soc, cfg, dt, absorb=0.0):
+    """`feasible_power_range` as it read the charging limit from the numpy
+    limiter, before it worked the limit out in floats: the reference it must
+    match bit for bit."""
+    bat = cfg.battery
+    hi = min(
+        bat.p_charge_max,
+        float(hems._charge_limiter(bat)(soc)) - absorb,
+        (bat.soc_max - soc) / (bat.efficiency * dt) - absorb,
+    )
+    lo = max(-bat.p_discharge_max, -(soc - bat.soc_min) * bat.efficiency / dt - absorb)
+    if absorb > hems.EPS:
+        lo = max(lo, 0.0)
+    return lo, hi
 
 
 class TestConfigValidation:

@@ -231,7 +231,7 @@ class TestBlockBoundaries:
                     supposed = absorb(sur, pe, headroom)
                     discharging.append(supposed > EPS and pb < -EPS)
                     p_eff = pb + supposed
-                    charge_rate.append(p_eff > hems._charge_limit(soc, bat) + EPS)
+                    charge_rate.append(p_eff > hems._charge_limiter(bat)(soc) + EPS)
                     soc = charge(soc, p_eff)
                     theta = tank(theta, pe, draw)
                     headroom = tracker(headroom, sur, pe)
@@ -313,7 +313,7 @@ class TestTaperKnee:
                 for h, (pb, pe, sur) in enumerate(zip(p_bat[p], p_ewh[p], row)):
                     p_eff = pb + absorb(sur, pe, headroom)
                     starts[p, s, h] = soc
-                    expected[p, s, h] = p_eff > hems._charge_limit(soc, bat) + EPS
+                    expected[p, s, h] = p_eff > hems._charge_limiter(bat)(soc) + EPS
                     soc = charge(soc, p_eff)
                     headroom = tracker(headroom, sur, pe)
                 traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
@@ -378,7 +378,7 @@ class TestTaperKnee:
                 for h, (pb, pe, sur) in enumerate(zip(p_bat[p], p_ewh[p], row)):
                     p_eff = pb + absorb(sur, pe, headroom)
                     starts[p, s, h] = soc
-                    expected[p, s, h] = p_eff > hems._charge_limit(soc, bat) + EPS
+                    expected[p, s, h] = p_eff > hems._charge_limiter(bat)(soc) + EPS
                     soc = charge(soc, p_eff)
                     headroom = tracker(headroom, sur, pe)
                 result = hems.simulate(traj, row, cfg, dt)
@@ -467,7 +467,7 @@ class TestTaperFloor:
         whose power exceeds the floor may reach the limiter."""
         dt = 2.0**-32
         cfg, net_load = self._instance(CAPACITY)
-        floor = float(hems._charge_limit(CAPACITY, cfg.battery)) + EPS
+        floor = float(hems._charge_limiter(cfg.battery)(CAPACITY)) + EPS
         below, above = np.nextafter(floor, -np.inf), np.nextafter(floor, np.inf)
         p_bat = np.zeros((5, self.HORIZON))
         p_bat[:, self.STEP] = [below, floor, above, above, P_MAX]

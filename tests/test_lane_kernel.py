@@ -71,7 +71,7 @@ def lane_instances(draw):
         ),
     )
 
-    limit = float(hems._charge_limit(soc_init, battery))
+    limit = float(hems._charge_limiter(battery)(soc_init))
     power = st.sampled_from(_first_step_edges(soc_init, efficiency, dt, limit)) | st.floats(-P_MAX, P_MAX)
     p_bat = draw(arrays(float, (n_traj, horizon), elements=power))
     p_ewh = draw(arrays(float, (n_traj, horizon), elements=st.sampled_from([0.0, P_NOM])))
@@ -165,7 +165,7 @@ def edge_instances(draw):
     for p in range(n_traj):
         k = OFFSETS[p] * EPS
         if rule in ("charge_rate", "taper_floor"):
-            p_bat[p, 0] = float(hems._charge_limit(soc_init, battery)) + k
+            p_bat[p, 0] = float(hems._charge_limiter(battery)(soc_init)) + k
         elif rule == "soc_max":
             p_bat[p, 0] = (CAPACITY + k - soc_init) / (efficiency * dt)
         elif rule == "soc_min":

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from hemsflex import epso, svdd
 from hemsflex.hems import FlexTrajectory, TrajectorySet
@@ -193,6 +196,55 @@ class TestTrain:
             train(X, KernelSpec("rbf", gamma=5.0), TrainingConfig(nu=0.1))
         assert exc_info.value.residual > 0.0
 
+
+
+def _unique_merge(rows, weights):
+    """The merge of coincident support vectors as `svdd.train` wrote it
+    with np.unique: the reference `svdd._merge_coincident` must match."""
+    unique, inverse = np.unique(rows, axis=0, return_inverse=True)
+    if unique.shape[0] == rows.shape[0]:
+        return None
+    merged = np.zeros(unique.shape[0])
+    np.add.at(merged, inverse, weights)
+    return unique, merged
+
+
+class TestMergeCoincident:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(data=st.data())
+    def test_matches_the_np_unique_merge(self, data):
+        # Few distinct values, so that rows repeat, and more rows than
+        # np.unique's sort orders by insertion; -0.0 beside 0.0, NaN and inf.
+        width = data.draw(st.integers(1, 4), label="width")
+        values = st.sampled_from([0.0, -0.0, 1.0, 0.5, np.nan, np.inf])
+        pool = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 4)), width), elements=values), label="pool")
+        picks = data.draw(st.lists(st.integers(0, pool.shape[0] - 1), min_size=1, max_size=60), label="picks")
+        rows = pool[picks]
+        weights = data.draw(hnp.arrays(float, len(picks), elements=st.floats(0.0, 1.0)), label="weights")
+        got, expected = svdd._merge_coincident(rows, weights), _unique_merge(rows, weights)
+        if expected is None:
+            assert got is None
+        else:
+            for a, b in zip(got, expected):
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    def test_long_runs_of_signed_zeros_keep_the_row_np_unique_keeps(self):
+        # Past 16 rows np.unique's sort may reorder equal rows, so the row it
+        # keeps of a run mixing -0.0 and 0.0 is not always the first one.
+        rng = np.random.default_rng(37)
+        for _ in range(200):
+            rows = rng.choice([0.0, -0.0, 1.0], size=(int(rng.integers(2, 80)), int(rng.integers(1, 3))))
+            weights = rng.random(rows.shape[0])
+            got, expected = svdd._merge_coincident(rows, weights), _unique_merge(rows, weights)
+            assert (got is None) == (expected is None)
+            if expected is not None:
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(got, expected))
+
+    def test_train_merges_a_doubled_set(self):
+        X = np.random.default_rng(36).random((30, 4))
+        model = train(np.vstack([X, X]), KernelSpec("rbf", gamma=0.5), TrainingConfig(nu=0.2))
+        assert _unique_merge(model.support_vectors, model.coefficients) is None
+        assert model.coefficients.sum() == pytest.approx(1.0, abs=1e-12)
 
 class TestRadiusSquared:
     def test_single_support_vector_at_itself(self):
