@@ -383,6 +383,9 @@ def run(
     re-checked before joining the set. Each evaluation is one kernel pass that
     screens the swarm and repairs every row at once, plus, when some repair
     candidate is valid, one `batch_compliance` re-screen of the repaired rows.
+    Repair leaves every step before the scenarios' first surplus step as it
+    is, so the re-screen is given the first pass's prefix of those rows and
+    resumes at that step, with the same verdicts as a full screen.
     `log_sink`, when given, receives one dict per iteration.
     """
     t_start = time.perf_counter()
@@ -402,10 +405,11 @@ def run(
 
     def evaluate(swarm: Swarm) -> None:
         """Score and repair the whole swarm in one kernel pass, re-screen the
-        valid repair candidates in one call, refresh the personal bests, then
-        offer the robust rows, repaired ones included, to the set in row order."""
+        valid repair candidates in one call from the first surplus step on,
+        refresh the personal bests, then offer the robust rows, repaired ones
+        included, to the set in row order."""
         x_bat, x_ewh = swarm.x[:, :horizon], swarm.x[:, horizon:]
-        zero_penalty, accommodation_ok, fixed_bat, valid = screen_with_repair(
+        zero_penalty, accommodation_ok, fixed_bat, valid, prefix = screen_with_repair(
             x_bat, x_ewh, scenarios.values, surplus_envelope, draws, hems_cfg, dt
         )
         fitness = np.count_nonzero(zero_penalty & accommodation_ok, axis=1)
@@ -419,7 +423,7 @@ def run(
             offered, offered_fitness = swarm.x.copy(), fitness.copy()
             offered[rows, :horizon] = fixed_bat[rows]
             zero_penalty, accommodation_ok = batch_compliance(
-                fixed_bat[rows], x_ewh[rows], scenarios.values, draws, hems_cfg, dt
+                fixed_bat[rows], x_ewh[rows], scenarios.values, draws, hems_cfg, dt, prefix=prefix.rows(rows)
             )
             offered_fitness[rows] = np.count_nonzero(zero_penalty & accommodation_ok, axis=1)
         # A personal best follows ties to the newer position, which aids diversity.

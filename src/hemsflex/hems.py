@@ -14,7 +14,10 @@ Repair rides on the screen: `screen_with_repair` appends the repair's surplus
 envelope as one more surplus row, so a single kernel pass gives the (P, S)
 verdicts and the repaired rows. The swarm makes at most two passes per
 generation: this one, and a `batch_compliance` re-screen of the rows it
-repaired.
+repaired. Repair changes battery power only from the first surplus step on,
+and never the EWH schedule, so the re-screen takes the fused pass's
+`ScreenPrefix` of those rows, the state and records of the steps before that
+step and the tank verdict, and resumes there without stepping the tank.
 
 Sign convention: positive battery power charges (consumes), negative
 discharges (injects). EWH power is 0 or its nominal rating.
@@ -39,6 +42,7 @@ __all__ = [
     "HemsConfig",
     "FlexTrajectory",
     "TrajectorySet",
+    "ScreenPrefix",
     "SimulationResult",
     "ewh_step",
     "batch_compliance",
@@ -313,7 +317,8 @@ class _Block(NamedTuple):
     are alike: before the first surplus step, `rate` on a surplus-free run
     that does not reach the taper knee, and `discharge` on a surplus-free run,
     where nothing is absorbed and it is all False. Tank temperature does not depend on the
-    surplus, so `temp` and `theta` are (R, P). The per-step `charge_rate`,
+    surplus, so `temp` and `theta` are (R, P), or None in a pass resumed from
+    a prefix, which steps no tank. The per-step `charge_rate`,
     `soc_max` and `soc_min` flags are derived on demand; `soc_band` holds the
     SoC limits, (soc_min - EPS, soc_max + EPS).
     """
@@ -344,9 +349,14 @@ def _soc_increment(p_eff, cfg: BatteryConfig, dt: float):
     return np.where(p_eff > 0.0, cfg.efficiency * p_eff * dt, p_eff * dt / cfg.efficiency)
 
 
-def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
+def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, resume=None):
     """Step P trajectories through S surplus rows at once, yielding `_Block`s
-    that cover the horizon in order.
+    that cover the horizon in order, or, given `resume`, a pair (start, soc)
+    of the first step where some row has surplus (the horizon when none has)
+    and the (P, 1) SoC that the lanes of each trajectory share entering it,
+    the steps from `start` on, with no tank stepped. The headroom entering
+    `start` is the full band, as at step 0: no step before it absorbs, and
+    recovery from the full band is capped back at the band.
 
     p_bat and p_ewh are (P, T), surplus is (S, T) and draws (T,). Lane (p, s)
     is trajectory p under surplus row s: the battery absorbs the supposed PV
@@ -380,7 +390,7 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
     the floor passes at every SoC, and at a NaN SoC, where the limit is NaN.
     Before the first active step the lanes of a trajectory are alike, so SoC
     and headroom stay (P, 1). The tank is stepped once over the horizon at
-    width P.
+    width P, unless the pass resumes.
 
     Every lane runs the same elementwise arithmetic, in the same order as the
     scalar route in `analysis`, so results do not depend on how lanes or steps
@@ -391,11 +401,15 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
     p_bat_t = np.ascontiguousarray(p_bat.T)
     p_ewh_t = np.ascontiguousarray(p_ewh.T)
     surplus_t = np.ascontiguousarray(surplus.T)
-    theta = np.empty((horizon, count))
-    level = np.full(count, ewh.theta_init)
-    for h in range(horizon):
-        level = theta[h] = ewh_step(level, p_ewh_t[h], draws[h], dt, ewh)
-    temp = (theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)
+    theta = temp = None
+    if resume is None:
+        theta = np.empty((horizon, count))
+        level = np.full(count, ewh.theta_init)
+        for h in range(horizon):
+            level = theta[h] = ewh_step(level, p_ewh_t[h], draws[h], dt, ewh)
+        temp = (theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)
+        resume = 0, np.full((count, 1), bat.soc_init)
+    h, soc = resume
 
     charge_limit = _charge_limiter(bat)
     knee_soc, nominal_limit = bat.knee_soc, bat.p_charge_max + EPS
@@ -407,9 +421,7 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
     p_free = p_bat_t[:, :, None] + 0.0
     increment = _soc_increment(p_free, bat, dt)
     active = (surplus > 0.0).any(axis=0)
-    soc = np.full((count, 1), bat.soc_init)
     capacity = np.full((count, 1), band)
-    h = 0
     while h < horizon:
         stop = h + 1
         if active[h]:
@@ -456,8 +468,8 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float):
             discharge=discharge,
             rate=rate,
             soc=path,
-            temp=temp[h:stop],
-            theta=theta[h:stop],
+            temp=None if temp is None else temp[h:stop],
+            theta=None if theta is None else theta[h:stop],
             soc_band=soc_band,
         )
         h = stop
@@ -476,32 +488,114 @@ def _check_population(p_bat, p_ewh, rows, draws):
     return p_bat, p_ewh, rows, draws
 
 
-def _screen(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, last_discharge=None):
-    """One `_lane_steps` pass reduced to (zero_penalty, accommodation_ok),
-    boolean (P, S) matrices. Each block is reduced straight to per-lane
-    records: any charge-rate or discharge flag, and the NaN-ignoring SoC
-    extremes, which leave the band exactly when some step's SoC does, since a
-    NaN SoC fails both band tests (`np.max` would let a NaN hide an earlier
-    step out of band). The band is tested once on the extremes, and the
-    tank's flags, which do not depend on the surplus, are reduced once per
-    pass at width P. A horizon of no steps yields no block, and every lane
-    passes. Given a (T, P) boolean array, `last_discharge` also receives the
-    per-step discharge flags of the last surplus row."""
-    lanes = (p_bat.shape[0], surplus.shape[0])
-    over_rate, discharge = np.zeros(lanes, dtype=bool), np.zeros(lanes, dtype=bool)
-    top, bottom = np.full(lanes, -np.inf), np.full(lanes, np.inf)
-    temps = [np.zeros((0, lanes[0]), dtype=bool)]
-    for block in _lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt):
+class ScreenPrefix(NamedTuple):
+    """What a screen knows of its P rows before `start`, the first step where
+    some surplus row has surplus (the horizon when none has), where every lane
+    of a row steps alike.
+
+    `p_bat` (P, start) and `p_ewh` (P, T) are the battery power before
+    `start` and the EWH schedule the rows were stepped on. The other arrays
+    are (P, 1): `soc`, the SoC entering step `start`; `over_rate`, whether a
+    step before it broke the charge rate; `top` and `bottom`, the highest and
+    lowest SoC of those steps, ignoring NaN (-inf and inf when there are
+    none); and `tank`, whether the tank leaves its band anywhere on the
+    horizon. `rows` selects rows of it, as an index selects rows of an array.
+    """
+
+    start: int
+    p_bat: np.ndarray
+    p_ewh: np.ndarray
+    soc: np.ndarray
+    over_rate: np.ndarray
+    top: np.ndarray
+    bottom: np.ndarray
+    tank: np.ndarray
+
+    def rows(self, index) -> "ScreenPrefix":
+        return ScreenPrefix(self.start, *(getattr(self, name)[index] for name in self._fields[1:]))
+
+
+def _first_surplus(surplus) -> int:
+    """The first step where some (S, T) surplus row is positive, or T."""
+    active = (surplus > 0.0).any(axis=0)
+    return int(active.argmax()) if active.any() else surplus.shape[1]
+
+
+def _screen(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, last_discharge=None, prefix=None):
+    """One `_lane_steps` pass reduced to (zero_penalty, accommodation_ok,
+    prefix): boolean (P, S) matrices and the pass's `ScreenPrefix`. Each
+    block is reduced straight to per-lane records: any charge-rate or
+    discharge flag, and the NaN-ignoring SoC extremes, which leave the band
+    exactly when some step's SoC does, since a NaN SoC fails both band tests
+    (`np.max` would let a NaN hide an earlier step out of band). The band is
+    tested once on the extremes, and the tank's flags, which do not depend on
+    the surplus, are reduced once per pass at width P. A horizon of no steps
+    yields no block, and every lane passes. Given a (T, P) boolean array,
+    `last_discharge` also receives the per-step discharge flags of the last
+    surplus row.
+
+    Before the first surplus step the lanes of a row are alike, so the
+    charge-rate and SoC records are kept per row, (P, 1), and widened to
+    (P, S) at that step; those per-row records, the SoC entering the step
+    and the tank verdict are the prefix. Given the `prefix` of these rows,
+    the pass instead resumes from it at that step, takes its tank verdict,
+    and returns it as it is."""
+    count, width = p_bat.shape[0], surplus.shape[0]
+    fresh = prefix is None
+    if fresh:
+        start, resume = _first_surplus(surplus), None
+        entering = np.full((count, 1), cfg.battery.soc_init)
+        head = np.zeros((count, 1), dtype=bool), np.full((count, 1), -np.inf), np.full((count, 1), np.inf)
+    else:
+        start, resume = prefix.start, (prefix.start, prefix.soc)
+        head = prefix.over_rate, prefix.top, prefix.bottom
+    over_rate, top, bottom = head
+    discharge = np.zeros((count, width), dtype=bool)
+    temps = [np.zeros((0, count), dtype=bool)]
+    for block in _lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt, resume):
+        if block.steps.start == start:
+            # The records of the steps before, which are never written again.
+            head = over_rate, top, bottom
+            over_rate, top, bottom = (np.repeat(record, width, axis=1) for record in head)
         over_rate |= block.rate.any(axis=0)
         discharge |= block.discharge.any(axis=0)
         np.fmax(top, np.fmax.reduce(block.soc, axis=0), out=top)
         np.fmin(bottom, np.fmin.reduce(block.soc, axis=0), out=bottom)
-        temps.append(block.temp)
+        if fresh:
+            temps.append(block.temp)
+            if block.steps.stop == start:
+                entering = block.soc[-1]
         if last_discharge is not None:
             last_discharge[block.steps] = block.discharge[:, :, -1]
+    if fresh:
+        tank = np.concatenate(temps).any(axis=0)[:, None]
+        # Copies, so that a caller writing to its rows cannot pass the guard.
+        prefix = ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), entering, *head, tank)
     soc_lo, soc_hi = cfg.battery.soc_min - EPS, cfg.battery.soc_max + EPS
-    tank = np.concatenate(temps).any(axis=0)[:, None]
-    return ~(over_rate | (top > soc_hi) | (bottom < soc_lo) | tank), ~discharge
+    zero_penalty = ~(over_rate | (top > soc_hi) | (bottom < soc_lo) | prefix.tank)
+    if zero_penalty.shape != discharge.shape:  # no surplus step widened the records
+        zero_penalty = np.repeat(zero_penalty, width, axis=1)
+    return zero_penalty, ~discharge, prefix
+
+
+def _same_bits(a, b) -> bool:
+    """Whether two float arrays hold the same shape and bits: rows with the
+    same bits step alike, NaN included, which a value test would call unequal."""
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def _check_prefix(prefix: ScreenPrefix, p_bat, p_ewh, surplus) -> None:
+    """Reject a prefix that was not taken of rows stepping as these do
+    before the first surplus step."""
+    start = _first_surplus(surplus)
+    if prefix.start != start:
+        raise ValueError(f"the prefix's first surplus step is {prefix.start}, the net-load rows' is {start}")
+    if prefix.soc.shape[0] != p_bat.shape[0]:
+        raise ValueError(f"the prefix has {prefix.soc.shape[0]} rows, the screen {p_bat.shape[0]}")
+    if not _same_bits(prefix.p_ewh, p_ewh):
+        raise ValueError("the prefix's rows differ from the screened ones in EWH schedule")
+    if not _same_bits(prefix.p_bat, p_bat[:, :start]):
+        raise ValueError(f"the prefix's rows differ from the screened ones in battery power before step {start}")
 
 
 def batch_compliance(
@@ -511,6 +605,8 @@ def batch_compliance(
     draws: np.ndarray,
     cfg: HemsConfig,
     dt: float,
+    *,
+    prefix: ScreenPrefix | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Screen trajectories against S net-load rows at once.
 
@@ -518,9 +614,19 @@ def batch_compliance(
     (1, T) row. Returns (zero_penalty, accommodation_ok), boolean (P, S)
     matrices. Each entry equals `simulate(...).penalty == 0` and
     `pv_accommodation(...)[0]` for that trajectory and the row's surplus.
+
+    `prefix`, when given, is the `screen_with_repair` prefix of rows that
+    step as these do before the net-load rows' first surplus step: the same
+    EWH schedules and the same battery power before that step, bit for bit,
+    and that step as the prefix's own first surplus step. The screen then
+    resumes from it at that step and steps no tank, with the same results.
+    A prefix that does not match raises ValueError naming the mismatch.
     """
     p_bat, p_ewh, net_load, draws = _check_population(p_bat, p_ewh, net_load, draws)
-    return _screen(p_bat, p_ewh, pv_surplus(net_load), draws, cfg, dt)
+    surplus = pv_surplus(net_load)
+    if prefix is not None:
+        _check_prefix(prefix, p_bat, p_ewh, surplus)
+    return _screen(p_bat, p_ewh, surplus, draws, cfg, dt, prefix=prefix)[:2]
 
 
 def screen_with_repair(
@@ -531,28 +637,36 @@ def screen_with_repair(
     draws: np.ndarray,
     cfg: HemsConfig,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ScreenPrefix]:
     """`batch_compliance` and the repair of every row against a surplus
     envelope, in one kernel pass.
 
     The envelope, a (T,) surplus row, is stepped as surplus row S + 1 next to
     the S net-load rows. Returns (zero_penalty, accommodation_ok, repaired,
-    valid): the first two are `batch_compliance`'s (P, S) verdicts. Row p of
-    the (P, T) `repaired` has battery power raised to zero wherever trajectory
-    p discharges while the battery is supposed to absorb the envelope's
-    surplus. valid[p] is False where the trajectory has a constraint penalty
+    valid, prefix): the first two are `batch_compliance`'s (P, S) verdicts.
+    Row p of the (P, T) `repaired` has battery power raised to zero wherever
+    trajectory p discharges while the battery is supposed to absorb the
+    envelope's surplus. valid[p] is False where the trajectory has a constraint penalty
     under the envelope, which repair does not fix; such rows come back
     unchanged. A lane's result depends only on its own trajectory and
     surplus row, so the extra row leaves the verdicts bit for bit as they are.
+
+    `prefix` is the pass's `ScreenPrefix`, taken at the first step where the
+    net-load rows or the envelope have surplus. Repair changes only steps
+    where the envelope has surplus and never the EWH schedule, so when the
+    envelope first has surplus where the rows do, as their own envelope
+    does, `prefix.rows(i)` is also the prefix of the repaired rows i, and
+    `batch_compliance(repaired[i], p_ewh[i], net_load, ..., prefix=prefix.rows(i))`
+    re-screens them from that step on.
     """
     p_bat, p_ewh, net_load, draws = _check_population(p_bat, p_ewh, net_load, draws)
     envelope = _surplus_row(envelope, p_bat.shape[1])
     surplus = np.concatenate([pv_surplus(net_load), envelope[None]])
     discharge = np.zeros(p_bat.shape[::-1], dtype=bool)
-    zero_penalty, accommodation_ok = _screen(p_bat, p_ewh, surplus, draws, cfg, dt, discharge)
+    zero_penalty, accommodation_ok, prefix = _screen(p_bat, p_ewh, surplus, draws, cfg, dt, discharge)
     valid = zero_penalty[:, -1]
     repaired = np.where(discharge.T & valid[:, None], 0.0, p_bat)
-    return zero_penalty[:, :-1], accommodation_ok[:, :-1], repaired, valid
+    return zero_penalty[:, :-1], accommodation_ok[:, :-1], repaired, valid, prefix
 
 
 def _surplus_row(surplus, horizon: int) -> np.ndarray:
@@ -610,7 +724,7 @@ def repair_trajectory(
     and `surplus` as the envelope.
     """
     horizon = traj.horizon
-    _, _, repaired, valid = screen_with_repair(
+    _, _, repaired, valid, _ = screen_with_repair(
         traj.p_bat[None], traj.p_ewh[None], np.empty((0, horizon)), surplus, cfg.ewh.draws(horizon), cfg, dt
     )
     if not valid[0]:

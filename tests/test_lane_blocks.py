@@ -4,7 +4,8 @@ blocks of up to `hems._BLOCK_STEPS` steps. Screening, repair and simulation
 must not depend on where the block boundaries fall, so these instances put
 surplus at the horizon's ends and leave surplus-free runs longer than the cap.
 The fused screen steps the repair envelope as one more surplus row, which
-must leave the screen's verdicts as they are.
+must leave the screen's verdicts as they are, and a re-screen resumed from its
+prefix at the first surplus step must give the full screen's verdicts.
 """
 
 import tracemalloc
@@ -16,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from hemsflex import analysis, cli, hems, scenarios
+from hemsflex import analysis, cli, epso, hems, scenarios
 from hemsflex.hems import EPS, FlexTrajectory
 
 DATA = Path(__file__).resolve().parent.parent / "data"
@@ -161,7 +162,7 @@ class TestBlockBoundaries:
         cfg, dt, p_bat, p_ewh, net_load = instance
         envelope = scenarios.pv_surplus(net_load).max(axis=0)
         draws = cfg.ewh.draws(p_bat.shape[1])
-        _, _, fixed, valid = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        _, _, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
             try:
@@ -189,7 +190,7 @@ class TestBlockBoundaries:
             envelope = np.zeros_like(envelope)
         elif kind == "no rows":
             net_load = net_load[:0]
-        zero_penalty, accommodation_ok, fixed, valid = hems.screen_with_repair(
+        zero_penalty, accommodation_ok, fixed, valid, _ = hems.screen_with_repair(
             p_bat, p_ewh, net_load, envelope, draws, cfg, dt
         )
         expected = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
@@ -264,8 +265,8 @@ class TestLayoutInvariance:
         for verdict, swapped_verdict in zip(screened, swapped):
             assert np.array_equal(swapped_verdict, verdict[::-1][:, order])
         envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        _, _, fixed, valid = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
-        _, _, swapped_fixed, swapped_valid = hems.screen_with_repair(
+        _, _, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        _, _, swapped_fixed, swapped_valid, _ = hems.screen_with_repair(
             p_bat[::-1], p_ewh[::-1], net_load[order], envelope, draws, cfg, dt
         )
         assert np.array_equal(swapped_fixed, fixed[::-1])
@@ -580,3 +581,157 @@ def test_population_repair_memory_is_bounded():
     draws = hems_cfg.ewh.draws(net_load.shape[1])
     peak = _traced_peak(hems.screen_with_repair, p_bat, p_ewh, net_load, envelope, draws, hems_cfg, dt)
     assert peak < 2_000_000, f"screen_with_repair peaked at {peak / 1e6:.2f} MB"
+
+
+def _assert_resumed_matches(p_bat, p_ewh, net_load, draws, cfg, dt, prefix):
+    """A screen resumed from the prefix gives the full screen's verdicts bit
+    for bit."""
+    resumed = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt, prefix=prefix)
+    full = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+    for got, want in zip(resumed, full):
+        assert got.shape == want.shape == (p_bat.shape[0], net_load.shape[0])
+        assert np.array_equal(got, want)
+
+
+class TestResumedScreen:
+    """A re-screen given the fused pass's prefix resumes at the first surplus
+    step, for the rows as they were screened and for their repairs, and must
+    give the full screen's verdicts bit for bit."""
+
+    @staticmethod
+    def _check_rows(p_bat, p_ewh, net_load, cfg, dt):
+        draws = cfg.ewh.draws(p_bat.shape[1])
+        envelope = scenarios.pv_surplus(net_load).max(axis=0)
+        *_, fixed, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        assert prefix.start == hems._first_surplus(scenarios.pv_surplus(net_load))
+        for rows in (np.arange(p_bat.shape[0]), np.flatnonzero(valid), np.arange(p_bat.shape[0])[::-1]):
+            for bat in (p_bat, fixed):
+                _assert_resumed_matches(bat[rows], p_ewh[rows], net_load, draws, cfg, dt, prefix.rows(rows))
+        return fixed, valid, prefix
+
+    def test_reference_population(self):
+        p_bat, p_ewh, net_load, hems_cfg, dt = _reference_population()
+        fixed, valid, prefix = self._check_rows(p_bat, p_ewh, net_load, hems_cfg, dt)
+        # Neither end of the horizon: the pass resumes mid-day, with repairs.
+        assert 0 < prefix.start < net_load.shape[1]
+        assert (fixed != p_bat).any(axis=1)[valid].any()
+
+    @BLOCK_SETTINGS
+    @given(block_instances())
+    def test_block_instances(self, instance):
+        cfg, dt, p_bat, p_ewh, net_load = instance
+        self._check_rows(p_bat, p_ewh, net_load, cfg, dt)
+
+    def test_small_config_swarm(self, monkeypatch):
+        """Every re-screen of the small config's search, checked against the
+        full screen of the same rows."""
+        cfg = cli.RunConfig.load(DATA / "config_small.json")
+        scenario_set, hems_cfg = cli._instance(cfg)
+        screen, starts = hems.batch_compliance, []
+
+        def twin(p_bat, p_ewh, net_load, draws, cfg, dt, *, prefix=None):
+            assert prefix is not None
+            starts.append(prefix.start)
+            _assert_resumed_matches(p_bat, p_ewh, net_load, draws, cfg, dt, prefix)
+            return screen(p_bat, p_ewh, net_load, draws, cfg, dt, prefix=prefix)
+
+        monkeypatch.setattr(epso, "batch_compliance", twin)
+        epso.run(cfg.epso, scenario_set, hems_cfg, cfg.dt_hours)
+        first = hems._first_surplus(scenarios.pv_surplus(scenario_set.values))
+        assert len(starts) > 10 and set(starts) == {first} and 0 < first < scenario_set.horizon
+
+    HORIZON = 2 * CAP + 2
+    FIRST = CAP + 1
+
+    @classmethod
+    def _edge_instance(cls, case):
+        """Four rows over 2 * CAP + 2 steps from a half-full battery. Row 0
+        discharges at the first surplus step, so its repair starts there;
+        row 1 discharges at a later surplus step, row 2 idles and row 3 breaks
+        the charge rate before any surplus. The EWH runs at every third step."""
+        cfg = hems.HemsConfig(
+            battery=hems.BatteryConfig(capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=P_MAX, soc_init=1.6),
+            ewh=hems.EwhConfig(p_nom=P_NOM, theta_min=THETA_MIN, theta_max=THETA_MAX, theta_init=60.0),
+        )
+        first = {"step 0": 0, "none": cls.HORIZON}.get(case, cls.FIRST)
+        net_load = np.full((3, cls.HORIZON), 0.4)
+        if first < cls.HORIZON:
+            net_load[0, first] = -0.8
+            net_load[1, first + 2] = -1.0
+            net_load[2, [first, first + 2]] = -0.3
+        if case == "one scenario":
+            net_load = net_load[:1]
+        p_bat = np.zeros((4, cls.HORIZON))
+        p_bat[0, first:] = -0.2
+        p_bat[1, first + 2 :] = -0.2
+        p_bat[3, 1] = P_MAX + 0.1
+        p_ewh = np.zeros_like(p_bat)
+        p_ewh[:, ::3] = P_NOM
+        return cfg, p_bat, p_ewh, net_load, first
+
+    @pytest.mark.parametrize("case", ["step 0", "none", "mid-day", "one scenario"])
+    def test_edge_instances(self, case):
+        cfg, p_bat, p_ewh, net_load, first = self._edge_instance(case)
+        fixed, valid, prefix = self._check_rows(p_bat, p_ewh, net_load, cfg, 0.25)
+        assert prefix.start == first and prefix.p_bat.shape == (4, first)
+        verdicts = hems.batch_compliance(fixed, p_ewh, net_load, cfg.ewh.draws(self.HORIZON), cfg, 0.25)
+        assert not verdicts[0][3].any() and verdicts[0][:3].any()
+        if case == "none":
+            assert np.array_equal(fixed, p_bat)
+        else:
+            # Row 0's repair starts exactly at the first surplus step.
+            assert valid[0] and fixed[0, first] == 0.0 > p_bat[0, first]
+            assert np.array_equal(fixed[0, :first], p_bat[0, :first])
+
+
+FIRST = TestResumedScreen.FIRST
+
+
+class TestPrefixGuard:
+    """A prefix taken of other rows than the screened ones is rejected,
+    naming what differs."""
+
+    @staticmethod
+    def _prefix(p_bat, p_ewh, net_load, cfg):
+        draws = cfg.ewh.draws(p_bat.shape[1])
+        envelope = scenarios.pv_surplus(net_load).max(axis=0)
+        return hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, 0.25)[-1], draws
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ("ewh", "in EWH schedule"),
+            ("battery", f"in battery power before step {FIRST}"),
+            ("battery nan", f"in battery power before step {FIRST}"),
+            ("surplus earlier", f"first surplus step is {FIRST}, the net-load rows' is 2"),
+            ("surplus later", f"first surplus step is {FIRST}, the net-load rows' is {FIRST + 2}"),
+            ("rows", "the prefix has 4 rows, the screen 3"),
+        ],
+    )
+    def test_mismatch_is_rejected(self, change, message):
+        cfg, p_bat, p_ewh, net_load, first = TestResumedScreen._edge_instance("mid-day")
+        prefix, draws = self._prefix(p_bat, p_ewh, net_load, cfg)
+        p_bat, p_ewh, net_load = p_bat.copy(), p_ewh.copy(), net_load.copy()
+        if change == "ewh":
+            p_ewh[2, -1] = P_NOM - p_ewh[2, -1]
+        elif change == "battery":
+            p_bat[1, first - 1] = 0.1
+        elif change == "battery nan":
+            p_bat[2, 0] = np.nan
+        elif change == "surplus earlier":
+            net_load[2, 2] = -0.1
+        elif change == "surplus later":
+            net_load[:, first] = 0.4
+        else:
+            p_bat, p_ewh = p_bat[:3], p_ewh[:3]
+        with pytest.raises(ValueError, match=message):
+            hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, 0.25, prefix=prefix)
+
+    def test_same_rows_after_the_first_surplus_step_may_differ(self):
+        """Battery power from the first surplus step on is not part of the
+        prefix, and a NaN before it matches the same NaN."""
+        cfg, p_bat, p_ewh, net_load, first = TestResumedScreen._edge_instance("mid-day")
+        p_bat[2, 0] = np.nan
+        prefix, draws = self._prefix(p_bat, p_ewh, net_load, cfg)
+        p_bat[:, first:] = 0.3
+        _assert_resumed_matches(p_bat, p_ewh, net_load, draws, cfg, 0.25, prefix)

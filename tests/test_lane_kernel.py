@@ -244,7 +244,7 @@ class TestPopulationScreen:
         empty, rows, none = np.zeros((2, 0)), np.zeros((3, 0)), np.zeros(0)
         verdicts = hems.batch_compliance(empty, empty, rows, none, hems_reference, 0.25)
         assert [v.tolist() for v in verdicts] == [[[True] * 3] * 2] * 2
-        *verdicts, repaired, valid = hems.screen_with_repair(empty, empty, rows, none, none, hems_reference, 0.25)
+        *verdicts, repaired, valid, _ = hems.screen_with_repair(empty, empty, rows, none, none, hems_reference, 0.25)
         assert [v.tolist() for v in verdicts] == [[[True] * 3] * 2] * 2
         assert repaired.shape == (2, 0) and valid.tolist() == [True, True]
 
@@ -256,7 +256,7 @@ class TestBatchRepair:
         net-load rows, with per-row repair_trajectory; return the number of
         rejected rows and of changed rows."""
         draws = cfg.ewh.draws(p_bat.shape[1])
-        _, _, fixed, valid = hems.screen_with_repair(p_bat, p_ewh, net_load, surplus, draws, cfg, dt)
+        _, _, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, surplus, draws, cfg, dt)
         rejected = changed = 0
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])

@@ -131,8 +131,9 @@ def test_kernel_rates_time_both_passes_pinned(monkeypatch):
     kernel = bench.kernel_rates()
     assert pinned == [cpus] * 2 and os.sched_getaffinity(0) == cpus
     assert kernel.pop("repeats") == 2
+    # The resumed re-screen steps from the reference day's first surplus step.
     assert {name: (k["rows"], k["surplus_rows"], k["steps"]) for name, k in kernel.items()} == {
-        "fused": (30, 101, 96), "rescreen": (bench.RESCREEN_ROWS, 100, 96)
+        "fused": (30, 101, 96), "rescreen": (bench.RESCREEN_ROWS, 100, 96), "resumed": (bench.RESCREEN_ROWS, 100, 62)
     }
     for k in kernel.values():
         assert k["lane_steps_per_s"] == k["rows"] * k["surplus_rows"] * k["steps"] / k["best_s"] > 0

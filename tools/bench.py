@@ -174,10 +174,12 @@ def kernel_rates() -> dict:
     """Lane-steps per second of the lane kernel on the reference day, in this
     process: the fused screen-and-repair pass of a seeded first swarm of
     `pop_size` rows against the scenarios plus their surplus envelope, and a
-    `batch_compliance` re-screen of RESCREEN_ROWS of its repaired rows. Each
-    of KERNEL_REPEATS rounds pins this process to perfbench's quietest CPU
-    and times each call once; a call's figure is its best round. The affinity
-    is restored."""
+    `batch_compliance` re-screen of RESCREEN_ROWS of its repaired rows, both
+    the full one (`rescreen`) and, as the swarm makes it, the one resumed
+    from the fused pass's prefix at the first surplus step (`resumed`),
+    whose lane steps are those from that step on. Each of KERNEL_REPEATS
+    rounds pins this process to perfbench's quietest CPU and times each call
+    once; a call's figure is its best round. The affinity is restored."""
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     from hemsflex import cli, epso, hems, scenarios
@@ -188,28 +190,31 @@ def kernel_rates() -> dict:
     draws, envelope = hems_cfg.ewh.draws(horizon), scenarios.pv_surplus(values).max(axis=0)
     rows = epso.seed_initial_population(values[0], cfg.epso, hems_cfg, np.random.default_rng(cfg.seed)).x
     p_bat, p_ewh = rows[:, :horizon], rows[:, horizon:]
-    repaired = hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt)[2][:RESCREEN_ROWS]
+    *_, fixed, _, prefix = hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt)
+    repaired, ewh, head = fixed[:RESCREEN_ROWS], p_ewh[:RESCREEN_ROWS], prefix.rows(slice(RESCREEN_ROWS))
     calls = {
         "fused": (lambda: hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt),
-                  len(rows), len(values) + 1),
-        "rescreen": (lambda: hems.batch_compliance(repaired, p_ewh[:RESCREEN_ROWS], values, draws, hems_cfg, dt),
-                     RESCREEN_ROWS, len(values)),
+                  len(rows), len(values) + 1, horizon),
+        "rescreen": (lambda: hems.batch_compliance(repaired, ewh, values, draws, hems_cfg, dt),
+                     RESCREEN_ROWS, len(values), horizon),
+        "resumed": (lambda: hems.batch_compliance(repaired, ewh, values, draws, hems_cfg, dt, prefix=head),
+                    RESCREEN_ROWS, len(values), horizon - prefix.start),
     }
     best = dict.fromkeys(calls, float("inf"))
     cpus = os.sched_getaffinity(0)
     try:
         for _ in range(KERNEL_REPEATS):
             quietest_cpu(cpus)
-            for name, (call, _, _) in calls.items():
+            for name, (call, *_) in calls.items():
                 start = time.perf_counter()
                 call()
                 best[name] = min(best[name], time.perf_counter() - start)
     finally:
         os.sched_setaffinity(0, cpus)
     return {
-        name: {"rows": count, "surplus_rows": lanes, "steps": horizon, "best_s": best[name],
-               "lane_steps_per_s": count * lanes * horizon / best[name]}
-        for name, (_, count, lanes) in calls.items()
+        name: {"rows": count, "surplus_rows": lanes, "steps": steps, "best_s": best[name],
+               "lane_steps_per_s": count * lanes * steps / best[name]}
+        for name, (_, count, lanes, steps) in calls.items()
     } | {"repeats": KERNEL_REPEATS}
 
 
@@ -239,7 +244,7 @@ def main(argv=None) -> int:
 
     doc = assemble(args.pr, args.seed, args.seconds, runs, cli_stages, environment())
     doc["kernel"] = kernel = kernel_rates()
-    print(", ".join(f"{k} {kernel[k]['lane_steps_per_s']:.3g} lane-steps/s" for k in ("fused", "rescreen")))
+    print(", ".join(f"{k} {kernel[k]['lane_steps_per_s']:.3g} lane-steps/s" for k in ("fused", "rescreen", "resumed")))
     path = args.out or ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}")
