@@ -3,21 +3,22 @@
 Battery with a SoC-dependent charging taper and one-way efficiency, electric
 water heater as an on/off thermal load, PV-surplus accommodation rules, and
 repair of trajectories that discharge while surplus should be absorbed. One
-lane-batched kernel, `_lane_steps`, steps every rule; `analysis` restates them
-on purpose as an independent scalar oracle. The kernel is step-major: it
-holds each step's lanes as one (P, S) plane and steps in blocks of planes,
-each step where some scenario has PV surplus on its own, and the surplus-free
-runs between them, where SoC is a plain running sum, up to `_BLOCK_STEPS` (8)
-steps at a time, which bounds its memory.
+tank loop, `_tank`, and one lane-batched battery kernel, `_lane_steps`, step
+every rule; `analysis` restates them on purpose as an independent scalar
+oracle. The kernel is step-major: it holds each step's lanes as one (P, S)
+plane and steps in blocks of planes, each step where some scenario has PV
+surplus on its own, and the surplus-free runs between them, where SoC is a
+plain running sum, up to `_BLOCK_STEPS` (8) steps at a time, which bounds its
+memory.
 
-Repair rides on the screen: `screen_with_repair` appends the repair's surplus
-envelope as one more surplus row, so a single kernel pass gives the (P, S)
-verdicts and the repaired rows. The swarm makes at most two passes per
-generation: this one, and a `batch_compliance` re-screen of the rows it
-repaired. Repair changes battery power only from the first surplus step on,
-and never the EWH schedule, so the re-screen takes the fused pass's
-`ScreenPrefix` of those rows, the state and records of the steps before that
-step and the tank verdict, and resumes there without stepping the tank.
+Every screen is a head and a tail, split at the first surplus step: the
+head, the tank and the battery before that step, is alike in every lane of a
+row and is kept per row as a `ScreenPrefix`. `screen_with_repair` steps the
+repair's surplus envelope as one more surplus row, so one screen gives the
+(P, S) verdicts and the repaired rows. Repair changes battery power only
+from the first surplus step on, and never the EWH schedule, so the swarm's
+`batch_compliance` re-screen of its repaired rows takes their head from that
+screen and steps only the tail.
 
 Sign convention: positive battery power charges (consumes), negative
 discharges (injects). EWH power is 0 or its nominal rating.
@@ -309,39 +310,25 @@ _BLOCK_STEPS = 8
 
 
 class _Block(NamedTuple):
-    """States and charge-rate flags of (P, S) lanes over the horizon steps
+    """SoC and charge-rate flags of (P, S) lanes over the kernel's columns
     `steps`, stacked step-major: one (P, S) plane per step on a leading step
     axis of length R.
 
-    The battery arrays are (R, P, S), or (R, P, 1) where a trajectory's lanes
-    are alike: before the first surplus step, `rate` on a surplus-free run
-    that does not reach the taper knee, and `discharge` on a surplus-free run,
-    where nothing is absorbed and it is all False. Tank temperature does not depend on the
-    surplus, so `temp` and `theta` are (R, P), or None in a pass resumed from
-    a prefix, which steps no tank. The per-step `charge_rate`,
-    `soc_max` and `soc_min` flags are derived on demand; `soc_band` holds the
-    SoC limits, (soc_min - EPS, soc_max + EPS).
+    The arrays are (R, P, S), or (R, P, 1) where a trajectory's lanes are
+    alike: before the first surplus step, `rate` on a surplus-free run that
+    does not reach the taper knee, and `discharge` on a surplus-free run,
+    where nothing is absorbed and it is all False. The per-step
+    `charge_rate` flags are derived on demand.
     """
 
     steps: slice
     discharge: np.ndarray
     rate: np.ndarray
     soc: np.ndarray
-    temp: np.ndarray
-    theta: np.ndarray
-    soc_band: tuple[float, float]
 
     @property
     def charge_rate(self) -> np.ndarray:
         return np.broadcast_to(self.rate, self.soc.shape)
-
-    @property
-    def soc_max(self) -> np.ndarray:
-        return self.soc > self.soc_band[1]
-
-    @property
-    def soc_min(self) -> np.ndarray:
-        return self.soc < self.soc_band[0]
 
 
 def _soc_increment(p_eff, cfg: BatteryConfig, dt: float):
@@ -349,17 +336,24 @@ def _soc_increment(p_eff, cfg: BatteryConfig, dt: float):
     return np.where(p_eff > 0.0, cfg.efficiency * p_eff * dt, p_eff * dt / cfg.efficiency)
 
 
-def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, resume=None):
-    """Step P trajectories through S surplus rows at once, yielding `_Block`s
-    that cover the horizon in order, or, given `resume`, a pair (start, soc)
-    of the first step where some row has surplus (the horizon when none has)
-    and the (P, 1) SoC that the lanes of each trajectory share entering it,
-    the steps from `start` on, with no tank stepped. The headroom entering
-    `start` is the full band, as at step 0: no step before it absorbs, and
-    recovery from the full band is capped back at the band.
+def _tank(p_ewh, draws, ewh: EwhConfig, dt: float) -> np.ndarray:
+    """(T, P) tank temperatures after each step of P (P, T) EWH schedules,
+    from `theta_init` under the (T,) draw profile. The tank never sees the
+    surplus, so it is stepped once per trajectory, not per lane."""
+    theta = np.empty(p_ewh.shape[::-1])
+    level = np.full(p_ewh.shape[0], ewh.theta_init)
+    for h, power in enumerate(p_ewh.T):
+        level = theta[h] = ewh_step(level, power, draws[h], dt, ewh)
+    return theta
 
-    p_bat and p_ewh are (P, T), surplus is (S, T) and draws (T,). Lane (p, s)
-    is trajectory p under surplus row s: the battery absorbs the supposed PV
+
+def _lane_steps(p_bat, p_ewh, surplus, cfg: HemsConfig, dt: float, soc):
+    """Step the batteries of P trajectories through S surplus rows at once
+    over the columns given, from the (P, 1) SoC `soc`, yielding `_Block`s
+    that cover the columns in order, `steps` counted from the first.
+
+    p_bat and p_ewh are (P, T) and surplus is (S, T). Lane (p, s) is
+    trajectory p under surplus row s: the battery absorbs the supposed PV
     surplus on top of the trajectory's own schedule, so a trajectory that has
     not kept headroom free shows up as a soc_max violation, and combined
     charging beyond the tapered limit as a charge_rate violation. The
@@ -389,39 +383,29 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, resume
     monotone, so the limit falls, or stays, as SoC rises. A power at or below
     the floor passes at every SoC, and at a NaN SoC, where the limit is NaN.
     Before the first active step the lanes of a trajectory are alike, so SoC
-    and headroom stay (P, 1). The tank is stepped once over the horizon at
-    width P, unless the pass resumes.
+    and headroom stay (P, 1).
 
     Every lane runs the same elementwise arithmetic, in the same order as the
     scalar route in `analysis`, so results do not depend on how lanes or steps
     are batched.
     """
-    bat, ewh = cfg.battery, cfg.ewh
+    bat = cfg.battery
     count, horizon = p_bat.shape
     p_bat_t = np.ascontiguousarray(p_bat.T)
     p_ewh_t = np.ascontiguousarray(p_ewh.T)
     surplus_t = np.ascontiguousarray(surplus.T)
-    theta = temp = None
-    if resume is None:
-        theta = np.empty((horizon, count))
-        level = np.full(count, ewh.theta_init)
-        for h in range(horizon):
-            level = theta[h] = ewh_step(level, p_ewh_t[h], draws[h], dt, ewh)
-        temp = (theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)
-        resume = 0, np.full((count, 1), bat.soc_init)
-    h, soc = resume
 
     charge_limit = _charge_limiter(bat)
     knee_soc, nominal_limit = bat.knee_soc, bat.p_charge_max + EPS
     floor_limit = float(charge_limit(bat.capacity)) + EPS
     band, recovery = bat.absorption_band, bat.p_discharge_max * dt
-    soc_band = (bat.soc_min - EPS, bat.soc_max + EPS)
     # Battery power plus the zero absorption of a surplus-free step (the sum
     # turns -0.0 into 0.0, as the active step does), and its SoC increment.
     p_free = p_bat_t[:, :, None] + 0.0
     increment = _soc_increment(p_free, bat, dt)
     active = (surplus > 0.0).any(axis=0)
     capacity = np.full((count, 1), band)
+    h = 0
     while h < horizon:
         stop = h + 1
         if active[h]:
@@ -463,15 +447,7 @@ def _lane_steps(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, resume
             for _ in range(stop - h - 1):
                 np.add(capacity, recovery, out=capacity)
             np.minimum(capacity, band, out=capacity)
-        yield _Block(
-            steps=slice(h, stop),
-            discharge=discharge,
-            rate=rate,
-            soc=path,
-            temp=None if temp is None else temp[h:stop],
-            theta=None if theta is None else theta[h:stop],
-            soc_band=soc_band,
-        )
+        yield _Block(steps=slice(h, stop), discharge=discharge, rate=rate, soc=path)
         h = stop
 
 
@@ -489,27 +465,20 @@ def _check_population(p_bat, p_ewh, rows, draws):
 
 
 class ScreenPrefix(NamedTuple):
-    """What a screen knows of its P rows before `start`, the first step where
-    some surplus row has surplus (the horizon when none has), where every lane
-    of a row steps alike.
-
-    `p_bat` (P, start) and `p_ewh` (P, T) are the battery power before
-    `start` and the EWH schedule the rows were stepped on. The other arrays
-    are (P, 1): `soc`, the SoC entering step `start`; `over_rate`, whether a
-    step before it broke the charge rate; `top` and `bottom`, the highest and
-    lowest SoC of those steps, ignoring NaN (-inf and inf when there are
-    none); and `tank`, whether the tank leaves its band anywhere on the
-    horizon. `rows` selects rows of it, as an index selects rows of an array.
-    """
+    """The head of a screen of P rows: what it knows of them before `start`,
+    the first step where some surplus row has surplus (the horizon when none
+    has), where every lane of a row steps alike. `p_bat` (P, start) and
+    `p_ewh` (P, T) are the battery power before `start` and the EWH schedule
+    the rows were stepped on. `soc` (P, 1) is the SoC entering step `start`,
+    and `fault` (P, 1) whether a step before it broke the charge rate or left
+    the SoC band, or the tank left its band anywhere on the horizon. `rows`
+    selects rows of it, as an index selects rows of an array."""
 
     start: int
     p_bat: np.ndarray
     p_ewh: np.ndarray
     soc: np.ndarray
-    over_rate: np.ndarray
-    top: np.ndarray
-    bottom: np.ndarray
-    tank: np.ndarray
+    fault: np.ndarray
 
     def rows(self, index) -> "ScreenPrefix":
         return ScreenPrefix(self.start, *(getattr(self, name)[index] for name in self._fields[1:]))
@@ -521,61 +490,58 @@ def _first_surplus(surplus) -> int:
     return int(active.argmax()) if active.any() else surplus.shape[1]
 
 
-def _screen(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, last_discharge=None, prefix=None):
-    """One `_lane_steps` pass reduced to (zero_penalty, accommodation_ok,
-    prefix): boolean (P, S) matrices and the pass's `ScreenPrefix`. Each
-    block is reduced straight to per-lane records: any charge-rate or
-    discharge flag, and the NaN-ignoring SoC extremes, which leave the band
-    exactly when some step's SoC does, since a NaN SoC fails both band tests
-    (`np.max` would let a NaN hide an earlier step out of band). The band is
-    tested once on the extremes, and the tank's flags, which do not depend on
-    the surplus, are reduced once per pass at width P. A horizon of no steps
-    yields no block, and every lane passes. Given a (T, P) boolean array,
-    `last_discharge` also receives the per-step discharge flags of the last
-    surplus row.
-
-    Before the first surplus step the lanes of a row are alike, so the
-    charge-rate and SoC records are kept per row, (P, 1), and widened to
-    (P, S) at that step; those per-row records, the SoC entering the step
-    and the tank verdict are the prefix. Given the `prefix` of these rows,
-    the pass instead resumes from it at that step, takes its tank verdict,
-    and returns it as it is."""
-    count, width = p_bat.shape[0], surplus.shape[0]
-    fresh = prefix is None
-    if fresh:
-        start, resume = _first_surplus(surplus), None
-        entering = np.full((count, 1), cfg.battery.soc_init)
-        head = np.zeros((count, 1), dtype=bool), np.full((count, 1), -np.inf), np.full((count, 1), np.inf)
-    else:
-        start, resume = prefix.start, (prefix.start, prefix.soc)
-        head = prefix.over_rate, prefix.top, prefix.bottom
-    over_rate, top, bottom = head
-    discharge = np.zeros((count, width), dtype=bool)
-    temps = [np.zeros((0, count), dtype=bool)]
-    for block in _lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt, resume):
-        if block.steps.start == start:
-            # The records of the steps before, which are never written again.
-            head = over_rate, top, bottom
-            over_rate, top, bottom = (np.repeat(record, width, axis=1) for record in head)
+def _faults(blocks, lanes, cfg: HemsConfig, last_discharge=None):
+    """Reduce `_lane_steps` blocks to per-lane (fault, discharge, soc) at the
+    width of `lanes`, the (P, W) SoC the lanes enter with: whether some step
+    broke the charge rate or left the SoC band, whether some step discharged
+    during surplus, and the SoC after the last step. The band is tested once,
+    on each lane's NaN-ignoring SoC extremes, which leave it exactly when some
+    step's SoC does: a NaN SoC fails both band tests, and `np.max` would let a
+    NaN hide an earlier step out of band. `last_discharge`, a boolean array
+    with a row per column, also receives the last surplus row's per-step
+    discharge flags."""
+    soc, over_rate, discharge = lanes, np.zeros(lanes.shape, dtype=bool), np.zeros(lanes.shape, dtype=bool)
+    top, bottom = np.full(lanes.shape, -np.inf), np.full(lanes.shape, np.inf)
+    for block in blocks:
         over_rate |= block.rate.any(axis=0)
         discharge |= block.discharge.any(axis=0)
         np.fmax(top, np.fmax.reduce(block.soc, axis=0), out=top)
         np.fmin(bottom, np.fmin.reduce(block.soc, axis=0), out=bottom)
-        if fresh:
-            temps.append(block.temp)
-            if block.steps.stop == start:
-                entering = block.soc[-1]
+        soc = block.soc[-1]
         if last_discharge is not None:
             last_discharge[block.steps] = block.discharge[:, :, -1]
-    if fresh:
-        tank = np.concatenate(temps).any(axis=0)[:, None]
+    bat = cfg.battery
+    return over_rate | (top > bat.soc_max + EPS) | (bottom < bat.soc_min - EPS), discharge, soc
+
+
+def _screen(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, last_discharge=None, prefix=None):
+    """A screen reduced to (zero_penalty, accommodation_ok, prefix): boolean
+    (P, S) matrices and its head. Unless `prefix` gives the head, it is the
+    tank over the horizon and the battery before the first surplus step,
+    where a row's lanes are alike, at width (P, 1). The tail steps the (P, S)
+    lanes from there, from the head's SoC and the full headroom, as at step
+    0: no step of the head absorbs, and recovery from the full band is capped
+    back at it. A lane fails where its row's head fault or its own tail fault
+    is set, which is exact: both are ORs over steps. A horizon of no steps
+    yields no block, and every lane passes. Given a (T, P) boolean array,
+    `last_discharge` also receives the last surplus row's per-step discharge
+    flags, which no step of the head sets."""
+    count, width = p_bat.shape[0], surplus.shape[0]
+    if prefix is None:
+        start, ewh = _first_surplus(surplus), cfg.ewh
+        soc = np.full((count, 1), cfg.battery.soc_init)
+        head = _lane_steps(p_bat[:, :start], p_ewh[:, :start], surplus[:, :start], cfg, dt, soc)
+        fault, _, soc = _faults(head, soc, cfg)
+        theta = _tank(p_ewh, draws, ewh, dt)
+        fault |= ((theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)).any(axis=0)[:, None]
         # Copies, so that a caller writing to its rows cannot pass the guard.
-        prefix = ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), entering, *head, tank)
-    soc_lo, soc_hi = cfg.battery.soc_min - EPS, cfg.battery.soc_max + EPS
-    zero_penalty = ~(over_rate | (top > soc_hi) | (bottom < soc_lo) | prefix.tank)
-    if zero_penalty.shape != discharge.shape:  # no surplus step widened the records
-        zero_penalty = np.repeat(zero_penalty, width, axis=1)
-    return zero_penalty, ~discharge, prefix
+        prefix = ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), soc, fault)
+    start = prefix.start
+    if last_discharge is not None:
+        last_discharge = last_discharge[start:]
+    tail = _lane_steps(p_bat[:, start:], p_ewh[:, start:], surplus[:, start:], cfg, dt, prefix.soc)
+    fault, discharge, _ = _faults(tail, np.broadcast_to(prefix.soc, (count, width)), cfg, last_discharge)
+    return ~(prefix.fault | fault), ~discharge, prefix
 
 
 def _same_bits(a, b) -> bool:
@@ -678,26 +644,22 @@ def _surplus_row(surplus, horizon: int) -> np.ndarray:
 
 def simulate(traj: FlexTrajectory, surplus: np.ndarray, cfg: HemsConfig, dt: float) -> SimulationResult:
     """Step both assets through the horizon and flag constraint violations
-    per step (see `_lane_steps` for the rules)."""
+    per step (see `_lane_steps` and `_tank` for the rules)."""
     horizon = traj.horizon
     surplus = _surplus_row(surplus, horizon)
-    draws = cfg.ewh.draws(horizon)
-
+    bat, ewh = cfg.battery, cfg.ewh
+    theta = _tank(traj.p_ewh[None], ewh.draws(horizon), ewh, dt)[:, 0]
+    soc = np.full((1, 1), bat.soc_init)
+    blocks = list(_lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], cfg, dt, soc))
+    soc = np.concatenate([block.soc[:, 0, 0] for block in blocks])
     flags = {
-        name: np.zeros(horizon, dtype=bool) for name in ("soc_max", "soc_min", "temp", "charge_rate")
+        "soc_max": soc > bat.soc_max + EPS,
+        "soc_min": soc < bat.soc_min - EPS,
+        "temp": (theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS),
+        "charge_rate": np.concatenate([block.charge_rate[:, 0, 0] for block in blocks]),
     }
-    soc_path = np.empty(horizon)
-    theta_path = np.empty(horizon)
-    for block in _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], draws, cfg, dt):
-        flags["soc_max"][block.steps] = block.soc_max[:, 0, 0]
-        flags["soc_min"][block.steps] = block.soc_min[:, 0, 0]
-        flags["temp"][block.steps] = block.temp[:, 0]
-        flags["charge_rate"][block.steps] = block.charge_rate[:, 0, 0]
-        soc_path[block.steps] = block.soc[:, 0, 0]
-        theta_path[block.steps] = block.theta[:, 0]
-
     penalty = int(sum(f.sum() for f in flags.values()))
-    return SimulationResult(soc=soc_path, theta=theta_path, penalty=penalty, violations=flags)
+    return SimulationResult(soc=soc, theta=theta, penalty=penalty, violations=flags)
 
 
 def pv_accommodation(
@@ -706,8 +668,8 @@ def pv_accommodation(
     """Customer-preference check: no discharging while the battery is supposed
     to absorb surplus. Returns (ok, per-step violation flags)."""
     surplus = _surplus_row(surplus, traj.horizon)
-    # The rule never reads the tank, so no draw profile is needed.
-    blocks = _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], np.zeros(traj.horizon), cfg, dt)
+    soc = np.full((1, 1), cfg.battery.soc_init)
+    blocks = _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], cfg, dt, soc)
     flags = np.concatenate([block.discharge[:, 0, 0] for block in blocks])
     return not bool(flags.any()), flags
 

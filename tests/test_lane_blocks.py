@@ -121,7 +121,8 @@ class TestBlockSchedule:
         active = (surplus > 0.0).any(axis=0)
         first_active = int(np.argmax(active))
         h = 0
-        for block in hems._lane_steps(p_bat, p_ewh, surplus, cfg.ewh.draws(horizon), cfg, dt):
+        soc = np.full((count, 1), cfg.battery.soc_init)
+        for block in hems._lane_steps(p_bat, p_ewh, surplus, cfg, dt, soc):
             assert block.steps.start == h
             steps = block.steps.stop - h
             if active[h]:
@@ -129,15 +130,15 @@ class TestBlockSchedule:
             else:
                 assert 1 <= steps <= CAP and not active[block.steps].any()
             rows = 1 if h < first_active else net_load.shape[0]
-            for name in ("charge_rate", "soc_max", "soc_min", "soc"):
+            for name in ("charge_rate", "soc"):
                 assert getattr(block, name).shape == (steps, count, rows), name
             if active[h]:
                 assert block.discharge.shape == (1, count, rows)
             else:
                 assert block.discharge.shape == (steps, count, 1) and not block.discharge.any()
-            assert block.temp.shape == block.theta.shape == (steps, count)
             h = block.steps.stop
         assert h == horizon
+        assert hems._tank(p_ewh, cfg.ewh.draws(horizon), cfg.ewh, dt).shape == (horizon, count)
 
 
 class TestBlockBoundaries:
@@ -328,7 +329,7 @@ class TestTaperKnee:
         assert expected[:, :, CAP - 1].tolist() == [[False] * 2, [False] * 2, [False] * 2, [True] * 2, [False] * 2]
         assert expected[:, :, CAP].tolist() == [[False] * 2, [False] * 2, [True] * 2, [False] * 2, [True] * 2]
 
-        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt))
+        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, cfg, dt, np.full((5, 1), KNEE)))
         assert [block.steps for block in blocks[:2]] == [slice(0, CAP), slice(CAP, 2 * CAP)]
         flags = np.concatenate([np.broadcast_to(block.charge_rate, block.soc.shape[:2] + (2,)) for block in blocks])
         assert np.array_equal(flags, expected.transpose(2, 0, 1))
@@ -391,7 +392,7 @@ class TestTaperKnee:
         assert expected[:6, 0, 1].tolist() == [False, False, True, False, True, True]
         assert expected[:6, 1, 1].all()
 
-        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, draws, cfg, dt))
+        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, cfg, dt, np.full((8, 1), KNEE)))
         assert [block.steps for block in blocks] == [slice(0, 1), slice(1, 2), slice(2, 3)]
         flags = np.concatenate([np.broadcast_to(block.charge_rate, block.soc.shape[:2] + (2,)) for block in blocks])
         assert np.array_equal(flags, expected.transpose(2, 0, 1))
@@ -498,15 +499,17 @@ class TestTaperFloor:
                 assert np.array_equal(result.violations["charge_rate"], expected[p])
                 assert not result.violations["soc_max"].any()
             surplus = scenarios.pv_surplus(net_load)
-            blocks = hems._lane_steps(p_bat, self._heater(p_bat), surplus, np.zeros(self.HORIZON), cfg, dt)
+            blocks = hems._lane_steps(p_bat, self._heater(p_bat), surplus, cfg, dt, np.full((5, 1), CAPACITY))
             flags = np.concatenate([block.charge_rate for block in blocks])
             assert np.array_equal(flags, np.broadcast_to(expected.T[:, :, None], flags.shape))
         # Without surplus no step is active, so every limiter call but the
-        # floor's own is a block's: one SoC row per pair above the floor.
+        # floor's own, one per kernel pass (the screen's head and its tail),
+        # is a block's: one SoC row per pair above the floor.
         cfg, net_load = self._instance(CAPACITY, rows_with_surplus=False)
         seen.clear()
         hems.batch_compliance(p_bat, self._heater(p_bat), net_load, np.zeros(self.HORIZON), cfg, dt)
-        assert seen[0] == () and sum(shape[0] for shape in seen[1:]) == np.count_nonzero(p_bat > floor) == 4
+        assert seen[0] == () and seen.count(()) == 2
+        assert sum(shape[0] for shape in seen if shape) == np.count_nonzero(p_bat > floor) == 4
 
     @pytest.mark.parametrize("bound", ["soc_max", "soc_min"])
     def test_soc_band_touched_mid_block(self, bound):
@@ -685,6 +688,56 @@ class TestResumedScreen:
 
 
 FIRST = TestResumedScreen.FIRST
+
+
+class TestPrefixFault:
+    """A prefix's `fault` is its row's verdict on the steps before the first
+    surplus step and on the tank: some simulate `soc_max`, `soc_min` or
+    `charge_rate` flag before that step, or some `temp` flag anywhere. No
+    surplus row absorbs before that step, so any row's surplus gives the same
+    flags there. A row with a fault fails in every lane."""
+
+    @staticmethod
+    def _check(p_bat, p_ewh, net_load, cfg, dt):
+        """Check each row's fault; return whether its battery broke a rule
+        before the first surplus step, and whether its tank left the band."""
+        draws = cfg.ewh.draws(p_bat.shape[1])
+        envelope = scenarios.pv_surplus(net_load).max(axis=0)
+        zero_penalty, *_, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        assert prefix.fault.shape == (p_bat.shape[0], 1)
+        head, tank = np.zeros((2, p_bat.shape[0]), dtype=bool)
+        for p in range(p_bat.shape[0]):
+            flags = hems.simulate(FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p]), envelope, cfg, dt).violations
+            head[p] = any(flags[name][: prefix.start].any() for name in ("soc_max", "soc_min", "charge_rate"))
+            tank[p] = flags["temp"].any()
+            assert prefix.fault[p, 0] == (head[p] or tank[p])
+            if prefix.fault[p, 0]:
+                assert not zero_penalty[p].any()
+        return head, tank
+
+    def test_seeded_reference_swarm(self):
+        """The reference day's seeded first swarm has rows whose only head
+        fault is the battery's, rows whose only one is the tank's, and rows
+        with neither."""
+        cfg = cli.RunConfig.load(DATA / "config_reference.json")
+        values = scenarios.generate_scenarios(scenarios.read_marginals_csv(cfg.marginals_path), cfg.copula).values
+        hems_cfg, horizon = cfg.hems_config(), values.shape[1]
+        rows = epso.seed_initial_population(values[0], cfg.epso, hems_cfg, np.random.default_rng(cfg.seed)).x
+        head, tank = self._check(rows[:, :horizon], rows[:, horizon:], values, hems_cfg, cfg.dt_hours)
+        assert (head & ~tank).any() and (tank & ~head).any() and not (head | tank).all()
+
+    @BLOCK_SETTINGS
+    @given(block_instances())
+    def test_block_instances(self, instance):
+        cfg, dt, p_bat, p_ewh, net_load = instance
+        self._check(p_bat, p_ewh, net_load, cfg, dt)
+
+    def test_edge_instance(self):
+        """Row 3 breaks the charge rate before any surplus, the others do
+        not, and the tank stays in its band."""
+        cfg, p_bat, p_ewh, net_load, _ = TestResumedScreen._edge_instance("mid-day")
+        head, tank = self._check(p_bat, p_ewh, net_load, cfg, 0.25)
+        assert head.tolist() == [False, False, False, True] and not tank.any()
 
 
 class TestPrefixGuard:
