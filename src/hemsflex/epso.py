@@ -383,10 +383,14 @@ def run(
     re-checked before joining the set. Each evaluation is one kernel pass that
     screens the swarm and repairs every row at once, plus, when some repair
     candidate is valid, one `batch_compliance` re-screen of the repaired rows.
-    Repair leaves every step before the scenarios' first surplus step as it
-    is, so the re-screen is given the first pass's prefix of those rows and
-    resumes at that step, with the same verdicts as a full screen.
-    `log_sink`, when given, receives one dict per iteration.
+    The pass steps the scenarios' tail only for the rows whose head, the
+    tank and the battery before the first surplus step, passed, and gives
+    each row's compliant scenarios, which the fitness counts. Repair leaves
+    every step before that step as it is, so the re-screen is given the
+    first pass's prefix of those rows and resumes at that step, with the
+    same verdicts as a full screen. `log_sink`, when given, receives one
+    dict per iteration, whose `head_faulted` counts the rows of that
+    iteration's pass whose head faulted.
     """
     t_start = time.perf_counter()
     n_scen = scenarios.count
@@ -407,12 +411,13 @@ def run(
         """Score and repair the whole swarm in one kernel pass, re-screen the
         valid repair candidates in one call from the first surplus step on,
         refresh the personal bests, then offer the robust rows, repaired ones
-        included, to the set in row order."""
+        included, to the set in row order. Returns the number of rows whose
+        head faulted in the pass."""
         x_bat, x_ewh = swarm.x[:, :horizon], swarm.x[:, horizon:]
-        zero_penalty, accommodation_ok, fixed_bat, valid, prefix = screen_with_repair(
+        zero_penalty, compliant, fixed_bat, valid, prefix = screen_with_repair(
             x_bat, x_ewh, scenarios.values, surplus_envelope, draws, hems_cfg, dt
         )
-        fitness = np.count_nonzero(zero_penalty & accommodation_ok, axis=1)
+        fitness = np.count_nonzero(compliant, axis=1)
         penalty_free = np.count_nonzero(zero_penalty, axis=1)
         # Repair applies when the only widespread failures are
         # surplus-accommodation ones; it is skipped for trajectories the
@@ -433,18 +438,20 @@ def run(
         swarm.best_x = np.where(improved[:, None], swarm.x, swarm.best_x)
         for i in np.flatnonzero(offered_fitness >= threshold):
             feasible.add(offered[i], int(offered_fitness[i]))
+        return int(prefix.fault.sum())
 
     def best_distance() -> float:
         return float(np.max(feasible.distances())) if len(feasible) else 0.0
 
     swarm = seed_initial_population(scenario0, epso_cfg, hems_cfg, _stream(epso_cfg.seed, 0))
-    evaluate(swarm)
+    head_faulted = evaluate(swarm)
     emit(
         {
             "iteration": 0,
             "feasible": len(feasible),
             "best_distance": best_distance(),
             "mutation_rate": MUTATION_MAX,
+            "head_faulted": head_faulted,
         }
     )
 
@@ -476,7 +483,7 @@ def run(
             star[i] = perturb_global_best(b_g, TAU_PRIME, rng_move)
             mask[i] = rng_move.random(2 * horizon) < COMM_FACTOR
         offspring = move_particle(replace(swarm, weights=weights), star, mask, hems_cfg)
-        evaluate(offspring)
+        head_faulted = evaluate(offspring)
 
         swarm = stochastic_tournament(
             swarm, offspring, _stream(epso_cfg.seed, 2, it), TOURNAMENT_WIN_PROB
@@ -487,6 +494,7 @@ def run(
                 "feasible": len(feasible),
                 "best_distance": distance,
                 "mutation_rate": rate,
+                "head_faulted": head_faulted,
             }
         )
 

@@ -15,10 +15,12 @@ Every screen is a head and a tail, split at the first surplus step: the
 head, the tank and the battery before that step, is alike in every lane of a
 row and is kept per row as a `ScreenPrefix`. `screen_with_repair` steps the
 repair's surplus envelope as one more surplus row, so one screen gives the
-(P, S) verdicts and the repaired rows. Repair changes battery power only
-from the first surplus step on, and never the EWH schedule, so the swarm's
-`batch_compliance` re-screen of its repaired rows takes their head from that
-screen and steps only the tail.
+(P, S) verdicts and the repaired rows. A row whose head faulted fails in
+every lane, so that screen steps the tail only for the rows whose head
+passed, and its second verdict is `compliant`, which is exact for every row.
+Repair changes battery power only from the first surplus step on, and never
+the EWH schedule, so the swarm's `batch_compliance` re-screen of its
+repaired rows takes their head from that screen and steps only the tail.
 
 Sign convention: positive battery power charges (consumes), negative
 discharges (injects). EWH power is 0 or its nominal rating.
@@ -347,12 +349,14 @@ def _tank(p_ewh, draws, ewh: EwhConfig, dt: float) -> np.ndarray:
     return theta
 
 
-def _lane_steps(p_bat, p_ewh, surplus, cfg: HemsConfig, dt: float, soc):
+def _lane_steps(p_bat, p_ewh, surplus, active, cfg: HemsConfig, dt: float, soc):
     """Step the batteries of P trajectories through S surplus rows at once
     over the columns given, from the (P, 1) SoC `soc`, yielding `_Block`s
     that cover the columns in order, `steps` counted from the first.
 
-    p_bat and p_ewh are (P, T) and surplus is (S, T). Lane (p, s) is
+    p_bat and p_ewh are (P, T) and surplus is (S, T); `active` is the (T,)
+    mask `(surplus > 0.0).any(axis=0)`, which a screen works out once for
+    its head and its tail. Lane (p, s) is
     trajectory p under surplus row s: the battery absorbs the supposed PV
     surplus on top of the trajectory's own schedule, so a trajectory that has
     not kept headroom free shows up as a soc_max violation, and combined
@@ -403,7 +407,6 @@ def _lane_steps(p_bat, p_ewh, surplus, cfg: HemsConfig, dt: float, soc):
     # turns -0.0 into 0.0, as the active step does), and its SoC increment.
     p_free = p_bat_t[:, :, None] + 0.0
     increment = _soc_increment(p_free, bat, dt)
-    active = (surplus > 0.0).any(axis=0)
     capacity = np.full((count, 1), band)
     h = 0
     while h < horizon:
@@ -484,10 +487,11 @@ class ScreenPrefix(NamedTuple):
         return ScreenPrefix(self.start, *(getattr(self, name)[index] for name in self._fields[1:]))
 
 
-def _first_surplus(surplus) -> int:
-    """The first step where some (S, T) surplus row is positive, or T."""
+def _surplus_steps(surplus) -> tuple[np.ndarray, int]:
+    """The (T,) mask of the steps where some (S, T) surplus row is positive,
+    and the first such step, or T when there is none."""
     active = (surplus > 0.0).any(axis=0)
-    return int(active.argmax()) if active.any() else surplus.shape[1]
+    return active, int(active.argmax()) if active.any() else surplus.shape[1]
 
 
 def _faults(blocks, lanes, cfg: HemsConfig, last_discharge=None):
@@ -514,34 +518,35 @@ def _faults(blocks, lanes, cfg: HemsConfig, last_discharge=None):
     return over_rate | (top > bat.soc_max + EPS) | (bottom < bat.soc_min - EPS), discharge, soc
 
 
-def _screen(p_bat, p_ewh, surplus, draws, cfg: HemsConfig, dt: float, last_discharge=None, prefix=None):
-    """A screen reduced to (zero_penalty, accommodation_ok, prefix): boolean
-    (P, S) matrices and its head. Unless `prefix` gives the head, it is the
-    tank over the horizon and the battery before the first surplus step,
-    where a row's lanes are alike, at width (P, 1). The tail steps the (P, S)
-    lanes from there, from the head's SoC and the full headroom, as at step
-    0: no step of the head absorbs, and recovery from the full band is capped
-    back at it. A lane fails where its row's head fault or its own tail fault
-    is set, which is exact: both are ORs over steps. A horizon of no steps
-    yields no block, and every lane passes. Given a (T, P) boolean array,
-    `last_discharge` also receives the last surplus row's per-step discharge
-    flags, which no step of the head sets."""
-    count, width = p_bat.shape[0], surplus.shape[0]
-    if prefix is None:
-        start, ewh = _first_surplus(surplus), cfg.ewh
-        soc = np.full((count, 1), cfg.battery.soc_init)
-        head = _lane_steps(p_bat[:, :start], p_ewh[:, :start], surplus[:, :start], cfg, dt, soc)
-        fault, _, soc = _faults(head, soc, cfg)
-        theta = _tank(p_ewh, draws, ewh, dt)
-        fault |= ((theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)).any(axis=0)[:, None]
-        # Copies, so that a caller writing to its rows cannot pass the guard.
-        prefix = ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), soc, fault)
-    start = prefix.start
-    if last_discharge is not None:
-        last_discharge = last_discharge[start:]
-    tail = _lane_steps(p_bat[:, start:], p_ewh[:, start:], surplus[:, start:], cfg, dt, prefix.soc)
-    fault, discharge, _ = _faults(tail, np.broadcast_to(prefix.soc, (count, width)), cfg, last_discharge)
-    return ~(prefix.fault | fault), ~discharge, prefix
+def _head(p_bat, p_ewh, surplus, active, start: int, draws, cfg: HemsConfig, dt: float) -> ScreenPrefix:
+    """The `ScreenPrefix` of P (P, T) rows: the tank over the horizon and the
+    battery before the first surplus step `start`, where a row's lanes are
+    alike, stepped at width (P, 1)."""
+    ewh = cfg.ewh
+    soc = np.full((p_bat.shape[0], 1), cfg.battery.soc_init)
+    head = _lane_steps(p_bat[:, :start], p_ewh[:, :start], surplus[:, :start], active[:start], cfg, dt, soc)
+    fault, _, soc = _faults(head, soc, cfg)
+    theta = _tank(p_ewh, draws, ewh, dt)
+    fault |= ((theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)).any(axis=0)[:, None]
+    # Copies, so that a caller writing to its rows cannot pass the guard.
+    return ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), soc, fault)
+
+
+def _tail(p_bat, p_ewh, surplus, active, soc, cfg: HemsConfig, dt: float, last_discharge=None):
+    """The tail of a screen of n rows, given its columns from the first
+    surplus step on: (n, U) p_bat and p_ewh, (S, U) surplus and its (U,)
+    mask. The (n, S) lanes step from the head's (n, 1) SoC `soc` and the
+    full headroom, as at step 0: no step of the head absorbs, and recovery
+    from the full band is capped back at it. Returns the lanes' boolean
+    (n, S) (fault, discharge) over the tail alone. A lane fails where its
+    row's head fault or its own tail fault is set, which is exact: both are
+    ORs over steps. A tail of no steps yields no block, and no flag. Given a
+    (U, n) boolean array, `last_discharge` also receives the last surplus
+    row's per-step discharge flags, which no step of the head sets."""
+    blocks = _lane_steps(p_bat, p_ewh, surplus, active, cfg, dt, soc)
+    lanes = np.broadcast_to(soc, (soc.shape[0], surplus.shape[0]))
+    fault, discharge, _ = _faults(blocks, lanes, cfg, last_discharge)
+    return fault, discharge
 
 
 def _same_bits(a, b) -> bool:
@@ -550,10 +555,9 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _check_prefix(prefix: ScreenPrefix, p_bat, p_ewh, surplus) -> None:
+def _check_prefix(prefix: ScreenPrefix, p_bat, p_ewh, start: int) -> None:
     """Reject a prefix that was not taken of rows stepping as these do
-    before the first surplus step."""
-    start = _first_surplus(surplus)
+    before the first surplus step, `start`."""
     if prefix.start != start:
         raise ValueError(f"the prefix's first surplus step is {prefix.start}, the net-load rows' is {start}")
     if prefix.soc.shape[0] != p_bat.shape[0]:
@@ -590,9 +594,15 @@ def batch_compliance(
     """
     p_bat, p_ewh, net_load, draws = _check_population(p_bat, p_ewh, net_load, draws)
     surplus = pv_surplus(net_load)
-    if prefix is not None:
-        _check_prefix(prefix, p_bat, p_ewh, surplus)
-    return _screen(p_bat, p_ewh, surplus, draws, cfg, dt, prefix=prefix)[:2]
+    active, start = _surplus_steps(surplus)
+    if prefix is None:
+        prefix = _head(p_bat, p_ewh, surplus, active, start, draws, cfg, dt)
+    else:
+        _check_prefix(prefix, p_bat, p_ewh, start)
+    fault, discharge = _tail(
+        p_bat[:, start:], p_ewh[:, start:], surplus[:, start:], active[start:], prefix.soc, cfg, dt
+    )
+    return ~(prefix.fault | fault), ~discharge
 
 
 def screen_with_repair(
@@ -608,14 +618,21 @@ def screen_with_repair(
     envelope, in one kernel pass.
 
     The envelope, a (T,) surplus row, is stepped as surplus row S + 1 next to
-    the S net-load rows. Returns (zero_penalty, accommodation_ok, repaired,
-    valid, prefix): the first two are `batch_compliance`'s (P, S) verdicts.
-    Row p of the (P, T) `repaired` has battery power raised to zero wherever
-    trajectory p discharges while the battery is supposed to absorb the
-    envelope's surplus. valid[p] is False where the trajectory has a constraint penalty
+    the S net-load rows. Returns (zero_penalty, compliant, repaired, valid,
+    prefix), where the (P, S) zero_penalty is `batch_compliance`'s first
+    verdict and compliant is the AND of its two. Row p of the (P, T)
+    `repaired` has battery power raised to zero wherever trajectory p
+    discharges while the battery is supposed to absorb the envelope's
+    surplus. valid[p] is False where the trajectory has a constraint penalty
     under the envelope, which repair does not fix; such rows come back
     unchanged. A lane's result depends only on its own trajectory and
     surplus row, so the extra row leaves the verdicts bit for bit as they are.
+
+    The tail is stepped only for the rows whose head did not fault. A row
+    whose head faulted has a penalty in every lane, the envelope's included,
+    so it is all False in zero_penalty, compliant and valid whatever its tail
+    does, and comes back unchanged; only its accommodation verdicts would
+    need the tail, and they are not returned on their own.
 
     `prefix` is the pass's `ScreenPrefix`, taken at the first step where the
     net-load rows or the envelope have surplus. Repair changes only steps
@@ -628,11 +645,22 @@ def screen_with_repair(
     p_bat, p_ewh, net_load, draws = _check_population(p_bat, p_ewh, net_load, draws)
     envelope = _surplus_row(envelope, p_bat.shape[1])
     surplus = np.concatenate([pv_surplus(net_load), envelope[None]])
-    discharge = np.zeros(p_bat.shape[::-1], dtype=bool)
-    zero_penalty, accommodation_ok, prefix = _screen(p_bat, p_ewh, surplus, draws, cfg, dt, discharge)
+    active, start = _surplus_steps(surplus)
+    prefix = _head(p_bat, p_ewh, surplus, active, start, draws, cfg, dt)
+    # A row whose head faulted fails in every lane whatever its tail does.
+    live = np.flatnonzero(~prefix.fault[:, 0])
+    flags = np.zeros((p_bat.shape[1] - start, live.size), dtype=bool)
+    fault, discharge = _tail(
+        p_bat[live, start:], p_ewh[live, start:], surplus[:, start:], active[start:], prefix.soc[live], cfg, dt, flags
+    )
+    zero_penalty, compliant = np.zeros((2, p_bat.shape[0], surplus.shape[0]), dtype=bool)
+    zero_penalty[live] = ~fault
+    compliant[live] = ~(fault | discharge)
     valid = zero_penalty[:, -1]
-    repaired = np.where(discharge.T & valid[:, None], 0.0, p_bat)
-    return zero_penalty[:, :-1], accommodation_ok[:, :-1], repaired, valid, prefix
+    discharged = np.zeros(p_bat.shape, dtype=bool)
+    discharged[live, start:] = flags.T
+    repaired = np.where(discharged & valid[:, None], 0.0, p_bat)
+    return zero_penalty[:, :-1], compliant[:, :-1], repaired, valid, prefix
 
 
 def _surplus_row(surplus, horizon: int) -> np.ndarray:
@@ -650,7 +678,7 @@ def simulate(traj: FlexTrajectory, surplus: np.ndarray, cfg: HemsConfig, dt: flo
     bat, ewh = cfg.battery, cfg.ewh
     theta = _tank(traj.p_ewh[None], ewh.draws(horizon), ewh, dt)[:, 0]
     soc = np.full((1, 1), bat.soc_init)
-    blocks = list(_lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], cfg, dt, soc))
+    blocks = list(_lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], surplus > 0.0, cfg, dt, soc))
     soc = np.concatenate([block.soc[:, 0, 0] for block in blocks])
     flags = {
         "soc_max": soc > bat.soc_max + EPS,
@@ -669,7 +697,7 @@ def pv_accommodation(
     to absorb surplus. Returns (ok, per-step violation flags)."""
     surplus = _surplus_row(surplus, traj.horizon)
     soc = np.full((1, 1), cfg.battery.soc_init)
-    blocks = _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], cfg, dt, soc)
+    blocks = _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], surplus > 0.0, cfg, dt, soc)
     flags = np.concatenate([block.discharge[:, 0, 0] for block in blocks])
     return not bool(flags.any()), flags
 

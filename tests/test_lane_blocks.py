@@ -122,7 +122,7 @@ class TestBlockSchedule:
         first_active = int(np.argmax(active))
         h = 0
         soc = np.full((count, 1), cfg.battery.soc_init)
-        for block in hems._lane_steps(p_bat, p_ewh, surplus, cfg, dt, soc):
+        for block in hems._lane_steps(p_bat, p_ewh, surplus, active, cfg, dt, soc):
             assert block.steps.start == h
             steps = block.steps.stop - h
             if active[h]:
@@ -178,7 +178,8 @@ class TestBlockBoundaries:
     @BLOCK_SETTINGS
     @given(block_instances(), st.sampled_from(["envelope", "shifted", "zero", "no rows"]))
     def test_fused_screen_matches_screen_and_row_repair(self, instance, kind):
-        """The fused pass gives `batch_compliance`'s verdicts bit for bit and
+        """The fused pass gives `batch_compliance`'s zero-penalty verdicts and
+        their AND with its accommodation verdicts bit for bit, and
         per-row `repair_trajectory`'s rows, whether the envelope is the rows'
         surplus envelope, that envelope one step later (surplus where no row
         has it), all zero, or stepped with no net-load rows at all."""
@@ -191,13 +192,13 @@ class TestBlockBoundaries:
             envelope = np.zeros_like(envelope)
         elif kind == "no rows":
             net_load = net_load[:0]
-        zero_penalty, accommodation_ok, fixed, valid, _ = hems.screen_with_repair(
+        zero_penalty, compliant, fixed, valid, _ = hems.screen_with_repair(
             p_bat, p_ewh, net_load, envelope, draws, cfg, dt
         )
         expected = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
-        assert zero_penalty.shape == accommodation_ok.shape == (p_bat.shape[0], net_load.shape[0])
+        assert zero_penalty.shape == compliant.shape == (p_bat.shape[0], net_load.shape[0])
         assert np.array_equal(zero_penalty, expected[0])
-        assert np.array_equal(accommodation_ok, expected[1])
+        assert np.array_equal(compliant, expected[0] & expected[1])
         assert fixed.shape == p_bat.shape and valid.shape == (p_bat.shape[0],)
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
@@ -329,7 +330,8 @@ class TestTaperKnee:
         assert expected[:, :, CAP - 1].tolist() == [[False] * 2, [False] * 2, [False] * 2, [True] * 2, [False] * 2]
         assert expected[:, :, CAP].tolist() == [[False] * 2, [False] * 2, [True] * 2, [False] * 2, [True] * 2]
 
-        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, cfg, dt, np.full((5, 1), KNEE)))
+        active = hems._surplus_steps(surplus)[0]
+        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, active, cfg, dt, np.full((5, 1), KNEE)))
         assert [block.steps for block in blocks[:2]] == [slice(0, CAP), slice(CAP, 2 * CAP)]
         flags = np.concatenate([np.broadcast_to(block.charge_rate, block.soc.shape[:2] + (2,)) for block in blocks])
         assert np.array_equal(flags, expected.transpose(2, 0, 1))
@@ -392,7 +394,8 @@ class TestTaperKnee:
         assert expected[:6, 0, 1].tolist() == [False, False, True, False, True, True]
         assert expected[:6, 1, 1].all()
 
-        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, cfg, dt, np.full((8, 1), KNEE)))
+        active = hems._surplus_steps(surplus)[0]
+        blocks = list(hems._lane_steps(p_bat, p_ewh, surplus, active, cfg, dt, np.full((8, 1), KNEE)))
         assert [block.steps for block in blocks] == [slice(0, 1), slice(1, 2), slice(2, 3)]
         flags = np.concatenate([np.broadcast_to(block.charge_rate, block.soc.shape[:2] + (2,)) for block in blocks])
         assert np.array_equal(flags, expected.transpose(2, 0, 1))
@@ -446,7 +449,7 @@ class TestTaperFloor:
         zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
         envelope = scenarios.pv_surplus(net_load).max(axis=0)
         fused = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
-        assert np.array_equal(fused[0], zero_penalty) and np.array_equal(fused[1], accommodation_ok)
+        assert np.array_equal(fused[0], zero_penalty) and np.array_equal(fused[1], zero_penalty & accommodation_ok)
         results = {}
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
@@ -499,7 +502,8 @@ class TestTaperFloor:
                 assert np.array_equal(result.violations["charge_rate"], expected[p])
                 assert not result.violations["soc_max"].any()
             surplus = scenarios.pv_surplus(net_load)
-            blocks = hems._lane_steps(p_bat, self._heater(p_bat), surplus, cfg, dt, np.full((5, 1), CAPACITY))
+            active = hems._surplus_steps(surplus)[0]
+            blocks = hems._lane_steps(p_bat, self._heater(p_bat), surplus, active, cfg, dt, np.full((5, 1), CAPACITY))
             flags = np.concatenate([block.charge_rate for block in blocks])
             assert np.array_equal(flags, np.broadcast_to(expected.T[:, :, None], flags.shape))
         # Without surplus no step is active, so every limiter call but the
@@ -554,6 +558,16 @@ def _reference_population():
     return p_bat, p_ewh, scenario_set.values, cfg.hems_config(), cfg.dt_hours
 
 
+def _seeded_swarm():
+    """The reference day's seeded first swarm, as (p_bat, p_ewh, net_load,
+    HEMS, dt): some of its rows fault in their head, some do not."""
+    cfg = cli.RunConfig.load(DATA / "config_reference.json")
+    values = scenarios.generate_scenarios(scenarios.read_marginals_csv(cfg.marginals_path), cfg.copula).values
+    hems_cfg, horizon = cfg.hems_config(), values.shape[1]
+    rows = epso.seed_initial_population(values[0], cfg.epso, hems_cfg, np.random.default_rng(cfg.seed)).x
+    return rows[:, :horizon], rows[:, horizon:], values, hems_cfg, cfg.dt_hours
+
+
 def _traced_peak(call, *args) -> int:
     """Peak traced allocation of one call, after a warm-up call."""
     call(*args)
@@ -606,7 +620,7 @@ class TestResumedScreen:
         draws = cfg.ewh.draws(p_bat.shape[1])
         envelope = scenarios.pv_surplus(net_load).max(axis=0)
         *_, fixed, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
-        assert prefix.start == hems._first_surplus(scenarios.pv_surplus(net_load))
+        assert prefix.start == hems._surplus_steps(scenarios.pv_surplus(net_load))[1]
         for rows in (np.arange(p_bat.shape[0]), np.flatnonzero(valid), np.arange(p_bat.shape[0])[::-1]):
             for bat in (p_bat, fixed):
                 _assert_resumed_matches(bat[rows], p_ewh[rows], net_load, draws, cfg, dt, prefix.rows(rows))
@@ -640,7 +654,7 @@ class TestResumedScreen:
 
         monkeypatch.setattr(epso, "batch_compliance", twin)
         epso.run(cfg.epso, scenario_set, hems_cfg, cfg.dt_hours)
-        first = hems._first_surplus(scenarios.pv_surplus(scenario_set.values))
+        first = hems._surplus_steps(scenarios.pv_surplus(scenario_set.values))[1]
         assert len(starts) > 10 and set(starts) == {first} and 0 < first < scenario_set.horizon
 
     HORIZON = 2 * CAP + 2
@@ -719,11 +733,7 @@ class TestPrefixFault:
         """The reference day's seeded first swarm has rows whose only head
         fault is the battery's, rows whose only one is the tank's, and rows
         with neither."""
-        cfg = cli.RunConfig.load(DATA / "config_reference.json")
-        values = scenarios.generate_scenarios(scenarios.read_marginals_csv(cfg.marginals_path), cfg.copula).values
-        hems_cfg, horizon = cfg.hems_config(), values.shape[1]
-        rows = epso.seed_initial_population(values[0], cfg.epso, hems_cfg, np.random.default_rng(cfg.seed)).x
-        head, tank = self._check(rows[:, :horizon], rows[:, horizon:], values, hems_cfg, cfg.dt_hours)
+        head, tank = self._check(*_seeded_swarm())
         assert (head & ~tank).any() and (tank & ~head).any() and not (head | tank).all()
 
     @BLOCK_SETTINGS
@@ -788,3 +798,148 @@ class TestPrefixGuard:
         prefix, draws = self._prefix(p_bat, p_ewh, net_load, cfg)
         p_bat[:, first:] = 0.3
         _assert_resumed_matches(p_bat, p_ewh, net_load, draws, cfg, 0.25, prefix)
+
+
+def _full_tail_screen(p_bat, p_ewh, net_load, envelope, draws, cfg, dt):
+    """`screen_with_repair` with the tail stepped for every row, head-faulted
+    ones included: (zero_penalty, accommodation_ok, repaired, valid, prefix)."""
+    surplus = np.concatenate([scenarios.pv_surplus(net_load), envelope[None]])
+    active, start = hems._surplus_steps(surplus)
+    prefix = hems._head(p_bat, p_ewh, surplus, active, start, draws, cfg, dt)
+    flags = np.zeros((p_bat.shape[1] - start, p_bat.shape[0]), dtype=bool)
+    fault, discharge = hems._tail(
+        p_bat[:, start:], p_ewh[:, start:], surplus[:, start:], active[start:], prefix.soc, cfg, dt, flags
+    )
+    zero_penalty = ~(prefix.fault | fault)
+    valid = zero_penalty[:, -1]
+    discharged = np.zeros(p_bat.shape, dtype=bool)
+    discharged[:, start:] = flags.T
+    repaired = np.where(discharged & valid[:, None], 0.0, p_bat)
+    return zero_penalty[:, :-1], ~discharge[:, :-1], repaired, valid, prefix
+
+
+class TestLiveRowTail:
+    """The fused pass steps the tail only for the rows whose head passed; a
+    head-faulted row fails in every lane whatever its tail does. Its outputs
+    must equal a full-tail screen's bit for bit, and its `compliant` must be
+    `batch_compliance`'s zero_penalty & accommodation_ok."""
+
+    @staticmethod
+    def _check(p_bat, p_ewh, net_load, envelope, draws, cfg, dt):
+        """Compare the fused pass with the full-tail screen and with
+        `batch_compliance`; return the pass's prefix."""
+        zero_penalty, compliant, repaired, valid, prefix = hems.screen_with_repair(
+            p_bat, p_ewh, net_load, envelope, draws, cfg, dt
+        )
+        want_zero, want_ok, want_repaired, want_valid, want_prefix = _full_tail_screen(
+            p_bat, p_ewh, net_load, envelope, draws, cfg, dt
+        )
+        screened = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        assert zero_penalty.shape == compliant.shape == (p_bat.shape[0], net_load.shape[0])
+        assert np.array_equal(zero_penalty, want_zero) and np.array_equal(zero_penalty, screened[0])
+        assert np.array_equal(compliant, want_zero & want_ok)
+        assert np.array_equal(compliant, screened[0] & screened[1])
+        assert np.array_equal(valid, want_valid)
+        assert repaired.shape == p_bat.shape
+        assert np.array_equal(repaired.view(np.int64), want_repaired.view(np.int64))
+        assert prefix.start == want_prefix.start
+        for name in hems.ScreenPrefix._fields[1:]:
+            got, want = getattr(prefix, name), getattr(want_prefix, name)
+            assert got.shape == want.shape and got.dtype == want.dtype, name
+            assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name
+        assert not zero_penalty[prefix.fault[:, 0]].any() and not valid[prefix.fault[:, 0]].any()
+        return prefix
+
+    @staticmethod
+    def _envelope(net_load):
+        return scenarios.pv_surplus(net_load).max(axis=0)
+
+    def test_seeded_reference_swarm(self):
+        p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
+        draws = cfg.ewh.draws(net_load.shape[1])
+        prefix = self._check(p_bat, p_ewh, net_load, self._envelope(net_load), draws, cfg, dt)
+        assert prefix.fault.any() and not prefix.fault.all()
+
+    def test_every_fused_pass_of_the_small_search(self, monkeypatch):
+        cfg = cli.RunConfig.load(DATA / "config_small.json")
+        scenario_set, hems_cfg = cli._instance(cfg)
+        screen, faulted = hems.screen_with_repair, []
+
+        def twin(p_bat, p_ewh, net_load, envelope, draws, cfg, dt):
+            faulted.append(int(self._check(p_bat, p_ewh, net_load, envelope, draws, cfg, dt).fault.sum()))
+            return screen(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+
+        monkeypatch.setattr(epso, "screen_with_repair", twin)
+        records = []
+        epso.run(cfg.epso, scenario_set, hems_cfg, cfg.dt_hours, log_sink=records.append)
+        assert len(faulted) == len(records) > 10 and 0 < sum(faulted)
+        assert [record["head_faulted"] for record in records] == faulted
+
+    def test_every_row_head_faulted(self):
+        """The heater always on drives every tank above its band."""
+        p_bat, p_ewh, net_load, cfg, dt = _reference_population()
+        p_ewh = np.full_like(p_ewh, cfg.ewh.p_nom)
+        draws = cfg.ewh.draws(net_load.shape[1])
+        prefix = self._check(p_bat, p_ewh, net_load, self._envelope(net_load), draws, cfg, dt)
+        assert prefix.fault.all()
+
+    @pytest.mark.parametrize("population", ["gentle", "live rows of the swarm"])
+    def test_no_row_head_faulted(self, population):
+        """The seeded gentle population, and the rows of the seeded swarm
+        whose head passed."""
+        if population == "gentle":
+            p_bat, p_ewh, net_load, cfg, dt = _reference_population()
+        else:
+            p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
+        draws, envelope = cfg.ewh.draws(net_load.shape[1]), self._envelope(net_load)
+        live = ~hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)[-1].fault[:, 0]
+        prefix = self._check(p_bat[live], p_ewh[live], net_load, envelope, draws, cfg, dt)
+        assert live.sum() > 1 and not prefix.fault.any()
+
+    def test_rows_without_surplus(self):
+        """No net-load row and not the envelope has surplus: the head is the
+        whole horizon and the tail has no step."""
+        p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
+        net_load = np.abs(net_load) + 0.1
+        envelope = np.zeros(net_load.shape[1])
+        prefix = self._check(p_bat, p_ewh, net_load, envelope, cfg.ewh.draws(net_load.shape[1]), cfg, dt)
+        assert prefix.start == net_load.shape[1] and prefix.fault.any() and not prefix.fault.all()
+
+    def test_empty_horizon(self):
+        cfg = TestResumedScreen._edge_instance("none")[0]
+        empty, rows, none = np.zeros((2, 0)), np.zeros((3, 0)), np.zeros(0)
+        prefix = self._check(empty, empty, rows, none, none, cfg, 0.25)
+        assert prefix.start == 0 and not prefix.fault.any()
+
+    def test_no_net_load_rows(self):
+        p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
+        draws = cfg.ewh.draws(net_load.shape[1])
+        prefix = self._check(p_bat, p_ewh, net_load[:0], self._envelope(net_load), draws, cfg, dt)
+        assert prefix.fault.any() and not prefix.fault.all()
+
+    def test_fused_tail_steps_exactly_the_live_rows(self, monkeypatch):
+        """The fused pass steps the head for every row and the tail for the
+        live rows only; a re-screen given the prefix steps the tail alone,
+        for every row it is given, from views of them, not copies."""
+        p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
+        draws, envelope = cfg.ewh.draws(net_load.shape[1]), self._envelope(net_load)
+        lane_steps, seen = hems._lane_steps, []
+
+        def spy(p_bat, *args):
+            seen.append(p_bat)
+            return lane_steps(p_bat, *args)
+
+        monkeypatch.setattr(hems, "_lane_steps", spy)
+        *_, fixed, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        live = np.flatnonzero(~prefix.fault[:, 0])
+        start = prefix.start
+        assert 0 < live.size < p_bat.shape[0] and 0 < start < p_bat.shape[1]
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], p_bat[:, :start]) and np.array_equal(seen[1], p_bat[live, start:])
+        seen.clear()
+        rows = np.flatnonzero(valid)
+        repaired = fixed[rows]
+        hems.batch_compliance(repaired, p_ewh[rows], net_load, draws, cfg, dt, prefix=prefix.rows(rows))
+        assert len(seen) == 1 and np.array_equal(seen[0], repaired[:, start:])
+        assert np.shares_memory(seen[0], repaired)
+

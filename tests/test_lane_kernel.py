@@ -244,8 +244,11 @@ class TestPopulationScreen:
         empty, rows, none = np.zeros((2, 0)), np.zeros((3, 0)), np.zeros(0)
         verdicts = hems.batch_compliance(empty, empty, rows, none, hems_reference, 0.25)
         assert [v.tolist() for v in verdicts] == [[[True] * 3] * 2] * 2
-        *verdicts, repaired, valid, _ = hems.screen_with_repair(empty, empty, rows, none, none, hems_reference, 0.25)
-        assert [v.tolist() for v in verdicts] == [[[True] * 3] * 2] * 2
+        zero_penalty, compliant, repaired, valid, _ = hems.screen_with_repair(
+            empty, empty, rows, none, none, hems_reference, 0.25
+        )
+        assert np.array_equal(zero_penalty, verdicts[0])
+        assert np.array_equal(compliant, verdicts[0] & verdicts[1])
         assert repaired.shape == (2, 0) and valid.tolist() == [True, True]
 
 

@@ -135,8 +135,14 @@ def test_kernel_rates_time_both_passes_pinned(monkeypatch):
     assert {name: (k["rows"], k["surplus_rows"], k["steps"]) for name, k in kernel.items()} == {
         "fused": (30, 101, 96), "rescreen": (bench.RESCREEN_ROWS, 100, 96), "resumed": (bench.RESCREEN_ROWS, 100, 62)
     }
+    # The fused pass steps its 34-step head for all 30 rows and its tail for
+    # the 17 rows whose head passed.
+    fused = kernel.pop("fused")
+    assert fused["live_rows"] == 17 and fused["lane_steps"] == 30 * 34 + 17 * 101 * 62
+    for k in [fused, *kernel.values()]:
+        assert k["lane_steps_per_s"] == k["lane_steps"] / k["best_s"] > 0
     for k in kernel.values():
-        assert k["lane_steps_per_s"] == k["rows"] * k["surplus_rows"] * k["steps"] / k["best_s"] > 0
+        assert k["lane_steps"] == k["rows"] * k["surplus_rows"] * k["steps"]
 
 
 def test_cli_stages_run_pinned_to_the_quietest_cpu(monkeypatch, tmp_path):

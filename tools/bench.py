@@ -177,9 +177,13 @@ def kernel_rates() -> dict:
     `batch_compliance` re-screen of RESCREEN_ROWS of its repaired rows, both
     the full one (`rescreen`) and, as the swarm makes it, the one resumed
     from the fused pass's prefix at the first surplus step (`resumed`),
-    whose lane steps are those from that step on. Each of KERNEL_REPEATS
-    rounds pins this process to perfbench's quietest CPU and times each call
-    once; a call's figure is its best round. The affinity is restored."""
+    whose lane steps are those from that step on. The fused pass steps its
+    head once per row before the first surplus step and its tail only for
+    the `live_rows` whose head passed, so its lane steps are rows x first
+    plus live_rows x surplus_rows x (steps - first), `first` being the first
+    surplus step. Each of KERNEL_REPEATS rounds pins this process to
+    perfbench's quietest CPU and times each call once; a call's figure is
+    its best round. The affinity is restored."""
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     from hemsflex import cli, epso, hems, scenarios
@@ -192,13 +196,17 @@ def kernel_rates() -> dict:
     p_bat, p_ewh = rows[:, :horizon], rows[:, horizon:]
     *_, fixed, _, prefix = hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt)
     repaired, ewh, head = fixed[:RESCREEN_ROWS], p_ewh[:RESCREEN_ROWS], prefix.rows(slice(RESCREEN_ROWS))
+    first, live = prefix.start, int(np.count_nonzero(~prefix.fault))
+    fused = {"rows": len(rows), "live_rows": live, "surplus_rows": len(values) + 1, "steps": horizon}
+    rescreen = {"rows": RESCREEN_ROWS, "surplus_rows": len(values), "steps": horizon}
+    resumed = rescreen | {"steps": horizon - first}
     calls = {
-        "fused": (lambda: hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt),
-                  len(rows), len(values) + 1, horizon),
-        "rescreen": (lambda: hems.batch_compliance(repaired, ewh, values, draws, hems_cfg, dt),
-                     RESCREEN_ROWS, len(values), horizon),
-        "resumed": (lambda: hems.batch_compliance(repaired, ewh, values, draws, hems_cfg, dt, prefix=head),
-                    RESCREEN_ROWS, len(values), horizon - prefix.start),
+        "fused": (lambda: hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt), fused,
+                  len(rows) * first + live * (len(values) + 1) * (horizon - first)),
+        "rescreen": (lambda: hems.batch_compliance(repaired, ewh, values, draws, hems_cfg, dt), rescreen,
+                     RESCREEN_ROWS * len(values) * horizon),
+        "resumed": (lambda: hems.batch_compliance(repaired, ewh, values, draws, hems_cfg, dt, prefix=head), resumed,
+                    RESCREEN_ROWS * len(values) * (horizon - first)),
     }
     best = dict.fromkeys(calls, float("inf"))
     cpus = os.sched_getaffinity(0)
@@ -212,9 +220,8 @@ def kernel_rates() -> dict:
     finally:
         os.sched_setaffinity(0, cpus)
     return {
-        name: {"rows": count, "surplus_rows": lanes, "steps": steps, "best_s": best[name],
-               "lane_steps_per_s": count * lanes * steps / best[name]}
-        for name, (_, count, lanes, steps) in calls.items()
+        name: shape | {"lane_steps": lane_steps, "best_s": best[name], "lane_steps_per_s": lane_steps / best[name]}
+        for name, (_, shape, lane_steps) in calls.items()
     } | {"repeats": KERNEL_REPEATS}
 
 
