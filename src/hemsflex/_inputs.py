@@ -1,6 +1,6 @@
-"""The input contract: every file the CLI reads comes from outside the
-program, so how JSON and CSV are parsed and what counts as a number is decided
-here. Each owner keeps its own ranges, headers and column rules."""
+"""The input contract: every file the CLI reads and every array a caller hands
+an entry point comes from outside the program, so how JSON and CSV are parsed
+and what counts as a number is decided here. Each owner keeps its own rules."""
 
 from __future__ import annotations
 
@@ -53,6 +53,15 @@ def finite(name: str, value):
     return value
 
 
+def finite_array(name: str, array: np.ndarray) -> np.ndarray:
+    """`array` when it holds no NaN or ±inf, which would switch off every rule
+    they meet; the error names `name` and a matrix's first such row from 1."""
+    if not np.isfinite(array).all():
+        where = f": row {np.flatnonzero(~np.isfinite(array).all(axis=1))[0] + 1}" if array.ndim == 2 else ""
+        raise ValueError(f"{name}{where} holds a non-finite value")
+    return array
+
+
 def integer(name: str, value, least: int):
     """`value` when it is an integer of at least `least`: not true, and not a
     float such as 1e5 or 7.9."""
@@ -78,10 +87,7 @@ def read_table(path) -> tuple[Path, list[str], np.ndarray]:
         table = table.reshape(0, len(header))
     if table.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {table.shape[1]} fields, the header {len(header)}")
-    bad = np.flatnonzero(~np.isfinite(table).all(axis=1))
-    if bad.size:
-        raise ValueError(f"{path}: row {bad[0] + 1} holds a non-finite value")
-    return path, header, table
+    return path, header, finite_array(str(path), table)
 
 
 def whole(path: Path, name: str, column: np.ndarray) -> np.ndarray:

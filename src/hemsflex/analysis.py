@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._inputs import build, integer
+from ._inputs import build, finite_array, integer
 from .epso import FeasibleSet, robust_threshold
 from .hems import EPS, FlexTrajectory, HemsConfig, TrajectorySet, feasible_power_range
 from .scenarios import ScenarioSet
@@ -236,6 +236,8 @@ def _oracle(cfg: HemsConfig, scenarios: ScenarioSet, dt: float):
 
 def oracle_check(traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, dt: float) -> int:
     """Count the scenarios in which the trajectory passes every rule."""
+    finite_array("traj", traj.as_vector())
+    finite_array("scenarios", scenarios.values)
     return _oracle(cfg, scenarios, dt)(traj.p_bat.tolist(), traj.p_ewh.tolist())
 
 

@@ -24,7 +24,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from ._inputs import finite, integer, read_table, whole
+from ._inputs import finite, finite_array, integer, read_table, whole
 from .hems import FlexTrajectory, HemsConfig, TrajectorySet, batch_compliance, screen_with_repair
 
 # Kept importable as epso.repair_trajectory, where perfbench/spans.py looks it up.
@@ -116,14 +116,11 @@ class FeasibleSet:
     written once.
 
     `add` rejects a row closer than DEDUP_TOL in max-norm to some member, as
-    a scan of every member would: rejected when the least of the members'
-    max-norm distances is below DEDUP_TOL, where a NaN distance makes that
-    least distance NaN and the row is kept. To avoid the scan, the members'
-    row sums, each taken exactly rounded by `math.fsum`, are kept sorted, and
-    a row is compared only with the members whose sum lies within
-    `_sum_window` of its own, plus every member whose sum is not finite or
-    overflows, whose distance may be NaN. A row whose own sum is not finite
-    or overflows is compared with every member.
+    a scan of every member would. To avoid the scan, the members' row sums,
+    each taken exactly rounded by `math.fsum`, are kept sorted, and a row is
+    compared only with the members whose sum lies within `_sum_window` of
+    its own. A row that is not finite, or on which `math.fsum` overflows, is
+    rejected with ValueError and leaves the set as it was.
 
     Exactness: a distance computed below DEDUP_TOL means every computed
     |m_j - x_j| is below it, and since a subtraction rounds monotonically and
@@ -134,7 +131,7 @@ class FeasibleSet:
     by a factor 1 + 2^-20 and adds 2^-40 times the row's sum and 1e-300,
     which covers both sums' rounding and that of the window's own ends many
     times over. A member outside the window therefore has a distance of at
-    least DEDUP_TOL, never NaN (its entries are finite), and cannot change
+    least DEDUP_TOL, never NaN (both rows are finite), and cannot change
     what the full scan decides. A test holds a duplicate whose rounded sums
     lie more than 2T DEDUP_TOL apart."""
 
@@ -144,11 +141,9 @@ class FeasibleSet:
         self.mean = np.zeros(2 * horizon)
         self._rows = np.empty((64, 2 * horizon))
         self._distances = None
-        # The members' finite row sums in ascending order, the member index
-        # of each, and the members whose row sum is not finite.
+        # The members' row sums in ascending order, and the member index of each.
         self._sums: list[float] = []
         self._by_sum: list[int] = []
-        self._unsummed: list[int] = []
 
     def __len__(self) -> int:
         return len(self.fitnesses)
@@ -165,28 +160,20 @@ class FeasibleSet:
         vector = np.asarray(row, dtype=float)
         if vector.shape != (2 * self.horizon,):
             raise ValueError(f"row has shape {vector.shape}, the set's rows are {2 * self.horizon} wide")
+        total = _row_sum(finite_array("row", vector))
+        slack = _sum_window(vector.size, total)
+        lo = bisect.bisect_left(self._sums, total - slack)
+        hi = bisect.bisect_right(self._sums, total + slack)
+        picks = self._by_sum[lo:hi]
+        if picks and float(np.min(np.max(np.abs(self._rows[picks] - vector), axis=1))) < DEDUP_TOL:
+            return False
         n = len(self)
-        total = _row_sum(vector)
-        if n:
-            if total is None:
-                near = self._rows[:n]
-            else:
-                slack = _sum_window(vector.size, total)
-                lo = bisect.bisect_left(self._sums, total - slack)
-                hi = bisect.bisect_right(self._sums, total + slack)
-                picks = self._by_sum[lo:hi] + self._unsummed
-                near = self._rows[picks] if picks else None
-            if near is not None and float(np.min(np.max(np.abs(near - vector), axis=1))) < DEDUP_TOL:
-                return False
         if n == self._rows.shape[0]:
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
         self._rows[n] = vector
-        if total is None:
-            self._unsummed.append(n)
-        else:
-            k = bisect.bisect_right(self._sums, total)
-            self._sums.insert(k, total)
-            self._by_sum.insert(k, n)
+        k = bisect.bisect_right(self._sums, total)
+        self._sums.insert(k, total)
+        self._by_sum.insert(k, n)
         self.fitnesses.append(int(fitness))
         self.mean = self.mean + (vector - self.mean) / (n + 1)
         self._distances = None
@@ -202,14 +189,12 @@ class FeasibleSet:
         return self._distances
 
 
-def _row_sum(vector: np.ndarray) -> float | None:
-    """The exactly rounded sum of a row, or None when it is not finite or
-    overflows."""
+def _row_sum(vector: np.ndarray) -> float:
+    """The exactly rounded sum of a finite row; an overflow is a ValueError."""
     try:
-        total = math.fsum(vector.tolist())
-    except (OverflowError, ValueError):  # an overflow, or inf + -inf
-        return None
-    return total if math.isfinite(total) else None
+        return math.fsum(vector.tolist())
+    except OverflowError as exc:
+        raise ValueError(f"row is too large to sum: {exc}") from None
 
 
 def _sum_window(width: int, total: float) -> float:

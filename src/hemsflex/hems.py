@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ._inputs import build, finite, json_object, read_table, whole
+from ._inputs import build, finite, finite_array, json_object, read_table, whole
 from .scenarios import pv_surplus
 
 __all__ = [
@@ -220,6 +220,7 @@ class TrajectorySet:
         matrix = np.asarray(self.matrix, dtype=float).view()
         if matrix.ndim != 2 or matrix.shape[1] < 2 or matrix.shape[1] % 2:
             raise ValueError(f"a trajectory set is an (n, 2T) matrix with T >= 1, not shape {matrix.shape}")
+        finite_array("matrix", matrix)
         matrix.flags.writeable = False
         object.__setattr__(self, "matrix", matrix)
 
@@ -378,14 +379,13 @@ def _lane_steps(p_bat, p_ewh, surplus, active, cfg: HemsConfig, dt: float, soc):
     limit is the nominal rate in every lane, so its charge-rate flags are
     taken once per trajectory on (R, P, 1). An active step whose lanes all
     start at or below the knee compares with the nominal rate as well. Both
-    tests are `max(initial=-inf) <= knee_soc`, which a NaN start fails, as it
-    fails `s <= knee_soc` in the limiter. In a block that does reach the
+    tests are `max(initial=-inf) <= knee_soc`. In a block that does reach the
     knee, the tapered limit is evaluated only for the (step, trajectory)
     pairs whose power exceeds the floor `charge_limit(capacity) + EPS`; the
     other pairs cannot be flagged. The limiter never goes below that floor:
     it clips SoC to the capacity, and each of its rounded operations is
     monotone, so the limit falls, or stays, as SoC rises. A power at or below
-    the floor passes at every SoC, and at a NaN SoC, where the limit is NaN.
+    the floor passes at every SoC.
     Before the first active step the lanes of a trajectory are alike, so SoC
     and headroom stay (P, 1).
 
@@ -454,17 +454,18 @@ def _lane_steps(p_bat, p_ewh, surplus, active, cfg: HemsConfig, dt: float, soc):
         h = stop
 
 
-def _check_population(p_bat, p_ewh, rows, draws):
-    """The inputs as float arrays, once their horizons agree: (P, T)
-    trajectories, (S, T) rows and a (T,) draw profile."""
-    p_bat, p_ewh, rows, draws = (np.asarray(a, dtype=float) for a in (p_bat, p_ewh, rows, draws))
+def _check_population(p_bat, p_ewh, net_load, draws):
+    """The inputs as finite float arrays, once their horizons agree: (P, T)
+    trajectories, (S, T) net-load rows and a (T,) draw profile."""
+    names, arrays = ("p_bat", "p_ewh", "net_load", "draws"), (p_bat, p_ewh, net_load, draws)
+    p_bat, p_ewh, net_load, draws = (finite_array(n, np.asarray(a, dtype=float)) for n, a in zip(names, arrays))
     if not (
-        p_bat.ndim == rows.ndim == 2
+        p_bat.ndim == net_load.ndim == 2
         and p_ewh.shape == p_bat.shape
-        and draws.shape == (p_bat.shape[1],) == rows.shape[1:]
+        and draws.shape == (p_bat.shape[1],) == net_load.shape[1:]
     ):
         raise ValueError("trajectory, draw profile, and scenario horizons differ")
-    return p_bat, p_ewh, rows, draws
+    return p_bat, p_ewh, net_load, draws
 
 
 class ScreenPrefix(NamedTuple):
@@ -499,18 +500,17 @@ def _faults(blocks, lanes, cfg: HemsConfig, last_discharge=None):
     width of `lanes`, the (P, W) SoC the lanes enter with: whether some step
     broke the charge rate or left the SoC band, whether some step discharged
     during surplus, and the SoC after the last step. The band is tested once,
-    on each lane's NaN-ignoring SoC extremes, which leave it exactly when some
-    step's SoC does: a NaN SoC fails both band tests, and `np.max` would let a
-    NaN hide an earlier step out of band. `last_discharge`, a boolean array
-    with a row per column, also receives the last surplus row's per-step
-    discharge flags."""
+    on each lane's SoC extremes: finite input turns a SoC NaN only once some
+    step has charged far beyond the rate, so such a lane faults either way.
+    `last_discharge`, a boolean array with a row per column, also receives
+    the last surplus row's per-step discharge flags."""
     soc, over_rate, discharge = lanes, np.zeros(lanes.shape, dtype=bool), np.zeros(lanes.shape, dtype=bool)
     top, bottom = np.full(lanes.shape, -np.inf), np.full(lanes.shape, np.inf)
     for block in blocks:
         over_rate |= block.rate.any(axis=0)
         discharge |= block.discharge.any(axis=0)
-        np.fmax(top, np.fmax.reduce(block.soc, axis=0), out=top)
-        np.fmin(bottom, np.fmin.reduce(block.soc, axis=0), out=bottom)
+        np.maximum(top, block.soc.max(axis=0), out=top)
+        np.minimum(bottom, block.soc.min(axis=0), out=bottom)
         soc = block.soc[-1]
         if last_discharge is not None:
             last_discharge[block.steps] = block.discharge[:, :, -1]
@@ -551,7 +551,7 @@ def _tail(p_bat, p_ewh, surplus, active, soc, cfg: HemsConfig, dt: float, last_d
 
 def _same_bits(a, b) -> bool:
     """Whether two float arrays hold the same shape and bits: rows with the
-    same bits step alike, NaN included, which a value test would call unequal."""
+    same bits step alike."""
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
@@ -643,7 +643,7 @@ def screen_with_repair(
     re-screens them from that step on.
     """
     p_bat, p_ewh, net_load, draws = _check_population(p_bat, p_ewh, net_load, draws)
-    envelope = _surplus_row(envelope, p_bat.shape[1])
+    envelope = _surplus_row("envelope", envelope, p_bat.shape[1])
     surplus = np.concatenate([pv_surplus(net_load), envelope[None]])
     active, start = _surplus_steps(surplus)
     prefix = _head(p_bat, p_ewh, surplus, active, start, draws, cfg, dt)
@@ -663,18 +663,19 @@ def screen_with_repair(
     return zero_penalty[:, :-1], compliant[:, :-1], repaired, valid, prefix
 
 
-def _surplus_row(surplus, horizon: int) -> np.ndarray:
+def _surplus_row(name: str, surplus, horizon: int) -> np.ndarray:
+    """The argument `name`, a surplus row, as a finite float (T,) vector."""
     surplus = np.asarray(surplus, dtype=float)
     if surplus.shape != (horizon,):
-        raise ValueError(f"surplus has shape {surplus.shape}, trajectory horizon is {horizon}")
-    return surplus
+        raise ValueError(f"{name} has shape {surplus.shape}, trajectory horizon is {horizon}")
+    return finite_array(name, surplus)
 
 
 def simulate(traj: FlexTrajectory, surplus: np.ndarray, cfg: HemsConfig, dt: float) -> SimulationResult:
     """Step both assets through the horizon and flag constraint violations
     per step (see `_lane_steps` and `_tank` for the rules)."""
     horizon = traj.horizon
-    surplus = _surplus_row(surplus, horizon)
+    surplus = _surplus_row("surplus", surplus, horizon)
     bat, ewh = cfg.battery, cfg.ewh
     theta = _tank(traj.p_ewh[None], ewh.draws(horizon), ewh, dt)[:, 0]
     soc = np.full((1, 1), bat.soc_init)
@@ -695,7 +696,7 @@ def pv_accommodation(
 ) -> tuple[bool, np.ndarray]:
     """Customer-preference check: no discharging while the battery is supposed
     to absorb surplus. Returns (ok, per-step violation flags)."""
-    surplus = _surplus_row(surplus, traj.horizon)
+    surplus = _surplus_row("surplus", surplus, traj.horizon)
     soc = np.full((1, 1), cfg.battery.soc_init)
     blocks = _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], surplus > 0.0, cfg, dt, soc)
     flags = np.concatenate([block.discharge[:, 0, 0] for block in blocks])
@@ -714,6 +715,7 @@ def repair_trajectory(
     and `surplus` as the envelope.
     """
     horizon = traj.horizon
+    surplus = _surplus_row("surplus", surplus, horizon)
     _, _, repaired, valid, _ = screen_with_repair(
         traj.p_bat[None], traj.p_ewh[None], np.empty((0, horizon)), surplus, cfg.ewh.draws(horizon), cfg, dt
     )
@@ -733,10 +735,10 @@ def feasible_power_range(
     """Battery-power interval keeping this single step violation-free, given
     the current SoC and the surplus power the battery must absorb on top.
 
-    The charging limit is `_charge_limiter`'s, worked out in Python floats:
-    the clip keeps a NaN SoC NaN, as np.maximum and np.minimum do, and
-    where it differs from theirs, at 0.0 against -0.0, both clipped values
-    lie below the knee and give the nominal limit."""
+    The charging limit is `_charge_limiter`'s, worked out in Python floats.
+    Where the clip differs from np.maximum's and np.minimum's, at 0.0
+    against -0.0, both clipped values lie below the knee and give the
+    nominal limit."""
     bat = cfg.battery
     s = 0.0 if soc < 0.0 else soc
     s = bat.capacity if s > bat.capacity else s

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._inputs import build, check_keys, finite, integer, json_object
+from ._inputs import build, check_keys, finite, finite_array, integer, json_object
 
 __all__ = [
     "KernelSpec",
@@ -235,14 +235,13 @@ def _merge_coincident(rows: np.ndarray, weights: np.ndarray):
     np.unique sorts the rows lexicographically, with -0.0 equal to 0.0, and
     keeps one row of each run of equal rows. A lexsort ranks finite rows in
     the same order for a fraction of its cost. np.unique itself decides
-    where a row holds a NaN or an infinity, whose place its sort need not
-    share with the lexsort, and where the rows of a run differ in their bits
-    (-0.0 against 0.0), since which of them it keeps depends on its sort."""
+    where the rows of a run differ in their bits (-0.0 against 0.0), since
+    which of them it keeps depends on its sort."""
     order = np.lexsort(rows.T[::-1])
     ranked = rows[order]
     first = np.r_[True, (ranked[1:] != ranked[:-1]).any(axis=1)]
     bits = ranked.view(np.int64)
-    if np.isfinite(ranked).all() and (first[1:] | (bits[1:] == bits[:-1]).all(axis=1)).all():
+    if (first[1:] | (bits[1:] == bits[:-1]).all(axis=1)).all():
         if first.all():
             return None
         unique, inverse = ranked[first], np.empty_like(order)
@@ -272,7 +271,9 @@ def train(
     scaling the caller applied; without it the bounds of the (already
     normalized) inputs are stored.
     """
-    X = np.atleast_2d(np.asarray(vectors, dtype=float))
+    X = finite_array("vectors", np.atleast_2d(np.asarray(vectors, dtype=float)))
+    if norm_bounds is not None:
+        norm_bounds = finite_array("norm_bounds", np.asarray(norm_bounds, dtype=float))
     n = X.shape[0]
     if n < 2:
         raise ValueError("training needs at least 2 vectors")
@@ -324,7 +325,7 @@ def train(
         support_vectors=sv_x,
         coefficients=sv_alpha,
         kernel=kernel,
-        norm_bounds=np.asarray(norm_bounds, dtype=float) if norm_bounds is not None else derive_bounds(X),
+        norm_bounds=norm_bounds if norm_bounds is not None else derive_bounds(X),
         radius2_threshold=radius2_threshold,
         const_term=const_term,
         nu=cfg.nu,

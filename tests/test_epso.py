@@ -489,7 +489,7 @@ TOL_OFFSETS = [
     for offset in (TOL, np.nextafter(TOL, 0.0), np.nextafter(TOL, 1.0), TOL / 2, 0.0)
     for sign in (1.0, -1.0)
 ]
-# Entries that make a row's sum non-finite or overflow, or sit near the limits.
+# Entries that make a row non-finite or its sum overflow, or sit near the limits.
 SPECIAL_ENTRIES = [np.nan, np.inf, -np.inf, 1e308, -1e308, np.finfo(float).max, 5e-324, -0.0]
 
 
@@ -533,21 +533,35 @@ def _adversarial_offers(data, width):
         yield from rows
 
 
+def _summable(row):
+    """Whether a row is finite and `math.fsum` does not overflow on it."""
+    try:
+        return math.isfinite(math.fsum(row.tolist()))
+    except (OverflowError, ValueError):
+        return False
+
+
 class TestFeasibleSetIndex:
     """`FeasibleSet.add` compares a row only with the members whose row sum
-    lies in a window around its own, and with the members whose sum is not
-    finite; every decision and the buffer must be those of a full scan."""
+    lies in a window around its own; every decision and the buffer must be
+    those of a full scan. A row that is not finite, or whose sum overflows,
+    is refused with ValueError and leaves the set as it was."""
 
     @settings(max_examples=400, deadline=None, derandomize=True, database=None)
     @given(data=st.data())
     def test_every_add_matches_the_full_scan(self, data):
         horizon = data.draw(st.integers(1, 3), label="horizon")
         indexed, reference = FeasibleSet(horizon), _FullScanSet(horizon)
-        # inf - inf and huge differences warn in either route, where tier-1
-        # makes a RuntimeWarning an error.
-        with np.errstate(over="ignore", invalid="ignore"):
+        # Huge differences warn in either route, where tier-1 makes a warning
+        # an error.
+        with np.errstate(over="ignore"):
             for k, row in enumerate(_adversarial_offers(data, 2 * horizon)):
-                assert indexed.add(row, k) == reference.add(row, k), k
+                if _summable(row):
+                    assert indexed.add(row, k) == reference.add(row, k), k
+                else:
+                    with pytest.raises(ValueError, match="^row (holds a non-finite value|is too large to sum)"):
+                        indexed.add(row, k)
+                    assert indexed.trajectories.matrix.tobytes() == reference.rows.tobytes()
         assert indexed.trajectories.matrix.tobytes() == reference.rows.tobytes()
         assert indexed.fitnesses == reference.fitnesses
 
@@ -571,25 +585,27 @@ class TestFeasibleSetIndex:
             assert fs.add(first, 1)
             assert not fs.add(second, 1)
 
-    def test_a_nan_member_lets_every_later_row_in(self):
-        # A NaN distance makes the full scan's least distance NaN, which is
-        # not below the tolerance: the index keeps that.
+    def test_a_nan_row_is_refused_and_duplicates_stay_out(self):
+        # A NaN member would make every later least distance NaN, which is
+        # not below the tolerance, and let the same row in again and again.
         fs = FeasibleSet(horizon=1)
         assert fs.add(np.zeros(2), 1)
-        assert fs.add(np.array([np.nan, 5.0]), 1)
-        assert fs.add(np.zeros(2), 1)
-        assert fs.add(np.array([np.nan, 5.0]), 1)
-        assert len(fs) == 4
+        with pytest.raises(ValueError, match="^row holds a non-finite value$"):
+            fs.add(np.array([np.nan, 5.0]), 1)
+        for _ in range(3):
+            assert not fs.add(np.zeros(2), 1)
+        assert len(fs) == 1 and fs.fitnesses == [1]
 
-    def test_rows_whose_sum_overflows_are_compared_in_full(self):
+    def test_a_row_whose_sum_overflows_is_refused(self):
         fs = FeasibleSet(horizon=1)
-        huge = np.array([1e308, 1e308])
-        assert fs.add(huge, 1)
-        assert not fs.add(huge.copy(), 1)
+        with pytest.raises(ValueError, match="^row is too large to sum"):
+            fs.add(np.array([1e308, 1e308]), 1)
+        assert len(fs) == 0
         with np.errstate(over="ignore"):
             assert fs.add(np.array([1e308, -1e308]), 1)
             assert not fs.add(np.array([1e308, -1e308]), 1)
-        assert len(fs) == 2 and fs._unsummed == [0]
+            assert fs.add(np.array([-1e308, 1e308]), 1)
+        assert len(fs) == 2
 
 class TestStochasticTournament:
     # Each pair draws one uniform, in row order, so a swarm of n pairs sees
@@ -884,9 +900,10 @@ class TestTrajectoryCsvWriter:
     def test_set_and_list_give_the_same_bytes(self, tmp_path):
         """A `TrajectorySet` is written from its matrix rows, here strided
         views into a wider table as the reader returns them; a list of its
-        rows as `FlexTrajectory` gives the same file."""
+        rows as `FlexTrajectory` gives the same file. A set holds finite rows
+        only, while a list of offers may also hold NaN and ±inf."""
         rng = np.random.default_rng(8)
-        edge = [0.0, -0.0, 5e-324, float("nan"), float("inf"), -float("inf"), 0.1 + 0.2, 1e16]
+        edge = [0.0, -0.0, 5e-324, -1.5e-300, 0.1 + 0.2, 1e16]
         table = rng.choice(edge, size=(12, 9))
         table[::3] = table[1::3]
         rows = TrajectorySet(table[:, :-1])
@@ -897,6 +914,13 @@ class TestTrajectoryCsvWriter:
         assert (tmp_path / "set.csv").read_bytes() == (tmp_path / "list.csv").read_bytes()
         expected = _csv_writer_bytes(tmp_path / "reference.csv", 4, table[:, :-1].tolist(), fits)
         assert (tmp_path / "set.csv").read_bytes() == expected
+        special = table[:, :-1].copy()
+        special[::4, 1] = [float("nan"), float("inf"), -float("inf")]
+        write_trajectories_csv(tmp_path / "special.csv", [FlexTrajectory(r[:4], r[4:]) for r in special], fits)
+        expected = _csv_writer_bytes(tmp_path / "special_reference.csv", 4, special.tolist(), fits)
+        assert (tmp_path / "special.csv").read_bytes() == expected
+        with pytest.raises(ValueError, match="^matrix: row 1 holds a non-finite value$"):
+            TrajectorySet(special)
         with pytest.raises(ValueError, match="trajectory 0 has horizon 4, the header 3"):
             write_trajectories_csv(tmp_path / "bad.csv", rows, fits, horizon=3)
         assert not (tmp_path / "bad.csv").exists()

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hemsflex import analysis, hems
+from hemsflex import analysis, hems, scenarios
 from hemsflex.hems import (
     BatteryConfig,
     EwhConfig,
@@ -539,3 +539,53 @@ class TestTrajectorySet:
     def test_matrix_must_have_an_even_positive_width(self, shape):
         with pytest.raises(ValueError, match="a trajectory set is an"):
             hems.TrajectorySet(np.zeros(shape))
+
+
+class TestNonFiniteInput:
+    """A NaN switches rules off instead of failing, so the screens, the oracle
+    and the surplus readers reject it, and ±inf, naming the argument."""
+
+    HORIZON = 6
+
+    @staticmethod
+    def _cfg(soc_init):
+        battery = BatteryConfig(capacity=3.2, p_charge_max=1.5, p_discharge_max=1.5, soc_init=soc_init)
+        return HemsConfig(battery=battery, ewh=EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=60.0))
+
+    def test_nan_battery_power_is_rejected_by_kernel_and_oracle(self):
+        # From SoC 3.0 the tapered limit is about 0.68 kW, so charging 1.4 kW
+        # at step 3 fails in both routes. A NaN SoC from step 1 on used to
+        # pass every later test in the kernel while the oracle failed it.
+        cfg, dt = self._cfg(3.0), 0.25
+        p_ewh, net_load, draws = np.zeros((1, self.HORIZON)), np.full((1, self.HORIZON), 0.4), np.zeros(self.HORIZON)
+        finite = np.array([[0.0, 0.0, 0.0, 1.4, 0.0, 0.0]])
+        zero_penalty, accommodation_ok = hems.batch_compliance(finite, p_ewh, net_load, draws, cfg, dt)
+        scenario_set = scenarios.ScenarioSet(net_load)
+        assert not zero_penalty[0, 0] and accommodation_ok[0, 0]
+        assert analysis.oracle_check(FlexTrajectory(finite[0], p_ewh[0]), scenario_set, cfg, dt) == 0
+        p_bat = finite.copy()
+        p_bat[0, 1] = np.nan
+        message = "^p_bat: row 1 holds a non-finite value$"
+        with pytest.raises(ValueError, match=message):
+            hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        with pytest.raises(ValueError, match=message):
+            hems.screen_with_repair(p_bat, p_ewh, net_load, np.zeros(self.HORIZON), draws, cfg, dt)
+        with pytest.raises(ValueError, match="^traj holds a non-finite value$"):
+            analysis.oracle_check(FlexTrajectory(p_bat[0], p_ewh[0]), scenario_set, cfg, dt)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_envelope_is_rejected(self, value):
+        # The row discharges at step 3. A NaN envelope used to read as no
+        # surplus and leave the row unrepaired but valid; an all-inf one made
+        # it invalid. A finite envelope with surplus repairs it.
+        cfg, dt = self._cfg(1.92), 0.25
+        p_bat, p_ewh = np.array([[0.0, 0.0, 0.0, -0.5, 0.0, 0.0]]), np.zeros((1, self.HORIZON))
+        net_load, draws = np.full((1, self.HORIZON), 0.4), np.zeros(self.HORIZON)
+        _, _, repaired, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, np.full(self.HORIZON, 0.3), draws, cfg, dt)
+        assert valid[0] and not repaired.any()
+        with pytest.raises(ValueError, match="^envelope holds a non-finite value$"):
+            hems.screen_with_repair(p_bat, p_ewh, net_load, np.full(self.HORIZON, value), draws, cfg, dt)
+        traj = FlexTrajectory(p_bat[0], p_ewh[0])
+        for check in (simulate, pv_accommodation, repair_trajectory):
+            with pytest.raises(ValueError, match="^surplus holds a non-finite value$"):
+                check(traj, np.full(self.HORIZON, value), cfg, dt)

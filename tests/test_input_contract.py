@@ -2,11 +2,13 @@
 its JSON leaves, CSV cells or CSV header fields replaced by a hostile value,
 makes the cheapest command that parses it exit 0, or exit 2 with a message
 that names the key or the file. A `train` that exits 0 leaves a finite model
-whose training rows do not all score the same r2."""
+whose training rows do not all score the same r2. The in-process entry points
+reject a NaN or ±inf anywhere in an array argument, naming the argument."""
 
 import contextlib
 import io
 import json
+import re
 import shutil
 import warnings
 
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hemsflex import cli, epso, hems, scenarios, svdd
+from hemsflex import analysis, cli, epso, hems, scenarios, svdd
 from hemsflex.hems import FlexTrajectory
 from tests.conftest import example_inputs, make_marginals
 
@@ -201,5 +203,86 @@ def test_csv_cells_and_headers(base, name, command):
         csv_mutations(data.draw, work / name)
         code, err = run(work, *(arg.format(work=work) for arg in command))
         assert_contract(code, err, [name.split("/")[-1]])
+
+    check()
+
+
+# The in-process entry points, each with the array arguments it checks and a
+# call of it on a dict of those arrays.
+HORIZON = 6
+HEMS = hems.HemsConfig(
+    battery=hems.BatteryConfig(capacity=3.2, p_charge_max=1.5, p_discharge_max=1.5, soc_init=1.92),
+    ewh=hems.EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=60.0),
+)
+
+
+def entry_arrays():
+    """Finite arguments that every entry point below takes without error."""
+    rng = np.random.default_rng(41)
+    net_load = np.tile(np.r_[0.4, 0.4, -0.3, -0.6, 0.4, 0.4], (3, 1))
+    return {
+        "p_bat": rng.uniform(-0.3, 0.3, (2, HORIZON)), "p_ewh": np.zeros((2, HORIZON)),
+        "net_load": net_load, "draws": np.ones(HORIZON),
+        "envelope": scenarios.pv_surplus(net_load).max(axis=0), "surplus": scenarios.pv_surplus(net_load[0]),
+        "matrix": rng.uniform(-0.3, 0.3, (3, 2 * HORIZON)), "row": rng.uniform(-0.3, 0.3, 2 * HORIZON),
+        "traj": np.r_[rng.uniform(-0.1, 0.1, HORIZON), np.zeros(HORIZON)], "scenarios": net_load,
+        "vectors": rng.random((8, 4)), "norm_bounds": np.tile([0.0, 1.0], (4, 1)),
+    }
+
+
+def offer(arrays):
+    """`FeasibleSet.add` of the row to a one-member set, which must be left
+    as it was when the row is refused."""
+    fs = epso.FeasibleSet(HORIZON)
+    fs.add(np.zeros(2 * HORIZON), 1)
+
+    def state():
+        return fs.trajectories.matrix.tobytes(), list(fs.fitnesses), fs.mean.tobytes(), fs.distances().tobytes()
+
+    before = state()
+    try:
+        fs.add(arrays["row"], 2)
+    except ValueError:
+        assert state() == before
+        raise
+
+
+def traj(arrays):
+    return FlexTrajectory(arrays["traj"][:HORIZON], arrays["traj"][HORIZON:])
+
+
+ENTRY_POINTS = {
+    "batch_compliance": (("p_bat", "p_ewh", "net_load", "draws"), lambda a: hems.batch_compliance(
+        a["p_bat"], a["p_ewh"], a["net_load"], a["draws"], HEMS, 0.25)),
+    "screen_with_repair": (("p_bat", "p_ewh", "net_load", "envelope", "draws"), lambda a: hems.screen_with_repair(
+        a["p_bat"], a["p_ewh"], a["net_load"], a["envelope"], a["draws"], HEMS, 0.25)),
+    "TrajectorySet": (("matrix",), lambda a: hems.TrajectorySet(a["matrix"])),
+    "FeasibleSet.add": (("row",), offer),
+    "oracle_check": (("traj", "scenarios"), lambda a: analysis.oracle_check(
+        traj(a), scenarios.ScenarioSet(a["scenarios"]), HEMS, 0.25)),
+    "train": (("vectors", "norm_bounds"), lambda a: svdd.train(
+        a["vectors"], svdd.KernelSpec("rbf", gamma=0.5), svdd.TrainingConfig(nu=0.2), a["norm_bounds"])),
+    "simulate": (("surplus",), lambda a: hems.simulate(traj(a), a["surplus"], HEMS, 0.25)),
+    "pv_accommodation": (("surplus",), lambda a: hems.pv_accommodation(traj(a), a["surplus"], HEMS, 0.25)),
+    "repair_trajectory": (("surplus",), lambda a: hems.repair_trajectory(traj(a), a["surplus"], HEMS, 0.25)),
+}
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry, name", [(entry, name) for entry, (names, _) in ENTRY_POINTS.items() for name in names])
+def test_in_process_arrays_must_be_finite(entry, name, value):
+    call = ENTRY_POINTS[entry][1]
+    call(entry_arrays())
+
+    @settings(max_examples=10, deadline=None, derandomize=True, database=None)
+    @given(st.data())
+    def check(data):
+        arrays = entry_arrays()
+        bad = arrays[name]
+        index = np.unravel_index(data.draw(st.integers(0, bad.size - 1), label="position"), bad.shape)
+        bad[index] = value
+        where = f": row {index[0] + 1}" if bad.ndim == 2 else ""
+        with pytest.raises(ValueError, match=f"^{re.escape(name + where)} holds a non-finite value$"):
+            call(arrays)
 
     check()

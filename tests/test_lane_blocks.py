@@ -410,7 +410,7 @@ class TestTaperKnee:
 class TestTaperFloor:
     """Edges of the per-lane reductions of a block: the charging taper's
     floor, at or below which the limiter is not evaluated, and the SoC band,
-    which is tested on each lane's NaN-ignoring SoC extremes over the block.
+    which is tested on each lane's SoC extremes over the block.
     Step 0 has surplus in row 0 only, and the EWH takes all of it, so nothing
     is absorbed there, while the surplus-free blocks after it hold (P, 2)
     lanes. Every verdict must equal simulate's and pv_accommodation's
@@ -520,31 +520,35 @@ class TestTaperFloor:
         """In the middle of a surplus-free block, trajectories 0-2 land SoC
         one ulp inside, exactly on and one ulp outside the band edge
         (soc_max + EPS or soc_min - EPS), and step back inside before the
-        block ends, so only the block's extremes see the edge. Trajectory 3
-        leaves the band as the outside one does, and its next power is NaN:
-        its SoC is NaN from there on, and the extremes must still see the
-        step out of band. Trajectory 4's only nonzero power is NaN."""
+        block ends, so only the block's extremes see the edge. A NaN power,
+        which would make every later SoC NaN, is rejected by both screens."""
         bat = self._instance(CAPACITY)[0].battery
         upper = bound == "soc_max"
         edge = bat.soc_max + EPS if upper else bat.soc_min - EPS
         start = edge - 0.05 if upper else edge + 0.05
         inside, outside = (np.nextafter(edge, -np.inf), np.nextafter(edge, np.inf))[:: 1 if upper else -1]
         cfg, net_load = self._instance(start)
-        p_bat = np.zeros((5, self.HORIZON))
-        for p, target in enumerate([inside, edge, outside, outside]):
+        p_bat = np.zeros((3, self.HORIZON))
+        for p, target in enumerate([inside, edge, outside]):
             step = target - start
             assert start + step == target
             # With unit efficiency a quarter hour turns power 4 * step into SoC step exactly.
             p_bat[p, self.STEP] = 4 * step
             p_bat[p, self.STEP + 1] = -4 * step
-        p_bat[3:, self.STEP + 1] = np.nan
         zero_penalty, results = self._screen(cfg, 0.25, p_bat, net_load)
-        assert zero_penalty.tolist() == [[True] * 2, [True] * 2, [False] * 2, [False] * 2, [True] * 2]
+        assert zero_penalty.tolist() == [[True] * 2, [True] * 2, [False] * 2]
         for (p, _), result in results.items():
-            assert result.soc[self.STEP] == ([inside, edge, outside, outside, start][p])
-            assert result.violations[bound].tolist() == [p in (2, 3) and h == self.STEP for h in range(self.HORIZON)]
-            assert np.isnan(result.soc[self.STEP + 1 :]).all() == (p >= 3)
+            assert result.soc[self.STEP] == ([inside, edge, outside][p])
+            assert result.violations[bound].tolist() == [p == 2 and h == self.STEP for h in range(self.HORIZON)]
+            assert not np.isnan(result.soc).any()
             assert not result.violations["charge_rate"].any()
+        p_bat[2, self.STEP + 1] = np.nan
+        p_ewh, draws = self._heater(p_bat), cfg.ewh.draws(self.HORIZON)
+        envelope = scenarios.pv_surplus(net_load).max(axis=0)
+        with pytest.raises(ValueError, match="^p_bat: row 3 holds a non-finite value$"):
+            hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, 0.25)
+        with pytest.raises(ValueError, match="^p_bat: row 3 holds a non-finite value$"):
+            hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, 0.25)
 
 
 def _reference_population():
@@ -752,7 +756,7 @@ class TestPrefixFault:
 
 class TestPrefixGuard:
     """A prefix taken of other rows than the screened ones is rejected,
-    naming what differs."""
+    naming what differs. A NaN in the rows is rejected before the guard."""
 
     @staticmethod
     def _prefix(p_bat, p_ewh, net_load, cfg):
@@ -765,7 +769,7 @@ class TestPrefixGuard:
         [
             ("ewh", "in EWH schedule"),
             ("battery", f"in battery power before step {FIRST}"),
-            ("battery nan", f"in battery power before step {FIRST}"),
+            ("battery nan", "p_bat: row 3 holds"),
             ("surplus earlier", f"first surplus step is {FIRST}, the net-load rows' is 2"),
             ("surplus later", f"first surplus step is {FIRST}, the net-load rows' is {FIRST + 2}"),
             ("rows", "the prefix has 4 rows, the screen 3"),
@@ -792,9 +796,9 @@ class TestPrefixGuard:
 
     def test_same_rows_after_the_first_surplus_step_may_differ(self):
         """Battery power from the first surplus step on is not part of the
-        prefix, and a NaN before it matches the same NaN."""
+        prefix, and a -0.0 before it matches the same -0.0 bit for bit."""
         cfg, p_bat, p_ewh, net_load, first = TestResumedScreen._edge_instance("mid-day")
-        p_bat[2, 0] = np.nan
+        p_bat[2, 0] = -0.0
         prefix, draws = self._prefix(p_bat, p_ewh, net_load, cfg)
         p_bat[:, first:] = 0.3
         _assert_resumed_matches(p_bat, p_ewh, net_load, draws, cfg, 0.25, prefix)

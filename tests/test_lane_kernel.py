@@ -330,3 +330,69 @@ class TestOracleSharedPrefix:
             assert oracle(pb, pe) == expected
             for threshold in range(net_load.shape[0] + 2):
                 assert (oracle(pb, pe, threshold) >= threshold) == (expected >= threshold)
+
+
+# Finite powers and net loads at the ends of the float range, and signed zeros.
+EXTREMES = [np.finfo(float).max, -np.finfo(float).max, 1e308, -1e308, 0.0, -0.0]
+
+
+@st.composite
+def extreme_instances(draw):
+    """Quarter-hour instances whose battery powers and net loads are drawn
+    from EXTREMES as often as from ordinary values."""
+    battery = hems.BatteryConfig(
+        capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=draw(st.sampled_from(DISCHARGE_RATINGS)),
+        soc_init=draw(st.sampled_from([SOC_MIN, KNEE, CAPACITY])), efficiency=draw(st.sampled_from([1.0, 0.925])),
+    )
+    cfg = hems.HemsConfig(
+        battery=battery, ewh=hems.EwhConfig(p_nom=P_NOM, theta_min=THETA_MIN, theta_max=THETA_MAX, theta_init=60.0)
+    )
+    horizon = draw(st.integers(1, 12))
+    value = st.sampled_from(EXTREMES) | st.floats(-2.0, 2.0)
+    p_bat = draw(arrays(float, (draw(st.integers(1, 4)), horizon), elements=value))
+    p_ewh = draw(arrays(float, p_bat.shape, elements=st.sampled_from([0.0, P_NOM])))
+    net_load = draw(arrays(float, (draw(st.integers(1, 4)), horizon), elements=value))
+    return cfg, p_bat, p_ewh, net_load
+
+
+class TestExtremeFiniteInput:
+    """`hems._faults` tests the SoC band on each lane's extremes with np.max
+    and np.min, which a NaN SoC would turn NaN. Finite input at quarter-hour
+    steps overflows SoC to ±inf at most, never to NaN, and the screens keep
+    agreeing with the oracle lane for lane."""
+
+    @PROPERTY_SETTINGS
+    @given(extreme_instances())
+    def test_screens_match_the_oracle_and_no_soc_is_nan(self, instance):
+        cfg, p_bat, p_ewh, net_load = instance
+        dt, draws = 0.25, cfg.ewh.draws(p_bat.shape[1])
+        surplus = scenarios.pv_surplus(net_load)
+        with np.errstate(over="ignore"):
+            zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+            fused = hems.screen_with_repair(p_bat, p_ewh, net_load, surplus.max(axis=0), draws, cfg, dt)
+            soc = np.full((p_bat.shape[0], 1), cfg.battery.soc_init)
+            blocks = hems._lane_steps(p_bat, p_ewh, surplus, hems._surplus_steps(surplus)[0], cfg, dt, soc)
+            assert not any(np.isnan(block.soc).any() for block in blocks)
+        assert np.array_equal(fused[0], zero_penalty) and np.array_equal(fused[1], zero_penalty & accommodation_ok)
+        for p in range(p_bat.shape[0]):
+            traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
+            for s in range(net_load.shape[0]):
+                oracle = analysis.oracle_check(traj, scenarios.ScenarioSet(net_load[s : s + 1]), cfg, dt)
+                assert bool(zero_penalty[p, s] and accommodation_ok[p, s]) == (oracle == 1)
+
+    def test_a_nan_soc_comes_only_after_a_charge_rate_fault(self):
+        """At hour steps two charges at the largest float overflow SoC to
+        +inf, and a discharge at it then adds -inf: SoC turns NaN, but the
+        first charge already broke the rate, so both routes fail the lane."""
+        battery = hems.BatteryConfig(capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=P_MAX, soc_init=KNEE)
+        cfg = hems.HemsConfig(
+            battery=battery, ewh=hems.EwhConfig(p_nom=P_NOM, theta_min=THETA_MIN, theta_max=THETA_MAX, theta_init=60.0)
+        )
+        big = np.finfo(float).max
+        p_bat, p_ewh, net_load = np.array([[big, big, -big, 0.0]]), np.zeros((1, 4)), np.full((1, 4), 0.4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = hems.simulate(FlexTrajectory(p_bat[0], p_ewh[0]), np.zeros(4), cfg, 1.0)
+            zero_penalty, _ = hems.batch_compliance(p_bat, p_ewh, net_load, np.zeros(4), cfg, 1.0)
+        assert result.soc[1] == np.inf and np.isnan(result.soc[2:]).all()
+        assert result.violations["charge_rate"][0] and not zero_penalty[0, 0]
+        assert analysis.oracle_check(FlexTrajectory(p_bat[0], p_ewh[0]), scenarios.ScenarioSet(net_load), cfg, 1.0) == 0

@@ -214,9 +214,10 @@ class TestMergeCoincident:
     @given(data=st.data())
     def test_matches_the_np_unique_merge(self, data):
         # Few distinct values, so that rows repeat, and more rows than
-        # np.unique's sort orders by insertion; -0.0 beside 0.0, NaN and inf.
+        # np.unique's sort orders by insertion; -0.0 beside 0.0. Training
+        # rows are finite, so support vectors hold no NaN or inf.
         width = data.draw(st.integers(1, 4), label="width")
-        values = st.sampled_from([0.0, -0.0, 1.0, 0.5, np.nan, np.inf])
+        values = st.sampled_from([0.0, -0.0, 1.0, 0.5, -2.0])
         pool = data.draw(hnp.arrays(float, (data.draw(st.integers(1, 4)), width), elements=values), label="pool")
         picks = data.draw(st.lists(st.integers(0, pool.shape[0] - 1), min_size=1, max_size=60), label="picks")
         rows = pool[picks]
