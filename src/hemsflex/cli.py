@@ -181,12 +181,7 @@ def cmd_search(cfg: RunConfig) -> int:
             )
             + "\n"
         )
-    epso.write_trajectories_csv(
-        cfg.out_dir / "feasible.csv",
-        result.feasible.trajectories,
-        result.feasible.fitnesses,
-        horizon=scenario_set.horizon,
-    )
+    epso.write_trajectories_csv(cfg.out_dir / "feasible.csv", result.feasible.trajectories, result.feasible.fitnesses)
     print(
         f"collected {len(result.feasible)} robust trajectories in {result.iterations} "
         f"iterations ({result.elapsed_s:.1f} s)"

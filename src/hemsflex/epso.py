@@ -119,8 +119,9 @@ class FeasibleSet:
     a scan of every member would. To avoid the scan, the members' row sums,
     each taken exactly rounded by `math.fsum`, are kept sorted, and a row is
     compared only with the members whose sum lies within `_sum_window` of
-    its own. A row that is not finite, or on which `math.fsum` overflows, is
-    rejected with ValueError and leaves the set as it was.
+    its own. A row that is not finite, or on which `math.fsum` or the
+    running mean's update overflows, is rejected with ValueError and leaves
+    the set as it was.
 
     Exactness: a distance computed below DEDUP_TOL means every computed
     |m_j - x_j| is below it, and since a subtraction rounds monotonically and
@@ -160,7 +161,10 @@ class FeasibleSet:
         vector = np.asarray(row, dtype=float)
         if vector.shape != (2 * self.horizon,):
             raise ValueError(f"row has shape {vector.shape}, the set's rows are {2 * self.horizon} wide")
-        total = _row_sum(finite_array("row", vector))
+        try:
+            total = math.fsum(finite_array("row", vector).tolist())
+        except OverflowError as exc:
+            raise ValueError(f"row is too large to sum: {exc}") from None
         slack = _sum_window(vector.size, total)
         lo = bisect.bisect_left(self._sums, total - slack)
         hi = bisect.bisect_right(self._sums, total + slack)
@@ -168,6 +172,9 @@ class FeasibleSet:
         if picks and float(np.min(np.max(np.abs(self._rows[picks] - vector), axis=1))) < DEDUP_TOL:
             return False
         n = len(self)
+        mean = self.mean + (vector - self.mean) / (n + 1)
+        if not np.isfinite(mean).all():
+            raise ValueError("row moves the set's mean beyond the float range")
         if n == self._rows.shape[0]:
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
         self._rows[n] = vector
@@ -175,7 +182,7 @@ class FeasibleSet:
         self._sums.insert(k, total)
         self._by_sum.insert(k, n)
         self.fitnesses.append(int(fitness))
-        self.mean = self.mean + (vector - self.mean) / (n + 1)
+        self.mean = mean
         self._distances = None
         return True
 
@@ -183,18 +190,10 @@ class FeasibleSet:
         """Accumulated absolute distance of each member to the set mean, as a
         read-only array computed once per state of the set."""
         if self._distances is None:
-            deviation = TrajectorySet(np.abs(self._rows[: len(self)] - self.mean))
-            self._distances = deviation.p_bat.sum(axis=1) + deviation.p_ewh.sum(axis=1)
+            deviation = np.abs(self._rows[: len(self)] - self.mean)
+            self._distances = deviation[:, : self.horizon].sum(axis=1) + deviation[:, self.horizon :].sum(axis=1)
             self._distances.flags.writeable = False
         return self._distances
-
-
-def _row_sum(vector: np.ndarray) -> float:
-    """The exactly rounded sum of a finite row; an overflow is a ValueError."""
-    try:
-        return math.fsum(vector.tolist())
-    except OverflowError as exc:
-        raise ValueError(f"row is too large to sum: {exc}") from None
 
 
 def _sum_window(width: int, total: float) -> float:
@@ -288,7 +287,9 @@ def select_global_best(feasible: FeasibleSet) -> np.ndarray:
     the set mean, a read-only view; first member wins ties."""
     if not len(feasible):
         raise ValueError("feasible set is empty")
-    return feasible.trajectories.matrix[int(np.argmax(feasible.distances()))]
+    row = feasible._rows[int(np.argmax(feasible.distances()))].view()
+    row.flags.writeable = False
+    return row
 
 
 def stochastic_tournament(
@@ -510,24 +511,24 @@ def _trajectory_header(horizon: int) -> list[str]:
 
 def write_trajectories_csv(path, trajectories, fitnesses=None, horizon: int | None = None) -> None:
     """One row per trajectory of a `TrajectorySet`, written from its matrix
-    rows, or of a sequence of `FlexTrajectory`: pbat_h1..pbat_hT,
-    pewh_h1..pewh_hT, fitness.
+    rows, or of a sequence of `FlexTrajectory`, stacked into one first:
+    pbat_h1..pbat_hT, pewh_h1..pewh_hT, fitness.
     Each value is written as its `repr`, so files round-trip exactly. An empty
-    list needs an explicit horizon for the header; a horizon that disagrees
-    with a trajectory, a fitness count that disagrees with the trajectories,
-    or a fitness that is not a whole number is rejected before the file is
-    opened."""
-    if isinstance(trajectories, TrajectorySet):
-        rows, horizons = trajectories.matrix, [trajectories.horizon] * len(trajectories)
-    else:
-        rows, horizons = map(FlexTrajectory.as_vector, trajectories), [t.horizon for t in trajectories]
-    for i, length in enumerate(horizons):
+    list needs an explicit horizon for the header, while a set has its own. A
+    horizon that disagrees with a trajectory, a non-finite value, a fitness
+    count that disagrees with the trajectories, or a fitness that is not a
+    whole number is rejected before the file is opened."""
+    if not isinstance(trajectories, TrajectorySet):
+        for i, traj in enumerate(trajectories):
+            horizon = traj.horizon if horizon is None else horizon
+            if traj.horizon != horizon:
+                raise ValueError(f"trajectory {i} has horizon {traj.horizon}, the header {horizon}")
         if horizon is None:
-            horizon = length
-        if length != horizon:
-            raise ValueError(f"trajectory {i} has horizon {length}, the header {horizon}")
-    if horizon is None:
-        raise ValueError("no trajectories to write and no horizon for the header")
+            raise ValueError("no trajectories to write and no horizon for the header")
+        trajectories = TrajectorySet(np.reshape([(t.p_bat, t.p_ewh) for t in trajectories], (-1, 2 * horizon)))
+    elif len(trajectories) and horizon not in (None, trajectories.horizon):
+        raise ValueError(f"trajectory 0 has horizon {trajectories.horizon}, the header {horizon}")
+    horizon = trajectories.horizon if horizon is None else horizon
     if fitnesses is None:
         fitnesses = [0] * len(trajectories)
     if len(fitnesses) != len(trajectories):
@@ -546,7 +547,7 @@ def write_trajectories_csv(path, trajectories, fitnesses=None, horizon: int | No
     previous, cells = None, []
     with open(path, "w", newline="") as fh:
         fh.write(",".join(_trajectory_header(horizon)) + "\r\n")
-        for row, fitness in zip(rows, fitnesses):
+        for row, fitness in zip(trajectories.matrix, fitnesses):
             bits = row.view(np.int64)
             changed = None if previous is None else np.flatnonzero(bits != previous)
             if changed is None or 4 * changed.size > width:

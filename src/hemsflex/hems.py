@@ -183,7 +183,7 @@ class HemsConfig:
 
 @dataclass(frozen=True)
 class FlexTrajectory:
-    """One flexibility offer: per-step battery power and EWH power [kW]."""
+    """One flexibility offer: finite per-step battery and EWH power [kW]."""
 
     p_bat: np.ndarray
     p_ewh: np.ndarray
@@ -193,8 +193,8 @@ class FlexTrajectory:
         p_ewh = np.asarray(self.p_ewh, dtype=float)
         if p_bat.ndim != 1 or p_bat.shape != p_ewh.shape or p_bat.size == 0:
             raise ValueError("p_bat and p_ewh must be matching non-empty 1-D vectors")
-        object.__setattr__(self, "p_bat", p_bat)
-        object.__setattr__(self, "p_ewh", p_ewh)
+        object.__setattr__(self, "p_bat", finite_array("p_bat", p_bat))
+        object.__setattr__(self, "p_ewh", finite_array("p_ewh", p_ewh))
 
     @property
     def horizon(self) -> int:
@@ -207,11 +207,11 @@ class FlexTrajectory:
 
 @dataclass(frozen=True, eq=False)
 class TrajectorySet:
-    """Flexibility offers as the rows of one read-only (n, 2T) matrix, each
-    row [p_bat | p_ewh], as the trajectory files and the search's feasible set
-    store them. This is the only code that splits or slices that layout: an
-    integer index gives a `FlexTrajectory` of views into its row, and the
-    boundary model reads `matrix` as it is."""
+    """Flexibility offers as the rows of one read-only, finite (n, 2T) matrix,
+    each row [p_bat | p_ewh], as the trajectory files store them. An integer
+    index gives a `FlexTrajectory` of views into its row, and the boundary
+    model reads `matrix` as it is. The swarm, the feasible set and the
+    oracle's samplers split their own buffers of such rows at `[:horizon]`."""
 
     matrix: np.ndarray
 

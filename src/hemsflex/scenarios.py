@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._inputs import finite, integer, read_table, whole
+from ._inputs import finite, finite_array, integer, read_table, whole
 
 __all__ = [
     "MarginalForecast",
@@ -85,7 +85,7 @@ class CopulaConfig:
 
 @dataclass(frozen=True)
 class ScenarioSet:
-    """M x T matrix of net-load scenarios [kW], one scenario per row."""
+    """M x T matrix of finite net-load scenarios [kW], one scenario per row."""
 
     values: np.ndarray
 
@@ -93,7 +93,7 @@ class ScenarioSet:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 2 or vals.size == 0:
             raise ValueError("scenario matrix must be 2-D and non-empty")
-        object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "values", finite_array("scenarios", vals))
 
     @property
     def count(self) -> int:

@@ -399,6 +399,31 @@ def serialize(model: SvddModel) -> str:
     return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
+def _number_field(doc: dict, name: str, depth: int) -> np.ndarray:
+    """Field `name`, numbers `depth` lists deep, as a float array, checked in
+    one pass: only JSON numbers count, as float() and numpy would take "0.5"
+    and true, and none may be NaN, ±inf or an integer beyond the float range,
+    which make every r2 nan or inf (a NaN threshold calls every row infeasible)."""
+    leaves = iter([doc[name]])
+    for _ in range(depth):
+        leaves = chain.from_iterable(leaves)
+    try:
+        other = set(map(type, leaves)) - {int, float}
+    except TypeError:
+        raise ValueError(f"model file: malformed field {name!r}") from None
+    if other:
+        raise ValueError(f"model file: {name} holds a {min(t.__name__ for t in other)}, not a number")
+    try:
+        value = np.array(doc[name], dtype=float)
+    except OverflowError:
+        raise ValueError(f"model file: {name} holds a non-finite value") from None
+    except ValueError as exc:
+        raise ValueError(f"model file: malformed field {name!r} ({exc})") from exc
+    # Flat, so that the message names the field and no row.
+    finite_array(f"model file: {name}", value.ravel())
+    return value
+
+
 def deserialize(text: str) -> SvddModel:
     """Parse a serialized model, reporting which field is malformed."""
     doc = json_object("model file", text)
@@ -411,39 +436,15 @@ def deserialize(text: str) -> SvddModel:
     for key in ("kind", "gamma"):
         if key not in doc["kernel"]:
             raise ValueError(f"model file: missing field kernel.{key}")
-    # Only JSON numbers count, as float() and numpy would take "0.5" and true;
-    # each field is one pass over its leaves, `depth` lists deep.
-    for name, depth in (("nu", 0), ("radius2_threshold", 0), ("const_term", 0),
-                        ("coefficients", 1), ("support_vectors", 2), ("norm_bounds", 2)):
-        leaves = iter([doc[name]])
-        for _ in range(depth):
-            leaves = chain.from_iterable(leaves)
-        try:
-            other = set(map(type, leaves)) - {int, float}
-        except TypeError:
-            raise ValueError(f"model file: malformed field {name!r}") from None
-        if other:
-            raise ValueError(f"model file: {name} holds a {min(t.__name__ for t in other)}, not a number")
-    try:
-        support_vectors = np.array(doc["support_vectors"], dtype=float)
-        coefficients = np.array(doc["coefficients"], dtype=float)
-        norm_bounds = np.array(doc["norm_bounds"], dtype=float)
-        model = SvddModel(
-            support_vectors=np.atleast_2d(support_vectors),
-            coefficients=coefficients,
-            kernel=kernel,
-            norm_bounds=norm_bounds,
-            radius2_threshold=float(doc["radius2_threshold"]),
-            const_term=float(doc["const_term"]),
-            nu=float(doc["nu"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"model file: malformed field ({exc})") from exc
-    # A NaN threshold would call every row infeasible, and a NaN or infinite
-    # vector, coefficient, bound or constant makes every r2 nan or inf.
-    for name in ("support_vectors", "coefficients", "norm_bounds", "radius2_threshold", "const_term", "nu"):
-        if not np.isfinite(getattr(model, name)).all():
-            raise ValueError(f"model file: {name} holds a non-finite value")
+    model = SvddModel(
+        support_vectors=np.atleast_2d(_number_field(doc, "support_vectors", 2)),
+        coefficients=_number_field(doc, "coefficients", 1),
+        kernel=kernel,
+        norm_bounds=_number_field(doc, "norm_bounds", 2),
+        radius2_threshold=float(_number_field(doc, "radius2_threshold", 0)),
+        const_term=float(_number_field(doc, "const_term", 0)),
+        nu=float(_number_field(doc, "nu", 0)),
+    )
     build("model file", TrainingConfig, {"nu": model.nu})
     # Training leaves a distribution; one coefficient of 1e308 would make
     # every r2 -inf and call every row feasible.

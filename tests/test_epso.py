@@ -351,6 +351,13 @@ class TestSelectGlobalBest:
         fs.add(row, 10)
         best = select_global_best(fs)
         assert np.array_equal(best[:4], row[:4]) and np.array_equal(best[4:], row[4:])
+        # A read-only row of the set's buffer, which later members leave as it is.
+        assert not best.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            best[0] = 1.0
+        for v in np.linspace(0.3, 1.0, 70):
+            fs.add(np.full(8, v), 10)
+        assert np.array_equal(best, row) and np.array_equal(fs.trajectories.matrix[0], row)
 
     def test_symmetric_pair_ties_to_first(self):
         fs = FeasibleSet(horizon=4)
@@ -604,8 +611,21 @@ class TestFeasibleSetIndex:
         with np.errstate(over="ignore"):
             assert fs.add(np.array([1e308, -1e308]), 1)
             assert not fs.add(np.array([1e308, -1e308]), 1)
-            assert fs.add(np.array([-1e308, 1e308]), 1)
-        assert len(fs) == 2
+        assert len(fs) == 1
+
+    def test_a_row_whose_mean_update_overflows_is_refused(self):
+        # Both rows sum to 0, but the second's step from the mean, [-2e308,
+        # 2e308], overflows and would leave the mean at [-inf, inf].
+        fs = FeasibleSet(horizon=1)
+        with np.errstate(over="ignore"):
+            assert fs.add(np.array([1e308, -1e308]), 1)
+            before = fs.mean.tobytes(), fs.distances().tobytes()
+            with pytest.raises(ValueError, match="^row moves the set's mean beyond the float range$"):
+                fs.add(np.array([-1e308, 1e308]), 2)
+        assert len(fs) == 1 and fs.fitnesses == [1]
+        assert (fs.mean.tobytes(), fs.distances().tobytes()) == before
+        assert np.array_equal(fs.mean, [1e308, -1e308]) and np.isfinite(fs.distances()).all()
+
 
 class TestStochasticTournament:
     # Each pair draws one uniform, in row order, so a swarm of n pairs sees
@@ -785,7 +805,7 @@ class TestTrajectoryCsv:
     def test_bytes_match_csv_writer(self, tmp_path):
         import csv
 
-        edge = [-0.0, 5e-324, 1e-5, 1e16, -1.5e-300, 0.1 + 0.2, float("nan"), float("inf"), -float("inf")]
+        edge = [-0.0, 5e-324, 1e-5, 1e16, -1.5e-300, 0.1 + 0.2, 1.7976931348623157e308, -2.2250738585072014e-308]
         rng = np.random.default_rng(25)
         trajs = [FlexTrajectory(p_bat=rng.choice(edge, 4), p_ewh=rng.normal(size=4) * 1e8) for _ in range(20)]
         fits = rng.integers(0, 100, size=20)
@@ -900,8 +920,9 @@ class TestTrajectoryCsvWriter:
     def test_set_and_list_give_the_same_bytes(self, tmp_path):
         """A `TrajectorySet` is written from its matrix rows, here strided
         views into a wider table as the reader returns them; a list of its
-        rows as `FlexTrajectory` gives the same file. A set holds finite rows
-        only, while a list of offers may also hold NaN and ±inf."""
+        rows as `FlexTrajectory` gives the same file. Neither holds NaN or
+        ±inf, and a list whose arrays were changed to hold one after it was
+        built is refused before the file is opened."""
         rng = np.random.default_rng(8)
         edge = [0.0, -0.0, 5e-324, -1.5e-300, 0.1 + 0.2, 1e16]
         table = rng.choice(edge, size=(12, 9))
@@ -915,10 +936,15 @@ class TestTrajectoryCsvWriter:
         expected = _csv_writer_bytes(tmp_path / "reference.csv", 4, table[:, :-1].tolist(), fits)
         assert (tmp_path / "set.csv").read_bytes() == expected
         special = table[:, :-1].copy()
+        offers = [FlexTrajectory(r[:4], r[4:]) for r in special]
         special[::4, 1] = [float("nan"), float("inf"), -float("inf")]
-        write_trajectories_csv(tmp_path / "special.csv", [FlexTrajectory(r[:4], r[4:]) for r in special], fits)
-        expected = _csv_writer_bytes(tmp_path / "special_reference.csv", 4, special.tolist(), fits)
-        assert (tmp_path / "special.csv").read_bytes() == expected
+        for r in special[::4]:
+            with pytest.raises(ValueError, match="^p_bat holds a non-finite value$"):
+                FlexTrajectory(r[:4], r[4:])
+        # The offers hold views of `special`, so they now hold its NaN and ±inf.
+        with pytest.raises(ValueError, match="^matrix: row 1 holds a non-finite value$"):
+            write_trajectories_csv(tmp_path / "special.csv", offers, fits)
+        assert not (tmp_path / "special.csv").exists()
         with pytest.raises(ValueError, match="^matrix: row 1 holds a non-finite value$"):
             TrajectorySet(special)
         with pytest.raises(ValueError, match="trajectory 0 has horizon 4, the header 3"):
@@ -926,14 +952,18 @@ class TestTrajectoryCsvWriter:
         assert not (tmp_path / "bad.csv").exists()
         write_trajectories_csv(tmp_path / "none.csv", TrajectorySet(np.empty((0, 4))), horizon=2)
         assert (tmp_path / "none.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", 2, [], [])
+        # An empty set still has a horizon, so it needs none for the header.
+        write_trajectories_csv(tmp_path / "bare.csv", TrajectorySet(np.empty((0, 4))))
+        assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "none.csv").read_bytes()
 
     def test_memory_stays_one_row(self, tmp_path):
         # 2000 x 192 distinct cells: a memo of the file's distinct values would
         # hold 384k floats (3 MB) before any of their strings; the writer
-        # keeps one row of cells.
+        # keeps one row of cells. A list of offers is stacked into one such
+        # matrix first, so the set route is the one measured.
         rng = np.random.default_rng(7)
         matrix = rng.integers(-(10**9), 10**9, size=(2000, 192)) / 1024
-        trajs = [FlexTrajectory(p_bat=r[:96], p_ewh=r[96:]) for r in matrix]
+        trajs = TrajectorySet(matrix)
         fits = [5] * len(trajs)
         tracemalloc.start()
         try:

@@ -542,8 +542,9 @@ class TestTrajectorySet:
 
 
 class TestNonFiniteInput:
-    """A NaN switches rules off instead of failing, so the screens, the oracle
-    and the surplus readers reject it, and ±inf, naming the argument."""
+    """A NaN switches rules off instead of failing, so the screens, the
+    oracle's trajectory and the surplus readers reject it, and ±inf, naming
+    the argument."""
 
     HORIZON = 6
 
@@ -570,7 +571,7 @@ class TestNonFiniteInput:
             hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
         with pytest.raises(ValueError, match=message):
             hems.screen_with_repair(p_bat, p_ewh, net_load, np.zeros(self.HORIZON), draws, cfg, dt)
-        with pytest.raises(ValueError, match="^traj holds a non-finite value$"):
+        with pytest.raises(ValueError, match="^p_bat holds a non-finite value$"):
             analysis.oracle_check(FlexTrajectory(p_bat[0], p_ewh[0]), scenario_set, cfg, dt)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])

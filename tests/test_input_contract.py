@@ -216,11 +216,12 @@ HEMS = hems.HemsConfig(
 )
 
 
-def entry_arrays():
-    """Finite arguments that every entry point below takes without error."""
+def entry_arrays(entry):
+    """Finite arguments that every entry point below takes without error; a
+    `FlexTrajectory` takes one row of the screens' `p_bat` and `p_ewh`."""
     rng = np.random.default_rng(41)
     net_load = np.tile(np.r_[0.4, 0.4, -0.3, -0.6, 0.4, 0.4], (3, 1))
-    return {
+    arrays = {
         "p_bat": rng.uniform(-0.3, 0.3, (2, HORIZON)), "p_ewh": np.zeros((2, HORIZON)),
         "net_load": net_load, "draws": np.ones(HORIZON),
         "envelope": scenarios.pv_surplus(net_load).max(axis=0), "surplus": scenarios.pv_surplus(net_load[0]),
@@ -228,6 +229,9 @@ def entry_arrays():
         "traj": np.r_[rng.uniform(-0.1, 0.1, HORIZON), np.zeros(HORIZON)], "scenarios": net_load,
         "vectors": rng.random((8, 4)), "norm_bounds": np.tile([0.0, 1.0], (4, 1)),
     }
+    if entry == "FlexTrajectory":
+        arrays["p_bat"], arrays["p_ewh"] = arrays["p_bat"][0], arrays["p_ewh"][0]
+    return arrays
 
 
 def offer(arrays):
@@ -256,9 +260,13 @@ ENTRY_POINTS = {
         a["p_bat"], a["p_ewh"], a["net_load"], a["draws"], HEMS, 0.25)),
     "screen_with_repair": (("p_bat", "p_ewh", "net_load", "envelope", "draws"), lambda a: hems.screen_with_repair(
         a["p_bat"], a["p_ewh"], a["net_load"], a["envelope"], a["draws"], HEMS, 0.25)),
+    "FlexTrajectory": (("p_bat", "p_ewh"), lambda a: FlexTrajectory(a["p_bat"], a["p_ewh"])),
     "TrajectorySet": (("matrix",), lambda a: hems.TrajectorySet(a["matrix"])),
+    "ScenarioSet": (("scenarios",), lambda a: scenarios.ScenarioSet(a["scenarios"])),
     "FeasibleSet.add": (("row",), offer),
-    "oracle_check": (("traj", "scenarios"), lambda a: analysis.oracle_check(
+    # The oracle checks nothing itself: its trajectory and scenario set did
+    # when they were built.
+    "oracle_check": (("scenarios",), lambda a: analysis.oracle_check(
         traj(a), scenarios.ScenarioSet(a["scenarios"]), HEMS, 0.25)),
     "train": (("vectors", "norm_bounds"), lambda a: svdd.train(
         a["vectors"], svdd.KernelSpec("rbf", gamma=0.5), svdd.TrainingConfig(nu=0.2), a["norm_bounds"])),
@@ -272,12 +280,12 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry, name", [(entry, name) for entry, (names, _) in ENTRY_POINTS.items() for name in names])
 def test_in_process_arrays_must_be_finite(entry, name, value):
     call = ENTRY_POINTS[entry][1]
-    call(entry_arrays())
+    call(entry_arrays(entry))
 
     @settings(max_examples=10, deadline=None, derandomize=True, database=None)
     @given(st.data())
     def check(data):
-        arrays = entry_arrays()
+        arrays = entry_arrays(entry)
         bad = arrays[name]
         index = np.unravel_index(data.draw(st.integers(0, bad.size - 1), label="position"), bad.shape)
         bad[index] = value

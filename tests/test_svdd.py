@@ -449,6 +449,20 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"model file: {field} holds a {type(value).__name__}, not a number"):
             deserialize(self._with_leaf(field, value))
 
+    @pytest.mark.parametrize(
+        "field", ["radius2_threshold", "const_term", "nu", "coefficients", "support_vectors", "norm_bounds"]
+    )
+    def test_integer_beyond_the_float_range_rejected(self, field):
+        # JSON keeps an integer's digits, and float() of 10**400 overflows.
+        with pytest.raises(ValueError, match=f"^model file: {field} holds a non-finite value$"):
+            deserialize(self._with_leaf(field, 10**400))
+
+    @pytest.mark.parametrize("field", ["support_vectors", "norm_bounds"])
+    def test_ragged_field_is_named(self, field):
+        text = self._edited(lambda doc: doc[field][0].append(0.5))
+        with pytest.raises(ValueError, match=f"^model file: malformed field '{field}' \\("):
+            deserialize(text)
+
     @pytest.mark.parametrize("field", ["coefficients", "support_vectors", "norm_bounds"])
     def test_array_field_must_be_nested_lists(self, field):
         with pytest.raises(ValueError, match=f"model file: malformed field '{field}'"):
