@@ -5,8 +5,8 @@ and what counts as a number is decided here. Each owner keeps its own rules."""
 from __future__ import annotations
 
 import json
-import math
 import numbers
+import sys
 import warnings
 from dataclasses import fields
 from pathlib import Path
@@ -47,8 +47,9 @@ def build(where: str, cls, doc, **derived):
 
 def finite(name: str, value):
     """`value` when it is a finite real number: not JSON true, which Python
-    counts as 1, nor NaN, which would switch off every rule it meets."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+    counts as 1, nor NaN, which would switch off every rule it meets, nor a
+    JSON integer beyond the float range, which compares without converting."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not abs(value) <= sys.float_info.max:
         raise ValueError(f"{name} must be a finite number, got {value!r}")
     return value
 

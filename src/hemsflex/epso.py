@@ -29,7 +29,7 @@ from .hems import FlexTrajectory, HemsConfig, TrajectorySet, batch_compliance, s
 
 # Kept importable as epso.repair_trajectory, where perfbench/spans.py looks it up.
 from .hems import repair_trajectory  # noqa: F401
-from .scenarios import ScenarioSet, pv_surplus
+from .scenarios import ScenarioSet
 
 __all__ = [
     "EpsoConfig",
@@ -270,9 +270,7 @@ def move_particle(swarm: Swarm, star: np.ndarray, mask: np.ndarray, hems_cfg: He
 def evaluate_fitness(traj: FlexTrajectory, scenarios: ScenarioSet, cfg: HemsConfig, dt: float) -> int:
     """Number of scenarios in which the trajectory is fully compliant: zero
     constraint penalty and the surplus-accommodation rule respected."""
-    zero_penalty, accommodation_ok = batch_compliance(
-        traj.p_bat[None], traj.p_ewh[None], scenarios.values, cfg.ewh.draws(traj.horizon), cfg, dt
-    )
+    zero_penalty, accommodation_ok = batch_compliance(traj.p_bat[None], traj.p_ewh[None], scenarios.values, cfg, dt)
     return int(np.count_nonzero(zero_penalty & accommodation_ok))
 
 
@@ -383,10 +381,6 @@ def run(
     horizon = scenarios.horizon
     threshold = robust_threshold(n_scen, epso_cfg.tau_scen)
     scenario0 = scenarios.values[0]
-    draws = hems_cfg.ewh.draws(horizon)
-    # Repair against the surplus envelope: a trajectory that never discharges
-    # where any scenario shows surplus passes the accommodation rule in all.
-    surplus_envelope = pv_surplus(scenarios.values).max(axis=0)
     feasible = FeasibleSet(horizon=horizon)
 
     def emit(record: dict) -> None:
@@ -401,7 +395,7 @@ def run(
         head faulted in the pass."""
         x_bat, x_ewh = swarm.x[:, :horizon], swarm.x[:, horizon:]
         zero_penalty, compliant, fixed_bat, valid, prefix = screen_with_repair(
-            x_bat, x_ewh, scenarios.values, surplus_envelope, draws, hems_cfg, dt
+            x_bat, x_ewh, scenarios.values, hems_cfg, dt
         )
         fitness = np.count_nonzero(compliant, axis=1)
         penalty_free = np.count_nonzero(zero_penalty, axis=1)
@@ -414,7 +408,7 @@ def run(
             offered, offered_fitness = swarm.x.copy(), fitness.copy()
             offered[rows, :horizon] = fixed_bat[rows]
             zero_penalty, accommodation_ok = batch_compliance(
-                fixed_bat[rows], x_ewh[rows], scenarios.values, draws, hems_cfg, dt, prefix=prefix.rows(rows)
+                fixed_bat[rows], x_ewh[rows], scenarios.values, hems_cfg, dt, prefix=prefix.rows(rows)
             )
             offered_fitness[rows] = np.count_nonzero(zero_penalty & accommodation_ok, axis=1)
         # A personal best follows ties to the newer position, which aids diversity.
@@ -509,26 +503,25 @@ def _trajectory_header(horizon: int) -> list[str]:
     )
 
 
-def write_trajectories_csv(path, trajectories, fitnesses=None, horizon: int | None = None) -> None:
+def write_trajectories_csv(path, trajectories, fitnesses=None) -> None:
     """One row per trajectory of a `TrajectorySet`, written from its matrix
-    rows, or of a sequence of `FlexTrajectory`, stacked into one first:
-    pbat_h1..pbat_hT, pewh_h1..pewh_hT, fitness.
-    Each value is written as its `repr`, so files round-trip exactly. An empty
-    list needs an explicit horizon for the header, while a set has its own. A
-    horizon that disagrees with a trajectory, a non-finite value, a fitness
+    rows, or of a non-empty sequence of `FlexTrajectory`, stacked into one
+    first: pbat_h1..pbat_hT, pewh_h1..pewh_hT, fitness.
+    Each value is written as its `repr`, so files round-trip exactly. The
+    header's horizon is the trajectories' own, so an empty set writes its
+    header and an empty list, which has none, is refused. A trajectory whose
+    horizon differs from the first one's, a non-finite value, a fitness
     count that disagrees with the trajectories, or a fitness that is not a
     whole number is rejected before the file is opened."""
     if not isinstance(trajectories, TrajectorySet):
+        if not trajectories:
+            raise ValueError("no trajectories to write and no horizon for the header")
+        horizon = trajectories[0].horizon
         for i, traj in enumerate(trajectories):
-            horizon = traj.horizon if horizon is None else horizon
             if traj.horizon != horizon:
                 raise ValueError(f"trajectory {i} has horizon {traj.horizon}, the header {horizon}")
-        if horizon is None:
-            raise ValueError("no trajectories to write and no horizon for the header")
         trajectories = TrajectorySet(np.reshape([(t.p_bat, t.p_ewh) for t in trajectories], (-1, 2 * horizon)))
-    elif len(trajectories) and horizon not in (None, trajectories.horizon):
-        raise ValueError(f"trajectory 0 has horizon {trajectories.horizon}, the header {horizon}")
-    horizon = trajectories.horizon if horizon is None else horizon
+    horizon = trajectories.horizon
     if fitnesses is None:
         fitnesses = [0] * len(trajectories)
     if len(fitnesses) != len(trajectories):

@@ -13,14 +13,17 @@ memory.
 
 Every screen is a head and a tail, split at the first surplus step: the
 head, the tank and the battery before that step, is alike in every lane of a
-row and is kept per row as a `ScreenPrefix`. `screen_with_repair` steps the
-repair's surplus envelope as one more surplus row, so one screen gives the
-(P, S) verdicts and the repaired rows. A row whose head faulted fails in
-every lane, so that screen steps the tail only for the rows whose head
-passed, and its second verdict is `compliant`, which is exact for every row.
-Repair changes battery power only from the first surplus step on, and never
-the EWH schedule, so the swarm's `batch_compliance` re-screen of its
-repaired rows takes their head from that screen and steps only the tail.
+row and is kept per row as a `ScreenPrefix`. The tank steps under the draw
+profile of the config, as the oracle's does. `screen_with_repair` steps the
+net-load rows' surplus envelope, their stepwise maximum surplus, as one more
+surplus row, so one screen gives the (P, S) verdicts and the rows repaired
+against the envelope. A row whose head faulted fails in every lane, so that
+screen steps the tail only for the rows whose head passed, and its second
+verdict is `compliant`, which is exact for every row. The envelope has
+surplus wherever some row has, so repair changes battery power only from the
+first surplus step on, and never the EWH schedule: the swarm's
+`batch_compliance` re-screen of its repaired rows takes their head from that
+screen and steps only the tail.
 
 Sign convention: positive battery power charges (consumes), negative
 discharges (injects). EWH power is 0 or its nominal rating.
@@ -339,10 +342,11 @@ def _soc_increment(p_eff, cfg: BatteryConfig, dt: float):
     return np.where(p_eff > 0.0, cfg.efficiency * p_eff * dt, p_eff * dt / cfg.efficiency)
 
 
-def _tank(p_ewh, draws, ewh: EwhConfig, dt: float) -> np.ndarray:
+def _tank(p_ewh, ewh: EwhConfig, dt: float) -> np.ndarray:
     """(T, P) tank temperatures after each step of P (P, T) EWH schedules,
-    from `theta_init` under the (T,) draw profile. The tank never sees the
+    from `theta_init` under `ewh`'s draw profile. The tank never sees the
     surplus, so it is stepped once per trajectory, not per lane."""
+    draws = ewh.draws(p_ewh.shape[1])
     theta = np.empty(p_ewh.shape[::-1])
     level = np.full(p_ewh.shape[0], ewh.theta_init)
     for h, power in enumerate(p_ewh.T):
@@ -454,18 +458,14 @@ def _lane_steps(p_bat, p_ewh, surplus, active, cfg: HemsConfig, dt: float, soc):
         h = stop
 
 
-def _check_population(p_bat, p_ewh, net_load, draws):
+def _check_population(p_bat, p_ewh, net_load):
     """The inputs as finite float arrays, once their horizons agree: (P, T)
-    trajectories, (S, T) net-load rows and a (T,) draw profile."""
-    names, arrays = ("p_bat", "p_ewh", "net_load", "draws"), (p_bat, p_ewh, net_load, draws)
-    p_bat, p_ewh, net_load, draws = (finite_array(n, np.asarray(a, dtype=float)) for n, a in zip(names, arrays))
-    if not (
-        p_bat.ndim == net_load.ndim == 2
-        and p_ewh.shape == p_bat.shape
-        and draws.shape == (p_bat.shape[1],) == net_load.shape[1:]
-    ):
-        raise ValueError("trajectory, draw profile, and scenario horizons differ")
-    return p_bat, p_ewh, net_load, draws
+    trajectories and (S, T) net-load rows."""
+    names, arrays = ("p_bat", "p_ewh", "net_load"), (p_bat, p_ewh, net_load)
+    p_bat, p_ewh, net_load = (finite_array(n, np.asarray(a, dtype=float)) for n, a in zip(names, arrays))
+    if not (p_bat.ndim == net_load.ndim == 2 and p_ewh.shape == p_bat.shape and net_load.shape[1] == p_bat.shape[1]):
+        raise ValueError("trajectory and scenario horizons differ")
+    return p_bat, p_ewh, net_load
 
 
 class ScreenPrefix(NamedTuple):
@@ -518,7 +518,7 @@ def _faults(blocks, lanes, cfg: HemsConfig, last_discharge=None):
     return over_rate | (top > bat.soc_max + EPS) | (bottom < bat.soc_min - EPS), discharge, soc
 
 
-def _head(p_bat, p_ewh, surplus, active, start: int, draws, cfg: HemsConfig, dt: float) -> ScreenPrefix:
+def _head(p_bat, p_ewh, surplus, active, start: int, cfg: HemsConfig, dt: float) -> ScreenPrefix:
     """The `ScreenPrefix` of P (P, T) rows: the tank over the horizon and the
     battery before the first surplus step `start`, where a row's lanes are
     alike, stepped at width (P, 1)."""
@@ -526,7 +526,7 @@ def _head(p_bat, p_ewh, surplus, active, start: int, draws, cfg: HemsConfig, dt:
     soc = np.full((p_bat.shape[0], 1), cfg.battery.soc_init)
     head = _lane_steps(p_bat[:, :start], p_ewh[:, :start], surplus[:, :start], active[:start], cfg, dt, soc)
     fault, _, soc = _faults(head, soc, cfg)
-    theta = _tank(p_ewh, draws, ewh, dt)
+    theta = _tank(p_ewh, ewh, dt)
     fault |= ((theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)).any(axis=0)[:, None]
     # Copies, so that a caller writing to its rows cannot pass the guard.
     return ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), soc, fault)
@@ -572,7 +572,6 @@ def batch_compliance(
     p_bat: np.ndarray,
     p_ewh: np.ndarray,
     net_load: np.ndarray,
-    draws: np.ndarray,
     cfg: HemsConfig,
     dt: float,
     *,
@@ -583,7 +582,8 @@ def batch_compliance(
     p_bat and p_ewh are a population's (P, T) matrices; one trajectory is a
     (1, T) row. Returns (zero_penalty, accommodation_ok), boolean (P, S)
     matrices. Each entry equals `simulate(...).penalty == 0` and
-    `pv_accommodation(...)[0]` for that trajectory and the row's surplus.
+    `pv_accommodation(...)[0]` for that trajectory and the row's surplus,
+    with the tank under `cfg`'s draw profile.
 
     `prefix`, when given, is the `screen_with_repair` prefix of rows that
     step as these do before the net-load rows' first surplus step: the same
@@ -592,11 +592,11 @@ def batch_compliance(
     resumes from it at that step and steps no tank, with the same results.
     A prefix that does not match raises ValueError naming the mismatch.
     """
-    p_bat, p_ewh, net_load, draws = _check_population(p_bat, p_ewh, net_load, draws)
+    p_bat, p_ewh, net_load = _check_population(p_bat, p_ewh, net_load)
     surplus = pv_surplus(net_load)
     active, start = _surplus_steps(surplus)
     if prefix is None:
-        prefix = _head(p_bat, p_ewh, surplus, active, start, draws, cfg, dt)
+        prefix = _head(p_bat, p_ewh, surplus, active, start, cfg, dt)
     else:
         _check_prefix(prefix, p_bat, p_ewh, start)
     fault, discharge = _tail(
@@ -609,24 +609,25 @@ def screen_with_repair(
     p_bat: np.ndarray,
     p_ewh: np.ndarray,
     net_load: np.ndarray,
-    envelope: np.ndarray,
-    draws: np.ndarray,
     cfg: HemsConfig,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ScreenPrefix]:
-    """`batch_compliance` and the repair of every row against a surplus
-    envelope, in one kernel pass.
+    """`batch_compliance` and the repair of every row against the net-load
+    rows' surplus envelope, in one kernel pass.
 
-    The envelope, a (T,) surplus row, is stepped as surplus row S + 1 next to
-    the S net-load rows. Returns (zero_penalty, compliant, repaired, valid,
-    prefix), where the (P, S) zero_penalty is `batch_compliance`'s first
-    verdict and compliant is the AND of its two. Row p of the (P, T)
-    `repaired` has battery power raised to zero wherever trajectory p
-    discharges while the battery is supposed to absorb the envelope's
-    surplus. valid[p] is False where the trajectory has a constraint penalty
-    under the envelope, which repair does not fix; such rows come back
-    unchanged. A lane's result depends only on its own trajectory and
-    surplus row, so the extra row leaves the verdicts bit for bit as they are.
+    The envelope, the stepwise maximum of the S rows' surplus (zero when
+    there is no row), is stepped as surplus row S + 1 next to them: a
+    trajectory that never discharges where some row has surplus passes the
+    accommodation rule in every row. Returns (zero_penalty, compliant,
+    repaired, valid, prefix), where the (P, S) zero_penalty is
+    `batch_compliance`'s first verdict and compliant is the AND of its two.
+    Row p of the (P, T) `repaired` has battery power raised to zero wherever
+    trajectory p discharges while the battery is supposed to absorb the
+    envelope's surplus. valid[p] is False where the trajectory has a
+    constraint penalty under the envelope, which repair does not fix; such
+    rows come back unchanged. A lane's result depends only on its own
+    trajectory and surplus row, so the extra row leaves the verdicts bit for
+    bit as they are.
 
     The tail is stepped only for the rows whose head did not fault. A row
     whose head faulted has a penalty in every lane, the envelope's included,
@@ -635,18 +636,17 @@ def screen_with_repair(
     need the tail, and they are not returned on their own.
 
     `prefix` is the pass's `ScreenPrefix`, taken at the first step where the
-    net-load rows or the envelope have surplus. Repair changes only steps
-    where the envelope has surplus and never the EWH schedule, so when the
-    envelope first has surplus where the rows do, as their own envelope
-    does, `prefix.rows(i)` is also the prefix of the repaired rows i, and
+    net-load rows have surplus. Repair changes only steps where the envelope
+    has surplus and never the EWH schedule, so `prefix.rows(i)` is also the
+    prefix of the repaired rows i, and
     `batch_compliance(repaired[i], p_ewh[i], net_load, ..., prefix=prefix.rows(i))`
     re-screens them from that step on.
     """
-    p_bat, p_ewh, net_load, draws = _check_population(p_bat, p_ewh, net_load, draws)
-    envelope = _surplus_row("envelope", envelope, p_bat.shape[1])
-    surplus = np.concatenate([pv_surplus(net_load), envelope[None]])
+    p_bat, p_ewh, net_load = _check_population(p_bat, p_ewh, net_load)
+    surplus = pv_surplus(net_load)
+    surplus = np.concatenate([surplus, surplus.max(axis=0, initial=0.0)[None]])
     active, start = _surplus_steps(surplus)
-    prefix = _head(p_bat, p_ewh, surplus, active, start, draws, cfg, dt)
+    prefix = _head(p_bat, p_ewh, surplus, active, start, cfg, dt)
     # A row whose head faulted fails in every lane whatever its tail does.
     live = np.flatnonzero(~prefix.fault[:, 0])
     flags = np.zeros((p_bat.shape[1] - start, live.size), dtype=bool)
@@ -663,21 +663,20 @@ def screen_with_repair(
     return zero_penalty[:, :-1], compliant[:, :-1], repaired, valid, prefix
 
 
-def _surplus_row(name: str, surplus, horizon: int) -> np.ndarray:
-    """The argument `name`, a surplus row, as a finite float (T,) vector."""
+def _surplus_row(surplus, horizon: int) -> np.ndarray:
+    """The argument `surplus`, a surplus row, as a finite float (T,) vector."""
     surplus = np.asarray(surplus, dtype=float)
     if surplus.shape != (horizon,):
-        raise ValueError(f"{name} has shape {surplus.shape}, trajectory horizon is {horizon}")
-    return finite_array(name, surplus)
+        raise ValueError(f"surplus has shape {surplus.shape}, trajectory horizon is {horizon}")
+    return finite_array("surplus", surplus)
 
 
 def simulate(traj: FlexTrajectory, surplus: np.ndarray, cfg: HemsConfig, dt: float) -> SimulationResult:
     """Step both assets through the horizon and flag constraint violations
     per step (see `_lane_steps` and `_tank` for the rules)."""
-    horizon = traj.horizon
-    surplus = _surplus_row("surplus", surplus, horizon)
+    surplus = _surplus_row(surplus, traj.horizon)
     bat, ewh = cfg.battery, cfg.ewh
-    theta = _tank(traj.p_ewh[None], ewh.draws(horizon), ewh, dt)[:, 0]
+    theta = _tank(traj.p_ewh[None], ewh, dt)[:, 0]
     soc = np.full((1, 1), bat.soc_init)
     blocks = list(_lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], surplus > 0.0, cfg, dt, soc))
     soc = np.concatenate([block.soc[:, 0, 0] for block in blocks])
@@ -696,7 +695,7 @@ def pv_accommodation(
 ) -> tuple[bool, np.ndarray]:
     """Customer-preference check: no discharging while the battery is supposed
     to absorb surplus. Returns (ok, per-step violation flags)."""
-    surplus = _surplus_row("surplus", surplus, traj.horizon)
+    surplus = _surplus_row(surplus, traj.horizon)
     soc = np.full((1, 1), cfg.battery.soc_init)
     blocks = _lane_steps(traj.p_bat[None], traj.p_ewh[None], surplus[None], surplus > 0.0, cfg, dt, soc)
     flags = np.concatenate([block.discharge[:, 0, 0] for block in blocks])
@@ -711,14 +710,12 @@ def repair_trajectory(
     Battery power is raised to zero at the offending steps, so the battery's
     actual flow there becomes exactly the supposed surplus absorption. Defined
     only for trajectories that are otherwise violation-free; anything else is
-    rejected. This is `screen_with_repair` for one row, with no net-load rows
-    and `surplus` as the envelope.
+    rejected. This is `screen_with_repair` for one row, with `-surplus` as
+    the one net-load row: its surplus is `surplus` with negative steps at
+    zero, which the kernel treats alike.
     """
-    horizon = traj.horizon
-    surplus = _surplus_row("surplus", surplus, horizon)
-    _, _, repaired, valid, _ = screen_with_repair(
-        traj.p_bat[None], traj.p_ewh[None], np.empty((0, horizon)), surplus, cfg.ewh.draws(horizon), cfg, dt
-    )
+    surplus = _surplus_row(surplus, traj.horizon)
+    _, _, repaired, valid, _ = screen_with_repair(traj.p_bat[None], traj.p_ewh[None], -surplus[None], cfg, dt)
     if not valid[0]:
         raise ValueError(
             "repair is defined only for trajectories whose sole fault is the "

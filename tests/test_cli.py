@@ -341,7 +341,9 @@ class TestErrorPaths:
            for key in ("comm_factor", "mutation_max", "mutation_min", "tau_learn", "tau_prime", "tau_scen",
                        "tournament_win_prob", "seed_zero_fraction", "velocity_clamp_frac")],
          ("svdd", "nu", True), ("svdd", "tolerance", True), ("svdd", "tolerance", float("inf")),
-         ("svdd.kernel", "gamma", True), ("svdd.kernel", "coef0", True), ("epso", "tau_scen", float("inf"))],
+         ("svdd.kernel", "gamma", True), ("svdd.kernel", "coef0", True), ("epso", "tau_scen", float("inf")),
+         # A JSON integer beyond the float range, which does not convert to a float.
+         pytest.param("copula", "nu_cov", 10**400, id="copula-nu_cov-10**400")],
     )
     def test_bool_or_infinite_float_exits_two(self, workdir, capsys, section, key, value):
         config = json.loads((workdir / "config.json").read_text())
@@ -543,7 +545,7 @@ class TestErrorPaths:
             assert invoke(workdir, command) == 0
         out = workdir / "out"
         feasible, fitnesses = epso.read_trajectories_csv(out / "feasible.csv")
-        epso.write_trajectories_csv(out / "feasible.csv", list(feasible)[:rows], fitnesses[:rows], horizon=12)
+        epso.write_trajectories_csv(out / "feasible.csv", hems.TrajectorySet(feasible.matrix[:rows]), fitnesses[:rows])
         # The set is rejected before any infeasible trajectory is sampled.
         sampled = []
         monkeypatch.setattr(analysis, "generate_infeasible_set", lambda *args: sampled.append(args))

@@ -895,14 +895,16 @@ class TestTrajectoryCsvWriter:
     def test_bytes_match_joined_repr_and_round_trip(self, tmp_path, chain, data):
         horizon, rows = chain
         fits = data.draw(st.lists(st.integers(0, 10**6), min_size=len(rows), max_size=len(rows)))
-        trajs = [FlexTrajectory(p_bat=row[:horizon], p_ewh=row[horizon:]) for row in rows]
-        write_trajectories_csv(tmp_path / "chain.csv", trajs, fits, horizon=horizon)
-        expected = _csv_writer_bytes(tmp_path / "reference.csv", horizon, rows, fits)
-        assert (tmp_path / "chain.csv").read_bytes() == expected
         matrix = np.array(rows, dtype=float).reshape(len(rows), 2 * horizon)
-        write_trajectories_csv(tmp_path / "set.csv", TrajectorySet(matrix), fits, horizon=horizon)
+        write_trajectories_csv(tmp_path / "set.csv", TrajectorySet(matrix), fits)
+        expected = _csv_writer_bytes(tmp_path / "reference.csv", horizon, rows, fits)
         assert (tmp_path / "set.csv").read_bytes() == expected
-        back, back_fits = read_trajectories_csv(tmp_path / "chain.csv")
+        # An empty list has no horizon for the header; an empty set has one.
+        if rows:
+            trajs = [FlexTrajectory(p_bat=row[:horizon], p_ewh=row[horizon:]) for row in rows]
+            write_trajectories_csv(tmp_path / "chain.csv", trajs, fits)
+            assert (tmp_path / "chain.csv").read_bytes() == expected
+        back, back_fits = read_trajectories_csv(tmp_path / "set.csv")
         assert back_fits == fits
         assert len(back) == len(rows)
         for row, traj in zip(rows, back):
@@ -912,7 +914,10 @@ class TestTrajectoryCsvWriter:
         row = [-0.0, 5e-324, 1.7976931348623157e308, 2.0]
         write_trajectories_csv(tmp_path / "one.csv", [FlexTrajectory(row[:2], row[2:])], [3])
         assert (tmp_path / "one.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", 2, [row], [3])
-        write_trajectories_csv(tmp_path / "none.csv", [], horizon=2)
+        with pytest.raises(ValueError, match="^no trajectories to write and no horizon for the header$"):
+            write_trajectories_csv(tmp_path / "none.csv", [])
+        assert not (tmp_path / "none.csv").exists()
+        write_trajectories_csv(tmp_path / "none.csv", TrajectorySet(np.empty((0, 4))))
         assert (tmp_path / "none.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", 2, [], [])
         back, fits = read_trajectories_csv(tmp_path / "none.csv")
         assert back.matrix.shape == (0, 4) and fits == []
@@ -947,14 +952,9 @@ class TestTrajectoryCsvWriter:
         assert not (tmp_path / "special.csv").exists()
         with pytest.raises(ValueError, match="^matrix: row 1 holds a non-finite value$"):
             TrajectorySet(special)
-        with pytest.raises(ValueError, match="trajectory 0 has horizon 4, the header 3"):
-            write_trajectories_csv(tmp_path / "bad.csv", rows, fits, horizon=3)
-        assert not (tmp_path / "bad.csv").exists()
-        write_trajectories_csv(tmp_path / "none.csv", TrajectorySet(np.empty((0, 4))), horizon=2)
+        # An empty set still has a horizon, so it writes its header.
+        write_trajectories_csv(tmp_path / "none.csv", TrajectorySet(np.empty((0, 4))))
         assert (tmp_path / "none.csv").read_bytes() == _csv_writer_bytes(tmp_path / "ref.csv", 2, [], [])
-        # An empty set still has a horizon, so it needs none for the header.
-        write_trajectories_csv(tmp_path / "bare.csv", TrajectorySet(np.empty((0, 4))))
-        assert (tmp_path / "bare.csv").read_bytes() == (tmp_path / "none.csv").read_bytes()
 
     def test_memory_stays_one_row(self, tmp_path):
         # 2000 x 192 distinct cells: a memo of the file's distinct values would
@@ -976,20 +976,20 @@ class TestTrajectoryCsvWriter:
         assert np.array_equal(back.matrix, matrix)
 
     @pytest.mark.parametrize(
-        "trajs, fits, horizon, message",
+        "trajs, fits, message",
         [
-            ([FlexTrajectory([0.5], [0.0])] * 3, [1, 2], None, "3 trajectories but 2 fitnesses"),
-            ([FlexTrajectory([0.5], [0.0]), FlexTrajectory([0.5, 0.1], [0.0, 0.5])], None, None,
+            ([FlexTrajectory([0.5], [0.0])] * 3, [1, 2], "3 trajectories but 2 fitnesses"),
+            ([FlexTrajectory([0.5], [0.0]), FlexTrajectory([0.5, 0.1], [0.0, 0.5])], None,
              "trajectory 1 has horizon 2, the header 1"),
-            ([FlexTrajectory([0.5], [0.0])], [95.7], None, "fitness 95.7 of trajectory 0 is not a whole number"),
-            ([FlexTrajectory([0.5], [0.0])], [float("nan")], None, "fitness nan of trajectory 0"),
-            ([FlexTrajectory([0.5], [0.0])], None, 3, "trajectory 0 has horizon 1, the header 3"),
+            ([FlexTrajectory([0.5], [0.0])], [95.7], "fitness 95.7 of trajectory 0 is not a whole number"),
+            ([FlexTrajectory([0.5], [0.0])], [float("nan")], "fitness nan of trajectory 0"),
+            ([], None, "no trajectories to write and no horizon for the header"),
         ],
     )
-    def test_mismatched_input_rejected_before_writing(self, tmp_path, trajs, fits, horizon, message):
+    def test_mismatched_input_rejected_before_writing(self, tmp_path, trajs, fits, message):
         path = tmp_path / "bad.csv"
         with pytest.raises(ValueError, match=message):
-            write_trajectories_csv(path, trajs, fits, horizon=horizon)
+            write_trajectories_csv(path, trajs, fits)
         assert not path.exists()
 
     def test_whole_float_and_numpy_fitnesses_accepted(self, tmp_path):

@@ -192,20 +192,72 @@ class TestSimulate:
     def test_simulate_agrees_with_batch_screen(self, small_instance):
         scenario_set, cfg = small_instance
         rng = np.random.default_rng(37)
-        draws = cfg.ewh.draws(16)
         for _ in range(100):
             traj = FlexTrajectory(
                 p_bat=rng.uniform(-1.5, 1.5, 16),
                 p_ewh=np.where(rng.random(16) < 0.4, 0.5, 0.0),
             )
-            zero_pen, pv_ok = hems.batch_compliance(
-                traj.p_bat[None], traj.p_ewh[None], scenario_set.values, draws, cfg, 0.25
-            )
+            zero_pen, pv_ok = hems.batch_compliance(traj.p_bat[None], traj.p_ewh[None], scenario_set.values, cfg, 0.25)
             zero_pen, pv_ok = zero_pen[0], pv_ok[0]
             for s in range(scenario_set.count):
                 surplus = np.maximum(0.0, -scenario_set.values[s])
                 assert (simulate(traj, surplus, cfg, dt=0.25).penalty == 0) == bool(zero_pen[s])
                 assert pv_accommodation(traj, surplus, cfg, dt=0.25)[0] == bool(pv_ok[s])
+
+
+class TestDrawProfileFromConfig:
+    """The screens, simulate and the oracle all step the tank under the
+    config's draw profile, so they judge the same tank."""
+
+    HORIZON = 6
+
+    @classmethod
+    def _cfg(cls, draw_profile):
+        battery = BatteryConfig(capacity=3.2, p_charge_max=1.5, p_discharge_max=1.5, soc_init=1.92)
+        ewh = EwhConfig(p_nom=0.5, theta_min=45.0, theta_max=80.0, theta_init=47.0, draw_profile=draw_profile)
+        return HemsConfig(battery=battery, ewh=ewh)
+
+    def test_screens_simulate_and_oracle_agree_row_by_row(self):
+        # 20 L a step cools the tank by about 1.1 degC a step and the heater
+        # warms it by about as much, so from 47 degC a schedule that leaves
+        # the heater off for two steps drains the tank below 45 degC and one
+        # that leaves it off for one step does not. The battery idles, so no
+        # row breaks a battery rule and the accommodation rule always holds.
+        cfg, dt = self._cfg(np.full(self.HORIZON, 20.0)), 0.25
+        p_ewh = np.array([
+            [0.5] * 6,
+            [0.0] * 6,
+            [0.5, 0.5, 0.5, 0.0, 0.0, 0.0],
+            [0.0, 0.5, 0.5, 0.5, 0.5, 0.5],
+            [0.5, 0.0, 0.5, 0.0, 0.5, 0.0],
+        ])
+        p_bat = np.zeros_like(p_ewh)
+        net_load = np.array([[0.4] * 6, [0.4, -0.3, -0.6, 0.4, -0.2, 0.4]])
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
+        _, compliant, *_ = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
+        verdicts = []
+        for p in range(p_ewh.shape[0]):
+            traj = FlexTrajectory(p_bat[p], p_ewh[p])
+            for s, row in enumerate(net_load):
+                ok = simulate(traj, scenarios.pv_surplus(row), cfg, dt).penalty == 0
+                assert analysis.oracle_check(traj, scenarios.ScenarioSet(row[None]), cfg, dt) == int(ok)
+                assert zero_penalty[p, s] == compliant[p, s] == ok and accommodation_ok[p, s]
+                verdicts.append(ok)
+        assert verdicts == [True] * 2 + [False] * 4 + [True] * 2 + [False] * 2
+        # Without draws every schedule keeps the tank in its band.
+        cfg = self._cfg(None)
+        assert hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)[0].all()
+        assert hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)[1].all()
+
+    def test_a_profile_of_another_horizon_is_rejected(self):
+        cfg = self._cfg(np.zeros(self.HORIZON - 1))
+        p_bat = p_ewh = np.zeros((1, self.HORIZON))
+        net_load = np.full((1, self.HORIZON), 0.4)
+        message = f"^draw profile has {self.HORIZON - 1} steps, trajectory has {self.HORIZON}$"
+        with pytest.raises(ValueError, match=message):
+            hems.batch_compliance(p_bat, p_ewh, net_load, cfg, 0.25)
+        with pytest.raises(ValueError, match=message):
+            hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, 0.25)
 
 
 class TestCapacityTracker:
@@ -558,9 +610,9 @@ class TestNonFiniteInput:
         # at step 3 fails in both routes. A NaN SoC from step 1 on used to
         # pass every later test in the kernel while the oracle failed it.
         cfg, dt = self._cfg(3.0), 0.25
-        p_ewh, net_load, draws = np.zeros((1, self.HORIZON)), np.full((1, self.HORIZON), 0.4), np.zeros(self.HORIZON)
+        p_ewh, net_load = np.zeros((1, self.HORIZON)), np.full((1, self.HORIZON), 0.4)
         finite = np.array([[0.0, 0.0, 0.0, 1.4, 0.0, 0.0]])
-        zero_penalty, accommodation_ok = hems.batch_compliance(finite, p_ewh, net_load, draws, cfg, dt)
+        zero_penalty, accommodation_ok = hems.batch_compliance(finite, p_ewh, net_load, cfg, dt)
         scenario_set = scenarios.ScenarioSet(net_load)
         assert not zero_penalty[0, 0] and accommodation_ok[0, 0]
         assert analysis.oracle_check(FlexTrajectory(finite[0], p_ewh[0]), scenario_set, cfg, dt) == 0
@@ -568,25 +620,21 @@ class TestNonFiniteInput:
         p_bat[0, 1] = np.nan
         message = "^p_bat: row 1 holds a non-finite value$"
         with pytest.raises(ValueError, match=message):
-            hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+            hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
         with pytest.raises(ValueError, match=message):
-            hems.screen_with_repair(p_bat, p_ewh, net_load, np.zeros(self.HORIZON), draws, cfg, dt)
+            hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
         with pytest.raises(ValueError, match="^p_bat holds a non-finite value$"):
             analysis.oracle_check(FlexTrajectory(p_bat[0], p_ewh[0]), scenario_set, cfg, dt)
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_envelope_is_rejected(self, value):
+        # `repair_trajectory`'s surplus is the envelope it repairs against.
         # The row discharges at step 3. A NaN envelope used to read as no
         # surplus and leave the row unrepaired but valid; an all-inf one made
         # it invalid. A finite envelope with surplus repairs it.
         cfg, dt = self._cfg(1.92), 0.25
-        p_bat, p_ewh = np.array([[0.0, 0.0, 0.0, -0.5, 0.0, 0.0]]), np.zeros((1, self.HORIZON))
-        net_load, draws = np.full((1, self.HORIZON), 0.4), np.zeros(self.HORIZON)
-        _, _, repaired, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, np.full(self.HORIZON, 0.3), draws, cfg, dt)
-        assert valid[0] and not repaired.any()
-        with pytest.raises(ValueError, match="^envelope holds a non-finite value$"):
-            hems.screen_with_repair(p_bat, p_ewh, net_load, np.full(self.HORIZON, value), draws, cfg, dt)
-        traj = FlexTrajectory(p_bat[0], p_ewh[0])
+        traj = FlexTrajectory(np.array([0.0, 0.0, 0.0, -0.5, 0.0, 0.0]), np.zeros(self.HORIZON))
+        assert not repair_trajectory(traj, np.full(self.HORIZON, 0.3), cfg, dt).p_bat.any()
         for check in (simulate, pv_accommodation, repair_trajectory):
             with pytest.raises(ValueError, match="^surplus holds a non-finite value$"):
                 check(traj, np.full(self.HORIZON, value), cfg, dt)

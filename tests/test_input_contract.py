@@ -223,8 +223,7 @@ def entry_arrays(entry):
     net_load = np.tile(np.r_[0.4, 0.4, -0.3, -0.6, 0.4, 0.4], (3, 1))
     arrays = {
         "p_bat": rng.uniform(-0.3, 0.3, (2, HORIZON)), "p_ewh": np.zeros((2, HORIZON)),
-        "net_load": net_load, "draws": np.ones(HORIZON),
-        "envelope": scenarios.pv_surplus(net_load).max(axis=0), "surplus": scenarios.pv_surplus(net_load[0]),
+        "net_load": net_load, "surplus": scenarios.pv_surplus(net_load[0]),
         "matrix": rng.uniform(-0.3, 0.3, (3, 2 * HORIZON)), "row": rng.uniform(-0.3, 0.3, 2 * HORIZON),
         "traj": np.r_[rng.uniform(-0.1, 0.1, HORIZON), np.zeros(HORIZON)], "scenarios": net_load,
         "vectors": rng.random((8, 4)), "norm_bounds": np.tile([0.0, 1.0], (4, 1)),
@@ -256,10 +255,10 @@ def traj(arrays):
 
 
 ENTRY_POINTS = {
-    "batch_compliance": (("p_bat", "p_ewh", "net_load", "draws"), lambda a: hems.batch_compliance(
-        a["p_bat"], a["p_ewh"], a["net_load"], a["draws"], HEMS, 0.25)),
-    "screen_with_repair": (("p_bat", "p_ewh", "net_load", "envelope", "draws"), lambda a: hems.screen_with_repair(
-        a["p_bat"], a["p_ewh"], a["net_load"], a["envelope"], a["draws"], HEMS, 0.25)),
+    "batch_compliance": (("p_bat", "p_ewh", "net_load"), lambda a: hems.batch_compliance(
+        a["p_bat"], a["p_ewh"], a["net_load"], HEMS, 0.25)),
+    "screen_with_repair": (("p_bat", "p_ewh", "net_load"), lambda a: hems.screen_with_repair(
+        a["p_bat"], a["p_ewh"], a["net_load"], HEMS, 0.25)),
     "FlexTrajectory": (("p_bat", "p_ewh"), lambda a: FlexTrajectory(a["p_bat"], a["p_ewh"])),
     "TrajectorySet": (("matrix",), lambda a: hems.TrajectorySet(a["matrix"])),
     "ScenarioSet": (("scenarios",), lambda a: scenarios.ScenarioSet(a["scenarios"])),

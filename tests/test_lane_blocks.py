@@ -138,7 +138,7 @@ class TestBlockSchedule:
                 assert block.discharge.shape == (steps, count, 1) and not block.discharge.any()
             h = block.steps.stop
         assert h == horizon
-        assert hems._tank(p_ewh, cfg.ewh.draws(horizon), cfg.ewh, dt).shape == (horizon, count)
+        assert hems._tank(p_ewh, cfg.ewh, dt).shape == (horizon, count)
 
 
 class TestBlockBoundaries:
@@ -146,10 +146,9 @@ class TestBlockBoundaries:
     @given(block_instances())
     def test_compliance_matches_row_calls_and_oracle(self, instance):
         cfg, dt, p_bat, p_ewh, net_load = instance
-        draws = cfg.ewh.draws(p_bat.shape[1])
-        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
         for p in range(p_bat.shape[0]):
-            row_zero, row_ok = hems.batch_compliance(p_bat[p : p + 1], p_ewh[p : p + 1], net_load, draws, cfg, dt)
+            row_zero, row_ok = hems.batch_compliance(p_bat[p : p + 1], p_ewh[p : p + 1], net_load, cfg, dt)
             assert np.array_equal(zero_penalty[p], row_zero[0])
             assert np.array_equal(accommodation_ok[p], row_ok[0])
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
@@ -162,8 +161,7 @@ class TestBlockBoundaries:
     def test_batch_repair_matches_repair_trajectory(self, instance):
         cfg, dt, p_bat, p_ewh, net_load = instance
         envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        draws = cfg.ewh.draws(p_bat.shape[1])
-        _, _, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        _, _, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
             try:
@@ -176,26 +174,19 @@ class TestBlockBoundaries:
             assert np.array_equal(fixed[p], repaired.p_bat)
 
     @BLOCK_SETTINGS
-    @given(block_instances(), st.sampled_from(["envelope", "shifted", "zero", "no rows"]))
+    @given(block_instances(), st.sampled_from(["envelope", "no rows"]))
     def test_fused_screen_matches_screen_and_row_repair(self, instance, kind):
         """The fused pass gives `batch_compliance`'s zero-penalty verdicts and
         their AND with its accommodation verdicts bit for bit, and
-        per-row `repair_trajectory`'s rows, whether the envelope is the rows'
-        surplus envelope, that envelope one step later (surplus where no row
-        has it), all zero, or stepped with no net-load rows at all."""
+        per-row `repair_trajectory`'s rows against the rows' surplus
+        envelope, also with no net-load rows at all, whose envelope is all
+        zero."""
         cfg, dt, p_bat, p_ewh, net_load = instance
-        draws = cfg.ewh.draws(p_bat.shape[1])
-        envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        if kind == "shifted":
-            envelope = np.roll(envelope, 1)
-        elif kind == "zero":
-            envelope = np.zeros_like(envelope)
-        elif kind == "no rows":
+        if kind == "no rows":
             net_load = net_load[:0]
-        zero_penalty, compliant, fixed, valid, _ = hems.screen_with_repair(
-            p_bat, p_ewh, net_load, envelope, draws, cfg, dt
-        )
-        expected = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        envelope = scenarios.pv_surplus(net_load).max(axis=0, initial=0.0)
+        zero_penalty, compliant, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
+        expected = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
         assert zero_penalty.shape == compliant.shape == (p_bat.shape[0], net_load.shape[0])
         assert np.array_equal(zero_penalty, expected[0])
         assert np.array_equal(compliant, expected[0] & expected[1])
@@ -210,7 +201,7 @@ class TestBlockBoundaries:
                 continue
             assert valid[p]
             assert np.array_equal(fixed[p], repaired.p_bat)
-        if kind == "zero":
+        if kind == "no rows":
             assert np.array_equal(fixed, p_bat)
 
     @BLOCK_SETTINGS
@@ -260,17 +251,13 @@ class TestLayoutInvariance:
         the (P, S) verdicts and the repaired rows alike, so the kernel never
         mixes the trajectory and scenario axes, not even where P == S."""
         cfg, dt, p_bat, p_ewh, net_load = instance
-        draws = cfg.ewh.draws(p_bat.shape[1])
         order = np.array(data.draw(st.permutations(range(net_load.shape[0]))))
-        screened = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
-        swapped = hems.batch_compliance(p_bat[::-1], p_ewh[::-1], net_load[order], draws, cfg, dt)
+        screened = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
+        swapped = hems.batch_compliance(p_bat[::-1], p_ewh[::-1], net_load[order], cfg, dt)
         for verdict, swapped_verdict in zip(screened, swapped):
             assert np.array_equal(swapped_verdict, verdict[::-1][:, order])
-        envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        _, _, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
-        _, _, swapped_fixed, swapped_valid, _ = hems.screen_with_repair(
-            p_bat[::-1], p_ewh[::-1], net_load[order], envelope, draws, cfg, dt
-        )
+        *_, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
+        *_, swapped_fixed, swapped_valid, _ = hems.screen_with_repair(p_bat[::-1], p_ewh[::-1], net_load[order], cfg, dt)
         assert np.array_equal(swapped_fixed, fixed[::-1])
         assert np.array_equal(swapped_valid, valid[::-1])
 
@@ -305,7 +292,6 @@ class TestTaperKnee:
         net_load = np.full((2, horizon), 0.5)
         net_load[0, -1] = -0.5
         surplus = scenarios.pv_surplus(net_load)
-        draws = cfg.ewh.draws(horizon)
 
         (soc0, theta0, headroom0), absorb, charge, _, tracker = analysis._step_route(cfg, dt)
         starts = np.empty((5, 2, horizon))
@@ -335,7 +321,7 @@ class TestTaperKnee:
         assert [block.steps for block in blocks[:2]] == [slice(0, CAP), slice(CAP, 2 * CAP)]
         flags = np.concatenate([np.broadcast_to(block.charge_rate, block.soc.shape[:2] + (2,)) for block in blocks])
         assert np.array_equal(flags, expected.transpose(2, 0, 1))
-        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
         assert zero_penalty.tolist() == [[True] * 2, [True] * 2, [False] * 2, [False] * 2, [False] * 2]
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
@@ -370,7 +356,6 @@ class TestTaperKnee:
         p_ewh[:, :2] = P_NOM
         net_load = np.array([[-0.3, -0.3, 0.5], [0.5, -0.8, 0.5]])
         surplus = scenarios.pv_surplus(net_load)
-        draws = cfg.ewh.draws(3)
 
         (soc0, theta0, headroom0), absorb, charge, _, tracker = analysis._step_route(cfg, dt)
         starts = np.empty((8, 2, 3))
@@ -399,7 +384,7 @@ class TestTaperKnee:
         assert [block.steps for block in blocks] == [slice(0, 1), slice(1, 2), slice(2, 3)]
         flags = np.concatenate([np.broadcast_to(block.charge_rate, block.soc.shape[:2] + (2,)) for block in blocks])
         assert np.array_equal(flags, expected.transpose(2, 0, 1))
-        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
             for s in range(net_load.shape[0]):
@@ -445,10 +430,8 @@ class TestTaperFloor:
         """The zero-penalty verdicts of the screen, once they are checked
         lane by lane, and simulate's results."""
         p_ewh = cls._heater(p_bat)
-        draws = cfg.ewh.draws(p_bat.shape[1])
-        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
-        envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        fused = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
+        fused = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
         assert np.array_equal(fused[0], zero_penalty) and np.array_equal(fused[1], zero_penalty & accommodation_ok)
         results = {}
         for p in range(p_bat.shape[0]):
@@ -511,7 +494,7 @@ class TestTaperFloor:
         # is a block's: one SoC row per pair above the floor.
         cfg, net_load = self._instance(CAPACITY, rows_with_surplus=False)
         seen.clear()
-        hems.batch_compliance(p_bat, self._heater(p_bat), net_load, np.zeros(self.HORIZON), cfg, dt)
+        hems.batch_compliance(p_bat, self._heater(p_bat), net_load, cfg, dt)
         assert seen[0] == () and seen.count(()) == 2
         assert sum(shape[0] for shape in seen if shape) == np.count_nonzero(p_bat > floor) == 4
 
@@ -543,12 +526,11 @@ class TestTaperFloor:
             assert not np.isnan(result.soc).any()
             assert not result.violations["charge_rate"].any()
         p_bat[2, self.STEP + 1] = np.nan
-        p_ewh, draws = self._heater(p_bat), cfg.ewh.draws(self.HORIZON)
-        envelope = scenarios.pv_surplus(net_load).max(axis=0)
+        p_ewh = self._heater(p_bat)
         with pytest.raises(ValueError, match="^p_bat: row 3 holds a non-finite value$"):
-            hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, 0.25)
+            hems.batch_compliance(p_bat, p_ewh, net_load, cfg, 0.25)
         with pytest.raises(ValueError, match="^p_bat: row 3 holds a non-finite value$"):
-            hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, 0.25)
+            hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, 0.25)
 
 
 def _reference_population():
@@ -588,8 +570,7 @@ def test_population_screen_memory_is_bounded():
     stays under 2 MB of traced allocations: the block cap bounds the
     (R, P, S) arrays of each surplus-free run."""
     p_bat, p_ewh, net_load, hems_cfg, dt = _reference_population()
-    draws = hems_cfg.ewh.draws(net_load.shape[1])
-    peak = _traced_peak(hems.batch_compliance, p_bat, p_ewh, net_load, draws, hems_cfg, dt)
+    peak = _traced_peak(hems.batch_compliance, p_bat, p_ewh, net_load, hems_cfg, dt)
     assert peak < 2_000_000, f"batch_compliance peaked at {peak / 1e6:.2f} MB"
 
 
@@ -598,17 +579,15 @@ def test_population_repair_memory_is_bounded():
     with the reference surplus envelope as the extra row, stays under the
     same 2 MB of traced allocations."""
     p_bat, p_ewh, net_load, hems_cfg, dt = _reference_population()
-    envelope = scenarios.pv_surplus(net_load).max(axis=0)
-    draws = hems_cfg.ewh.draws(net_load.shape[1])
-    peak = _traced_peak(hems.screen_with_repair, p_bat, p_ewh, net_load, envelope, draws, hems_cfg, dt)
+    peak = _traced_peak(hems.screen_with_repair, p_bat, p_ewh, net_load, hems_cfg, dt)
     assert peak < 2_000_000, f"screen_with_repair peaked at {peak / 1e6:.2f} MB"
 
 
-def _assert_resumed_matches(p_bat, p_ewh, net_load, draws, cfg, dt, prefix):
+def _assert_resumed_matches(p_bat, p_ewh, net_load, cfg, dt, prefix):
     """A screen resumed from the prefix gives the full screen's verdicts bit
     for bit."""
-    resumed = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt, prefix=prefix)
-    full = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+    resumed = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt, prefix=prefix)
+    full = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
     for got, want in zip(resumed, full):
         assert got.shape == want.shape == (p_bat.shape[0], net_load.shape[0])
         assert np.array_equal(got, want)
@@ -621,13 +600,11 @@ class TestResumedScreen:
 
     @staticmethod
     def _check_rows(p_bat, p_ewh, net_load, cfg, dt):
-        draws = cfg.ewh.draws(p_bat.shape[1])
-        envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        *_, fixed, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        *_, fixed, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
         assert prefix.start == hems._surplus_steps(scenarios.pv_surplus(net_load))[1]
         for rows in (np.arange(p_bat.shape[0]), np.flatnonzero(valid), np.arange(p_bat.shape[0])[::-1]):
             for bat in (p_bat, fixed):
-                _assert_resumed_matches(bat[rows], p_ewh[rows], net_load, draws, cfg, dt, prefix.rows(rows))
+                _assert_resumed_matches(bat[rows], p_ewh[rows], net_load, cfg, dt, prefix.rows(rows))
         return fixed, valid, prefix
 
     def test_reference_population(self):
@@ -650,11 +627,11 @@ class TestResumedScreen:
         scenario_set, hems_cfg = cli._instance(cfg)
         screen, starts = hems.batch_compliance, []
 
-        def twin(p_bat, p_ewh, net_load, draws, cfg, dt, *, prefix=None):
+        def twin(p_bat, p_ewh, net_load, cfg, dt, *, prefix=None):
             assert prefix is not None
             starts.append(prefix.start)
-            _assert_resumed_matches(p_bat, p_ewh, net_load, draws, cfg, dt, prefix)
-            return screen(p_bat, p_ewh, net_load, draws, cfg, dt, prefix=prefix)
+            _assert_resumed_matches(p_bat, p_ewh, net_load, cfg, dt, prefix)
+            return screen(p_bat, p_ewh, net_load, cfg, dt, prefix=prefix)
 
         monkeypatch.setattr(epso, "batch_compliance", twin)
         epso.run(cfg.epso, scenario_set, hems_cfg, cfg.dt_hours)
@@ -695,7 +672,7 @@ class TestResumedScreen:
         cfg, p_bat, p_ewh, net_load, first = self._edge_instance(case)
         fixed, valid, prefix = self._check_rows(p_bat, p_ewh, net_load, cfg, 0.25)
         assert prefix.start == first and prefix.p_bat.shape == (4, first)
-        verdicts = hems.batch_compliance(fixed, p_ewh, net_load, cfg.ewh.draws(self.HORIZON), cfg, 0.25)
+        verdicts = hems.batch_compliance(fixed, p_ewh, net_load, cfg, 0.25)
         assert not verdicts[0][3].any() and verdicts[0][:3].any()
         if case == "none":
             assert np.array_equal(fixed, p_bat)
@@ -719,9 +696,8 @@ class TestPrefixFault:
     def _check(p_bat, p_ewh, net_load, cfg, dt):
         """Check each row's fault; return whether its battery broke a rule
         before the first surplus step, and whether its tank left the band."""
-        draws = cfg.ewh.draws(p_bat.shape[1])
         envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        zero_penalty, *_, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        zero_penalty, *_, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
         assert prefix.fault.shape == (p_bat.shape[0], 1)
         head, tank = np.zeros((2, p_bat.shape[0]), dtype=bool)
         for p in range(p_bat.shape[0]):
@@ -760,9 +736,7 @@ class TestPrefixGuard:
 
     @staticmethod
     def _prefix(p_bat, p_ewh, net_load, cfg):
-        draws = cfg.ewh.draws(p_bat.shape[1])
-        envelope = scenarios.pv_surplus(net_load).max(axis=0)
-        return hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, 0.25)[-1], draws
+        return hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, 0.25)[-1]
 
     @pytest.mark.parametrize(
         "change, message",
@@ -777,7 +751,7 @@ class TestPrefixGuard:
     )
     def test_mismatch_is_rejected(self, change, message):
         cfg, p_bat, p_ewh, net_load, first = TestResumedScreen._edge_instance("mid-day")
-        prefix, draws = self._prefix(p_bat, p_ewh, net_load, cfg)
+        prefix = self._prefix(p_bat, p_ewh, net_load, cfg)
         p_bat, p_ewh, net_load = p_bat.copy(), p_ewh.copy(), net_load.copy()
         if change == "ewh":
             p_ewh[2, -1] = P_NOM - p_ewh[2, -1]
@@ -792,24 +766,25 @@ class TestPrefixGuard:
         else:
             p_bat, p_ewh = p_bat[:3], p_ewh[:3]
         with pytest.raises(ValueError, match=message):
-            hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, 0.25, prefix=prefix)
+            hems.batch_compliance(p_bat, p_ewh, net_load, cfg, 0.25, prefix=prefix)
 
     def test_same_rows_after_the_first_surplus_step_may_differ(self):
         """Battery power from the first surplus step on is not part of the
         prefix, and a -0.0 before it matches the same -0.0 bit for bit."""
         cfg, p_bat, p_ewh, net_load, first = TestResumedScreen._edge_instance("mid-day")
         p_bat[2, 0] = -0.0
-        prefix, draws = self._prefix(p_bat, p_ewh, net_load, cfg)
+        prefix = self._prefix(p_bat, p_ewh, net_load, cfg)
         p_bat[:, first:] = 0.3
-        _assert_resumed_matches(p_bat, p_ewh, net_load, draws, cfg, 0.25, prefix)
+        _assert_resumed_matches(p_bat, p_ewh, net_load, cfg, 0.25, prefix)
 
 
-def _full_tail_screen(p_bat, p_ewh, net_load, envelope, draws, cfg, dt):
+def _full_tail_screen(p_bat, p_ewh, net_load, cfg, dt):
     """`screen_with_repair` with the tail stepped for every row, head-faulted
     ones included: (zero_penalty, accommodation_ok, repaired, valid, prefix)."""
-    surplus = np.concatenate([scenarios.pv_surplus(net_load), envelope[None]])
+    surplus = scenarios.pv_surplus(net_load)
+    surplus = np.concatenate([surplus, surplus.max(axis=0, initial=0.0)[None]])
     active, start = hems._surplus_steps(surplus)
-    prefix = hems._head(p_bat, p_ewh, surplus, active, start, draws, cfg, dt)
+    prefix = hems._head(p_bat, p_ewh, surplus, active, start, cfg, dt)
     flags = np.zeros((p_bat.shape[1] - start, p_bat.shape[0]), dtype=bool)
     fault, discharge = hems._tail(
         p_bat[:, start:], p_ewh[:, start:], surplus[:, start:], active[start:], prefix.soc, cfg, dt, flags
@@ -829,16 +804,12 @@ class TestLiveRowTail:
     `batch_compliance`'s zero_penalty & accommodation_ok."""
 
     @staticmethod
-    def _check(p_bat, p_ewh, net_load, envelope, draws, cfg, dt):
+    def _check(p_bat, p_ewh, net_load, cfg, dt):
         """Compare the fused pass with the full-tail screen and with
         `batch_compliance`; return the pass's prefix."""
-        zero_penalty, compliant, repaired, valid, prefix = hems.screen_with_repair(
-            p_bat, p_ewh, net_load, envelope, draws, cfg, dt
-        )
-        want_zero, want_ok, want_repaired, want_valid, want_prefix = _full_tail_screen(
-            p_bat, p_ewh, net_load, envelope, draws, cfg, dt
-        )
-        screened = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        zero_penalty, compliant, repaired, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
+        want_zero, want_ok, want_repaired, want_valid, want_prefix = _full_tail_screen(p_bat, p_ewh, net_load, cfg, dt)
+        screened = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
         assert zero_penalty.shape == compliant.shape == (p_bat.shape[0], net_load.shape[0])
         assert np.array_equal(zero_penalty, want_zero) and np.array_equal(zero_penalty, screened[0])
         assert np.array_equal(compliant, want_zero & want_ok)
@@ -854,14 +825,8 @@ class TestLiveRowTail:
         assert not zero_penalty[prefix.fault[:, 0]].any() and not valid[prefix.fault[:, 0]].any()
         return prefix
 
-    @staticmethod
-    def _envelope(net_load):
-        return scenarios.pv_surplus(net_load).max(axis=0)
-
     def test_seeded_reference_swarm(self):
-        p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
-        draws = cfg.ewh.draws(net_load.shape[1])
-        prefix = self._check(p_bat, p_ewh, net_load, self._envelope(net_load), draws, cfg, dt)
+        prefix = self._check(*_seeded_swarm())
         assert prefix.fault.any() and not prefix.fault.all()
 
     def test_every_fused_pass_of_the_small_search(self, monkeypatch):
@@ -869,9 +834,9 @@ class TestLiveRowTail:
         scenario_set, hems_cfg = cli._instance(cfg)
         screen, faulted = hems.screen_with_repair, []
 
-        def twin(p_bat, p_ewh, net_load, envelope, draws, cfg, dt):
-            faulted.append(int(self._check(p_bat, p_ewh, net_load, envelope, draws, cfg, dt).fault.sum()))
-            return screen(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        def twin(p_bat, p_ewh, net_load, cfg, dt):
+            faulted.append(int(self._check(p_bat, p_ewh, net_load, cfg, dt).fault.sum()))
+            return screen(p_bat, p_ewh, net_load, cfg, dt)
 
         monkeypatch.setattr(epso, "screen_with_repair", twin)
         records = []
@@ -883,8 +848,7 @@ class TestLiveRowTail:
         """The heater always on drives every tank above its band."""
         p_bat, p_ewh, net_load, cfg, dt = _reference_population()
         p_ewh = np.full_like(p_ewh, cfg.ewh.p_nom)
-        draws = cfg.ewh.draws(net_load.shape[1])
-        prefix = self._check(p_bat, p_ewh, net_load, self._envelope(net_load), draws, cfg, dt)
+        prefix = self._check(p_bat, p_ewh, net_load, cfg, dt)
         assert prefix.fault.all()
 
     @pytest.mark.parametrize("population", ["gentle", "live rows of the swarm"])
@@ -895,30 +859,28 @@ class TestLiveRowTail:
             p_bat, p_ewh, net_load, cfg, dt = _reference_population()
         else:
             p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
-        draws, envelope = cfg.ewh.draws(net_load.shape[1]), self._envelope(net_load)
-        live = ~hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)[-1].fault[:, 0]
-        prefix = self._check(p_bat[live], p_ewh[live], net_load, envelope, draws, cfg, dt)
+        live = ~hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)[-1].fault[:, 0]
+        prefix = self._check(p_bat[live], p_ewh[live], net_load, cfg, dt)
         assert live.sum() > 1 and not prefix.fault.any()
 
     def test_rows_without_surplus(self):
-        """No net-load row and not the envelope has surplus: the head is the
-        whole horizon and the tail has no step."""
+        """No net-load row has surplus, so neither has their envelope: the
+        head is the whole horizon and the tail has no step."""
         p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
         net_load = np.abs(net_load) + 0.1
-        envelope = np.zeros(net_load.shape[1])
-        prefix = self._check(p_bat, p_ewh, net_load, envelope, cfg.ewh.draws(net_load.shape[1]), cfg, dt)
+        prefix = self._check(p_bat, p_ewh, net_load, cfg, dt)
         assert prefix.start == net_load.shape[1] and prefix.fault.any() and not prefix.fault.all()
 
     def test_empty_horizon(self):
         cfg = TestResumedScreen._edge_instance("none")[0]
-        empty, rows, none = np.zeros((2, 0)), np.zeros((3, 0)), np.zeros(0)
-        prefix = self._check(empty, empty, rows, none, none, cfg, 0.25)
+        empty, rows = np.zeros((2, 0)), np.zeros((3, 0))
+        prefix = self._check(empty, empty, rows, cfg, 0.25)
         assert prefix.start == 0 and not prefix.fault.any()
 
     def test_no_net_load_rows(self):
+        """With no net-load row the envelope is all zero, as in the test above."""
         p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
-        draws = cfg.ewh.draws(net_load.shape[1])
-        prefix = self._check(p_bat, p_ewh, net_load[:0], self._envelope(net_load), draws, cfg, dt)
+        prefix = self._check(p_bat, p_ewh, net_load[:0], cfg, dt)
         assert prefix.fault.any() and not prefix.fault.all()
 
     def test_fused_tail_steps_exactly_the_live_rows(self, monkeypatch):
@@ -926,7 +888,6 @@ class TestLiveRowTail:
         live rows only; a re-screen given the prefix steps the tail alone,
         for every row it is given, from views of them, not copies."""
         p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
-        draws, envelope = cfg.ewh.draws(net_load.shape[1]), self._envelope(net_load)
         lane_steps, seen = hems._lane_steps, []
 
         def spy(p_bat, *args):
@@ -934,7 +895,7 @@ class TestLiveRowTail:
             return lane_steps(p_bat, *args)
 
         monkeypatch.setattr(hems, "_lane_steps", spy)
-        *_, fixed, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, envelope, draws, cfg, dt)
+        *_, fixed, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
         live = np.flatnonzero(~prefix.fault[:, 0])
         start = prefix.start
         assert 0 < live.size < p_bat.shape[0] and 0 < start < p_bat.shape[1]
@@ -943,7 +904,7 @@ class TestLiveRowTail:
         seen.clear()
         rows = np.flatnonzero(valid)
         repaired = fixed[rows]
-        hems.batch_compliance(repaired, p_ewh[rows], net_load, draws, cfg, dt, prefix=prefix.rows(rows))
+        hems.batch_compliance(repaired, p_ewh[rows], net_load, cfg, dt, prefix=prefix.rows(rows))
         assert len(seen) == 1 and np.array_equal(seen[0], repaired[:, start:])
         assert np.shares_memory(seen[0], repaired)
 

@@ -220,11 +220,10 @@ class TestPopulationScreen:
     @given(lane_instances() | edge_instances())
     def test_matches_row_calls_and_oracle(self, instance):
         cfg, dt, p_bat, p_ewh, net_load = instance
-        draws = cfg.ewh.draws(p_bat.shape[1])
-        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
+        zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
         assert zero_penalty.shape == accommodation_ok.shape == (p_bat.shape[0], net_load.shape[0])
         for p in range(p_bat.shape[0]):
-            row_zero, row_ok = hems.batch_compliance(p_bat[p : p + 1], p_ewh[p : p + 1], net_load, draws, cfg, dt)
+            row_zero, row_ok = hems.batch_compliance(p_bat[p : p + 1], p_ewh[p : p + 1], net_load, cfg, dt)
             assert row_zero.shape == (1, net_load.shape[0])
             assert np.array_equal(zero_penalty[p], row_zero[0])
             assert np.array_equal(accommodation_ok[p], row_ok[0])
@@ -235,18 +234,16 @@ class TestPopulationScreen:
 
     def test_rejects_mismatched_horizons(self, hems_reference):
         with pytest.raises(ValueError):
-            hems.batch_compliance(np.zeros((2, 4)), np.zeros((2, 5)), np.zeros((3, 4)), np.zeros(4), hems_reference, 0.25)
+            hems.batch_compliance(np.zeros((2, 4)), np.zeros((2, 5)), np.zeros((3, 4)), hems_reference, 0.25)
         with pytest.raises(ValueError):
-            hems.batch_compliance(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 5)), np.zeros(5), hems_reference, 0.25)
+            hems.batch_compliance(np.zeros((2, 4)), np.zeros((2, 4)), np.zeros((3, 5)), hems_reference, 0.25)
 
     def test_empty_horizon_passes_every_lane(self, hems_reference):
         # With no steps no rule can fail, and repair has nothing to change.
-        empty, rows, none = np.zeros((2, 0)), np.zeros((3, 0)), np.zeros(0)
-        verdicts = hems.batch_compliance(empty, empty, rows, none, hems_reference, 0.25)
+        empty, rows = np.zeros((2, 0)), np.zeros((3, 0))
+        verdicts = hems.batch_compliance(empty, empty, rows, hems_reference, 0.25)
         assert [v.tolist() for v in verdicts] == [[[True] * 3] * 2] * 2
-        zero_penalty, compliant, repaired, valid, _ = hems.screen_with_repair(
-            empty, empty, rows, none, none, hems_reference, 0.25
-        )
+        zero_penalty, compliant, repaired, valid, _ = hems.screen_with_repair(empty, empty, rows, hems_reference, 0.25)
         assert np.array_equal(zero_penalty, verdicts[0])
         assert np.array_equal(compliant, verdicts[0] & verdicts[1])
         assert repaired.shape == (2, 0) and valid.tolist() == [True, True]
@@ -254,12 +251,13 @@ class TestPopulationScreen:
 
 class TestBatchRepair:
     @staticmethod
-    def _assert_matches_rows(p_bat, p_ewh, net_load, surplus, cfg, dt) -> tuple[int, int]:
-        """Compare the batched repair of the fused screen, stepped next to the
-        net-load rows, with per-row repair_trajectory; return the number of
-        rejected rows and of changed rows."""
-        draws = cfg.ewh.draws(p_bat.shape[1])
-        _, _, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, surplus, draws, cfg, dt)
+    def _assert_matches_rows(p_bat, p_ewh, net_load, cfg, dt) -> tuple[int, int]:
+        """Compare the batched repair of the fused screen, against the surplus
+        envelope of the net-load rows, with per-row repair_trajectory against
+        that envelope; return the number of rejected rows and of changed
+        rows."""
+        surplus = np.maximum(0.0, -net_load).max(axis=0)
+        _, _, fixed, valid, _ = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
         rejected = changed = 0
         for p in range(p_bat.shape[0]):
             traj = FlexTrajectory(p_bat=p_bat[p], p_ewh=p_ewh[p])
@@ -279,16 +277,15 @@ class TestBatchRepair:
     @given(lane_instances() | edge_instances())
     def test_matches_per_row_repair_at_edges(self, instance):
         cfg, dt, p_bat, p_ewh, net_load = instance
-        envelope = np.maximum(0.0, -net_load).max(axis=0)
-        self._assert_matches_rows(p_bat, p_ewh, net_load, envelope, cfg, dt)
+        self._assert_matches_rows(p_bat, p_ewh, net_load, cfg, dt)
 
     def test_matches_per_row_repair_on_random_population(self, small_instance):
         scenario_set, cfg = small_instance
         rng = np.random.default_rng(41)
         p_bat = rng.uniform(-1.5, 1.5, (300, 16))
         p_ewh = np.where(rng.random((300, 16)) < 0.2, 0.5, 0.0)
-        surplus = np.maximum(0.0, -scenario_set.values[0])
-        rejected, changed = self._assert_matches_rows(p_bat, p_ewh, scenario_set.values, surplus, cfg, 0.25)
+        # Scenario 0 alone, so that its surplus is the envelope.
+        rejected, changed = self._assert_matches_rows(p_bat, p_ewh, scenario_set.values[:1], cfg, 0.25)
         # both outcomes actually occur in the population
         assert rejected > 10 and changed > 10
 
@@ -365,11 +362,11 @@ class TestExtremeFiniteInput:
     @given(extreme_instances())
     def test_screens_match_the_oracle_and_no_soc_is_nan(self, instance):
         cfg, p_bat, p_ewh, net_load = instance
-        dt, draws = 0.25, cfg.ewh.draws(p_bat.shape[1])
+        dt = 0.25
         surplus = scenarios.pv_surplus(net_load)
         with np.errstate(over="ignore"):
-            zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, draws, cfg, dt)
-            fused = hems.screen_with_repair(p_bat, p_ewh, net_load, surplus.max(axis=0), draws, cfg, dt)
+            zero_penalty, accommodation_ok = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
+            fused = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
             soc = np.full((p_bat.shape[0], 1), cfg.battery.soc_init)
             blocks = hems._lane_steps(p_bat, p_ewh, surplus, hems._surplus_steps(surplus)[0], cfg, dt, soc)
             assert not any(np.isnan(block.soc).any() for block in blocks)
@@ -392,7 +389,7 @@ class TestExtremeFiniteInput:
         p_bat, p_ewh, net_load = np.array([[big, big, -big, 0.0]]), np.zeros((1, 4)), np.full((1, 4), 0.4)
         with np.errstate(over="ignore", invalid="ignore"):
             result = hems.simulate(FlexTrajectory(p_bat[0], p_ewh[0]), np.zeros(4), cfg, 1.0)
-            zero_penalty, _ = hems.batch_compliance(p_bat, p_ewh, net_load, np.zeros(4), cfg, 1.0)
+            zero_penalty, _ = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, 1.0)
         assert result.soc[1] == np.inf and np.isnan(result.soc[2:]).all()
         assert result.violations["charge_rate"][0] and not zero_penalty[0, 0]
         assert analysis.oracle_check(FlexTrajectory(p_bat[0], p_ewh[0]), scenarios.ScenarioSet(net_load), cfg, 1.0) == 0

@@ -191,21 +191,20 @@ def kernel_rates() -> dict:
     cfg = cli.RunConfig.load(ROOT / "data" / CONFIGS["reference"])
     values = scenarios.generate_scenarios(scenarios.read_marginals_csv(cfg.marginals_path), cfg.copula).values
     hems_cfg, dt, horizon = cfg.hems_config(), cfg.dt_hours, values.shape[1]
-    draws, envelope = hems_cfg.ewh.draws(horizon), scenarios.pv_surplus(values).max(axis=0)
     rows = epso.seed_initial_population(values[0], cfg.epso, hems_cfg, np.random.default_rng(cfg.seed)).x
     p_bat, p_ewh = rows[:, :horizon], rows[:, horizon:]
-    *_, fixed, _, prefix = hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt)
+    *_, fixed, _, prefix = hems.screen_with_repair(p_bat, p_ewh, values, hems_cfg, dt)
     repaired, ewh, head = fixed[:RESCREEN_ROWS], p_ewh[:RESCREEN_ROWS], prefix.rows(slice(RESCREEN_ROWS))
     first, live = prefix.start, int(np.count_nonzero(~prefix.fault))
     fused = {"rows": len(rows), "live_rows": live, "surplus_rows": len(values) + 1, "steps": horizon}
     rescreen = {"rows": RESCREEN_ROWS, "surplus_rows": len(values), "steps": horizon}
     resumed = rescreen | {"steps": horizon - first}
     calls = {
-        "fused": (lambda: hems.screen_with_repair(p_bat, p_ewh, values, envelope, draws, hems_cfg, dt), fused,
+        "fused": (lambda: hems.screen_with_repair(p_bat, p_ewh, values, hems_cfg, dt), fused,
                   len(rows) * first + live * (len(values) + 1) * (horizon - first)),
-        "rescreen": (lambda: hems.batch_compliance(repaired, ewh, values, draws, hems_cfg, dt), rescreen,
+        "rescreen": (lambda: hems.batch_compliance(repaired, ewh, values, hems_cfg, dt), rescreen,
                      RESCREEN_ROWS * len(values) * horizon),
-        "resumed": (lambda: hems.batch_compliance(repaired, ewh, values, draws, hems_cfg, dt, prefix=head), resumed,
+        "resumed": (lambda: hems.batch_compliance(repaired, ewh, values, hems_cfg, dt, prefix=head), resumed,
                     RESCREEN_ROWS * len(values) * (horizon - first)),
     }
     best = dict.fromkeys(calls, float("inf"))
