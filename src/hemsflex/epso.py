@@ -119,9 +119,8 @@ class FeasibleSet:
     a scan of every member would. To avoid the scan, the members' row sums,
     each taken exactly rounded by `math.fsum`, are kept sorted, and a row is
     compared only with the members whose sum lies within `_sum_window` of
-    its own. A row that is not finite, or on which `math.fsum` or the
-    running mean's update overflows, is rejected with ValueError and leaves
-    the set as it was.
+    its own. A row that is not finite, or on which `math.fsum` overflows, is
+    rejected with ValueError and leaves the set as it was.
 
     Exactness: a distance computed below DEDUP_TOL means every computed
     |m_j - x_j| is below it, and since a subtraction rounds monotonically and
@@ -172,9 +171,14 @@ class FeasibleSet:
         if picks and float(np.min(np.max(np.abs(self._rows[picks] - vector), axis=1))) < DEDUP_TOL:
             return False
         n = len(self)
-        mean = self.mean + (vector - self.mean) / (n + 1)
-        if not np.isfinite(mean).all():
-            raise ValueError("row moves the set's mean beyond the float range")
+        step = (vector - self.mean) / (n + 1)
+        # Where the difference overflows, the row and the mean lie on either
+        # side of zero, so the difference of their shares is finite, and so is
+        # the mean it moves to.
+        wide = ~np.isfinite(step)
+        if wide.any():
+            step[wide] = vector[wide] / (n + 1) - self.mean[wide] / (n + 1)
+        mean = self.mean + step
         if n == self._rows.shape[0]:
             self._rows = np.concatenate([self._rows, np.empty_like(self._rows)])
         self._rows[n] = vector

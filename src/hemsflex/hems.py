@@ -475,17 +475,21 @@ class ScreenPrefix(NamedTuple):
     `p_ewh` (P, T) are the battery power before `start` and the EWH schedule
     the rows were stepped on. `soc` (P, 1) is the SoC entering step `start`,
     and `fault` (P, 1) whether a step before it broke the charge rate or left
-    the SoC band, or the tank left its band anywhere on the horizon. `rows`
-    selects rows of it, as an index selects rows of an array."""
+    the SoC band, or the tank left its band anywhere on the horizon. `cfg`
+    and `dt` are the config and step the head was stepped under, which
+    `fault` depends on. `rows` selects rows of it, as an index selects rows
+    of an array."""
 
     start: int
     p_bat: np.ndarray
     p_ewh: np.ndarray
     soc: np.ndarray
     fault: np.ndarray
+    cfg: HemsConfig
+    dt: float
 
     def rows(self, index) -> "ScreenPrefix":
-        return ScreenPrefix(self.start, *(getattr(self, name)[index] for name in self._fields[1:]))
+        return self._replace(**{name: getattr(self, name)[index] for name in ("p_bat", "p_ewh", "soc", "fault")})
 
 
 def _surplus_steps(surplus) -> tuple[np.ndarray, int]:
@@ -529,7 +533,7 @@ def _head(p_bat, p_ewh, surplus, active, start: int, cfg: HemsConfig, dt: float)
     theta = _tank(p_ewh, ewh, dt)
     fault |= ((theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)).any(axis=0)[:, None]
     # Copies, so that a caller writing to its rows cannot pass the guard.
-    return ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), soc, fault)
+    return ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), soc, fault, cfg, dt)
 
 
 def _tail(p_bat, p_ewh, surplus, active, soc, cfg: HemsConfig, dt: float, last_discharge=None):
@@ -555,9 +559,14 @@ def _same_bits(a, b) -> bool:
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
-def _check_prefix(prefix: ScreenPrefix, p_bat, p_ewh, start: int) -> None:
+def _check_prefix(prefix: ScreenPrefix, p_bat, p_ewh, start: int, cfg: HemsConfig, dt: float) -> None:
     """Reject a prefix that was not taken of rows stepping as these do
-    before the first surplus step, `start`."""
+    before the first surplus step, `start`, under the config object `cfg`
+    at step `dt`."""
+    if prefix.cfg is not cfg:
+        raise ValueError("the prefix was stepped under another HemsConfig than the screen's")
+    if prefix.dt != dt:
+        raise ValueError(f"the prefix was stepped at dt={prefix.dt!r}, the screen at dt={dt!r}")
     if prefix.start != start:
         raise ValueError(f"the prefix's first surplus step is {prefix.start}, the net-load rows' is {start}")
     if prefix.soc.shape[0] != p_bat.shape[0]:
@@ -588,8 +597,9 @@ def batch_compliance(
     `prefix`, when given, is the `screen_with_repair` prefix of rows that
     step as these do before the net-load rows' first surplus step: the same
     EWH schedules and the same battery power before that step, bit for bit,
-    and that step as the prefix's own first surplus step. The screen then
-    resumes from it at that step and steps no tank, with the same results.
+    that step as the prefix's own first surplus step, and the same `cfg`
+    object and `dt` as the pass that took it. The screen then resumes from
+    it at that step and steps no tank, with the same results.
     A prefix that does not match raises ValueError naming the mismatch.
     """
     p_bat, p_ewh, net_load = _check_population(p_bat, p_ewh, net_load)
@@ -598,7 +608,7 @@ def batch_compliance(
     if prefix is None:
         prefix = _head(p_bat, p_ewh, surplus, active, start, cfg, dt)
     else:
-        _check_prefix(prefix, p_bat, p_ewh, start)
+        _check_prefix(prefix, p_bat, p_ewh, start, cfg, dt)
     fault, discharge = _tail(
         p_bat[:, start:], p_ewh[:, start:], surplus[:, start:], active[start:], prefix.soc, cfg, dt
     )

@@ -646,28 +646,25 @@ class TestErrorPaths:
 
 
 class TestColdStart:
-    # scipy is the largest import of the package, and only gen-scenarios needs
-    # it. A fresh interpreter is the only place to see that: this test process
-    # has already imported scipy.special through tests/conftest.py.
+    # No command imports scipy, whose import costs more time and memory than
+    # a whole `gen-scenarios` run: the normal CDF is a port of its routine. A
+    # fresh interpreter is the only place to see that: this test process has
+    # already imported scipy.special through tests/conftest.py.
     SCRIPT = """
-import shutil, sys
+import sys
 from pathlib import Path
 from hemsflex import cli
 
 repo, out = Path(sys.argv[1]), Path(sys.argv[2])
-for name in ("scenarios.csv", "feasible.csv"):
-    shutil.copy(repo / "out" / "small" / name, out / name)
 args = ["--config", str(repo / "data" / "config_small.json"), "--out", str(out)]
 assert "scipy" not in sys.modules, "import"
-for command in (["search"], ["train"], ["classify", "--model", str(out / "model.json"),
+for command in (["gen-scenarios"], ["search"], ["train"], ["classify", "--model", str(out / "model.json"),
                 "--input", str(out / "feasible.csv")], ["validate"]):
     assert cli.main(args + command) == 0, command
     assert "scipy" not in sys.modules, command
-assert cli.main(args + ["gen-scenarios"]) == 0
-assert "scipy" in sys.modules
 """
 
-    def test_only_gen_scenarios_imports_scipy(self, tmp_path):
+    def test_no_command_imports_scipy(self, tmp_path):
         repo = Path(__file__).resolve().parent.parent
         env = {**os.environ, "PYTHONPATH": str(repo / "src")}
         run = subprocess.run(

@@ -613,18 +613,17 @@ class TestFeasibleSetIndex:
             assert not fs.add(np.array([1e308, -1e308]), 1)
         assert len(fs) == 1
 
-    def test_a_row_whose_mean_update_overflows_is_refused(self):
-        # Both rows sum to 0, but the second's step from the mean, [-2e308,
-        # 2e308], overflows and would leave the mean at [-inf, inf].
+    def test_a_row_whose_mean_update_overflows_is_accepted(self):
+        # The second row's step from the mean, [-2e308, 0], overflows, but
+        # the true mean of the two rows is [0, 0]: the update takes the
+        # difference of their shares on that coordinate instead.
         fs = FeasibleSet(horizon=1)
         with np.errstate(over="ignore"):
-            assert fs.add(np.array([1e308, -1e308]), 1)
-            before = fs.mean.tobytes(), fs.distances().tobytes()
-            with pytest.raises(ValueError, match="^row moves the set's mean beyond the float range$"):
-                fs.add(np.array([-1e308, 1e308]), 2)
-        assert len(fs) == 1 and fs.fitnesses == [1]
-        assert (fs.mean.tobytes(), fs.distances().tobytes()) == before
-        assert np.array_equal(fs.mean, [1e308, -1e308]) and np.isfinite(fs.distances()).all()
+            assert fs.add(np.array([1e308, 0.0]), 1)
+            assert fs.add(np.array([-1e308, 0.0]), 2)
+        assert len(fs) == 2 and fs.fitnesses == [1, 2]
+        assert fs.mean.tobytes() == np.array([0.0, 0.0]).tobytes()
+        assert np.array_equal(fs.distances(), [1e308, 1e308])
 
 
 class TestStochasticTournament:

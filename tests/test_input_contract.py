@@ -227,6 +227,7 @@ def entry_arrays(entry):
         "matrix": rng.uniform(-0.3, 0.3, (3, 2 * HORIZON)), "row": rng.uniform(-0.3, 0.3, 2 * HORIZON),
         "traj": np.r_[rng.uniform(-0.1, 0.1, HORIZON), np.zeros(HORIZON)], "scenarios": net_load,
         "vectors": rng.random((8, 4)), "norm_bounds": np.tile([0.0, 1.0], (4, 1)),
+        "z": rng.standard_normal((4, 3)),
     }
     if entry == "FlexTrajectory":
         arrays["p_bat"], arrays["p_ewh"] = arrays["p_bat"][0], arrays["p_ewh"][0]
@@ -272,6 +273,8 @@ ENTRY_POINTS = {
     "simulate": (("surplus",), lambda a: hems.simulate(traj(a), a["surplus"], HEMS, 0.25)),
     "pv_accommodation": (("surplus",), lambda a: hems.pv_accommodation(traj(a), a["surplus"], HEMS, 0.25)),
     "repair_trajectory": (("surplus",), lambda a: hems.repair_trajectory(traj(a), a["surplus"], HEMS, 0.25)),
+    "transform_to_scenarios": (("z",), lambda a: scenarios.transform_to_scenarios(
+        a["z"], [scenarios.MarginalForecast(t, [0.25, 0.75], [-1.0, 1.0]) for t in (1, 2, 3)])),
 }
 
 

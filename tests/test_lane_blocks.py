@@ -768,6 +768,26 @@ class TestPrefixGuard:
         with pytest.raises(ValueError, match=message):
             hems.batch_compliance(p_bat, p_ewh, net_load, cfg, 0.25, prefix=prefix)
 
+    def test_a_prefix_of_another_config_or_step_is_rejected(self):
+        """The prefix's fault holds the tank's verdict under the config it was
+        taken under: an idle row passes with no draws and fails with 20 L
+        drawn each step, which only the head steps."""
+        battery = hems.BatteryConfig(capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=P_MAX, soc_init=1.6)
+        dry, drawn = (
+            hems.HemsConfig(battery=battery, ewh=hems.EwhConfig(
+                p_nom=P_NOM, theta_min=55.0, theta_max=THETA_MAX, theta_init=60.0, draw_profile=draws
+            ))
+            for draws in (None, np.full(6, 20.0))
+        )
+        idle, net_load = np.zeros((1, 6)), np.array([[0.4, 0.4, -0.3, 0.4, 0.4, 0.4]])
+        assert hems.batch_compliance(idle, idle, net_load, dry, 0.25)[0].tolist() == [[True]]
+        assert hems.batch_compliance(idle, idle, net_load, drawn, 0.25)[0].tolist() == [[False]]
+        prefix = self._prefix(idle, idle, net_load, dry)
+        with pytest.raises(ValueError, match="^the prefix was stepped under another HemsConfig"):
+            hems.batch_compliance(idle, idle, net_load, drawn, 0.25, prefix=prefix)
+        with pytest.raises(ValueError, match=r"^the prefix was stepped at dt=0\.25, the screen at dt=0\.5$"):
+            hems.batch_compliance(idle, idle, net_load, dry, 0.5, prefix=prefix)
+
     def test_same_rows_after_the_first_surplus_step_may_differ(self):
         """Battery power from the first surplus step on is not part of the
         prefix, and a -0.0 before it matches the same -0.0 bit for bit."""
@@ -817,8 +837,8 @@ class TestLiveRowTail:
         assert np.array_equal(valid, want_valid)
         assert repaired.shape == p_bat.shape
         assert np.array_equal(repaired.view(np.int64), want_repaired.view(np.int64))
-        assert prefix.start == want_prefix.start
-        for name in hems.ScreenPrefix._fields[1:]:
+        assert prefix.start == want_prefix.start and prefix.dt == want_prefix.dt and prefix.cfg is want_prefix.cfg
+        for name in ("p_bat", "p_ewh", "soc", "fault"):
             got, want = getattr(prefix, name), getattr(want_prefix, name)
             assert got.shape == want.shape and got.dtype == want.dtype, name
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name

@@ -1,9 +1,11 @@
 """Scenario-engine checks: covariance shape, copula statistics, quantile
-mapping, and PV surplus."""
+mapping, the normal CDF against scipy's, and PV surplus."""
+
+import math
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from scipy.special import ndtr, ndtri
 
 from hemsflex import scenarios
 from hemsflex.scenarios import (
@@ -133,6 +135,48 @@ class TestTransformToScenarios:
         for probs, values in (([np.nan, 0.5], [0.0, 1.0]), ([0.5], [np.nan]), ([0.2, 0.8], [0.0, np.inf])):
             with pytest.raises(ValueError):
                 MarginalForecast(1, probs, values)  # non-finite
+
+
+class TestNormalCdf:
+    """`scenarios._ndtr` ports the Cephes routine that `scipy.special.ndtr`
+    runs; on finite input it must return scipy's value bit for bit."""
+
+    # |a| where the routine changes branch: erf below 1, 1 - erf below
+    # sqrt(2), the P/Q tail below 8 sqrt(2), the R/S tail up to sqrt(2 MAXLOG),
+    # and 0 or 1 beyond it.
+    EDGES = [1.0, math.sqrt(2.0), 8.0 * math.sqrt(2.0), math.sqrt(2.0 * scenarios._MAXLOG)]
+
+    @staticmethod
+    def _assert_scipy_bits(a):
+        a = np.asarray(a, dtype=float)
+        want, got = ndtr(a), scenarios._ndtr(a)
+        assert got.shape == a.shape
+        bad = np.flatnonzero(want.view(np.int64) != got.view(np.int64))
+        assert not bad.size, f"{bad.size} of {a.size} differ, the first at a = {a.ravel()[bad[0]]!r}"
+
+    def test_seeded_normals(self):
+        self._assert_scipy_bits(np.random.default_rng(30).normal(0.0, 3.0, (1000, 1000)))
+
+    def test_dense_grid(self):
+        self._assert_scipy_bits(np.linspace(-40.0, 40.0, 2_000_001))
+
+    def test_deep_lower_tail(self):
+        self._assert_scipy_bits(np.random.default_rng(31).uniform(-39.0, -30.0, 200_000))
+
+    def test_zeros_subnormals_and_extremes(self):
+        tiny, big = np.finfo(float).smallest_subnormal, np.finfo(float).max
+        values = [0.0, tiny, 1e-310, np.finfo(float).tiny, 1e-300, 1e-8, 1e300, 1e308, big]
+        self._assert_scipy_bits(values + [-v for v in values])
+
+    @pytest.mark.parametrize("edge", EDGES)
+    def test_both_sides_of_each_branch_edge(self, edge):
+        below, above = [edge], [edge]
+        for _ in range(64):
+            below.append(np.nextafter(below[-1], -np.inf))
+            above.append(np.nextafter(above[-1], np.inf))
+        cloud = edge + np.random.default_rng(32).uniform(-1e-3, 1e-3, 100_000)
+        points = np.concatenate([below, above, cloud])
+        self._assert_scipy_bits(np.concatenate([points, -points]))
 
 
 class TestPvSurplus:
