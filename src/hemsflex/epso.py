@@ -168,10 +168,13 @@ class FeasibleSet:
         lo = bisect.bisect_left(self._sums, total - slack)
         hi = bisect.bisect_right(self._sums, total + slack)
         picks = self._by_sum[lo:hi]
-        if picks and float(np.min(np.max(np.abs(self._rows[picks] - vector), axis=1))) < DEDUP_TOL:
-            return False
         n = len(self)
-        step = (vector - self.mean) / (n + 1)
+        # Rows near the float range overflow here: in the scan, to a distance
+        # of inf, which is no duplicate, and in the step, mended below.
+        with np.errstate(over="ignore"):
+            if picks and float(np.min(np.max(np.abs(self._rows[picks] - vector), axis=1))) < DEDUP_TOL:
+                return False
+            step = (vector - self.mean) / (n + 1)
         # Where the difference overflows, the row and the mean lie on either
         # side of zero, so the difference of their shares is finite, and so is
         # the mean it moves to.

@@ -260,6 +260,7 @@ def train(
     kernel: KernelSpec,
     cfg: TrainingConfig,
     norm_bounds: np.ndarray | None = None,
+    gram: np.ndarray | None = None,
 ) -> SvddModel:
     """Fit the boundary on normalized training vectors (one row per sample).
 
@@ -270,6 +271,12 @@ def train(
     coefficient sits at the box bound. `norm_bounds` records the raw-space
     scaling the caller applied; without it the bounds of the (already
     normalized) inputs are stored.
+
+    `gram`, when given, is `kernel_matrix(kernel, vectors, vectors)` as the
+    caller already built it, so that fits of one kernel at several nu share
+    one training kernel matrix; it is read, never written. A matrix that is
+    not (n, n) for the n rows raises ValueError, and it goes through the
+    same finiteness and sharpness checks as a matrix built here.
     """
     X = finite_array("vectors", np.atleast_2d(np.asarray(vectors, dtype=float)))
     if norm_bounds is not None:
@@ -277,7 +284,12 @@ def train(
     n = X.shape[0]
     if n < 2:
         raise ValueError("training needs at least 2 vectors")
-    K = kernel_matrix(kernel, X, X)
+    if gram is None:
+        K = kernel_matrix(kernel, X, X)
+    else:
+        K = np.asarray(gram, dtype=float)
+        if K.shape != (n, n):
+            raise ValueError(f"gram has shape {K.shape}, not ({n}, {n}) for the {n} training rows")
     if not np.isfinite(K).all():
         raise ValueError(f"{kernel} gives non-finite kernel values on the training set")
     # A kernel this sharp sees no two rows as alike: each training row sits

@@ -2,6 +2,8 @@
 evaluator, infeasible-set sampling, PCA component counts, confusion
 bookkeeping, and the semi-random baseline builder."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -48,7 +50,7 @@ class TestOracleCheck:
         with pytest.raises(ValueError, match="16 battery and 17 heater steps"):
             oracle([0.0] * 16, [0.0] * 17)
         with pytest.raises(ValueError, match="17 battery and 16 heater steps"):
-            oracle([0.0] * 17, [0.0] * 16, threshold=1)
+            oracle([0.0] * 17, [0.0] * 16)
 
     def test_exact_agreement_with_search_evaluator(self, small_instance):
         scenario_set, cfg = small_instance
@@ -62,36 +64,77 @@ class TestOracleCheck:
                 traj, scenario_set, cfg, 0.25
             )
 
-    def test_early_exit_matches_the_full_count(self, small_instance):
-        # The robustness decision stops walking scenarios once it is settled;
-        # at every threshold it must agree with the full count.
-        scenario_set, cfg = small_instance
-        rng = np.random.default_rng(45)
-        edges = [
-            FlexTrajectory(p_bat=np.zeros(16), p_ewh=np.zeros(16)),
-            FlexTrajectory(p_bat=np.full(16, -1.5), p_ewh=np.zeros(16)),
-            FlexTrajectory(p_bat=np.full(16, 1.5), p_ewh=np.full(16, 0.5)),
-            FlexTrajectory(p_bat=np.zeros(16), p_ewh=np.full(16, 0.5)),
-        ]
-        random = [
-            FlexTrajectory(p_bat=rng.uniform(-scale, scale, 16), p_ewh=np.where(rng.random(16) < 0.3, 0.5, 0.0))
-            for scale in (1.5, 0.5, 0.1)
-            for _ in range(100)
-        ]
-        oracle = analysis._oracle(cfg, scenario_set, 0.25)
-        counts = set()
-        for traj in edges + random:
-            full = oracle_check(traj, scenario_set, cfg, 0.25)
-            counts.add(full)
-            bats, ewhs = traj.p_bat.tolist(), traj.p_ewh.tolist()
-            for threshold in range(1, scenario_set.count + 1):
-                assert (oracle(bats, ewhs, threshold) >= threshold) == (full >= threshold), threshold
-        # both ends and several partial counts are exercised
-        assert {0, scenario_set.count} <= counts
-        assert len(counts - {0, scenario_set.count}) >= 3
+
+def _per_draw_sample(count, cfg, scenario_set, seed, dt, tau_scen):
+    """The infeasible sample as the oracle labels it, one draw at a time:
+    the kept rows and the draws made, or the sampler's ValueError."""
+    bat, horizon = cfg.battery, scenario_set.horizon
+    threshold = epso.robust_threshold(scenario_set.count, tau_scen)
+    rng = np.random.default_rng(seed)
+    rows, attempts = [], 0
+    while len(rows) < count:
+        if attempts == 200 * count:
+            raise ValueError(
+                f"only {len(rows)} of {count} non-robust trajectories found in "
+                f"{attempts} draws; the instance is too permissive"
+            )
+        attempts += 1
+        traj = FlexTrajectory(
+            p_bat=rng.uniform(-bat.p_discharge_max, bat.p_charge_max, horizon),
+            p_ewh=np.where(rng.random(horizon) < 0.5, cfg.ewh.p_nom, 0.0),
+        )
+        if oracle_check(traj, scenario_set, cfg, dt) < threshold:
+            rows.append(traj.as_vector())
+    return np.array(rows), attempts
+
+
+def _low_battery(soc_init):
+    """A 4 MWh battery that starts `soc_init` kWh above an empty floor, with
+    a tank band no schedule leaves: a draw is robust unless it empties the
+    battery, or discharges while surplus should be absorbed."""
+    battery = hems.BatteryConfig(
+        capacity=4000.0, p_charge_max=1.5, p_discharge_max=1.5, soc_init=soc_init, soc_min_frac=0.0
+    )
+    ewh = EwhConfig(p_nom=0.5, theta_min=5.0, theta_max=200.0, theta_init=60.0, draw_profile=np.full(16, 1.0))
+    return HemsConfig(battery=battery, ewh=ewh)
 
 
 class TestGenerateInfeasibleSet:
+    @pytest.mark.parametrize(
+        "instance, count, seed",
+        [
+            # more members than one block holds
+            ("small", 300, 5),
+            # surplus-free rows: 5 members in 753 draws, in blocks of 1 to 5
+            ("low battery", 5, 0),
+            # surplus in one step of one row: 30 members in 124 draws, and
+            # the rows whose head passed step a tail
+            ("low battery, surplus", 30, 6),
+        ],
+    )
+    def test_blocks_keep_the_per_draw_oracle_sample(self, small_instance, instance, count, seed):
+        if instance == "small":
+            scenario_set, cfg = small_instance
+        else:
+            rows = np.full((5, 16), 0.4)
+            if instance.endswith("surplus"):
+                rows += np.random.default_rng(7).normal(0.0, 0.2, rows.shape)
+            scenario_set, cfg = ScenarioSet(rows), _low_battery(2.5)
+        expected, attempts = _per_draw_sample(count, cfg, scenario_set, seed, 0.25, 0.9)
+        sample = generate_infeasible_set(count, cfg, scenario_set, seed=seed, dt=0.25, tau_scen=0.9)
+        assert sample.trajectories.matrix.tobytes() == expected.tobytes()
+        assert sample.attempts == attempts > count
+
+    def test_the_last_block_stops_at_the_draw_budget(self):
+        # 2 of 5 members after 999 draws: the last block holds 1 draw, not 3,
+        # and the sampler gives up after the same 1000 draws as the oracle.
+        scenario_set, cfg = ScenarioSet(np.full((3, 16), 0.4)), _low_battery(3.0)
+        with pytest.raises(ValueError) as expected:
+            _per_draw_sample(5, cfg, scenario_set, 0, 0.25, 0.9)
+        assert str(expected.value).startswith("only 2 of 5 non-robust trajectories found in 1000 draws")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(expected.value))}$"):
+            generate_infeasible_set(5, cfg, scenario_set, seed=0, dt=0.25, tau_scen=0.9)
+
     def test_every_member_fails_robustness(self, small_instance):
         scenario_set, cfg = small_instance
         threshold = epso.robust_threshold(scenario_set.count, 0.9)

@@ -608,22 +608,31 @@ class TestFeasibleSetIndex:
         with pytest.raises(ValueError, match="^row is too large to sum"):
             fs.add(np.array([1e308, 1e308]), 1)
         assert len(fs) == 0
-        with np.errstate(over="ignore"):
-            assert fs.add(np.array([1e308, -1e308]), 1)
-            assert not fs.add(np.array([1e308, -1e308]), 1)
+        assert fs.add(np.array([1e308, -1e308]), 1)
+        assert not fs.add(np.array([1e308, -1e308]), 1)
         assert len(fs) == 1
 
     def test_a_row_whose_mean_update_overflows_is_accepted(self):
         # The second row's step from the mean, [-2e308, 0], overflows, but
         # the true mean of the two rows is [0, 0]: the update takes the
-        # difference of their shares on that coordinate instead.
+        # difference of their shares on that coordinate instead. The suite
+        # turns warnings into errors, so the overflow must also stay silent.
         fs = FeasibleSet(horizon=1)
-        with np.errstate(over="ignore"):
-            assert fs.add(np.array([1e308, 0.0]), 1)
-            assert fs.add(np.array([-1e308, 0.0]), 2)
+        assert fs.add(np.array([1e308, 0.0]), 1)
+        assert fs.add(np.array([-1e308, 0.0]), 2)
         assert len(fs) == 2 and fs.fitnesses == [1, 2]
         assert fs.mean.tobytes() == np.array([0.0, 0.0]).tobytes()
         assert np.array_equal(fs.distances(), [1e308, 1e308])
+
+    def test_a_row_whose_scan_distance_overflows_is_accepted(self):
+        # Both rows sum to 0, so the second is scanned against the first:
+        # their difference, [-2e308, 2e308], overflows to an infinite
+        # distance, which is no duplicate, and the mean step overflows too.
+        fs = FeasibleSet(horizon=1)
+        assert fs.add(np.array([1e308, -1e308]), 1)
+        assert fs.add(np.array([-1e308, 1e308]), 2)
+        assert len(fs) == 2 and fs.fitnesses == [1, 2]
+        assert fs.mean.tobytes() == np.array([0.0, 0.0]).tobytes()
 
 
 class TestStochasticTournament:

@@ -325,8 +325,6 @@ class TestOracleSharedPrefix:
         for pb, pe in zip(p_bat.tolist(), p_ewh.tolist()):
             expected = sum(row_oracle(pb, pe) for row_oracle in row_oracles)
             assert oracle(pb, pe) == expected
-            for threshold in range(net_load.shape[0] + 2):
-                assert (oracle(pb, pe, threshold) >= threshold) == (expected >= threshold)
 
 
 # Finite powers and net loads at the ends of the float range, and signed zeros.

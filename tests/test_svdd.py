@@ -188,6 +188,42 @@ class TestTrain:
         interior = radii < model.radius2_threshold - 1e-6
         assert all(inside(model, x) for x in X[interior])
 
+    @pytest.mark.parametrize("kind", ["rbf", "poly", "sigmoid"])
+    def test_a_given_gram_fits_the_same_model(self, kind, monkeypatch):
+        # validate builds each kernel's matrix once for all its nu. The second
+        # set repeats rows, so that coincident support vectors are merged.
+        merged, merge = [], svdd._merge_coincident
+
+        def spy(*args):
+            merged.append(merge(*args))
+            return merged[-1]
+
+        monkeypatch.setattr(svdd, "_merge_coincident", spy)
+        X = np.random.default_rng(37).random((40, 6))
+        spec = KernelSpec(kind, gamma=0.3)
+        for rows in (X, np.vstack([X, X[:20]])):
+            gram = kernel_matrix(spec, rows, rows)
+            before = gram.tobytes()
+            for nu in (0.05, 0.2, 0.5):
+                cfg = TrainingConfig(nu=nu)
+                assert serialize(train(rows, spec, cfg, gram=gram)) == serialize(train(rows, spec, cfg)), nu
+            assert gram.tobytes() == before
+        assert any(m is not None for m in merged)
+
+    def test_a_gram_of_another_shape_is_refused(self):
+        X = np.random.default_rng(38).random((10, 3))
+        spec = KernelSpec("rbf", gamma=0.5)
+        for gram in (kernel_matrix(spec, X[:9], X[:9]), kernel_matrix(spec, X, X[:9]), kernel_matrix(spec, X, X)[0]):
+            with pytest.raises(ValueError, match=r"^gram has shape \(\d+(, \d+)?,?\), not \(10, 10\)"):
+                train(X, spec, TrainingConfig(), gram=gram)
+        # A given matrix goes through the same checks as one built by train.
+        gram = kernel_matrix(spec, X, X)
+        gram[2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite kernel values"):
+            train(X, spec, TrainingConfig(), gram=gram)
+        with pytest.raises(ValueError, match="every training row the same"):
+            train(X, spec, TrainingConfig(), gram=np.eye(10))
+
     def test_nonconvergence_reports_residual(self, monkeypatch):
         rng = np.random.default_rng(9)
         X = rng.random((100, 4))

@@ -7,11 +7,13 @@ quietest CPU."""
 
 import ast
 import importlib
+import importlib.metadata
 import importlib.util
 import json
 import os
 import pkgutil
 import re
+import sys
 from pathlib import Path
 
 import hemsflex
@@ -118,6 +120,20 @@ def test_bench_assembles_json_from_result_lines():
         "cli_stages_s": cli_stages,
         "environment": env,
     }
+
+
+def test_environment_records_scipy_without_importing_it(monkeypatch):
+    # scipy is a test dependency only, so the recorder must run where it is
+    # absent: it reads the installed version and records None without one.
+    bench = _load_tool("bench")
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    assert bench.environment()["scipy"] == importlib.metadata.version("scipy")
+
+    def absent(name):
+        raise importlib.metadata.PackageNotFoundError(name)
+
+    monkeypatch.setattr(bench.metadata, "version", absent)
+    assert bench.environment()["scipy"] is None
 
 
 def test_kernel_rates_time_both_passes_pinned(monkeypatch):

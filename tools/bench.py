@@ -43,6 +43,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from importlib import metadata
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -124,15 +125,21 @@ def openblas_core() -> str | None:
 
 
 def environment() -> dict:
+    """The machine and library versions. scipy is a test dependency only, so
+    its version is read from the installed metadata, None without it, and
+    scipy itself is not imported."""
     import numpy
-    import scipy
 
+    try:
+        scipy = metadata.version("scipy")
+    except metadata.PackageNotFoundError:
+        scipy = None
     blas = numpy.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "nproc": os.cpu_count(),
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
+        "scipy": scipy,
         "blas": f"{blas.get('name')} {blas.get('version')}",
         "openblas_core": openblas_core(),
         "openblas_coretype_env": os.environ.get("OPENBLAS_CORETYPE"),
