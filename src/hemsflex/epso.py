@@ -25,7 +25,14 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._inputs import finite, finite_array, integer, read_table, whole
-from .hems import FlexTrajectory, HemsConfig, TrajectorySet, batch_compliance, screen_with_repair
+from .hems import (
+    FlexTrajectory,
+    HemsConfig,
+    TrajectorySet,
+    batch_compliance,
+    comfort_repair,
+    screen_given_tank,
+)
 
 # Kept importable as epso.repair_trajectory, where perfbench/spans.py looks it up.
 from .hems import repair_trajectory  # noqa: F401
@@ -195,10 +202,12 @@ class FeasibleSet:
 
     def distances(self) -> np.ndarray:
         """Accumulated absolute distance of each member to the set mean, as a
-        read-only array computed once per state of the set."""
+        read-only array computed once per state of the set. Members near
+        the float range may sum to a distance of inf, as `add` lets them."""
         if self._distances is None:
-            deviation = np.abs(self._rows[: len(self)] - self.mean)
-            self._distances = deviation[:, : self.horizon].sum(axis=1) + deviation[:, self.horizon :].sum(axis=1)
+            with np.errstate(over="ignore"):
+                deviation = np.abs(self._rows[: len(self)] - self.mean)
+                self._distances = deviation[:, : self.horizon].sum(axis=1) + deviation[:, self.horizon :].sum(axis=1)
             self._distances.flags.writeable = False
         return self._distances
 
@@ -369,19 +378,28 @@ def run(
     """Search until the target number of distinct robust trajectories is
     collected or the iteration budget runs out.
 
+    Before each evaluation a thermostat repairs every particle's heater
+    schedule, `hems.comfort_repair`: from the first step where the tank would
+    leave its comfort band, the heater switches off at a step that would take
+    it above the band and on at a step that would take it below. The repaired
+    schedule becomes the particle's position, so its personal best, the
+    tournament and the global best all see it.
+
     Offspring that are violation-free in enough scenarios but discharge during
     surplus steps are repaired against the scenario-set surplus envelope and
     re-checked before joining the set. Each evaluation is one kernel pass that
-    screens the swarm and repairs every row at once, plus, when some repair
-    candidate is valid, one `batch_compliance` re-screen of the repaired rows.
+    screens the swarm and repairs every row at once, on the tank path the
+    thermostat stepped, plus, when some repair candidate is valid, one
+    `batch_compliance` re-screen of the repaired rows.
     The pass steps the scenarios' tail only for the rows whose head, the
     tank and the battery before the first surplus step, passed, and gives
     each row's compliant scenarios, which the fitness counts. Repair leaves
     every step before that step as it is, so the re-screen is given the
     first pass's prefix of those rows and resumes at that step, with the
     same verdicts as a full screen. `log_sink`, when given, receives one
-    dict per iteration, whose `head_faulted` counts the rows of that
-    iteration's pass whose head faulted.
+    dict per iteration, whose `comfort_repaired` counts the rows whose heater
+    schedule the thermostat changed in that iteration's pass, and whose
+    `head_faulted` counts the rows of the pass whose head faulted after it.
     """
     t_start = time.perf_counter()
     n_scen = scenarios.count
@@ -394,15 +412,20 @@ def run(
         if log_sink is not None:
             log_sink(record)
 
-    def evaluate(swarm: Swarm) -> None:
-        """Score and repair the whole swarm in one kernel pass, re-screen the
-        valid repair candidates in one call from the first surplus step on,
-        refresh the personal bests, then offer the robust rows, repaired ones
-        included, to the set in row order. Returns the number of rows whose
-        head faulted in the pass."""
+    def evaluate(swarm: Swarm) -> tuple[int, int]:
+        """Thermostat-repair every heater schedule in place, score and repair
+        the whole swarm in one kernel pass on the repaired tank path,
+        re-screen the valid repair candidates in one call from the first
+        surplus step on, refresh the personal bests, then offer the robust
+        rows, repaired ones included, to the set in row order. Returns the
+        number of rows whose heater schedule the thermostat changed, and of
+        rows whose head faulted in the pass."""
         x_bat, x_ewh = swarm.x[:, :horizon], swarm.x[:, horizon:]
-        zero_penalty, compliant, fixed_bat, valid, prefix = screen_with_repair(
-            x_bat, x_ewh, scenarios.values, hems_cfg, dt
+        p_ewh, theta = comfort_repair(x_ewh, hems_cfg.ewh, dt)
+        changed = int((p_ewh != x_ewh).any(axis=1).sum())
+        x_ewh[:] = p_ewh
+        zero_penalty, compliant, fixed_bat, valid, prefix = screen_given_tank(
+            x_bat, x_ewh, scenarios.values, theta, hems_cfg, dt
         )
         fitness = np.count_nonzero(compliant, axis=1)
         penalty_free = np.count_nonzero(zero_penalty, axis=1)
@@ -425,19 +448,20 @@ def run(
         swarm.best_x = np.where(improved[:, None], swarm.x, swarm.best_x)
         for i in np.flatnonzero(offered_fitness >= threshold):
             feasible.add(offered[i], int(offered_fitness[i]))
-        return int(prefix.fault.sum())
+        return changed, int(prefix.fault.sum())
 
     def best_distance() -> float:
         return float(np.max(feasible.distances())) if len(feasible) else 0.0
 
     swarm = seed_initial_population(scenario0, epso_cfg, hems_cfg, _stream(epso_cfg.seed, 0))
-    head_faulted = evaluate(swarm)
+    comfort_repaired, head_faulted = evaluate(swarm)
     emit(
         {
             "iteration": 0,
             "feasible": len(feasible),
             "best_distance": best_distance(),
             "mutation_rate": MUTATION_MAX,
+            "comfort_repaired": comfort_repaired,
             "head_faulted": head_faulted,
         }
     )
@@ -470,7 +494,7 @@ def run(
             star[i] = perturb_global_best(b_g, TAU_PRIME, rng_move)
             mask[i] = rng_move.random(2 * horizon) < COMM_FACTOR
         offspring = move_particle(replace(swarm, weights=weights), star, mask, hems_cfg)
-        head_faulted = evaluate(offspring)
+        comfort_repaired, head_faulted = evaluate(offspring)
 
         swarm = stochastic_tournament(
             swarm, offspring, _stream(epso_cfg.seed, 2, it), TOURNAMENT_WIN_PROB
@@ -481,6 +505,7 @@ def run(
                 "feasible": len(feasible),
                 "best_distance": distance,
                 "mutation_rate": rate,
+                "comfort_repaired": comfort_repaired,
                 "head_faulted": head_faulted,
             }
         )

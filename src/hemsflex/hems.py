@@ -25,6 +25,15 @@ first surplus step on, and never the EWH schedule: the swarm's
 `batch_compliance` re-screen of its repaired rows takes their head from that
 screen and steps only the tail.
 
+The swarm also repairs comfort. `comfort_repair` is a thermostat on the
+heater schedules: from the first step where a row's tank would leave its
+band, the heater switches off at a step that would take the tank above
+`theta_max` and on at a step that would take it below `theta_min`. It
+returns the repaired schedules with their tank path, and
+`screen_given_tank` screens the rows on that path, so a swarm pass steps
+the tank once. `screen_with_repair` steps its own tank and repairs no comfort,
+so the verdicts it gives a row are those of the row as given.
+
 Sign convention: positive battery power charges (consumes), negative
 discharges (injects). EWH power is 0 or its nominal rating.
 """
@@ -53,6 +62,8 @@ __all__ = [
     "ewh_step",
     "batch_compliance",
     "screen_with_repair",
+    "screen_given_tank",
+    "comfort_repair",
     "simulate",
     "pv_accommodation",
     "repair_trajectory",
@@ -354,6 +365,58 @@ def _tank(p_ewh, ewh: EwhConfig, dt: float) -> np.ndarray:
     return theta
 
 
+def _out_of_band(theta, ewh: EwhConfig) -> np.ndarray:
+    """Where a tank path leaves the comfort band, with the EPS slack."""
+    return (theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)
+
+
+def comfort_repair(p_ewh: np.ndarray, ewh: EwhConfig, dt: float) -> tuple[np.ndarray, np.ndarray]:
+    """Thermostat-repair P (P, T) EWH schedules and return them with their
+    (T, P) tank path, which equals `_tank` of the returned schedules bit for
+    bit.
+
+    The tank is stepped once over every row. A row whose path leaves the
+    comfort band is re-stepped in Python floats with `ewh_step`, which makes
+    the same IEEE operations in the same order, from its first out-of-band
+    step on. At each step, a heater that is on (power not zero) switches off
+    where the step would take the tank above `theta_max`, and one that is off
+    switches on at `p_nom` where the step would take it below `theta_min`;
+    the step is then taken with the new power. A row that never leaves the
+    band comes back with its own bits, and every step before a row's first
+    out-of-band step keeps its power. A tank the heater cannot keep above
+    `theta_min` still leaves the band, so the screen's head still faults it.
+    """
+    p_ewh = finite_array("p_ewh", np.asarray(p_ewh, dtype=float))
+    if p_ewh.ndim != 2:
+        raise ValueError(f"EWH schedules are a (P, T) matrix, not shape {p_ewh.shape}")
+    theta = _tank(p_ewh, ewh, dt)
+    out = _out_of_band(theta, ewh)
+    rows = np.flatnonzero(out.any(axis=0))
+    if not rows.size:
+        return p_ewh, theta
+    p_ewh = p_ewh.copy()
+    low, high = ewh.theta_min - EPS, ewh.theta_max + EPS
+    draws = ewh.draws(p_ewh.shape[1]).tolist()
+    for p in rows.tolist():
+        first = int(out[:, p].argmax())
+        level = ewh.theta_init if first == 0 else float(theta[first - 1, p])
+        powers, path = p_ewh[p, first:].tolist(), []
+        for k, power in enumerate(powers):
+            v = draws[first + k]
+            step = ewh_step(level, power, v, dt, ewh)
+            if step > high and power != 0.0:
+                powers[k] = 0.0
+                step = ewh_step(level, 0.0, v, dt, ewh)
+            elif step < low and power == 0.0:
+                powers[k] = ewh.p_nom
+                step = ewh_step(level, ewh.p_nom, v, dt, ewh)
+            path.append(step)
+            level = step
+        p_ewh[p, first:] = powers
+        theta[first:, p] = path
+    return p_ewh, theta
+
+
 def _lane_steps(p_bat, p_ewh, surplus, active, cfg: HemsConfig, dt: float, soc):
     """Step the batteries of P trajectories through S surplus rows at once
     over the columns given, from the (P, 1) SoC `soc`, yielding `_Block`s
@@ -522,16 +585,17 @@ def _faults(blocks, lanes, cfg: HemsConfig, last_discharge=None):
     return over_rate | (top > bat.soc_max + EPS) | (bottom < bat.soc_min - EPS), discharge, soc
 
 
-def _head(p_bat, p_ewh, surplus, active, start: int, cfg: HemsConfig, dt: float) -> ScreenPrefix:
+def _head(p_bat, p_ewh, surplus, active, start: int, cfg: HemsConfig, dt: float, theta=None) -> ScreenPrefix:
     """The `ScreenPrefix` of P (P, T) rows: the tank over the horizon and the
     battery before the first surplus step `start`, where a row's lanes are
-    alike, stepped at width (P, 1)."""
-    ewh = cfg.ewh
+    alike, stepped at width (P, 1). `theta` is the rows' (T, P) tank path
+    when the caller has stepped it; otherwise `_tank` steps it here."""
     soc = np.full((p_bat.shape[0], 1), cfg.battery.soc_init)
     head = _lane_steps(p_bat[:, :start], p_ewh[:, :start], surplus[:, :start], active[:start], cfg, dt, soc)
     fault, _, soc = _faults(head, soc, cfg)
-    theta = _tank(p_ewh, ewh, dt)
-    fault |= ((theta < ewh.theta_min - EPS) | (theta > ewh.theta_max + EPS)).any(axis=0)[:, None]
+    if theta is None:
+        theta = _tank(p_ewh, cfg.ewh, dt)
+    fault |= _out_of_band(theta, cfg.ewh).any(axis=0)[:, None]
     # Copies, so that a caller writing to its rows cannot pass the guard.
     return ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), soc, fault, cfg, dt)
 
@@ -653,10 +717,38 @@ def screen_with_repair(
     re-screens them from that step on.
     """
     p_bat, p_ewh, net_load = _check_population(p_bat, p_ewh, net_load)
+    return _screen(p_bat, p_ewh, net_load, _tank(p_ewh, cfg.ewh, dt), cfg, dt)
+
+
+def screen_given_tank(
+    p_bat: np.ndarray,
+    p_ewh: np.ndarray,
+    net_load: np.ndarray,
+    theta: np.ndarray,
+    cfg: HemsConfig,
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ScreenPrefix]:
+    """`screen_with_repair` of rows whose (T, P) tank path `theta` the caller
+    has already stepped, as `comfort_repair` returns it with the schedules
+    it repaired: the pass then steps no tank of its own. The path must be
+    `_tank` of `p_ewh` under `cfg.ewh` and `dt`; only its shape is checked,
+    as an extreme but finite tank config may step it out of the float range
+    as `_tank` does, where the head faults or passes the row as it would.
+    """
+    p_bat, p_ewh, net_load = _check_population(p_bat, p_ewh, net_load)
+    theta = np.asarray(theta, dtype=float)
+    if theta.shape != p_ewh.shape[::-1]:
+        raise ValueError(f"theta has shape {theta.shape}, the tank path of (P, T) {p_ewh.shape} rows is (T, P)")
+    return _screen(p_bat, p_ewh, net_load, theta, cfg, dt)
+
+
+def _screen(p_bat, p_ewh, net_load, theta, cfg: HemsConfig, dt: float):
+    """The fused pass of `screen_with_repair` on checked rows, from their
+    (T, P) tank path `theta`."""
     surplus = pv_surplus(net_load)
     surplus = np.concatenate([surplus, surplus.max(axis=0, initial=0.0)[None]])
     active, start = _surplus_steps(surplus)
-    prefix = _head(p_bat, p_ewh, surplus, active, start, cfg, dt)
+    prefix = _head(p_bat, p_ewh, surplus, active, start, cfg, dt, theta)
     # A row whose head faulted fails in every lane whatever its tail does.
     live = np.flatnonzero(~prefix.fault[:, 0])
     flags = np.zeros((p_bat.shape[1] - start, live.size), dtype=bool)

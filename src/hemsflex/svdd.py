@@ -3,9 +3,12 @@
 Trains the nu-parameterized one-class dual with a coordinate-pair (SMO-style)
 solver, keeps only the support vectors and their coefficients, and classifies
 new trajectories by comparing their radius in kernel space against the
-boundary radius. The serialized model carries nothing but support vectors,
-coefficients, kernel settings, normalization bounds, and the threshold, so it
-can be shared without exposing raw household data.
+boundary radius. The serialized model carries support vectors,
+coefficients, kernel settings, normalization bounds, and the threshold. That
+does not keep the household's data private: each support vector is a
+training trajectory, normalized, and the normalization bounds, themselves the
+training set's per-coordinate minimum and maximum, undo the normalization, so
+a model file gives back each of those trajectories to within round-off.
 """
 
 from __future__ import annotations

@@ -634,6 +634,26 @@ class TestFeasibleSetIndex:
         assert len(fs) == 2 and fs.fitnesses == [1, 2]
         assert fs.mean.tobytes() == np.array([0.0, 0.0]).tobytes()
 
+    def test_distances_that_overflow_are_inf_without_a_warning(self):
+        # Each member's deviation halves from the mean [0, 0] are 1e308 and
+        # 1e308, whose sum overflows: the distance is inf, and silently so,
+        # which the suite's warnings-as-errors would otherwise turn into an
+        # error. The global best is then the first of the tied members.
+        fs = FeasibleSet(horizon=1)
+        assert fs.add(np.array([1e308, -1e308]), 1)
+        assert fs.add(np.array([-1e308, 1e308]), 2)
+        assert fs.distances().tolist() == [np.inf, np.inf]
+        assert select_global_best(fs).tolist() == [1e308, -1e308]
+
+    def test_distances_of_ordinary_rows_keep_their_bits(self):
+        rng = np.random.default_rng(33)
+        fs = FeasibleSet(horizon=4)
+        for row in rng.normal(0.0, 1.0, (20, 8)):
+            fs.add(row, 1)
+        deviation = np.abs(fs.trajectories.matrix - fs.mean)
+        want = deviation[:, :4].sum(axis=1) + deviation[:, 4:].sum(axis=1)
+        assert fs.distances().tobytes() == want.tobytes()
+
 
 class TestStochasticTournament:
     # Each pair draws one uniform, in row order, so a swarm of n pairs sees

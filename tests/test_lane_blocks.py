@@ -850,15 +850,17 @@ class TestLiveRowTail:
         assert prefix.fault.any() and not prefix.fault.all()
 
     def test_every_fused_pass_of_the_small_search(self, monkeypatch):
+        """The swarm's pass is `screen_given_tank` on the thermostat's tank
+        path; `_check` screens the same rows with `screen_with_repair`."""
         cfg = cli.RunConfig.load(DATA / "config_small.json")
         scenario_set, hems_cfg = cli._instance(cfg)
-        screen, faulted = hems.screen_with_repair, []
+        screen, faulted = hems.screen_given_tank, []
 
-        def twin(p_bat, p_ewh, net_load, cfg, dt):
+        def twin(p_bat, p_ewh, net_load, theta, cfg, dt):
             faulted.append(int(self._check(p_bat, p_ewh, net_load, cfg, dt).fault.sum()))
-            return screen(p_bat, p_ewh, net_load, cfg, dt)
+            return screen(p_bat, p_ewh, net_load, theta, cfg, dt)
 
-        monkeypatch.setattr(epso, "screen_with_repair", twin)
+        monkeypatch.setattr(epso, "screen_given_tank", twin)
         records = []
         epso.run(cfg.epso, scenario_set, hems_cfg, cfg.dt_hours, log_sink=records.append)
         assert len(faulted) == len(records) > 10 and 0 < sum(faulted)
