@@ -25,14 +25,7 @@ from dataclasses import dataclass, fields, replace
 import numpy as np
 
 from ._inputs import finite, finite_array, integer, read_table, whole
-from .hems import (
-    FlexTrajectory,
-    HemsConfig,
-    TrajectorySet,
-    batch_compliance,
-    comfort_repair,
-    screen_given_tank,
-)
+from .hems import FlexTrajectory, HemsConfig, TrajectorySet, batch_compliance, swarm_pass
 
 # Kept importable as epso.repair_trajectory, where perfbench/spans.py looks it up.
 from .hems import repair_trajectory  # noqa: F401
@@ -378,28 +371,30 @@ def run(
     """Search until the target number of distinct robust trajectories is
     collected or the iteration budget runs out.
 
-    Before each evaluation a thermostat repairs every particle's heater
-    schedule, `hems.comfort_repair`: from the first step where the tank would
-    leave its comfort band, the heater switches off at a step that would take
-    it above the band and on at a step that would take it below. The repaired
-    schedule becomes the particle's position, so its personal best, the
-    tournament and the global best all see it.
+    Each evaluation is one `hems.swarm_pass` of the swarm, which steps the
+    tank once:
+    - a thermostat, `hems.comfort_repair`, repairs every particle's heater
+      schedule: from the first step where the tank would leave its comfort
+      band, the heater switches off at a step that would take it above the
+      band and on at a step that would take it below. The repaired schedule
+      becomes the particle's position, so its personal best, the tournament
+      and the global best all see it;
+    - one kernel pass screens the swarm on the thermostat's tank path and
+      repairs every row against the scenario-set surplus envelope. It steps
+      the scenarios' tail only for the rows whose head, the tank and the
+      battery before the first surplus step, passed, and gives each row's
+      compliant scenarios, which the fitness counts;
+    - rows that are violation-free in enough scenarios but discharge
+      during surplus steps are the repair candidates. Their repairs are
+      re-screened from the first surplus step on, and offered to the set in
+      place of the rows, with the same verdicts as a full screen.
 
-    Offspring that are violation-free in enough scenarios but discharge during
-    surplus steps are repaired against the scenario-set surplus envelope and
-    re-checked before joining the set. Each evaluation is one kernel pass that
-    screens the swarm and repairs every row at once, on the tank path the
-    thermostat stepped, plus, when some repair candidate is valid, one
-    `batch_compliance` re-screen of the repaired rows.
-    The pass steps the scenarios' tail only for the rows whose head, the
-    tank and the battery before the first surplus step, passed, and gives
-    each row's compliant scenarios, which the fitness counts. Repair leaves
-    every step before that step as it is, so the re-screen is given the
-    first pass's prefix of those rows and resumes at that step, with the
-    same verdicts as a full screen. `log_sink`, when given, receives one
-    dict per iteration, whose `comfort_repaired` counts the rows whose heater
-    schedule the thermostat changed in that iteration's pass, and whose
-    `head_faulted` counts the rows of the pass whose head faulted after it.
+    `log_sink`, when given, receives one dict per iteration. Its
+    `comfort_repaired` counts the rows whose heater schedule the thermostat
+    changed in that iteration's pass, `head_faulted` the rows of the pass
+    whose head faulted after it, `repair_candidates` the rows whose repair
+    was re-screened, and `repair_robust` those of them whose repair reached
+    the robust threshold.
     """
     t_start = time.perf_counter()
     n_scen = scenarios.count
@@ -408,63 +403,43 @@ def run(
     scenario0 = scenarios.values[0]
     feasible = FeasibleSet(horizon=horizon)
 
-    def emit(record: dict) -> None:
+    def log(iteration: int, distance: float, rate: float, counts: dict) -> None:
         if log_sink is not None:
-            log_sink(record)
-
-    def evaluate(swarm: Swarm) -> tuple[int, int]:
-        """Thermostat-repair every heater schedule in place, score and repair
-        the whole swarm in one kernel pass on the repaired tank path,
-        re-screen the valid repair candidates in one call from the first
-        surplus step on, refresh the personal bests, then offer the robust
-        rows, repaired ones included, to the set in row order. Returns the
-        number of rows whose heater schedule the thermostat changed, and of
-        rows whose head faulted in the pass."""
-        x_bat, x_ewh = swarm.x[:, :horizon], swarm.x[:, horizon:]
-        p_ewh, theta = comfort_repair(x_ewh, hems_cfg.ewh, dt)
-        changed = int((p_ewh != x_ewh).any(axis=1).sum())
-        x_ewh[:] = p_ewh
-        zero_penalty, compliant, fixed_bat, valid, prefix = screen_given_tank(
-            x_bat, x_ewh, scenarios.values, theta, hems_cfg, dt
-        )
-        fitness = np.count_nonzero(compliant, axis=1)
-        penalty_free = np.count_nonzero(zero_penalty, axis=1)
-        # Repair applies when the only widespread failures are
-        # surplus-accommodation ones; it is skipped for trajectories the
-        # envelope itself pushes into penalties.
-        rows = np.flatnonzero((fitness < threshold) & (penalty_free >= threshold) & valid)
-        offered, offered_fitness = swarm.x, fitness
-        if rows.size:
-            offered, offered_fitness = swarm.x.copy(), fitness.copy()
-            offered[rows, :horizon] = fixed_bat[rows]
-            zero_penalty, accommodation_ok = batch_compliance(
-                fixed_bat[rows], x_ewh[rows], scenarios.values, hems_cfg, dt, prefix=prefix.rows(rows)
+            log_sink(
+                {"iteration": iteration, "feasible": len(feasible), "best_distance": distance, "mutation_rate": rate}
+                | counts
             )
-            offered_fitness[rows] = np.count_nonzero(zero_penalty & accommodation_ok, axis=1)
+
+    def evaluate(swarm: Swarm) -> dict:
+        """Evaluate the swarm in one `swarm_pass`, write the thermostat's
+        heater schedules into it, refresh the personal bests, then offer the
+        robust rows, repaired ones included, to the set in row order.
+        Returns the pass's counts for the log."""
+        x_ewh = swarm.x[:, horizon:]
+        screened = swarm_pass(swarm.x[:, :horizon], x_ewh, scenarios.values, hems_cfg, dt, threshold)
+        x_ewh[:] = screened.p_ewh
+        fitness, offered_fitness, candidates = screened.fitness, screened.offered_fitness, screened.candidates
         # A personal best follows ties to the newer position, which aids diversity.
         improved = fitness >= swarm.best_fitness
         swarm.fitness = fitness
         swarm.best_fitness = np.where(improved, fitness, swarm.best_fitness)
         swarm.best_x = np.where(improved[:, None], swarm.x, swarm.best_x)
+        offered = np.concatenate([screened.p_bat, x_ewh], axis=1)
         for i in np.flatnonzero(offered_fitness >= threshold):
             feasible.add(offered[i], int(offered_fitness[i]))
-        return changed, int(prefix.fault.sum())
+        return {
+            "comfort_repaired": screened.comfort_repaired,
+            "head_faulted": screened.head_faulted,
+            "repair_candidates": int(candidates.size),
+            "repair_robust": int(np.count_nonzero(offered_fitness[candidates] >= threshold)),
+        }
 
     def best_distance() -> float:
         return float(np.max(feasible.distances())) if len(feasible) else 0.0
 
     swarm = seed_initial_population(scenario0, epso_cfg, hems_cfg, _stream(epso_cfg.seed, 0))
-    comfort_repaired, head_faulted = evaluate(swarm)
-    emit(
-        {
-            "iteration": 0,
-            "feasible": len(feasible),
-            "best_distance": best_distance(),
-            "mutation_rate": MUTATION_MAX,
-            "comfort_repaired": comfort_repaired,
-            "head_faulted": head_faulted,
-        }
-    )
+    counts = evaluate(swarm)
+    log(0, best_distance(), MUTATION_MAX, counts)
 
     size = epso_cfg.pop_size
     iterations = 0
@@ -494,21 +469,12 @@ def run(
             star[i] = perturb_global_best(b_g, TAU_PRIME, rng_move)
             mask[i] = rng_move.random(2 * horizon) < COMM_FACTOR
         offspring = move_particle(replace(swarm, weights=weights), star, mask, hems_cfg)
-        comfort_repaired, head_faulted = evaluate(offspring)
+        counts = evaluate(offspring)
 
         swarm = stochastic_tournament(
             swarm, offspring, _stream(epso_cfg.seed, 2, it), TOURNAMENT_WIN_PROB
         )
-        emit(
-            {
-                "iteration": it,
-                "feasible": len(feasible),
-                "best_distance": distance,
-                "mutation_rate": rate,
-                "comfort_repaired": comfort_repaired,
-                "head_faulted": head_faulted,
-            }
-        )
+        log(it, distance, rate, counts)
 
     completed = len(feasible) >= epso_cfg.target_feasible
     warning = None

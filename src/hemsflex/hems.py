@@ -19,20 +19,20 @@ net-load rows' surplus envelope, their stepwise maximum surplus, as one more
 surplus row, so one screen gives the (P, S) verdicts and the rows repaired
 against the envelope. A row whose head faulted fails in every lane, so that
 screen steps the tail only for the rows whose head passed, and its second
-verdict is `compliant`, which is exact for every row. The envelope has
-surplus wherever some row has, so repair changes battery power only from the
-first surplus step on, and never the EWH schedule: the swarm's
-`batch_compliance` re-screen of its repaired rows takes their head from that
-screen and steps only the tail.
+verdict is `compliant`, which is exact for every row.
 
-The swarm also repairs comfort. `comfort_repair` is a thermostat on the
-heater schedules: from the first step where a row's tank would leave its
-band, the heater switches off at a step that would take the tank above
-`theta_max` and on at a step that would take it below `theta_min`. It
-returns the repaired schedules with their tank path, and
-`screen_given_tank` screens the rows on that path, so a swarm pass steps
-the tank once. `screen_with_repair` steps its own tank and repairs no comfort,
-so the verdicts it gives a row are those of the row as given.
+`swarm_pass` is the swarm's whole evaluation. It thermostat-repairs the
+heater schedules with `comfort_repair`: from the first step where a row's
+tank would leave its band, the heater switches off at a step that would take
+the tank above `theta_max` and on at a step that would take it below
+`theta_min`. It then screens and surplus-repairs the rows on the tank path
+the thermostat stepped, so a pass steps the tank once, and re-screens the
+repairs that may make a row robust. The envelope has surplus wherever some
+row has, so repair changes battery power only from the first surplus step
+on, and never the EWH schedule: the re-screen takes the repaired rows' head
+from the pass and steps only the tail. `screen_with_repair` steps its own
+tank and repairs no comfort, so the verdicts it gives a row are those of the
+row as given.
 
 Sign convention: positive battery power charges (consumes), negative
 discharges (injects). EWH power is 0 or its nominal rating.
@@ -58,11 +58,12 @@ __all__ = [
     "FlexTrajectory",
     "TrajectorySet",
     "ScreenPrefix",
+    "SwarmPass",
     "SimulationResult",
     "ewh_step",
     "batch_compliance",
     "screen_with_repair",
-    "screen_given_tank",
+    "swarm_pass",
     "comfort_repair",
     "simulate",
     "pv_accommodation",
@@ -534,25 +535,14 @@ def _check_population(p_bat, p_ewh, net_load):
 class ScreenPrefix(NamedTuple):
     """The head of a screen of P rows: what it knows of them before `start`,
     the first step where some surplus row has surplus (the horizon when none
-    has), where every lane of a row steps alike. `p_bat` (P, start) and
-    `p_ewh` (P, T) are the battery power before `start` and the EWH schedule
-    the rows were stepped on. `soc` (P, 1) is the SoC entering step `start`,
-    and `fault` (P, 1) whether a step before it broke the charge rate or left
-    the SoC band, or the tank left its band anywhere on the horizon. `cfg`
-    and `dt` are the config and step the head was stepped under, which
-    `fault` depends on. `rows` selects rows of it, as an index selects rows
-    of an array."""
+    has), where every lane of a row steps alike. `soc` (P, 1) is the SoC
+    entering step `start`, and `fault` (P, 1) whether a step before it broke
+    the charge rate or left the SoC band, or the tank left its band anywhere
+    on the horizon."""
 
     start: int
-    p_bat: np.ndarray
-    p_ewh: np.ndarray
     soc: np.ndarray
     fault: np.ndarray
-    cfg: HemsConfig
-    dt: float
-
-    def rows(self, index) -> "ScreenPrefix":
-        return self._replace(**{name: getattr(self, name)[index] for name in ("p_bat", "p_ewh", "soc", "fault")})
 
 
 def _surplus_steps(surplus) -> tuple[np.ndarray, int]:
@@ -596,8 +586,7 @@ def _head(p_bat, p_ewh, surplus, active, start: int, cfg: HemsConfig, dt: float,
     if theta is None:
         theta = _tank(p_ewh, cfg.ewh, dt)
     fault |= _out_of_band(theta, cfg.ewh).any(axis=0)[:, None]
-    # Copies, so that a caller writing to its rows cannot pass the guard.
-    return ScreenPrefix(start, p_bat[:, :start].copy(), p_ewh.copy(), soc, fault, cfg, dt)
+    return ScreenPrefix(start, soc, fault)
 
 
 def _tail(p_bat, p_ewh, surplus, active, soc, cfg: HemsConfig, dt: float, last_discharge=None):
@@ -617,38 +606,12 @@ def _tail(p_bat, p_ewh, surplus, active, soc, cfg: HemsConfig, dt: float, last_d
     return fault, discharge
 
 
-def _same_bits(a, b) -> bool:
-    """Whether two float arrays hold the same shape and bits: rows with the
-    same bits step alike."""
-    return np.array_equal(a.view(np.int64), b.view(np.int64))
-
-
-def _check_prefix(prefix: ScreenPrefix, p_bat, p_ewh, start: int, cfg: HemsConfig, dt: float) -> None:
-    """Reject a prefix that was not taken of rows stepping as these do
-    before the first surplus step, `start`, under the config object `cfg`
-    at step `dt`."""
-    if prefix.cfg is not cfg:
-        raise ValueError("the prefix was stepped under another HemsConfig than the screen's")
-    if prefix.dt != dt:
-        raise ValueError(f"the prefix was stepped at dt={prefix.dt!r}, the screen at dt={dt!r}")
-    if prefix.start != start:
-        raise ValueError(f"the prefix's first surplus step is {prefix.start}, the net-load rows' is {start}")
-    if prefix.soc.shape[0] != p_bat.shape[0]:
-        raise ValueError(f"the prefix has {prefix.soc.shape[0]} rows, the screen {p_bat.shape[0]}")
-    if not _same_bits(prefix.p_ewh, p_ewh):
-        raise ValueError("the prefix's rows differ from the screened ones in EWH schedule")
-    if not _same_bits(prefix.p_bat, p_bat[:, :start]):
-        raise ValueError(f"the prefix's rows differ from the screened ones in battery power before step {start}")
-
-
 def batch_compliance(
     p_bat: np.ndarray,
     p_ewh: np.ndarray,
     net_load: np.ndarray,
     cfg: HemsConfig,
     dt: float,
-    *,
-    prefix: ScreenPrefix | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Screen trajectories against S net-load rows at once.
 
@@ -657,22 +620,11 @@ def batch_compliance(
     matrices. Each entry equals `simulate(...).penalty == 0` and
     `pv_accommodation(...)[0]` for that trajectory and the row's surplus,
     with the tank under `cfg`'s draw profile.
-
-    `prefix`, when given, is the `screen_with_repair` prefix of rows that
-    step as these do before the net-load rows' first surplus step: the same
-    EWH schedules and the same battery power before that step, bit for bit,
-    that step as the prefix's own first surplus step, and the same `cfg`
-    object and `dt` as the pass that took it. The screen then resumes from
-    it at that step and steps no tank, with the same results.
-    A prefix that does not match raises ValueError naming the mismatch.
     """
     p_bat, p_ewh, net_load = _check_population(p_bat, p_ewh, net_load)
     surplus = pv_surplus(net_load)
     active, start = _surplus_steps(surplus)
-    if prefix is None:
-        prefix = _head(p_bat, p_ewh, surplus, active, start, cfg, dt)
-    else:
-        _check_prefix(prefix, p_bat, p_ewh, start, cfg, dt)
+    prefix = _head(p_bat, p_ewh, surplus, active, start, cfg, dt)
     fault, discharge = _tail(
         p_bat[:, start:], p_ewh[:, start:], surplus[:, start:], active[start:], prefix.soc, cfg, dt
     )
@@ -701,53 +653,96 @@ def screen_with_repair(
     constraint penalty under the envelope, which repair does not fix; such
     rows come back unchanged. A lane's result depends only on its own
     trajectory and surplus row, so the extra row leaves the verdicts bit for
-    bit as they are.
+    bit as they are. `prefix` is the pass's `ScreenPrefix`, taken at the
+    first step where the net-load rows have surplus.
 
     The tail is stepped only for the rows whose head did not fault. A row
     whose head faulted has a penalty in every lane, the envelope's included,
     so it is all False in zero_penalty, compliant and valid whatever its tail
     does, and comes back unchanged; only its accommodation verdicts would
     need the tail, and they are not returned on their own.
-
-    `prefix` is the pass's `ScreenPrefix`, taken at the first step where the
-    net-load rows have surplus. Repair changes only steps where the envelope
-    has surplus and never the EWH schedule, so `prefix.rows(i)` is also the
-    prefix of the repaired rows i, and
-    `batch_compliance(repaired[i], p_ewh[i], net_load, ..., prefix=prefix.rows(i))`
-    re-screens them from that step on.
     """
     p_bat, p_ewh, net_load = _check_population(p_bat, p_ewh, net_load)
-    return _screen(p_bat, p_ewh, net_load, _tank(p_ewh, cfg.ewh, dt), cfg, dt)
+    return _screen(p_bat, p_ewh, *_enveloped(net_load), _tank(p_ewh, cfg.ewh, dt), cfg, dt)
 
 
-def screen_given_tank(
+class SwarmPass(NamedTuple):
+    """What `swarm_pass` gives each of the P rows of a swarm: `p_ewh`, the
+    (P, T) heater schedules the thermostat repaired, and `fitness`, each
+    row's count of compliant scenarios as screened; `p_bat` and
+    `offered_fitness`, the battery power and compliant-scenario count of the
+    row offered to the feasible set, which is the surplus repair for the rows
+    indexed by `candidates` and the row as screened for the others;
+    `comfort_repaired`, the number of rows whose heater schedule the
+    thermostat changed, and `head_faulted`, of rows whose head faulted after
+    it."""
+
+    p_ewh: np.ndarray
+    fitness: np.ndarray
+    p_bat: np.ndarray
+    offered_fitness: np.ndarray
+    candidates: np.ndarray
+    comfort_repaired: int
+    head_faulted: int
+
+
+def swarm_pass(
     p_bat: np.ndarray,
     p_ewh: np.ndarray,
     net_load: np.ndarray,
-    theta: np.ndarray,
     cfg: HemsConfig,
     dt: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, ScreenPrefix]:
-    """`screen_with_repair` of rows whose (T, P) tank path `theta` the caller
-    has already stepped, as `comfort_repair` returns it with the schedules
-    it repaired: the pass then steps no tank of its own. The path must be
-    `_tank` of `p_ewh` under `cfg.ewh` and `dt`; only its shape is checked,
-    as an extreme but finite tank config may step it out of the float range
-    as `_tank` does, where the head faults or passes the row as it would.
+    threshold: int,
+) -> SwarmPass:
+    """Evaluate a swarm of P (P, T) trajectories against S net-load rows,
+    with `threshold` the count of compliant scenarios that makes a row
+    robust, stepping the tank once.
+
+    `comfort_repair` thermostat-repairs the heater schedules and steps their
+    tank path. On that path, `screen_with_repair`'s fused pass screens the
+    rows with the repaired heater and repairs each against the surplus
+    envelope. The repair candidates are the rows below the threshold whose
+    penalty-free scenarios reach it and whose repair is valid: repair fixes
+    only the accommodation rule. Their repaired rows are re-screened against
+    the S rows. Repair changes battery power only from the first surplus step
+    on, and the envelope is positive exactly where some row is, so a repaired
+    row's head is the one the pass built: the re-screen steps only the tail,
+    from the head's SoC. A valid row's head passed, so its offered fitness
+    counts the tail lanes with neither a fault nor a discharge during
+    surplus, which is `batch_compliance` of the repaired row, bit for bit.
     """
     p_bat, p_ewh, net_load = _check_population(p_bat, p_ewh, net_load)
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != p_ewh.shape[::-1]:
-        raise ValueError(f"theta has shape {theta.shape}, the tank path of (P, T) {p_ewh.shape} rows is (T, P)")
-    return _screen(p_bat, p_ewh, net_load, theta, cfg, dt)
+    repaired_ewh, theta = comfort_repair(p_ewh, cfg.ewh, dt)
+    surplus, active, start = _enveloped(net_load)
+    zero_penalty, compliant, fixed, valid, prefix = _screen(p_bat, repaired_ewh, surplus, active, start, theta, cfg, dt)
+    fitness = np.count_nonzero(compliant, axis=1)
+    rows = np.flatnonzero((fitness < threshold) & (np.count_nonzero(zero_penalty, axis=1) >= threshold) & valid)
+    offered_bat, offered_fitness = p_bat, fitness
+    if rows.size:
+        repaired = fixed[rows]
+        fault, discharge = _tail(
+            repaired[:, start:], repaired_ewh[rows, start:], surplus[:-1, start:], active[start:],
+            prefix.soc[rows], cfg, dt,
+        )
+        offered_bat, offered_fitness = p_bat.copy(), fitness.copy()
+        offered_bat[rows] = repaired
+        offered_fitness[rows] = np.count_nonzero(~(fault | discharge), axis=1)
+    changed = int((repaired_ewh != p_ewh).any(axis=1).sum())
+    return SwarmPass(repaired_ewh, fitness, offered_bat, offered_fitness, rows, changed, int(prefix.fault.sum()))
 
 
-def _screen(p_bat, p_ewh, net_load, theta, cfg: HemsConfig, dt: float):
-    """The fused pass of `screen_with_repair` on checked rows, from their
-    (T, P) tank path `theta`."""
+def _enveloped(net_load):
+    """The (S + 1, T) surplus of S net-load rows with their envelope, the
+    stepwise maximum (zero when there is no row), as the last row, and its
+    `_surplus_steps`, which are the S rows' own."""
     surplus = pv_surplus(net_load)
     surplus = np.concatenate([surplus, surplus.max(axis=0, initial=0.0)[None]])
-    active, start = _surplus_steps(surplus)
+    return (surplus, *_surplus_steps(surplus))
+
+
+def _screen(p_bat, p_ewh, surplus, active, start: int, theta, cfg: HemsConfig, dt: float):
+    """The fused pass of `screen_with_repair` on checked rows, from their
+    (T, P) tank path `theta` and the `_enveloped` surplus rows."""
     prefix = _head(p_bat, p_ewh, surplus, active, start, cfg, dt, theta)
     # A row whose head faulted fails in every lane whatever its tail does.
     live = np.flatnonzero(~prefix.fault[:, 0])

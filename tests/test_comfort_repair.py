@@ -1,8 +1,8 @@
 """The swarm's thermostat: `hems.comfort_repair` switches the heater off at a
 step that would take the tank above its band and on at a step that would
 take it below, from each row's first out-of-band step on, and returns the
-repaired schedules with their tank path. The swarm screens the repaired rows
-on that path, so each of its passes steps the tank once.
+repaired schedules with their tank path. The swarm's pass, `hems.swarm_pass`,
+screens the repaired rows on that path, so each pass steps the tank once.
 """
 
 from pathlib import Path
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from hemsflex import analysis, cli, epso, hems, scenarios
-from hemsflex.hems import EPS, ewh_step
+from hemsflex.hems import EPS, FlexTrajectory, ewh_step
 
 DATA = Path(__file__).resolve().parent.parent / "data"
 
@@ -145,8 +145,9 @@ class TestComfortRepair:
         repaired, theta, _ = _check_repair(p_ewh, ewh, 0.25)
         assert (theta < 59.9 - EPS).any(axis=0).all()
         net_load = np.full((3, 16), 0.4)
-        zero_penalty, *_, prefix = hems.screen_given_tank(np.zeros((2, 16)), repaired, net_load, theta, cfg, 0.25)
-        assert prefix.fault.all() and not zero_penalty.any()
+        result = hems.swarm_pass(np.zeros((2, 16)), p_ewh, net_load, cfg, 0.25, 3)
+        assert _bits(result.p_ewh) == _bits(repaired) and result.comfort_repaired == 2
+        assert result.head_faulted == 2 and not result.fitness.any() and not result.offered_fitness.any()
 
     @PROPERTY
     @given(tank_instances())
@@ -166,31 +167,33 @@ class TestComfortRepair:
             hems.comfort_repair(np.zeros(shape), ewh, 0.25)
 
 
-class TestScreenGivenTank:
+class TestSwarmPassScreen:
     def test_equals_screen_with_repair_on_the_repaired_rows(self):
         p_bat, p_ewh, net_load, cfg, dt = _reference_swarm()
-        repaired, theta = hems.comfort_repair(p_ewh, cfg.ewh, dt)
-        _assert_same_pass(
-            hems.screen_given_tank(p_bat, repaired, net_load, theta, cfg, dt),
-            hems.screen_with_repair(p_bat, repaired, net_load, cfg, dt),
-        )
+        repaired = hems.comfort_repair(p_ewh, cfg.ewh, dt)[0]
+        result = hems.swarm_pass(p_bat, p_ewh, net_load, cfg, dt, epso.robust_threshold(len(net_load), 0.9))
+        _assert_same_pass(result, hems.screen_with_repair(p_bat, repaired, net_load, cfg, dt))
+        assert result.candidates.size and result.comfort_repaired
 
-    def test_a_path_of_another_shape_is_refused(self):
+    def test_halves_of_another_shape_are_refused(self):
         p_bat, p_ewh, net_load, cfg, dt = _reference_swarm()
-        theta = hems._tank(p_ewh, cfg.ewh, dt)
-        with pytest.raises(ValueError, match=r"^theta has shape \(30, 96\)"):
-            hems.screen_given_tank(p_bat, p_ewh, net_load, theta.T, cfg, dt)
+        with pytest.raises(ValueError, match="^trajectory and scenario horizons differ$"):
+            hems.swarm_pass(p_bat, p_ewh[:, :-1], net_load, cfg, dt, 90)
 
 
-def _assert_same_pass(got, want):
-    """Two fused passes' outputs, prefix included, hold the same bits."""
-    *got_arrays, got_prefix = got
-    *want_arrays, want_prefix = want
-    for a, b in zip(got_arrays, want_arrays):
-        assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
-    assert got_prefix.start == want_prefix.start and got_prefix.cfg is want_prefix.cfg
-    for name in ("p_bat", "p_ewh", "soc", "fault"):
-        assert getattr(got_prefix, name).tobytes() == getattr(want_prefix, name).tobytes(), name
+def _assert_same_pass(result, screened):
+    """A swarm pass gives the thermostat's heater and the fitness, head
+    faults and, for each row it does not re-screen, the offer of
+    `screen_with_repair` of its rows, bit for bit."""
+    zero_penalty, compliant, repaired, valid, prefix = screened
+    fitness = np.count_nonzero(compliant, axis=1)
+    assert result.fitness.dtype == fitness.dtype and result.fitness.tobytes() == fitness.tobytes()
+    assert result.head_faulted == int(prefix.fault.sum())
+    assert valid[result.candidates].all()
+    assert (fitness[result.candidates] < np.count_nonzero(zero_penalty, axis=1)[result.candidates]).all()
+    assert _bits(result.p_bat[result.candidates]) == _bits(repaired[result.candidates])
+    others = np.setdiff1d(np.arange(len(fitness)), result.candidates)
+    assert result.offered_fitness[others].tobytes() == fitness[others].tobytes()
 
 
 class TestSwarmPass:
@@ -201,7 +204,7 @@ class TestSwarmPass:
     def _small_search(monkeypatch):
         cfg = cli.RunConfig.load(DATA / "config_small.json")
         scenario_set, hems_cfg = cli._instance(cfg)
-        tank, repair, screen = hems._tank, hems.comfort_repair, hems.screen_given_tank
+        tank, repair, swarm_pass = hems._tank, hems.comfort_repair, hems.swarm_pass
         seen = {"tank": 0, "changed": [], "passes": []}
 
         def counted_tank(*args):
@@ -213,33 +216,68 @@ class TestSwarmPass:
             seen["changed"].append(int((repaired != p_ewh).any(axis=1).sum()))
             return repaired, theta
 
-        def spied_screen(p_bat, p_ewh, net_load, theta, cfg, dt):
-            result = screen(p_bat, p_ewh, net_load, theta, cfg, dt)
-            seen["passes"].append((p_bat.copy(), p_ewh.copy(), result))
+        def spied_pass(p_bat, p_ewh, net_load, cfg, dt, threshold):
+            result = swarm_pass(p_bat, p_ewh, net_load, cfg, dt, threshold)
+            seen["passes"].append((p_bat.copy(), p_ewh.copy(), threshold, result))
             return result
 
         monkeypatch.setattr(hems, "_tank", counted_tank)
-        monkeypatch.setattr(epso, "comfort_repair", spied_repair)
-        monkeypatch.setattr(epso, "screen_given_tank", spied_screen)
+        monkeypatch.setattr(hems, "comfort_repair", spied_repair)
+        monkeypatch.setattr(epso, "swarm_pass", spied_pass)
         records = []
         epso.run(cfg.epso, scenario_set, hems_cfg, cfg.dt_hours, log_sink=records.append)
         return cfg, scenario_set, hems_cfg, records, seen
 
     def test_one_tank_loop_a_pass_and_the_log_counts_repairs(self, monkeypatch):
         *_, records, seen = self._small_search(monkeypatch)
-        assert len(records) > 10 and seen["tank"] == len(records) == len(seen["passes"])
+        assert len(records) > 10 and seen["tank"] == len(records) == len(seen["passes"]) == len(seen["changed"])
         assert [record["comfort_repaired"] for record in records] == seen["changed"]
         assert sum(seen["changed"]) > 0
-        assert [r["head_faulted"] for r in records] == [int(p[2][-1].fault.sum()) for p in seen["passes"]]
+        assert [r["head_faulted"] for r in records] == [p[3].head_faulted for p in seen["passes"]]
 
     def test_the_swarm_screens_the_rows_as_screen_with_repair_does(self, monkeypatch):
         cfg, scenario_set, hems_cfg, _, seen = self._small_search(monkeypatch)
         dt = cfg.dt_hours
-        for p_bat, p_ewh, result in seen["passes"]:
+        for p_bat, p_ewh, _, result in seen["passes"]:
             # The screened heater half is the thermostat's, so a second repair
             # changes nothing.
-            assert _bits(hems.comfort_repair(p_ewh, hems_cfg.ewh, dt)[0]) == _bits(p_ewh)
-            _assert_same_pass(result, hems.screen_with_repair(p_bat, p_ewh, scenario_set.values, hems_cfg, dt))
+            repaired = hems.comfort_repair(p_ewh, hems_cfg.ewh, dt)[0]
+            assert _bits(result.p_ewh) == _bits(repaired)
+            assert _bits(hems.comfort_repair(repaired, hems_cfg.ewh, dt)[0]) == _bits(repaired)
+            _assert_same_pass(result, hems.screen_with_repair(p_bat, repaired, scenario_set.values, hems_cfg, dt))
+
+    def test_the_log_counts_the_repairs_the_pass_rescreened(self, monkeypatch):
+        """Each record's `repair_candidates` and `repair_robust` are the
+        candidates recomputed from `screen_with_repair` of the pass's rows and
+        those of them whose repair a full `batch_compliance` finds robust."""
+        cfg, scenario_set, hems_cfg, records, seen = self._small_search(monkeypatch)
+        values, dt = scenario_set.values, cfg.dt_hours
+        for record, (p_bat, p_ewh, threshold, _) in zip(records, seen["passes"], strict=True):
+            heater = hems.comfort_repair(p_ewh, hems_cfg.ewh, dt)[0]
+            zero_penalty, compliant, repaired, valid, _ = hems.screen_with_repair(p_bat, heater, values, hems_cfg, dt)
+            fitness = np.count_nonzero(compliant, axis=1)
+            rows = np.flatnonzero((fitness < threshold) & (np.count_nonzero(zero_penalty, axis=1) >= threshold) & valid)
+            verdicts = hems.batch_compliance(repaired[rows], heater[rows], values, hems_cfg, dt)
+            robust = int(np.count_nonzero(np.count_nonzero(verdicts[0] & verdicts[1], axis=1) >= threshold))
+            assert (record["repair_candidates"], record["repair_robust"]) == (rows.size, robust)
+        assert sum(r["repair_robust"] for r in records) > 0
+        assert sum(r["repair_candidates"] for r in records) > sum(r["repair_robust"] for r in records)
+
+    def test_oracle_scores_every_offered_row(self, monkeypatch):
+        """On a seeded sample of the small search's passes, the oracle gives
+        every row the pass returns its offered fitness: repaired candidates
+        that stay out of the set and rows below the threshold included."""
+        cfg, scenario_set, hems_cfg, _, seen = self._small_search(monkeypatch)
+        passes = np.random.default_rng(34).choice(len(seen["passes"]), size=4, replace=False)
+        kinds = set()
+        for k in passes.tolist():
+            *_, threshold, result = seen["passes"][k]
+            for i in range(len(result.fitness)):
+                traj = FlexTrajectory(p_bat=result.p_bat[i], p_ewh=result.p_ewh[i])
+                fitness = int(result.offered_fitness[i])
+                assert analysis.oracle_check(traj, scenario_set, hems_cfg, cfg.dt_hours) == fitness
+                kinds.add((i in result.candidates, fitness >= threshold))
+        assert kinds == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_oracle_agrees_on_a_seeded_sample_of_members(self):
         cfg = cli.RunConfig.load(DATA / "config_small.json")

@@ -260,8 +260,8 @@ ENTRY_POINTS = {
         a["p_bat"], a["p_ewh"], a["net_load"], HEMS, 0.25)),
     "screen_with_repair": (("p_bat", "p_ewh", "net_load"), lambda a: hems.screen_with_repair(
         a["p_bat"], a["p_ewh"], a["net_load"], HEMS, 0.25)),
-    "screen_given_tank": (("p_bat", "p_ewh", "net_load"), lambda a: hems.screen_given_tank(
-        a["p_bat"], a["p_ewh"], a["net_load"], hems._tank(np.zeros((2, HORIZON)), HEMS.ewh, 0.25), HEMS, 0.25)),
+    "swarm_pass": (("p_bat", "p_ewh", "net_load"), lambda a: hems.swarm_pass(
+        a["p_bat"], a["p_ewh"], a["net_load"], HEMS, 0.25, 3)),
     "comfort_repair": (("p_ewh",), lambda a: hems.comfort_repair(a["p_ewh"], HEMS.ewh, 0.25)),
     "FlexTrajectory": (("p_bat", "p_ewh"), lambda a: FlexTrajectory(a["p_bat"], a["p_ewh"])),
     "TrajectorySet": (("matrix",), lambda a: hems.TrajectorySet(a["matrix"])),

@@ -4,8 +4,9 @@ blocks of up to `hems._BLOCK_STEPS` steps. Screening, repair and simulation
 must not depend on where the block boundaries fall, so these instances put
 surplus at the horizon's ends and leave surplus-free runs longer than the cap.
 The fused screen steps the repair envelope as one more surplus row, which
-must leave the screen's verdicts as they are, and a re-screen resumed from its
-prefix at the first surplus step must give the full screen's verdicts.
+must leave the screen's verdicts as they are, and the swarm pass's re-screen
+of its repairs, resumed from the pass's head at the first surplus step, must
+give the full screen's verdicts.
 """
 
 import tracemalloc
@@ -583,28 +584,41 @@ def test_population_repair_memory_is_bounded():
     assert peak < 2_000_000, f"screen_with_repair peaked at {peak / 1e6:.2f} MB"
 
 
-def _assert_resumed_matches(p_bat, p_ewh, net_load, cfg, dt, prefix):
-    """A screen resumed from the prefix gives the full screen's verdicts bit
-    for bit."""
-    resumed = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt, prefix=prefix)
-    full = hems.batch_compliance(p_bat, p_ewh, net_load, cfg, dt)
-    for got, want in zip(resumed, full):
-        assert got.shape == want.shape == (p_bat.shape[0], net_load.shape[0])
-        assert np.array_equal(got, want)
+def _assert_offers_match(result, net_load, cfg, dt):
+    """The swarm pass's offered fitness is the compliant-scenario count of a
+    full `batch_compliance` of its offered rows, bit for bit: for the repair
+    candidates, resumed from the pass's head, and for the other rows, as
+    screened."""
+    rows = result.candidates
+    zero_penalty, accommodation_ok = hems.batch_compliance(result.p_bat[rows], result.p_ewh[rows], net_load, cfg, dt)
+    assert zero_penalty.shape == (rows.size, net_load.shape[0])
+    assert np.array_equal(result.offered_fitness[rows], np.count_nonzero(zero_penalty & accommodation_ok, axis=1))
+    zero_penalty, accommodation_ok = hems.batch_compliance(result.p_bat, result.p_ewh, net_load, cfg, dt)
+    assert np.array_equal(result.offered_fitness, np.count_nonzero(zero_penalty & accommodation_ok, axis=1))
 
 
 class TestResumedScreen:
-    """A re-screen given the fused pass's prefix resumes at the first surplus
-    step, for the rows as they were screened and for their repairs, and must
-    give the full screen's verdicts bit for bit."""
+    """The swarm pass re-screens its repair candidates from the head it has
+    just built, at the first surplus step, and must give the full screen's
+    verdicts bit for bit."""
 
     @staticmethod
     def _check_rows(p_bat, p_ewh, net_load, cfg, dt):
-        *_, fixed, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
+        """Run the swarm pass at every threshold from 0 to S + 1, so that
+        each valid repair is a candidate at some threshold; return
+        `screen_with_repair` of the rows with the thermostat's heater."""
+        heater = hems.comfort_repair(p_ewh, cfg.ewh, dt)[0]
+        zero_penalty, compliant, fixed, valid, prefix = hems.screen_with_repair(p_bat, heater, net_load, cfg, dt)
         assert prefix.start == hems._surplus_steps(scenarios.pv_surplus(net_load))[1]
-        for rows in (np.arange(p_bat.shape[0]), np.flatnonzero(valid), np.arange(p_bat.shape[0])[::-1]):
-            for bat in (p_bat, fixed):
-                _assert_resumed_matches(bat[rows], p_ewh[rows], net_load, cfg, dt, prefix.rows(rows))
+        fitness, penalty_free = compliant.sum(axis=1), zero_penalty.sum(axis=1)
+        for threshold in range(net_load.shape[0] + 2):
+            result = hems.swarm_pass(p_bat, p_ewh, net_load, cfg, dt, threshold)
+            rows = np.flatnonzero((fitness < threshold) & (penalty_free >= threshold) & valid)
+            assert np.array_equal(result.candidates, rows) and np.array_equal(result.fitness, fitness)
+            assert result.p_ewh.tobytes() == heater.tobytes()
+            candidate = np.isin(np.arange(p_bat.shape[0]), rows)[:, None]
+            assert result.p_bat.tobytes() == np.where(candidate, fixed, p_bat).tobytes()
+            _assert_offers_match(result, net_load, cfg, dt)
         return fixed, valid, prefix
 
     def test_reference_population(self):
@@ -621,22 +635,22 @@ class TestResumedScreen:
         self._check_rows(p_bat, p_ewh, net_load, cfg, dt)
 
     def test_small_config_swarm(self, monkeypatch):
-        """Every re-screen of the small config's search, checked against the
-        full screen of the same rows."""
+        """Every pass of the small config's search, its re-screens checked
+        against the full screen of the same rows."""
         cfg = cli.RunConfig.load(DATA / "config_small.json")
         scenario_set, hems_cfg = cli._instance(cfg)
-        screen, starts = hems.batch_compliance, []
+        swarm_pass, rescreened = hems.swarm_pass, []
 
-        def twin(p_bat, p_ewh, net_load, cfg, dt, *, prefix=None):
-            assert prefix is not None
-            starts.append(prefix.start)
-            _assert_resumed_matches(p_bat, p_ewh, net_load, cfg, dt, prefix)
-            return screen(p_bat, p_ewh, net_load, cfg, dt, prefix=prefix)
+        def twin(p_bat, p_ewh, net_load, cfg, dt, threshold):
+            result = swarm_pass(p_bat, p_ewh, net_load, cfg, dt, threshold)
+            rescreened.append(result.candidates.size)
+            _assert_offers_match(result, net_load, cfg, dt)
+            return result
 
-        monkeypatch.setattr(epso, "batch_compliance", twin)
+        monkeypatch.setattr(epso, "swarm_pass", twin)
         epso.run(cfg.epso, scenario_set, hems_cfg, cfg.dt_hours)
         first = hems._surplus_steps(scenarios.pv_surplus(scenario_set.values))[1]
-        assert len(starts) > 10 and set(starts) == {first} and 0 < first < scenario_set.horizon
+        assert sum(n > 0 for n in rescreened) > 10 and 0 < first < scenario_set.horizon
 
     HORIZON = 2 * CAP + 2
     FIRST = CAP + 1
@@ -671,7 +685,7 @@ class TestResumedScreen:
     def test_edge_instances(self, case):
         cfg, p_bat, p_ewh, net_load, first = self._edge_instance(case)
         fixed, valid, prefix = self._check_rows(p_bat, p_ewh, net_load, cfg, 0.25)
-        assert prefix.start == first and prefix.p_bat.shape == (4, first)
+        assert prefix.start == first
         verdicts = hems.batch_compliance(fixed, p_ewh, net_load, cfg, 0.25)
         assert not verdicts[0][3].any() and verdicts[0][:3].any()
         if case == "none":
@@ -680,9 +694,6 @@ class TestResumedScreen:
             # Row 0's repair starts exactly at the first surplus step.
             assert valid[0] and fixed[0, first] == 0.0 > p_bat[0, first]
             assert np.array_equal(fixed[0, :first], p_bat[0, :first])
-
-
-FIRST = TestResumedScreen.FIRST
 
 
 class TestPrefixFault:
@@ -730,74 +741,6 @@ class TestPrefixFault:
         assert head.tolist() == [False, False, False, True] and not tank.any()
 
 
-class TestPrefixGuard:
-    """A prefix taken of other rows than the screened ones is rejected,
-    naming what differs. A NaN in the rows is rejected before the guard."""
-
-    @staticmethod
-    def _prefix(p_bat, p_ewh, net_load, cfg):
-        return hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, 0.25)[-1]
-
-    @pytest.mark.parametrize(
-        "change, message",
-        [
-            ("ewh", "in EWH schedule"),
-            ("battery", f"in battery power before step {FIRST}"),
-            ("battery nan", "p_bat: row 3 holds"),
-            ("surplus earlier", f"first surplus step is {FIRST}, the net-load rows' is 2"),
-            ("surplus later", f"first surplus step is {FIRST}, the net-load rows' is {FIRST + 2}"),
-            ("rows", "the prefix has 4 rows, the screen 3"),
-        ],
-    )
-    def test_mismatch_is_rejected(self, change, message):
-        cfg, p_bat, p_ewh, net_load, first = TestResumedScreen._edge_instance("mid-day")
-        prefix = self._prefix(p_bat, p_ewh, net_load, cfg)
-        p_bat, p_ewh, net_load = p_bat.copy(), p_ewh.copy(), net_load.copy()
-        if change == "ewh":
-            p_ewh[2, -1] = P_NOM - p_ewh[2, -1]
-        elif change == "battery":
-            p_bat[1, first - 1] = 0.1
-        elif change == "battery nan":
-            p_bat[2, 0] = np.nan
-        elif change == "surplus earlier":
-            net_load[2, 2] = -0.1
-        elif change == "surplus later":
-            net_load[:, first] = 0.4
-        else:
-            p_bat, p_ewh = p_bat[:3], p_ewh[:3]
-        with pytest.raises(ValueError, match=message):
-            hems.batch_compliance(p_bat, p_ewh, net_load, cfg, 0.25, prefix=prefix)
-
-    def test_a_prefix_of_another_config_or_step_is_rejected(self):
-        """The prefix's fault holds the tank's verdict under the config it was
-        taken under: an idle row passes with no draws and fails with 20 L
-        drawn each step, which only the head steps."""
-        battery = hems.BatteryConfig(capacity=CAPACITY, p_charge_max=P_MAX, p_discharge_max=P_MAX, soc_init=1.6)
-        dry, drawn = (
-            hems.HemsConfig(battery=battery, ewh=hems.EwhConfig(
-                p_nom=P_NOM, theta_min=55.0, theta_max=THETA_MAX, theta_init=60.0, draw_profile=draws
-            ))
-            for draws in (None, np.full(6, 20.0))
-        )
-        idle, net_load = np.zeros((1, 6)), np.array([[0.4, 0.4, -0.3, 0.4, 0.4, 0.4]])
-        assert hems.batch_compliance(idle, idle, net_load, dry, 0.25)[0].tolist() == [[True]]
-        assert hems.batch_compliance(idle, idle, net_load, drawn, 0.25)[0].tolist() == [[False]]
-        prefix = self._prefix(idle, idle, net_load, dry)
-        with pytest.raises(ValueError, match="^the prefix was stepped under another HemsConfig"):
-            hems.batch_compliance(idle, idle, net_load, drawn, 0.25, prefix=prefix)
-        with pytest.raises(ValueError, match=r"^the prefix was stepped at dt=0\.25, the screen at dt=0\.5$"):
-            hems.batch_compliance(idle, idle, net_load, dry, 0.5, prefix=prefix)
-
-    def test_same_rows_after_the_first_surplus_step_may_differ(self):
-        """Battery power from the first surplus step on is not part of the
-        prefix, and a -0.0 before it matches the same -0.0 bit for bit."""
-        cfg, p_bat, p_ewh, net_load, first = TestResumedScreen._edge_instance("mid-day")
-        p_bat[2, 0] = -0.0
-        prefix = self._prefix(p_bat, p_ewh, net_load, cfg)
-        p_bat[:, first:] = 0.3
-        _assert_resumed_matches(p_bat, p_ewh, net_load, cfg, 0.25, prefix)
-
-
 def _full_tail_screen(p_bat, p_ewh, net_load, cfg, dt):
     """`screen_with_repair` with the tail stepped for every row, head-faulted
     ones included: (zero_penalty, accommodation_ok, repaired, valid, prefix)."""
@@ -837,8 +780,8 @@ class TestLiveRowTail:
         assert np.array_equal(valid, want_valid)
         assert repaired.shape == p_bat.shape
         assert np.array_equal(repaired.view(np.int64), want_repaired.view(np.int64))
-        assert prefix.start == want_prefix.start and prefix.dt == want_prefix.dt and prefix.cfg is want_prefix.cfg
-        for name in ("p_bat", "p_ewh", "soc", "fault"):
+        assert prefix.start == want_prefix.start
+        for name in ("soc", "fault"):
             got, want = getattr(prefix, name), getattr(want_prefix, name)
             assert got.shape == want.shape and got.dtype == want.dtype, name
             assert np.array_equal(got.view(np.uint8), want.view(np.uint8)), name
@@ -850,17 +793,20 @@ class TestLiveRowTail:
         assert prefix.fault.any() and not prefix.fault.all()
 
     def test_every_fused_pass_of_the_small_search(self, monkeypatch):
-        """The swarm's pass is `screen_given_tank` on the thermostat's tank
-        path; `_check` screens the same rows with `screen_with_repair`."""
+        """The swarm's pass screens its rows with the thermostat's heater on
+        the thermostat's tank path; `_check` screens the same rows with
+        `screen_with_repair`."""
         cfg = cli.RunConfig.load(DATA / "config_small.json")
         scenario_set, hems_cfg = cli._instance(cfg)
-        screen, faulted = hems.screen_given_tank, []
+        swarm_pass, faulted = hems.swarm_pass, []
 
-        def twin(p_bat, p_ewh, net_load, theta, cfg, dt):
-            faulted.append(int(self._check(p_bat, p_ewh, net_load, cfg, dt).fault.sum()))
-            return screen(p_bat, p_ewh, net_load, theta, cfg, dt)
+        def twin(p_bat, p_ewh, net_load, cfg, dt, threshold):
+            result = swarm_pass(p_bat, p_ewh, net_load, cfg, dt, threshold)
+            faulted.append(int(self._check(p_bat, result.p_ewh, net_load, cfg, dt).fault.sum()))
+            assert result.head_faulted == faulted[-1]
+            return result
 
-        monkeypatch.setattr(epso, "screen_given_tank", twin)
+        monkeypatch.setattr(epso, "swarm_pass", twin)
         records = []
         epso.run(cfg.epso, scenario_set, hems_cfg, cfg.dt_hours, log_sink=records.append)
         assert len(faulted) == len(records) > 10 and 0 < sum(faulted)
@@ -907,26 +853,26 @@ class TestLiveRowTail:
 
     def test_fused_tail_steps_exactly_the_live_rows(self, monkeypatch):
         """The fused pass steps the head for every row and the tail for the
-        live rows only; a re-screen given the prefix steps the tail alone,
-        for every row it is given, from views of them, not copies."""
+        live rows only; the swarm pass's re-screen steps the tail alone, for
+        each repair candidate, from a view of their repaired rows, not a copy."""
         p_bat, p_ewh, net_load, cfg, dt = _seeded_swarm()
         lane_steps, seen = hems._lane_steps, []
 
-        def spy(p_bat, *args):
-            seen.append(p_bat)
-            return lane_steps(p_bat, *args)
+        def spy(p_bat, p_ewh, *args):
+            seen.append((p_bat, p_ewh))
+            return lane_steps(p_bat, p_ewh, *args)
 
         monkeypatch.setattr(hems, "_lane_steps", spy)
-        *_, fixed, valid, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
+        *_, prefix = hems.screen_with_repair(p_bat, p_ewh, net_load, cfg, dt)
         live = np.flatnonzero(~prefix.fault[:, 0])
         start = prefix.start
         assert 0 < live.size < p_bat.shape[0] and 0 < start < p_bat.shape[1]
         assert len(seen) == 2
-        assert np.array_equal(seen[0], p_bat[:, :start]) and np.array_equal(seen[1], p_bat[live, start:])
+        assert np.array_equal(seen[0][0], p_bat[:, :start]) and np.array_equal(seen[1][0], p_bat[live, start:])
         seen.clear()
-        rows = np.flatnonzero(valid)
-        repaired = fixed[rows]
-        hems.batch_compliance(repaired, p_ewh[rows], net_load, cfg, dt, prefix=prefix.rows(rows))
-        assert len(seen) == 1 and np.array_equal(seen[0], repaired[:, start:])
-        assert np.shares_memory(seen[0], repaired)
-
+        result = hems.swarm_pass(p_bat, p_ewh, net_load, cfg, dt, epso.robust_threshold(len(net_load), 0.9))
+        rows = result.candidates
+        assert rows.size > 0 and len(seen) == 3
+        bat, ewh = seen[-1]
+        assert np.array_equal(bat, result.p_bat[rows, start:]) and np.array_equal(ewh, result.p_ewh[rows, start:])
+        assert not bat.flags.owndata

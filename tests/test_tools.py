@@ -147,15 +147,19 @@ def test_kernel_rates_time_both_passes_pinned(monkeypatch):
     kernel = bench.kernel_rates()
     assert pinned == [cpus] * 2 and os.sched_getaffinity(0) == cpus
     assert kernel.pop("repeats") == 2
-    # The resumed re-screen steps from the reference day's first surplus step.
     assert {name: (k["rows"], k["surplus_rows"], k["steps"]) for name, k in kernel.items()} == {
-        "fused": (30, 101, 96), "rescreen": (bench.RESCREEN_ROWS, 100, 96), "resumed": (bench.RESCREEN_ROWS, 100, 62)
+        "fused": (30, 101, 96), "rescreen": (bench.RESCREEN_ROWS, 100, 96), "swarm": (30, 101, 96)
     }
     # The fused pass steps its 34-step head for all 30 rows and its tail for
     # the 17 rows whose head passed.
     fused = kernel.pop("fused")
     assert fused["live_rows"] == 17 and fused["lane_steps"] == 30 * 34 + 17 * 101 * 62
-    for k in [fused, *kernel.values()]:
+    # The swarm's pass steps the tail of the 25 rows whose head passed after
+    # the thermostat, and re-screens the tail of its 10 repair candidates.
+    swarm = kernel.pop("swarm")
+    assert swarm["live_rows"] == 25 and swarm["candidate_rows"] == 10
+    assert swarm["lane_steps"] == 30 * 34 + 25 * 101 * 62 + 10 * 100 * 62
+    for k in [fused, swarm, *kernel.values()]:
         assert k["lane_steps_per_s"] == k["lane_steps"] / k["best_s"] > 0
     for k in kernel.values():
         assert k["lane_steps"] == k["rows"] * k["surplus_rows"] * k["steps"]

@@ -26,9 +26,8 @@ slow a call down, and one full reference search read from 6.2 to 9.2 s on the
 same 2-vCPU guest. The stages write to a temporary directory, so out/small is
 left alone.
 
-Last it times the lane kernel itself in this process (see kernel_rates): the
-perfbench spans see only its re-screens, not the fused pass of each
-generation.
+Last it times the lane kernel itself in this process (see kernel_rates): no
+perfbench span sees the swarm's pass.
 """
 
 from __future__ import annotations
@@ -180,17 +179,20 @@ def time_cli_stages(config: Path, out: Path) -> dict:
 def kernel_rates() -> dict:
     """Lane-steps per second of the lane kernel on the reference day, in this
     process: the fused screen-and-repair pass of a seeded first swarm of
-    `pop_size` rows against the scenarios plus their surplus envelope, and a
-    `batch_compliance` re-screen of RESCREEN_ROWS of its repaired rows, both
-    the full one (`rescreen`) and, as the swarm makes it, the one resumed
-    from the fused pass's prefix at the first surplus step (`resumed`),
-    whose lane steps are those from that step on. The fused pass steps its
-    head once per row before the first surplus step and its tail only for
-    the `live_rows` whose head passed, so its lane steps are rows x first
+    `pop_size` rows against the scenarios plus their surplus envelope, a full
+    `batch_compliance` re-screen of RESCREEN_ROWS of its repaired rows
+    (`rescreen`), and the swarm's whole pass, `hems.swarm_pass`, on the same
+    rows at the config's robust threshold (`swarm`): thermostat, fused pass
+    and the re-screen of its `candidate_rows` included. The fused pass steps
+    its head once per row before the first surplus step and its tail only
+    for the `live_rows` whose head passed, so its lane steps are rows x first
     plus live_rows x surplus_rows x (steps - first), `first` being the first
-    surplus step. Each of KERNEL_REPEATS rounds pins this process to
-    perfbench's quietest CPU and times each call once; a call's figure is
-    its best round. The affinity is restored."""
+    surplus step. The swarm's pass steps those of the fused pass on the
+    thermostat's rows, whose `live_rows` are its own, plus candidate_rows x
+    (surplus_rows - 1) x (steps - first) for the re-screen. Each of
+    KERNEL_REPEATS rounds pins this process to perfbench's quietest CPU and
+    times each call once; a call's figure is its best round. The affinity is
+    restored."""
     sys.path.insert(0, str(ROOT / "src"))
     import numpy as np
     from hemsflex import cli, epso, hems, scenarios
@@ -198,21 +200,24 @@ def kernel_rates() -> dict:
     cfg = cli.RunConfig.load(ROOT / "data" / CONFIGS["reference"])
     values = scenarios.generate_scenarios(scenarios.read_marginals_csv(cfg.marginals_path), cfg.copula).values
     hems_cfg, dt, horizon = cfg.hems_config(), cfg.dt_hours, values.shape[1]
+    threshold = epso.robust_threshold(len(values), cfg.epso.tau_scen)
     rows = epso.seed_initial_population(values[0], cfg.epso, hems_cfg, np.random.default_rng(cfg.seed)).x
     p_bat, p_ewh = rows[:, :horizon], rows[:, horizon:]
     *_, fixed, _, prefix = hems.screen_with_repair(p_bat, p_ewh, values, hems_cfg, dt)
-    repaired, ewh, head = fixed[:RESCREEN_ROWS], p_ewh[:RESCREEN_ROWS], prefix.rows(slice(RESCREEN_ROWS))
+    repaired, ewh = fixed[:RESCREEN_ROWS], p_ewh[:RESCREEN_ROWS]
     first, live = prefix.start, int(np.count_nonzero(~prefix.fault))
+    screened = hems.swarm_pass(p_bat, p_ewh, values, hems_cfg, dt, threshold)
+    candidates, swarm_live = int(screened.candidates.size), len(rows) - screened.head_faulted
     fused = {"rows": len(rows), "live_rows": live, "surplus_rows": len(values) + 1, "steps": horizon}
     rescreen = {"rows": RESCREEN_ROWS, "surplus_rows": len(values), "steps": horizon}
-    resumed = rescreen | {"steps": horizon - first}
+    swarm = fused | {"live_rows": swarm_live, "candidate_rows": candidates}
     calls = {
         "fused": (lambda: hems.screen_with_repair(p_bat, p_ewh, values, hems_cfg, dt), fused,
                   len(rows) * first + live * (len(values) + 1) * (horizon - first)),
         "rescreen": (lambda: hems.batch_compliance(repaired, ewh, values, hems_cfg, dt), rescreen,
                      RESCREEN_ROWS * len(values) * horizon),
-        "resumed": (lambda: hems.batch_compliance(repaired, ewh, values, hems_cfg, dt, prefix=head), resumed,
-                    RESCREEN_ROWS * len(values) * (horizon - first)),
+        "swarm": (lambda: hems.swarm_pass(p_bat, p_ewh, values, hems_cfg, dt, threshold), swarm,
+                  len(rows) * first + (swarm_live * (len(values) + 1) + candidates * len(values)) * (horizon - first)),
     }
     best = dict.fromkeys(calls, float("inf"))
     cpus = os.sched_getaffinity(0)
@@ -257,7 +262,7 @@ def main(argv=None) -> int:
 
     doc = assemble(args.pr, args.seed, args.seconds, runs, cli_stages, environment())
     doc["kernel"] = kernel = kernel_rates()
-    print(", ".join(f"{k} {kernel[k]['lane_steps_per_s']:.3g} lane-steps/s" for k in ("fused", "rescreen", "resumed")))
+    print(", ".join(f"{k} {kernel[k]['lane_steps_per_s']:.3g} lane-steps/s" for k in ("fused", "rescreen", "swarm")))
     path = args.out or ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(doc, indent=2) + "\n")
     print(f"wrote {path}")
